@@ -2,9 +2,9 @@
 Command-line interface.
 
 All structured output is JSON on stdout with sorted keys, so repeated
-runs (including runs with different --threads) are byte-identical apart
-from the "timings" section of certificate reports.  Diagnostics go to
-stderr.  Exit codes:
+runs are byte-identical apart from the "timings" section of certificate
+reports.  --threads is accepted for compatibility and has no effect.
+Diagnostics go to stderr.  Exit codes:
 
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
@@ -34,6 +34,13 @@ def _default_threads() -> int:
         return max(1, int(os.environ.get(THREADS_ENV, "1")))
     except ValueError:
         return 1
+
+
+def _thread_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def emit(payload, pretty: bool = False) -> None:
@@ -158,7 +165,7 @@ def cmd_deodhar(args) -> int:
     word = parse_word(args.word)
     A = parse_parabolic(args.parabolic)
     constraint = _constraint_from_args(args, word)
-    el = spherical.deodhar_expand(word, args.n, A, constraint, args.threads)
+    el = spherical.deodhar_expand(word, args.n, A, constraint)
     leaves = (constraint or subexpr.EnumConstraint.free(len(word))).leaf_count()
     emit({"expansion": el.to_json_dict(), "subexpressions": leaves,
           "display": repr(el)}, args.pretty)
@@ -169,9 +176,17 @@ def cmd_defect_stats(args) -> int:
     word = parse_word(args.word)
     A = parse_parabolic(args.parabolic)
     constraint = _constraint_from_args(args, word)
-    target = parse_perm(args.endpoint) if args.endpoint else None
-    hist = subexpr.defect_histogram(word, args.n, A, constraint, target,
-                                    args.threads)
+    target = None
+    if args.endpoint:
+        target = parse_perm(args.endpoint)
+        if len(target) != args.n:
+            raise ValueError(f"--endpoint {args.endpoint!r} has "
+                             f"{len(target)} entries, not n = {args.n}")
+        # generators outside 1..n-1 are reported by the sweep
+        if any(target[i - 1] > target[i] for i in A if 0 < i < args.n):
+            raise ValueError(f"--endpoint {args.endpoint!r} is not a minimal "
+                             f"coset representative for A = {sorted(A)}")
+    hist = subexpr.defect_histogram(word, args.n, A, constraint, target)
     emit(_hist_json(hist), args.pretty)
     return 0
 
@@ -266,8 +281,7 @@ def cmd_certify(args) -> int:
             w = wd.w_element()
             constraint = wd.constraint()
             t1 = time.perf_counter()
-            data = subexpr.sweep_parallel(wd.word, wd.n, wd.parabolic,
-                                          constraint, args.threads)
+            data = subexpr.sweep(wd.word, wd.n, wd.parabolic, constraint)
             timings["enumeration_seconds"] = round(
                 time.perf_counter() - t1, 6)
             expansion = spherical.expansion_from_sweep(
@@ -376,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--forced-letters",
                    help="letters whose positions are forced to 1")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count,
+                   default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_deodhar)
 
     p = sub.add_parser("defect-stats", help="defect histogram of a word")
@@ -386,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forced-letters")
     p.add_argument("--endpoint",
                    help="count only this endpoint (one-line notation)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count,
+                   default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_defect_stats)
 
     p = sub.add_parser("demazure-eval",
@@ -427,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the interval section is skipped")
     p.add_argument("--expr", default="paper-GL15")
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count,
+                   default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_certify)
 
     return parser

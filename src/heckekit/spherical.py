@@ -267,12 +267,12 @@ def expansion_from_sweep(data: subexpr.SweepResult, n: int,
 
 def deodhar_expand(word: Sequence[int], n: int, parabolic,
                    constraint: subexpr.EnumConstraint | None = None,
-                   threads: int = 1) -> SphericalElement:
+                   ) -> SphericalElement:
     """sum over allowed subexpressions of v^defect on the endpoint coset.
 
     With no constraint this equals bott_samelson_spherical(word, n, A).
     """
-    data = subexpr.sweep_parallel(word, n, parabolic, constraint, threads)
+    data = subexpr.sweep(word, n, parabolic, constraint)
     return expansion_from_sweep(data, n, parabolic)
 
 

@@ -1,6 +1,6 @@
 """
-Enumeration of decorated subexpressions of a word, with per-position
-constraints.
+Decorated subexpressions of a word, with per-position constraints, and
+their aggregation by endpoint coset and defect.
 
 A subexpression of a word (s_{i_1}, ..., s_{i_m}) is a bit sequence
 e_1 ... e_m.  Suffix products y_0 = id, y_j = s_{i_{m+1-j}}^{e_{m+1-j}} y_{j-1}
@@ -10,14 +10,14 @@ in W/W_A.  The parabolic defect of the subexpression is
 
     #{j : (d_j, e_j) = (U, 0) or (S, 1)} - #{j : (d_j, e_j) = (D, 0) or (S, 0)}.
 
-The enumerator walks positions m down to 1 in depth-first order, branching
-0 before 1 at free positions, and keeps the coset state as a minimal coset
-representative updated incrementally (one value swap per U/D step).  Large
-runs go through `sweep`, a tight iterative loop that aggregates
-endpoint -> defect -> count without materializing per-leaf records;
-`iter_subexpressions` yields full records and is the semantic reference.
-Partitioned runs split on the highest free positions and merge by exact
-addition, so totals are schedule-independent.
+`sweep` computes endpoint -> defect -> count as a right-to-left fold over
+word positions whose state maps minimal coset representatives to defect
+histograms.  Each step is the b_s action on the spherical module, cut down
+to the allowed bits, so the cost follows the number of cosets reached
+rather than the 2^(free positions) subexpressions.  `iter_subexpressions`
+(a depth-first walk yielding one record per subexpression) and `decorate`
+(one subexpression, straight from the definitions) are the slow references
+the fold is tested against.
 """
 from __future__ import annotations
 
@@ -28,6 +28,11 @@ from . import coxeter
 from .coxeter import Permutation, Word
 
 SweepResult = dict[Permutation, dict[int, int]]
+
+# Most cosets one fold step may reach.  The synthetic GL15 certificate
+# words peak near 155,000 cosets.  At n = 15 the fold needs up to about
+# 0.9 KB per coset, so the budget keeps it under about 1 GB.
+SUPPORT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -77,28 +82,6 @@ class EnumConstraint:
 
     def leaf_count(self) -> int:
         return 1 << len(self.free_positions())
-
-    def split(self, k: int) -> list["EnumConstraint"]:
-        """Partition into sub-constraints by fixing the k highest free positions.
-
-        The highest positions are processed first by the right-to-left DFS,
-        so each part is a contiguous subtree of the full run.  Parts are
-        returned in the DFS visiting order (bit 0 before bit 1 at each
-        fixed position, the rightmost position varying slowest).
-        """
-        free = self.free_positions()
-        k = min(k, len(free))
-        if k == 0:
-            return [self]
-        top = free[-k:]
-        parts = []
-        for mask in range(1 << k):
-            slots = list(self.slots)
-            # top[-1] is processed first: give it the most significant bit
-            for j, pos in enumerate(reversed(top)):
-                slots[pos] = ((mask >> (k - 1 - j)) & 1,)
-            parts.append(EnumConstraint(slots))
-        return parts
 
     def to_json(self) -> list[list[int]]:
         return [list(s) for s in self.slots]
@@ -194,8 +177,14 @@ def sweep(word: Sequence[int], n: int, parabolic,
           constraint: EnumConstraint | None = None) -> SweepResult:
     """Aggregate endpoint -> defect -> count over all allowed subexpressions.
 
-    Iterative DFS identical in visiting order to iter_subexpressions, but
-    allocation-free along the path; only leaves touch the output map.
+    A right-to-left fold over word positions.  The state maps each coset
+    reached by the suffix subexpressions (as its minimal representative)
+    to their defect histogram.  Letter s_i sends a U or D coset u to s_i u
+    with shift 0 when e = 1 and keeps it with shift +1 (U) or -1 (D) when
+    e = 0; an S coset stays with shift +1 (e = 1) or -1 (e = 0).  This is
+    the b_s action on the spherical module, so the work grows with the
+    number of cosets reached rather than with the number of leaves.  A
+    step that reaches more than SUPPORT_BUDGET cosets raises ValueError.
     """
     m = len(word)
     if constraint is None:
@@ -205,134 +194,56 @@ def sweep(word: Sequence[int], n: int, parabolic,
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for S_{n}")
-    out: SweepResult = {}
-    u = list(range(1, n + 1))
-    if m == 0:
-        out[tuple(u)] = {0: 1}
-        return out
-    in_a = bytearray(n + 1)
-    for i in parabolic:
-        in_a[i] = 1
-    pos = list(range(-1, n))  # pos[value] = index of value in u
-    letters = [word[m - 1 - k] for k in range(m)]  # processing order
-    allowed = [constraint[m - 1 - k] for k in range(m)]
-    kind = [0] * m      # 0 = U, 1 = D, 2 = S at each depth
-    branch = [0] * m    # next-branch index per depth
-    delta = [0] * m     # defect delta of the branch currently taken
-    swapped = [False] * m
-    defect = 0
-    k = 0
-    i = letters[0]
-    a, b = pos[i], pos[i + 1]
-    kind[0] = 1 if a > b else (2 if (b == a + 1 and in_a[a + 1]) else 0)
-    while True:
-        opts = allowed[k]
-        if branch[k] < len(opts):
-            e = opts[branch[k]]
-            d = kind[k]
-            if e == 0:
-                dd = 1 if d == 0 else -1
-                sw = False
-            else:
-                dd = 1 if d == 2 else 0
-                sw = d != 2
-            if sw:
-                i = letters[k]
-                a, b = pos[i], pos[i + 1]
-                u[a], u[b] = u[b], u[a]
-                pos[i], pos[i + 1] = b, a
-            defect += dd
-            if k + 1 == m:
-                key = tuple(u)
-                slot = out.get(key)
-                if slot is None:
-                    out[key] = {defect: 1}
-                else:
-                    slot[defect] = slot.get(defect, 0) + 1
-                defect -= dd
-                if sw:
-                    i = letters[k]
-                    a, b = pos[i], pos[i + 1]
-                    u[a], u[b] = u[b], u[a]
-                    pos[i], pos[i + 1] = b, a
-                branch[k] += 1
-            else:
-                delta[k] = dd
-                swapped[k] = sw
-                k += 1
-                branch[k] = 0
-                i = letters[k]
-                a, b = pos[i], pos[i + 1]
-                kind[k] = 1 if a > b else (2 if (b == a + 1 and in_a[a + 1])
-                                           else 0)
-        else:
-            if k == 0:
-                break
-            k -= 1
-            defect -= delta[k]
-            if swapped[k]:
-                i = letters[k]
-                a, b = pos[i], pos[i + 1]
-                u[a], u[b] = u[b], u[a]
-                pos[i], pos[i + 1] = b, a
-            branch[k] += 1
-    return out
+    A = frozenset(parabolic)
+    for i in sorted(A):
+        if not 1 <= i <= n - 1:
+            raise ValueError(
+                f"parabolic generator {i} out of range for S_{n}")
+    state: SweepResult = {tuple(range(1, n + 1)): {0: 1}}
+    for j in range(m - 1, -1, -1):
+        i = word[j]
+        keep = 0 in constraint[j]   # e = 0 allowed
+        move = 1 in constraint[j]   # e = 1 allowed
+        out: SweepResult = {}
+        for u, hist in state.items():
+            a = u.index(i)
+            b = u.index(i + 1)
+            if b == a + 1 and b in A:   # S: s_i u = u s_b with s_b in W_A
+                if move:
+                    _merge(out, u, hist, 1)
+                if keep:
+                    _merge(out, u, hist, -1)
+                continue
+            if move:
+                su = list(u)
+                su[a], su[b] = i + 1, i
+                _merge(out, tuple(su), hist, 0)
+            if keep:
+                _merge(out, u, hist, 1 if a < b else -1)
+        state = out
+    return state
 
 
-def merge_sweeps(parts: Iterator[SweepResult] | Sequence[SweepResult],
-                 ) -> SweepResult:
-    """Exact commutative merge of partial sweeps."""
-    out: SweepResult = {}
-    for part in parts:
-        for endpoint, hist in part.items():
-            slot = out.setdefault(endpoint, {})
-            for d, c in hist.items():
-                slot[d] = slot.get(d, 0) + c
-    return out
-
-
-def _sweep_task(args) -> SweepResult:
-    word, n, parabolic, slots = args
-    return sweep(word, n, parabolic, EnumConstraint(slots))
-
-
-def sweep_parallel(word: Sequence[int], n: int, parabolic,
-                   constraint: EnumConstraint | None = None,
-                   threads: int = 1) -> SweepResult:
-    """Partitioned sweep over worker processes; results merge exactly."""
-    m = len(word)
-    if constraint is None:
-        constraint = EnumConstraint.free(m)
-    if threads <= 1:
-        return sweep(word, n, parabolic, constraint)
-    nfree = len(constraint.free_positions())
-    k = 0
-    while (1 << k) < 4 * threads and k < nfree and k < 10:
-        k += 1
-    parts = constraint.split(k)
-    if len(parts) == 1:
-        return sweep(word, n, parabolic, constraint)
-    word = tuple(word)
-    parabolic = tuple(sorted(set(parabolic)))
-    jobs = [(word, n, parabolic, part.slots) for part in parts]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_task, jobs))
-    except (OSError, ImportError) as exc:  # no worker processes available
-        import sys
-
-        print(f"heckekit: falling back to sequential sweep ({exc})",
-              file=sys.stderr)
-        results = [_sweep_task(job) for job in jobs]
-    return merge_sweeps(results)
+def _merge(out: SweepResult, u: Permutation, hist: dict[int, int],
+           shift: int) -> None:
+    """Add hist, with every defect shifted, into out[u]."""
+    slot = out.get(u)
+    if slot is None:
+        if len(out) >= SUPPORT_BUDGET:
+            raise ValueError(
+                f"subexpression fold support exceeds the budget of "
+                f"{SUPPORT_BUDGET} cosets")
+        out[u] = {d + shift: c for d, c in hist.items()} if shift else \
+            dict(hist)
+    else:
+        for d, c in hist.items():
+            d += shift
+            slot[d] = slot.get(d, 0) + c
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,
                      constraint: EnumConstraint | None = None,
-                     target: Permutation | None = None,
-                     threads: int = 1) -> dict[int, int]:
+                     target: Permutation | None = None) -> dict[int, int]:
     """Exact counts of subexpressions by parabolic defect.
 
     With `target` set, only subexpressions whose endpoint coset has that
@@ -341,7 +252,7 @@ def defect_histogram(word: Sequence[int], n: int, parabolic,
     >>> defect_histogram((2,), 3, {2})
     {-1: 1, 1: 1}
     """
-    data = sweep_parallel(word, n, parabolic, constraint, threads)
+    data = sweep(word, n, parabolic, constraint)
     if target is not None:
         hist = data.get(tuple(target), {})
         return dict(sorted(hist.items()))

@@ -184,3 +184,39 @@ def test_deodhar_threads_deterministic(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_parabolic_out_of_range_is_input_error(capsys):
+    code = cli.main(["deodhar", "--n", "3", "--parabolic", "7",
+                     "--word", "1"])
+    assert code == 2
+    assert "parabolic generator 7 out of range for S_3" in \
+        capsys.readouterr().err
+
+
+def test_defect_stats_rejects_bad_endpoint(capsys):
+    for parabolic, endpoint, why in (("", "1,2", "2 entries, not n = 3"),
+                                     ("1", "2,1,3", "not a minimal coset")):
+        code = cli.main(["defect-stats", "--n", "3", "--parabolic",
+                         parabolic, "--word", "1 2", "--endpoint", endpoint])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"--endpoint '{endpoint}'" in err and why in err
+
+
+def test_defect_stats_unreachable_endpoint_is_empty(capsys):
+    code, payload = run_json(capsys, "defect-stats", "--n", "3",
+                             "--word", "1", "--endpoint", "3,2,1")
+    assert code == 0
+    assert payload == {}
+
+
+def test_threads_below_one_is_input_error(capsys):
+    for argv in (["deodhar", "--n", "3", "--word", "1"],
+                 ["defect-stats", "--n", "3", "--word", "1"],
+                 ["certify"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "0"])
+        assert exc.value.code == 2
+        assert "argument --threads: must be at least 1" in \
+            capsys.readouterr().err

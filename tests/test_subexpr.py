@@ -10,9 +10,7 @@ from heckekit.subexpr import (
     decorate,
     defect_histogram,
     iter_subexpressions,
-    merge_sweeps,
     sweep,
-    sweep_parallel,
 )
 
 
@@ -94,6 +92,14 @@ def test_all_ones_endpoint():
         assert d.endpoint == expect
 
 
+def _aggregate(word, n, A, constraint):
+    out = {}
+    for rec in iter_subexpressions(word, n, A, constraint):
+        slot = out.setdefault(rec.endpoint, {})
+        slot[rec.defect] = slot.get(rec.defect, 0) + 1
+    return out
+
+
 def test_sweep_matches_iteration():
     rng = random.Random(9)
     for _ in range(120):
@@ -103,11 +109,45 @@ def test_sweep_matches_iteration():
         A = frozenset(i for i in range(1, n) if rng.random() < 0.5)
         slots = [rng.choice(((0,), (1,), (0, 1))) for _ in range(m)]
         c = EnumConstraint(slots)
-        expected = {}
-        for rec in iter_subexpressions(word, n, A, c):
-            slot = expected.setdefault(rec.endpoint, {})
-            slot[rec.defect] = slot.get(rec.defect, 0) + 1
-        assert sweep(word, n, A, c) == expected
+        assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
+
+
+def test_sweep_matches_iteration_with_forced_positions():
+    rng = random.Random(2017)
+    cases = [((), 5, frozenset({2}), ())]
+    for _ in range(60):
+        n = rng.choice((4, 5, 6))
+        m = rng.randrange(1, 11)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        forced = frozenset(k for k in range(m) if rng.random() < 0.3)
+        cases.append((word, n, A, forced))
+        if len(cases) % 10 == 0:
+            cases.append((word, n, A, frozenset(range(m))))
+    for word, n, A, forced in cases:
+        c = EnumConstraint([(1,) if k in forced else (0, 1)
+                            for k in range(len(word))])
+        assert sweep(word, n, A, c) == _aggregate(word, n, A, c), \
+            (word, n, sorted(A), sorted(forced))
+
+
+def test_sweep_rejects_out_of_range_generators():
+    with pytest.raises(ValueError, match="parabolic generator 7"):
+        sweep((1,), 3, {7})
+    with pytest.raises(ValueError, match="parabolic generator 0"):
+        sweep((), 3, {0})
+    with pytest.raises(ValueError, match="generator index 3"):
+        sweep((3,), 3, set())
+
+
+def test_sweep_support_budget(monkeypatch):
+    word = (1, 2, 3, 1, 2, 1)
+    assert len(sweep(word, 4, set())) == 24
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 23)
+    with pytest.raises(ValueError, match="budget of 23 cosets"):
+        sweep(word, 4, set())
+    forced = EnumConstraint.forced_letters(word, {1, 2, 3})
+    assert len(sweep(word, 4, set(), forced)) == 1
 
 
 def test_sweep_empty_word():
@@ -130,30 +170,6 @@ def test_forced_letters_constraint():
     word = (1, 3, 2, 3, 1)
     c = EnumConstraint.forced_letters(word, {3})
     assert c.slots == ((0, 1), (1,), (0, 1), (1,), (0, 1))
-
-
-def test_split_is_disjoint_cover():
-    word = (1, 2, 1, 2, 1)
-    c = EnumConstraint(((0, 1), (1,), (0, 1), (0, 1), (0,)))
-    parts = c.split(2)
-    assert len(parts) == 4
-    full = [rec.bits for rec in iter_subexpressions(word, 3, {2}, c)]
-    pieces = []
-    for part in parts:
-        pieces.extend(rec.bits
-                      for rec in iter_subexpressions(word, 3, {2}, part))
-    # DFS subtree order: concatenating the parts reproduces the full run
-    assert pieces == full
-    assert merge_sweeps([sweep(word, 3, {2}, p) for p in parts]) == \
-        sweep(word, 3, {2}, c)
-
-
-def test_sweep_parallel_matches_sequential():
-    word = (1, 2, 3, 2, 1, 2, 3, 1)
-    A = frozenset({2})
-    seq = sweep(word, 4, A)
-    assert sweep_parallel(word, 4, A, threads=1) == seq
-    assert sweep_parallel(word, 4, A, threads=3) == seq
 
 
 def test_invalid_constraint():
