@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -43,6 +44,19 @@ def _thread_count(text: str) -> int:
     return value
 
 
+#: --p is checked by trial division, which stays fast below this bound
+MAX_PRIME = 2 ** 32
+
+
+def _prime(text: str) -> int:
+    value = int(text)
+    if not 2 <= value < MAX_PRIME or any(
+            value % d == 0 for d in range(2, math.isqrt(value) + 1)):
+        raise argparse.ArgumentTypeError(
+            f"must be a prime below 2^32, got {value}")
+    return value
+
+
 def emit(payload, pretty: bool = False) -> None:
     if pretty:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -50,28 +64,37 @@ def emit(payload, pretty: bool = False) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def parse_word(text: str) -> tuple[int, ...]:
-    """Accept 's1 s2 s1', '1 2 1' or '1,2,1'."""
+def parse_word(text: str, n: int, flag: str = "--word",
+               noun: str = "generator") -> tuple[int, ...]:
+    """Accept 's1 s2 s1', '1 2 1' or '1,2,1'; every letter must be one of
+    the generators 1..n-1 of S_n, else the error names `flag`."""
     tokens = text.replace(",", " ").split()
     out = []
     for t in tokens:
         if t.startswith("s"):
             t = t[1:]
-        out.append(int(t))
+        g = int(t)
+        if not 1 <= g <= n - 1:
+            raise ValueError(
+                f"{flag} {text!r}: {noun} {g} out of range for S_{n}")
+        out.append(g)
     return tuple(out)
 
 
-def parse_perm(text: str) -> tuple[int, ...]:
+def parse_perm(text: str, n: int, flag: str) -> tuple[int, ...]:
     p = tuple(int(t) for t in text.replace(",", " ").split())
     if not coxeter.is_permutation(p):
-        raise ValueError(f"not a permutation in one-line notation: {text!r}")
+        raise ValueError(
+            f"{flag} {text!r} is not a permutation in one-line notation")
+    if len(p) != n:
+        raise ValueError(f"{flag} {text!r} has {len(p)} entries, not n = {n}")
     return p
 
 
-def parse_parabolic(text: str | None) -> frozenset:
+def parse_parabolic(text: str | None, n: int) -> frozenset:
     if not text:
         return frozenset()
-    return frozenset(parse_word(text))
+    return frozenset(parse_word(text, n, "--parabolic", "parabolic generator"))
 
 
 def load_expression(source: str) -> tuple[demazure.DemazureExpr, str]:
@@ -99,9 +122,10 @@ def _hist_json(hist: dict[int, int]) -> dict[str, int]:
 
 def cmd_kl(args) -> int:
     if args.element:
-        x = coxeter.evaluate_word(parse_word(args.element), args.n)
+        x = coxeter.evaluate_word(
+            parse_word(args.element, args.n, "--element"), args.n)
     else:
-        x = parse_perm(args.perm)
+        x = parse_perm(args.perm, args.n, "--perm")
     el = hecke.kl_basis(x)
     emit({"element": list(x), "kl": el.to_json_dict(),
           "display": repr(el)}, args.pretty)
@@ -109,12 +133,12 @@ def cmd_kl(args) -> int:
 
 
 def cmd_skl(args) -> int:
-    A = parse_parabolic(args.parabolic)
+    A = parse_parabolic(args.parabolic, args.n)
     if args.element:
-        x = coxeter.min_coset_rep(
-            coxeter.evaluate_word(parse_word(args.element), args.n), A)
+        x = coxeter.min_coset_rep(coxeter.evaluate_word(
+            parse_word(args.element, args.n, "--element"), args.n), A)
     else:
-        x = parse_perm(args.perm)
+        x = parse_perm(args.perm, args.n, "--perm")
     el = spherical.spherical_kl_basis(x, A)
     emit({"element": list(x), "skl": el.to_json_dict(),
           "display": repr(el)}, args.pretty)
@@ -122,12 +146,12 @@ def cmd_skl(args) -> int:
 
 
 def cmd_bs(args) -> int:
-    word = parse_word(args.word)
+    word = parse_word(args.word, args.n)
     if args.parabolic is None:
         el = hecke.bott_samelson_char(word, args.n)
         payload = {"module": "hecke", "bs": el.to_json_dict()}
     else:
-        A = parse_parabolic(args.parabolic)
+        A = parse_parabolic(args.parabolic, args.n)
         el = spherical.bott_samelson_spherical(word, args.n, A)
         payload = {"module": "spherical", "bs": el.to_json_dict()}
     payload["display"] = repr(el)
@@ -136,15 +160,15 @@ def cmd_bs(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    w1 = parse_word(args.word)
-    w2 = parse_word(args.word2)
+    w1 = parse_word(args.word, args.n)
+    w2 = parse_word(args.word2, args.n, "--word2")
     if args.parabolic is None:
         a = hecke.bott_samelson_char(w1, args.n)
         b = hecke.bott_samelson_char(w2, args.n)
         value = hecke.pairing(a, b)
         module = "hecke"
     else:
-        A = parse_parabolic(args.parabolic)
+        A = parse_parabolic(args.parabolic, args.n)
         a = spherical.bott_samelson_spherical(w1, args.n, A)
         b = spherical.bott_samelson_spherical(w2, args.n, A)
         value = spherical.spherical_pairing(a, b)
@@ -156,14 +180,14 @@ def cmd_pair(args) -> int:
 
 def _constraint_from_args(args, word) -> subexpr.EnumConstraint | None:
     if getattr(args, "forced_letters", None):
-        letters = parse_parabolic(args.forced_letters)
+        letters = parse_word(args.forced_letters, args.n, "--forced-letters")
         return subexpr.EnumConstraint.forced_letters(word, letters)
     return None
 
 
 def cmd_deodhar(args) -> int:
-    word = parse_word(args.word)
-    A = parse_parabolic(args.parabolic)
+    word = parse_word(args.word, args.n)
+    A = parse_parabolic(args.parabolic, args.n)
     constraint = _constraint_from_args(args, word)
     el = spherical.deodhar_expand(word, args.n, A, constraint)
     leaves = (constraint or subexpr.EnumConstraint.free(len(word))).leaf_count()
@@ -173,17 +197,13 @@ def cmd_deodhar(args) -> int:
 
 
 def cmd_defect_stats(args) -> int:
-    word = parse_word(args.word)
-    A = parse_parabolic(args.parabolic)
+    word = parse_word(args.word, args.n)
+    A = parse_parabolic(args.parabolic, args.n)
     constraint = _constraint_from_args(args, word)
     target = None
     if args.endpoint:
-        target = parse_perm(args.endpoint)
-        if len(target) != args.n:
-            raise ValueError(f"--endpoint {args.endpoint!r} has "
-                             f"{len(target)} entries, not n = {args.n}")
-        # generators outside 1..n-1 are reported by the sweep
-        if any(target[i - 1] > target[i] for i in A if 0 < i < args.n):
+        target = parse_perm(args.endpoint, args.n, "--endpoint")
+        if any(target[i - 1] > target[i] for i in A):
             raise ValueError(f"--endpoint {args.endpoint!r} is not a minimal "
                              f"coset representative for A = {sorted(A)}")
     hist = subexpr.defect_histogram(word, args.n, A, constraint, target)
@@ -209,14 +229,14 @@ def cmd_intersection_form(args) -> int:
 
 
 def cmd_perverse_check(args) -> int:
-    word = parse_word(args.word)
+    word = parse_word(args.word, args.n)
     if args.parabolic is None:
         rep = hecke.is_perverse_character(
             hecke.bott_samelson_char(word, args.n))
     else:
         rep = spherical.is_perverse_spherical(
             spherical.bott_samelson_spherical(
-                word, args.n, parse_parabolic(args.parabolic)))
+                word, args.n, parse_parabolic(args.parabolic, args.n)))
     emit({
         "perverse": rep.is_perverse,
         "expansion": {",".join(map(str, x)): c.to_json_dict()
@@ -418,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="erasure vector and its ranks")
     common(p, n=False)
     p.add_argument("--expr", default="paper-GL15")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_prime, default=2,
+                   help="a prime below 2^32 for the F_p rank")
     p.set_defaults(func=cmd_intersection_form)
 
     p = sub.add_parser("perverse-check",
@@ -442,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="word-data file (path or builtin name); without it "
                         "the interval section is skipped")
     p.add_argument("--expr", default="paper-GL15")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=_prime, default=2,
+                   help="a prime below 2^32 for the F_p rank")
     p.add_argument("--threads", type=_thread_count,
                    default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_certify)

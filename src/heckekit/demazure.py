@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .laurent import InexactDivision
+from .laurent import InexactDivision, _add_into
 
 Exponents = tuple[int, ...]
 
@@ -87,11 +87,7 @@ class MultiPoly:
             raise ValueError("polynomials in different rings")
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
+            _add_into(terms, e, c)
         out = MultiPoly.__new__(MultiPoly)
         out.nvars, out.terms = self.nvars, terms
         return out
@@ -111,12 +107,8 @@ class MultiPoly:
         terms: dict[Exponents, object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
+                _add_into(terms, tuple(a + b for a, b in zip(e1, e2)),
+                          c1 * c2)
         return MultiPoly(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -199,17 +191,12 @@ def divexact_alpha(g: MultiPoly, i: int) -> MultiPoly:
             q = list(e)
             q[vi] = d - 1
             qe = tuple(q)
-            quo[qe] = quo.get(qe, 0) - c
+            _add_into(quo, qe, -c)
             del work[e]
             # subtract (-c) * x^qe * x_{i+1}; the x_i part cancelled exactly
             r = list(qe)
             r[vj] += 1
-            re = tuple(r)
-            s = work.get(re, 0) + c
-            if s:
-                work[re] = s
-            elif re in work:
-                del work[re]
+            _add_into(work, tuple(r), c)
     out = MultiPoly(g.nvars, quo)
     if __debug__:
         assert out * MultiPoly.alpha(i, g.nvars) == g
@@ -284,7 +271,11 @@ def content_degree(expr: DemazureExpr) -> int:
 
 def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
     """Evaluate bottom-up; with `erase` = k, the k-th Op node in prefix
-    order acts as the identity."""
+    order acts as the identity.
+
+    >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
+    -2
+    """
     total = op_count(expr)
     if erase is not None and not 1 <= erase <= total:
         raise IndexError(f"operator index {erase} out of range 1..{total}")
@@ -304,15 +295,6 @@ def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
         return apply_demazure(node.index, val)
 
     return walk(expr)
-
-
-def erase_and_eval(expr: DemazureExpr, k: int) -> MultiPoly:
-    """Evaluate with the k-th operator (prefix order, 1-based) erased.
-
-    >>> erase_and_eval(builtin_expr("paper-GL15"), 4).constant_value()
-    -2
-    """
-    return eval_expr(expr, erase=k)
 
 
 @dataclass

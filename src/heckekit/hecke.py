@@ -14,7 +14,14 @@ KL elements at n = 15).
 The pairing is the standard form (h, h') = eps(a(h) h'), where eps reads
 off the coefficient of h_id and a is the v -> v^-1 semilinear
 anti-automorphism fixing every b_s (on the standard basis a(h_x) is the
-algebra inverse of h_x).  This form satisfies
+algebra inverse of h_x).  Since eps is a trace with eps(h_u h_w) = 1 if
+u w = id and 0 otherwise, the trace identity
+
+    eps(h_x^-1 h_y) = [h_{y^-1}] h_x^-1
+
+gives (a, b) = sum_{x,y} bar(a_x) b_y [h_{y^-1}] h_x^-1 through lookups
+into the cached inverses, without forming the product; `a_antiautomorphism`,
+`multiply` and `eps` remain as the slow reference.  This form satisfies
 
     (p h, q h') = bar(p) q (h, h'),   (b_s h, h') = (h, b_s h'),
     (h b_s, h') = (h, h' b_s),
@@ -28,14 +35,61 @@ from typing import Iterable
 
 from . import coxeter
 from .coxeter import Permutation
-from .laurent import ONE, V, LaurentPoly, v_power
+from .laurent import ONE, V, LaurentPoly, _add_into
 
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 
 
-class HeckeElement:
+class LinearCombination:
+    """A finite sum sum_x c_x e_x over Z[v, v^-1] in a fixed standard basis.
+
+    Stored as {basis key: LaurentPoly} with no zero coefficients.  A
+    subclass fixes the module: it checks that two elements live in the same
+    module (`_check`).  `_like` wraps a coefficient map that is already
+    clean as an element of the same module, without validation.
+    """
+
     __slots__ = ("n", "coeffs")
+
+    def _like(self, coeffs: dict):
+        out = object.__new__(type(self))
+        out.n, out.coeffs = self.n, coeffs
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        self._check(other)
+        coeffs = dict(self.coeffs)
+        for x, c in other.coeffs.items():
+            _add_into(coeffs, x, c)
+        return self._like(coeffs)
+
+    def __neg__(self):
+        return self._like({x: -c for x, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = LaurentPoly({0: c})
+        if not c:
+            return self._like({})
+        # Z[v, v^-1] has no zero divisors, so no product vanishes
+        return self._like({x: p * c for x, p in self.coeffs.items()})
+
+    def coefficient(self, x: Permutation) -> LaurentPoly:
+        return self.coeffs.get(tuple(x), LaurentPoly.zero())
+
+    def support(self) -> list[Permutation]:
+        return sorted(self.coeffs)
+
+
+class HeckeElement(LinearCombination):
+    __slots__ = ()
 
     def __init__(self, n: int, coeffs: dict[Permutation, LaurentPoly] | None = None):
         self.n = n
@@ -49,52 +103,13 @@ class HeckeElement:
     def zero(cls, n: int) -> "HeckeElement":
         return cls(n)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, HeckeElement) and self.n == other.n
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            s = coeffs.get(x)
-            s = c if s is None else s + c
-            if s:
-                coeffs[x] = s
-            elif x in coeffs:
-                del coeffs[x]
-        out = HeckeElement.__new__(HeckeElement)
-        out.n, out.coeffs = self.n, coeffs
-        return out
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.n, {x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElement":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        return HeckeElement(self.n, {x: p * c for x, p in self.coeffs.items()})
-
     def _check(self, other: "HeckeElement") -> None:
         if self.n != other.n:
             raise ValueError("elements of Hecke algebras of different rank")
-
-    def coefficient(self, x: Permutation) -> LaurentPoly:
-        return self.coeffs.get(tuple(x), LaurentPoly.zero())
-
-    def support(self) -> list[Permutation]:
-        return sorted(self.coeffs)
-
-    def bar_coefficients(self) -> "HeckeElement":
-        """Apply v -> v^-1 to every coefficient (no basis change)."""
-        return HeckeElement(self.n,
-                            {x: c.bar() for x, c in self.coeffs.items()})
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         return {",".join(map(str, x)): c.to_json_dict()
@@ -135,15 +150,6 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     out: dict[Permutation, LaurentPoly] = {}
-
-    def add(x: Permutation, c: LaurentPoly) -> None:
-        s = out.get(x)
-        s = c if s is None else s + c
-        if s:
-            out[x] = s
-        elif x in out:
-            del out[x]
-
     for x, c in el.coeffs.items():
         if side == "left":
             sx = coxeter.apply_gen_left(i, x)
@@ -151,12 +157,12 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
         else:
             sx = coxeter.apply_gen_right(x, i)
             descends = coxeter.has_right_descent(x, i)
-        add(sx, c)
+        _add_into(out, sx, c)
         if descends:
-            add(x, c * _VINV_MINUS_V)
+            _add_into(out, x, c * _VINV_MINUS_V)
         if kind == "b":
-            add(x, c * V)
-    return HeckeElement(el.n, out)
+            _add_into(out, x, c * V)
+    return el._like(out)
 
 
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -261,7 +267,9 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
-    """The standard form (a, b) = eps(a(a) * b).
+    """The standard form (a, b) = eps(a(a) * b), through the trace identity.
+
+    Sums bar(a_x) b_y [h_{y^-1}] h_x^-1 over the supports of a and b.
 
     >>> from heckekit import coxeter
     >>> bs = kl_basis(coxeter.evaluate_word((1,), 2))
@@ -269,7 +277,18 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     LaurentPoly(1 + v^2)
     """
     a._check(b)
-    return eps(multiply(a_antiautomorphism(a), b))
+    b_terms = [(coxeter.inverse(y), c) for y, c in b.coeffs.items()]
+    total = LaurentPoly.zero()
+    for x, ax in a.coeffs.items():
+        inv = inverse_h(x).coeffs
+        inner = LaurentPoly.zero()
+        for y_inv, by in b_terms:
+            c = inv.get(y_inv)
+            if c is not None:
+                inner = inner + by * c
+        if inner:
+            total = total + ax.bar() * inner
+    return total
 
 
 @dataclass

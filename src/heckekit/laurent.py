@@ -1,132 +1,66 @@
 """
-Sparse Laurent polynomials in one variable v, over an exact coefficient ring.
+Sparse Laurent polynomials in one variable v over the integers.
 
 Polynomials are stored as {exponent: coefficient} maps with no zero
 coefficients; the zero polynomial is the empty map, so equality is
-structural.  Supported coefficient rings are the integers (Python ints,
-arbitrary precision), the rationals (fractions.Fraction) and the prime
-fields GF(p).  All arithmetic is exact; there is no floating-point mode.
+structural.  Coefficients are Python ints (arbitrary precision): every
+object of the certificate lives in Z[v, v^-1], and the ranks over F_p that
+the certificate needs are computed on plain ints in `demazure`.  All
+arithmetic is exact; there is no floating-point mode.
+
+Sparse sums throughout the package accumulate through `_add_into`, which
+keeps the no-zero-entries invariant of these maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping
-
-
-class CoefficientRingMismatch(ValueError):
-    """Raised when combining polynomials over different coefficient rings."""
 
 
 class InexactDivision(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
-@dataclass(frozen=True)
-class IntegerRing:
-    name: str = "ZZ"
-
-    def coerce(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"not an integer coefficient: {x!r}")
-        return x
-
-    def from_int(self, n: int):
-        return n
-
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise InexactDivision(f"{a} is not divisible by {b} in ZZ")
-        return q
-
-    def parse(self, s: str):
-        return int(s)
+def _add_into(out: dict, key, c) -> None:
+    """Add c into out[key], dropping the key when the sum is zero."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
-@dataclass(frozen=True)
-class RationalRing:
-    name: str = "QQ"
-
-    def coerce(self, x):
-        return Fraction(x)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def exact_div(self, a, b):
-        return Fraction(a) / Fraction(b)
-
-    def parse(self, s: str):
-        return Fraction(s)
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
-
-    @property
-    def name(self) -> str:
-        return f"GF({self.p})"
-
-    def coerce(self, x):
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise TypeError(f"not an integer coefficient: {x!r}")
-        return x % self.p
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def exact_div(self, a, b):
-        b %= self.p
-        if b == 0:
-            raise InexactDivision(f"division by zero in GF({self.p})")
-        return (a * pow(b, -1, self.p)) % self.p
-
-    def parse(self, s: str):
-        return int(s) % self.p
-
-
-ZZ = IntegerRing()
-QQ = RationalRing()
-
-
-@lru_cache(maxsize=None)
-def GF(p: int) -> PrimeField:
-    if p < 2:
-        raise ValueError(f"not a prime: {p}")
-    return PrimeField(p)
+def _poly(terms: dict[int, int]) -> "LaurentPoly":
+    """Wrap `terms` without validation; it must hold nonzero ints only."""
+    out = object.__new__(LaurentPoly)
+    out.terms = terms
+    return out
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial sum(c_k * v^k)."""
+    """A sparse Laurent polynomial sum(c_k * v^k) with integer c_k."""
 
-    __slots__ = ("terms", "ring")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, object] | None = None, ring=ZZ):
-        self.ring = ring
+    def __init__(self, terms: Mapping[int, int] | None = None):
         cleaned = {}
         if terms:
             for e, c in terms.items():
-                c = ring.coerce(c)
-                if c != 0:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise TypeError(f"not an integer coefficient: {c!r}")
+                if c:
                     cleaned[int(e)] = c
         self.terms = cleaned
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, ring=ZZ) -> "LaurentPoly":
-        return cls({}, ring)
+    def zero(cls) -> "LaurentPoly":
+        return cls()
 
     @classmethod
-    def one(cls, ring=ZZ) -> "LaurentPoly":
-        return cls({0: 1}, ring)
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff=1, ring=ZZ) -> "LaurentPoly":
-        return cls({exponent: coeff}, ring)
+    def one(cls) -> "LaurentPoly":
+        return cls({0: 1})
 
     # -- basic protocol ----------------------------------------------
 
@@ -135,24 +69,19 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.ring == other.ring and self.terms == other.terms
+            return self.terms == other.terms
         if isinstance(other, int):
-            return self == LaurentPoly({0: other}, self.ring)
+            return self == LaurentPoly({0: other})
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
-    def __iter__(self) -> Iterator[tuple[int, object]]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.terms.items()))
 
-    def _check_ring(self, other: "LaurentPoly") -> None:
-        if self.ring != other.ring:
-            raise CoefficientRingMismatch(
-                f"{self.ring.name} vs {other.ring.name}")
-
-    def coefficient(self, exponent: int):
-        return self.terms.get(exponent, self.ring.from_int(0))
+    def coefficient(self, exponent: int) -> int:
+        return self.terms.get(exponent, 0)
 
     def degree(self) -> int:
         """Largest exponent; raises on the zero polynomial."""
@@ -166,32 +95,18 @@ class LaurentPoly:
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            other = LaurentPoly({0: other}, self.ring)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        out.ring = self.ring
-        return self._normalized(out)
-
-    def _normalized(self, out: "LaurentPoly") -> "LaurentPoly":
-        if isinstance(self.ring, PrimeField):
-            p = self.ring.p
-            out.terms = {e: c % p for e, c in out.terms.items() if c % p}
-        return out
+            _add_into(terms, e, c)
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()}, self.ring)
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-other)
@@ -200,31 +115,22 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly.zero(self.ring)
-            return LaurentPoly(
-                {e: c * other for e, c in self.terms.items()}, self.ring)
+        if isinstance(other, int):
+            return LaurentPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        self._check_ring(other)
-        terms: dict[int, object] = {}
+        terms: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return LaurentPoly(terms, self.ring)
+                _add_into(terms, e1 + e2, c1 * c2)
+        return _poly(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of a general Laurent polynomial")
-        out = LaurentPoly.one(self.ring)
+        out = LaurentPoly.one()
         base = self
         while n:
             if n & 1:
@@ -237,7 +143,7 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution v -> v^-1 (negate every exponent)."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()}, self.ring)
+        return _poly({-e: c for e, c in self.terms.items()})
 
     def is_nonnegative_powers(self) -> bool:
         """True iff the polynomial lies in the subring of ordinary polynomials."""
@@ -252,39 +158,29 @@ class LaurentPoly:
         """
         if not isinstance(other, LaurentPoly):
             raise TypeError("can only divide by a LaurentPoly")
-        self._check_ring(other)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
-            return LaurentPoly.zero(self.ring)
+            return LaurentPoly.zero()
         lead = other.degree()
         lead_c = other.terms[lead]
         # Exact quotients have valuation val(self) - val(other); stop there.
         low = self.valuation() - other.valuation()
         rem = dict(self.terms)
-        quo: dict[int, object] = {}
+        quo: dict[int, int] = {}
         while rem:
             top = max(rem)
             e = top - lead
             if e < low:
                 raise InexactDivision("no Laurent quotient exists")
-            c = self.ring.exact_div(rem[top], lead_c)
+            c, r = divmod(rem[top], lead_c)
+            if r:
+                raise InexactDivision(
+                    f"{rem[top]} is not divisible by {lead_c} in ZZ")
             quo[e] = c
             for be, bc in other.terms.items():
-                k = e + be
-                s = rem.get(k, 0) - c * bc
-                if isinstance(self.ring, PrimeField):
-                    s %= self.ring.p
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
-        return LaurentPoly(quo, self.ring)
-
-    def change_ring(self, ring) -> "LaurentPoly":
-        """Map coefficients through ring.from_int (e.g. reduce ZZ -> GF(p))."""
-        return LaurentPoly(
-            {e: ring.from_int(c) for e, c in self.terms.items()}, ring)
+                _add_into(rem, e + be, -c * bc)
+        return _poly(quo)
 
     # -- serialization -------------------------------------------------
 
@@ -293,8 +189,8 @@ class LaurentPoly:
         return {str(e): str(c) for e, c in sorted(self.terms.items())}
 
     @classmethod
-    def from_json_dict(cls, d: Mapping[str, str], ring=ZZ) -> "LaurentPoly":
-        return cls({int(e): ring.parse(str(c)) for e, c in d.items()}, ring)
+    def from_json_dict(cls, d: Mapping[str, str]) -> "LaurentPoly":
+        return cls({int(e): int(str(c)) for e, c in d.items()})
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
@@ -319,11 +215,10 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
 
-#: the generator v and its inverse, over ZZ
+#: the generator v, its inverse and the unit
 V = LaurentPoly({1: 1})
 V_INV = LaurentPoly({-1: 1})
 ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
 
 
 def v_power(k: int, coeff: int = 1) -> LaurentPoly:

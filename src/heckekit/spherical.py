@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, v_power
+from .laurent import ONE, LaurentPoly, _add_into, v_power
 
 _V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
 
@@ -34,8 +34,8 @@ class PullbackMismatch(ArithmeticError):
     """b_{x w_A} failed to lie in the image of phi (a convention error)."""
 
 
-class SphericalElement:
-    __slots__ = ("n", "parabolic", "coeffs")
+class SphericalElement(hecke.LinearCombination):
+    __slots__ = ("parabolic",)
 
     def __init__(self, n: int, parabolic, coeffs=None):
         self.n = n
@@ -50,12 +50,15 @@ class SphericalElement:
                 if c:
                     self.coeffs[x] = c
 
+    def _like(self, coeffs: dict[Permutation, LaurentPoly]
+              ) -> "SphericalElement":
+        out = super()._like(coeffs)
+        out.parabolic = self.parabolic
+        return out
+
     @classmethod
     def zero(cls, n: int, parabolic) -> "SphericalElement":
         return cls(n, parabolic)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SphericalElement) and self.n == other.n
@@ -65,39 +68,6 @@ class SphericalElement:
     def _check(self, other: "SphericalElement") -> None:
         if self.n != other.n or self.parabolic != other.parabolic:
             raise ValueError("elements of different spherical modules")
-
-    def __add__(self, other: "SphericalElement") -> "SphericalElement":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            s = coeffs.get(x)
-            s = c if s is None else s + c
-            if s:
-                coeffs[x] = s
-            elif x in coeffs:
-                del coeffs[x]
-        out = SphericalElement.__new__(SphericalElement)
-        out.n, out.parabolic, out.coeffs = self.n, self.parabolic, coeffs
-        return out
-
-    def __neg__(self) -> "SphericalElement":
-        return SphericalElement(self.n, self.parabolic,
-                                {x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SphericalElement") -> "SphericalElement":
-        return self + (-other)
-
-    def scale(self, c) -> "SphericalElement":
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        return SphericalElement(self.n, self.parabolic,
-                                {x: p * c for x, p in self.coeffs.items()})
-
-    def coefficient(self, x: Permutation) -> LaurentPoly:
-        return self.coeffs.get(tuple(x), LaurentPoly.zero())
-
-    def support(self) -> list[Permutation]:
-        return sorted(self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,20 +104,15 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
     """The action of b_{s_i}, extended linearly over the standard basis."""
-    out = SphericalElement.zero(el.n, el.parabolic)
+    out: dict[Permutation, LaurentPoly] = {}
     for u, c in el.coeffs.items():
         kind, nxt = coxeter.coset_step(u, i, el.parabolic)
-        if kind == "U":
-            term = SphericalElement(el.n, el.parabolic,
-                                    {nxt: c, u: c * v_power(1)})
-        elif kind == "D":
-            term = SphericalElement(el.n, el.parabolic,
-                                    {nxt: c, u: c * v_power(-1)})
+        if kind == "S":
+            _add_into(out, u, c * _V_PLUS_VINV)
         else:
-            term = SphericalElement(el.n, el.parabolic,
-                                    {u: c * _V_PLUS_VINV})
-        out = out + term
-    return out
+            _add_into(out, nxt, c)
+            _add_into(out, u, c * v_power(1 if kind == "U" else -1))
+    return el._like(out)
 
 
 def bott_samelson_spherical(word: Sequence[int], n: int,
@@ -182,13 +147,7 @@ def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
     for x, c in el.coeffs.items():
         for u in coxeter.parabolic_elements(A, n):
             xu = coxeter.multiply(x, u)
-            term = c * v_power(wA_len - coxeter.length(u))
-            s = out.get(xu)
-            s = term if s is None else s + term
-            if s:
-                out[xu] = s
-            elif xu in out:
-                del out[xu]
+            _add_into(out, xu, c * v_power(wA_len - coxeter.length(u)))
     return hecke.HeckeElement(n, out)
 
 
@@ -233,12 +192,6 @@ def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
     return el
 
 
-@dataclass
-class SphericalPerversityReport:
-    is_perverse: bool
-    expansion: dict[Permutation, LaurentPoly]
-
-
 def spherical_kl_expand(el: SphericalElement) -> dict[Permutation, LaurentPoly]:
     rest = el
     expansion: dict[Permutation, LaurentPoly] = {}
@@ -250,10 +203,10 @@ def spherical_kl_expand(el: SphericalElement) -> dict[Permutation, LaurentPoly]:
     return expansion
 
 
-def is_perverse_spherical(el: SphericalElement) -> SphericalPerversityReport:
+def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
     expansion = spherical_kl_expand(el)
     ok = all(set(c.terms) <= {0} for c in expansion.values())
-    return SphericalPerversityReport(ok, expansion)
+    return hecke.PerversityReport(ok, expansion)
 
 
 def expansion_from_sweep(data: subexpr.SweepResult, n: int,

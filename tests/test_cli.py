@@ -220,3 +220,47 @@ def test_threads_below_one_is_input_error(capsys):
         assert exc.value.code == 2
         assert "argument --threads: must be at least 1" in \
             capsys.readouterr().err
+
+
+def test_p_must_be_prime(capsys):
+    for command in ("intersection-form", "certify"):
+        for p in ("9", "4", "1"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--p", p])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --p: must be a prime below 2^32, got {p}" in \
+                captured.err
+    code, payload = run_json(capsys, "intersection-form", "--p", "3")
+    assert code == 0 and payload["p"] == 3
+
+
+def test_perm_length_must_match_n(capsys):
+    for command in (["kl"], ["skl", "--parabolic", "2"]):
+        code = cli.main(command + ["--n", "3", "--perm", "1,2,3,4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--perm '1,2,3,4' has 4 entries, not n = 3" in captured.err
+
+
+def test_generators_out_of_range_name_the_flag(capsys):
+    cases = [
+        (["bs", "--n", "4", "--word", "5"], "--word '5': generator 5"),
+        (["pair", "--n", "3", "--word", "1", "--word2", "1 3"],
+         "--word2 '1 3': generator 3"),
+        (["pair", "--n", "3", "--word", "1", "--word2", "2",
+          "--parabolic", "9"], "--parabolic '9': parabolic generator 9"),
+        (["perverse-check", "--n", "4", "--word", "1",
+          "--parabolic", "5"], "--parabolic '5': parabolic generator 5"),
+        (["deodhar", "--n", "3", "--word", "1 2",
+          "--forced-letters", "0"], "--forced-letters '0': generator 0"),
+        (["kl", "--n", "3", "--element", "s1 s4"],
+         "--element 's1 s4': generator 4"),
+    ]
+    for argv, message in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        n = argv[argv.index("--n") + 1]
+        assert f"{message} out of range for S_{n}" in captured.err

@@ -152,6 +152,32 @@ def test_pairing_examples():
     assert pairing(bs, unit(3)) == V
 
 
+def reference_pairing(a, b):
+    """The pairing as defined, through the full product a(a) * b."""
+    return hecke.eps(multiply(hecke.a_antiautomorphism(a), b))
+
+
+def test_pairing_agrees_with_full_product():
+    perms = list(all_permutations(3))
+    for x, y in itertools.product(perms, perms):
+        assert pairing(h(x), h(y)) == reference_pairing(h(x), h(y))
+    rng = random.Random(21)
+    perms = list(all_permutations(4))
+
+    def rand_coeff():
+        # a negative power with a positive coefficient and a nonnegative
+        # power with a negative one: never bar-invariant
+        return LaurentPoly({rng.randrange(-3, 0): rng.randrange(1, 4),
+                            rng.randrange(0, 4): rng.randrange(-3, 0)})
+
+    for _ in range(40):
+        a, b = (HeckeElement(4, {rng.choice(perms): rand_coeff()
+                                 for _ in range(rng.randrange(1, 5))})
+                for _ in range(2))
+        assert all(c.bar() != c for c in a.coeffs.values())
+        assert pairing(a, b) == reference_pairing(a, b)
+
+
 def test_pairing_properties_exhaustive_s3():
     perms = list(all_permutations(3))
     ps = [ONE, V, LaurentPoly({-2: 3, 1: -1})]
