@@ -37,7 +37,7 @@ def _default_threads() -> int:
         return 1
 
 
-def _thread_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -109,10 +109,6 @@ def load_expression(source: str) -> tuple[demazure.DemazureExpr, str]:
                      f"or inline prefix expression)")
 
 
-def laurent_json(p) -> dict:
-    return p.to_json_dict()
-
-
 def _hist_json(hist: dict[int, int]) -> dict[str, int]:
     return {str(d): c for d, c in sorted(hist.items())}
 
@@ -173,7 +169,7 @@ def cmd_pair(args) -> int:
         b = spherical.bott_samelson_spherical(w2, args.n, A)
         value = spherical.spherical_pairing(a, b)
         module = "spherical"
-    emit({"module": module, "pairing": laurent_json(value),
+    emit({"module": module, "pairing": value.to_json_dict(),
           "display": str(value)}, args.pretty)
     return 0
 
@@ -306,10 +302,6 @@ def cmd_certify(args) -> int:
                 time.perf_counter() - t1, 6)
             expansion = spherical.expansion_from_sweep(
                 data, wd.n, wd.parabolic)
-            total_hist: dict[int, int] = {}
-            for hist in data.values():
-                for d, c in hist.items():
-                    total_hist[d] = total_hist.get(d, 0) + c
             t2 = time.perf_counter()
             interval = spherical.interval_condition_check(expansion, x, w)
             timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
@@ -327,7 +319,7 @@ def cmd_certify(args) -> int:
                 "subexpressions": constraint.leaf_count(),
                 "validation": report.to_json_dict(),
             }
-            payload["histogram"] = _hist_json(total_hist)
+            payload["histogram"] = _hist_json(subexpr.total_histogram(data))
             payload["histogram_at_x"] = _hist_json(data.get(x, {}))
             payload["interval"] = {
                 "status": "ok" if interval.passed else "failed",
@@ -336,13 +328,13 @@ def cmd_certify(args) -> int:
                 "cosets_outside": interval.outside,
                 "entries": [
                     {"coset": list(e.coset),
-                     "coefficient": laurent_json(e.coefficient),
+                     "coefficient": e.coefficient.to_json_dict(),
                      "ok": e.ok}
                     for e in interval.entries
                 ],
                 "failures": [
                     {"coset": list(e.coset),
-                     "coefficient": laurent_json(e.coefficient)}
+                     "coefficient": e.coefficient.to_json_dict()}
                     for e in interval.failures()
                 ],
             }
@@ -368,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, n=True):
         if n:
-            p.add_argument("--n", type=int, required=True,
+            p.add_argument("--n", type=_at_least_one, required=True,
                            help="rank of the symmetric group S_n")
         p.add_argument("--pretty", action="store_true",
                        help="indented JSON output")
@@ -410,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--forced-letters",
                    help="letters whose positions are forced to 1")
-    p.add_argument("--threads", type=_thread_count,
+    p.add_argument("--threads", type=_at_least_one,
                    default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_deodhar)
 
@@ -421,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forced-letters")
     p.add_argument("--endpoint",
                    help="count only this endpoint (one-line notation)")
-    p.add_argument("--threads", type=_thread_count,
+    p.add_argument("--threads", type=_at_least_one,
                    default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_defect_stats)
 
@@ -465,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", default="paper-GL15")
     p.add_argument("--p", type=_prime, default=2,
                    help="a prime below 2^32 for the F_p rank")
-    p.add_argument("--threads", type=_thread_count,
+    p.add_argument("--threads", type=_at_least_one,
                    default=_default_threads(), help="accepted; no effect")
     p.set_defaults(func=cmd_certify)
 

@@ -126,15 +126,14 @@ def all_permutations(n: int) -> Iterator[Permutation]:
 def rank_table(p: Permutation) -> tuple[tuple[int, ...], ...]:
     """r[i][j] = #{a <= i : p(a) <= j} for i, j in 1..n (0-padded row/col)."""
     n = len(p)
-    rows = [[0] * (n + 1)]
-    for i in range(1, n + 1):
-        prev = rows[i - 1]
-        row = [0] * (n + 1)
-        v = p[i - 1]
-        for j in range(1, n + 1):
-            row[j] = prev[j] + (1 if v <= j else 0)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+    row = [0] * (n + 1)
+    rows = [tuple(row)]
+    for v in p:
+        # row i is row i-1 plus one in the columns j >= p(i)
+        for j in range(v, n + 1):
+            row[j] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def rank_table_dominates(rx, ry) -> bool:

@@ -1,20 +1,26 @@
 """
-Demazure operators on a sparse multivariate polynomial ring, nested
-operator expressions, the erase-one-operator intersection vector, and
-exact matrix rank over Q and F_p.
+Demazure operators on a sparse integer polynomial ring, nested operator
+expressions, and the erase-one-operator intersection vector with its
+ranks over Q and F_p.
 
-The ring is k[x_1, ..., x_k] graded with deg x_i = 2.  The operator
+The ring is Z[x_1, ..., x_k] graded with deg x_i = 2.  The operator
 del_i sends f to (f - s_i f) / alpha_i with alpha_i = x_{i+1} - x_i;
 the divided difference drops the graded degree by 2.  Division by
 alpha_i is synthetic division along the variable x_i (leading
 coefficient -1, so every step is exact); in debug mode the quotient is
 verified by multiplying back.
 
-Operator expressions are trees of Const / Mul / Op nodes.  Op nodes are
-numbered 1, 2, ... in the order they appear in prefix notation, which is
-the order used to erase single operators when assembling the 1 x N
-intersection-form vector.  The built-in expression `paper-GL15` encodes
-the published 12-operator example whose erasure vector is
+An operator expression is a chain: every Mul and Op node has exactly one
+child, and the bottom node is a Const.  Op nodes are numbered 1, 2, ...
+from the top down, the order in which they are written in prefix
+notation and in which single operators are erased to assemble the 1 x N
+intersection-form vector.  `intersection_vector` evaluates the chain
+once bottom-up, keeping the value under each Op, and gets erasure k by
+applying only the steps above Op k to that value; `eval_expr` with
+`erase` re-evaluates the whole chain and is the slow reference.  The
+vector is a single row, so its rank over a field is 1 if some entry is
+nonzero there and 0 otherwise.  The built-in expression `paper-GL15`
+encodes the published 12-operator example whose erasure vector is
 (-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0), of rank 1 over Q and rank 0
 over F_2.
 """
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .laurent import InexactDivision, _add_into
@@ -39,9 +44,9 @@ class MultiPoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, object] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
         self.nvars = nvars
-        self.terms: dict[Exponents, object] = {}
+        self.terms: dict[Exponents, int] = {}
         if terms:
             for e, c in terms.items():
                 e = tuple(e)
@@ -55,7 +60,7 @@ class MultiPoly:
         return cls(nvars)
 
     @classmethod
-    def constant(cls, c, nvars: int) -> "MultiPoly":
+    def constant(cls, c: int, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
@@ -78,7 +83,7 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == MultiPoly.constant(other, self.nvars)
         return NotImplemented
 
@@ -99,12 +104,12 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MultiPoly(self.nvars,
                              {e: c * other for e, c in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different rings")
-        terms: dict[Exponents, object] = {}
+        terms: dict[Exponents, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 _add_into(terms, tuple(a + b for a, b in zip(e1, e2)),
@@ -129,7 +134,7 @@ class MultiPoly:
         """The action of s_i: exchange x_i and x_{i+1}."""
         if not 1 <= i <= self.nvars - 1:
             raise ValueError(f"s_{i} out of range for {self.nvars} variables")
-        out: dict[Exponents, object] = {}
+        out: dict[Exponents, int] = {}
         for e, c in self.terms.items():
             f = list(e)
             f[i - 1], f[i] = f[i], f[i - 1]
@@ -143,15 +148,12 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
+    def constant_value(self) -> int:
         if not self.terms:
             return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
-
-    def map_coefficients(self, f) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: f(c) for e, c in self.terms.items()})
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,7 +183,7 @@ def divexact_alpha(g: MultiPoly, i: int) -> MultiPoly:
     vi = i - 1       # exponent slot of x_i
     vj = i           # exponent slot of x_{i+1}
     work = dict(g.terms)
-    quo: dict[Exponents, object] = {}
+    quo: dict[Exponents, int] = {}
     while work:
         d = max(e[vi] for e in work)
         if d == 0:
@@ -236,37 +238,45 @@ class Op:
 DemazureExpr = Union[Const, Mul, Op]
 
 
+def _chain(expr: DemazureExpr) -> tuple[list[Union[Mul, Op]], MultiPoly]:
+    """The Mul and Op nodes from the top down, and the Const polynomial
+    at the bottom."""
+    steps = []
+    while not isinstance(expr, Const):
+        steps.append(expr)
+        expr = expr.child
+    return steps, expr.poly
+
+
+def _apply(steps: Sequence[Union[Mul, Op]], val: MultiPoly) -> MultiPoly:
+    """The value of `steps` (listed top-down) over `val`, bottom step
+    first."""
+    for step in reversed(steps):
+        if isinstance(step, Mul):
+            val = step.factor * val
+        else:
+            val = apply_demazure(step.index, val)
+    return val
+
+
+def _op_positions(steps: Sequence[Union[Mul, Op]]) -> list[int]:
+    return [pos for pos, step in enumerate(steps) if isinstance(step, Op)]
+
+
 def op_count(expr: DemazureExpr) -> int:
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Mul):
-        return op_count(expr.child)
-    return 1 + op_count(expr.child)
+    return len(op_indices(expr))
 
 
 def op_indices(expr: DemazureExpr) -> list[int]:
     """Generator indices of the Op nodes, in prefix (written) order."""
-    out = []
-    node = expr
-    while not isinstance(node, Const):
-        if isinstance(node, Op):
-            out.append(node.index)
-        node = node.child
-    return out
+    return [step.index for step in _chain(expr)[0] if isinstance(step, Op)]
 
 
 def content_degree(expr: DemazureExpr) -> int:
     """Graded degree of the polynomial content (Const and Mul factors)."""
-    node = expr
-    deg = 0
-    while True:
-        if isinstance(node, Const):
-            degs = node.poly.graded_degrees()
-            return deg + (max(degs) if degs else 0)
-        if isinstance(node, Mul):
-            degs = node.factor.graded_degrees()
-            deg += max(degs) if degs else 0
-        node = node.child
+    steps, base = _chain(expr)
+    polys = [base] + [step.factor for step in steps if isinstance(step, Mul)]
+    return sum(max(f.graded_degrees(), default=0) for f in polys)
 
 
 def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
@@ -276,25 +286,15 @@ def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
     >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
     -2
     """
-    total = op_count(expr)
-    if erase is not None and not 1 <= erase <= total:
-        raise IndexError(f"operator index {erase} out of range 1..{total}")
-    counter = 0
-
-    def walk(node: DemazureExpr) -> MultiPoly:
-        nonlocal counter
-        if isinstance(node, Const):
-            return node.poly
-        if isinstance(node, Mul):
-            return node.factor * walk(node.child)
-        counter += 1
-        k = counter
-        val = walk(node.child)
-        if k == erase:
-            return val
-        return apply_demazure(node.index, val)
-
-    return walk(expr)
+    steps, base = _chain(expr)
+    ops = _op_positions(steps)
+    if erase is not None:
+        if not 1 <= erase <= len(ops):
+            raise IndexError(
+                f"operator index {erase} out of range 1..{len(ops)}")
+        pos = ops[erase - 1]
+        steps = steps[:pos] + steps[pos + 1:]
+    return _apply(steps, base)
 
 
 @dataclass
@@ -336,115 +336,42 @@ class IntersectionFormReport:
 def intersection_vector(expr: DemazureExpr, p: int = 2) -> IntersectionFormReport:
     """Erase each Op in prefix order; collect the constants and both ranks.
 
-    Every erasure must land in degree 0 (content degree minus 2 per
-    surviving operator); a nonconstant value raises DegreeAuditFailure.
+    The value under each Op is computed once, bottom-up; erasure k then
+    applies only the steps above Op k to the value under it.  Every
+    erasure must land in degree 0 (content degree minus 2 per surviving
+    operator); the first nonconstant value, in prefix order, raises
+    DegreeAuditFailure.  The erasures form a single row, so its rank is
+    1 if some entry is nonzero (over F_p: nonzero mod p) and 0 otherwise.
     """
-    gens = op_indices(expr)
-    total = len(gens)
-    cdeg = content_degree(expr)
+    steps, val = _chain(expr)
+    ops = _op_positions(steps)
+    expected = content_degree(expr) - 2 * (len(ops) - 1)
+    under: list[MultiPoly] = []
+    done = len(steps)
+    for pos in reversed(ops):
+        val = _apply(steps[pos + 1:done], val)
+        under.append(val)
+        done = pos + 1
+    under.reverse()
     entries: list[int] = []
     audit: list[ErasureAudit] = []
-    for k in range(1, total + 1):
-        val = eval_expr(expr, erase=k)
-        expected = cdeg - 2 * (total - 1)
+    for k, (pos, below) in enumerate(zip(ops, under), 1):
+        val = _apply(steps[:pos], below)
         degrees = sorted(val.graded_degrees())
         ok = val.is_constant()
-        audit.append(ErasureAudit(k, gens[k - 1], expected, degrees, ok))
+        audit.append(ErasureAudit(k, steps[pos].index, expected, degrees, ok))
         if not ok:
             raise DegreeAuditFailure(
                 f"erasing operator {k} left degrees {degrees}, "
                 f"expected a constant")
         entries.append(val.constant_value())
-    report = IntersectionFormReport(
+    return IntersectionFormReport(
         entries=entries,
-        rank_over_Q=matrix_rank([entries], "Q") if entries else 0,
-        rank_over_p=matrix_rank([entries], "Fp", p) if entries else 0,
+        rank_over_Q=int(any(entries)),
+        rank_over_p=int(any(e % p for e in entries)),
         p=p,
         degree_audit=audit,
     )
-    return report
-
-
-# -- exact matrix rank -------------------------------------------------
-
-
-def matrix_rank(rows: Sequence[Sequence], field: str = "Q",
-                p: int | None = None) -> int:
-    """Exact rank over Q (fraction-free Bareiss) or F_p (modular Gauss).
-
-    >>> matrix_rank([[-2, -2, 0, 2]], "Q")
-    1
-    >>> matrix_rank([[-2, -2, 0, 2]], "Fp", 2)
-    0
-    """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    if field == "Q":
-        return _rank_bareiss(m)
-    if field == "Fp":
-        if p is None or p < 2:
-            raise ValueError("a prime p is required for F_p rank")
-        return _rank_mod_p(m, p)
-    raise ValueError(f"unknown field {field!r}")
-
-
-def _rank_bareiss(m: list[list]) -> int:
-    # clear any rational entries row by row
-    for r, row in enumerate(m):
-        if any(isinstance(c, Fraction) for c in row):
-            denom = 1
-            for c in row:
-                if isinstance(c, Fraction):
-                    denom = denom * c.denominator // _gcd(denom, c.denominator)
-            m[r] = [int(c * denom) for c in row]
-        else:
-            m[r] = [int(c) for c in row]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, rows):
-            factor = m[r][col]
-            for c in range(cols):
-                m[r][c] = (m[r][c] * pv - factor * m[rank][c]) // prev
-        prev = pv
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _rank_mod_p(m: list[list], p: int) -> int:
-    m = [[int(c) % p for c in row] for row in m]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(c * inv) % p for c in m[rank]]
-        for r in range(rows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 # -- text format and builtins ------------------------------------------
@@ -516,28 +443,34 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
             out = out * parse_factor()
         return out
 
-    def parse_node() -> DemazureExpr:
+    # Read the chain top-down: every `Di` or `poly *` adds a step, every
+    # `(` one pending `)`, and the first bare polynomial ends the chain.
+    steps: list[int | MultiPoly] = []
+    depth = 0
+    while True:
         tok = peek()
         if tok is None:
             raise ValueError("unexpected end of expression")
         if tok.startswith("D"):
             take()
-            return Op(int(tok[1:]), parse_node())
-        if tok == "(":
+            steps.append(int(tok[1:]))
+        elif tok == "(":
             take()
-            node = parse_node()
-            if take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return node
-        poly = parse_poly()
-        if peek() == "*":
+            depth += 1
+        else:
+            poly = parse_poly()
+            if peek() != "*":
+                break
             take()
-            return Mul(poly, parse_node())
-        return Const(poly)
-
-    node = parse_node()
+            steps.append(poly)
+    for _ in range(depth):
+        if take() != ")":
+            raise ValueError("missing closing parenthesis")
     if pos != len(tokens):
         raise ValueError(f"trailing input: {tokens[pos:]}")
+    node: DemazureExpr = Const(poly)
+    for step in reversed(steps):
+        node = Op(step, node) if isinstance(step, int) else Mul(step, node)
     return node
 
 

@@ -31,7 +31,7 @@ all of which are enforced by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import coxeter
 from .coxeter import Permutation
@@ -203,18 +203,11 @@ def inverse_h(x: Permutation) -> HeckeElement:
     return el
 
 
-_bar_cache: dict[Permutation, HeckeElement] = {}
-
-
 def bar_involution(el: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and h_x -> (h_{x^-1})^-1."""
     out = HeckeElement.zero(el.n)
     for x, c in el.coeffs.items():
-        barred = _bar_cache.get(x)
-        if barred is None:
-            barred = inverse_h(coxeter.inverse(x))
-            _bar_cache[x] = barred
-        out = out + barred.scale(c.bar())
+        out = out + inverse_h(coxeter.inverse(x)).scale(c.bar())
     return out
 
 
@@ -297,20 +290,31 @@ class PerversityReport:
     expansion: dict[Permutation, LaurentPoly]
 
 
-def kl_expand(el: HeckeElement) -> dict[Permutation, LaurentPoly]:
-    """Coefficients of el in the KL basis, by triangular back-substitution."""
+def _perversity(el: LinearCombination,
+                basis: Callable[[Permutation], LinearCombination]
+                ) -> PerversityReport:
+    """Coefficients of el in a KL-type basis, by triangular
+    back-substitution, and whether all of them are constants.
+
+    basis(x) must be the standard basis element at x plus terms at
+    elements of smaller length.
+    """
     rest = el
     expansion: dict[Permutation, LaurentPoly] = {}
     while rest:
         x = max(rest.coeffs, key=lambda p: (coxeter.length(p), p))
         c = rest.coeffs[x]
         expansion[x] = c
-        rest = rest - kl_basis(x).scale(c)
-    return expansion
+        rest = rest - basis(x).scale(c)
+    ok = all(set(c.terms) <= {0} for c in expansion.values())
+    return PerversityReport(ok, expansion)
+
+
+def kl_expand(el: HeckeElement) -> dict[Permutation, LaurentPoly]:
+    """Coefficients of el in the KL basis, by triangular back-substitution."""
+    return _perversity(el, kl_basis).expansion
 
 
 def is_perverse_character(el: HeckeElement) -> PerversityReport:
     """True iff every KL-basis coefficient of el is a constant."""
-    expansion = kl_expand(el)
-    ok = all(set(c.terms) <= {0} for c in expansion.values())
-    return PerversityReport(ok, expansion)
+    return _perversity(el, kl_basis)

@@ -192,21 +192,10 @@ def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
     return el
 
 
-def spherical_kl_expand(el: SphericalElement) -> dict[Permutation, LaurentPoly]:
-    rest = el
-    expansion: dict[Permutation, LaurentPoly] = {}
-    while rest:
-        x = max(rest.coeffs, key=lambda p: (coxeter.length(p), p))
-        c = rest.coeffs[x]
-        expansion[x] = c
-        rest = rest - spherical_kl_basis(x, el.parabolic).scale(c)
-    return expansion
-
-
 def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
-    expansion = spherical_kl_expand(el)
-    ok = all(set(c.terms) <= {0} for c in expansion.values())
-    return hecke.PerversityReport(ok, expansion)
+    """True iff every spherical-KL-basis coefficient of el is a constant."""
+    return hecke._perversity(
+        el, lambda x: spherical_kl_basis(x, el.parabolic))
 
 
 def expansion_from_sweep(data: subexpr.SweepResult, n: int,

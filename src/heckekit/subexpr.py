@@ -256,6 +256,12 @@ def defect_histogram(word: Sequence[int], n: int, parabolic,
     if target is not None:
         hist = data.get(tuple(target), {})
         return dict(sorted(hist.items()))
+    return total_histogram(data)
+
+
+def total_histogram(data: SweepResult) -> dict[int, int]:
+    """Counts by defect summed over all endpoints, in increasing defect
+    order."""
     out: dict[int, int] = {}
     for hist in data.values():
         for d, c in hist.items():

@@ -264,3 +264,23 @@ def test_generators_out_of_range_name_the_flag(capsys):
         assert code == 2 and captured.out == ""
         n = argv[argv.index("--n") + 1]
         assert f"{message} out of range for S_{n}" in captured.err
+
+
+def test_n_below_one_is_input_error(capsys):
+    for argv in (["bs", "--n", "-2", "--word", ""],
+                 ["kl", "--n", "0", "--perm", ""]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "argument --n: must be at least 1" in captured.err
+
+
+def test_long_expression_from_file(tmp_path, capsys):
+    # 1,200 nested operators: deeper than the interpreter's recursion limit
+    path = tmp_path / "long.txt"
+    path.write_text("D1 " * 1200 + "( x2 )\n")
+    code, payload = run_json(capsys, "intersection-form", "--expr", str(path))
+    assert code == 0
+    assert payload["entries"] == [0] * 1200
+    assert payload["rank_over_Q"] == 0

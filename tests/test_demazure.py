@@ -1,10 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
+    PAPER_GL15_TEXT,
     Const,
     DegreeAuditFailure,
     Mul,
@@ -16,7 +16,6 @@ from heckekit.demazure import (
     divexact_alpha,
     eval_expr,
     intersection_vector,
-    matrix_rank,
     op_count,
     op_indices,
     parse_expr,
@@ -159,23 +158,64 @@ def test_builtin_erasure_vector_frozen():
     assert all(a.ok and a.expected_degree == 0 for a in rep.degree_audit)
 
 
-def test_erasures_agree_over_rationals():
-    expr = builtin_expr("paper-GL15")
-    got_q = []
-    for k in range(1, 13):
-        lifted = _lift_to_fractions(expr)
-        got_q.append(eval_expr(lifted, erase=k).constant_value())
-    rep = intersection_vector(expr, 2)
-    assert [Fraction(e) for e in rep.entries] == got_q
+def gl15_edit(rng):
+    """PAPER_GL15_TEXT with one or two D-index or root-index edits, or with
+    one root exponent moved to another root (the degree stays 22)."""
+    tokens = PAPER_GL15_TEXT.split()
+    indexed = [k for k, t in enumerate(tokens) if t[0] in "Da"]
+    roots = [k for k, t in enumerate(tokens) if t[0] == "a"]
+    if rng.randrange(3):
+        for _ in range(rng.randint(1, 2)):
+            k = rng.choice(indexed)
+            head, _, power = tokens[k].partition("^")
+            tokens[k] = f"{head[0]}{rng.randint(1, 4)}" + (
+                f"^{power}" if power else "")
+    else:
+        def exponent(k):
+            return int(tokens[k].partition("^")[2] or 1)
+
+        donor = rng.choice([k for k in roots if exponent(k) > 0])
+        taker = rng.choice([k for k in roots if k != donor])
+        for k, step in ((donor, -1), (taker, 1)):
+            head = tokens[k].partition("^")[0]
+            tokens[k] = f"{head}^{exponent(k) + step}"
+    return " ".join(tokens)
 
 
-def _lift_to_fractions(expr):
-    if isinstance(expr, Const):
-        return Const(expr.poly.map_coefficients(Fraction))
-    if isinstance(expr, Mul):
-        return Mul(expr.factor.map_coefficients(Fraction),
-                   _lift_to_fractions(expr.child))
-    return Op(expr.index, _lift_to_fractions(expr.child))
+def test_shared_erasure_pass_matches_reference():
+    rng = random.Random(29)
+    texts = [PAPER_GL15_TEXT, "D1 ( a2 * D2 D1 ( 3 * x2 ) )"]
+    texts += [gl15_edit(rng) for _ in range(60)]
+    for text in texts:
+        expr = parse_expr(text)
+        rep = intersection_vector(expr, 3)
+        expected = [eval_expr(expr, erase=k).constant_value()
+                    for k in range(1, op_count(expr) + 1)]
+        assert rep.entries == expected, text
+        assert rep.rank_over_Q == int(any(expected))
+        assert rep.rank_over_p == int(any(e % 3 for e in expected))
+
+
+def test_degree_audit_names_the_first_failing_erasure():
+    cases = {
+        "D1 D2 D3 ( x2 * a3 * a3 )":
+            "erasing operator 3 left degrees [2], expected a constant",
+        "D2 a1 * D2 a2 * x3 * D1 ( a3^2 )":
+            "erasing operator 3 left degrees [6], expected a constant",
+    }
+    for text, message in cases.items():
+        with pytest.raises(DegreeAuditFailure) as exc:
+            intersection_vector(parse_expr(text), 2)
+        assert str(exc.value) == message
+
+
+def test_long_chain_needs_no_recursion():
+    expr = parse_expr("D1 " * 1200 + "( x2 )")
+    assert op_count(expr) == 1200
+    assert op_indices(expr) == [1] * 1200
+    assert content_degree(expr) == 2
+    assert not eval_expr(expr)
+    assert not eval_expr(expr, erase=1200)
 
 
 def test_degree_audit_failure():
@@ -191,78 +231,21 @@ def test_intersection_vector_no_ops():
 
 
 def test_matrix_rank_examples():
-    row = [-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0]
-    assert matrix_rank([row], "Q") == 1
-    assert matrix_rank([row], "Fp", 2) == 0
-    assert matrix_rank([[0, 0], [0, 0]], "Q") == 0
-    assert matrix_rank([], "Q") == 0
-
-
-def rank_oracle_fractions(rows):
-    """Independent rank over Q by plain Fraction Gaussian elimination."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    if not m:
-        return 0
-    rank = 0
-    cols = len(m[0])
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [c / pv for c in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def test_matrix_rank_random_matches_oracles():
-    rng = random.Random(23)
-    for _ in range(150):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        m = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        assert matrix_rank(m, "Q") == rank_oracle_fractions(m)
-        for p in (2, 3):
-            # mod-p rank by brute force over all row-space combinations
-            # is expensive; check against Fraction elimination done mod p
-            got = matrix_rank(m, "Fp", p)
-            span = {tuple([0] * cols)}
-            for row in m:
-                new = set()
-                for vec in span:
-                    for k in range(p):
-                        new.add(tuple((a + k * b) % p
-                                      for a, b in zip(vec, row)))
-                span |= new
-                # close under addition by iterating to a fixed point
-                while True:
-                    extra = set()
-                    for v1 in span:
-                        for row2 in m:
-                            for k in range(p):
-                                cand = tuple((a + k * b) % p
-                                             for a, b in zip(v1, row2))
-                                if cand not in span:
-                                    extra.add(cand)
-                    if not extra:
-                        break
-                    span |= extra
-            size = len(span)
-            dim = 0
-            while p ** dim < size:
-                dim += 1
-            assert p ** dim == size
-            assert got == dim
-
-
-def test_rank_rational_rows():
-    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert matrix_rank(m, "Q") == rank_oracle_fractions(m)
+    """The erasure vector is one row: rank 1 iff some entry is nonzero in
+    the field.  The built-in vector has entries in {0, -2}, like the
+    published tuple (-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0), so both
+    have rank 1 over Q, 0 over F_2 and 1 over F_3."""
+    cases = [
+        (builtin_expr("paper-GL15"), 2, [0, -2], 1, 0),
+        (builtin_expr("paper-GL15"), 3, [0, -2], 1, 1),
+        (parse_expr("D1 D1 ( x2 )"), 2, [1], 1, 1),
+        (parse_expr("D1 ( 0 )"), 2, [0], 0, 0),
+        (Const(MultiPoly.constant(5, 2)), 2, [], 0, 0),
+    ]
+    for expr, p, values, rank_q, rank_p in cases:
+        rep = intersection_vector(expr, p)
+        assert sorted(set(rep.entries)) == sorted(values)
+        assert (rep.rank_over_Q, rep.rank_over_p) == (rank_q, rank_p)
 
 
 def test_multipoly_json():
