@@ -7,9 +7,17 @@ values i and i+1 (acting on the left) or the positions i and i+1 (acting
 on the right).  Words are tuples of generator indices in {1..n-1}.
 Parabolic subsets are collections of generator indices.
 
-Bruhat comparisons use the rank-matrix dominance criterion, which is
-O(n^2) with early exit; the classical subword criterion is kept only as
-a test oracle.
+Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
+of x dominates that of y entrywise.  Hot loops use packed rank tables:
+the entries r[i][j], i, j in 1..n-1, sit in one int, one field each,
+with a guard bit above the value bits.  A table is the sum of n-1
+precomputed per-position constants, and x <= y is one subtraction:
+((P_x | H) - P_y) & H == H, with H the guard mask, since a field keeps
+its guard bit exactly when r_x[i][j] >= r_y[i][j].  `rank_table`,
+`rank_table_dominates` and `bruhat_leq` compare tuple tables entry by
+entry and are the oracle for the packed path; the classical subword
+criterion is kept only as a test oracle as well.
 """
 from __future__ import annotations
 
@@ -158,6 +166,44 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     if len(x) != len(y):
         raise ValueError("permutations of different symmetric groups")
     return rank_table_dominates(rank_table(x), rank_table(y))
+
+
+# Packing constants per n, built on first use: (C, H) with C[a][v] the
+# packed table of "value v at 0-based position a" and H the guard mask.
+_packings: dict[int, tuple[list[list[int]], int]] = {}
+
+
+def _rank_packing(n: int) -> tuple[list[list[int]], int]:
+    """(C, H) for S_n.  A field is 5 value bits and a guard bit for
+    n <= 32, wider beyond.  Value v at position a adds one to r[i][j]
+    for i > a and j >= v, so C[a][v] is the block of those fields.
+    Row n and column n are not stored: C[a][n] is 0, and the last
+    position has no constants."""
+    packing = _packings.get(n)
+    if packing is None:
+        m = n - 1
+        width = max(5, m.bit_length()) + 1
+        field = [1 << (width * f) for f in range(m * m)]
+        cols = [0] * (m + 2)    # cols[v]: fields j >= v of row 1
+        for j in range(m, 0, -1):
+            cols[j] = cols[j + 1] + field[j - 1]
+        rows = [0] * (m + 1)    # rows[a]: first field of rows i > a
+        for a in range(m - 1, -1, -1):
+            rows[a] = rows[a + 1] + field[a * m]
+        C = [[rows[a] * cols[v] for v in range(n + 1)] for a in range(m)]
+        H = sum(field) << (width - 1)
+        packing = _packings[n] = (C, H)
+    return packing
+
+
+def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
+    """The rank table of p as one int; C from _rank_packing(len(p))."""
+    return sum([Ca[v] for Ca, v in zip(C, p)])
+
+
+def _packed_dominates(px: int, py: int, H: int) -> bool:
+    """rank_table_dominates on packed tables: True iff x <= y."""
+    return ((px | H) - py) & H == H
 
 
 # -- parabolic subgroups ----------------------------------------------

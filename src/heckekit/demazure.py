@@ -240,18 +240,28 @@ DemazureExpr = Union[Const, Mul, Op]
 
 def _chain(expr: DemazureExpr) -> tuple[list[Union[Mul, Op]], MultiPoly]:
     """The Mul and Op nodes from the top down, and the Const polynomial
-    at the bottom."""
+    at the bottom.  Every step must act on the ring of the Const."""
     steps = []
     while not isinstance(expr, Const):
         steps.append(expr)
         expr = expr.child
+    nvars = expr.poly.nvars
+    for step in steps:
+        if isinstance(step, Mul):
+            if step.factor.nvars != nvars:
+                raise ValueError("polynomials in different rings")
+        elif not 1 <= step.index <= nvars - 1:
+            raise ValueError(
+                f"D{step.index} out of range for {nvars} variables")
     return steps, expr.poly
 
 
 def _apply(steps: Sequence[Union[Mul, Op]], val: MultiPoly) -> MultiPoly:
     """The value of `steps` (listed top-down) over `val`, bottom step
-    first."""
+    first.  Every step maps 0 to 0, so a zero value is final."""
     for step in reversed(steps):
+        if not val:
+            break
         if isinstance(step, Mul):
             val = step.factor * val
         else:
@@ -399,17 +409,21 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
     `Di` applies del_i, `ai^k` is the k-th power of a simple root, `xi` a
     variable, integers are constants, `poly * (...)` multiplies into the
     child value.  The ring dimension is the largest variable index used
-    (alpha_i needs x_{i+1}) unless nvars is given.
+    (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, or
+    one beyond the ring, is a ValueError naming the token.
     """
     tokens = _tokenize(text)
+    # D_i and alpha_i need x_{i+1}; x_i needs x_i
+    indexed = [(t, int(re.match(r"[Dax](\d+)", t).group(1)), t[0] != "x")
+               for t in tokens if t[0] in "Dax"]
     if nvars is None:
-        needed = 1
-        for t in tokens:
-            m = re.match(r"[Dax](\d+)", t)
-            if m:
-                idx = int(m.group(1))
-                needed = max(needed, idx + 1 if t[0] in "Da" else idx)
-        nvars = needed
+        nvars = max([idx + shift for _, idx, shift in indexed], default=1)
+    for t, idx, shift in indexed:
+        if idx == 0:
+            raise ValueError(f"bad token {t!r}: indices start at 1")
+        if idx + shift > nvars:
+            raise ValueError(f"bad token {t!r}: index {idx} out of range "
+                             f"for {nvars} variables")
     pos = 0
 
     def peek() -> str | None:

@@ -147,7 +147,7 @@ class LaurentPoly:
 
     def is_nonnegative_powers(self) -> bool:
         """True iff the polynomial lies in the subring of ordinary polynomials."""
-        return all(e >= 0 for e in self.terms)
+        return min(self.terms, default=0) >= 0
 
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
         """Return q with q * other == self, or raise InexactDivision.

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, _add_into, v_power
+from .laurent import ONE, LaurentPoly, _add_into, _poly, v_power
 
 _V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
 
@@ -44,6 +44,8 @@ class SphericalElement(hecke.LinearCombination):
         if coeffs:
             for x, c in coeffs.items():
                 x = tuple(x)
+                if len(x) != n:
+                    raise ValueError(f"{x} has {len(x)} entries, not n = {n}")
                 if not coxeter.is_min_coset_rep(x, self.parabolic):
                     raise ValueError(
                         f"{x} is not a minimal coset representative")
@@ -200,11 +202,18 @@ def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
 
 def expansion_from_sweep(data: subexpr.SweepResult, n: int,
                          parabolic) -> SphericalElement:
-    """Turn endpoint -> defect -> count aggregates into sum v^defect m_z."""
-    coeffs = {}
-    for endpoint, hist in data.items():
-        coeffs[endpoint] = LaurentPoly({d: c for d, c in hist.items()})
-    return SphericalElement(n, parabolic, coeffs)
+    """Turn endpoint -> defect -> count aggregates into sum v^defect m_z.
+
+    The fold's counts are positive ints, so each histogram becomes its
+    coefficient as it is, shared with `data` rather than copied; only
+    the endpoints are checked, once each.
+    """
+    zero = SphericalElement(n, parabolic)
+    for z in data:
+        if len(z) != n or not coxeter.is_min_coset_rep(z, zero.parabolic):
+            raise ValueError(
+                f"{z} is not a minimal coset representative in S_{n}")
+    return zero._like({z: _poly(hist) for z, hist in data.items() if hist})
 
 
 def deodhar_expand(word: Sequence[int], n: int, parabolic,
@@ -244,19 +253,24 @@ class IntervalReport:
 
 def interval_condition_check(expansion: SphericalElement, x: Permutation,
                              w: Permutation) -> IntervalReport:
-    A = expansion.parabolic
+    """Check the interval condition on packed rank tables: per endpoint,
+    one table of n-1 additions and two one-subtraction comparisons."""
+    A, n = expansion.parabolic, expansion.n
     x, w = tuple(x), tuple(w)
-    for p in (x, w):
+    for name, p in (("x", x), ("w", w)):
+        if len(p) != n or not coxeter.is_permutation(p):
+            raise ValueError(f"{name} = {p} is not a permutation of 1..{n}")
         if not coxeter.is_min_coset_rep(p, A):
             raise ValueError(f"{p} is not a minimal coset representative")
-    rx = coxeter.rank_table(x)
-    rw = coxeter.rank_table(w)
+    C, H = coxeter._rank_packing(n)
+    px = coxeter._packed_rank_table(x, C)
+    pw = coxeter._packed_rank_table(w, C)
     entries = []
     outside = 0
     for z in sorted(expansion.coeffs):
-        rz = coxeter.rank_table(z)
-        in_interval = (z != x and coxeter.rank_table_dominates(rx, rz)
-                       and coxeter.rank_table_dominates(rz, rw))
+        pz = coxeter._packed_rank_table(z, C)
+        in_interval = (z != x and coxeter._packed_dominates(px, pz, H)
+                       and coxeter._packed_dominates(pz, pw, H))
         if not in_interval:
             outside += 1
             continue

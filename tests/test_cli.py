@@ -134,6 +134,18 @@ def test_internal_consistency_is_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
+@pytest.mark.parametrize("text,token", [("D0 ( x1 )", "D0"),
+                                        ("D1 ( a0 )", "a0"),
+                                        ("D1 ( x0 * x2 )", "x0")])
+def test_zero_index_is_input_error_naming_the_token(command, text, token,
+                                                    capsys):
+    code = cli.main([command, "--expr", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"bad token {token!r}" in captured.err
+
+
 def test_erase_out_of_range_is_input_error(capsys):
     code, out = run_cli(capsys, "demazure-eval", "--expr", "paper-GL15",
                         "--erase", "99")

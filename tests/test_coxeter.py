@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from heckekit import coxeter
 from heckekit.coxeter import (
@@ -19,6 +20,8 @@ from heckekit.coxeter import (
     min_coset_reps,
     multiply,
     parabolic_elements,
+    rank_table,
+    rank_table_dominates,
     reduced_word,
 )
 
@@ -76,6 +79,70 @@ def test_bruhat_agrees_with_subword_oracle_on_s4():
         le_y = {x for x in perms if bruhat_leq_subword(x, y)}
         for x in perms:
             assert bruhat_leq(x, y) == (x in le_y), (x, y)
+
+
+def packed_agrees(pairs, n):
+    """Packed and tuple rank tables give the same Bruhat comparisons, in
+    both directions, on every pair; returns how many pairs are
+    comparable."""
+    C, H = coxeter._rank_packing(n)
+    comparable = 0
+    for x, y in pairs:
+        px = coxeter._packed_rank_table(x, C)
+        py = coxeter._packed_rank_table(y, C)
+        rx, ry = rank_table(x), rank_table(y)
+        assert coxeter._packed_dominates(px, py, H) == \
+            rank_table_dominates(rx, ry), (x, y)
+        assert coxeter._packed_dominates(py, px, H) == \
+            rank_table_dominates(ry, rx), (y, x)
+        comparable += rank_table_dominates(rx, ry) or \
+            rank_table_dominates(ry, rx)
+    return comparable
+
+
+def transposed(rng, x):
+    """x with the values at two random positions swapped."""
+    i, j = rng.sample(range(len(x)), 2)
+    y = list(x)
+    y[i], y[j] = y[j], y[i]
+    return tuple(y)
+
+
+def test_packed_bruhat_agrees_exhaustive_s1_to_s5():
+    for n in range(1, 6):
+        perms = list(all_permutations(n))
+        packed_agrees(itertools.combinations_with_replacement(perms, 2), n)
+
+
+def test_packed_bruhat_agrees_sampled_s6():
+    rng = random.Random(6)
+    perms = list(all_permutations(6))
+    packed_agrees([tuple(rng.sample(perms, 2)) for _ in range(3000)], 6)
+
+
+def test_packed_bruhat_agrees_sampled_s15_and_wide_fields():
+    # half the pairs one transposition apart: comparable, and the
+    # boundary where a single entry decides the comparison
+    for n, count in ((15, 2000), (40, 200)):
+        rng = random.Random(n)
+        pairs = []
+        for k in range(count):
+            x = tuple(rng.sample(range(1, n + 1), n))
+            y = transposed(rng, x) if k % 2 else \
+                tuple(rng.sample(range(1, n + 1), n))
+            pairs.append((x, y))
+        assert packed_agrees(pairs, n) >= count // 2
+
+
+def test_packed_rank_table_fields():
+    n = 5
+    C, H = coxeter._rank_packing(n)
+    p = (3, 1, 5, 2, 4)
+    packed = coxeter._packed_rank_table(p, C)
+    fields = [[packed >> (6 * ((i - 1) * (n - 1) + j - 1)) & 63
+               for j in range(1, n)] for i in range(1, n)]
+    assert fields == [list(row[1:n]) for row in rank_table(p)[1:n]]
+    assert H == sum(32 << (6 * f) for f in range((n - 1) ** 2))
 
 
 def test_longest_element():

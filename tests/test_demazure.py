@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -115,6 +116,28 @@ def test_parser_and_structure():
         parse_expr("Q1 ( x1 )")
 
 
+def test_parser_rejects_indices_outside_the_ring():
+    for text, token in (("D0 ( x1 )", "D0"), ("D1 ( a0 )", "a0"),
+                        ("D1 ( x0 )", "x0"), ("D1 ( a0^2 )", "a0^2")):
+        with pytest.raises(ValueError, match=re.escape(f"'{token}'")):
+            parse_expr(text)
+    for text, nvars, token in (("D3 ( x1 )", 3, "D3"), ("D1 ( a3 )", 3, "a3"),
+                               ("D1 ( x4 )", 3, "x4"),
+                               ("x1 * D1 ( 2 )", 1, "D1")):
+        with pytest.raises(ValueError, match=f"bad token '{token}'"):
+            parse_expr(text, nvars)
+    assert op_indices(parse_expr("D2 ( a2 * x3 )", 3)) == [2]
+
+
+def test_chain_rejects_operators_outside_the_ring():
+    # zero values skip the remaining steps, so the ring is checked up front
+    with pytest.raises(ValueError, match="D3 out of range for 3 variables"):
+        eval_expr(Op(3, Const(MultiPoly.zero(3))))
+    with pytest.raises(ValueError, match="different rings"):
+        intersection_vector(Op(1, Mul(MultiPoly.zero(2), Const(
+            MultiPoly.constant(1, 3)))))
+
+
 def test_eval_simple():
     assert eval_expr(Const(MultiPoly.alpha(4, 5))) == MultiPoly.alpha(4, 5)
     got = eval_expr(Op(3, Const(MultiPoly.alpha(4, 5) ** 2)))
@@ -216,6 +239,7 @@ def test_long_chain_needs_no_recursion():
     assert content_degree(expr) == 2
     assert not eval_expr(expr)
     assert not eval_expr(expr, erase=1200)
+    assert intersection_vector(expr).entries == [0] * 1200
 
 
 def test_degree_audit_failure():

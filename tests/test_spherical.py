@@ -12,6 +12,7 @@ from heckekit.spherical import (
     act_by_gen,
     bott_samelson_spherical,
     deodhar_expand,
+    expansion_from_sweep,
     interval_condition_check,
     is_perverse_spherical,
     m,
@@ -21,7 +22,7 @@ from heckekit.spherical import (
     spherical_kl_basis,
     spherical_pairing,
 )
-from heckekit.subexpr import EnumConstraint
+from heckekit.subexpr import EnumConstraint, sweep
 
 
 def all_subsets(n):
@@ -227,6 +228,63 @@ def test_interval_condition_check():
     assert rep.passed  # z = s1 is not strictly above x = s1
     rep2 = interval_condition_check(m_id(3, A).scale(v_power(-1)), s1, w)
     assert rep2.passed and rep2.outside == 1
+
+
+def test_interval_check_rejects_wrong_size_x_or_w():
+    el = m_id(4, {2})
+    with pytest.raises(ValueError, match=r"^x = \(1, 2, 3\)"):
+        interval_condition_check(el, (1, 2, 3), (3, 1, 2))
+    with pytest.raises(ValueError, match=r"^w = \(1, 2, 3\)"):
+        interval_condition_check(el, (1, 2, 3, 4), (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^w = \(1, 1, 2, 3\)"):
+        interval_condition_check(el, (1, 2, 3, 4), (1, 1, 2, 3))
+
+
+def test_interval_check_matches_rank_table_oracle():
+    """Seeded constrained expansions in S_4/S_5 against the interval
+    decided by tuple rank tables.  x is a short endpoint and w mostly the
+    longest one, so that many intervals are not empty."""
+    rng = random.Random(23)
+    seen = failed = 0
+    for _ in range(100):
+        n = rng.choice((4, 5))
+        word = tuple(rng.randrange(1, n) for _ in range(rng.randrange(3, 12)))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
+        el = deodhar_expand(word, n, A, EnumConstraint(slots))
+        support = el.support() or [identity(n)]
+        x = min(rng.sample(support, min(3, len(support))), key=length)
+        w = rng.choice(list(min_coset_reps(A, n))
+                       + [max(support, key=length)] * 4)
+        rep = interval_condition_check(el, x, w)
+        rx, rw = coxeter.rank_table(x), coxeter.rank_table(w)
+        inside = [z for z in support if z != x
+                  and coxeter.rank_table_dominates(rx, coxeter.rank_table(z))
+                  and coxeter.rank_table_dominates(coxeter.rank_table(z), rw)]
+        assert [e.coset for e in rep.entries] == inside
+        assert [e.coefficient for e in rep.entries] == \
+            [el.coeffs[z] for z in inside]
+        assert [e.ok for e in rep.entries] == \
+            [min(el.coeffs[z].terms) >= 0 for z in inside]
+        assert rep.outside == len(el.coeffs) - len(inside)
+        assert rep.passed == all(e.ok for e in rep.entries)
+        seen += len(inside)
+        failed += len(rep.failures())
+    assert seen > 100 and 0 < failed < seen
+
+
+def test_expansion_from_sweep_checks_its_keys():
+    data = sweep((1, 2, 1), 3, {2})
+    el = expansion_from_sweep(data, 3, {2})
+    assert el == bott_samelson_spherical((1, 2, 1), 3, {2})
+    for bad in ((1, 3, 2), (1, 2)):
+        with pytest.raises(ValueError, match="not a minimal coset"):
+            expansion_from_sweep({bad: {0: 1}, **data}, 3, {2})
+
+
+def test_constructor_checks_key_length():
+    with pytest.raises(ValueError, match="has 2 entries, not n = 3"):
+        SphericalElement(3, {2}, {(1, 2): ONE})
 
 
 def test_json_roundtrip():
