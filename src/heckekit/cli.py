@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -71,9 +72,10 @@ def parse_word(text: str, n: int, flag: str = "--word",
     tokens = text.replace(",", " ").split()
     out = []
     for t in tokens:
-        if t.startswith("s"):
-            t = t[1:]
-        g = int(t)
+        if not re.fullmatch(r"s?[0-9]+", t):
+            raise ValueError(f"{flag} {text!r}: {t!r} is not a {noun} "
+                             f"such as 2 or s2")
+        g = int(t.lstrip("s"))
         if not 1 <= g <= n - 1:
             raise ValueError(
                 f"{flag} {text!r}: {noun} {g} out of range for S_{n}")
@@ -82,7 +84,11 @@ def parse_word(text: str, n: int, flag: str = "--word",
 
 
 def parse_perm(text: str, n: int, flag: str) -> tuple[int, ...]:
-    p = tuple(int(t) for t in text.replace(",", " ").split())
+    tokens = text.replace(",", " ").split()
+    if not all(re.fullmatch(r"[0-9]+", t) for t in tokens):
+        raise ValueError(
+            f"{flag} {text!r} is not a list of integers")
+    p = tuple(map(int, tokens))
     if not coxeter.is_permutation(p):
         raise ValueError(
             f"{flag} {text!r} is not a permutation in one-line notation")

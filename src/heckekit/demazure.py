@@ -5,10 +5,13 @@ ranks over Q and F_p.
 
 The ring is Z[x_1, ..., x_k] graded with deg x_i = 2.  The operator
 del_i sends f to (f - s_i f) / alpha_i with alpha_i = x_{i+1} - x_i;
-the divided difference drops the graded degree by 2.  Division by
-alpha_i is synthetic division along the variable x_i (leading
-coefficient -1, so every step is exact); in debug mode the quotient is
-verified by multiplying back.
+the divided difference drops the graded degree by 2.  No division is
+carried out: with m free of x_i and x_{i+1}, d = |a - b| and
+l = min(a, b), del_i(x_i^a x_{i+1}^b m) is 0 if a = b and otherwise
+
+    sign(b - a) (x_i x_{i+1})^l sum_{k<d} x_i^(d-1-k) x_{i+1}^k m,
+
+so `apply_demazure` is one pass over the terms of f.
 
 An operator expression is a chain: every Mul and Op node has exactly one
 child, and the bottom node is a Const.  Op nodes are numbered 1, 2, ...
@@ -30,9 +33,14 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .laurent import InexactDivision, _add_into
+from .laurent import _add_into
 
 Exponents = tuple[int, ...]
+
+# Largest k that `parse_expr` accepts in `ai^k` or `xi^k`.  Expanding
+# ai^k takes time growing faster than k^2 (about 5 s at k = 1,600), and
+# every known expression uses k <= 3.
+MAX_EXPONENT = 64
 
 
 class DegreeAuditFailure(ArithmeticError):
@@ -54,6 +62,13 @@ class MultiPoly:
                     raise ValueError(f"exponent vector {e} has wrong length")
                 if c != 0:
                     self.terms[e] = c
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[Exponents, int]) -> "MultiPoly":
+        """Adopt `terms`, already valid and free of zeros, unchecked."""
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -93,9 +108,7 @@ class MultiPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             _add_into(terms, e, c)
-        out = MultiPoly.__new__(MultiPoly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return MultiPoly._wrap(self.nvars, terms)
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -173,46 +186,27 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(parts) + ")"
 
 
-def divexact_alpha(g: MultiPoly, i: int) -> MultiPoly:
-    """Exact division of g by alpha_i = x_{i+1} - x_i.
-
-    Synthetic division along x_i: alpha_i has x_i-leading coefficient -1,
-    so each reduction step is division-free.  Raises InexactDivision if a
-    remainder survives (never happens for alpha-antisymmetric input).
-    """
-    vi = i - 1       # exponent slot of x_i
-    vj = i           # exponent slot of x_{i+1}
-    work = dict(g.terms)
-    quo: dict[Exponents, int] = {}
-    while work:
-        d = max(e[vi] for e in work)
-        if d == 0:
-            raise InexactDivision(f"remainder left after division by alpha_{i}")
-        layer = [(e, c) for e, c in work.items() if e[vi] == d]
-        for e, c in layer:
-            q = list(e)
-            q[vi] = d - 1
-            qe = tuple(q)
-            _add_into(quo, qe, -c)
-            del work[e]
-            # subtract (-c) * x^qe * x_{i+1}; the x_i part cancelled exactly
-            r = list(qe)
-            r[vj] += 1
-            _add_into(work, tuple(r), c)
-    out = MultiPoly(g.nvars, quo)
-    if __debug__:
-        assert out * MultiPoly.alpha(i, g.nvars) == g
-    return out
-
-
 def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
-    """del_i(f) = (f - s_i f) / alpha_i; drops graded degree by 2.
+    """del_i(f) = (f - s_i f) / alpha_i, by the closed form on each
+    monomial (see the module docstring); drops graded degree by 2.
 
     >>> x2 = MultiPoly.variable(2, 2)
     >>> apply_demazure(1, x2) == MultiPoly.constant(1, 2)
     True
     """
-    return divexact_alpha(f - f.swap_variables(i), i)
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"s_{i} out of range for {f.nvars} variables")
+    terms: dict[Exponents, int] = {}
+    for e, c in f.terms.items():
+        a, b = e[i - 1], e[i]
+        if a == b:
+            continue
+        if a > b:
+            a, b, c = b, a, -c
+        head, tail = e[:i - 1], e[i + 1:]
+        for k in range(b - a):
+            _add_into(terms, head + (b - 1 - k, a + k) + tail, c)
+    return MultiPoly._wrap(f.nvars, terms)
 
 
 # -- operator expressions ----------------------------------------------
@@ -386,7 +380,9 @@ def intersection_vector(expr: DemazureExpr, p: int = 2) -> IntersectionFormRepor
 
 # -- text format and builtins ------------------------------------------
 
-_TOKEN = re.compile(r"\s*(D\d+|a\d+(?:\^\d+)?|x\d+(?:\^\d+)?|-?\d+|\(|\)|\*)")
+# [0-9], not \d: int() would read other scripts' digits as ASCII ones
+_TOKEN = re.compile(
+    r"\s*(D[0-9]+|[ax][0-9]+(?:\^[0-9]+)?|-?[0-9]+|\(|\)|\*)")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -409,8 +405,9 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
     `Di` applies del_i, `ai^k` is the k-th power of a simple root, `xi` a
     variable, integers are constants, `poly * (...)` multiplies into the
     child value.  The ring dimension is the largest variable index used
-    (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, or
-    one beyond the ring, is a ValueError naming the token.
+    (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, one
+    beyond the ring, or an exponent above MAX_EXPONENT is a ValueError
+    naming the token.
     """
     tokens = _tokenize(text)
     # D_i and alpha_i need x_{i+1}; x_i needs x_i
@@ -424,6 +421,10 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
         if idx + shift > nvars:
             raise ValueError(f"bad token {t!r}: index {idx} out of range "
                              f"for {nvars} variables")
+        power = int(t.partition("^")[2] or 1)
+        if power > MAX_EXPONENT:
+            raise ValueError(f"bad token {t!r}: exponent {power} exceeds "
+                             f"the budget MAX_EXPONENT = {MAX_EXPONENT}")
     pos = 0
 
     def peek() -> str | None:

@@ -83,9 +83,6 @@ class EnumConstraint:
     def leaf_count(self) -> int:
         return 1 << len(self.free_positions())
 
-    def to_json(self) -> list[list[int]]:
-        return [list(s) for s in self.slots]
-
 
 def decorate(word: Sequence[int], bits: Sequence[int], n: int,
              parabolic) -> DecoratedSubexpression:

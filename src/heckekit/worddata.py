@@ -29,6 +29,10 @@ from pathlib import Path
 from . import coxeter
 from .subexpr import EnumConstraint
 
+#: census entries that `validate_word_data` compares with the word
+CENSUS_FIELDS = ("length", "free_positions", "letters_index_le_3",
+                 "letters_index_4")
+
 BUILTIN_WORDS = {
     "gl15-partial": "gl15_word_partial.json",
     "demo-s4-fail": "demo_s4_interval_fail.json",
@@ -81,43 +85,77 @@ def load_word_data(path_or_name: str | Path) -> WordData:
     return parse_word_data(raw, source)
 
 
+def _int(value, name: str) -> int:
+    # bool is a subclass of int, but `true` is not a JSON integer
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, name: str, lo: int | None = None,
+          hi: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, each in lo..hi when bounds are given."""
+    if not isinstance(value, list):
+        label = name if "[" in name else f'"{name}"'
+        raise ValueError(f"{label} must be a list of integers, got {value!r}")
+    for k, v in enumerate(value):
+        _int(v, f"{name}[{k}]")
+        if lo is not None and not lo <= v <= hi:
+            raise ValueError(f"{name}[{k}] = {v} is not in {lo}..{hi}")
+    return tuple(value)
+
+
 def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
+    """Check and convert decoded JSON.  Integer fields must be JSON
+    integers (not booleans, floats or strings) and list fields lists;
+    every error names the field, e.g. `"n"`, `word[3]` or `forced[0]`."""
     try:
-        n = int(raw["n"])
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {raw!r}")
+        if "n" not in raw:
+            raise ValueError('missing field "n"')
+        n = _int(raw["n"], '"n"')
+        if n < 1:
+            raise ValueError(f'"n" must be at least 1, got {n}')
         word = raw.get("word")
+        if word is not None:
+            word = _ints(word, "word", 1, n - 1)
         parabolic = raw.get("A")
-        lower = raw.get("B", [])
+        if parabolic is not None:
+            parabolic = frozenset(_ints(parabolic, "A", 1, n - 1))
+        lower = frozenset(_ints(raw.get("B", []), "B", 1, n - 1))
         forced = raw.get("forced", "letters-in-B")
-        degree = int(raw.get("degree", -1))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed word data in {source}: {exc}") from exc
-    if n < 1:
-        raise ValueError(f"bad rank n={n}")
-    for name, subset in (("A", parabolic), ("B", lower)):
-        if subset is None:
-            continue
-        for i in subset:
-            if not 1 <= int(i) <= n - 1:
-                raise ValueError(f"{name} contains invalid generator {i}")
-    if word is not None:
-        word = tuple(int(t) for t in word)
-        for t in word:
-            if not 1 <= t <= n - 1:
-                raise ValueError(f"word letter {t} out of range for S_{n}")
-    if forced != "letters-in-B":
-        forced = [tuple(int(b) for b in slot) for slot in forced]
-        if word is not None and len(forced) != len(word):
-            raise ValueError("explicit constraint length != word length")
+        if forced != "letters-in-B":
+            if not isinstance(forced, list):
+                raise ValueError(f'"forced" must be "letters-in-B" or a list '
+                                 f'of allowed-bit lists, got {forced!r}')
+            forced = [_ints(slot, f"forced[{k}]", 0, 1)
+                      for k, slot in enumerate(forced)]
+            if () in forced:
+                raise ValueError(f"forced[{forced.index(())}] allows no bit")
+            if word is not None and len(forced) != len(word):
+                raise ValueError(f'"forced" has {len(forced)} slots, '
+                                 f'"word" has {len(word)} letters')
+        degree = _int(raw.get("degree", -1), '"degree"')
+        word_prefix = _ints(raw.get("word_prefix", []), "word_prefix")
+        census = raw.get("census")
+        if census is not None:
+            if not isinstance(census, dict):
+                raise ValueError(f'"census" must be an object, got {census!r}')
+            for key in CENSUS_FIELDS:
+                if key in census:
+                    _int(census[key], f"census.{key}")
+    except ValueError as exc:
+        raise ValueError(f"word data {source}: {exc}") from None
     return WordData(
         n=n,
         word=word,
-        parabolic=None if parabolic is None else
-        frozenset(int(i) for i in parabolic),
-        lower=frozenset(int(i) for i in lower),
+        parabolic=parabolic,
+        lower=lower,
         forced=forced,
         degree=degree,
-        word_prefix=tuple(int(t) for t in raw.get("word_prefix", ())),
-        census=raw.get("census"),
+        word_prefix=word_prefix,
+        census=census,
         source=source,
     )
 
@@ -172,7 +210,7 @@ def validate_word_data(wd: WordData) -> ValidationReport:
     rep.add("word-present", True, f"{len(wd.word)} letters")
 
     if "length" in census:
-        want = int(census["length"])
+        want = census["length"]
         rep.add("census-length", len(wd.word) == want,
                 f"expected {want}, found {len(wd.word)}")
     if wd.word_prefix:
@@ -182,26 +220,27 @@ def validate_word_data(wd: WordData) -> ValidationReport:
                 if got == wd.word_prefix else f"prefix mismatch at {got[:8]}")
     if "letters_index_le_3" in census:
         low = sum(1 for t in wd.word if t <= 3)
-        want = int(census["letters_index_le_3"])
+        want = census["letters_index_le_3"]
         rep.add("census-low-letters", low == want,
                 f"expected {want} letters of index <= 3, found {low}")
     if "letters_index_4" in census:
         s4 = sum(1 for t in wd.word if t == 4)
-        want = int(census["letters_index_4"])
+        want = census["letters_index_4"]
         rep.add("census-s4-letters", s4 == want,
                 f"expected {want} letters s_4, found {s4}")
+    free = len(wd.constraint().free_positions())
     if "free_positions" in census:
-        free = len(wd.constraint().free_positions())
-        want = int(census["free_positions"])
+        want = census["free_positions"]
         rep.add("census-free-positions", free == want,
                 f"expected {want} unforced positions, found {free}")
 
-    rep.add("word-reduced", coxeter.is_reduced(wd.word, wd.n),
+    reduced = coxeter.is_reduced(wd.word, wd.n)
+    rep.add("word-reduced", reduced,
             "the word is a reduced expression"
-            if coxeter.is_reduced(wd.word, wd.n) else "word is not reduced")
+            if reduced else "word is not reduced")
 
     wB = wd.x_element()
-    forced_count = len(wd.word) - len(wd.constraint().free_positions())
+    forced_count = len(wd.word) - free
     rep.add("forced-count-is-length-of-wB",
             forced_count == coxeter.length(wB),
             f"forced positions {forced_count}, len(w_B) {coxeter.length(wB)}")

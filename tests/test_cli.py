@@ -146,6 +146,15 @@ def test_zero_index_is_input_error_naming_the_token(command, text, token,
     assert f"bad token {token!r}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
+def test_exponent_above_budget_is_input_error(command, capsys):
+    code = cli.main([command, "--expr", "D1 ( a2^100000 )"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert ("bad token 'a2^100000': exponent 100000 exceeds the budget "
+            "MAX_EXPONENT = 64") in captured.err
+
+
 def test_erase_out_of_range_is_input_error(capsys):
     code, out = run_cli(capsys, "demazure-eval", "--expr", "paper-GL15",
                         "--erase", "99")
@@ -276,6 +285,26 @@ def test_generators_out_of_range_name_the_flag(capsys):
         assert code == 2 and captured.out == ""
         n = argv[argv.index("--n") + 1]
         assert f"{message} out of range for S_{n}" in captured.err
+
+
+def test_non_integer_letters_name_the_flag(capsys):
+    cases = [
+        (["bs", "--n", "3", "--word", "x"],
+         "--word 'x': 'x' is not a generator such as 2 or s2"),
+        (["bs", "--n", "3", "--word", "1 2", "--parabolic", "1.5"],
+         "--parabolic '1.5': '1.5' is not a parabolic generator"),
+        (["kl", "--n", "3", "--perm", "1,x,2"],
+         "--perm '1,x,2' is not a list of integers"),
+        (["defect-stats", "--n", "3", "--word", "1", "--endpoint", "1 2 +3"],
+         "--endpoint '1 2 +3' is not a list of integers"),
+        (["deodhar", "--n", "3", "--word", "1 2", "--forced-letters", "s"],
+         "--forced-letters 's': 's' is not a generator"),
+    ]
+    for argv, message in cases:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
 
 
 def test_n_below_one_is_input_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
+    MAX_EXPONENT,
     PAPER_GL15_TEXT,
     Const,
     DegreeAuditFailure,
@@ -14,14 +15,12 @@ from heckekit.demazure import (
     apply_demazure,
     builtin_expr,
     content_degree,
-    divexact_alpha,
     eval_expr,
     intersection_vector,
     op_count,
     op_indices,
     parse_expr,
 )
-from heckekit.laurent import InexactDivision
 
 
 def demazure_closed_form(i, f):
@@ -70,9 +69,26 @@ def test_apply_demazure_matches_closed_form():
         assert apply_demazure(i, f) == demazure_closed_form(i, f)
 
 
-def test_divexact_alpha_rejects_inexact():
-    with pytest.raises(InexactDivision):
-        divexact_alpha(MultiPoly.variable(1, 2), 1)
+def test_apply_demazure_multiplies_back_on_every_small_monomial():
+    """del_i(f) * alpha_i == f - s_i f on every x_i^a x_{i+1}^b m with
+    a, b <= 6 in five variables; Z[x] has no zero divisors, so this
+    identity alone determines del_i(f)."""
+    nv = 5
+    for i in range(1, nv):
+        alpha = MultiPoly.alpha(i, nv)
+        others = [v for v in range(nv) if v not in (i - 1, i)]
+        for m in ((0, 0, 0), (2, 1, 3)):
+            for a in range(7):
+                for b in range(7):
+                    e = [0] * nv
+                    e[i - 1], e[i] = a, b
+                    for v, k in zip(others, m):
+                        e[v] = k
+                    f = MultiPoly(nv, {tuple(e): 3})
+                    got = apply_demazure(i, f)
+                    assert got * alpha == f - f.swap_variables(i), (i, e)
+                    if a != b:
+                        assert got.graded_degrees() == {2 * sum(e) - 2}
 
 
 def test_nil_and_braid_relations():
@@ -114,6 +130,8 @@ def test_parser_and_structure():
         parse_expr("D1 D2 ( a2 * D1 ( x1^2 )")
     with pytest.raises(ValueError):
         parse_expr("Q1 ( x1 )")
+    with pytest.raises(ValueError, match="bad token at"):
+        parse_expr("D\u0661 ( x2 )")      # an Arabic-Indic digit one
 
 
 def test_parser_rejects_indices_outside_the_ring():
@@ -127,6 +145,18 @@ def test_parser_rejects_indices_outside_the_ring():
         with pytest.raises(ValueError, match=f"bad token '{token}'"):
             parse_expr(text, nvars)
     assert op_indices(parse_expr("D2 ( a2 * x3 )", 3)) == [2]
+
+
+def test_parser_rejects_exponents_above_the_budget():
+    assert MAX_EXPONENT == 64
+    for token in ("a2^65", "x1^100000"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad token '{token}': exponent {token.partition('^')[2]} "
+                f"exceeds the budget MAX_EXPONENT = 64")):
+            parse_expr(f"D1 ( x3 * {token} )")
+    got = eval_expr(parse_expr("D1 ( a1^64 )"))
+    assert got == apply_demazure(1, MultiPoly.alpha(1, 2) ** 64)
+    assert not got
 
 
 def test_chain_rejects_operators_outside_the_ring():

@@ -51,6 +51,30 @@ def test_parse_rejects_bad_input():
                          "forced": [[0, 1]]})
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"n": 4.7}, '"n" must be an integer, got 4.7'),
+    ({"n": True}, '"n" must be an integer, got True'),
+    ({"word": "123"}, '"word" must be a list of integers, got \'123\''),
+    ({"word": [1, 2, 1.9]}, "word[2] must be an integer, got 1.9"),
+    ({"word": [1, 2, 3, 4]}, "word[3] = 4 is not in 1..3"),
+    ({"A": "2"}, '"A" must be a list of integers, got \'2\''),
+    ({"B": [True]}, "B[0] must be an integer, got True"),
+    ({"degree": 1.9}, '"degree" must be an integer, got 1.9'),
+    ({"forced": [[2], [0, 1], [1]]}, "forced[0][0] = 2 is not in 0..1"),
+    ({"forced": [[0], [], [1]]}, "forced[1] allows no bit"),
+    ({"forced": 5}, '"forced" must be "letters-in-B" or a list'),
+    ({"word_prefix": ["1"]}, "word_prefix[0] must be an integer, got '1'"),
+    ({"census": {"length": "3"}},
+     "census.length must be an integer, got '3'"),
+])
+def test_parse_names_the_bad_field(changes, message):
+    raw = {"n": 4, "word": [1, 2, 1], "A": [3], "B": [], "degree": -1}
+    parse_word_data(raw)
+    with pytest.raises(ValueError) as exc:
+        parse_word_data({**raw, **changes}, "w.json")
+    assert str(exc.value).startswith("word data w.json: " + message)
+
+
 def test_census_validation_flags_mismatches(tmp_path):
     raw = {
         "n": 4,
