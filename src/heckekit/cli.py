@@ -15,6 +15,7 @@ Diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -38,8 +39,16 @@ def _default_threads() -> int:
         return 1
 
 
+def _integer(text: str) -> int:
+    """An integer in ASCII digits; int() alone also takes '1_0' and '٣'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _at_least_one(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -50,7 +59,7 @@ MAX_PRIME = 2 ** 32
 
 
 def _prime(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 2 <= value < MAX_PRIME or any(
             value % d == 0 for d in range(2, math.isqrt(value) + 1)):
         raise argparse.ArgumentTypeError(
@@ -107,7 +116,11 @@ def load_expression(source: str) -> tuple[demazure.DemazureExpr, str]:
     if source in demazure.BUILTIN_EXPRESSIONS:
         return demazure.builtin_expr(source), source
     path = Path(source)
-    if path.exists():
+    try:
+        is_path = path.exists()
+    except OSError:   # e.g. inline text longer than a file name may be
+        is_path = False
+    if is_path:
         return demazure.parse_expr(path.read_text()), str(path)
     if "D" in source or "(" in source:
         return demazure.parse_expr(source), "<inline>"
@@ -428,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n=False)
     p.add_argument("--expr", required=True,
                    help="builtin name, file path, or inline prefix text")
-    p.add_argument("--erase", type=int,
+    p.add_argument("--erase", type=_integer,
                    help="treat this operator (prefix order, 1-based) as id")
     p.set_defaults(func=cmd_demazure_eval)
 
@@ -473,6 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command runs once and builds large acyclic data (certify holds
+    # ~150,000 endpoint histograms), which the cyclic collector would walk
+    # again and again; reference counting frees it all the same.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (InexactDivision, DegreeAuditFailure, PullbackMismatch) as exc:
@@ -483,6 +501,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, KeyError) as exc:
         print(f"heckekit: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

@@ -421,8 +421,9 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
         if idx + shift > nvars:
             raise ValueError(f"bad token {t!r}: index {idx} out of range "
                              f"for {nvars} variables")
-        power = int(t.partition("^")[2] or 1)
-        if power > MAX_EXPONENT:
+        power = (t.partition("^")[2] or "1").lstrip("0") or "0"
+        # lengths first: int() refuses strings of over 4,300 digits
+        if len(power) > len(str(MAX_EXPONENT)) or int(power) > MAX_EXPONENT:
             raise ValueError(f"bad token {t!r}: exponent {power} exceeds "
                              f"the budget MAX_EXPONENT = {MAX_EXPONENT}")
     pos = 0

@@ -14,10 +14,21 @@ in W/W_A.  The parabolic defect of the subexpression is
 word positions whose state maps minimal coset representatives to defect
 histograms.  Each step is the b_s action on the spherical module, cut down
 to the allowed bits, so the cost follows the number of cosets reached
-rather than the 2^(free positions) subexpressions.  `iter_subexpressions`
-(a depth-first walk yielding one record per subexpression) and `decorate`
-(one subexpression, straight from the definitions) are the slow references
-the fold is tested against.
+rather than the 2^(free positions) subexpressions.
+
+The fold state is packed.  A coset is a `bytes` key holding one value per
+byte, so `sweep` takes n <= 255, and s_i u is `u.translate(T_i)` for a
+swap table built once per call.  A histogram is one int: the count of
+defect d sits in field d + offset, and each field is free + 1 bits wide,
+where free is the number of positions allowing both bits.  The counts of
+one step add up to at most 2^free, so no field carries into the next.
+The offset is the number of positions allowing e = 0; no defect falls
+below minus that number.  A defect shift of +-1 is a shift by one field,
+and merging two histograms is one addition.
+
+`iter_subexpressions` (a depth-first walk yielding one record per
+subexpression) and `decorate` (one subexpression, straight from the
+definitions) are the slow references the fold is tested against.
 """
 from __future__ import annotations
 
@@ -30,8 +41,11 @@ from .coxeter import Permutation, Word
 SweepResult = dict[Permutation, dict[int, int]]
 
 # Most cosets one fold step may reach.  The synthetic GL15 certificate
-# words peak near 155,000 cosets.  At n = 15 the fold needs up to about
-# 0.9 KB per coset, so the budget keeps it under about 1 GB.
+# words peak near 155,000 cosets.  Measured with tracemalloc on the
+# benchmark's seed-7 word (n = 15, 153,421 cosets), the packed state
+# takes about 220 bytes per coset, and the unpacked result another 450
+# while both are alive at the end, so the budget keeps a fold under
+# about 0.7 GB.
 SUPPORT_BUDGET = 1_000_000
 
 
@@ -182,12 +196,18 @@ def sweep(word: Sequence[int], n: int, parabolic,
     the b_s action on the spherical module, so the work grows with the
     number of cosets reached rather than with the number of leaves.  A
     step that reaches more than SUPPORT_BUDGET cosets raises ValueError.
+
+    The state is packed as the module docstring describes, and unpacked
+    into tuples and dicts once, at the end.
     """
     m = len(word)
     if constraint is None:
         constraint = EnumConstraint.free(m)
     if len(constraint) != m:
         raise ValueError("constraint length != word length")
+    if n > 255:
+        raise ValueError(f"n = {n} is above 255: the fold keeps each coset "
+                         f"as one byte per value")
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range for S_{n}")
@@ -196,46 +216,62 @@ def sweep(word: Sequence[int], n: int, parabolic,
         if not 1 <= i <= n - 1:
             raise ValueError(
                 f"parabolic generator {i} out of range for S_{n}")
-    state: SweepResult = {tuple(range(1, n + 1)): {0: 1}}
+    budget = SUPPORT_BUDGET
+    width = len(constraint.free_positions()) + 1
+    offset = sum(1 for slot in constraint.slots if 0 in slot)
+    swaps = {i: bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i)))
+             for i in set(word)}
+    state = {bytes(range(1, n + 1)): 1 << offset * width}
     for j in range(m - 1, -1, -1):
         i = word[j]
         keep = 0 in constraint[j]   # e = 0 allowed
         move = 1 in constraint[j]   # e = 1 allowed
-        out: SweepResult = {}
-        for u, hist in state.items():
+        swap = swaps[i]
+        out: dict[bytes, int] = {}
+        get = out.get
+        for u, h in state.items():
             a = u.index(i)
             b = u.index(i + 1)
-            if b == a + 1 and b in A:   # S: s_i u = u s_b with s_b in W_A
-                if move:
-                    _merge(out, u, hist, 1)
-                if keep:
-                    _merge(out, u, hist, -1)
-                continue
+            s = b == a + 1 and b in A   # S: s_i u = u s_b with s_b in W_A
             if move:
-                su = list(u)
-                su[a], su[b] = i + 1, i
-                _merge(out, tuple(su), hist, 0)
-            if keep:
-                _merge(out, u, hist, 1 if a < b else -1)
+                if s:
+                    v, hv = u, h << width
+                else:
+                    v, hv = u.translate(swap), h
+                out[v] = get(v, 0) + hv
+                if len(out) > budget:
+                    raise _over_budget(budget)
+            if keep:   # +1 for U, -1 for D and S
+                out[u] = get(u, 0) + (
+                    h << width if a < b and not s else h >> width)
+                if len(out) > budget:
+                    raise _over_budget(budget)
         state = out
-    return state
+    return _unpack(state, width, offset)
 
 
-def _merge(out: SweepResult, u: Permutation, hist: dict[int, int],
-           shift: int) -> None:
-    """Add hist, with every defect shifted, into out[u]."""
-    slot = out.get(u)
-    if slot is None:
-        if len(out) >= SUPPORT_BUDGET:
-            raise ValueError(
-                f"subexpression fold support exceeds the budget of "
-                f"{SUPPORT_BUDGET} cosets")
-        out[u] = {d + shift: c for d, c in hist.items()} if shift else \
-            dict(hist)
-    else:
-        for d, c in hist.items():
-            d += shift
-            slot[d] = slot.get(d, 0) + c
+def _over_budget(budget: int) -> ValueError:
+    return ValueError(f"subexpression fold support exceeds the budget of "
+                      f"{budget} cosets")
+
+
+def _unpack(state: dict[bytes, int], width: int, offset: int) -> SweepResult:
+    """The packed fold state as tuple cosets and {defect: count} dicts."""
+    mask = (1 << width) - 1
+    out: SweepResult = {}
+    for u, h in state.items():
+        hist = {}
+        low = ((h & -h).bit_length() - 1) // width   # lowest nonzero field
+        h >>= low * width
+        d = low - offset
+        while h:
+            c = h & mask
+            if c:
+                hist[d] = c
+            h >>= width
+            d += 1
+        out[tuple(u)] = hist
+    return out
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

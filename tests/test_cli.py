@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -325,3 +326,74 @@ def test_long_expression_from_file(tmp_path, capsys):
     assert code == 0
     assert payload["entries"] == [0] * 1200
     assert payload["rank_over_Q"] == 0
+
+
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
+def test_inline_expression_longer_than_a_file_name(command, capsys):
+    # the file probe fails on such text; it must still reach the parser
+    code = cli.main([command, "--expr", "D1 ( x2^" + "9" * 5000 + " )"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exceeds the budget MAX_EXPONENT = 64" in captured.err
+    assert "File name too long" not in captured.err
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (["bs", "--n", "1_0", "--word", "1"], "--n", "1_0"),
+    (["kl", "--n", "٣", "--perm", "1,2,3"], "--n", "٣"),
+    (["kl", "--n", "+3", "--perm", "1,2,3"], "--n", "+3"),
+    (["intersection-form", "--p", "٣"], "--p", "٣"),
+    (["certify", "--p", "1_1"], "--p", "1_1"),
+    (["demazure-eval", "--expr", "paper-GL15", "--erase", "1_2"],
+     "--erase", "1_2"),
+    (["demazure-eval", "--expr", "paper-GL15", "--erase", "٤"],
+     "--erase", "٤"),
+    (["deodhar", "--n", "3", "--word", "1", "--threads", "2_0"],
+     "--threads", "2_0"),
+    (["certify", "--threads", " 1"], "--threads", " 1"),
+])
+def test_integer_flags_take_ascii_digits_only(argv, flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert (f"argument {flag}: must be an integer in ASCII digits, "
+            f"got {text!r}") in captured.err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["kl", "--n", "3", "--element", "s1"], 0),
+    (["validate-word", "--word", "gl15-partial"], 1),
+    (["bs", "--n", "4", "--word", "5"], 2),
+    (["intersection-form", "--expr", "D1 ( a1 )"], 3),
+])
+def test_collector_paused_only_during_the_command(argv, code, monkeypatch,
+                                                  capsys):
+    seen = []
+    command = cli.build_parser().parse_args(argv).func
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, command.__name__, spy)
+    assert gc.isenabled()
+    assert cli.main(argv) == code
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_collector_enabled_after_argparse_rejection(capsys):
+    assert gc.isenabled()
+    with pytest.raises(SystemExit):
+        cli.main(["kl", "--n", "3"])
+    assert gc.isenabled()
+
+
+def test_collector_left_off_when_it_was_off(capsys):
+    gc.disable()
+    try:
+        assert cli.main(["kl", "--n", "3", "--element", "s1"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

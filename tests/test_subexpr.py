@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -177,3 +178,65 @@ def test_invalid_constraint():
         EnumConstraint(((0, 2),))
     with pytest.raises(ValueError):
         sweep((1,), 3, set(), EnumConstraint(((0, 1), (0, 1))))
+
+
+# -- the packed fold state: field offsets, field widths, the byte bound --
+
+
+def test_sweep_all_zero_slots_reach_the_lowest_defect():
+    # every letter an S step with e = 0: the defect falls to -m, the
+    # lowest field the offset has to cover
+    for k in range(1, 9):
+        c = EnumConstraint(((0,),) * k)
+        assert sweep((1,) * k, 2, {1}, c) == {(1, 2): {-k: 1}}
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.choice((2, 3, 4, 5))
+        m = rng.randrange(1, 10)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.7)
+        c = EnumConstraint(((0,),) * m)
+        assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
+
+
+def test_sweep_all_one_slots_and_small_ranks():
+    assert sweep((), 1, set()) == {(1,): {0: 1}}
+    assert sweep((), 2, {1}) == {(1, 2): {0: 1}}
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.choice((2, 3, 4, 5))
+        m = rng.randrange(10)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.5)
+        c = EnumConstraint(((1,),) * m)
+        assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
+    for k in range(6):
+        for A in (set(), {1}):
+            word = (1,) * k
+            assert sweep(word, 2, A) == _aggregate(word, 2, A, None)
+
+
+def test_sweep_s_letters_give_binomial_counts():
+    # k free S steps: defect 2j - k for the C(k, j) choices of j ones
+    for k in range(13):
+        assert sweep((1,) * k, 2, {1}) == {
+            (1, 2): {2 * j - k: math.comb(k, j) for j in range(k + 1)}}
+
+
+def test_sweep_mixed_slots_seeded_batch():
+    rng = random.Random(1707)
+    for _ in range(80):
+        n = rng.choice((4, 5, 6, 7))
+        m = rng.randrange(1, 12)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        c = EnumConstraint([rng.choice(((0,), (1,), (0, 1)))
+                            for _ in range(m)])
+        assert sweep(word, n, A, c) == _aggregate(word, n, A, c), \
+            (word, n, sorted(A), c.slots)
+
+
+def test_sweep_rejects_n_above_a_byte():
+    with pytest.raises(ValueError, match="n = 256"):
+        sweep((1,), 256, set())
+    assert sweep((), 255, set()) == {tuple(range(1, 256)): {0: 1}}
