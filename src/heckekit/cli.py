@@ -4,7 +4,9 @@ Command-line interface.
 All structured output is JSON on stdout with sorted keys, so repeated
 runs are byte-identical apart from the "timings" section of certificate
 reports.  --threads is accepted for compatibility and has no effect.
-Diagnostics go to stderr.  Exit codes:
+Diagnostics go to stderr.  Each command imports the computational
+modules it runs once its own arguments have been checked, so a rejected
+input or a small command loads little beyond argparse.  Exit codes:
 
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
@@ -23,13 +25,16 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import coxeter, demazure, hecke, spherical, subexpr, worddata
-from .demazure import DegreeAuditFailure
-from .laurent import InexactDivision
-from .spherical import PullbackMismatch
+if TYPE_CHECKING:
+    from . import demazure, subexpr
 
 THREADS_ENV = "HECKEKIT_THREADS"
+
+#: sorted(worddata.BUILTIN_WORDS), for the help text; the parser is built
+#: before any computational module is imported
+BUILTIN_WORD_NAMES = ("demo-s4-fail", "demo-s4-pass", "gl15-partial")
 
 
 def _default_threads() -> int:
@@ -93,6 +98,8 @@ def parse_word(text: str, n: int, flag: str = "--word",
 
 
 def parse_perm(text: str, n: int, flag: str) -> tuple[int, ...]:
+    from . import coxeter
+
     tokens = text.replace(",", " ").split()
     if not all(re.fullmatch(r"[0-9]+", t) for t in tokens):
         raise ValueError(
@@ -113,6 +120,8 @@ def parse_parabolic(text: str | None, n: int) -> frozenset:
 
 
 def load_expression(source: str) -> tuple[demazure.DemazureExpr, str]:
+    from . import demazure
+
     if source in demazure.BUILTIN_EXPRESSIONS:
         return demazure.builtin_expr(source), source
     path = Path(source)
@@ -136,11 +145,15 @@ def _hist_json(hist: dict[int, int]) -> dict[str, int]:
 
 
 def cmd_kl(args) -> int:
+    from . import coxeter
+
     if args.element:
         x = coxeter.evaluate_word(
             parse_word(args.element, args.n, "--element"), args.n)
     else:
         x = parse_perm(args.perm, args.n, "--perm")
+    from . import hecke
+
     el = hecke.kl_basis(x)
     emit({"element": list(x), "kl": el.to_json_dict(),
           "display": repr(el)}, args.pretty)
@@ -148,12 +161,16 @@ def cmd_kl(args) -> int:
 
 
 def cmd_skl(args) -> int:
+    from . import coxeter
+
     A = parse_parabolic(args.parabolic, args.n)
     if args.element:
         x = coxeter.min_coset_rep(coxeter.evaluate_word(
             parse_word(args.element, args.n, "--element"), args.n), A)
     else:
         x = parse_perm(args.perm, args.n, "--perm")
+    from . import spherical
+
     el = spherical.spherical_kl_basis(x, A)
     emit({"element": list(x), "skl": el.to_json_dict(),
           "display": repr(el)}, args.pretty)
@@ -163,10 +180,14 @@ def cmd_skl(args) -> int:
 def cmd_bs(args) -> int:
     word = parse_word(args.word, args.n)
     if args.parabolic is None:
+        from . import hecke
+
         el = hecke.bott_samelson_char(word, args.n)
         payload = {"module": "hecke", "bs": el.to_json_dict()}
     else:
         A = parse_parabolic(args.parabolic, args.n)
+        from . import spherical
+
         el = spherical.bott_samelson_spherical(word, args.n, A)
         payload = {"module": "spherical", "bs": el.to_json_dict()}
     payload["display"] = repr(el)
@@ -178,12 +199,16 @@ def cmd_pair(args) -> int:
     w1 = parse_word(args.word, args.n)
     w2 = parse_word(args.word2, args.n, "--word2")
     if args.parabolic is None:
+        from . import hecke
+
         a = hecke.bott_samelson_char(w1, args.n)
         b = hecke.bott_samelson_char(w2, args.n)
         value = hecke.pairing(a, b)
         module = "hecke"
     else:
         A = parse_parabolic(args.parabolic, args.n)
+        from . import spherical
+
         a = spherical.bott_samelson_spherical(w1, args.n, A)
         b = spherical.bott_samelson_spherical(w2, args.n, A)
         value = spherical.spherical_pairing(a, b)
@@ -196,6 +221,8 @@ def cmd_pair(args) -> int:
 def _constraint_from_args(args, word) -> subexpr.EnumConstraint | None:
     if getattr(args, "forced_letters", None):
         letters = parse_word(args.forced_letters, args.n, "--forced-letters")
+        from . import subexpr
+
         return subexpr.EnumConstraint.forced_letters(word, letters)
     return None
 
@@ -204,6 +231,8 @@ def cmd_deodhar(args) -> int:
     word = parse_word(args.word, args.n)
     A = parse_parabolic(args.parabolic, args.n)
     constraint = _constraint_from_args(args, word)
+    from . import spherical, subexpr
+
     el = spherical.deodhar_expand(word, args.n, A, constraint)
     leaves = (constraint or subexpr.EnumConstraint.free(len(word))).leaf_count()
     emit({"expansion": el.to_json_dict(), "subexpressions": leaves,
@@ -221,12 +250,16 @@ def cmd_defect_stats(args) -> int:
         if any(target[i - 1] > target[i] for i in A):
             raise ValueError(f"--endpoint {args.endpoint!r} is not a minimal "
                              f"coset representative for A = {sorted(A)}")
+    from . import subexpr
+
     hist = subexpr.defect_histogram(word, args.n, A, constraint, target)
     emit(_hist_json(hist), args.pretty)
     return 0
 
 
 def cmd_demazure_eval(args) -> int:
+    from . import demazure
+
     expr, name = load_expression(args.expr)
     val = demazure.eval_expr(expr, erase=args.erase)
     emit({"expression": name, "erase": args.erase,
@@ -235,6 +268,8 @@ def cmd_demazure_eval(args) -> int:
 
 
 def cmd_intersection_form(args) -> int:
+    from . import demazure
+
     expr, name = load_expression(args.expr)
     report = demazure.intersection_vector(expr, args.p)
     payload = report.to_json_dict()
@@ -246,12 +281,16 @@ def cmd_intersection_form(args) -> int:
 def cmd_perverse_check(args) -> int:
     word = parse_word(args.word, args.n)
     if args.parabolic is None:
+        from . import hecke
+
         rep = hecke.is_perverse_character(
             hecke.bott_samelson_char(word, args.n))
     else:
+        A = parse_parabolic(args.parabolic, args.n)
+        from . import spherical
+
         rep = spherical.is_perverse_spherical(
-            spherical.bott_samelson_spherical(
-                word, args.n, parse_parabolic(args.parabolic, args.n)))
+            spherical.bott_samelson_spherical(word, args.n, A))
     emit({
         "perverse": rep.is_perverse,
         "expansion": {",".join(map(str, x)): c.to_json_dict()
@@ -261,6 +300,8 @@ def cmd_perverse_check(args) -> int:
 
 
 def cmd_validate_word(args) -> int:
+    from . import worddata
+
     wd = worddata.load_word_data(args.word)
     report = worddata.validate_word_data(wd)
     payload = report.to_json_dict()
@@ -270,6 +311,8 @@ def cmd_validate_word(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import demazure
+
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
 
@@ -297,6 +340,8 @@ def cmd_certify(args) -> int:
         payload["histogram_at_x"] = None
         payload["interval"] = {"status": "skipped: no word data"}
     else:
+        from . import coxeter, spherical, subexpr, worddata
+
         wd = worddata.load_word_data(args.word)
         report = worddata.validate_word_data(wd)
         if wd.word is None:
@@ -465,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n=False)
     p.add_argument("--word", required=True,
                    help="path or builtin name "
-                        f"({', '.join(sorted(worddata.BUILTIN_WORDS))})")
+                        f"({', '.join(BUILTIN_WORD_NAMES)})")
     p.set_defaults(func=cmd_validate_word)
 
     p = sub.add_parser("certify", help="run the non-perversity certificate")
@@ -493,7 +538,15 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (InexactDivision, DegreeAuditFailure, PullbackMismatch) as exc:
+    except ArithmeticError as exc:
+        # Only a laurent.ConsistencyViolation maps to exit 3; any other
+        # arithmetic error is a bug and propagates.  The class is looked
+        # up here, not at import, so that main loads no module that the
+        # command did not.
+        from .laurent import ConsistencyViolation
+
+        if not isinstance(exc, ConsistencyViolation):
+            raise
         print(f"heckekit: internal consistency violation: {exc}",
               file=sys.stderr)
         return 3

@@ -30,10 +30,9 @@ over F_2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .laurent import _add_into
+from .laurent import ConsistencyViolation, _add_into
 
 Exponents = tuple[int, ...]
 
@@ -42,8 +41,13 @@ Exponents = tuple[int, ...]
 # every known expression uses k <= 3.
 MAX_EXPONENT = 64
 
+# Most variables that `parse_expr` lets an expression's indices call for
+# (x_i needs i of them, Di and ai need i + 1).  The ring's size grows
+# with the largest index; 255 is also the largest n the fold takes.
+MAX_VARIABLES = 255
 
-class DegreeAuditFailure(ArithmeticError):
+
+class DegreeAuditFailure(ConsistencyViolation):
     """An operator erasure produced a nonconstant value."""
 
 
@@ -212,21 +216,27 @@ def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
 # -- operator expressions ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class Const:
-    poly: MultiPoly
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: MultiPoly):
+        self.poly = poly
 
 
-@dataclass(frozen=True)
 class Mul:
-    factor: MultiPoly
-    child: "DemazureExpr"
+    __slots__ = ("factor", "child")
+
+    def __init__(self, factor: MultiPoly, child: "DemazureExpr"):
+        self.factor = factor
+        self.child = child
 
 
-@dataclass(frozen=True)
 class Op:
-    index: int
-    child: "DemazureExpr"
+    __slots__ = ("index", "child")
+
+    def __init__(self, index: int, child: "DemazureExpr"):
+        self.index = index
+        self.child = child
 
 
 DemazureExpr = Union[Const, Mul, Op]
@@ -301,22 +311,30 @@ def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
     return _apply(steps, base)
 
 
-@dataclass
 class ErasureAudit:
-    op_number: int
-    generator: int
-    expected_degree: int
-    value_degrees: list[int]
-    ok: bool
+    __slots__ = ("op_number", "generator", "expected_degree",
+                 "value_degrees", "ok")
+
+    def __init__(self, op_number: int, generator: int, expected_degree: int,
+                 value_degrees: list[int], ok: bool):
+        self.op_number = op_number
+        self.generator = generator
+        self.expected_degree = expected_degree
+        self.value_degrees = value_degrees
+        self.ok = ok
 
 
-@dataclass
 class IntersectionFormReport:
-    entries: list[int]
-    rank_over_Q: int
-    rank_over_p: int
-    p: int
-    degree_audit: list[ErasureAudit]
+    __slots__ = ("entries", "rank_over_Q", "rank_over_p", "p",
+                 "degree_audit")
+
+    def __init__(self, entries: list[int], rank_over_Q: int,
+                 rank_over_p: int, p: int, degree_audit: list[ErasureAudit]):
+        self.entries = entries
+        self.rank_over_Q = rank_over_Q
+        self.rank_over_p = rank_over_p
+        self.p = p
+        self.degree_audit = degree_audit
 
     def to_json_dict(self) -> dict:
         return {
@@ -406,13 +424,22 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
     variable, integers are constants, `poly * (...)` multiplies into the
     child value.  The ring dimension is the largest variable index used
     (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, one
-    beyond the ring, or an exponent above MAX_EXPONENT is a ValueError
-    naming the token.
+    beyond the ring or calling for more than MAX_VARIABLES variables, or
+    an exponent above MAX_EXPONENT is a ValueError naming the token.
     """
     tokens = _tokenize(text)
-    # D_i and alpha_i need x_{i+1}; x_i needs x_i
-    indexed = [(t, int(re.match(r"[Dax](\d+)", t).group(1)), t[0] != "x")
-               for t in tokens if t[0] in "Dax"]
+    indexed = []
+    for t in tokens:
+        if t[0] in "Dax":
+            index = re.match(r"[Dax]0*([0-9]+)", t).group(1)
+            shift = t[0] != "x"   # D_i and alpha_i need x_{i+1}
+            # lengths first: int() refuses strings of over 4,300 digits
+            if (len(index) > len(str(MAX_VARIABLES))
+                    or int(index) + shift > MAX_VARIABLES):
+                raise ValueError(
+                    f"bad token {t!r}: index {index} needs more than "
+                    f"MAX_VARIABLES = {MAX_VARIABLES} variables")
+            indexed.append((t, int(index), shift))
     if nvars is None:
         nvars = max([idx + shift for _, idx, shift in indexed], default=1)
     for t, idx, shift in indexed:

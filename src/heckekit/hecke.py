@@ -30,7 +30,6 @@ all of which are enforced by tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import coxeter
@@ -284,10 +283,13 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     return total
 
 
-@dataclass
 class PerversityReport:
-    is_perverse: bool
-    expansion: dict[Permutation, LaurentPoly]
+    __slots__ = ("is_perverse", "expansion")
+
+    def __init__(self, is_perverse: bool,
+                 expansion: dict[Permutation, LaurentPoly]):
+        self.is_perverse = is_perverse
+        self.expansion = expansion
 
 
 def _perversity(el: LinearCombination,

@@ -16,7 +16,12 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 
-class InexactDivision(ArithmeticError):
+class ConsistencyViolation(ArithmeticError):
+    """An internal check of the mathematics failed: a bug or a false
+    hypothesis, never bad input.  The CLI maps it to exit code 3."""
+
+
+class InexactDivision(ConsistencyViolation):
     """Raised when a division that must be exact leaves a remainder."""
 
 

@@ -20,17 +20,17 @@ failure raises InexactDivision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, _add_into, _poly, v_power
+from .laurent import (ONE, ConsistencyViolation, LaurentPoly, _add_into,
+                      _poly, v_power)
 
 _V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
 
 
-class PullbackMismatch(ArithmeticError):
+class PullbackMismatch(ConsistencyViolation):
     """b_{x w_A} failed to lie in the image of phi (a convention error)."""
 
 
@@ -227,14 +227,16 @@ def deodhar_expand(word: Sequence[int], n: int, parabolic,
     return expansion_from_sweep(data, n, parabolic)
 
 
-@dataclass
 class IntervalEntry:
-    coset: Permutation
-    coefficient: LaurentPoly
-    ok: bool
+    __slots__ = ("coset", "coefficient", "ok")
+
+    def __init__(self, coset: Permutation, coefficient: LaurentPoly,
+                 ok: bool):
+        self.coset = coset
+        self.coefficient = coefficient
+        self.ok = ok
 
 
-@dataclass
 class IntervalReport:
     """Result of the interval condition on an expansion.
 
@@ -243,9 +245,13 @@ class IntervalReport:
     with nonnegative powers only.  Endpoints outside the interval are
     unconstrained and only counted.
     """
-    passed: bool
-    entries: list[IntervalEntry]
-    outside: int
+    __slots__ = ("passed", "entries", "outside")
+
+    def __init__(self, passed: bool, entries: list[IntervalEntry],
+                 outside: int):
+        self.passed = passed
+        self.entries = entries
+        self.outside = outside
 
     def failures(self) -> list[IntervalEntry]:
         return [e for e in self.entries if not e.ok]

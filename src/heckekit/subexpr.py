@@ -32,7 +32,6 @@ definitions) are the slow references the fold is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import coxeter
@@ -49,12 +48,21 @@ SweepResult = dict[Permutation, dict[int, int]]
 SUPPORT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
 class DecoratedSubexpression:
-    bits: tuple[int, ...]
-    decorations: tuple[str, ...]
-    endpoint: Permutation  # minimal coset representative of the product coset
-    defect: int
+    __slots__ = ("bits", "decorations", "endpoint", "defect")
+
+    def __init__(self, bits: tuple[int, ...], decorations: tuple[str, ...],
+                 endpoint: Permutation, defect: int):
+        self.bits = bits
+        self.decorations = decorations
+        self.endpoint = endpoint  # minimal rep of the product coset
+        self.defect = defect
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecoratedSubexpression):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
 
 class EnumConstraint:

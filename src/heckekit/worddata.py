@@ -22,7 +22,6 @@ it is trusted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -40,17 +39,24 @@ BUILTIN_WORDS = {
 }
 
 
-@dataclass
 class WordData:
-    n: int
-    word: tuple[int, ...] | None
-    parabolic: frozenset | None      # the subset A
-    lower: frozenset                 # the subset B, with x = w_B
-    forced: object                   # "letters-in-B" or explicit slot list
-    degree: int
-    word_prefix: tuple[int, ...] = ()
-    census: dict | None = None
-    source: str = "<memory>"
+    __slots__ = ("n", "word", "parabolic", "lower", "forced", "degree",
+                 "word_prefix", "census", "source")
+
+    def __init__(self, n: int, word: tuple[int, ...] | None,
+                 parabolic: frozenset | None, lower: frozenset,
+                 forced: object, degree: int,
+                 word_prefix: tuple[int, ...] = (),
+                 census: dict | None = None, source: str = "<memory>"):
+        self.n = n
+        self.word = word
+        self.parabolic = parabolic    # the subset A
+        self.lower = lower            # the subset B, with x = w_B
+        self.forced = forced          # "letters-in-B" or explicit slot list
+        self.degree = degree
+        self.word_prefix = word_prefix
+        self.census = census
+        self.source = source
 
     def is_complete(self) -> bool:
         return self.word is not None and self.parabolic is not None
@@ -160,17 +166,22 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
     )
 
 
-@dataclass
 class ValidationCheck:
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    checks: list[ValidationCheck] = field(default_factory=list)
-    complete: bool = False
+    __slots__ = ("checks", "complete")
+
+    def __init__(self, checks: list[ValidationCheck] | None = None,
+                 complete: bool = False):
+        self.checks = [] if checks is None else checks
+        self.complete = complete
 
     @property
     def ok(self) -> bool:

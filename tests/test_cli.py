@@ -1,9 +1,18 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from heckekit import cli
+from heckekit import cli, worddata
+from heckekit.demazure import DegreeAuditFailure
+from heckekit.laurent import InexactDivision
+from heckekit.spherical import PullbackMismatch
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +163,17 @@ def test_exponent_above_budget_is_input_error(command, capsys):
     assert code == 2 and captured.out == ""
     assert ("bad token 'a2^100000': exponent 100000 exceeds the budget "
             "MAX_EXPONENT = 64") in captured.err
+
+
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
+@pytest.mark.parametrize("token", ["x3000000", "x" + "9" * 5000],
+                         ids=["7-digits", "5000-digits"])
+def test_index_above_budget_is_input_error(command, token, capsys):
+    code = cli.main([command, "--expr", f"D1 ( {token} * x2999999 )"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert (f"bad token {token!r}: index {token[1:]} needs more than "
+            f"MAX_VARIABLES = 255 variables") in captured.err
 
 
 def test_erase_out_of_range_is_input_error(capsys):
@@ -397,3 +417,113 @@ def test_collector_left_off_when_it_was_off(capsys):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("error", [InexactDivision, DegreeAuditFailure,
+                                   PullbackMismatch])
+def test_consistency_violations_exit_3(error, monkeypatch, capsys):
+    def fail(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_kl", fail)
+    assert cli.main(["kl", "--n", "3", "--perm", "1,2,3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "heckekit: internal consistency violation: planted\n"
+
+
+def test_other_arithmetic_errors_propagate(monkeypatch):
+    def fail(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "cmd_kl", fail)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["kl", "--n", "3", "--perm", "1,2,3"])
+
+
+def test_validate_word_help_names_the_builtin_words():
+    # the parser spells the names out, so that it needs no worddata import
+    parser = cli.build_parser()
+    sub = parser._subparsers._group_actions[0].choices["validate-word"]
+    (word,) = [a for a in sub._actions if a.dest == "word"]
+    names = ", ".join(sorted(worddata.BUILTIN_WORDS))
+    assert word.help == f"path or builtin name ({names})"
+
+
+def _in_fresh_interpreter(code: str, *argv: str):
+    """Run `code` with argv under PYTHONPATH=src; the JSON it prints last."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# which modules `cli.main(argv)` adds to a fresh interpreter
+_FOOTPRINT = """
+import json, sys
+before = set(sys.modules)
+from heckekit import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_HECKE = {"cli", "coxeter", "hecke", "laurent"}
+_SPHERICAL = _HECKE | {"spherical", "subexpr"}
+_DEMAZURE = {"cli", "demazure", "laurent"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param(["kl", "--n", "3", "--perm", "3,2,1"], _HECKE, id="kl"),
+    pytest.param(["skl", "--n", "3", "--parabolic", "2", "--element", "s1"],
+                 _SPHERICAL, id="skl"),
+    pytest.param(["bs", "--n", "3", "--word", "1 2", "--parabolic", "2"],
+                 _SPHERICAL, id="bs"),
+    pytest.param(["pair", "--n", "3", "--word", "s2", "--word2", "s2"],
+                 _HECKE, id="pair"),
+    pytest.param(["deodhar", "--n", "4", "--parabolic", "2", "--word",
+                  "1 2 3 2", "--forced-letters", "3"], _SPHERICAL,
+                 id="deodhar"),
+    pytest.param(["defect-stats", "--n", "3", "--parabolic", "2", "--word",
+                  "s2"], {"cli", "coxeter", "subexpr"}, id="defect-stats"),
+    pytest.param(["demazure-eval", "--expr", "paper-GL15", "--erase", "3"],
+                 _DEMAZURE, id="demazure-eval"),
+    pytest.param(["intersection-form", "--expr", "paper-GL15"], _DEMAZURE,
+                 id="intersection-form"),
+    pytest.param(["perverse-check", "--n", "3", "--word", "1 2",
+                  "--parabolic", "2"], _SPHERICAL, id="perverse-check"),
+    pytest.param(["validate-word", "--word", "demo-s4-pass"],
+                 {"cli", "coxeter", "subexpr", "worddata"},
+                 id="validate-word"),
+    pytest.param(["certify", "--word", "demo-s4-fail"],
+                 _SPHERICAL | {"demazure", "worddata"}, id="certify"),
+    pytest.param(["kl", "--n", "3"], {"cli"}, id="argparse-rejection"),
+    pytest.param(["deodhar", "--n", "3", "--parabolic", "7", "--word", "1"],
+                 {"cli"}, id="bad-parabolic"),
+])
+def test_command_imports_only_what_it_runs(argv, loaded):
+    new = _in_fresh_interpreter(_FOOTPRINT, *argv)
+    assert {m for m in new if m.startswith("heckekit.")} == {
+        f"heckekit.{m}" for m in loaded}
+    assert "dataclasses" not in new
+
+
+def test_package_imports_modules_on_first_use():
+    got = _in_fresh_interpreter("""
+import json, sys
+import heckekit
+out = ["heckekit.hecke" in sys.modules]
+out.append(heckekit.hecke.kl_basis((2, 1)).to_json_dict())
+out.append("heckekit.hecke" in sys.modules)
+try:
+    heckekit.nope
+except AttributeError as exc:
+    out.append(str(exc))
+print(json.dumps(out))
+""")
+    from heckekit import hecke
+
+    assert got == [False, hecke.kl_basis((2, 1)).to_json_dict(), True,
+                   "module 'heckekit' has no attribute 'nope'"]

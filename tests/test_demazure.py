@@ -6,6 +6,7 @@ import pytest
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
     MAX_EXPONENT,
+    MAX_VARIABLES,
     PAPER_GL15_TEXT,
     Const,
     DegreeAuditFailure,
@@ -157,6 +158,22 @@ def test_parser_rejects_exponents_above_the_budget():
     got = eval_expr(parse_expr("D1 ( a1^64 )"))
     assert got == apply_demazure(1, MultiPoly.alpha(1, 2) ** 64)
     assert not got
+
+
+def test_parser_rejects_indices_above_the_budget():
+    assert MAX_VARIABLES == 255
+    huge = "9" * 5000   # past int()'s 4,300-digit limit
+    for text, token, index in (
+            ("D1 ( x3000000 * x2999999 )", "x3000000", "3000000"),
+            (f"D1 ( x{huge} )", f"x{huge}", huge),
+            ("D1 ( x0256 )", "x0256", "256"),
+            ("D255 ( x1 )", "D255", "255"),
+            ("D1 ( a255 )", "a255", "255")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad token '{token}': index {index} needs more than "
+                f"MAX_VARIABLES = 255 variables")):
+            parse_expr(text)
+    assert eval_expr(parse_expr("D254 ( x255 )")) == MultiPoly.constant(1, 255)
 
 
 def test_chain_rejects_operators_outside_the_ring():
