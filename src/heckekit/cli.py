@@ -287,15 +287,12 @@ def cmd_perverse_check(args) -> int:
             hecke.bott_samelson_char(word, args.n))
     else:
         A = parse_parabolic(args.parabolic, args.n)
-        from . import spherical
+        from . import hecke, spherical
 
         rep = spherical.is_perverse_spherical(
             spherical.bott_samelson_spherical(word, args.n, A))
-    emit({
-        "perverse": rep.is_perverse,
-        "expansion": {",".join(map(str, x)): c.to_json_dict()
-                      for x, c in sorted(rep.expansion.items())},
-    }, args.pretty)
+    emit({"perverse": rep.is_perverse,
+          "expansion": hecke.coeffs_json(rep.expansion)}, args.pretty)
     return 0
 
 
@@ -334,21 +331,17 @@ def cmd_certify(args) -> int:
     }
 
     interval_ok = False
+    payload["word"] = payload["histogram"] = payload["histogram_at_x"] = None
     if args.word is None:
-        payload["word"] = None
-        payload["histogram"] = None
-        payload["histogram_at_x"] = None
         payload["interval"] = {"status": "skipped: no word data"}
     else:
-        from . import coxeter, spherical, subexpr, worddata
+        from . import spherical, subexpr, worddata
 
         wd = worddata.load_word_data(args.word)
         report = worddata.validate_word_data(wd)
         if wd.word is None:
             payload["word"] = {"source": wd.source,
                                "validation": report.to_json_dict()}
-            payload["histogram"] = None
-            payload["histogram_at_x"] = None
             payload["interval"] = {
                 "status": "skipped: word data incomplete"}
         elif not report.ok or not report.complete:
@@ -357,15 +350,14 @@ def cmd_certify(args) -> int:
                 + "; ".join(f"{c.name}: {c.detail}"
                             for c in report.checks if not c.ok))
         else:
-            x = coxeter.min_coset_rep(wd.x_element(), wd.parabolic)
+            x = wd.x_element()   # validation checked x-is-minimal-rep
             w = wd.w_element()
             constraint = wd.constraint()
             t1 = time.perf_counter()
-            data = subexpr.sweep(wd.word, wd.n, wd.parabolic, constraint)
+            expansion = spherical.deodhar_expand(
+                wd.word, wd.n, wd.parabolic, constraint)
             timings["enumeration_seconds"] = round(
                 time.perf_counter() - t1, 6)
-            expansion = spherical.expansion_from_sweep(
-                data, wd.n, wd.parabolic)
             t2 = time.perf_counter()
             interval = spherical.interval_condition_check(expansion, x, w)
             timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
@@ -383,24 +375,23 @@ def cmd_certify(args) -> int:
                 "subexpressions": constraint.leaf_count(),
                 "validation": report.to_json_dict(),
             }
-            payload["histogram"] = _hist_json(subexpr.total_histogram(data))
-            payload["histogram_at_x"] = _hist_json(data.get(x, {}))
+            payload["histogram"] = _hist_json(subexpr.total_histogram(
+                c.terms for c in expansion.coeffs.values()))
+            payload["histogram_at_x"] = _hist_json(
+                expansion.coefficient(x).terms)
+            entries = [{"coset": list(e.coset),
+                        "coefficient": e.coefficient.to_json_dict(),
+                        "ok": e.ok}
+                       for e in interval.entries]
             payload["interval"] = {
                 "status": "ok" if interval.passed else "failed",
                 "passed": interval.passed,
                 "cosets_in_interval": len(interval.entries),
                 "cosets_outside": interval.outside,
-                "entries": [
-                    {"coset": list(e.coset),
-                     "coefficient": e.coefficient.to_json_dict(),
-                     "ok": e.ok}
-                    for e in interval.entries
-                ],
-                "failures": [
-                    {"coset": list(e.coset),
-                     "coefficient": e.coefficient.to_json_dict()}
-                    for e in interval.failures()
-                ],
+                "entries": entries,
+                "failures": [{"coset": e["coset"],
+                              "coefficient": e["coefficient"]}
+                             for e in entries if not e["ok"]],
             }
 
     verdict = rank_ok and interval_ok

@@ -46,6 +46,10 @@ MAX_EXPONENT = 64
 # with the largest index; 255 is also the largest n the fold takes.
 MAX_VARIABLES = 255
 
+# Most digits that `parse_expr` accepts in an integer constant: the
+# longest string int() converts by default (sys.get_int_max_str_digits).
+MAX_CONSTANT_DIGITS = 4300
+
 
 class DegreeAuditFailure(ConsistencyViolation):
     """An operator erasure produced a nonconstant value."""
@@ -73,10 +77,6 @@ class MultiPoly:
         out = cls.__new__(cls)
         out.nvars, out.terms = nvars, terms
         return out
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
 
     @classmethod
     def constant(cls, c: int, nvars: int) -> "MultiPoly":
@@ -424,13 +424,20 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
     variable, integers are constants, `poly * (...)` multiplies into the
     child value.  The ring dimension is the largest variable index used
     (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, one
-    beyond the ring or calling for more than MAX_VARIABLES variables, or
-    an exponent above MAX_EXPONENT is a ValueError naming the token.
+    beyond the ring or calling for more than MAX_VARIABLES variables, an
+    exponent above MAX_EXPONENT or a constant of more than
+    MAX_CONSTANT_DIGITS digits is a ValueError naming the token.
     """
     tokens = _tokenize(text)
     indexed = []
     for t in tokens:
-        if t[0] in "Dax":
+        if t[0] in "-0123456789":
+            digits = len(t.lstrip("-"))
+            if digits > MAX_CONSTANT_DIGITS:
+                raise ValueError(
+                    f"bad token {t!r}: a constant of {digits} digits exceeds "
+                    f"the budget MAX_CONSTANT_DIGITS = {MAX_CONSTANT_DIGITS}")
+        elif t[0] in "Dax":
             index = re.match(r"[Dax]0*([0-9]+)", t).group(1)
             shift = t[0] != "x"   # D_i and alpha_i need x_{i+1}
             # lengths first: int() refuses strings of over 4,300 digits

@@ -45,8 +45,9 @@ class LinearCombination:
 
     Stored as {basis key: LaurentPoly} with no zero coefficients.  A
     subclass fixes the module: it checks that two elements live in the same
-    module (`_check`).  `_like` wraps a coefficient map that is already
-    clean as an element of the same module, without validation.
+    module (`_check`) and names the basis letter that `__repr__` prints
+    (`_basis`).  `_like` wraps a coefficient map that is already clean as
+    an element of the same module, without validation.
     """
 
     __slots__ = ("n", "coeffs")
@@ -83,12 +84,26 @@ class LinearCombination:
     def coefficient(self, x: Permutation) -> LaurentPoly:
         return self.coeffs.get(tuple(x), LaurentPoly.zero())
 
-    def support(self) -> list[Permutation]:
-        return sorted(self.coeffs)
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.coeffs:
+            return f"{name}(0)"
+        parts = [f"({c})*{self._basis}{list(x)}"
+                 for x, c in sorted(self.coeffs.items())]
+        return f"{name}(" + " + ".join(parts) + ")"
+
+
+def coeffs_json(coeffs: dict[Permutation, LaurentPoly]
+                ) -> dict[str, dict[str, str]]:
+    """A coefficient map as JSON: {"1,2,3": {"exponent": "coefficient"}},
+    keys in one-line notation and in sorted order."""
+    return {",".join(map(str, x)): c.to_json_dict()
+            for x, c in sorted(coeffs.items())}
 
 
 class HeckeElement(LinearCombination):
     __slots__ = ()
+    _basis = "h"
 
     def __init__(self, n: int, coeffs: dict[Permutation, LaurentPoly] | None = None):
         self.n = n
@@ -111,22 +126,7 @@ class HeckeElement(LinearCombination):
             raise ValueError("elements of Hecke algebras of different rank")
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
-        return {",".join(map(str, x)): c.to_json_dict()
-                for x, c in sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json_dict(cls, d, n: int) -> "HeckeElement":
-        coeffs = {}
-        for key, val in d.items():
-            x = tuple(int(t) for t in key.split(","))
-            coeffs[x] = LaurentPoly.from_json_dict(val)
-        return cls(n, coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "HeckeElement(0)"
-        parts = [f"({c})*h{list(x)}" for x, c in sorted(self.coeffs.items())]
-        return "HeckeElement(" + " + ".join(parts) + ")"
+        return coeffs_json(self.coeffs)
 
 
 def h(x: Permutation) -> HeckeElement:
@@ -310,11 +310,6 @@ def _perversity(el: LinearCombination,
         rest = rest - basis(x).scale(c)
     ok = all(set(c.terms) <= {0} for c in expansion.values())
     return PerversityReport(ok, expansion)
-
-
-def kl_expand(el: HeckeElement) -> dict[Permutation, LaurentPoly]:
-    """Coefficients of el in the KL basis, by triangular back-substitution."""
-    return _perversity(el, kl_basis).expansion
 
 
 def is_perverse_character(el: HeckeElement) -> PerversityReport:

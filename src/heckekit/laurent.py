@@ -13,7 +13,7 @@ keeps the no-zero-entries invariant of these maps.
 """
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class ConsistencyViolation(ArithmeticError):
@@ -81,9 +81,6 @@ class LaurentPoly:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.terms.items()))
 
     def coefficient(self, exponent: int) -> int:
         return self.terms.get(exponent, 0)
@@ -193,10 +190,6 @@ class LaurentPoly:
         """{"exponent": "coefficient"} with string values for exact round-trips."""
         return {str(e): str(c) for e, c in sorted(self.terms.items())}
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping[str, str]) -> "LaurentPoly":
-        return cls({int(e): int(str(c)) for e, c in d.items()})
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
@@ -220,9 +213,8 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
 
-#: the generator v, its inverse and the unit
+#: the generator v and the unit
 V = LaurentPoly({1: 1})
-V_INV = LaurentPoly({-1: 1})
 ONE = LaurentPoly.one()
 
 

@@ -36,6 +36,7 @@ class PullbackMismatch(ConsistencyViolation):
 
 class SphericalElement(hecke.LinearCombination):
     __slots__ = ("parabolic",)
+    _basis = "m"
 
     def __init__(self, n: int, parabolic, coeffs=None):
         self.n = n
@@ -58,10 +59,6 @@ class SphericalElement(hecke.LinearCombination):
         out.parabolic = self.parabolic
         return out
 
-    @classmethod
-    def zero(cls, n: int, parabolic) -> "SphericalElement":
-        return cls(n, parabolic)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SphericalElement) and self.n == other.n
                 and self.parabolic == other.parabolic
@@ -75,23 +72,8 @@ class SphericalElement(hecke.LinearCombination):
         return {
             "n": self.n,
             "parabolic": sorted(self.parabolic),
-            "coeffs": {",".join(map(str, x)): c.to_json_dict()
-                       for x, c in sorted(self.coeffs.items())},
+            "coeffs": hecke.coeffs_json(self.coeffs),
         }
-
-    @classmethod
-    def from_json_dict(cls, d) -> "SphericalElement":
-        coeffs = {}
-        for key, val in d["coeffs"].items():
-            x = tuple(int(t) for t in key.split(","))
-            coeffs[x] = LaurentPoly.from_json_dict(val)
-        return cls(d["n"], d["parabolic"], coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "SphericalElement(0)"
-        parts = [f"({c})*m{list(x)}" for x, c in sorted(self.coeffs.items())]
-        return "SphericalElement(" + " + ".join(parts) + ")"
 
 
 def m(x: Permutation, parabolic) -> SphericalElement:
@@ -200,31 +182,20 @@ def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
         el, lambda x: spherical_kl_basis(x, el.parabolic))
 
 
-def expansion_from_sweep(data: subexpr.SweepResult, n: int,
-                         parabolic) -> SphericalElement:
-    """Turn endpoint -> defect -> count aggregates into sum v^defect m_z.
-
-    The fold's counts are positive ints, so each histogram becomes its
-    coefficient as it is, shared with `data` rather than copied; only
-    the endpoints are checked, once each.
-    """
-    zero = SphericalElement(n, parabolic)
-    for z in data:
-        if len(z) != n or not coxeter.is_min_coset_rep(z, zero.parabolic):
-            raise ValueError(
-                f"{z} is not a minimal coset representative in S_{n}")
-    return zero._like({z: _poly(hist) for z, hist in data.items() if hist})
-
-
 def deodhar_expand(word: Sequence[int], n: int, parabolic,
                    constraint: subexpr.EnumConstraint | None = None,
                    ) -> SphericalElement:
     """sum over allowed subexpressions of v^defect on the endpoint coset.
 
     With no constraint this equals bott_samelson_spherical(word, n, A).
+    The fold's endpoints are minimal coset representatives by
+    construction (it applies s_i only in the U and D cases of
+    `coxeter.coset_step`) and its counts are positive ints, so each
+    histogram becomes its coefficient as it is, unchecked and uncopied.
     """
     data = subexpr.sweep(word, n, parabolic, constraint)
-    return expansion_from_sweep(data, n, parabolic)
+    return SphericalElement(n, parabolic)._like(
+        {z: _poly(hist) for z, hist in data.items()})
 
 
 class IntervalEntry:
@@ -252,9 +223,6 @@ class IntervalReport:
         self.passed = passed
         self.entries = entries
         self.outside = outside
-
-    def failures(self) -> list[IntervalEntry]:
-        return [e for e in self.entries if not e.ok]
 
 
 def interval_condition_check(expansion: SphericalElement, x: Permutation,

@@ -32,7 +32,7 @@ definitions) are the slow references the fold is tested against.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import coxeter
 from .coxeter import Permutation, Word
@@ -297,14 +297,14 @@ def defect_histogram(word: Sequence[int], n: int, parabolic,
     if target is not None:
         hist = data.get(tuple(target), {})
         return dict(sorted(hist.items()))
-    return total_histogram(data)
+    return total_histogram(data.values())
 
 
-def total_histogram(data: SweepResult) -> dict[int, int]:
-    """Counts by defect summed over all endpoints, in increasing defect
+def total_histogram(hists: Iterable[dict[int, int]]) -> dict[int, int]:
+    """Counts by defect summed over histograms, in increasing defect
     order."""
     out: dict[int, int] = {}
-    for hist in data.values():
+    for hist in hists:
         for d, c in hist.items():
             out[d] = out.get(d, 0) + c
     return dict(sorted(out.items()))

@@ -58,9 +58,6 @@ class WordData:
         self.census = census
         self.source = source
 
-    def is_complete(self) -> bool:
-        return self.word is not None and self.parabolic is not None
-
     def constraint(self) -> EnumConstraint:
         if self.word is None:
             raise ValueError("word data has no word")

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from heckekit.laurent import InexactDivision
 from heckekit.spherical import PullbackMismatch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +124,40 @@ def test_certify_partial_word_skips_interval(capsys):
     assert payload["interval"]["status"] == "skipped: word data incomplete"
 
 
+@pytest.mark.parametrize("word,code", [("demo-s4-fail", 1),
+                                       ("demo-s4-pass", 0),
+                                       ("gl15-partial", 1),
+                                       (None, 1)])
+def test_certify_matches_the_golden_report(word, code, capsys):
+    """stdout is byte-identical to the checked-in report once the
+    "timings" object, the only part that varies, is cut out."""
+    argv = ["certify"] + (["--word", word] if word else [])
+    got_code, out = run_cli(capsys, *argv)
+    out, cuts = re.subn(r'"timings":\{[^{}]*\},', "", out)
+    assert got_code == code and cuts == 1
+    golden = GOLDEN / f"certify_{word or 'no-word'}.json"
+    assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["demo-s4-fail", "demo-s4-pass"])
+def test_certify_report_agrees_with_its_parts(name, capsys):
+    _, payload = run_json(capsys, "certify", "--word", name)
+    word = payload["word"]
+    words = worddata.load_word_data(name).word
+    _, at_x = run_json(
+        capsys, "defect-stats", "--n", str(word["n"]),
+        "--parabolic", " ".join(map(str, word["A"])),
+        "--word", " ".join(map(str, words)),
+        "--forced-letters", " ".join(map(str, word["B"])),
+        "--endpoint", ",".join(map(str, word["x"])))
+    assert payload["histogram_at_x"] == at_x
+    assert sum(payload["histogram"].values()) == word["subexpressions"]
+    interval = payload["interval"]
+    assert interval["failures"] == [
+        {k: v for k, v in e.items() if k != "ok"}
+        for e in interval["entries"] if not e["ok"]]
+
+
 def test_certify_invalid_word_data_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -174,6 +210,16 @@ def test_index_above_budget_is_input_error(command, token, capsys):
     assert code == 2 and captured.out == ""
     assert (f"bad token {token!r}: index {token[1:]} needs more than "
             f"MAX_VARIABLES = 255 variables") in captured.err
+
+
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
+def test_constant_above_budget_is_input_error(command, capsys):
+    token = "9" * 5000   # past int()'s 4,300-digit limit
+    code = cli.main([command, "--expr", f"D1 ( {token} * x2 )"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert (f"bad token {token!r}: a constant of 5000 digits exceeds the "
+            f"budget MAX_CONSTANT_DIGITS = 4300") in captured.err
 
 
 def test_erase_out_of_range_is_input_error(capsys):

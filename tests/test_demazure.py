@@ -5,6 +5,7 @@ import pytest
 
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
+    MAX_CONSTANT_DIGITS,
     MAX_EXPONENT,
     MAX_VARIABLES,
     PAPER_GL15_TEXT,
@@ -28,7 +29,7 @@ def demazure_closed_form(i, f):
     """Independent oracle: del_i on the monomial u * x_i^a * x_{i+1}^b is
     sign(b - a) * u * (x_i x_{i+1})^min(a,b) * h_{|a-b|-1}(x_i, x_{i+1}),
     where h_k is the complete homogeneous symmetric polynomial."""
-    out = MultiPoly.zero(f.nvars)
+    out = MultiPoly(f.nvars)
     for e, c in f.terms.items():
         a, b = e[i - 1], e[i]
         if a == b:
@@ -44,7 +45,7 @@ def demazure_closed_form(i, f):
 
 
 def rand_poly(rng, nvars=4, terms=4, deg=3):
-    out = MultiPoly.zero(nvars)
+    out = MultiPoly(nvars)
     for _ in range(terms):
         e = tuple(rng.randrange(deg) for _ in range(nvars))
         out = out + MultiPoly(nvars, {e: rng.randrange(-5, 6)})
@@ -176,12 +177,25 @@ def test_parser_rejects_indices_above_the_budget():
     assert eval_expr(parse_expr("D254 ( x255 )")) == MultiPoly.constant(1, 255)
 
 
+def test_parser_rejects_constants_above_the_budget():
+    assert MAX_CONSTANT_DIGITS == 4300
+    for token in ("9" * 4301, "-" + "9" * 5000, "0" * 4301):
+        digits = len(token.lstrip("-"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"bad token '{token}': a constant of {digits} digits "
+                f"exceeds the budget MAX_CONSTANT_DIGITS = 4300")):
+            parse_expr(f"D1 ( {token} * x2 )")
+    # the longest constant that int() converts still parses
+    got = eval_expr(parse_expr(f"D1 ( -{'9' * 4300} * x2 )"))
+    assert got == MultiPoly.constant(1 - 10 ** 4300, 2)
+
+
 def test_chain_rejects_operators_outside_the_ring():
     # zero values skip the remaining steps, so the ring is checked up front
     with pytest.raises(ValueError, match="D3 out of range for 3 variables"):
-        eval_expr(Op(3, Const(MultiPoly.zero(3))))
+        eval_expr(Op(3, Const(MultiPoly(3))))
     with pytest.raises(ValueError, match="different rings"):
-        intersection_vector(Op(1, Mul(MultiPoly.zero(2), Const(
+        intersection_vector(Op(1, Mul(MultiPoly(2), Const(
             MultiPoly.constant(1, 3)))))
 
 

@@ -12,7 +12,6 @@ from heckekit.spherical import (
     act_by_gen,
     bott_samelson_spherical,
     deodhar_expand,
-    expansion_from_sweep,
     interval_condition_check,
     is_perverse_spherical,
     m,
@@ -22,7 +21,7 @@ from heckekit.spherical import (
     spherical_kl_basis,
     spherical_pairing,
 )
-from heckekit.subexpr import EnumConstraint, sweep
+from heckekit.subexpr import EnumConstraint
 
 
 def all_subsets(n):
@@ -117,8 +116,8 @@ def test_spherical_pairing_properties_random_s4():
     for _ in range(80):
         A = rng.choice(list(reps))
         xs = reps[A]
-        a = SphericalElement.zero(4, A)
-        b = SphericalElement.zero(4, A)
+        a = SphericalElement(4, A)
+        b = SphericalElement(4, A)
         for _ in range(2):
             a = a + m(rng.choice(xs), A).scale(
                 LaurentPoly({rng.randrange(-2, 3): rng.randrange(-3, 4)}))
@@ -183,7 +182,7 @@ def test_deodhar_examples():
     ones = EnumConstraint(((1,),) * 3)
     got = deodhar_expand(word, 3, {2}, ones)
     w = coxeter.min_coset_rep(evaluate_word(word, 3), {2})
-    assert got.support() == [w]
+    assert sorted(got.coeffs) == [w]
 
 
 def test_deodhar_identity_sample():
@@ -220,7 +219,7 @@ def test_interval_condition_check():
     bad = m(s1, A).scale(v_power(-1)) + m(w, A)
     rep = interval_condition_check(bad, x, w)
     assert not rep.passed
-    assert [e.coset for e in rep.failures()] == [s1]
+    assert [e.coset for e in rep.entries if not e.ok] == [s1]
 
     # v^-1 outside the interval (z not >= x): no condition
     rep = interval_condition_check(
@@ -252,7 +251,7 @@ def test_interval_check_matches_rank_table_oracle():
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
         slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
         el = deodhar_expand(word, n, A, EnumConstraint(slots))
-        support = el.support() or [identity(n)]
+        support = sorted(el.coeffs) or [identity(n)]
         x = min(rng.sample(support, min(3, len(support))), key=length)
         w = rng.choice(list(min_coset_reps(A, n))
                        + [max(support, key=length)] * 4)
@@ -269,24 +268,10 @@ def test_interval_check_matches_rank_table_oracle():
         assert rep.outside == len(el.coeffs) - len(inside)
         assert rep.passed == all(e.ok for e in rep.entries)
         seen += len(inside)
-        failed += len(rep.failures())
+        failed += sum(not e.ok for e in rep.entries)
     assert seen > 100 and 0 < failed < seen
-
-
-def test_expansion_from_sweep_checks_its_keys():
-    data = sweep((1, 2, 1), 3, {2})
-    el = expansion_from_sweep(data, 3, {2})
-    assert el == bott_samelson_spherical((1, 2, 1), 3, {2})
-    for bad in ((1, 3, 2), (1, 2)):
-        with pytest.raises(ValueError, match="not a minimal coset"):
-            expansion_from_sweep({bad: {0: 1}, **data}, 3, {2})
 
 
 def test_constructor_checks_key_length():
     with pytest.raises(ValueError, match="has 2 entries, not n = 3"):
         SphericalElement(3, {2}, {(1, 2): ONE})
-
-
-def test_json_roundtrip():
-    el = bott_samelson_spherical((1, 2, 1), 3, {2})
-    assert SphericalElement.from_json_dict(el.to_json_dict()) == el

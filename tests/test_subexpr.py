@@ -232,8 +232,11 @@ def test_sweep_mixed_slots_seeded_batch():
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
         c = EnumConstraint([rng.choice(((0,), (1,), (0, 1)))
                             for _ in range(m)])
-        assert sweep(word, n, A, c) == _aggregate(word, n, A, c), \
-            (word, n, sorted(A), c.slots)
+        got = sweep(word, n, A, c)
+        assert got == _aggregate(word, n, A, c), (word, n, sorted(A), c.slots)
+        # deodhar_expand wraps these keys and histograms unchecked
+        assert all(coxeter.is_min_coset_rep(z, A) and hist
+                   for z, hist in got.items())
 
 
 def test_sweep_rejects_n_above_a_byte():
