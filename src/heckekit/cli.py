@@ -119,7 +119,7 @@ def parse_parabolic(text: str | None, n: int) -> frozenset:
     return frozenset(parse_word(text, n, "--parabolic", "parabolic generator"))
 
 
-def load_expression(source: str) -> tuple[demazure.DemazureExpr, str]:
+def load_expression(source: str) -> tuple[demazure.Chain, str]:
     from . import demazure
 
     if source in demazure.BUILTIN_EXPRESSIONS:
@@ -261,6 +261,9 @@ def cmd_demazure_eval(args) -> int:
     from . import demazure
 
     expr, name = load_expression(args.expr)
+    ops = demazure.op_count(expr)
+    if args.erase is not None and not 1 <= args.erase <= ops:
+        raise ValueError(f"--erase {args.erase} out of range 1..{ops}")
     val = demazure.eval_expr(expr, erase=args.erase)
     emit({"expression": name, "erase": args.erase,
           "value": val.to_json_dict(), "display": repr(val)}, args.pretty)

@@ -13,24 +13,25 @@ l = min(a, b), del_i(x_i^a x_{i+1}^b m) is 0 if a = b and otherwise
 
 so `apply_demazure` is one pass over the terms of f.
 
-An operator expression is a chain: every Mul and Op node has exactly one
-child, and the bottom node is a Const.  Op nodes are numbered 1, 2, ...
-from the top down, the order in which they are written in prefix
-notation and in which single operators are erased to assemble the 1 x N
-intersection-form vector.  `intersection_vector` evaluates the chain
-once bottom-up, keeping the value under each Op, and gets erasure k by
-applying only the steps above Op k to that value; `eval_expr` with
-`erase` re-evaluates the whole chain and is the slow reference.  The
-vector is a single row, so its rank over a field is 1 if some entry is
-nonzero there and 0 otherwise.  The built-in expression `paper-GL15`
-encodes the published 12-operator example whose erasure vector is
+An operator expression is a `Chain`: a list of steps from the top down,
+each an operator del_i or a polynomial factor, above a base polynomial.
+Operators are numbered 1, 2, ... from the top down, the order in which
+they are written in prefix notation and in which single operators are
+erased to assemble the 1 x N intersection-form vector.
+`intersection_vector` evaluates the chain once bottom-up, keeping the
+value under each operator, and gets erasure k by applying only the steps
+above operator k to that value; `eval_expr` with `erase` re-evaluates
+the whole chain and is the slow reference.  The vector is a single row,
+so its rank over a field is 1 if some entry is nonzero there and 0
+otherwise.  The built-in expression `paper-GL15` encodes the published
+12-operator example whose erasure vector is
 (-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0), of rank 1 over Q and rank 0
 over F_2.
 """
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .laurent import ConsistencyViolation, _add_into
 
@@ -46,9 +47,10 @@ MAX_EXPONENT = 64
 # with the largest index; 255 is also the largest n the fold takes.
 MAX_VARIABLES = 255
 
-# Most digits that `parse_expr` accepts in an integer constant: the
+# Most digits of a constant that `parse_expr` accepts, or of a result: the
 # longest string int() converts by default (sys.get_int_max_str_digits).
 MAX_CONSTANT_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_CONSTANT_DIGITS
 
 
 class DegreeAuditFailure(ConsistencyViolation):
@@ -216,99 +218,82 @@ def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
 # -- operator expressions ----------------------------------------------
 
 
-class Const:
-    __slots__ = ("poly",)
+class Chain:
+    """`steps` from the top down, each an int i for del_i or a MultiPoly
+    factor, above the polynomial `base`.  Every step is checked here, once,
+    against the ring of `base`: evaluation skips steps above a zero value."""
 
-    def __init__(self, poly: MultiPoly):
-        self.poly = poly
+    __slots__ = ("steps", "base")
 
-
-class Mul:
-    __slots__ = ("factor", "child")
-
-    def __init__(self, factor: MultiPoly, child: "DemazureExpr"):
-        self.factor = factor
-        self.child = child
-
-
-class Op:
-    __slots__ = ("index", "child")
-
-    def __init__(self, index: int, child: "DemazureExpr"):
-        self.index = index
-        self.child = child
+    def __init__(self, steps: Sequence[int | MultiPoly], base: MultiPoly):
+        nvars = base.nvars
+        for step in steps:
+            if isinstance(step, MultiPoly):
+                if step.nvars != nvars:
+                    raise ValueError("polynomials in different rings")
+            elif not 1 <= step <= nvars - 1:
+                raise ValueError(f"D{step} out of range for {nvars} variables")
+        self.steps, self.base = tuple(steps), base
 
 
-DemazureExpr = Union[Const, Mul, Op]
-
-
-def _chain(expr: DemazureExpr) -> tuple[list[Union[Mul, Op]], MultiPoly]:
-    """The Mul and Op nodes from the top down, and the Const polynomial
-    at the bottom.  Every step must act on the ring of the Const."""
-    steps = []
-    while not isinstance(expr, Const):
-        steps.append(expr)
-        expr = expr.child
-    nvars = expr.poly.nvars
-    for step in steps:
-        if isinstance(step, Mul):
-            if step.factor.nvars != nvars:
-                raise ValueError("polynomials in different rings")
-        elif not 1 <= step.index <= nvars - 1:
-            raise ValueError(
-                f"D{step.index} out of range for {nvars} variables")
-    return steps, expr.poly
-
-
-def _apply(steps: Sequence[Union[Mul, Op]], val: MultiPoly) -> MultiPoly:
+def _apply(steps: Sequence[int | MultiPoly], val: MultiPoly) -> MultiPoly:
     """The value of `steps` (listed top-down) over `val`, bottom step
     first.  Every step maps 0 to 0, so a zero value is final."""
     for step in reversed(steps):
         if not val:
             break
-        if isinstance(step, Mul):
-            val = step.factor * val
+        if isinstance(step, int):
+            val = apply_demazure(step, val)
         else:
-            val = apply_demazure(step.index, val)
+            val = step * val
     return val
 
 
-def _op_positions(steps: Sequence[Union[Mul, Op]]) -> list[int]:
-    return [pos for pos, step in enumerate(steps) if isinstance(step, Op)]
+def _op_positions(steps: Sequence[int | MultiPoly]) -> list[int]:
+    return [pos for pos, step in enumerate(steps) if isinstance(step, int)]
 
 
-def op_count(expr: DemazureExpr) -> int:
+def _check_digits(values, what: str) -> None:
+    """Refuse a value of more digits than str() prints by default."""
+    if not all(-_DIGIT_BOUND < c < _DIGIT_BOUND for c in values):
+        raise ValueError(f"{what} exceeds the budget MAX_CONSTANT_DIGITS = "
+                         f"{MAX_CONSTANT_DIGITS} digits")
+
+
+def op_count(expr: Chain) -> int:
     return len(op_indices(expr))
 
 
-def op_indices(expr: DemazureExpr) -> list[int]:
-    """Generator indices of the Op nodes, in prefix (written) order."""
-    return [step.index for step in _chain(expr)[0] if isinstance(step, Op)]
+def op_indices(expr: Chain) -> list[int]:
+    """Generator indices of the operator steps, in prefix (written) order."""
+    return [step for step in expr.steps if isinstance(step, int)]
 
 
-def content_degree(expr: DemazureExpr) -> int:
-    """Graded degree of the polynomial content (Const and Mul factors)."""
-    steps, base = _chain(expr)
-    polys = [base] + [step.factor for step in steps if isinstance(step, Mul)]
+def content_degree(expr: Chain) -> int:
+    """Graded degree of the polynomial content (base and factors)."""
+    polys = [expr.base] + [s for s in expr.steps if isinstance(s, MultiPoly)]
     return sum(max(f.graded_degrees(), default=0) for f in polys)
 
 
-def eval_expr(expr: DemazureExpr, erase: int | None = None) -> MultiPoly:
-    """Evaluate bottom-up; with `erase` = k, the k-th Op node in prefix
-    order acts as the identity.
+def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
+    """Evaluate bottom-up; with `erase` = k, the k-th operator in prefix
+    order acts as the identity.  A result coefficient of more than
+    MAX_CONSTANT_DIGITS digits is a ValueError.
 
     >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
     -2
     """
-    steps, base = _chain(expr)
-    ops = _op_positions(steps)
+    steps = expr.steps
     if erase is not None:
+        ops = _op_positions(steps)
         if not 1 <= erase <= len(ops):
             raise IndexError(
                 f"operator index {erase} out of range 1..{len(ops)}")
         pos = ops[erase - 1]
         steps = steps[:pos] + steps[pos + 1:]
-    return _apply(steps, base)
+    val = _apply(steps, expr.base)
+    _check_digits(val.terms.values(), "a result coefficient")
+    return val
 
 
 class ErasureAudit:
@@ -355,17 +340,19 @@ class IntersectionFormReport:
         }
 
 
-def intersection_vector(expr: DemazureExpr, p: int = 2) -> IntersectionFormReport:
-    """Erase each Op in prefix order; collect the constants and both ranks.
+def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
+    """Erase each operator in turn; collect the constants and both ranks.
 
-    The value under each Op is computed once, bottom-up; erasure k then
-    applies only the steps above Op k to the value under it.  Every
-    erasure must land in degree 0 (content degree minus 2 per surviving
-    operator); the first nonconstant value, in prefix order, raises
-    DegreeAuditFailure.  The erasures form a single row, so its rank is
-    1 if some entry is nonzero (over F_p: nonzero mod p) and 0 otherwise.
+    The value under each operator is computed once, bottom-up; erasure k
+    then applies only the steps above operator k to the value under it.
+    Every erasure must land in degree 0 (content degree minus 2 per
+    surviving operator); the first nonconstant value, in prefix order,
+    raises DegreeAuditFailure, and an entry of more than
+    MAX_CONSTANT_DIGITS digits is a ValueError.  The erasures form a
+    single row, so its rank is 1 if some entry is nonzero (over F_p:
+    nonzero mod p) and 0 otherwise.
     """
-    steps, val = _chain(expr)
+    steps, val = expr.steps, expr.base
     ops = _op_positions(steps)
     expected = content_degree(expr) - 2 * (len(ops) - 1)
     under: list[MultiPoly] = []
@@ -381,12 +368,13 @@ def intersection_vector(expr: DemazureExpr, p: int = 2) -> IntersectionFormRepor
         val = _apply(steps[:pos], below)
         degrees = sorted(val.graded_degrees())
         ok = val.is_constant()
-        audit.append(ErasureAudit(k, steps[pos].index, expected, degrees, ok))
+        audit.append(ErasureAudit(k, steps[pos], expected, degrees, ok))
         if not ok:
             raise DegreeAuditFailure(
                 f"erasing operator {k} left degrees {degrees}, "
                 f"expected a constant")
         entries.append(val.constant_value())
+    _check_digits(entries, "an intersection-vector entry")
     return IntersectionFormReport(
         entries=entries,
         rank_over_Q=int(any(entries)),
@@ -417,16 +405,20 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
-    """Parse prefix notation like
-    `D1 D2 ( a3 * D2 ( a3^2 ) )`:
-    `Di` applies del_i, `ai^k` is the k-th power of a simple root, `xi` a
+def parse_expr(text: str) -> Chain:
+    """Parse prefix notation like `D1 D2 ( a3 * D2 ( a3^2 ) )`: `Di`
+    applies del_i, `ai^k` is the k-th power of a simple root, `xi` a
     variable, integers are constants, `poly * (...)` multiplies into the
     child value.  The ring dimension is the largest variable index used
-    (alpha_i needs x_{i+1}) unless nvars is given.  An index of 0, one
-    beyond the ring or calling for more than MAX_VARIABLES variables, an
-    exponent above MAX_EXPONENT or a constant of more than
-    MAX_CONSTANT_DIGITS digits is a ValueError naming the token.
+    (alpha_i needs x_{i+1}).  An index of 0 or one calling for more than
+    MAX_VARIABLES variables, an exponent above MAX_EXPONENT or a constant
+    of more than MAX_CONSTANT_DIGITS digits is a ValueError naming the token.
+
+    >>> expr = parse_expr("D1 ( a2 * D2 ( x3^2 ) )")
+    >>> expr.steps
+    (1, MultiPoly(1*x3 + -1*x2), 2)
+    >>> op_indices(expr), expr.base.nvars
+    ([1, 2], 3)
     """
     tokens = _tokenize(text)
     indexed = []
@@ -447,14 +439,10 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
                     f"bad token {t!r}: index {index} needs more than "
                     f"MAX_VARIABLES = {MAX_VARIABLES} variables")
             indexed.append((t, int(index), shift))
-    if nvars is None:
-        nvars = max([idx + shift for _, idx, shift in indexed], default=1)
-    for t, idx, shift in indexed:
+    nvars = max([idx + shift for _, idx, shift in indexed], default=1)
+    for t, idx, _ in indexed:
         if idx == 0:
             raise ValueError(f"bad token {t!r}: indices start at 1")
-        if idx + shift > nvars:
-            raise ValueError(f"bad token {t!r}: index {idx} out of range "
-                             f"for {nvars} variables")
         power = (t.partition("^")[2] or "1").lstrip("0") or "0"
         # lengths first: int() refuses strings of over 4,300 digits
         if len(power) > len(str(MAX_EXPONENT)) or int(power) > MAX_EXPONENT:
@@ -518,22 +506,17 @@ def parse_expr(text: str, nvars: int | None = None) -> DemazureExpr:
             raise ValueError("missing closing parenthesis")
     if pos != len(tokens):
         raise ValueError(f"trailing input: {tokens[pos:]}")
-    node: DemazureExpr = Const(poly)
-    for step in reversed(steps):
-        node = Op(step, node) if isinstance(step, int) else Mul(step, node)
-    return node
+    return Chain(steps, poly)
 
 
 #: the published 12-operator erasure example for GL_15 (variables x1..x5)
 PAPER_GL15_TEXT = ("D1 D2 D3 ( a4 * D2 D3 ( a4^2 * D3 ( a4^2 * "
                    "D1 D2 D3 ( a4^2 * D2 D3 ( a4^2 * D3 ( a4^2 ) ) ) ) ) )")
 
-BUILTIN_EXPRESSIONS = {
-    "paper-GL15": PAPER_GL15_TEXT,
-}
+BUILTIN_EXPRESSIONS = {"paper-GL15": PAPER_GL15_TEXT}
 
 
-def builtin_expr(name: str) -> DemazureExpr:
+def builtin_expr(name: str) -> Chain:
     try:
         return parse_expr(BUILTIN_EXPRESSIONS[name])
     except KeyError:

@@ -41,10 +41,11 @@ SweepResult = dict[Permutation, dict[int, int]]
 
 # Most cosets one fold step may reach.  The synthetic GL15 certificate
 # words peak near 155,000 cosets.  Measured with tracemalloc on the
-# benchmark's seed-7 word (n = 15, 153,421 cosets), the packed state
-# takes about 220 bytes per coset, and the unpacked result another 450
-# while both are alive at the end, so the budget keeps a fold under
-# about 0.7 GB.
+# benchmark's seed-7 word (n = 15, 153,421 cosets), the packed state takes
+# about 220 bytes per coset and the unpacked result another 450 while both
+# live, so the budget keeps the fold's own state under about 0.7 GB.
+# `deodhar_expand` and the `certify` report come on top of that: a single
+# `certify` run at 753,485 cosets (GL15-shaped word) peaked at 1.36 GB RSS.
 SUPPORT_BUDGET = 1_000_000
 
 

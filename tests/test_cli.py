@@ -124,19 +124,41 @@ def test_certify_partial_word_skips_interval(capsys):
     assert payload["interval"]["status"] == "skipped: word data incomplete"
 
 
+def assert_golden(capsys, argv, code, name):
+    """stdout is byte-identical to the checked-in file once the certify
+    "timings" object, the only part that varies, is cut out."""
+    got_code, out = run_cli(capsys, *argv)
+    out, cuts = re.subn(r'"timings":\{[^{}]*\},', "", out)
+    assert got_code == code and cuts == (argv[0] == "certify")
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("word,code", [("demo-s4-fail", 1),
                                        ("demo-s4-pass", 0),
                                        ("gl15-partial", 1),
                                        (None, 1)])
 def test_certify_matches_the_golden_report(word, code, capsys):
-    """stdout is byte-identical to the checked-in report once the
-    "timings" object, the only part that varies, is cut out."""
     argv = ["certify"] + (["--word", word] if word else [])
-    got_code, out = run_cli(capsys, *argv)
-    out, cuts = re.subn(r'"timings":\{[^{}]*\},', "", out)
-    assert got_code == code and cuts == 1
-    golden = GOLDEN / f"certify_{word or 'no-word'}.json"
-    assert out.encode() == golden.read_bytes()
+    assert_golden(capsys, argv, code, f"certify_{word or 'no-word'}.json")
+
+
+DEMAZURE_GOLDEN = {
+    "intersection-form_p2": ["intersection-form", "--expr", "paper-GL15",
+                             "--p", "2"],
+    "intersection-form_p3": ["intersection-form", "--expr", "paper-GL15",
+                             "--p", "3"],
+    "demazure-eval_paper-GL15": ["demazure-eval", "--expr", "paper-GL15"],
+    "demazure-eval_paper-GL15_erase4": ["demazure-eval", "--expr",
+                                        "paper-GL15", "--erase", "4"],
+    # a factor step above an operator
+    "demazure-eval_factor-above-op": ["demazure-eval", "--expr",
+                                      "x2 * D1 ( x2^2 )"],
+}
+
+
+@pytest.mark.parametrize("name", DEMAZURE_GOLDEN)
+def test_demazure_command_matches_the_golden_output(name, capsys):
+    assert_golden(capsys, DEMAZURE_GOLDEN[name], 0, f"{name}.json")
 
 
 @pytest.mark.parametrize("name", ["demo-s4-fail", "demo-s4-pass"])
@@ -222,10 +244,27 @@ def test_constant_above_budget_is_input_error(command, capsys):
             f"budget MAX_CONSTANT_DIGITS = 4300") in captured.err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("demazure-eval", "D1 ( {n} * {n} * x2 )"),
+    ("intersection-form", "D1 D2 ( {n} * {n} * x3 )"),
+    ("certify", "D1 D2 ( {n} * {n} * x3 )")])
+def test_result_above_budget_is_input_error(command, text, capsys):
+    # each constant is within the budget, but their product is not
+    nines = "9" * 3000
+    code = cli.main([command, "--expr", text.format(n=nines)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exceeds the budget MAX_CONSTANT_DIGITS = 4300" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
+
+
 def test_erase_out_of_range_is_input_error(capsys):
-    code, out = run_cli(capsys, "demazure-eval", "--expr", "paper-GL15",
-                        "--erase", "99")
-    assert code == 2
+    for erase in ("0", "-1", "13", "99"):
+        code = cli.main(["demazure-eval", "--expr", "paper-GL15",
+                         "--erase", erase])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--erase {erase} out of range 1..12" in captured.err
 
 
 def test_expression_from_file(tmp_path, capsys):

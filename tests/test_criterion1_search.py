@@ -10,7 +10,7 @@ tuple:
 - every single root-index edit (6 roots, 3 other indices each: 18);
 - every single exponent edit within 0..3 (6 roots, 3 others each: 18);
 - every move of one exponent unit from one root to another (30);
-- one adjacent Op/Mul swap (10), or two in a row (46 new chains).
+- one adjacent operator/factor swap (10), or two in a row (46 new chains).
 
 That is 158 distinct variants, of which 151 pass the degree audit (the 7
 others raise DegreeAuditFailure: a raised exponent leaves a nonconstant
@@ -33,7 +33,7 @@ PUBLISHED_VECTOR = [-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0]
 
 def _chain():
     """PAPER_GL15_TEXT as a top-down list of ("D", i, None) operators and
-    ("a", i, k) root powers; every root but the last is a Mul factor."""
+    ("a", i, k) root powers; every root but the last is a factor step."""
     chain = []
     for tok in PAPER_GL15_TEXT.split():
         if tok[0] == "D":
