@@ -59,6 +59,20 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+#: the largest --n: the subexpression fold keeps a coset as one byte per
+#: value (subexpr.MAX_N), and a Demazure expression has at most
+#: demazure.MAX_VARIABLES variables
+MAX_N = 255
+
+
+def _rank(text: str) -> int:
+    value = _at_least_one(text)
+    if value > MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_N}, got {value}")
+    return value
+
+
 #: --p is checked by trial division, which stays fast below this bound
 MAX_PRIME = 2 ** 32
 
@@ -97,7 +111,10 @@ def parse_word(text: str, n: int, flag: str = "--word",
     return tuple(out)
 
 
-def parse_perm(text: str, n: int, flag: str) -> tuple[int, ...]:
+def parse_perm(text: str, n: int, flag: str,
+               parabolic: frozenset = frozenset()) -> tuple[int, ...]:
+    """A permutation of 1..n in one-line notation that is the minimal
+    representative of its coset modulo W_A, for A = `parabolic`."""
     from . import coxeter
 
     tokens = text.replace(",", " ").split()
@@ -110,6 +127,9 @@ def parse_perm(text: str, n: int, flag: str) -> tuple[int, ...]:
             f"{flag} {text!r} is not a permutation in one-line notation")
     if len(p) != n:
         raise ValueError(f"{flag} {text!r} has {len(p)} entries, not n = {n}")
+    if not coxeter.is_min_coset_rep(p, parabolic):
+        raise ValueError(f"{flag} {text!r} is not a minimal coset "
+                         f"representative for A = {sorted(parabolic)}")
     return p
 
 
@@ -145,74 +165,56 @@ def _hist_json(hist: dict[int, int]) -> dict[str, int]:
 
 
 def cmd_kl(args) -> int:
+    """`kl`, or `skl` in the spherical module for A = --parabolic."""
     from . import coxeter
 
-    if args.element:
-        x = coxeter.evaluate_word(
-            parse_word(args.element, args.n, "--element"), args.n)
-    else:
-        x = parse_perm(args.perm, args.n, "--perm")
-    from . import hecke
-
-    el = hecke.kl_basis(x)
-    emit({"element": list(x), "kl": el.to_json_dict(),
-          "display": repr(el)}, args.pretty)
-    return 0
-
-
-def cmd_skl(args) -> int:
-    from . import coxeter
-
-    A = parse_parabolic(args.parabolic, args.n)
+    A = parse_parabolic(getattr(args, "parabolic", None), args.n)
     if args.element:
         x = coxeter.min_coset_rep(coxeter.evaluate_word(
             parse_word(args.element, args.n, "--element"), args.n), A)
     else:
-        x = parse_perm(args.perm, args.n, "--perm")
-    from . import spherical
+        x = parse_perm(args.perm, args.n, "--perm", A)
+    if args.command == "kl":
+        from . import hecke
 
-    el = spherical.spherical_kl_basis(x, A)
-    emit({"element": list(x), "skl": el.to_json_dict(),
+        el = hecke.kl_basis(x)
+    else:
+        from . import spherical
+
+        el = spherical.spherical_kl_basis(x, A)
+    emit({"element": list(x), args.command: el.to_json_dict(),
           "display": repr(el)}, args.pretty)
     return 0
 
 
-def cmd_bs(args) -> int:
-    word = parse_word(args.word, args.n)
+def _character(args, word):
+    """The Bott-Samelson character of `word` in H, or in the spherical
+    module M for A = --parabolic when that flag is given, with the
+    module's name, its pairing and its perversity check."""
     if args.parabolic is None:
         from . import hecke
 
-        el = hecke.bott_samelson_char(word, args.n)
-        payload = {"module": "hecke", "bs": el.to_json_dict()}
-    else:
-        A = parse_parabolic(args.parabolic, args.n)
-        from . import spherical
+        return (hecke.bott_samelson_char(word, args.n), "hecke",
+                hecke.pairing, hecke.is_perverse_character)
+    A = parse_parabolic(args.parabolic, args.n)
+    from . import spherical
 
-        el = spherical.bott_samelson_spherical(word, args.n, A)
-        payload = {"module": "spherical", "bs": el.to_json_dict()}
-    payload["display"] = repr(el)
-    emit(payload, args.pretty)
+    return (spherical.bott_samelson_spherical(word, args.n, A), "spherical",
+            spherical.spherical_pairing, spherical.is_perverse_spherical)
+
+
+def cmd_bs(args) -> int:
+    el, module, _, _ = _character(args, parse_word(args.word, args.n))
+    emit({"module": module, "bs": el.to_json_dict(), "display": repr(el)},
+         args.pretty)
     return 0
 
 
 def cmd_pair(args) -> int:
     w1 = parse_word(args.word, args.n)
     w2 = parse_word(args.word2, args.n, "--word2")
-    if args.parabolic is None:
-        from . import hecke
-
-        a = hecke.bott_samelson_char(w1, args.n)
-        b = hecke.bott_samelson_char(w2, args.n)
-        value = hecke.pairing(a, b)
-        module = "hecke"
-    else:
-        A = parse_parabolic(args.parabolic, args.n)
-        from . import spherical
-
-        a = spherical.bott_samelson_spherical(w1, args.n, A)
-        b = spherical.bott_samelson_spherical(w2, args.n, A)
-        value = spherical.spherical_pairing(a, b)
-        module = "spherical"
+    a, module, pairing, _ = _character(args, w1)
+    value = pairing(a, _character(args, w2)[0])
     emit({"module": module, "pairing": value.to_json_dict(),
           "display": str(value)}, args.pretty)
     return 0
@@ -246,10 +248,7 @@ def cmd_defect_stats(args) -> int:
     constraint = _constraint_from_args(args, word)
     target = None
     if args.endpoint:
-        target = parse_perm(args.endpoint, args.n, "--endpoint")
-        if any(target[i - 1] > target[i] for i in A):
-            raise ValueError(f"--endpoint {args.endpoint!r} is not a minimal "
-                             f"coset representative for A = {sorted(A)}")
+        target = parse_perm(args.endpoint, args.n, "--endpoint", A)
     from . import subexpr
 
     hist = subexpr.defect_histogram(word, args.n, A, constraint, target)
@@ -282,18 +281,10 @@ def cmd_intersection_form(args) -> int:
 
 
 def cmd_perverse_check(args) -> int:
-    word = parse_word(args.word, args.n)
-    if args.parabolic is None:
-        from . import hecke
+    el, _, _, perversity = _character(args, parse_word(args.word, args.n))
+    rep = perversity(el)
+    from . import hecke
 
-        rep = hecke.is_perverse_character(
-            hecke.bott_samelson_char(word, args.n))
-    else:
-        A = parse_parabolic(args.parabolic, args.n)
-        from . import hecke, spherical
-
-        rep = spherical.is_perverse_spherical(
-            spherical.bott_samelson_spherical(word, args.n, A))
     emit({"perverse": rep.is_perverse,
           "expansion": hecke.coeffs_json(rep.expansion)}, args.pretty)
     return 0
@@ -418,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, n=True):
         if n:
-            p.add_argument("--n", type=_at_least_one, required=True,
+            p.add_argument("--n", type=_rank, required=True,
                            help="rank of the symmetric group S_n")
         p.add_argument("--pretty", action="store_true",
                        help="indented JSON output")
@@ -437,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--element", help="a word; its minimal coset rep is used")
     g.add_argument("--perm", help="one-line notation (must be a minimal rep)")
-    p.set_defaults(func=cmd_skl)
+    p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("bs", help="Bott-Samelson character in H or M")
     common(p)

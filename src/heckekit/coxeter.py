@@ -311,21 +311,3 @@ def coset_step(u: Permutation, i: int, parabolic) -> tuple[str, Permutation]:
         return "S", u
     return "U", apply_gen_left(i, u)
 
-
-def classify_step(i: int, y: Permutation, parabolic) -> str:
-    """U, D or S according to how s_i moves the coset y*W_A.
-
-    Defined on arbitrary y by comparing minimal coset representatives:
-    S if min_coset_rep(s_i*y) == min_coset_rep(y), else U/D by length.
-
-    >>> classify_step(2, (1, 2, 3), {2})
-    'S'
-    >>> classify_step(1, (1, 2, 3), {2})
-    'U'
-    >>> classify_step(1, (2, 1, 3), set())
-    'D'
-    """
-    A = frozenset(parabolic)
-    u = min_coset_rep(y, A)
-    kind, _ = coset_step(u, i, A)
-    return kind

@@ -210,8 +210,8 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
     return out
 
 
-# grow-only; entries are published only after they are fully built, so a
-# concurrent lookup never sees a partial element
+# grows without bound, as _inverse_cache and spherical._skl_cache do: one
+# entry per element asked for and per element its recursion reaches
 _kl_cache: dict[Permutation, HeckeElement] = {}
 
 

@@ -17,8 +17,8 @@ to the allowed bits, so the cost follows the number of cosets reached
 rather than the 2^(free positions) subexpressions.
 
 The fold state is packed.  A coset is a `bytes` key holding one value per
-byte, so `sweep` takes n <= 255, and s_i u is `u.translate(T_i)` for a
-swap table built once per call.  A histogram is one int: the count of
+byte, so `sweep` takes n <= MAX_N = 255, and s_i u is `u.translate(T_i)`
+for a swap table built once per call.  A histogram is one int: the count of
 defect d sits in field d + offset, and each field is free + 1 bits wide,
 where free is the number of positions allowing both bits.  The counts of
 one step add up to at most 2^free, so no field carries into the next.
@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from . import coxeter
-from .coxeter import Permutation, Word
+from .coxeter import Permutation
 
 SweepResult = dict[Permutation, dict[int, int]]
 
@@ -47,6 +47,9 @@ SweepResult = dict[Permutation, dict[int, int]]
 # `deodhar_expand` and the `certify` report come on top of that: a single
 # `certify` run at 753,485 cosets (GL15-shaped word) peaked at 1.36 GB RSS.
 SUPPORT_BUDGET = 1_000_000
+
+# Largest n the fold takes: a coset keeps each of its values in one byte.
+MAX_N = 255
 
 
 class DecoratedSubexpression:
@@ -112,8 +115,9 @@ def decorate(word: Sequence[int], bits: Sequence[int], n: int,
     """Decorate one subexpression, straight from the definitions.
 
     Keeps the full suffix products y_j (not just their cosets) and
-    classifies each step through min_coset_rep, so it is an independent
-    cross-check of the incremental coset-state rule used by the enumerator.
+    classifies each step by comparing the minimal coset representatives
+    of y and s_i y, so it is independent of the coset-step rule
+    (`coxeter.coset_step`) that the enumerator and the fold use.
     """
     m = len(word)
     if len(bits) != m:
@@ -125,17 +129,40 @@ def decorate(word: Sequence[int], bits: Sequence[int], n: int,
     for j in range(m, 0, -1):  # y before this step is y_{m-j}
         i = word[j - 1]
         e = bits[j - 1]
-        d = coxeter.classify_step(i, y, A)
+        sy = coxeter.apply_gen_left(i, y)
+        u = coxeter.min_coset_rep(y, A)
+        su = coxeter.min_coset_rep(sy, A)
+        d = ("S" if su == u else
+             "U" if coxeter.length(su) > coxeter.length(u) else "D")
         decorations[j - 1] = d
         if (d, e) in (("U", 0), ("S", 1)):
             defect += 1
         elif (d, e) in (("D", 0), ("S", 0)):
             defect -= 1
         if e:
-            y = coxeter.apply_gen_left(i, y)
+            y = sy
     endpoint = coxeter.min_coset_rep(y, A)
     return DecoratedSubexpression(tuple(bits), tuple(decorations), endpoint,
                                   defect)
+
+
+def _fold_input(word: Sequence[int], n: int, parabolic,
+                constraint: EnumConstraint | None
+                ) -> tuple[EnumConstraint, frozenset]:
+    """(constraint, A) for a walk over `word` in S_n: the all-free
+    constraint by default, its length checked against the word, and
+    every letter and every generator of A checked to lie in 1..n-1."""
+    if constraint is None:
+        constraint = EnumConstraint.free(len(word))
+    if len(constraint) != len(word):
+        raise ValueError("constraint length != word length")
+    A = frozenset(parabolic)
+    for noun, gens in (("generator index", word),
+                       ("parabolic generator", sorted(A))):
+        for i in gens:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"{noun} {i} out of range for S_{n}")
+    return constraint, A
 
 
 def iter_subexpressions(word: Sequence[int], n: int, parabolic,
@@ -144,53 +171,32 @@ def iter_subexpressions(word: Sequence[int], n: int, parabolic,
     """Visit every allowed subexpression exactly once, depth first.
 
     Positions are processed from m down to 1 with branch 0 before branch 1,
-    so e_1 varies fastest in the emitted sequence.  The coset state is a
-    minimal coset representative updated in place along the DFS path.
+    so e_1 varies fastest in the emitted sequence.  Each step goes through
+    `coxeter.coset_step`, and the coset, as its minimal representative,
+    is passed down the recursion.
     """
+    constraint, A = _fold_input(word, n, parabolic, constraint)
     m = len(word)
-    if constraint is None:
-        constraint = EnumConstraint.free(m)
-    if len(constraint) != m:
-        raise ValueError("constraint length != word length")
-    A = frozenset(parabolic)
-    u = list(range(1, n + 1))
     bits = [0] * m
     decorations = ["?"] * m
-    for i in word:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for S_{n}")
 
-    def walk(k: int, defect: int) -> Iterator[DecoratedSubexpression]:
+    def walk(k: int, u: Permutation,
+             defect: int) -> Iterator[DecoratedSubexpression]:
         if k == m:
             yield DecoratedSubexpression(tuple(bits), tuple(decorations),
-                                         tuple(u), defect)
+                                         u, defect)
             return
         j = m - 1 - k  # word position (0-based) handled at depth k
-        i = word[j]
-        a = u.index(i)
-        b = u.index(i + 1)
-        if a > b:
-            d, swap = "D", True
-        elif b == a + 1 and (a + 1) in A:
-            d, swap = "S", False
-        else:
-            d, swap = "U", True
+        d, su = coxeter.coset_step(u, word[j], A)
         decorations[j] = d
         for e in constraint[j]:
             bits[j] = e
             if e == 0:
-                delta = 1 if d == "U" else -1
-                yield from walk(k + 1, defect + delta)
+                yield from walk(k + 1, u, defect + (1 if d == "U" else -1))
             else:
-                delta = 1 if d == "S" else 0
-                if swap:
-                    u[a], u[b] = u[b], u[a]
-                yield from walk(k + 1, defect + delta)
-                if swap:
-                    u[a], u[b] = u[b], u[a]
-        decorations[j] = "?"
+                yield from walk(k + 1, su, defect + (1 if d == "S" else 0))
 
-    yield from walk(0, 0)
+    yield from walk(0, coxeter.identity(n), 0)
 
 
 def sweep(word: Sequence[int], n: int, parabolic,
@@ -207,24 +213,15 @@ def sweep(word: Sequence[int], n: int, parabolic,
     step that reaches more than SUPPORT_BUDGET cosets raises ValueError.
 
     The state is packed as the module docstring describes, and unpacked
-    into tuples and dicts once, at the end.
+    into tuples and dicts once, at the end.  The step is the rule of
+    `coxeter.coset_step` written out on packed cosets, since this is the
+    hot loop; `iter_subexpressions` is its oracle.
     """
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is above {MAX_N}: the fold keeps each "
+                         f"coset as one byte per value")
+    constraint, A = _fold_input(word, n, parabolic, constraint)
     m = len(word)
-    if constraint is None:
-        constraint = EnumConstraint.free(m)
-    if len(constraint) != m:
-        raise ValueError("constraint length != word length")
-    if n > 255:
-        raise ValueError(f"n = {n} is above 255: the fold keeps each coset "
-                         f"as one byte per value")
-    for i in word:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for S_{n}")
-    A = frozenset(parabolic)
-    for i in sorted(A):
-        if not 1 <= i <= n - 1:
-            raise ValueError(
-                f"parabolic generator {i} out of range for S_{n}")
     budget = SUPPORT_BUDGET
     width = len(constraint.free_positions()) + 1
     offset = sum(1 for slot in constraint.slots if 0 in slot)

@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import coxeter
-from .subexpr import EnumConstraint
+from .subexpr import MAX_N, EnumConstraint
 
 #: census entries that `validate_word_data` compares with the word
 CENSUS_FIELDS = ("length", "free_positions", "letters_index_le_3",
@@ -120,6 +120,8 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
         n = _int(raw["n"], '"n"')
         if n < 1:
             raise ValueError(f'"n" must be at least 1, got {n}')
+        if n > MAX_N:
+            raise ValueError(f'"n" must be at most {MAX_N}, got {n}')
         word = raw.get("word")
         if word is not None:
             word = _ints(word, "word", 1, n - 1)

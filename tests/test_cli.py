@@ -161,6 +161,30 @@ def test_demazure_command_matches_the_golden_output(name, capsys):
     assert_golden(capsys, DEMAZURE_GOLDEN[name], 0, f"{name}.json")
 
 
+# the commands that compute in H, or in M with --parabolic
+MODULE_GOLDEN = {
+    "kl_element": ["kl", "--n", "4", "--element", "2,1,3,2"],
+    "skl_element": ["skl", "--n", "4", "--parabolic", "2",
+                    "--element", "1,2,3"],
+    "skl_perm": ["skl", "--n", "4", "--parabolic", "1,3",
+                 "--perm", "2,4,1,3"],
+    "bs": ["bs", "--n", "4", "--word", "1,2,1,3"],
+    "bs_parabolic": ["bs", "--n", "4", "--word", "1,2,1,3",
+                     "--parabolic", "2"],
+    "pair": ["pair", "--n", "3", "--word", "1,2", "--word2", "2,1"],
+    "pair_parabolic": ["pair", "--n", "4", "--word", "1,2,3",
+                       "--word2", "3,2", "--parabolic", "1"],
+    "perverse-check": ["perverse-check", "--n", "4", "--word", "2,1,3,2"],
+    "perverse-check_parabolic": ["perverse-check", "--n", "4",
+                                 "--word", "2,1,3,2", "--parabolic", "1,3"],
+}
+
+
+@pytest.mark.parametrize("name", MODULE_GOLDEN)
+def test_module_command_matches_the_golden_output(name, capsys):
+    assert_golden(capsys, MODULE_GOLDEN[name], 0, f"{name}.json")
+
+
 @pytest.mark.parametrize("name", ["demo-s4-fail", "demo-s4-pass"])
 def test_certify_report_agrees_with_its_parts(name, capsys):
     _, payload = run_json(capsys, "certify", "--word", name)
@@ -369,6 +393,12 @@ def test_perm_length_must_match_n(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--perm '1,2,3,4' has 4 entries, not n = 3" in captured.err
+    code = cli.main(["skl", "--n", "3", "--parabolic", "2",
+                     "--perm", "1,3,2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert ("--perm '1,3,2' is not a minimal coset representative "
+            "for A = [2]") in captured.err
 
 
 def test_generators_out_of_range_name_the_flag(capsys):
@@ -421,6 +451,34 @@ def test_n_below_one_is_input_error(capsys):
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "argument --n: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--perm", "1"], ["skl", "--parabolic", "1", "--element", "1"],
+    ["bs", "--word", "1"], ["pair", "--word", "1", "--word2", "1"],
+    ["deodhar", "--word", "1"], ["defect-stats", "--word", "1"],
+    ["perverse-check", "--word", "1"]], ids=lambda argv: argv[0])
+def test_n_above_budget_is_input_error(argv, capsys):
+    for n in ("256", "1000000"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--n", n])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument --n: must be at most 255, got {n}" in captured.err
+
+
+def test_n_budget_is_the_fold_byte_bound(capsys):
+    # --n stops where the fold's one byte per coset value and the
+    # Demazure variable budget stop
+    from heckekit import demazure, subexpr
+
+    assert cli.MAX_N == subexpr.MAX_N == demazure.MAX_VARIABLES == 255
+    assert subexpr.sweep((), cli.MAX_N, set())
+    with pytest.raises(ValueError, match=f"n = {cli.MAX_N + 1} is above"):
+        subexpr.sweep((1,), cli.MAX_N + 1, set())
+    code, payload = run_json(capsys, "bs", "--n", str(cli.MAX_N),
+                             "--word", "1")
+    assert code == 0 and len(payload["bs"]) == 2
 
 
 def test_long_expression_from_file(tmp_path, capsys):
@@ -584,7 +642,11 @@ _DEMAZURE = {"cli", "demazure", "laurent"}
                  id="validate-word"),
     pytest.param(["certify", "--word", "demo-s4-fail"],
                  _SPHERICAL | {"demazure", "worddata"}, id="certify"),
+    pytest.param(["skl", "--n", "3", "--parabolic", "2", "--perm", "2,1,3"],
+                 _SPHERICAL, id="skl-perm"),
     pytest.param(["kl", "--n", "3"], {"cli"}, id="argparse-rejection"),
+    pytest.param(["bs", "--n", "256", "--word", "1"], {"cli"},
+                 id="n-above-budget"),
     pytest.param(["deodhar", "--n", "3", "--parabolic", "7", "--word", "1"],
                  {"cli"}, id="bad-parabolic"),
 ])

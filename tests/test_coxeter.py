@@ -6,7 +6,6 @@ from heckekit.coxeter import (
     all_permutations,
     apply_gen_left,
     bruhat_leq,
-    classify_step,
     coset_step,
     evaluate_word,
     has_left_descent,
@@ -179,18 +178,6 @@ def test_min_coset_rep_invariants():
             assert length(u) == min(length(c) for c in coset)
 
 
-def test_classify_examples():
-    assert classify_step(2, identity(3), {2}) == "S"
-    assert classify_step(1, identity(3), {2}) == "U"
-    assert classify_step(1, evaluate_word((1,), 3), set()) == "D"
-
-
-def test_classify_never_stays_without_parabolic():
-    for y in all_permutations(4):
-        for i in (1, 2, 3):
-            assert classify_step(i, y, set()) != "S"
-
-
 def test_classify_exhaustive_trichotomy():
     """For u in W^A and s: either s*u is in W^A (U/D) or the coset is fixed."""
     subsets = [frozenset(c) for r in range(4)
@@ -210,24 +197,6 @@ def test_classify_exhaustive_trichotomy():
                         assert length(su) == length(u) + 1
                     else:
                         assert length(su) == length(u) - 1
-
-
-def test_classify_matches_minrep_comparison():
-    """classify_step on arbitrary y agrees with direct minrep comparison."""
-    subsets = [frozenset(c) for r in range(4)
-               for c in itertools.combinations((1, 2, 3), r)]
-    for A in subsets:
-        for y in all_permutations(4):
-            for i in (1, 2, 3):
-                u = min_coset_rep(y, A)
-                u2 = min_coset_rep(apply_gen_left(i, y), A)
-                if u == u2:
-                    expected = "S"
-                elif length(u2) > length(u):
-                    expected = "U"
-                else:
-                    expected = "D"
-                assert classify_step(i, y, A) == expected
 
 
 def test_left_descent():

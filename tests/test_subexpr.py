@@ -77,9 +77,14 @@ def test_iter_order_is_deterministic_and_e1_fastest():
 
 
 def test_iter_agrees_with_decorate():
-    word = (2, 1, 2)
-    for rec in iter_subexpressions(word, 3, {2}):
-        assert rec == decorate(word, rec.bits, 3, {2})
+    # the enumerator steps by coxeter.coset_step, decorate compares the
+    # minimal representatives of y and s_i y; every word of length <= 4
+    # over S_4, for every A
+    for A in all_subsets((1, 2, 3)):
+        for m in range(5):
+            for word in itertools.product((1, 2, 3), repeat=m):
+                for rec in iter_subexpressions(word, 4, A):
+                    assert rec == decorate(word, rec.bits, 4, A), (word, A)
 
 
 def test_all_ones_endpoint():
@@ -133,12 +138,14 @@ def test_sweep_matches_iteration_with_forced_positions():
 
 
 def test_sweep_rejects_out_of_range_generators():
-    with pytest.raises(ValueError, match="parabolic generator 7"):
-        sweep((1,), 3, {7})
-    with pytest.raises(ValueError, match="parabolic generator 0"):
-        sweep((), 3, {0})
-    with pytest.raises(ValueError, match="generator index 3"):
-        sweep((3,), 3, set())
+    # the oracle takes its input through the same check as the fold
+    for fold in (sweep, lambda *args: list(iter_subexpressions(*args))):
+        with pytest.raises(ValueError, match="parabolic generator 7"):
+            fold((1,), 3, {7})
+        with pytest.raises(ValueError, match="parabolic generator 0"):
+            fold((), 3, {0})
+        with pytest.raises(ValueError, match="generator index 3"):
+            fold((3,), 3, set())
 
 
 def test_sweep_support_budget(monkeypatch):

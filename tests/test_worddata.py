@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from heckekit import coxeter, worddata
+from heckekit import coxeter, subexpr, worddata
 from heckekit.worddata import (
     load_word_data,
     parse_word_data,
@@ -39,6 +39,12 @@ def test_forced_count_matches_length_of_wB_for_gl15():
     assert int(wd.census["length"]) - int(wd.census["free_positions"]) == 55
 
 
+def test_n_up_to_the_fold_byte_bound_is_accepted():
+    # "n" = 256 is rejected (test_parse_names_the_bad_field): the fold
+    # keeps a coset as one byte per value
+    assert parse_word_data({"n": subexpr.MAX_N, "word": [254]}).n == 255
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ValueError):
         parse_word_data({"n": 0})
@@ -66,6 +72,7 @@ def test_parse_rejects_bad_input():
     ({"word_prefix": ["1"]}, "word_prefix[0] must be an integer, got '1'"),
     ({"census": {"length": "3"}},
      "census.length must be an integer, got '3'"),
+    ({"n": 256}, '"n" must be at most 255, got 256'),
 ])
 def test_parse_names_the_bad_field(changes, message):
     raw = {"n": 4, "word": [1, 2, 1], "A": [3], "B": [], "degree": -1}
