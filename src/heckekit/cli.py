@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from . import demazure, subexpr
+    from . import demazure, subexpr, worddata
 
 THREADS_ENV = "HECKEKIT_THREADS"
 
@@ -140,21 +140,33 @@ def parse_parabolic(text: str | None, n: int) -> frozenset:
 
 
 def load_expression(source: str) -> tuple[demazure.Chain, str]:
+    """--expr: a builtin name, the path of a regular file, or inline text."""
     from . import demazure
 
     if source in demazure.BUILTIN_EXPRESSIONS:
         return demazure.builtin_expr(source), source
-    path = Path(source)
-    try:
-        is_path = path.exists()
-    except OSError:   # e.g. inline text longer than a file name may be
-        is_path = False
-    if is_path:
+    # os.path.isfile is False, not an error, for text too long to be a
+    # file name
+    if os.path.isfile(source):
+        path = Path(source)
         return demazure.parse_expr(path.read_text()), str(path)
     if "D" in source or "(" in source:
         return demazure.parse_expr(source), "<inline>"
-    raise ValueError(f"unknown expression {source!r} (not a builtin, file, "
-                     f"or inline prefix expression)")
+    raise ValueError(f"--expr {source!r} is not a builtin, file, or inline "
+                     f"prefix expression")
+
+
+def load_word(source: str) -> worddata.WordData:
+    """--word: a builtin name or the path of a regular file ('' is the
+    path '.', a directory)."""
+    from . import worddata
+
+    path = Path(source)
+    if (source not in worddata.BUILTIN_WORDS and path.exists()
+            and not path.is_file()):
+        raise ValueError(f"--word {source!r} is not a builtin name or a "
+                         f"regular file")
+    return worddata.load_word_data(source)
 
 
 def _hist_json(hist: dict[int, int]) -> dict[str, int]:
@@ -169,7 +181,7 @@ def cmd_kl(args) -> int:
     from . import coxeter
 
     A = parse_parabolic(getattr(args, "parabolic", None), args.n)
-    if args.element:
+    if args.element is not None:
         x = coxeter.min_coset_rep(coxeter.evaluate_word(
             parse_word(args.element, args.n, "--element"), args.n), A)
     else:
@@ -221,7 +233,7 @@ def cmd_pair(args) -> int:
 
 
 def _constraint_from_args(args, word) -> subexpr.EnumConstraint | None:
-    if getattr(args, "forced_letters", None):
+    if getattr(args, "forced_letters", None) is not None:
         letters = parse_word(args.forced_letters, args.n, "--forced-letters")
         from . import subexpr
 
@@ -247,7 +259,7 @@ def cmd_defect_stats(args) -> int:
     A = parse_parabolic(args.parabolic, args.n)
     constraint = _constraint_from_args(args, word)
     target = None
-    if args.endpoint:
+    if args.endpoint is not None:
         target = parse_perm(args.endpoint, args.n, "--endpoint", A)
     from . import subexpr
 
@@ -293,7 +305,7 @@ def cmd_perverse_check(args) -> int:
 def cmd_validate_word(args) -> int:
     from . import worddata
 
-    wd = worddata.load_word_data(args.word)
+    wd = load_word(args.word)
     report = worddata.validate_word_data(wd)
     payload = report.to_json_dict()
     payload["source"] = wd.source
@@ -331,7 +343,7 @@ def cmd_certify(args) -> int:
     else:
         from . import spherical, subexpr, worddata
 
-        wd = worddata.load_word_data(args.word)
+        wd = load_word(args.word)
         report = worddata.validate_word_data(wd)
         if wd.word is None:
             payload["word"] = {"source": wd.source,

@@ -9,19 +9,21 @@ Parabolic subsets are collections of generator indices.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
-of x dominates that of y entrywise.  Hot loops use packed rank tables:
-the entries r[i][j], i, j in 1..n-1, sit in one int, one field each,
-with a guard bit above the value bits.  A table is the sum of n-1
-precomputed per-position constants, and x <= y is one subtraction:
+of x dominates that of y entrywise.  `bruhat_interval` decides the
+certificate's interval test x < z <= w on packed rank tables: the
+entries r[i][j], i, j in 1..n-1, sit in one int, one field each, with a
+guard bit above the value bits.  A table is the sum of n-1 precomputed
+per-position constants, and x <= y is one subtraction:
 ((P_x | H) - P_y) & H == H, with H the guard mask, since a field keeps
 its guard bit exactly when r_x[i][j] >= r_y[i][j].  `rank_table`,
 `rank_table_dominates` and `bruhat_leq` compare tuple tables entry by
-entry and are the oracle for the packed path; the classical subword
-criterion is kept only as a test oracle as well.
+entry and are its oracle.  W_A permutes the positions within each block
+of A (`parabolic_blocks`), which gives w_A, W_A and the minimal coset
+representatives.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -201,9 +203,27 @@ def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
     return sum([Ca[v] for Ca, v in zip(C, p)])
 
 
-def _packed_dominates(px: int, py: int, H: int) -> bool:
-    """rank_table_dominates on packed tables: True iff x <= y."""
-    return ((px | H) - py) & H == H
+def bruhat_interval(x: Permutation,
+                    w: Permutation) -> Callable[[Permutation], bool]:
+    """The test z -> x < z <= w in Bruhat order on the S_n of x and w:
+    per z, one packed table and two one-subtraction comparisons.
+
+    >>> inside = bruhat_interval((1, 2, 3), (2, 3, 1))
+    >>> [inside(z) for z in ((1, 2, 3), (2, 1, 3), (3, 2, 1))]
+    [False, True, False]
+    """
+    if len(x) != len(w):
+        raise ValueError("permutations of different symmetric groups")
+    C, H = _rank_packing(len(x))
+    px_H = _packed_rank_table(x, C) | H
+    pw = _packed_rank_table(w, C)
+
+    def inside(z: Permutation) -> bool:
+        pz = _packed_rank_table(z, C)
+        return (z != x and (px_H - pz) & H == H
+                and ((pz | H) - pw) & H == H)
+
+    return inside
 
 
 # -- parabolic subgroups ----------------------------------------------
@@ -262,21 +282,15 @@ def parabolic_elements(parabolic: Iterable[int], n: int) -> Iterator[Permutation
 def min_coset_rep(p: Permutation, parabolic: Iterable[int]) -> Permutation:
     """The shortest element of the coset p*W_A.
 
-    Found by stripping right descents that lie in A; the result has no
-    right descent in A.
+    W_A permutes the positions of each block of A, so the result sorts
+    the entries of each block and has no right descent in A.
 
     >>> min_coset_rep((2, 3, 1), {2})
     (2, 1, 3)
     """
-    gens = sorted(set(parabolic))
     out = list(p)
-    moved = True
-    while moved:
-        moved = False
-        for i in gens:
-            if out[i - 1] > out[i]:
-                out[i - 1], out[i] = out[i], out[i - 1]
-                moved = True
+    for first, last in parabolic_blocks(parabolic, len(p)):
+        out[first - 1:last + 1] = sorted(out[first - 1:last + 1])
     return tuple(out)
 
 

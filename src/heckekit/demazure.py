@@ -14,10 +14,13 @@ l = min(a, b), del_i(x_i^a x_{i+1}^b m) is 0 if a = b and otherwise
 so `apply_demazure` is one pass over the terms of f.
 
 An operator expression is a `Chain`: a list of steps from the top down,
-each an operator del_i or a polynomial factor, above a base polynomial.
-Operators are numbered 1, 2, ... from the top down, the order in which
-they are written in prefix notation and in which single operators are
-erased to assemble the 1 x N intersection-form vector.
+each an operator del_i or a polynomial factor, above a base polynomial,
+with the positions of its operators (`ops`).  Operators are numbered
+1, 2, ... from the top down, the order in which they are written in
+prefix notation and in which single operators are erased to assemble
+the 1 x N intersection-form vector.  `parse_expr` reads the text in one
+pass, matching each token once and checking it against its budgets, so
+of several faulty tokens it names the first.
 `intersection_vector` evaluates the chain once bottom-up, keeping the
 value under each operator, and gets erasure k by applying only the steps
 above operator k to that value; `eval_expr` with `erase` re-evaluates
@@ -220,20 +223,24 @@ def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
 
 class Chain:
     """`steps` from the top down, each an int i for del_i or a MultiPoly
-    factor, above the polynomial `base`.  Every step is checked here, once,
-    against the ring of `base`: evaluation skips steps above a zero value."""
+    factor, above the polynomial `base`; `ops` lists the positions of the
+    operator steps.  Every step is checked here, once, against the ring of
+    `base`: evaluation skips steps above a zero value."""
 
-    __slots__ = ("steps", "base")
+    __slots__ = ("steps", "base", "ops")
 
     def __init__(self, steps: Sequence[int | MultiPoly], base: MultiPoly):
         nvars = base.nvars
-        for step in steps:
+        ops = []
+        for pos, step in enumerate(steps):
             if isinstance(step, MultiPoly):
                 if step.nvars != nvars:
                     raise ValueError("polynomials in different rings")
             elif not 1 <= step <= nvars - 1:
                 raise ValueError(f"D{step} out of range for {nvars} variables")
-        self.steps, self.base = tuple(steps), base
+            else:
+                ops.append(pos)
+        self.steps, self.base, self.ops = tuple(steps), base, tuple(ops)
 
 
 def _apply(steps: Sequence[int | MultiPoly], val: MultiPoly) -> MultiPoly:
@@ -249,10 +256,6 @@ def _apply(steps: Sequence[int | MultiPoly], val: MultiPoly) -> MultiPoly:
     return val
 
 
-def _op_positions(steps: Sequence[int | MultiPoly]) -> list[int]:
-    return [pos for pos, step in enumerate(steps) if isinstance(step, int)]
-
-
 def _check_digits(values, what: str) -> None:
     """Refuse a value of more digits than str() prints by default."""
     if not all(-_DIGIT_BOUND < c < _DIGIT_BOUND for c in values):
@@ -261,12 +264,12 @@ def _check_digits(values, what: str) -> None:
 
 
 def op_count(expr: Chain) -> int:
-    return len(op_indices(expr))
+    return len(expr.ops)
 
 
 def op_indices(expr: Chain) -> list[int]:
     """Generator indices of the operator steps, in prefix (written) order."""
-    return [step for step in expr.steps if isinstance(step, int)]
+    return [expr.steps[pos] for pos in expr.ops]
 
 
 def content_degree(expr: Chain) -> int:
@@ -283,9 +286,8 @@ def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
     >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
     -2
     """
-    steps = expr.steps
+    steps, ops = expr.steps, expr.ops
     if erase is not None:
-        ops = _op_positions(steps)
         if not 1 <= erase <= len(ops):
             raise IndexError(
                 f"operator index {erase} out of range 1..{len(ops)}")
@@ -352,8 +354,7 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
     single row, so its rank is 1 if some entry is nonzero (over F_p:
     nonzero mod p) and 0 otherwise.
     """
-    steps, val = expr.steps, expr.base
-    ops = _op_positions(steps)
+    steps, ops, val = expr.steps, expr.ops, expr.base
     expected = content_degree(expr) - 2 * (len(ops) - 1)
     under: list[MultiPoly] = []
     done = len(steps)
@@ -386,23 +387,11 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
 
 # -- text format and builtins ------------------------------------------
 
-# [0-9], not \d: int() would read other scripts' digits as ASCII ones
+# One match per token.  Groups: the token, an operator's index, a factor's
+# index and exponent, a constant.  [0-9], not \d: int() would read other
+# scripts' digits as ASCII ones.
 _TOKEN = re.compile(
-    r"\s*(D[0-9]+|[ax][0-9]+(?:\^[0-9]+)?|-?[0-9]+|\(|\)|\*)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ValueError(f"bad token at: {text[pos:pos + 20]!r}")
-            break
-        out.append(match.group(1))
-        pos = match.end()
-    return out
+    r"\s*(D([0-9]+)|[ax]([0-9]+)(?:\^([0-9]+))?|(-?[0-9]+)|[()*])")
 
 
 def parse_expr(text: str) -> Chain:
@@ -412,7 +401,8 @@ def parse_expr(text: str) -> Chain:
     child value.  The ring dimension is the largest variable index used
     (alpha_i needs x_{i+1}).  An index of 0 or one calling for more than
     MAX_VARIABLES variables, an exponent above MAX_EXPONENT or a constant
-    of more than MAX_CONSTANT_DIGITS digits is a ValueError naming the token.
+    of more than MAX_CONSTANT_DIGITS digits is a ValueError naming the
+    token; with several faults, the first in reading order.
 
     >>> expr = parse_expr("D1 ( a2 * D2 ( x3^2 ) )")
     >>> expr.steps
@@ -420,92 +410,93 @@ def parse_expr(text: str) -> Chain:
     >>> op_indices(expr), expr.base.nvars
     ([1, 2], 3)
     """
-    tokens = _tokenize(text)
-    indexed = []
-    for t in tokens:
-        if t[0] in "-0123456789":
-            digits = len(t.lstrip("-"))
+    # Read each token once into (token, kind, value, exponent): kind is
+    # "D", "a", "x", "c" (a constant, value) or the bracket or `*` itself.
+    tokens: list[tuple[str, str, int, int | None]] = []
+    nvars = 1
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if not match:
+            if text[pos:].strip():
+                raise ValueError(f"bad token at: {text[pos:pos + 20]!r}")
+            break
+        pos = match.end()
+        tok, op, index, power, const = match.groups()
+        if const is not None:
+            digits = len(const.lstrip("-"))
             if digits > MAX_CONSTANT_DIGITS:
                 raise ValueError(
-                    f"bad token {t!r}: a constant of {digits} digits exceeds "
-                    f"the budget MAX_CONSTANT_DIGITS = {MAX_CONSTANT_DIGITS}")
-        elif t[0] in "Dax":
-            index = re.match(r"[Dax]0*([0-9]+)", t).group(1)
-            shift = t[0] != "x"   # D_i and alpha_i need x_{i+1}
+                    f"bad token {tok!r}: a constant of {digits} digits "
+                    f"exceeds the budget MAX_CONSTANT_DIGITS = "
+                    f"{MAX_CONSTANT_DIGITS}")
+            tokens.append((tok, "c", int(const), None))
+        elif op is None and index is None:
+            tokens.append((tok, tok, 0, None))
+        else:
+            index = (op or index).lstrip("0") or "0"
+            shift = tok[0] != "x"   # D_i and alpha_i need x_{i+1}
             # lengths first: int() refuses strings of over 4,300 digits
             if (len(index) > len(str(MAX_VARIABLES))
                     or int(index) + shift > MAX_VARIABLES):
                 raise ValueError(
-                    f"bad token {t!r}: index {index} needs more than "
+                    f"bad token {tok!r}: index {index} needs more than "
                     f"MAX_VARIABLES = {MAX_VARIABLES} variables")
-            indexed.append((t, int(index), shift))
-    nvars = max([idx + shift for _, idx, shift in indexed], default=1)
-    for t, idx, _ in indexed:
-        if idx == 0:
-            raise ValueError(f"bad token {t!r}: indices start at 1")
-        power = (t.partition("^")[2] or "1").lstrip("0") or "0"
-        # lengths first: int() refuses strings of over 4,300 digits
-        if len(power) > len(str(MAX_EXPONENT)) or int(power) > MAX_EXPONENT:
-            raise ValueError(f"bad token {t!r}: exponent {power} exceeds "
-                             f"the budget MAX_EXPONENT = {MAX_EXPONENT}")
-    pos = 0
+            if index == "0":
+                raise ValueError(f"bad token {tok!r}: indices start at 1")
+            if power is not None:
+                power = power.lstrip("0") or "0"
+                if (len(power) > len(str(MAX_EXPONENT))
+                        or int(power) > MAX_EXPONENT):
+                    raise ValueError(
+                        f"bad token {tok!r}: exponent {power} exceeds the "
+                        f"budget MAX_EXPONENT = {MAX_EXPONENT}")
+                power = int(power)
+            nvars = max(nvars, int(index) + shift)
+            tokens.append((tok, tok[0], int(index), power))
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_factor() -> MultiPoly:
-        tok = take()
-        m = re.fullmatch(r"([ax])(\d+)(?:\^(\d+))?", tok)
-        if m:
-            kind, idx, power = m.group(1), int(m.group(2)), m.group(3)
-            base = (MultiPoly.alpha(idx, nvars) if kind == "a"
-                    else MultiPoly.variable(idx, nvars))
-            return base ** int(power) if power else base
-        if re.fullmatch(r"-?\d+", tok):
-            return MultiPoly.constant(int(tok), nvars)
-        raise ValueError(f"expected a polynomial factor, got {tok!r}")
-
-    def parse_poly() -> MultiPoly:
-        out = parse_factor()
-        while peek() == "*" and pos + 1 < len(tokens) and \
-                not tokens[pos + 1].startswith("D") and tokens[pos + 1] != "(":
-            take()
-            out = out * parse_factor()
-        return out
+    def factor(kind: str, value: int, power: int | None) -> MultiPoly:
+        if kind == "c":
+            return MultiPoly.constant(value, nvars)
+        if kind not in ("a", "x"):
+            raise ValueError(f"expected a polynomial factor, got {kind!r}")
+        make = MultiPoly.alpha if kind == "a" else MultiPoly.variable
+        base = make(value, nvars)
+        return base if power is None else base ** power
 
     # Read the chain top-down: every `Di` or `poly *` adds a step, every
     # `(` one pending `)`, and the first bare polynomial ends the chain.
+    # Factors joined by `*` form one polynomial up to the next `Di` or `(`.
+    tokens.append(("", "", 0, None))   # the end of the text
     steps: list[int | MultiPoly] = []
-    depth = 0
+    depth = pos = 0
     while True:
-        tok = peek()
-        if tok is None:
+        kind, value = tokens[pos][1:3]
+        if not kind:
             raise ValueError("unexpected end of expression")
-        if tok.startswith("D"):
-            take()
-            steps.append(int(tok[1:]))
-        elif tok == "(":
-            take()
+        pos += 1
+        if kind == "D":
+            steps.append(value)
+        elif kind == "(":
             depth += 1
         else:
-            poly = parse_poly()
-            if peek() != "*":
+            poly = factor(*tokens[pos - 1][1:])
+            while (tokens[pos][1] == "*"
+                   and tokens[pos + 1][1] not in ("D", "(", "")):
+                poly = poly * factor(*tokens[pos + 1][1:])
+                pos += 2
+            if tokens[pos][1] != "*":
                 break
-            take()
+            pos += 1
             steps.append(poly)
     for _ in range(depth):
-        if take() != ")":
-            raise ValueError("missing closing parenthesis")
-    if pos != len(tokens):
-        raise ValueError(f"trailing input: {tokens[pos:]}")
+        if tokens[pos][1] != ")":
+            raise ValueError("missing closing parenthesis" if tokens[pos][1]
+                             else "unexpected end of expression")
+        pos += 1
+    if tokens[pos][1]:
+        raise ValueError(
+            f"trailing input: {[tok for tok, *_ in tokens[pos:-1]]}")
     return Chain(steps, poly)
 
 

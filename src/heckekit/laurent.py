@@ -113,9 +113,6 @@ class LaurentPoly:
     def __sub__(self, other) -> "LaurentPoly":
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             return LaurentPoly({e: c * other for e, c in self.terms.items()})
@@ -218,5 +215,5 @@ V = LaurentPoly({1: 1})
 ONE = LaurentPoly.one()
 
 
-def v_power(k: int, coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly({k: coeff})
+def v_power(k: int) -> LaurentPoly:
+    return LaurentPoly({k: 1})

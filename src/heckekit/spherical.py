@@ -227,8 +227,8 @@ class IntervalReport:
 
 def interval_condition_check(expansion: SphericalElement, x: Permutation,
                              w: Permutation) -> IntervalReport:
-    """Check the interval condition on packed rank tables: per endpoint,
-    one table of n-1 additions and two one-subtraction comparisons."""
+    """Check the interval condition, deciding x < z <= w for each
+    endpoint z with `coxeter.bruhat_interval`."""
     A, n = expansion.parabolic, expansion.n
     x, w = tuple(x), tuple(w)
     for name, p in (("x", x), ("w", w)):
@@ -236,18 +236,9 @@ def interval_condition_check(expansion: SphericalElement, x: Permutation,
             raise ValueError(f"{name} = {p} is not a permutation of 1..{n}")
         if not coxeter.is_min_coset_rep(p, A):
             raise ValueError(f"{p} is not a minimal coset representative")
-    C, H = coxeter._rank_packing(n)
-    px = coxeter._packed_rank_table(x, C)
-    pw = coxeter._packed_rank_table(w, C)
-    entries = []
-    outside = 0
-    for z in sorted(expansion.coeffs):
-        pz = coxeter._packed_rank_table(z, C)
-        in_interval = (z != x and coxeter._packed_dominates(px, pz, H)
-                       and coxeter._packed_dominates(pz, pw, H))
-        if not in_interval:
-            outside += 1
-            continue
-        c = expansion.coeffs[z]
-        entries.append(IntervalEntry(z, c, c.is_nonnegative_powers()))
-    return IntervalReport(all(e.ok for e in entries), entries, outside)
+    inside = coxeter.bruhat_interval(x, w)
+    coeffs = expansion.coeffs
+    entries = [IntervalEntry(z, coeffs[z], coeffs[z].is_nonnegative_powers())
+               for z in sorted(coeffs) if inside(z)]
+    return IntervalReport(all(e.ok for e in entries), entries,
+                          len(coeffs) - len(entries))

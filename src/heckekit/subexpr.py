@@ -99,9 +99,6 @@ class EnumConstraint:
     def __getitem__(self, k: int) -> tuple[int, ...]:
         return self.slots[k]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EnumConstraint) and self.slots == other.slots
-
     def free_positions(self) -> list[int]:
         """0-based positions with both bits allowed."""
         return [k for k, s in enumerate(self.slots) if len(s) == 2]

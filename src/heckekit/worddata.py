@@ -78,14 +78,11 @@ class WordData:
 def load_word_data(path_or_name: str | Path) -> WordData:
     name = str(path_or_name)
     if name in BUILTIN_WORDS:
-        ref = resources.files("heckekit").joinpath("data",
-                                                   BUILTIN_WORDS[name])
-        raw = json.loads(ref.read_text())
-        source = name
+        path = resources.files("heckekit").joinpath("data",
+                                                    BUILTIN_WORDS[name])
     else:
-        raw = json.loads(Path(name).read_text())
-        source = name
-    return parse_word_data(raw, source)
+        path = Path(name)
+    return parse_word_data(json.loads(path.read_text()), name)
 
 
 def _int(value, name: str) -> int:
@@ -177,10 +174,9 @@ class ValidationCheck:
 class ValidationReport:
     __slots__ = ("checks", "complete")
 
-    def __init__(self, checks: list[ValidationCheck] | None = None,
-                 complete: bool = False):
-        self.checks = [] if checks is None else checks
-        self.complete = complete
+    def __init__(self):
+        self.checks: list[ValidationCheck] = []
+        self.complete = False
 
     @property
     def ok(self) -> bool:

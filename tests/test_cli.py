@@ -291,6 +291,44 @@ def test_erase_out_of_range_is_input_error(capsys):
         assert f"--erase {erase} out of range 1..12" in captured.err
 
 
+@pytest.mark.parametrize("command", ["intersection-form", "demazure-eval",
+                                     "certify"])
+def test_unknown_expression_is_input_error(command, capsys):
+    # neither a builtin name, nor a file, nor text with `D` or `(`
+    code = cli.main([command, "--expr", "x2 * x3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'x2 * x3'" in captured.err
+    assert "not a builtin, file, or inline prefix expression" in captured.err
+
+
+def test_pretty_output_is_the_same_json_indented(capsys):
+    argv = ["skl", "--n", "3", "--parabolic", "2", "--element", "s1"]
+    code, flat = run_cli(capsys, *argv)
+    assert code == 0
+    code, pretty = run_cli(capsys, *argv, "--pretty")
+    assert code == 0
+    assert pretty == json.dumps(json.loads(flat), sort_keys=True,
+                                indent=2) + "\n"
+    assert pretty.count("\n") > flat.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["intersection-form", "--expr"], ["demazure-eval", "--expr"],
+    ["certify", "--expr"], ["certify", "--word"],
+    ["validate-word", "--word"]], ids=lambda argv: "".join(argv))
+@pytest.mark.parametrize("text", ["", "subdir"])
+def test_only_a_regular_file_counts_as_a_file(argv, text, tmp_path,
+                                              monkeypatch, capsys):
+    # '' is the path '.': a directory, like subdir
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "subdir").mkdir()
+    code = cli.main(argv + [text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"heckekit: {argv[-1]} {text!r} is not a builtin" in captured.err
+
+
 def test_expression_from_file(tmp_path, capsys):
     path = tmp_path / "expr.txt"
     path.write_text("D3 ( a4^2 )\n")
@@ -307,6 +345,19 @@ def test_validate_word_exit_codes(capsys):
     code, payload = run_json(capsys, "validate-word", "--word",
                              "gl15-partial")
     assert code == 1 and not payload["complete"]
+
+
+def test_validate_word_without_parabolic_is_incomplete(tmp_path, capsys):
+    path = tmp_path / "no_parabolic.json"
+    path.write_text(json.dumps({"n": 4, "word": [1, 2, 1], "A": None,
+                                "B": [], "degree": -1}))
+    code, payload = run_json(capsys, "validate-word", "--word", str(path))
+    assert code == 1
+    assert not payload["ok"] and not payload["complete"]
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert checks["word-present"]["ok"]
+    assert checks["parabolic-present"] == {
+        "name": "parabolic-present", "ok": False, "detail": "A is null"}
 
 
 def test_bad_arguments_exit_2():
@@ -353,6 +404,30 @@ def test_defect_stats_rejects_bad_endpoint(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert f"--endpoint '{endpoint}'" in err and why in err
+
+
+def test_defect_stats_empty_endpoint_is_input_error(capsys):
+    code = cli.main(["defect-stats", "--n", "3", "--word", "1",
+                     "--endpoint", ""])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--endpoint '' has 0 entries, not n = 3" in captured.err
+
+
+@pytest.mark.parametrize("command,parabolic", [("kl", []),
+                                               ("skl", ["--parabolic", "2"])])
+def test_empty_element_is_the_identity(command, parabolic, capsys):
+    argv = [command, "--n", "3"] + parabolic
+    code, out = run_cli(capsys, *argv, "--element", "")
+    assert code == 0
+    assert run_cli(capsys, *argv, "--perm", "1,2,3") == (0, out)
+
+
+def test_empty_forced_letters_force_nothing(capsys):
+    argv = ["deodhar", "--n", "3", "--parabolic", "2", "--word", "1 2"]
+    code, out = run_cli(capsys, *argv, "--forced-letters", "")
+    assert code == 0
+    assert run_cli(capsys, *argv) == (0, out)
 
 
 def test_defect_stats_unreachable_endpoint_is_empty(capsys):
@@ -479,6 +554,11 @@ def test_n_budget_is_the_fold_byte_bound(capsys):
     code, payload = run_json(capsys, "bs", "--n", str(cli.MAX_N),
                              "--word", "1")
     assert code == 0 and len(payload["bs"]) == 2
+
+
+def test_builtin_word_names_are_the_worddata_builtins():
+    # the parser spells the names out, before worddata is imported
+    assert cli.BUILTIN_WORD_NAMES == tuple(sorted(worddata.BUILTIN_WORDS))
 
 
 def test_long_expression_from_file(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from heckekit import coxeter
 from heckekit.coxeter import (
     all_permutations,
     apply_gen_left,
+    bruhat_interval,
     bruhat_leq,
     coset_step,
     evaluate_word,
@@ -81,21 +84,21 @@ def test_bruhat_agrees_with_subword_oracle_on_s4():
 
 
 def packed_agrees(pairs, n):
-    """Packed and tuple rank tables give the same Bruhat comparisons, in
-    both directions, on every pair; returns how many pairs are
-    comparable."""
-    C, H = coxeter._rank_packing(n)
+    """`bruhat_interval`, on packed tables, and the tuple rank tables give
+    the same Bruhat comparisons, in both directions, on every pair;
+    returns how many pairs are comparable."""
+    e = identity(n)
     comparable = 0
     for x, y in pairs:
-        px = coxeter._packed_rank_table(x, C)
-        py = coxeter._packed_rank_table(y, C)
         rx, ry = rank_table(x), rank_table(y)
-        assert coxeter._packed_dominates(px, py, H) == \
-            rank_table_dominates(rx, ry), (x, y)
-        assert coxeter._packed_dominates(py, px, H) == \
-            rank_table_dominates(ry, rx), (y, x)
-        comparable += rank_table_dominates(rx, ry) or \
+        x_le_y, y_le_x = rank_table_dominates(rx, ry), \
             rank_table_dominates(ry, rx)
+        # y lies in (x, y] iff x < y, and x in (e, y] iff e < x <= y
+        assert bruhat_interval(x, y)(y) == (x_le_y and x != y), (x, y)
+        assert bruhat_interval(y, x)(x) == (y_le_x and x != y), (y, x)
+        assert bruhat_interval(e, y)(x) == (x_le_y and x != e), (x, y)
+        assert bruhat_interval(e, x)(y) == (y_le_x and y != e), (y, x)
+        comparable += x_le_y or y_le_x
     return comparable
 
 
@@ -161,6 +164,22 @@ def test_min_coset_rep_examples():
     assert min_coset_rep(s2, {2}) == identity(3)
     assert min_coset_rep(evaluate_word((1, 2), 3), {2}) == evaluate_word((1,), 3)
     assert min_coset_rep(identity(3), {1, 2}) == identity(3)
+
+
+def test_parabolic_out_of_range_is_one_error():
+    # min_coset_rep reads A through parabolic_blocks, like the others
+    for A in ({0}, {3}, {1, 5}):
+        for call in (lambda: min_coset_rep((2, 1, 3), A),
+                     lambda: longest_element(A, 3),
+                     lambda: list(parabolic_elements(A, 3))):
+            with pytest.raises(ValueError, match=r"generator index \d out "
+                               r"of range for S_3"):
+                call()
+
+
+def test_bruhat_interval_needs_one_symmetric_group():
+    with pytest.raises(ValueError, match="different symmetric groups"):
+        bruhat_interval((1, 2), (1, 2, 3))
 
 
 def test_min_coset_rep_invariants():

@@ -132,6 +132,19 @@ def test_parser_and_structure():
         parse_expr("D\u0661 ( x2 )")      # an Arabic-Indic digit one
 
 
+def test_parser_names_each_structural_fault():
+    for text, message in (
+            ("D1 ( x2 x3 )", "missing closing parenthesis"),
+            ("D1 ( D2 ( x3 ) x3 )", "missing closing parenthesis"),
+            ("D1 ( x2", "unexpected end of expression"),
+            ("D1 ( x2 * ", "unexpected end of expression"),
+            ("D1 ( x2 ) )", "trailing input: [')']"),
+            ("D1 ( x2 * * x3 )", "expected a polynomial factor, got '*'"),
+            ("D1 ( )", "expected a polynomial factor, got ')'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_expr(text)
+
+
 def test_parser_rejects_indices_outside_the_ring():
     for text, token in (("D0 ( x1 )", "D0"), ("D1 ( a0 )", "a0"),
                         ("D1 ( x0 )", "x0"), ("D1 ( a0^2 )", "a0^2")):

@@ -105,4 +105,4 @@ def test_json_roundtrip():
 def test_repr():
     assert str(LaurentPoly({-1: 1, 0: 2, 2: -1})) == "v^-1 + 2 - v^2"
     assert str(LaurentPoly.zero()) == "0"
-    assert str(v_power(-2, 3)) == "3*v^-2"
+    assert str(LaurentPoly({-2: 3})) == "3*v^-2"

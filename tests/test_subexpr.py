@@ -148,6 +148,14 @@ def test_sweep_rejects_out_of_range_generators():
             fold((3,), 3, set())
 
 
+def test_sweep_budget_is_checked_after_an_e1_insertion(monkeypatch):
+    # letter 2 keeps s1's coset and moves it up (two cosets), then moves
+    # the identity's coset up to s2: the e = 1 insertion passes the budget
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 2)
+    with pytest.raises(ValueError, match="budget of 2 cosets"):
+        sweep((2, 1), 3, set())
+
+
 def test_sweep_support_budget(monkeypatch):
     word = (1, 2, 3, 1, 2, 1)
     assert len(sweep(word, 4, set())) == 24
