@@ -34,7 +34,8 @@ THREADS_ENV = "HECKEKIT_THREADS"
 
 #: sorted(worddata.BUILTIN_WORDS), for the help text; the parser is built
 #: before any computational module is imported
-BUILTIN_WORD_NAMES = ("demo-s4-fail", "demo-s4-pass", "gl15-partial")
+BUILTIN_WORD_NAMES = ("demo-s4-fail", "demo-s4-pass", "gl15-partial",
+                      "gl15-reconstructed")
 
 
 def _default_threads() -> int:
@@ -140,30 +141,31 @@ def parse_parabolic(text: str | None, n: int) -> frozenset:
 
 
 def load_expression(source: str) -> tuple[demazure.Chain, str]:
-    """--expr: a builtin name, the path of a regular file, or inline text."""
+    """--expr: a builtin name, the path of a regular file, or inline text
+    (any other existing path, such as a directory, is an error)."""
     from . import demazure
 
     if source in demazure.BUILTIN_EXPRESSIONS:
         return demazure.builtin_expr(source), source
-    # os.path.isfile is False, not an error, for text too long to be a
-    # file name
+    # os.path.isfile and os.path.exists are False, not an error, for text
+    # too long to be a file name
     if os.path.isfile(source):
         path = Path(source)
         return demazure.parse_expr(path.read_text()), str(path)
-    if "D" in source or "(" in source:
+    if os.path.exists(source) or ("D" not in source and "(" not in source):
+        raise ValueError(f"--expr {source!r} is not a builtin, file, or "
+                         f"inline prefix expression")
+    try:
         return demazure.parse_expr(source), "<inline>"
-    raise ValueError(f"--expr {source!r} is not a builtin, file, or inline "
-                     f"prefix expression")
+    except ValueError as exc:
+        raise ValueError(f"--expr {source!r}: {exc}") from None
 
 
 def load_word(source: str) -> worddata.WordData:
-    """--word: a builtin name or the path of a regular file ('' is the
-    path '.', a directory)."""
+    """--word: a builtin name or the path of a regular file."""
     from . import worddata
 
-    path = Path(source)
-    if (source not in worddata.BUILTIN_WORDS and path.exists()
-            and not path.is_file()):
+    if source not in worddata.BUILTIN_WORDS and not os.path.isfile(source):
         raise ValueError(f"--word {source!r} is not a builtin name or a "
                          f"regular file")
     return worddata.load_word_data(source)
@@ -365,7 +367,7 @@ def cmd_certify(args) -> int:
             timings["enumeration_seconds"] = round(
                 time.perf_counter() - t1, 6)
             t2 = time.perf_counter()
-            interval = spherical.interval_condition_check(expansion, x, w)
+            interval = spherical.interval_condition_check(expansion, x)
             timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
             interval_ok = interval.passed
             payload["word"] = {
@@ -385,10 +387,10 @@ def cmd_certify(args) -> int:
                 c.terms for c in expansion.coeffs.values()))
             payload["histogram_at_x"] = _hist_json(
                 expansion.coefficient(x).terms)
-            entries = [{"coset": list(e.coset),
-                        "coefficient": e.coefficient.to_json_dict(),
-                        "ok": e.ok}
-                       for e in interval.entries]
+            failed = interval.failures
+            entries = [{"coset": list(z), "coefficient": c.to_json_dict(),
+                        "ok": z not in failed}
+                       for z, c in interval.entries]
             payload["interval"] = {
                 "status": "ok" if interval.passed else "failed",
                 "passed": interval.passed,

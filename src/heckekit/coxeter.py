@@ -9,10 +9,12 @@ Parabolic subsets are collections of generator indices.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
-of x dominates that of y entrywise.  `bruhat_interval` decides the
-certificate's interval test x < z <= w on packed rank tables: the
-entries r[i][j], i, j in 1..n-1, sit in one int, one field each, with a
-guard bit above the value bits.  A table is the sum of n-1 precomputed
+of x dominates that of y entrywise.  `bruhat_above` decides the lower
+half x < z of the certificate's interval test on packed rank tables
+(the upper half z <= w holds for every endpoint of a reduced word's
+expansion, see `spherical.interval_condition_check`): the entries
+r[i][j], i, j in 1..n-1, sit in one int, one field each, with a guard
+bit above the value bits.  A table is the sum of n-1 precomputed
 per-position constants, and x <= y is one subtraction:
 ((P_x | H) - P_y) & H == H, with H the guard mask, since a field keeps
 its guard bit exactly when r_x[i][j] >= r_y[i][j].  `rank_table`,
@@ -203,27 +205,21 @@ def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
     return sum([Ca[v] for Ca, v in zip(C, p)])
 
 
-def bruhat_interval(x: Permutation,
-                    w: Permutation) -> Callable[[Permutation], bool]:
-    """The test z -> x < z <= w in Bruhat order on the S_n of x and w:
-    per z, one packed table and two one-subtraction comparisons.
+def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
+    """The test z -> x < z in Bruhat order on the S_n of x, for z in
+    the same S_n: per z, one packed table and one subtraction.
 
-    >>> inside = bruhat_interval((1, 2, 3), (2, 3, 1))
-    >>> [inside(z) for z in ((1, 2, 3), (2, 1, 3), (3, 2, 1))]
-    [False, True, False]
+    >>> above = bruhat_above((2, 1, 3))
+    >>> [above(z) for z in ((2, 1, 3), (1, 3, 2), (3, 2, 1))]
+    [False, False, True]
     """
-    if len(x) != len(w):
-        raise ValueError("permutations of different symmetric groups")
     C, H = _rank_packing(len(x))
     px_H = _packed_rank_table(x, C) | H
-    pw = _packed_rank_table(w, C)
 
-    def inside(z: Permutation) -> bool:
-        pz = _packed_rank_table(z, C)
-        return (z != x and (px_H - pz) & H == H
-                and ((pz | H) - pw) & H == H)
+    def above(z: Permutation) -> bool:
+        return z != x and (px_H - _packed_rank_table(z, C)) & H == H
 
-    return inside
+    return above
 
 
 # -- parabolic subgroups ----------------------------------------------

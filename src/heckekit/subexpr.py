@@ -242,20 +242,14 @@ def sweep(word: Sequence[int], n: int, parabolic,
                 else:
                     v, hv = u.translate(swap), h
                 out[v] = get(v, 0) + hv
-                if len(out) > budget:
-                    raise _over_budget(budget)
             if keep:   # +1 for U, -1 for D and S
                 out[u] = get(u, 0) + (
                     h << width if a < b and not s else h >> width)
-                if len(out) > budget:
-                    raise _over_budget(budget)
+            if len(out) > budget:
+                raise ValueError(f"subexpression fold support exceeds the "
+                                 f"budget of {budget} cosets")
         state = out
     return _unpack(state, width, offset)
-
-
-def _over_budget(budget: int) -> ValueError:
-    return ValueError(f"subexpression fold support exceeds the budget of "
-                      f"{budget} cosets")
 
 
 def _unpack(state: dict[bytes, int], width: int, offset: int) -> SweepResult:

@@ -17,7 +17,8 @@ The GL15 word is defined by a string diagram with no plain-text source;
 the shipped `gl15-partial` file records the documented prefix and census
 facts (length 78, 23 free positions, 12 letters of index <= 3, eleven
 s_4 letters) so that a hand transcription can be machine-checked before
-it is trusted.
+it is trusted.  `gl15-reconstructed` is a complete word rebuilt from the
+prefix, the census and the Demazure display, not a transcription.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ CENSUS_FIELDS = ("length", "free_positions", "letters_index_le_3",
 
 BUILTIN_WORDS = {
     "gl15-partial": "gl15_word_partial.json",
+    "gl15-reconstructed": "gl15_word_reconstructed.json",
     "demo-s4-fail": "demo_s4_interval_fail.json",
     "demo-s4-pass": "demo_s4_interval_pass.json",
 }

@@ -210,13 +210,35 @@ def test_certify_invalid_word_data_is_input_error(tmp_path, capsys):
         "n": 4, "word": [1, 1], "A": [], "B": [],
         "forced": "letters-in-B", "degree": -1,
     }))
-    code, out = run_cli(capsys, "certify", "--word", str(bad))
-    assert code == 2
+    code = cli.main(["certify", "--word", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    # the interval check compares endpoints with x alone, which is sound
+    # only for a reduced word
+    assert "word-reduced: word is not reduced" in captured.err
 
 
 def test_missing_file_is_input_error(capsys):
-    code, out = run_cli(capsys, "certify", "--word", "/no/such/file.json")
-    assert code == 2
+    # a missing --expr file with a `D` in its name reads as inline text
+    for argv, message in [
+            (["certify", "--word", "/no/such/file.json"],
+             "--word '/no/such/file.json' is not a builtin name or a "
+             "regular file"),
+            (["validate-word", "--word", "nope.json"],
+             "--word 'nope.json' is not a builtin name or a regular file"),
+            (["intersection-form", "--expr", "/no/such/D1.txt"],
+             "--expr '/no/such/D1.txt': bad token")]:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"heckekit: {message}"), captured.err
+
+
+def test_inline_expression_error_names_the_flag(capsys):
+    code = cli.main(["intersection-form", "--expr", "D1 ( ( a1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("heckekit: --expr 'D1 ( ( a1': ")
 
 
 def test_internal_consistency_is_exit_3(capsys):
@@ -317,12 +339,14 @@ def test_pretty_output_is_the_same_json_indented(capsys):
     ["intersection-form", "--expr"], ["demazure-eval", "--expr"],
     ["certify", "--expr"], ["certify", "--word"],
     ["validate-word", "--word"]], ids=lambda argv: "".join(argv))
-@pytest.mark.parametrize("text", ["", "subdir"])
+@pytest.mark.parametrize("text", ["", "subdir", "Dir"])
 def test_only_a_regular_file_counts_as_a_file(argv, text, tmp_path,
                                               monkeypatch, capsys):
-    # '' is the path '.': a directory, like subdir
+    # '' is the path '.': a directory, like subdir; the directory Dir
+    # contains a `D`, yet it is not inline --expr text
     monkeypatch.chdir(tmp_path)
     (tmp_path / "subdir").mkdir()
+    (tmp_path / "Dir").mkdir()
     code = cli.main(argv + [text])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -212,64 +212,117 @@ def test_interval_condition_check():
     s1 = evaluate_word((1,), 3)
     w = coxeter.min_coset_rep(evaluate_word((2, 1, 2), 3), A)
     # coefficient 1 on m_w alone: pass
-    rep = interval_condition_check(m(w, A), x, w)
-    assert rep.passed and len(rep.entries) == 1
+    rep = interval_condition_check(m(w, A), x)
+    assert rep.passed and rep.entries == [(w, ONE)] and rep.outside == 0
 
     # v^-1 inside the interval: fail at that coset
     bad = m(s1, A).scale(v_power(-1)) + m(w, A)
-    rep = interval_condition_check(bad, x, w)
-    assert not rep.passed
-    assert [e.coset for e in rep.entries if not e.ok] == [s1]
+    rep = interval_condition_check(bad, x)
+    assert not rep.passed and rep.failures == {s1}
+    assert rep.entries == [(s1, v_power(-1)), (w, ONE)]
 
-    # v^-1 outside the interval (z not >= x): no condition
-    rep = interval_condition_check(
-        m(s1, A).scale(v_power(-1)) + m(w, A), s1, w)
+    # v^-1 outside the interval (z not > x): no condition
+    rep = interval_condition_check(bad, s1)
     assert rep.passed  # z = s1 is not strictly above x = s1
-    rep2 = interval_condition_check(m_id(3, A).scale(v_power(-1)), s1, w)
-    assert rep2.passed and rep2.outside == 1
+    rep2 = interval_condition_check(m_id(3, A).scale(v_power(-1)), s1)
+    assert rep2.passed and rep2.entries == [] and rep2.outside == 1
 
 
-def test_interval_check_rejects_wrong_size_x_or_w():
+def test_interval_check_rejects_a_bad_x():
     el = m_id(4, {2})
     with pytest.raises(ValueError, match=r"^x = \(1, 2, 3\)"):
-        interval_condition_check(el, (1, 2, 3), (3, 1, 2))
-    with pytest.raises(ValueError, match=r"^w = \(1, 2, 3\)"):
-        interval_condition_check(el, (1, 2, 3, 4), (1, 2, 3))
-    with pytest.raises(ValueError, match=r"^w = \(1, 1, 2, 3\)"):
-        interval_condition_check(el, (1, 2, 3, 4), (1, 1, 2, 3))
+        interval_condition_check(el, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^x = \(1, 1, 2, 3\)"):
+        interval_condition_check(el, (1, 1, 2, 3))
+    with pytest.raises(ValueError, match="not a minimal coset"):
+        interval_condition_check(el, (1, 3, 2, 4))
+
+
+def _reduced_word(rng, n, length_cap):
+    """A random reduced word in S_n of at most length_cap letters: each
+    letter is drawn among the generators that lengthen the product."""
+    word, p = [], identity(n)
+    while len(word) < length_cap:
+        up = [i for i in range(1, n) if p[i - 1] < p[i]]
+        if not up:
+            break
+        i = rng.choice(up)
+        word.append(i)
+        p = coxeter.apply_gen_right(p, i)
+    return tuple(word)
 
 
 def test_interval_check_matches_rank_table_oracle():
-    """Seeded constrained expansions in S_4/S_5 against the interval
-    decided by tuple rank tables.  x is a short endpoint and w mostly the
-    longest one, so that many intervals are not empty."""
+    """Seeded constrained expansions of reduced words in S_4/S_5 against
+    the interval x < z <= w decided by tuple rank tables, with w the
+    word's minimal coset representative.  x is a short endpoint, so that
+    many intervals are not empty."""
     rng = random.Random(23)
     seen = failed = 0
     for _ in range(100):
         n = rng.choice((4, 5))
-        word = tuple(rng.randrange(1, n) for _ in range(rng.randrange(3, 12)))
+        word = _reduced_word(rng, n, rng.randrange(3, 12))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
         slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
         el = deodhar_expand(word, n, A, EnumConstraint(slots))
+        w = coxeter.min_coset_rep(evaluate_word(word, n), A)
         support = sorted(el.coeffs) or [identity(n)]
         x = min(rng.sample(support, min(3, len(support))), key=length)
-        w = rng.choice(list(min_coset_reps(A, n))
-                       + [max(support, key=length)] * 4)
-        rep = interval_condition_check(el, x, w)
+        rep = interval_condition_check(el, x)
         rx, rw = coxeter.rank_table(x), coxeter.rank_table(w)
         inside = [z for z in support if z != x
                   and coxeter.rank_table_dominates(rx, coxeter.rank_table(z))
                   and coxeter.rank_table_dominates(coxeter.rank_table(z), rw)]
-        assert [e.coset for e in rep.entries] == inside
-        assert [e.coefficient for e in rep.entries] == \
-            [el.coeffs[z] for z in inside]
-        assert [e.ok for e in rep.entries] == \
-            [min(el.coeffs[z].terms) >= 0 for z in inside]
+        assert rep.entries == [(z, el.coeffs[z]) for z in inside]
+        assert rep.failures == {z for z in inside
+                                if min(el.coeffs[z].terms) < 0}
         assert rep.outside == len(el.coeffs) - len(inside)
-        assert rep.passed == all(e.ok for e in rep.entries)
+        assert rep.passed == (not rep.failures)
         seen += len(inside)
-        failed += sum(not e.ok for e in rep.entries)
+        failed += len(rep.failures)
     assert seen > 100 and 0 < failed < seen
+
+
+def test_expansion_of_a_reduced_word_lies_below_w():
+    """Why `interval_condition_check` compares endpoints with x alone:
+    every endpoint of the (constrained) expansion of a reduced word is
+    <= w, the word's minimal coset representative.  Seeded reduced words
+    with random A and constraints, and both demo words, checked with the
+    tuple-table `bruhat_leq`."""
+    from heckekit import worddata
+
+    rng = random.Random(29)
+    cases = []
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        word = _reduced_word(rng, n, rng.randrange(1, 13))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
+        cases.append((word, n, A, EnumConstraint(slots)))
+    for name in ("demo-s4-pass", "demo-s4-fail"):
+        wd = worddata.load_word_data(name)
+        cases.append((wd.word, wd.n, wd.parabolic, wd.constraint()))
+    endpoints = 0
+    for word, n, A, constraint in cases:
+        assert coxeter.is_reduced(word, n)
+        w = coxeter.min_coset_rep(evaluate_word(word, n), A)
+        for z in deodhar_expand(word, n, A, constraint).coeffs:
+            assert coxeter.bruhat_leq(z, w), (word, n, sorted(A), z)
+            endpoints += 1
+    assert endpoints > 1000
+
+
+def test_expansion_of_a_non_reduced_word_can_leave_the_interval():
+    # s1 s1 is the identity, yet its subexpression s1 (e = 1, 0) is an
+    # endpoint above it: validation must reject such a word before the
+    # interval check, which compares endpoints with x alone
+    word, n = (1, 1), 3
+    w = coxeter.min_coset_rep(evaluate_word(word, n), frozenset())
+    assert w == identity(3) and not coxeter.is_reduced(word, n)
+    s1 = evaluate_word((1,), 3)
+    el = deodhar_expand(word, n, frozenset())
+    assert s1 in el.coeffs and not coxeter.bruhat_leq(s1, w)
+    assert interval_condition_check(el, w).entries == [(s1, el.coeffs[s1])]
 
 
 def test_constructor_checks_key_length():

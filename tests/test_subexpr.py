@@ -154,6 +154,12 @@ def test_sweep_budget_is_checked_after_an_e1_insertion(monkeypatch):
     monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 2)
     with pytest.raises(ValueError, match="budget of 2 cosets"):
         sweep((2, 1), 3, set())
+    # a step whose every slot is forced to 1 makes no e = 0 insertion;
+    # an e = 1 step maps cosets one to one, so only a budget below the
+    # start state's one coset can be passed there
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 0)
+    with pytest.raises(ValueError, match="budget of 0 cosets"):
+        sweep((1,), 3, set(), EnumConstraint(((1,),)))
 
 
 def test_sweep_support_budget(monkeypatch):
