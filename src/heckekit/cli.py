@@ -10,7 +10,7 @@ input or a small command loads little beyond argparse.  Exit codes:
 
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
-    2  malformed input or bad arguments
+    2  malformed input or bad arguments (a ValueError or OSError)
     3  internal consistency violation (inexact division, degree audit,
        pullback mismatch)
 """
@@ -213,7 +213,7 @@ def _character(args, word):
     A = parse_parabolic(args.parabolic, args.n)
     from . import spherical
 
-    return (spherical.bott_samelson_spherical(word, args.n, A), "spherical",
+    return (spherical.deodhar_expand(word, args.n, A), "spherical",
             spherical.spherical_pairing, spherical.is_perverse_spherical)
 
 
@@ -549,8 +549,9 @@ def main(argv=None) -> int:
         print(f"heckekit: internal consistency violation: {exc}",
               file=sys.stderr)
         return 3
-    except (ValueError, TypeError, IndexError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
+        # bad input only (json.JSONDecodeError is a ValueError); any other
+        # exception is a bug and propagates with its traceback
         print(f"heckekit: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -27,6 +27,10 @@ into the cached inverses, without forming the product; `a_antiautomorphism`,
     (h b_s, h') = (h, h' b_s),
 
 all of which are enforced by tests.
+
+Sums of elements accumulate in place, through `_add_scaled`, into one map
+that the summing function created; it becomes an element once, at the end.
+No argument's and no cached element's coefficients are ever written.
 """
 from __future__ import annotations
 
@@ -38,6 +42,13 @@ from .laurent import ONE, V, LaurentPoly, _add_into
 
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+
+
+def _add_scaled(out: dict, coeffs: dict, c) -> dict:
+    """Add c times each coefficient of `coeffs` into `out`; return `out`."""
+    for x, p in coeffs.items():
+        _add_into(out, x, p * c)
+    return out
 
 
 class LinearCombination:
@@ -67,19 +78,8 @@ class LinearCombination:
             _add_into(coeffs, x, c)
         return self._like(coeffs)
 
-    def __neg__(self):
-        return self._like({x: -c for x, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
-        if isinstance(c, int):
-            c = LaurentPoly({0: c})
-        if not c:
-            return self._like({})
-        # Z[v, v^-1] has no zero divisors, so no product vanishes
-        return self._like({x: p * c for x, p in self.coeffs.items()})
+        return self._like(_add_scaled({}, self.coeffs, c))
 
     def coefficient(self, x: Permutation) -> LaurentPoly:
         return self.coeffs.get(tuple(x), LaurentPoly.zero())
@@ -107,11 +107,7 @@ class HeckeElement(LinearCombination):
 
     def __init__(self, n: int, coeffs: dict[Permutation, LaurentPoly] | None = None):
         self.n = n
-        self.coeffs: dict[Permutation, LaurentPoly] = {}
-        if coeffs:
-            for x, c in coeffs.items():
-                if c:
-                    self.coeffs[tuple(x)] = c
+        self.coeffs = {tuple(x): c for x, c in (coeffs or {}).items() if c}
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElement":
@@ -148,6 +144,8 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if kind not in ("h", "b"):
+        raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
         if side == "left":
@@ -167,13 +165,13 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
 def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """The product a*b, expanding b along reduced words of its support."""
     a._check(b)
-    out = HeckeElement.zero(a.n)
+    out: dict[Permutation, LaurentPoly] = {}
     for x, c in b.coeffs.items():
         term = a
         for i in coxeter.reduced_word(x):
             term = mult_by_gen(term, i, side="right")
-        out = out + term.scale(c)
-    return out
+        _add_scaled(out, term.coeffs, c)
+    return a._like(out)
 
 
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
@@ -193,21 +191,21 @@ def inverse_h(x: Permutation) -> HeckeElement:
     cached = _inverse_cache.get(x)
     if cached is not None:
         return cached
-    n = len(x)
-    el = unit(n)
+    el = unit(len(x))
     for i in coxeter.reduced_word(x):
         # left-multiply by h_{s_i}^{-1}
-        el = mult_by_gen(el, i, side="left") + el.scale(_V_MINUS_VINV)
+        out = mult_by_gen(el, i, side="left")
+        el = out._like(_add_scaled(out.coeffs, el.coeffs, _V_MINUS_VINV))
     _inverse_cache[x] = el
     return el
 
 
 def bar_involution(el: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and h_x -> (h_{x^-1})^-1."""
-    out = HeckeElement.zero(el.n)
+    out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
-        out = out + inverse_h(coxeter.inverse(x)).scale(c.bar())
-    return out
+        _add_scaled(out, inverse_h(coxeter.inverse(x)).coeffs, c.bar())
+    return el._like(out)
 
 
 # grows without bound, as _inverse_cache and spherical._skl_cache do: one
@@ -231,13 +229,14 @@ def kl_basis(x: Permutation) -> HeckeElement:
     else:
         s = next(i for i in range(1, n) if coxeter.has_left_descent(x, i))
         y = coxeter.apply_gen_left(s, x)
-        el = mult_by_gen(kl_basis(y), s, side="left", kind="b")
-        for z, beta in list(kl_basis(y).coeffs.items()):
+        by = kl_basis(y)
+        el = mult_by_gen(by, s, side="left", kind="b")
+        for z, beta in by.coeffs.items():
             if z == y:
                 continue
             mu = beta.coefficient(1)
             if mu and coxeter.has_left_descent(z, s):
-                el = el - kl_basis(z).scale(mu)
+                _add_scaled(el.coeffs, kl_basis(z).coeffs, -mu)
     _kl_cache[x] = el
     return el
 
@@ -252,10 +251,10 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
 
     Sends h_x to the algebra inverse of h_x.
     """
-    out = HeckeElement.zero(el.n)
+    out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
-        out = out + inverse_h(x).scale(c.bar())
-    return out
+        _add_scaled(out, inverse_h(x).coeffs, c.bar())
+    return el._like(out)
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
@@ -301,13 +300,13 @@ def _perversity(el: LinearCombination,
     basis(x) must be the standard basis element at x plus terms at
     elements of smaller length.
     """
-    rest = el
+    rest = dict(el.coeffs)
     expansion: dict[Permutation, LaurentPoly] = {}
     while rest:
-        x = max(rest.coeffs, key=lambda p: (coxeter.length(p), p))
-        c = rest.coeffs[x]
+        x = max(rest, key=lambda p: (coxeter.length(p), p))
+        c = rest[x]
         expansion[x] = c
-        rest = rest - basis(x).scale(c)
+        _add_scaled(rest, basis(x).coeffs, -c)
     ok = all(set(c.terms) <= {0} for c in expansion.values())
     return PerversityReport(ok, expansion)
 

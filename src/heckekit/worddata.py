@@ -196,6 +196,20 @@ class ValidationReport:
         }
 
 
+def _prefix_check(word: tuple[int, ...], prefix: tuple[int, ...]
+                  ) -> tuple[bool, str]:
+    """Whether `word` starts with `prefix`, and a detail that names the
+    first position (1-based) where it does not."""
+    for k, (a, b) in enumerate(zip(word, prefix), 1):
+        if a != b:
+            return False, (f"prefix mismatch at position {k}: "
+                           f"word has {a}, prefix has {b}")
+    if len(word) < len(prefix):
+        return False, (f"word has {len(word)} letters, fewer than the "
+                       f"{len(prefix)} of the prefix")
+    return True, "word starts with the documented prefix"
+
+
 def validate_word_data(wd: WordData) -> ValidationReport:
     """Run the census checklist so a transcription can be trusted.
 
@@ -222,10 +236,7 @@ def validate_word_data(wd: WordData) -> ValidationReport:
         rep.add("census-length", len(wd.word) == want,
                 f"expected {want}, found {len(wd.word)}")
     if wd.word_prefix:
-        got = wd.word[:len(wd.word_prefix)]
-        rep.add("documented-prefix", got == wd.word_prefix,
-                "word starts with the documented prefix"
-                if got == wd.word_prefix else f"prefix mismatch at {got[:8]}")
+        rep.add("documented-prefix", *_prefix_check(wd.word, wd.word_prefix))
     if "letters_index_le_3" in census:
         low = sum(1 for t in wd.word if t <= 3)
         want = census["letters_index_le_3"]

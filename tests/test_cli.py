@@ -688,6 +688,32 @@ def test_other_arithmetic_errors_propagate(monkeypatch):
         cli.main(["kl", "--n", "3", "--perm", "1,2,3"])
 
 
+@pytest.mark.parametrize("command", ["bs", "pair", "perverse-check"])
+def test_spherical_character_stops_at_the_fold_budget(monkeypatch, capsys,
+                                                      command):
+    # with --parabolic the character is the fold's expansion, so a word
+    # whose fold outgrows the budget exits 2 instead of running unbounded
+    from heckekit import subexpr
+
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 3)
+    argv = [command, "--n", "4", "--word", "1,2,3,1,2,1", "--parabolic", "2"]
+    argv += ["--word2", "1"] if command == "pair" else []
+    assert cli.main(argv) == 2
+    assert "budget of 3 cosets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
+def test_errors_other_than_bad_input_propagate(monkeypatch, error):
+    # exit 2 is for a ValueError or OSError from the input; anything else
+    # is a bug and keeps its traceback
+    def fail(args):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, "cmd_kl", fail)
+    with pytest.raises(error):
+        cli.main(["kl", "--n", "3", "--perm", "1,2,3"])
+
+
 def test_validate_word_help_names_the_builtin_words():
     # the parser spells the names out, so that it needs no worddata import
     parser = cli.build_parser()

@@ -1,10 +1,13 @@
 import itertools
 import random
 
-from heckekit import coxeter, hecke
+import pytest
+
+from heckekit import coxeter, hecke, spherical
 from heckekit.coxeter import all_permutations, evaluate_word, identity, length
 from heckekit.hecke import (
     HeckeElement,
+    a_antiautomorphism,
     bar_involution,
     bott_samelson_char,
     h,
@@ -36,6 +39,13 @@ def rand_element(rng, n, size=3):
 def test_b_s_on_identity():
     got = mult_by_gen(unit(2), 1, kind="b")
     assert got == h(s(1, 2)) + unit(2).scale(V)
+
+
+def test_mult_by_gen_rejects_unknown_side_and_kind():
+    with pytest.raises(ValueError, match="kind must be 'h' or 'b'"):
+        mult_by_gen(unit(2), 1, kind="B")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        mult_by_gen(unit(2), 1, side="up")
 
 
 def test_quadratic_relation():
@@ -227,3 +237,54 @@ def test_is_perverse_examples():
     rep = is_perverse_character(bott_samelson_char((1, 2), 3))
     assert rep.is_perverse
     assert rep.expansion == {evaluate_word((1, 2), 3): ONE}
+
+
+def _terms(el):
+    return {x: dict(c.terms) for x, c in el.coeffs.items()}
+
+
+def test_sums_write_into_no_argument_and_no_cached_element(monkeypatch):
+    """Sums accumulate in place into maps of their own: the coefficients
+    of the arguments and of every cached element stay as they were."""
+    caches = {"kl": {}, "inverse": {}, "skl": {}}
+    monkeypatch.setattr(hecke, "_kl_cache", caches["kl"])
+    monkeypatch.setattr(hecke, "_inverse_cache", caches["inverse"])
+    monkeypatch.setattr(spherical, "_skl_cache", caches["skl"])
+    # cache the short elements, so that the runs below build longer ones
+    # on top of entries that the first snapshot holds
+    for x in all_permutations(4):
+        if length(x) <= 2:
+            kl_basis(x)
+            inverse_h(x)
+    rng = random.Random(18)
+    A = frozenset({2})
+    hs = [rand_element(rng, 4, 4) for _ in range(4)]
+    hs += [kl_basis((2, 4, 3, 1)), bott_samelson_char((1, 2, 3, 2), 4)]
+    ms = [spherical.bott_samelson_spherical(w, 4, A)
+          for w in ((1, 2, 3), (3, 2, 1, 2), (2, 1, 3, 2))]
+    ms.append(spherical.spherical_kl_basis((3, 1, 4, 2), A))
+
+    def run():
+        for a, b in zip(hs, hs[1:]):
+            multiply(a, b)
+            pairing(a, b)
+        for a in hs:
+            bar_involution(a)
+            a_antiautomorphism(a)
+            a.scale(V)
+            is_perverse_character(a)
+        for a, b in zip(ms, ms[1:]):
+            spherical.spherical_pairing(a, b)
+        for a in ms:
+            a.scale(V)
+            spherical.is_perverse_spherical(a)
+
+    for _ in range(2):      # the first run extends the caches, the second hits
+        args = [_terms(a) for a in hs + ms]
+        cached = {(name, key): _terms(el)
+                  for name, cache in caches.items()
+                  for key, el in cache.items()}
+        run()
+        assert [_terms(a) for a in hs + ms] == args
+        assert {(name, key): _terms(caches[name][key])
+                for name, key in cached} == cached

@@ -106,6 +106,22 @@ def test_census_validation_flags_mismatches(tmp_path):
     assert not rep.complete
 
 
+@pytest.mark.parametrize("word,prefix,detail", [
+    ([1, 2, 3, 1, 2, 1], [1, 2, 3, 1, 2, 2],
+     "prefix mismatch at position 6: word has 1, prefix has 2"),
+    ([2, 1, 2], [1, 2], "prefix mismatch at position 1: word has 2, "
+                        "prefix has 1"),
+    ([1, 2], [1, 2, 3], "word has 2 letters, fewer than the 3 of the prefix"),
+    ([1, 2, 3], [1, 2, 3], "word starts with the documented prefix"),
+])
+def test_prefix_check_names_the_first_difference(word, prefix, detail):
+    wd = parse_word_data({"n": 4, "word": word, "word_prefix": prefix,
+                          "A": [], "B": []})
+    (check,) = [c for c in validate_word_data(wd).checks
+                if c.name == "documented-prefix"]
+    assert (check.ok, check.detail) == (word[:len(prefix)] == prefix, detail)
+
+
 def test_non_reduced_word_flagged():
     wd = parse_word_data({"n": 4, "word": [1, 1], "A": [], "B": [],
                           "forced": "letters-in-B", "degree": -1})
