@@ -172,32 +172,25 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     return rank_table_dominates(rank_table(x), rank_table(y))
 
 
-# Packing constants per n, built on first use: (C, H) with C[a][v] the
-# packed table of "value v at 0-based position a" and H the guard mask.
-_packings: dict[int, tuple[list[list[int]], int]] = {}
-
-
 def _rank_packing(n: int) -> tuple[list[list[int]], int]:
-    """(C, H) for S_n.  A field is 5 value bits and a guard bit for
-    n <= 32, wider beyond.  Value v at position a adds one to r[i][j]
-    for i > a and j >= v, so C[a][v] is the block of those fields.
-    Row n and column n are not stored: C[a][n] is 0, and the last
-    position has no constants."""
-    packing = _packings.get(n)
-    if packing is None:
-        m = n - 1
-        width = max(5, m.bit_length()) + 1
-        field = [1 << (width * f) for f in range(m * m)]
-        cols = [0] * (m + 2)    # cols[v]: fields j >= v of row 1
-        for j in range(m, 0, -1):
-            cols[j] = cols[j + 1] + field[j - 1]
-        rows = [0] * (m + 1)    # rows[a]: first field of rows i > a
-        for a in range(m - 1, -1, -1):
-            rows[a] = rows[a + 1] + field[a * m]
-        C = [[rows[a] * cols[v] for v in range(n + 1)] for a in range(m)]
-        H = sum(field) << (width - 1)
-        packing = _packings[n] = (C, H)
-    return packing
+    """(C, H) for S_n: C[a][v] is the packed table of "value v at 0-based
+    position a" and H the guard mask.  A field is 5 value bits and a
+    guard bit for n <= 32, wider beyond.  Value v at position a adds one
+    to r[i][j] for i > a and j >= v, so C[a][v] is the block of those
+    fields.  Row n and column n are not stored: C[a][n] is 0, and the
+    last position has no constants."""
+    m = n - 1
+    width = max(5, m.bit_length()) + 1
+    field = [1 << (width * f) for f in range(m * m)]
+    cols = [0] * (m + 2)    # cols[v]: fields j >= v of row 1
+    for j in range(m, 0, -1):
+        cols[j] = cols[j + 1] + field[j - 1]
+    rows = [0] * (m + 1)    # rows[a]: first field of rows i > a
+    for a in range(m - 1, -1, -1):
+        rows[a] = rows[a + 1] + field[a * m]
+    C = [[rows[a] * cols[v] for v in range(n + 1)] for a in range(m)]
+    H = sum(field) << (width - 1)
+    return C, H
 
 
 def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:

@@ -6,6 +6,9 @@ stored as {permutation: LaurentPoly} with no zero coefficients.  The
 normalization is fixed by b_s = h_s + v*h_id together with the quadratic
 relation h_s^2 = h_id + (v^-1 - v) h_s, which makes b_s^2 = (v + v^-1) b_s.
 
+The Bott-Samelson character is the subexpression fold `subexpr.sweep`
+at A = {}: H is the spherical module of the empty parabolic subgroup.
+
 Kazhdan-Lusztig basis elements are computed by the classical recursion
 b_x = b_s b_{sx} - sum mu(z, sx) b_z and are cached; the cost grows with
 |W|, so this is intended for small n (the certificate pipeline never needs
@@ -38,7 +41,7 @@ from typing import Callable, Iterable
 
 from . import coxeter
 from .coxeter import Permutation
-from .laurent import ONE, V, LaurentPoly, _add_into
+from .laurent import ONE, V, LaurentPoly, _add_into, _poly
 
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
@@ -175,11 +178,16 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
 
 
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
-    """The product b_{s_1} b_{s_2} ... b_{s_m} in the standard basis."""
-    el = unit(n)
-    for i in reversed(tuple(word)):
-        el = mult_by_gen(el, i, side="left", kind="b")
-    return el
+    """The product b_{s_1} b_{s_2} ... b_{s_m} in the standard basis: the
+    subexpression fold at A = {}.  As b_s = h_s + v and h_s h_x is h_{sx}
+    if sx > x, else h_{sx} + (v^-1 - v) h_x, b_s h_x = h_{sx} + v^{+-1} h_x
+    as s raises or lowers x: the fold's U and D steps.  Raises ValueError
+    for a letter outside 1..n-1 or a fold past subexpr.SUPPORT_BUDGET.
+    """
+    from . import subexpr
+
+    data = subexpr.sweep(tuple(word), n, ())
+    return HeckeElement(n)._like({x: _poly(c) for x, c in data.items()})
 
 
 _inverse_cache: dict[Permutation, HeckeElement] = {}

@@ -83,9 +83,6 @@ class LaurentPoly:
             return self == LaurentPoly({0: other})
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def coefficient(self, exponent: int) -> int:
         return self.terms.get(exponent, 0)
 

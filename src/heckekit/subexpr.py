@@ -39,13 +39,15 @@ from .coxeter import Permutation
 
 SweepResult = dict[Permutation, dict[int, int]]
 
-# Most cosets one fold step may reach.  The synthetic GL15 certificate
-# words peak near 155,000 cosets.  Measured with tracemalloc on the
-# benchmark's seed-7 word (n = 15, 153,421 cosets), the packed state takes
-# about 220 bytes per coset and the unpacked result another 450 while both
-# live, so the budget keeps the fold's own state under about 0.7 GB.
-# `deodhar_expand` and the `certify` report come on top of that: a single
-# `certify` run at 753,485 cosets (GL15-shaped word) peaked at 1.36 GB RSS.
+# Most cosets one fold step may reach, in `certify` and in every
+# Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
+# The synthetic GL15 certificate words peak near 155,000 cosets.  On the
+# benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
+# about 220 bytes per packed coset and another 450 per unpacked one while
+# both live: about 0.7 GB at the budget for GL15-shaped words.  Memory per
+# coset grows with the free positions: `bs --n 11` on the 55-letter w0
+# word peaked at 1,131 MB RSS when it hit the budget.  A `certify` run at
+# 753,485 cosets (GL15-shaped word) peaked at 1.36 GB RSS.
 SUPPORT_BUDGET = 1_000_000
 
 # Largest n the fold takes: a coset keeps each of its values in one byte.

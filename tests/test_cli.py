@@ -175,6 +175,14 @@ MODULE_GOLDEN = {
     "pair_parabolic": ["pair", "--n", "4", "--word", "1,2,3",
                        "--word2", "3,2", "--parabolic", "1"],
     "perverse-check": ["perverse-check", "--n", "4", "--word", "2,1,3,2"],
+    # H-side characters at the fold's size: S_5's w0, a word that is not
+    # reduced, and a non-perverse and a perverse character in S_5
+    "bs_s5-w0": ["bs", "--n", "5", "--word", "1,2,3,4,1,2,3,1,2,1"],
+    "bs_non-reduced": ["bs", "--n", "4", "--word", "1,2,1,2,1,2,3,3"],
+    "perverse-check_not-perverse": ["perverse-check", "--n", "5",
+                                    "--word", "1,2,1,3,2,1"],
+    "perverse-check_perverse": ["perverse-check", "--n", "5",
+                                "--word", "2,1,3,2,4,3,2"],
     "perverse-check_parabolic": ["perverse-check", "--n", "4",
                                  "--word", "2,1,3,2", "--parabolic", "1,3"],
 }
@@ -702,6 +710,19 @@ def test_spherical_character_stops_at_the_fold_budget(monkeypatch, capsys,
     assert "budget of 3 cosets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["bs", "pair", "perverse-check"])
+def test_hecke_character_stops_at_the_fold_budget(monkeypatch, capsys,
+                                                  command):
+    # without --parabolic the character is the same fold, at A = {}
+    from heckekit import subexpr
+
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 3)
+    argv = [command, "--n", "4", "--word", "1 2 3"]
+    argv += ["--word2", "1"] if command == "pair" else []
+    assert cli.main(argv) == 2
+    assert "budget of 3 cosets" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
 def test_errors_other_than_bad_input_propagate(monkeypatch, error):
     # exit 2 is for a ValueError or OSError from the input; anything else
@@ -754,8 +775,10 @@ _DEMAZURE = {"cli", "demazure", "laurent"}
                  _SPHERICAL, id="skl"),
     pytest.param(["bs", "--n", "3", "--word", "1 2", "--parabolic", "2"],
                  _SPHERICAL, id="bs"),
+    pytest.param(["bs", "--n", "3", "--word", "1 2"], _HECKE | {"subexpr"},
+                 id="bs-hecke"),
     pytest.param(["pair", "--n", "3", "--word", "s2", "--word2", "s2"],
-                 _HECKE, id="pair"),
+                 _HECKE | {"subexpr"}, id="pair"),
     pytest.param(["deodhar", "--n", "4", "--parabolic", "2", "--word",
                   "1 2 3 2", "--forced-letters", "3"], _SPHERICAL,
                  id="deodhar"),
@@ -767,6 +790,8 @@ _DEMAZURE = {"cli", "demazure", "laurent"}
                  id="intersection-form"),
     pytest.param(["perverse-check", "--n", "3", "--word", "1 2",
                   "--parabolic", "2"], _SPHERICAL, id="perverse-check"),
+    pytest.param(["perverse-check", "--n", "3", "--word", "1 2"],
+                 _HECKE | {"subexpr"}, id="perverse-check-hecke"),
     pytest.param(["validate-word", "--word", "demo-s4-pass"],
                  {"cli", "coxeter", "subexpr", "worddata"},
                  id="validate-word"),

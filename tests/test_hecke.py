@@ -63,6 +63,30 @@ def test_bott_samelson_examples():
     assert bott_samelson_char((1, 1), 3) == expect
 
 
+def test_bott_samelson_char_matches_both_references():
+    # the fold at A = {} against b_s multiplied in letter by letter, and
+    # against the spherical module at A = {}, which steps by coset_step
+    rng = random.Random(19)
+    words = [(w, 4) for k in range(7)
+             for w in itertools.product((1, 2, 3), repeat=k)]
+    words += [(tuple(rng.randrange(1, 5) for _ in range(rng.randint(0, 10))),
+               5) for _ in range(200)]
+    for word, n in words:
+        got = bott_samelson_char(word, n)
+        product = unit(n)
+        for i in reversed(word):
+            product = mult_by_gen(product, i, "left", "b")
+        assert got == product
+        assert got.coeffs == spherical.bott_samelson_spherical(
+            word, n, ()).coeffs
+
+
+def test_bott_samelson_char_names_a_letter_outside_the_generators():
+    with pytest.raises(ValueError,
+                       match="generator index 4 out of range for S_4"):
+        bott_samelson_char((1, 4), 4)
+
+
 def test_left_right_mult_against_full_multiply():
     rng = random.Random(2)
     for _ in range(30):
