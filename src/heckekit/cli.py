@@ -473,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--parabolic", default="")
     p.add_argument("--word", required=True)
-    p.add_argument("--forced-letters")
+    p.add_argument("--forced-letters",
+                   help="letters whose positions are forced to 1")
     p.add_argument("--endpoint",
                    help="count only this endpoint (one-line notation)")
     p.add_argument("--threads", type=_at_least_one,
@@ -505,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perverse_check)
 
     p = sub.add_parser("validate-word",
-                       help="check a word-data file against its census")
+                       help="check a word-data file against its census; "
+                            "the letters of B count as forced to 1")
     common(p, n=False)
     p.add_argument("--word", required=True,
                    help="path or builtin name "
@@ -515,8 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the non-perversity certificate")
     common(p, n=False)
     p.add_argument("--word",
-                   help="word-data file (path or builtin name); without it "
-                        "the interval section is skipped")
+                   help="word-data file (path or builtin name), read with "
+                        "the letters of B forced to 1; without it the "
+                        "interval section is skipped")
     p.add_argument("--expr", default="paper-GL15")
     p.add_argument("--p", type=_prime, default=2,
                    help="a prime below 2^32 for the F_p rank")

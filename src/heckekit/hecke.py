@@ -12,7 +12,8 @@ at A = {}: H is the spherical module of the empty parabolic subgroup.
 Kazhdan-Lusztig basis elements are computed by the classical recursion
 b_x = b_s b_{sx} - sum mu(z, sx) b_z and are cached; the cost grows with
 |W|, so this is intended for small n (the certificate pipeline never needs
-KL elements at n = 15).
+KL elements at n = 15), and an element, or a cache, past KL_BUDGET terms
+raises ValueError.
 
 The pairing is the standard form (h, h') = eps(a(h) h'), where eps reads
 off the coefficient of h_id and a is the v -> v^-1 semilinear
@@ -37,6 +38,7 @@ No argument's and no cached element's coefficients are ever written.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from . import coxeter
@@ -216,9 +218,16 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
     return el._like(out)
 
 
-# grows without bound, as _inverse_cache and spherical._skl_cache do: one
-# entry per element asked for and per element its recursion reaches
+#: the most terms that the cached Kazhdan-Lusztig elements may hold
+KL_BUDGET = 2_000_000
+
+# one entry per element asked for and per element its recursion reaches,
+# within KL_BUDGET terms (_inverse_cache and spherical._skl_cache still
+# grow without bound)
 _kl_cache: dict[Permutation, HeckeElement] = {}
+# len(_kl_cache) and its number of terms when last counted; a cache that
+# was swapped or cleared since is counted again
+_kl_count = [0, 0]
 
 
 def kl_basis(x: Permutation) -> HeckeElement:
@@ -226,12 +235,26 @@ def kl_basis(x: Permutation) -> HeckeElement:
 
     The unique bar-invariant element in h_x + sum_{y<x} v*Z[v]*h_y; computed
     by b_x = b_s b_{sx} - sum_{z: sz<z} mu(z, sx) b_z for a left descent s.
+
+    Raises ValueError past KL_BUDGET terms, up front or while computing.
+    Up front: s_i is in the support of x iff max(x(1..i)) > i; with k
+    generators in the support, the subword property puts the 2^k products
+    of subsets of them below x, and b_x has a nonzero coefficient at every
+    y <= x because P_{y,x}(0) = 1, so b_x has at least 2^k terms.  This
+    caps the support at 20 generators, so len(x), and with it the depth
+    of the recursion, at 210.  While computing: once the elements in
+    _kl_cache would hold more than KL_BUDGET terms.
     """
     x = tuple(x)
     cached = _kl_cache.get(x)
     if cached is not None:
         return cached
     n = len(x)
+    support = sum(top > i for i, top in enumerate(accumulate(x, max), 1))
+    if 2 ** support > KL_BUDGET:
+        raise ValueError(
+            f"b_x has at least 2^{support} terms ({support} generators in "
+            f"the support of x), past the budget KL_BUDGET = {KL_BUDGET}")
     if x == coxeter.identity(n):
         el = unit(n)
     else:
@@ -245,7 +268,15 @@ def kl_basis(x: Permutation) -> HeckeElement:
             mu = beta.coefficient(1)
             if mu and coxeter.has_left_descent(z, s):
                 _add_scaled(el.coeffs, kl_basis(z).coeffs, -mu)
+    if _kl_count[0] != len(_kl_cache):
+        _kl_count[:] = [len(_kl_cache),
+                        sum(len(b.coeffs) for b in _kl_cache.values())]
+    if _kl_count[1] + len(el.coeffs) > KL_BUDGET:
+        raise ValueError(f"Kazhdan-Lusztig elements would hold more than "
+                         f"the budget KL_BUDGET = {KL_BUDGET} terms")
     _kl_cache[x] = el
+    _kl_count[0] += 1
+    _kl_count[1] += len(el.coeffs)
     return el
 
 

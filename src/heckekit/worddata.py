@@ -7,9 +7,9 @@ A word-data file is JSON with fields
     word     the expression as a list of 1-based generator indices,
              or null while a transcription is pending
     A        parabolic subset for the spherical module (list, or null)
-    B        parabolic subset defining x = w_B (list)
-    forced   "letters-in-B" or an explicit per-position list of allowed
-             bit sets, e.g. [[0,1],[1],[0,1]]
+    B        parabolic subset defining x = w_B (list); the positions of
+             its letters are forced to 1 in the expansion
+    forced   optional, and only "letters-in-B", the one forcing rule
     degree   the degree of the intersection form (the certificate uses -1)
 
 plus optional "word_prefix" and "census" blocks used by the validator.
@@ -42,19 +42,17 @@ BUILTIN_WORDS = {
 
 
 class WordData:
-    __slots__ = ("n", "word", "parabolic", "lower", "forced", "degree",
+    __slots__ = ("n", "word", "parabolic", "lower", "degree",
                  "word_prefix", "census", "source")
 
     def __init__(self, n: int, word: tuple[int, ...] | None,
-                 parabolic: frozenset | None, lower: frozenset,
-                 forced: object, degree: int,
+                 parabolic: frozenset | None, lower: frozenset, degree: int,
                  word_prefix: tuple[int, ...] = (),
                  census: dict | None = None, source: str = "<memory>"):
         self.n = n
         self.word = word
         self.parabolic = parabolic    # the subset A
         self.lower = lower            # the subset B, with x = w_B
-        self.forced = forced          # "letters-in-B" or explicit slot list
         self.degree = degree
         self.word_prefix = word_prefix
         self.census = census
@@ -63,9 +61,7 @@ class WordData:
     def constraint(self) -> EnumConstraint:
         if self.word is None:
             raise ValueError("word data has no word")
-        if self.forced == "letters-in-B":
-            return EnumConstraint.forced_letters(self.word, self.lower)
-        return EnumConstraint(self.forced)
+        return EnumConstraint.forced_letters(self.word, self.lower)
 
     def x_element(self) -> coxeter.Permutation:
         return coxeter.longest_element(self.lower, self.n)
@@ -98,8 +94,7 @@ def _ints(value, name: str, lo: int | None = None,
           hi: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, each in lo..hi when bounds are given."""
     if not isinstance(value, list):
-        label = name if "[" in name else f'"{name}"'
-        raise ValueError(f"{label} must be a list of integers, got {value!r}")
+        raise ValueError(f'"{name}" must be a list of integers, got {value!r}')
     for k, v in enumerate(value):
         _int(v, f"{name}[{k}]")
         if lo is not None and not lo <= v <= hi:
@@ -110,7 +105,7 @@ def _ints(value, name: str, lo: int | None = None,
 def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
     """Check and convert decoded JSON.  Integer fields must be JSON
     integers (not booleans, floats or strings) and list fields lists;
-    every error names the field, e.g. `"n"`, `word[3]` or `forced[0]`."""
+    every error names the field, e.g. `"n"`, `word[3]` or `"forced"`."""
     try:
         if not isinstance(raw, dict):
             raise ValueError(f"expected a JSON object, got {raw!r}")
@@ -128,18 +123,9 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
         if parabolic is not None:
             parabolic = frozenset(_ints(parabolic, "A", 1, n - 1))
         lower = frozenset(_ints(raw.get("B", []), "B", 1, n - 1))
-        forced = raw.get("forced", "letters-in-B")
-        if forced != "letters-in-B":
-            if not isinstance(forced, list):
-                raise ValueError(f'"forced" must be "letters-in-B" or a list '
-                                 f'of allowed-bit lists, got {forced!r}')
-            forced = [_ints(slot, f"forced[{k}]", 0, 1)
-                      for k, slot in enumerate(forced)]
-            if () in forced:
-                raise ValueError(f"forced[{forced.index(())}] allows no bit")
-            if word is not None and len(forced) != len(word):
-                raise ValueError(f'"forced" has {len(forced)} slots, '
-                                 f'"word" has {len(word)} letters')
+        if raw.get("forced", "letters-in-B") != "letters-in-B":
+            raise ValueError(f'"forced" must be "letters-in-B", '
+                             f'got {raw["forced"]!r}')
         degree = _int(raw.get("degree", -1), '"degree"')
         word_prefix = _ints(raw.get("word_prefix", []), "word_prefix")
         census = raw.get("census")
@@ -156,7 +142,6 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
         word=word,
         parabolic=parabolic,
         lower=lower,
-        forced=forced,
         degree=degree,
         word_prefix=word_prefix,
         census=census,

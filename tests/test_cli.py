@@ -723,6 +723,56 @@ def test_hecke_character_stops_at_the_fold_budget(monkeypatch, capsys,
     assert "budget of 3 cosets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["kl", "--n", "4", "--perm", "4,3,2,1"],
+    ["skl", "--n", "4", "--parabolic", "1", "--perm", "3,4,1,2"],
+    ["perverse-check", "--n", "4", "--word", "1 2 1 3 2 1"]])
+def test_kazhdan_lusztig_elements_stop_at_the_budget(argv, monkeypatch,
+                                                     capsys):
+    # each needs a KL element of S_4 with 3 generators in its support,
+    # which passes the up-front bound 2^3 <= 10: the cache stops it
+    from heckekit import hecke, spherical
+
+    monkeypatch.setattr(hecke, "KL_BUDGET", 10)
+    monkeypatch.setattr(hecke, "_kl_cache", {})
+    monkeypatch.setattr(spherical, "_skl_cache", {})
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than the budget KL_BUDGET = 10 terms" in captured.err
+
+
+def test_kazhdan_lusztig_support_past_the_budget_is_refused_up_front(capsys):
+    w0 = ",".join(map(str, range(60, 0, -1)))
+    assert cli.main(["kl", "--n", "60", "--perm", w0]) == 2
+    assert capsys.readouterr().err == (
+        "heckekit: b_x has at least 2^59 terms (59 generators in the "
+        "support of x), past the budget KL_BUDGET = 2000000\n")
+
+
+#: a word whose interval check fails at (1,3,4,5,2); forcing its s_1
+#: letter instead of its s_4 letter, the letter of B, would pass it
+FLIP_WORD = {"n": 5, "word": [2, 3, 4, 1, 3, 2], "A": [1, 3], "B": [4]}
+
+
+def test_word_data_forces_no_letters_but_those_of_B(tmp_path, capsys):
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(
+        {**FLIP_WORD, "forced": [[0, 1]] * 3 + [[1]] + [[0, 1]] * 2}))
+    for command in ("validate-word", "certify"):
+        assert cli.main([command, "--word", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert '"forced" must be "letters-in-B", got [[0, 1], ' \
+            in captured.err
+    path.write_text(json.dumps({**FLIP_WORD, "forced": "letters-in-B"}))
+    code, payload = run_json(capsys, "certify", "--word", str(path))
+    assert code == 1 and payload["verdict"] is False
+    assert payload["interval"]["failures"] == [
+        {"coset": [1, 3, 4, 5, 2],
+         "coefficient": {"-1": "1", "1": "2", "3": "1"}}]
+
+
 @pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
 def test_errors_other_than_bad_input_propagate(monkeypatch, error):
     # exit 2 is for a ValueError or OSError from the input; anything else

@@ -163,6 +163,23 @@ def test_kl_longest_s5_closed_form():
         assert b.coefficient(y) == v_power(10 - length(y))
 
 
+def test_kl_refuses_up_front_what_its_support_puts_past_the_budget(
+        monkeypatch):
+    """b_x has at least 2^k terms, k being the number of generators in the
+    support of x (read here from a reduced word), and kl_basis refuses x
+    up front when 2^k passes the budget."""
+    for n in (4, 5):
+        for x in all_permutations(n):
+            k = len(set(coxeter.reduced_word(x)))
+            assert len(kl_basis(x).coeffs) >= 2 ** k, x
+            with monkeypatch.context() as m:
+                m.setattr(hecke, "_kl_cache", {})
+                m.setattr(hecke, "KL_BUDGET", 2 ** k - 1)
+                with pytest.raises(ValueError,
+                                   match=rf"at least 2\^{k} terms \({k} "):
+                    kl_basis(x)
+
+
 def test_parabolic_longest_kl_is_v_power_sum():
     for A in ({1}, {2, 3}, {1, 3}, {1, 2, 3}):
         wA = coxeter.longest_element(A, 4)

@@ -117,11 +117,7 @@ def test_parse_word_data_takes_json_ints_or_names_the_field(field, data):
             assert _is_ints(raw[key], 1, n - 1) and got == kind(raw[key])
     assert _is_ints(raw.get("B", []), 1, n - 1)
     assert wd.lower == set(raw.get("B", []))
-    if wd.forced != "letters-in-B":
-        assert wd.word is None or len(wd.forced) == len(wd.word)
-        assert all(_is_ints(slot, 0, 1) and slot for slot in raw["forced"])
-        assert wd.constraint().slots == tuple(
-            tuple(sorted(set(slot))) for slot in raw["forced"])
+    assert raw.get("forced", "letters-in-B") == "letters-in-B"
     assert type(wd.degree) is int and wd.degree == raw.get("degree", -1)
     assert _is_ints(raw.get("word_prefix", []), -10 ** 9, 10 ** 9)
     census = raw.get("census") or {}

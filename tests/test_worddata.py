@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from heckekit import coxeter, subexpr, worddata
+from heckekit import coxeter, spherical, subexpr, worddata
 from heckekit.worddata import (
     load_word_data,
     parse_word_data,
@@ -66,9 +67,11 @@ def test_parse_rejects_bad_input():
     ({"A": "2"}, '"A" must be a list of integers, got \'2\''),
     ({"B": [True]}, "B[0] must be an integer, got True"),
     ({"degree": 1.9}, '"degree" must be an integer, got 1.9'),
-    ({"forced": [[2], [0, 1], [1]]}, "forced[0][0] = 2 is not in 0..1"),
-    ({"forced": [[0], [], [1]]}, "forced[1] allows no bit"),
-    ({"forced": 5}, '"forced" must be "letters-in-B" or a list'),
+    ({"forced": [[0, 1], [1], [0, 1]]},
+     '"forced" must be "letters-in-B", got [[0, 1], [1], [0, 1]]'),
+    ({"forced": "letters-in-b"},
+     '"forced" must be "letters-in-B", got \'letters-in-b\''),
+    ({"forced": 5}, '"forced" must be "letters-in-B", got 5'),
     ({"word_prefix": ["1"]}, "word_prefix[0] must be an integer, got '1'"),
     ({"census": {"length": "3"}},
      "census.length must be an integer, got '3'"),
@@ -139,11 +142,40 @@ def test_x_not_minimal_flagged():
     assert not by_name["x-is-minimal-rep"]
 
 
-def test_explicit_constraint():
-    wd = parse_word_data({"n": 4, "word": [1, 2], "A": [], "B": [],
-                          "forced": [[0, 1], [1]], "degree": -1})
-    c = wd.constraint()
-    assert c.slots == ((0, 1), (1,))
+def test_constraint_forces_the_letters_of_B():
+    wd = parse_word_data({"n": 5, "word": [2, 3, 4, 1, 3, 2], "A": [1, 3],
+                          "B": [4, 2]})
+    assert wd.constraint().slots == ((1,), (0, 1), (1,), (0, 1), (0, 1),
+                                     (1,))
+
+
+def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
+    """Criterion 6's guarantee for the one rule that word data states: on
+    word data that passes validation, `constraint()` leaves every entry
+    of the interval check as the unconstrained expansion has it."""
+    rng = random.Random(20)
+    kept = nonempty = 0
+    while kept < 200:
+        n = rng.choice((4, 5))
+        gens = range(1, n)
+        B = [g for g in gens if rng.random() < 0.3]
+        A = [g for g in gens if g not in B and rng.random() < 0.5]
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 8))]
+        wd = parse_word_data({"n": n, "word": word, "A": A, "B": B})
+        if not validate_word_data(wd).complete:
+            continue
+        x = wd.x_element()
+
+        def entries(constraint):
+            expansion = spherical.deodhar_expand(wd.word, n, wd.parabolic,
+                                                 constraint)
+            return spherical.interval_condition_check(expansion, x).entries
+
+        got = entries(wd.constraint())
+        assert got == entries(None), (n, word, A, B)
+        kept += 1
+        nonempty += bool(got)
+    assert nonempty > 100
 
 
 def test_x_and_w_elements():
