@@ -234,24 +234,24 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def _constraint_from_args(args, word) -> subexpr.EnumConstraint | None:
-    if getattr(args, "forced_letters", None) is not None:
-        letters = parse_word(args.forced_letters, args.n, "--forced-letters")
-        from . import subexpr
+def _constraint_from_args(args, word) -> subexpr.EnumConstraint:
+    """Force the letters of --forced-letters; an absent flag forces none."""
+    letters = parse_word(args.forced_letters or "", args.n,
+                         "--forced-letters")
+    from . import subexpr
 
-        return subexpr.EnumConstraint.forced_letters(word, letters)
-    return None
+    return subexpr.EnumConstraint.forced_letters(word, letters)
 
 
 def cmd_deodhar(args) -> int:
     word = parse_word(args.word, args.n)
     A = parse_parabolic(args.parabolic, args.n)
     constraint = _constraint_from_args(args, word)
-    from . import spherical, subexpr
+    from . import spherical
 
     el = spherical.deodhar_expand(word, args.n, A, constraint)
-    leaves = (constraint or subexpr.EnumConstraint.free(len(word))).leaf_count()
-    emit({"expansion": el.to_json_dict(), "subexpressions": leaves,
+    emit({"expansion": el.to_json_dict(),
+          "subexpressions": constraint.leaf_count(),
           "display": repr(el)}, args.pretty)
     return 0
 

@@ -267,11 +267,6 @@ def op_count(expr: Chain) -> int:
     return len(expr.ops)
 
 
-def op_indices(expr: Chain) -> list[int]:
-    """Generator indices of the operator steps, in prefix (written) order."""
-    return [expr.steps[pos] for pos in expr.ops]
-
-
 def content_degree(expr: Chain) -> int:
     """Graded degree of the polynomial content (base and factors)."""
     polys = [expr.base] + [s for s in expr.steps if isinstance(s, MultiPoly)]
@@ -407,7 +402,7 @@ def parse_expr(text: str) -> Chain:
     >>> expr = parse_expr("D1 ( a2 * D2 ( x3^2 ) )")
     >>> expr.steps
     (1, MultiPoly(1*x3 + -1*x2), 2)
-    >>> op_indices(expr), expr.base.nvars
+    >>> [expr.steps[pos] for pos in expr.ops], expr.base.nvars
     ([1, 2], 3)
     """
     # Read each token once into (token, kind, value, exponent): kind is

@@ -24,8 +24,9 @@ u w = id and 0 otherwise, the trace identity
     eps(h_x^-1 h_y) = [h_{y^-1}] h_x^-1
 
 gives (a, b) = sum_{x,y} bar(a_x) b_y [h_{y^-1}] h_x^-1 through lookups
-into the cached inverses, without forming the product; `a_antiautomorphism`,
-`multiply` and `eps` remain as the slow reference.  This form satisfies
+into the cached inverses, without forming the product; the slow
+reference, through the full product, lives with the tests in
+`tests/oracles.py`.  This form satisfies
 
     (p h, q h') = bar(p) q (h, h'),   (b_s h, h') = (h, b_s h'),
     (h b_s, h') = (h, h' b_s),
@@ -38,6 +39,7 @@ No argument's and no cached element's coefficients are ever written.
 """
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -167,18 +169,6 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
     return el._like(out)
 
 
-def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
-    """The product a*b, expanding b along reduced words of its support."""
-    a._check(b)
-    out: dict[Permutation, LaurentPoly] = {}
-    for x, c in b.coeffs.items():
-        term = a
-        for i in coxeter.reduced_word(x):
-            term = mult_by_gen(term, i, side="right")
-        _add_scaled(out, term.coeffs, c)
-    return a._like(out)
-
-
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
     """The product b_{s_1} b_{s_2} ... b_{s_m} in the standard basis: the
     subexpression fold at A = {}.  As b_s = h_s + v and h_s h_x is h_{sx}
@@ -280,26 +270,25 @@ def kl_basis(x: Permutation) -> HeckeElement:
     return el
 
 
-def eps(el: HeckeElement) -> LaurentPoly:
-    """The coefficient of h_id."""
-    return el.coefficient(coxeter.identity(el.n))
+#: Most terms that `pairing` may read: |supp b| for each x in supp a, and
+#: the inverse of h_x, of at most min(2^len(x), n!) terms.  `pair --n 6` on
+#: the w0 word with itself counts 734,059 and took 3-4.5 s and 65 MB; at
+#: n = 7, with the empty word as --word2, 11.5 million, and it was still
+#: running after 40 s at 990 MB.
+PAIRING_BUDGET = 1_000_000
 
 
-def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
-    """The v -> v^-1 semilinear anti-automorphism fixing every b_s.
-
-    Sends h_x to the algebra inverse of h_x.
-    """
-    out: dict[Permutation, LaurentPoly] = {}
-    for x, c in el.coeffs.items():
-        _add_scaled(out, inverse_h(x).coeffs, c.bar())
-    return el._like(out)
+def _refuse_pairing(reads: int) -> None:
+    if reads > PAIRING_BUDGET:
+        raise ValueError(f"the pairing would read more than the budget "
+                         f"PAIRING_BUDGET = {PAIRING_BUDGET} terms")
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     """The standard form (a, b) = eps(a(a) * b), through the trace identity.
 
     Sums bar(a_x) b_y [h_{y^-1}] h_x^-1 over the supports of a and b.
+    Past PAIRING_BUDGET terms raises ValueError up front.
 
     >>> from heckekit import coxeter
     >>> bs = kl_basis(coxeter.evaluate_word((1,), 2))
@@ -307,6 +296,11 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     LaurentPoly(1 + v^2)
     """
     a._check(b)
+    reads = len(a.coeffs) * len(b.coeffs)
+    top = math.factorial(a.n)
+    if reads + len(a.coeffs) * top > PAIRING_BUDGET:   # n! is too loose
+        reads += sum(min(1 << coxeter.length(x), top) for x in a.coeffs)
+        _refuse_pairing(reads)
     b_terms = [(coxeter.inverse(y), c) for y, c in b.coeffs.items()]
     total = LaurentPoly.zero()
     for x, ax in a.coeffs.items():

@@ -20,6 +20,7 @@ failure raises InexactDivision.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from . import coxeter, hecke, subexpr
@@ -136,8 +137,15 @@ def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
-    """(a, b) = (phi(a), phi(b)) / pi~(A), exactly."""
+    """(a, b) = (phi(a), phi(b)) / pi~(A), exactly.
+
+    phi multiplies each support by |W_A|, so a product of the two past
+    hecke.PAIRING_BUDGET raises ValueError before phi runs.
+    """
     a._check(b)
+    order = math.prod(math.factorial(last - first + 2) for first, last
+                      in coxeter.parabolic_blocks(a.parabolic, a.n))
+    hecke._refuse_pairing(len(a.coeffs) * len(b.coeffs) * order * order)
     num = hecke.pairing(phi_embed(a), phi_embed(b))
     return num.exact_divide(pi_tilde(a.parabolic, a.n))
 
@@ -185,9 +193,11 @@ def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
 def deodhar_expand(word: Sequence[int], n: int, parabolic,
                    constraint: subexpr.EnumConstraint | None = None,
                    ) -> SphericalElement:
-    """sum over allowed subexpressions of v^defect on the endpoint coset.
+    """sum over allowed subexpressions of v^defect on the endpoint coset:
+    the subexpressions with e = 1 at every position `constraint` forces.
 
-    With no constraint this equals bott_samelson_spherical(word, n, A).
+    With no constraint every position is free, and this equals
+    bott_samelson_spherical(word, n, A).
     The fold's endpoints are minimal coset representatives by
     construction (it applies s_i only in the U and D cases of
     `coxeter.coset_step`) and its counts are positive ints, so each

@@ -1,0 +1,185 @@
+"""
+Slow references that the tests compare heckekit's product paths against.
+
+Subexpressions, against `subexpr.sweep`: `iter_subexpressions` walks every
+allowed subexpression depth first and yields one decorated record per
+subexpression; `decorate` decorates one subexpression straight from the
+definitions.  Neither shares code with the packed fold.  Unlike
+`subexpr.EnumConstraint`, which only forces positions to 1, a constraint
+here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
+(0, 1), so the oracles also cover positions forced to 0.
+
+The Hecke algebra, against `hecke.pairing`: `multiply` forms a full
+product generator by generator, and `eps` and `a_antiautomorphism` give
+the pairing by its definition eps(a(a) b).
+"""
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+from heckekit import coxeter
+from heckekit.coxeter import Permutation
+from heckekit.hecke import HeckeElement, _add_scaled, inverse_h, mult_by_gen
+from heckekit.laurent import LaurentPoly
+
+Slots = Sequence[Sequence[int]]
+
+
+class DecoratedSubexpression:
+    __slots__ = ("bits", "decorations", "endpoint", "defect")
+
+    def __init__(self, bits: tuple[int, ...], decorations: tuple[str, ...],
+                 endpoint: Permutation, defect: int):
+        self.bits = bits
+        self.decorations = decorations
+        self.endpoint = endpoint  # minimal rep of the product coset
+        self.defect = defect
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DecoratedSubexpression):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
+
+
+def forced_slots(length: int, forced) -> tuple[tuple[int, ...], ...]:
+    """The allowed-bit sets of a word of `length` letters whose positions
+    in `forced` (0-based) are forced to 1: what `subexpr.EnumConstraint`
+    states."""
+    return tuple((1,) if k in forced else (0, 1) for k in range(length))
+
+
+def decorate(word: Sequence[int], bits: Sequence[int], n: int,
+             parabolic) -> DecoratedSubexpression:
+    """Decorate one subexpression, straight from the definitions.
+
+    Keeps the full suffix products y_j (not just their cosets) and
+    classifies each step by comparing the minimal coset representatives
+    of y and s_i y, so it is independent of the coset-step rule
+    (`coxeter.coset_step`) that the enumerator and the fold use.
+    """
+    m = len(word)
+    if len(bits) != m:
+        raise ValueError(f"bit sequence length {len(bits)} != word length {m}")
+    A = frozenset(parabolic)
+    y = coxeter.identity(n)
+    decorations = ["?"] * m
+    defect = 0
+    for j in range(m, 0, -1):  # y before this step is y_{m-j}
+        i = word[j - 1]
+        e = bits[j - 1]
+        sy = coxeter.apply_gen_left(i, y)
+        u = coxeter.min_coset_rep(y, A)
+        su = coxeter.min_coset_rep(sy, A)
+        d = ("S" if su == u else
+             "U" if coxeter.length(su) > coxeter.length(u) else "D")
+        decorations[j - 1] = d
+        if (d, e) in (("U", 0), ("S", 1)):
+            defect += 1
+        elif (d, e) in (("D", 0), ("S", 0)):
+            defect -= 1
+        if e:
+            y = sy
+    endpoint = coxeter.min_coset_rep(y, A)
+    return DecoratedSubexpression(tuple(bits), tuple(decorations), endpoint,
+                                  defect)
+
+
+def _walk_input(word: Sequence[int], n: int, parabolic,
+                constraint: Slots | None) -> tuple[tuple, frozenset]:
+    """(allowed-bit sets, A) for a walk over `word` in S_n: all free by
+    default, each set checked, their number checked against the word,
+    and every letter and every generator of A checked to lie in 1..n-1."""
+    if constraint is None:
+        constraint = ((0, 1),) * len(word)
+    slots = []
+    for s in constraint:
+        t = tuple(sorted(set(s)))
+        if t not in ((0,), (1,), (0, 1)):
+            raise ValueError(f"invalid allowed-bit set {s!r}")
+        slots.append(t)
+    if len(slots) != len(word):
+        raise ValueError("constraint length != word length")
+    A = frozenset(parabolic)
+    for noun, gens in (("generator index", word),
+                       ("parabolic generator", sorted(A))):
+        for i in gens:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"{noun} {i} out of range for S_{n}")
+    return tuple(slots), A
+
+
+def iter_subexpressions(word: Sequence[int], n: int, parabolic,
+                        constraint: Slots | None = None,
+                        ) -> Iterator[DecoratedSubexpression]:
+    """Visit every allowed subexpression exactly once, depth first.
+
+    Positions are processed from m down to 1 with branch 0 before branch 1,
+    so e_1 varies fastest in the emitted sequence.  Each step goes through
+    `coxeter.coset_step`, and the coset, as its minimal representative,
+    is passed down the recursion.
+    """
+    constraint, A = _walk_input(word, n, parabolic, constraint)
+    m = len(word)
+    bits = [0] * m
+    decorations = ["?"] * m
+
+    def walk(k: int, u: Permutation,
+             defect: int) -> Iterator[DecoratedSubexpression]:
+        if k == m:
+            yield DecoratedSubexpression(tuple(bits), tuple(decorations),
+                                         u, defect)
+            return
+        j = m - 1 - k  # word position (0-based) handled at depth k
+        d, su = coxeter.coset_step(u, word[j], A)
+        decorations[j] = d
+        for e in constraint[j]:
+            bits[j] = e
+            if e == 0:
+                yield from walk(k + 1, u, defect + (1 if d == "U" else -1))
+            else:
+                yield from walk(k + 1, su, defect + (1 if d == "S" else 0))
+
+    yield from walk(0, coxeter.identity(n), 0)
+
+
+def aggregate(word: Sequence[int], n: int, parabolic,
+              constraint: Slots | None = None) -> dict:
+    """endpoint -> defect -> count over `iter_subexpressions`: what
+    `subexpr.sweep` returns for the same allowed subexpressions."""
+    out: dict = {}
+    for rec in iter_subexpressions(word, n, parabolic, constraint):
+        hist = out.setdefault(rec.endpoint, {})
+        hist[rec.defect] = hist.get(rec.defect, 0) + 1
+    return out
+
+
+# -- the Hecke algebra ---------------------------------------------------
+
+
+def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
+    """The product a*b, expanding b along reduced words of its support."""
+    a._check(b)
+    out: dict[Permutation, LaurentPoly] = {}
+    for x, c in b.coeffs.items():
+        term = a
+        for i in coxeter.reduced_word(x):
+            term = mult_by_gen(term, i, side="right")
+        _add_scaled(out, term.coeffs, c)
+    return a._like(out)
+
+
+def eps(el: HeckeElement) -> LaurentPoly:
+    """The coefficient of h_id."""
+    return el.coefficient(coxeter.identity(el.n))
+
+
+def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
+    """The v -> v^-1 semilinear anti-automorphism fixing every b_s.
+
+    Sends h_x to the algebra inverse of h_x.
+    """
+    out: dict[Permutation, LaurentPoly] = {}
+    for x, c in el.coeffs.items():
+        _add_scaled(out, inverse_h(x).coeffs, c.bar())
+    return el._like(out)

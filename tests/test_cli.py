@@ -750,6 +750,37 @@ def test_kazhdan_lusztig_support_past_the_budget_is_refused_up_front(capsys):
         "support of x), past the budget KL_BUDGET = 2000000\n")
 
 
+_W0_S7 = "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 6 5 4 3 2 1"
+
+
+@pytest.mark.parametrize("argv", [
+    # |W_A| = 10!: phi would embed each character into 10! terms
+    ["--n", "10", "--parabolic", "1 2 3 4 5 6 7 8 9", "--word", "1",
+     "--word2", "1"],
+    ["--n", "7", "--parabolic", "1 2 3 4 5 6", "--word", "1", "--word2", "1"],
+    # supports of 5,040 and 1, but 5,040 inverses of up to 5,040 terms
+    ["--n", "7", "--word", _W0_S7, "--word2", ""],
+    ["--n", "7", "--word", _W0_S7, "--word2", _W0_S7],
+])
+def test_pairing_past_the_budget_is_refused_up_front(argv, monkeypatch,
+                                                     capsys):
+    import time
+
+    from heckekit import spherical
+
+    def unreachable(el):
+        raise AssertionError("phi_embed ran past the budget")
+
+    monkeypatch.setattr(spherical, "phi_embed", unreachable)
+    t0 = time.perf_counter()
+    assert cli.main(["pair"] + argv) == 2
+    assert time.perf_counter() - t0 < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("heckekit: the pairing would read more than the "
+                            "budget PAIRING_BUDGET = 1000000 terms\n")
+
+
 #: a word whose interval check fails at (1,3,4,5,2); forcing its s_1
 #: letter instead of its s_4 letter, the letter of B, would pass it
 FLIP_WORD = {"n": 5, "word": [2, 3, 4, 1, 3, 2], "A": [1, 3], "B": [4]}

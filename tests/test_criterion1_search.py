@@ -17,7 +17,11 @@ others raise DegreeAuditFailure: a raised exponent leaves a nonconstant
 erasure).  None of the 151 gives the published tuple, nor even its
 multiset, so no renumbering of the erasures would either.
 `tests/test_acceptance.py` keeps criterion 1 and its published tuple
-verbatim; this test only documents why it stays red.
+verbatim; this test only documents why it stays red.  `test_localization`
+evaluates the shipped chain and the 151 audited variants by localization,
+which shares no code with `demazure`, and gets the same entries: two
+independent evaluators give the shipped vector, so the published -2, 2 at
+entries 9 and 10 is not explained by the arithmetic.
 """
 from collections import Counter
 

@@ -7,7 +7,6 @@ from heckekit import coxeter, hecke, spherical
 from heckekit.coxeter import all_permutations, evaluate_word, identity, length
 from heckekit.hecke import (
     HeckeElement,
-    a_antiautomorphism,
     bar_involution,
     bott_samelson_char,
     h,
@@ -15,11 +14,11 @@ from heckekit.hecke import (
     is_perverse_character,
     kl_basis,
     mult_by_gen,
-    multiply,
     pairing,
     unit,
 )
 from heckekit.laurent import ONE, V, LaurentPoly, v_power
+from oracles import a_antiautomorphism, eps, multiply
 
 
 def s(i, n):
@@ -204,7 +203,7 @@ def test_pairing_examples():
 
 def reference_pairing(a, b):
     """The pairing as defined, through the full product a(a) * b."""
-    return hecke.eps(multiply(hecke.a_antiautomorphism(a), b))
+    return eps(multiply(a_antiautomorphism(a), b))
 
 
 def test_pairing_agrees_with_full_product():
@@ -226,6 +225,19 @@ def test_pairing_agrees_with_full_product():
                 for _ in range(2))
         assert all(c.bar() != c for c in a.coeffs.values())
         assert pairing(a, b) == reference_pairing(a, b)
+
+
+def test_pairing_budget_counts_products_and_inverses(monkeypatch):
+    # a = b_{s1} b_{s2}: support {id, s1, s2, s2 s1}, whose inverses have at
+    # most 1, 2, 2 and 4 terms; 16 products and 9 inverse terms make 25
+    a = bott_samelson_char((1, 2), 3)
+    b = bott_samelson_char((2, 1), 3)
+    want = pairing(a, b)
+    monkeypatch.setattr(hecke, "PAIRING_BUDGET", 25)
+    assert pairing(a, b) == want
+    monkeypatch.setattr(hecke, "PAIRING_BUDGET", 24)
+    with pytest.raises(ValueError, match="PAIRING_BUDGET = 24 terms"):
+        pairing(a, b)
 
 
 def test_pairing_properties_exhaustive_s3():

@@ -3,7 +3,7 @@ either parses to an expression that acts on its own ring or is rejected
 with ValueError."""
 import pytest
 
-from heckekit.demazure import eval_expr, op_indices, parse_expr
+from heckekit.demazure import eval_expr, parse_expr
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -36,5 +36,5 @@ def test_parse_expr_accepts_only_in_range_indices(text):
     except ValueError:
         return
     ring = expr.base.nvars
-    assert all(1 <= i <= ring - 1 for i in op_indices(expr))
+    assert all(1 <= expr.steps[pos] <= ring - 1 for pos in expr.ops)
     assert eval_expr(expr).nvars == ring

@@ -179,7 +179,7 @@ def test_deodhar_examples():
         bott_samelson_spherical((1, 2), 3, {2})
     # all bits forced to 1: a single subexpression lands on minrep(w)
     word = (1, 2, 1)
-    ones = EnumConstraint(((1,),) * 3)
+    ones = EnumConstraint(3, range(3))
     got = deodhar_expand(word, 3, {2}, ones)
     w = coxeter.min_coset_rep(evaluate_word(word, 3), {2})
     assert sorted(got.coeffs) == [w]
@@ -263,8 +263,8 @@ def test_interval_check_matches_rank_table_oracle():
         n = rng.choice((4, 5))
         word = _reduced_word(rng, n, rng.randrange(3, 12))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
-        slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
-        el = deodhar_expand(word, n, A, EnumConstraint(slots))
+        forced = [k for k in range(len(word)) if rng.random() < 0.25]
+        el = deodhar_expand(word, n, A, EnumConstraint(len(word), forced))
         w = coxeter.min_coset_rep(evaluate_word(word, n), A)
         support = sorted(el.coeffs) or [identity(n)]
         x = min(rng.sample(support, min(3, len(support))), key=length)
@@ -297,8 +297,8 @@ def test_expansion_of_a_reduced_word_lies_below_w():
         n = rng.randrange(2, 7)
         word = _reduced_word(rng, n, rng.randrange(1, 13))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
-        slots = [rng.choice(((0, 1), (0, 1), (1,), (0,))) for _ in word]
-        cases.append((word, n, A, EnumConstraint(slots)))
+        forced = [k for k in range(len(word)) if rng.random() < 0.25]
+        cases.append((word, n, A, EnumConstraint(len(word), forced)))
     for name in ("demo-s4-pass", "demo-s4-fail"):
         wd = worddata.load_word_data(name)
         cases.append((wd.word, wd.n, wd.parabolic, wd.constraint()))

@@ -1,0 +1,79 @@
+"""`src/heckekit` holds product paths only.
+
+Every public top-level function and class of a package module must be
+referenced from another definition in the package (or from module-level
+code), qualified by its module: `coxeter.multiply` does not count as a use
+of a `hecke.multiply`.  Slow references that only tests call live in
+`tests/oracles.py`; the few names that stay without a caller in the
+package are listed in ALLOWED with the reason each one stays.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "heckekit"
+
+ALLOWED = {
+    ("coxeter", "bruhat_leq"):
+        "perfbench/tests checks its Bruhat filter against it",
+    ("coxeter", "min_coset_reps"): "the acceptance suite enumerates W^A",
+    ("hecke", "bar_involution"):
+        "criterion 4 checks the bar invariance of b_x with it",
+    ("spherical", "bott_samelson_spherical"):
+        "criterion 3 and perfbench's oracle-s5 compare the fold with it",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+
+
+def _references(module: str, tree: ast.Module, skip: ast.AST) -> set:
+    """(module, name) pairs that `tree` refers to outside the node `skip`:
+    bare names (through `from .mod import name` where imported so) and
+    `mod.name` attributes."""
+    imported = {alias.asname or alias.name: (node.module, alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module
+                for alias in node.names}
+    found = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(imported.get(node.id, (module, node.id)))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)):
+            found.add((node.value.id, node.attr))
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _public_definitions(modules) -> dict:
+    return {(name, node.name): node
+            for name, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    modules = _modules()
+    uncalled = sorted(
+        key for key, node in _public_definitions(modules).items()
+        if not any(key in _references(name, tree, node)
+                   for name, tree in modules.items()))
+    assert uncalled == sorted(ALLOWED)
+
+
+def test_the_scan_sees_module_qualified_and_imported_uses():
+    tree = ast.parse("from .subexpr import sweep\n"
+                     "def f():\n    return sweep() + coxeter.multiply()\n"
+                     "def g():\n    return f()\n")
+    f = tree.body[1]
+    assert {("subexpr", "sweep"), ("coxeter", "multiply")} <= \
+        _references("m", tree, tree.body[2])
+    assert ("m", "f") in _references("m", tree, f)
+    assert ("m", "g") not in _references("m", tree, tree.body[2])

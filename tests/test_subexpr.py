@@ -5,14 +5,8 @@ import random
 import pytest
 
 from heckekit import coxeter, subexpr
-from heckekit.subexpr import (
-    DecoratedSubexpression,
-    EnumConstraint,
-    decorate,
-    defect_histogram,
-    iter_subexpressions,
-    sweep,
-)
+from heckekit.subexpr import EnumConstraint, defect_histogram, sweep
+from oracles import aggregate, decorate, forced_slots, iter_subexpressions
 
 
 def all_subsets(gens):
@@ -61,8 +55,8 @@ def test_defect_matches_definition():
 def test_iter_counts():
     word = (1, 2, 1, 2)
     assert sum(1 for _ in iter_subexpressions(word, 3, set())) == 16
-    forced = EnumConstraint(((1,), (0,), (1,), (1,)))
-    leaves = list(iter_subexpressions(word, 3, set(), forced))
+    leaves = list(iter_subexpressions(word, 3, set(),
+                                      ((1,), (0,), (1,), (1,))))
     assert len(leaves) == 1
     assert leaves[0].bits == (1, 0, 1, 1)
 
@@ -99,23 +93,19 @@ def test_all_ones_endpoint():
 
 
 def _aggregate(word, n, A, constraint):
-    out = {}
-    for rec in iter_subexpressions(word, n, A, constraint):
-        slot = out.setdefault(rec.endpoint, {})
-        slot[rec.defect] = slot.get(rec.defect, 0) + 1
-    return out
+    """The oracle's aggregation of the subexpressions `constraint` allows."""
+    return aggregate(word, n, A, forced_slots(len(word), constraint.forced))
 
 
 def test_sweep_matches_iteration():
+    # no constraint: every position free, on both sides
     rng = random.Random(9)
     for _ in range(120):
         n = rng.choice((3, 4))
         m = rng.randrange(8)
         word = tuple(rng.randrange(1, n) for _ in range(m))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.5)
-        slots = [rng.choice(((0,), (1,), (0, 1))) for _ in range(m)]
-        c = EnumConstraint(slots)
-        assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
+        assert sweep(word, n, A) == aggregate(word, n, A)
 
 
 def test_sweep_matches_iteration_with_forced_positions():
@@ -131,8 +121,7 @@ def test_sweep_matches_iteration_with_forced_positions():
         if len(cases) % 10 == 0:
             cases.append((word, n, A, frozenset(range(m))))
     for word, n, A, forced in cases:
-        c = EnumConstraint([(1,) if k in forced else (0, 1)
-                            for k in range(len(word))])
+        c = EnumConstraint(len(word), forced)
         assert sweep(word, n, A, c) == _aggregate(word, n, A, c), \
             (word, n, sorted(A), sorted(forced))
 
@@ -159,7 +148,7 @@ def test_sweep_budget_is_checked_after_an_e1_insertion(monkeypatch):
     # start state's one coset can be passed there
     monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 0)
     with pytest.raises(ValueError, match="budget of 0 cosets"):
-        sweep((1,), 3, set(), EnumConstraint(((1,),)))
+        sweep((1,), 3, set(), EnumConstraint(1, {0}))
 
 
 def test_sweep_support_budget(monkeypatch):
@@ -178,7 +167,7 @@ def test_sweep_empty_word():
 
 def test_histogram_examples():
     assert defect_histogram((2,), 3, {2}) == {-1: 1, 1: 1}
-    forced = EnumConstraint(((1,), (1,)))
+    forced = EnumConstraint(2, {0, 1})
     hist = defect_histogram((1, 2), 3, set(), forced)
     assert sum(hist.values()) == 1
     hist = defect_histogram((1, 2), 3, {2}, target=(1, 2, 3))
@@ -191,33 +180,22 @@ def test_histogram_examples():
 def test_forced_letters_constraint():
     word = (1, 3, 2, 3, 1)
     c = EnumConstraint.forced_letters(word, {3})
-    assert c.slots == ((0, 1), (1,), (0, 1), (1,), (0, 1))
+    assert c.forced == {1, 3}
+    assert c.free_positions() == [0, 2, 4]
+    assert len(c) == 5 and c.leaf_count() == 8
 
 
 def test_invalid_constraint():
+    for forced in ({1}, {-1}):
+        with pytest.raises(ValueError, match="out of range"):
+            EnumConstraint(1, forced)
     with pytest.raises(ValueError):
-        EnumConstraint(((0, 2),))
-    with pytest.raises(ValueError):
-        sweep((1,), 3, set(), EnumConstraint(((0, 1), (0, 1))))
+        sweep((1,), 3, set(), EnumConstraint(2))
+    with pytest.raises(ValueError, match="invalid allowed-bit set"):
+        list(iter_subexpressions((1,), 3, set(), ((0, 2),)))
 
 
 # -- the packed fold state: field offsets, field widths, the byte bound --
-
-
-def test_sweep_all_zero_slots_reach_the_lowest_defect():
-    # every letter an S step with e = 0: the defect falls to -m, the
-    # lowest field the offset has to cover
-    for k in range(1, 9):
-        c = EnumConstraint(((0,),) * k)
-        assert sweep((1,) * k, 2, {1}, c) == {(1, 2): {-k: 1}}
-    rng = random.Random(41)
-    for _ in range(60):
-        n = rng.choice((2, 3, 4, 5))
-        m = rng.randrange(1, 10)
-        word = tuple(rng.randrange(1, n) for _ in range(m))
-        A = frozenset(i for i in range(1, n) if rng.random() < 0.7)
-        c = EnumConstraint(((0,),) * m)
-        assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
 
 
 def test_sweep_all_one_slots_and_small_ranks():
@@ -229,16 +207,17 @@ def test_sweep_all_one_slots_and_small_ranks():
         m = rng.randrange(10)
         word = tuple(rng.randrange(1, n) for _ in range(m))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.5)
-        c = EnumConstraint(((1,),) * m)
+        c = EnumConstraint(m, range(m))
         assert sweep(word, n, A, c) == _aggregate(word, n, A, c)
     for k in range(6):
         for A in (set(), {1}):
             word = (1,) * k
-            assert sweep(word, 2, A) == _aggregate(word, 2, A, None)
+            assert sweep(word, 2, A) == aggregate(word, 2, A)
 
 
 def test_sweep_s_letters_give_binomial_counts():
-    # k free S steps: defect 2j - k for the C(k, j) choices of j ones
+    # k free S steps: defect 2j - k for the C(k, j) choices of j ones; the
+    # all-zero choice reaches -k, the lowest field the offset has to cover
     for k in range(13):
         assert sweep((1,) * k, 2, {1}) == {
             (1, 2): {2 * j - k: math.comb(k, j) for j in range(k + 1)}}
@@ -251,10 +230,10 @@ def test_sweep_mixed_slots_seeded_batch():
         m = rng.randrange(1, 12)
         word = tuple(rng.randrange(1, n) for _ in range(m))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
-        c = EnumConstraint([rng.choice(((0,), (1,), (0, 1)))
-                            for _ in range(m)])
+        c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.5))
         got = sweep(word, n, A, c)
-        assert got == _aggregate(word, n, A, c), (word, n, sorted(A), c.slots)
+        assert got == _aggregate(word, n, A, c), (word, n, sorted(A),
+                                                  sorted(c.forced))
         # deodhar_expand wraps these keys and histograms unchecked
         assert all(coxeter.is_min_coset_rep(z, A) and hist
                    for z, hist in got.items())

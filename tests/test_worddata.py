@@ -145,8 +145,7 @@ def test_x_not_minimal_flagged():
 def test_constraint_forces_the_letters_of_B():
     wd = parse_word_data({"n": 5, "word": [2, 3, 4, 1, 3, 2], "A": [1, 3],
                           "B": [4, 2]})
-    assert wd.constraint().slots == ((1,), (0, 1), (1,), (0, 1), (0, 1),
-                                     (1,))
+    assert wd.constraint().forced == {0, 2, 5}
 
 
 def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
