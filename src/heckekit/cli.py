@@ -204,31 +204,39 @@ def cmd_kl(args) -> int:
 def _character(args, word):
     """The Bott-Samelson character of `word` in H, or in the spherical
     module M for A = --parabolic when that flag is given, with the
-    module's name, its pairing and its perversity check."""
+    module's name and its perversity check."""
     if args.parabolic is None:
         from . import hecke
 
         return (hecke.bott_samelson_char(word, args.n), "hecke",
-                hecke.pairing, hecke.is_perverse_character)
+                hecke.is_perverse_character)
     A = parse_parabolic(args.parabolic, args.n)
     from . import spherical
 
     return (spherical.deodhar_expand(word, args.n, A), "spherical",
-            spherical.spherical_pairing, spherical.is_perverse_spherical)
+            spherical.is_perverse_spherical)
 
 
 def cmd_bs(args) -> int:
-    el, module, _, _ = _character(args, parse_word(args.word, args.n))
+    el, module, _ = _character(args, parse_word(args.word, args.n))
     emit({"module": module, "bs": el.to_json_dict(), "display": repr(el)},
          args.pretty)
     return 0
 
 
 def cmd_pair(args) -> int:
+    """(b_{w1}, b_{w2}) = [id] b_{rev(w1) w2}: the identity coefficient of
+    one character.  The form is b_s-adjoint, so moving the letters of w1
+    across, first letter first, gives (1, b_{rev(w1)} b_{w2}); and
+    (1, h) = [h_id] h in H, while (m_id, m_z) is 1 at z = id and 0
+    otherwise in M.  `hecke.pairing` and `spherical.spherical_pairing`
+    are the references."""
     w1 = parse_word(args.word, args.n)
     w2 = parse_word(args.word2, args.n, "--word2")
-    a, module, pairing, _ = _character(args, w1)
-    value = pairing(a, _character(args, w2)[0])
+    el, module, _ = _character(args, w1[::-1] + w2)
+    from . import coxeter
+
+    value = el.coefficient(coxeter.identity(args.n))
     emit({"module": module, "pairing": value.to_json_dict(),
           "display": str(value)}, args.pretty)
     return 0
@@ -295,7 +303,7 @@ def cmd_intersection_form(args) -> int:
 
 
 def cmd_perverse_check(args) -> int:
-    el, _, _, perversity = _character(args, parse_word(args.word, args.n))
+    el, _, perversity = _character(args, parse_word(args.word, args.n))
     rep = perversity(el)
     from . import hecke
 

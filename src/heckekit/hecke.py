@@ -26,7 +26,9 @@ u w = id and 0 otherwise, the trace identity
 gives (a, b) = sum_{x,y} bar(a_x) b_y [h_{y^-1}] h_x^-1 through lookups
 into the cached inverses, without forming the product; the slow
 reference, through the full product, lives with the tests in
-`tests/oracles.py`.  This form satisfies
+`tests/oracles.py`.  The CLI's `pair` needs neither: the form is
+b_s-adjoint, so (b_{w1}, b_{w2}) = [h_id] b_{rev(w1) w2} (`cli.cmd_pair`),
+and `pairing` is its reference.  This form satisfies
 
     (p h, q h') = bar(p) q (h, h'),   (b_s h, h') = (h, b_s h'),
     (h b_s, h') = (h, h' b_s),
@@ -39,7 +41,6 @@ No argument's and no cached element's coefficients are ever written.
 """
 from __future__ import annotations
 
-import math
 from itertools import accumulate
 from typing import Callable, Iterable
 
@@ -212,8 +213,9 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
 KL_BUDGET = 2_000_000
 
 # one entry per element asked for and per element its recursion reaches,
-# within KL_BUDGET terms (_inverse_cache and spherical._skl_cache still
-# grow without bound)
+# within KL_BUDGET terms (spherical._skl_cache still grows without bound;
+# so does _inverse_cache, which only `pairing` and `bar_involution` fill,
+# and no CLI command calls either)
 _kl_cache: dict[Permutation, HeckeElement] = {}
 # len(_kl_cache) and its number of terms when last counted; a cache that
 # was swapped or cleared since is counted again
@@ -270,25 +272,12 @@ def kl_basis(x: Permutation) -> HeckeElement:
     return el
 
 
-#: Most terms that `pairing` may read: |supp b| for each x in supp a, and
-#: the inverse of h_x, of at most min(2^len(x), n!) terms.  `pair --n 6` on
-#: the w0 word with itself counts 734,059 and took 3-4.5 s and 65 MB; at
-#: n = 7, with the empty word as --word2, 11.5 million, and it was still
-#: running after 40 s at 990 MB.
-PAIRING_BUDGET = 1_000_000
-
-
-def _refuse_pairing(reads: int) -> None:
-    if reads > PAIRING_BUDGET:
-        raise ValueError(f"the pairing would read more than the budget "
-                         f"PAIRING_BUDGET = {PAIRING_BUDGET} terms")
-
-
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     """The standard form (a, b) = eps(a(a) * b), through the trace identity.
 
-    Sums bar(a_x) b_y [h_{y^-1}] h_x^-1 over the supports of a and b.
-    Past PAIRING_BUDGET terms raises ValueError up front.
+    Sums bar(a_x) b_y [h_{y^-1}] h_x^-1 over the supports of a and b,
+    caching the whole inverse of h_x for each x in the support of a; the
+    reference that `pair`, one fold, is tested against.
 
     >>> from heckekit import coxeter
     >>> bs = kl_basis(coxeter.evaluate_word((1,), 2))
@@ -296,11 +285,6 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     LaurentPoly(1 + v^2)
     """
     a._check(b)
-    reads = len(a.coeffs) * len(b.coeffs)
-    top = math.factorial(a.n)
-    if reads + len(a.coeffs) * top > PAIRING_BUDGET:   # n! is too loose
-        reads += sum(min(1 << coxeter.length(x), top) for x in a.coeffs)
-        _refuse_pairing(reads)
     b_terms = [(coxeter.inverse(y), c) for y, c in b.coeffs.items()]
     total = LaurentPoly.zero()
     for x, ax in a.coeffs.items():

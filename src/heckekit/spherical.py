@@ -20,8 +20,7 @@ failure raises InexactDivision.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
@@ -137,15 +136,8 @@ def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
-    """(a, b) = (phi(a), phi(b)) / pi~(A), exactly.
-
-    phi multiplies each support by |W_A|, so a product of the two past
-    hecke.PAIRING_BUDGET raises ValueError before phi runs.
-    """
+    """(a, b) = (phi(a), phi(b)) / pi~(A), exactly."""
     a._check(b)
-    order = math.prod(math.factorial(last - first + 2) for first, last
-                      in coxeter.parabolic_blocks(a.parabolic, a.n))
-    hecke._refuse_pairing(len(a.coeffs) * len(b.coeffs) * order * order)
     num = hecke.pairing(phi_embed(a), phi_embed(b))
     return num.exact_divide(pi_tilde(a.parabolic, a.n))
 

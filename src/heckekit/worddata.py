@@ -243,11 +243,17 @@ def validate_word_data(wd: WordData) -> ValidationReport:
             "the word is a reduced expression"
             if reduced else "word is not reduced")
 
+    # a count alone passes B-letters that multiply to less than w_B
     wB = wd.x_element()
     forced_count = len(wd.word) - free
-    rep.add("forced-count-is-length-of-wB",
-            forced_count == coxeter.length(wB),
-            f"forced positions {forced_count}, len(w_B) {coxeter.length(wB)}")
+    detail = f"forced positions {forced_count}, len(w_B) {coxeter.length(wB)}"
+    product = coxeter.evaluate_word(
+        [t for t in wd.word if t in wd.lower], wd.n)
+    ok = forced_count == coxeter.length(wB) and product == wB
+    if not ok:
+        detail += (f"; the letters of B multiply to {list(product)}, "
+                   f"w_B is {list(wB)}")
+    rep.add("forced-count-is-length-of-wB", ok, detail)
 
     if wd.parabolic is not None:
         ok = coxeter.is_min_coset_rep(wB, wd.parabolic)

@@ -1,6 +1,8 @@
 import gc
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -764,21 +766,77 @@ _W0_S7 = "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 6 5 4 3 2 1"
 ])
 def test_pairing_past_the_budget_is_refused_up_front(argv, monkeypatch,
                                                      capsys):
+    # inputs whose pairing through phi or through inverses of h_x is too
+    # large to run: `pair` reads one coefficient of one fold instead
     import time
 
-    from heckekit import spherical
+    from heckekit import hecke, spherical
 
-    def unreachable(el):
-        raise AssertionError("phi_embed ran past the budget")
+    def unreachable(*args):
+        raise AssertionError("pair ran the reference pairing")
 
-    monkeypatch.setattr(spherical, "phi_embed", unreachable)
+    for module, name in ((spherical, "phi_embed"), (hecke, "pairing"),
+                         (hecke, "inverse_h")):
+        monkeypatch.setattr(module, name, unreachable)
     t0 = time.perf_counter()
-    assert cli.main(["pair"] + argv) == 2
+    code, payload = run_json(capsys, "pair", *argv)
     assert time.perf_counter() - t0 < 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("heckekit: the pairing would read more than the "
-                            "budget PAIRING_BUDGET = 1000000 terms\n")
+    assert code == 0
+    if "--parabolic" in argv:
+        # A is every generator: b_{s1} b_{s1} m_id = (v + v^-1)^2 m_id
+        assert payload["display"] == "v^-2 + 2 + v^2"
+
+
+def _pair_cases():
+    """(n, A, w1, w2): every pair of words of up to 3 letters in S_3 and
+    of up to 2 in S_4, for every A and for H (A = None), then a seeded
+    S_5 batch."""
+    for n, longest in ((3, 3), (4, 2)):
+        gens = range(1, n)
+        words = [w for k in range(longest + 1)
+                 for w in itertools.product(gens, repeat=k)]
+        subsets = [None] + [A for k in range(n) for A in
+                            itertools.combinations(gens, k)]
+        for A in subsets:
+            for w1, w2 in itertools.product(words, words):
+                yield n, A, w1, w2
+    rng = random.Random(23)
+    for _ in range(300):
+        A = None if rng.random() < 0.5 else tuple(
+            g for g in range(1, 5) if rng.random() < 0.4)
+        w1, w2 = (tuple(rng.choice(range(1, 5))
+                        for _ in range(rng.randint(0, 4))) for _ in "12")
+        yield 5, A, w1, w2
+
+
+def test_pair_agrees_with_the_reference_pairings(capsys):
+    # `pair` reads [id] of the character of rev(w1) + w2; the references
+    # pair the two characters through inverses of h_x and through phi
+    from heckekit import hecke, spherical
+
+    chars = {}
+
+    def character(n, A, w):
+        key = n, A, w
+        if key not in chars:
+            chars[key] = (hecke.bott_samelson_char(w, n) if A is None else
+                          spherical.bott_samelson_spherical(w, n, A))
+        return chars[key]
+
+    parser = cli.build_parser()     # once: building it costs the most
+    for n, A, w1, w2 in _pair_cases():
+        argv = ["pair", "--n", str(n), "--word", " ".join(map(str, w1)),
+                "--word2", " ".join(map(str, w2))]
+        if A is not None:
+            argv += ["--parabolic", " ".join(map(str, A))]
+        a, b = character(n, A, w1), character(n, A, w2)
+        want = (hecke.pairing(a, b) if A is None
+                else spherical.spherical_pairing(a, b))
+        assert cli.cmd_pair(parser.parse_args(argv)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"module": "hecke" if A is None else "spherical",
+                           "pairing": want.to_json_dict(),
+                           "display": str(want)}, argv
 
 
 #: a word whose interval check fails at (1,3,4,5,2); forcing its s_1
@@ -802,6 +860,24 @@ def test_word_data_forces_no_letters_but_those_of_B(tmp_path, capsys):
     assert payload["interval"]["failures"] == [
         {"coset": [1, 3, 4, 5, 2],
          "coefficient": {"-1": "1", "1": "2", "3": "1"}}]
+
+
+def test_letters_of_B_that_do_not_spell_wB_fail_validation(tmp_path, capsys):
+    # three B-letters, as many as len(w_B), but 2, 2, 3 multiply to s_3;
+    # with only the count checked, certify passes it on an empty interval
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(
+        {"n": 4, "word": [2, 1, 2, 3], "A": [], "B": [2, 3]}))
+    detail = ("forced positions 3, len(w_B) 3; the letters of B multiply "
+              "to [1, 2, 4, 3], w_B is [1, 4, 3, 2]")
+    code, payload = run_json(capsys, "validate-word", "--word", str(path))
+    assert code == 1
+    assert {"name": "forced-count-is-length-of-wB", "ok": False,
+            "detail": detail} in payload["checks"]
+    assert cli.main(["certify", "--word", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"forced-count-is-length-of-wB: {detail}\n" in captured.err
 
 
 @pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])

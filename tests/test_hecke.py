@@ -227,19 +227,6 @@ def test_pairing_agrees_with_full_product():
         assert pairing(a, b) == reference_pairing(a, b)
 
 
-def test_pairing_budget_counts_products_and_inverses(monkeypatch):
-    # a = b_{s1} b_{s2}: support {id, s1, s2, s2 s1}, whose inverses have at
-    # most 1, 2, 2 and 4 terms; 16 products and 9 inverse terms make 25
-    a = bott_samelson_char((1, 2), 3)
-    b = bott_samelson_char((2, 1), 3)
-    want = pairing(a, b)
-    monkeypatch.setattr(hecke, "PAIRING_BUDGET", 25)
-    assert pairing(a, b) == want
-    monkeypatch.setattr(hecke, "PAIRING_BUDGET", 24)
-    with pytest.raises(ValueError, match="PAIRING_BUDGET = 24 terms"):
-        pairing(a, b)
-
-
 def test_pairing_properties_exhaustive_s3():
     perms = list(all_permutations(3))
     ps = [ONE, V, LaurentPoly({-2: 3, 1: -1})]

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from heckekit import coxeter, hecke, spherical
+from heckekit import coxeter, hecke
 from heckekit.coxeter import evaluate_word, identity, length, min_coset_reps
 from heckekit.hecke import kl_basis, mult_by_gen
-from heckekit.laurent import ONE, V, InexactDivision, LaurentPoly, v_power
+from heckekit.laurent import ONE, V, LaurentPoly, v_power
 from heckekit.spherical import (
     SphericalElement,
     act_by_gen,

@@ -5,7 +5,8 @@ referenced from another definition in the package (or from module-level
 code), qualified by its module: `coxeter.multiply` does not count as a use
 of a `hecke.multiply`.  Slow references that only tests call live in
 `tests/oracles.py`; the few names that stay without a caller in the
-package are listed in ALLOWED with the reason each one stays.
+package are listed in ALLOWED with the reason each one stays.  And every
+name that a package module imports is used in that module.
 """
 import ast
 from pathlib import Path
@@ -18,6 +19,9 @@ ALLOWED = {
     ("coxeter", "min_coset_reps"): "the acceptance suite enumerates W^A",
     ("hecke", "bar_involution"):
         "criterion 4 checks the bar invariance of b_x with it",
+    ("spherical", "spherical_pairing"):
+        "criterion 5, perfbench's oracle-s5 and the `pair` agreement test "
+        "compare with it",
     ("spherical", "bott_samelson_spherical"):
         "criterion 3 and perfbench's oracle-s5 compare the fold with it",
 }
@@ -77,3 +81,32 @@ def test_the_scan_sees_module_qualified_and_imported_uses():
         _references("m", tree, tree.body[2])
     assert ("m", "f") in _references("m", tree, f)
     assert ("m", "g") not in _references("m", tree, tree.body[2])
+
+
+def _unused_imports(tree: ast.Module) -> set:
+    """Names that `tree` imports and never reads.  An annotation is an
+    expression in the tree, so a name read only there is read (the
+    package quotes no annotation that names an import)."""
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    unused = {path.name: sorted(_unused_imports(ast.parse(path.read_text())))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_import_scan_reads_annotations():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "from typing import Iterable, Sequence, Mapping\n"
+                     "from . import coxeter\n"
+                     "def f(a: Iterable[int]) -> coxeter.Permutation:\n"
+                     "    return os.path.join(a)\n")
+    assert _unused_imports(tree) == {"Sequence", "Mapping"}
