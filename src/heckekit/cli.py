@@ -142,20 +142,24 @@ def parse_parabolic(text: str | None, n: int) -> frozenset:
 
 def load_expression(source: str) -> tuple[demazure.Chain, str]:
     """--expr: a builtin name, the path of a regular file, or inline text
-    (any other existing path, such as a directory, is an error)."""
+    (any other existing path, such as a directory, is an error).  A file
+    that does not decode or parse is an error naming the flag, as inline
+    text that does not parse is."""
     from . import demazure
 
     if source in demazure.BUILTIN_EXPRESSIONS:
         return demazure.builtin_expr(source), source
     # os.path.isfile and os.path.exists are False, not an error, for text
     # too long to be a file name
-    if os.path.isfile(source):
-        path = Path(source)
-        return demazure.parse_expr(path.read_text()), str(path)
-    if os.path.exists(source) or ("D" not in source and "(" not in source):
+    is_file = os.path.isfile(source)
+    if not is_file and (os.path.exists(source)
+                        or ("D" not in source and "(" not in source)):
         raise ValueError(f"--expr {source!r} is not a builtin, file, or "
                          f"inline prefix expression")
     try:
+        if is_file:
+            path = Path(source)
+            return demazure.parse_expr(path.read_text()), str(path)
         return demazure.parse_expr(source), "<inline>"
     except ValueError as exc:
         raise ValueError(f"--expr {source!r}: {exc}") from None
@@ -351,7 +355,8 @@ def cmd_certify(args) -> int:
     if args.word is None:
         payload["interval"] = {"status": "skipped: no word data"}
     else:
-        from . import spherical, subexpr, worddata
+        from . import subexpr, worddata
+        from .laurent import _poly
 
         wd = load_word(args.word)
         report = worddata.validate_word_data(wd)
@@ -370,14 +375,12 @@ def cmd_certify(args) -> int:
             w = wd.w_element()
             constraint = wd.constraint()
             t1 = time.perf_counter()
-            expansion = spherical.deodhar_expand(
-                wd.word, wd.n, wd.parabolic, constraint)
+            data = subexpr.sweep(wd.word, wd.n, wd.parabolic, constraint)
             timings["enumeration_seconds"] = round(
                 time.perf_counter() - t1, 6)
             t2 = time.perf_counter()
-            interval = spherical.interval_condition_check(expansion, x)
+            inside = subexpr.interval_endpoints(data, wd.n, wd.parabolic, x)
             timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
-            interval_ok = interval.passed
             payload["word"] = {
                 "source": wd.source,
                 "n": wd.n,
@@ -391,23 +394,28 @@ def cmd_certify(args) -> int:
                 "subexpressions": constraint.leaf_count(),
                 "validation": report.to_json_dict(),
             }
-            payload["histogram"] = _hist_json(subexpr.total_histogram(
-                c.terms for c in expansion.coeffs.values()))
-            payload["histogram_at_x"] = _hist_json(
-                expansion.coefficient(x).terms)
-            failed = interval.failures
-            entries = [{"coset": list(z), "coefficient": c.to_json_dict(),
-                        "ok": z not in failed}
-                       for z, c in interval.entries]
+            payload["histogram"] = _hist_json(
+                subexpr.total_histogram(data.values()))
+            payload["histogram_at_x"] = _hist_json(data.get(x, {}))
+            # each coefficient must lie in Z[v]: no negative powers of v
+            entries, failures = [], []
+            for z in inside:
+                c = _poly(data[z])
+                coset, coefficient = list(z), c.to_json_dict()
+                ok = c.is_nonnegative_powers()
+                entries.append({"coset": coset, "coefficient": coefficient,
+                                "ok": ok})
+                if not ok:
+                    failures.append({"coset": coset,
+                                     "coefficient": coefficient})
+            interval_ok = not failures
             payload["interval"] = {
-                "status": "ok" if interval.passed else "failed",
-                "passed": interval.passed,
-                "cosets_in_interval": len(interval.entries),
-                "cosets_outside": interval.outside,
+                "status": "ok" if interval_ok else "failed",
+                "passed": interval_ok,
+                "cosets_in_interval": len(entries),
+                "cosets_outside": len(data) - len(entries),
                 "entries": entries,
-                "failures": [{"coset": e["coset"],
-                              "coefficient": e["coefficient"]}
-                             for e in entries if not e["ok"]],
+                "failures": failures,
             }
 
     verdict = rank_ok and interval_ok

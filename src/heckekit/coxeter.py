@@ -12,7 +12,7 @@ Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
 of x dominates that of y entrywise.  `bruhat_above` decides the lower
 half x < z of the certificate's interval test on packed rank tables
 (the upper half z <= w holds for every endpoint of a reduced word's
-expansion, see `spherical.interval_condition_check`): the entries
+expansion, see `subexpr.interval_endpoints`): the entries
 r[i][j], i, j in 1..n-1, sit in one int, one field each, with a guard
 bit above the value bits.  A table is the sum of n-1 precomputed
 per-position constants, and x <= y is one subtraction:

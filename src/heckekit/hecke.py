@@ -213,9 +213,11 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
 KL_BUDGET = 2_000_000
 
 # one entry per element asked for and per element its recursion reaches,
-# within KL_BUDGET terms (spherical._skl_cache still grows without bound;
-# so does _inverse_cache, which only `pairing` and `bar_involution` fill,
-# and no CLI command calls either)
+# within KL_BUDGET terms.  spherical._skl_cache holds no more terms for one
+# A, as in every CLI process: its entry at x is read off the cached
+# b_{x w_A}, and distinct x give distinct x w_A.  _inverse_cache grows
+# without bound, but only `pairing` and `bar_involution` fill it, and no
+# CLI command calls either.
 _kl_cache: dict[Permutation, HeckeElement] = {}
 # len(_kl_cache) and its number of terms when last counted; a cache that
 # was swapped or cleared since is counted again

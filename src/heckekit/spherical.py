@@ -199,53 +199,3 @@ def deodhar_expand(word: Sequence[int], n: int, parabolic,
     return SphericalElement(n, parabolic)._like(
         {z: _poly(hist) for z, hist in data.items()})
 
-
-class IntervalReport:
-    """Result of the interval condition on an expansion.
-
-    `entries` are the (z, coefficient) pairs of the endpoints z with
-    x < z <= w (Bruhat order on minimal coset representatives), sorted
-    by z.  Each coefficient must have nonnegative powers only;
-    `failures` is the set of the z whose coefficient does not.
-    Endpoints outside the interval are unconstrained and only counted.
-    """
-    __slots__ = ("entries", "failures", "outside")
-
-    def __init__(self, entries: list[tuple[Permutation, LaurentPoly]],
-                 failures: set[Permutation], outside: int):
-        self.entries = entries
-        self.failures = failures
-        self.outside = outside
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def interval_condition_check(expansion: SphericalElement,
-                             x: Permutation) -> IntervalReport:
-    """Check the interval condition x < z <= w, where w is the minimal
-    coset representative of the element of a reduced word and
-    `expansion` is that word's (constrained) `deodhar_expand`.
-
-    Only x < z is compared, with `coxeter.bruhat_above`: every endpoint
-    z of the expansion is a subexpression product, which lies below the
-    word's element in Bruhat order when the word is reduced (the subword
-    property), and taking the minimal coset representative preserves
-    the order (Bjorner-Brenti, Thm 2.2.2 and Prop 2.5.1), so z <= w.
-    A word that is not reduced can have endpoints above w, which this
-    check would count as inside: check reducedness first, as the
-    `word-reduced` check of `worddata.validate_word_data` does.
-    """
-    A, n = expansion.parabolic, expansion.n
-    x = tuple(x)
-    if len(x) != n or not coxeter.is_permutation(x):
-        raise ValueError(f"x = {x} is not a permutation of 1..{n}")
-    if not coxeter.is_min_coset_rep(x, A):
-        raise ValueError(f"{x} is not a minimal coset representative")
-    above = coxeter.bruhat_above(x)
-    coeffs = expansion.coeffs
-    entries = [(z, coeffs[z]) for z in sorted(coeffs) if above(z)]
-    return IntervalReport(
-        entries, {z for z, c in entries if not c.is_nonnegative_powers()},
-        len(coeffs) - len(entries))

@@ -16,7 +16,9 @@ endpoint -> defect -> count as a right-to-left fold over word positions
 whose state maps minimal coset representatives to defect histograms.
 Each step is the b_s action on the spherical module, cut down to e = 1 at
 a forced position, so the cost follows the number of cosets reached
-rather than the 2^(free positions) subexpressions.
+rather than the 2^(free positions) subexpressions.  `interval_endpoints`
+picks out of a fold's result the cosets of the certificate's interval
+x < z <= w.
 
 The fold state is packed.  A coset is a `bytes` key holding one value per
 byte, so `sweep` takes n <= MAX_N = 255, and s_i u is `u.translate(T_i)`
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import coxeter
 from .coxeter import Permutation
 
 SweepResult = dict[Permutation, dict[int, int]]
@@ -169,6 +172,31 @@ def _unpack(state: dict[bytes, int], width: int) -> SweepResult:
             d += 1
         out[tuple(u)] = hist
     return out
+
+
+def interval_endpoints(data: SweepResult, n: int, parabolic,
+                       x: Permutation) -> list[Permutation]:
+    """The endpoints z of a `sweep` result with x < z, sorted: the cosets
+    of the certificate's interval x < z <= w, where w is the minimal
+    coset representative of the element of the swept word, which must
+    be reduced.
+
+    Only x < z is compared, with `coxeter.bruhat_above`: every endpoint
+    z is a subexpression product, which lies below the word's element in
+    Bruhat order when the word is reduced (the subword property), and
+    taking the minimal coset representative preserves the order
+    (Bjorner-Brenti, Thm 2.2.2 and Prop 2.5.1), so z <= w.  A word that
+    is not reduced can have endpoints above w, which this test would
+    count as inside: check reducedness first, as the `word-reduced`
+    check of `worddata.validate_word_data` does.
+    """
+    x = tuple(x)
+    if len(x) != n or not coxeter.is_permutation(x):
+        raise ValueError(f"x = {x} is not a permutation of 1..{n}")
+    if not coxeter.is_min_coset_rep(x, parabolic):
+        raise ValueError(f"{x} is not a minimal coset representative")
+    above = coxeter.bruhat_above(x)
+    return [z for z in sorted(data) if above(z)]
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

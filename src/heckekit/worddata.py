@@ -74,13 +74,19 @@ class WordData:
 
 
 def load_word_data(path_or_name: str | Path) -> WordData:
+    """Read and check word data; a file that does not decode, or is not
+    JSON, is a ValueError that names the source, as a bad field is."""
     name = str(path_or_name)
     if name in BUILTIN_WORDS:
         path = resources.files("heckekit").joinpath("data",
                                                     BUILTIN_WORDS[name])
     else:
         path = Path(name)
-    return parse_word_data(json.loads(path.read_text()), name)
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as exc:   # UnicodeDecodeError, json.JSONDecodeError
+        raise ValueError(f"word data {name}: {exc}") from None
+    return parse_word_data(raw, name)
 
 
 def _int(value, name: str) -> int:

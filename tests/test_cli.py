@@ -212,6 +212,19 @@ def test_certify_report_agrees_with_its_parts(name, capsys):
     assert interval["failures"] == [
         {k: v for k, v in e.items() if k != "ok"}
         for e in interval["entries"] if not e["ok"]]
+    # the interval reads the expansion that `deodhar` prints
+    _, deodhar = run_json(
+        capsys, "deodhar", "--n", str(word["n"]),
+        "--parabolic", " ".join(map(str, word["A"])),
+        "--word", " ".join(map(str, words)),
+        "--forced-letters", " ".join(map(str, word["B"])))
+    coeffs = deodhar["expansion"]["coeffs"]
+    assert (interval["cosets_in_interval"] + interval["cosets_outside"]
+            == len(coeffs))
+    for e in interval["entries"]:
+        coefficient = coeffs[",".join(map(str, e["coset"]))]
+        assert e["coefficient"] == coefficient
+        assert e["ok"] == all(int(k) >= 0 for k in coefficient)
 
 
 def test_certify_invalid_word_data_is_input_error(tmp_path, capsys):
@@ -238,6 +251,30 @@ def test_missing_file_is_input_error(capsys):
              "--word 'nope.json' is not a builtin name or a regular file"),
             (["intersection-form", "--expr", "/no/such/D1.txt"],
              "--expr '/no/such/D1.txt': bad token")]:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"heckekit: {message}"), captured.err
+
+
+def test_unreadable_file_error_names_the_flag_or_the_file(tmp_path, capsys):
+    cut_expr = tmp_path / "cut.txt"
+    cut_expr.write_text("D1 (")
+    cut_word = tmp_path / "cut.json"
+    cut_word.write_text('{"n": 4,')
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe D1")
+    undecodable = "'utf-8' codec can't decode byte 0xff"
+    cases = [(["intersection-form", "--expr", str(cut_expr)],
+              f"--expr {str(cut_expr)!r}: unexpected end of expression"),
+             (["intersection-form", "--expr", str(binary)],
+              f"--expr {str(binary)!r}: {undecodable}")]
+    for command in ("certify", "validate-word"):
+        cases += [([command, "--word", str(cut_word)],
+                   f"word data {cut_word}: Expecting property name"),
+                  ([command, "--word", str(binary)],
+                   f"word data {binary}: {undecodable}")]
+    for argv, message in cases:
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -953,7 +990,8 @@ _DEMAZURE = {"cli", "demazure", "laurent"}
                  {"cli", "coxeter", "subexpr", "worddata"},
                  id="validate-word"),
     pytest.param(["certify", "--word", "demo-s4-fail"],
-                 _SPHERICAL | {"demazure", "worddata"}, id="certify"),
+                 {"cli", "coxeter", "demazure", "laurent", "subexpr",
+                  "worddata"}, id="certify"),
     pytest.param(["skl", "--n", "3", "--parabolic", "2", "--perm", "2,1,3"],
                  _SPHERICAL, id="skl-perm"),
     pytest.param(["kl", "--n", "3"], {"cli"}, id="argparse-rejection"),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckekit import coxeter, hecke
+from heckekit import coxeter, hecke, spherical
 from heckekit.coxeter import evaluate_word, identity, length, min_coset_reps
 from heckekit.hecke import kl_basis, mult_by_gen
 from heckekit.laurent import ONE, V, LaurentPoly, v_power
@@ -12,7 +12,6 @@ from heckekit.spherical import (
     act_by_gen,
     bott_samelson_spherical,
     deodhar_expand,
-    interval_condition_check,
     is_perverse_spherical,
     m,
     m_id,
@@ -21,7 +20,7 @@ from heckekit.spherical import (
     spherical_kl_basis,
     spherical_pairing,
 )
-from heckekit.subexpr import EnumConstraint
+from heckekit.subexpr import EnumConstraint, interval_endpoints, sweep
 
 
 def all_subsets(n):
@@ -173,6 +172,23 @@ def test_is_perverse_spherical():
     assert rep.expansion == {s1: ONE}
 
 
+def test_spherical_kl_cache_holds_no_more_than_the_kl_cache(monkeypatch):
+    """For one A, the entry of `_skl_cache` at x is read off the cached
+    b_{x w_A}, and distinct x give distinct x w_A: so the spherical cache
+    holds at most the terms of `hecke._kl_cache`, which KL_BUDGET bounds."""
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.choice((4, 5))
+        word = tuple(rng.randrange(1, n) for _ in range(rng.randrange(1, 9)))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        monkeypatch.setattr(hecke, "_kl_cache", {})
+        monkeypatch.setattr(spherical, "_skl_cache", {})
+        is_perverse_spherical(deodhar_expand(word, n, A))
+        skl = sum(len(c.coeffs) for c in spherical._skl_cache.values())
+        kl = sum(len(b.coeffs) for b in hecke._kl_cache.values())
+        assert 0 < skl <= kl, (word, n, sorted(A))
+
+
 def test_deodhar_examples():
     assert deodhar_expand((2,), 3, {2}) == m_id(3, {2}).scale(V_PLUS_VINV)
     assert deodhar_expand((1, 2), 3, {2}) == \
@@ -211,31 +227,28 @@ def test_interval_condition_check():
     x = identity(3)
     s1 = evaluate_word((1,), 3)
     w = coxeter.min_coset_rep(evaluate_word((2, 1, 2), 3), A)
-    # coefficient 1 on m_w alone: pass
-    rep = interval_condition_check(m(w, A), x)
-    assert rep.passed and rep.entries == [(w, ONE)] and rep.outside == 0
+    # coefficient 1 on m_w alone: w is the one coset in the interval
+    assert interval_endpoints({w: {0: 1}}, 3, A, x) == [w]
 
     # v^-1 inside the interval: fail at that coset
-    bad = m(s1, A).scale(v_power(-1)) + m(w, A)
-    rep = interval_condition_check(bad, x)
-    assert not rep.passed and rep.failures == {s1}
-    assert rep.entries == [(s1, v_power(-1)), (w, ONE)]
+    bad = {s1: {-1: 1}, w: {0: 1}}
+    inside = interval_endpoints(bad, 3, A, x)
+    assert inside == [s1, w]
+    assert [z for z in inside if min(bad[z]) < 0] == [s1]
 
     # v^-1 outside the interval (z not > x): no condition
-    rep = interval_condition_check(bad, s1)
-    assert rep.passed  # z = s1 is not strictly above x = s1
-    rep2 = interval_condition_check(m_id(3, A).scale(v_power(-1)), s1)
-    assert rep2.passed and rep2.entries == [] and rep2.outside == 1
+    assert s1 not in interval_endpoints(bad, 3, A, s1)
+    assert interval_endpoints({x: {-1: 1}}, 3, A, s1) == []
 
 
 def test_interval_check_rejects_a_bad_x():
-    el = m_id(4, {2})
+    data = sweep((), 4, {2})
     with pytest.raises(ValueError, match=r"^x = \(1, 2, 3\)"):
-        interval_condition_check(el, (1, 2, 3))
+        interval_endpoints(data, 4, {2}, (1, 2, 3))
     with pytest.raises(ValueError, match=r"^x = \(1, 1, 2, 3\)"):
-        interval_condition_check(el, (1, 1, 2, 3))
+        interval_endpoints(data, 4, {2}, (1, 1, 2, 3))
     with pytest.raises(ValueError, match="not a minimal coset"):
-        interval_condition_check(el, (1, 3, 2, 4))
+        interval_endpoints(data, 4, {2}, (1, 3, 2, 4))
 
 
 def _reduced_word(rng, n, length_cap):
@@ -264,27 +277,22 @@ def test_interval_check_matches_rank_table_oracle():
         word = _reduced_word(rng, n, rng.randrange(3, 12))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
         forced = [k for k in range(len(word)) if rng.random() < 0.25]
-        el = deodhar_expand(word, n, A, EnumConstraint(len(word), forced))
+        data = sweep(word, n, A, EnumConstraint(len(word), forced))
         w = coxeter.min_coset_rep(evaluate_word(word, n), A)
-        support = sorted(el.coeffs) or [identity(n)]
+        support = sorted(data)
         x = min(rng.sample(support, min(3, len(support))), key=length)
-        rep = interval_condition_check(el, x)
         rx, rw = coxeter.rank_table(x), coxeter.rank_table(w)
         inside = [z for z in support if z != x
                   and coxeter.rank_table_dominates(rx, coxeter.rank_table(z))
                   and coxeter.rank_table_dominates(coxeter.rank_table(z), rw)]
-        assert rep.entries == [(z, el.coeffs[z]) for z in inside]
-        assert rep.failures == {z for z in inside
-                                if min(el.coeffs[z].terms) < 0}
-        assert rep.outside == len(el.coeffs) - len(inside)
-        assert rep.passed == (not rep.failures)
+        assert interval_endpoints(data, n, A, x) == inside
         seen += len(inside)
-        failed += len(rep.failures)
+        failed += sum(min(data[z]) < 0 for z in inside)
     assert seen > 100 and 0 < failed < seen
 
 
 def test_expansion_of_a_reduced_word_lies_below_w():
-    """Why `interval_condition_check` compares endpoints with x alone:
+    """Why `interval_endpoints` compares endpoints with x alone:
     every endpoint of the (constrained) expansion of a reduced word is
     <= w, the word's minimal coset representative.  Seeded reduced words
     with random A and constraints, and both demo words, checked with the
@@ -320,9 +328,9 @@ def test_expansion_of_a_non_reduced_word_can_leave_the_interval():
     w = coxeter.min_coset_rep(evaluate_word(word, n), frozenset())
     assert w == identity(3) and not coxeter.is_reduced(word, n)
     s1 = evaluate_word((1,), 3)
-    el = deodhar_expand(word, n, frozenset())
-    assert s1 in el.coeffs and not coxeter.bruhat_leq(s1, w)
-    assert interval_condition_check(el, w).entries == [(s1, el.coeffs[s1])]
+    data = sweep(word, n, frozenset())
+    assert s1 in data and not coxeter.bruhat_leq(s1, w)
+    assert interval_endpoints(data, n, frozenset(), w) == [s1]
 
 
 def test_constructor_checks_key_length():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckekit import coxeter, spherical, subexpr, worddata
+from heckekit import coxeter, subexpr, worddata
 from heckekit.worddata import (
     load_word_data,
     parse_word_data,
@@ -166,9 +166,9 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
         x = wd.x_element()
 
         def entries(constraint):
-            expansion = spherical.deodhar_expand(wd.word, n, wd.parabolic,
-                                                 constraint)
-            return spherical.interval_condition_check(expansion, x).entries
+            data = subexpr.sweep(wd.word, n, wd.parabolic, constraint)
+            return [(z, data[z]) for z in subexpr.interval_endpoints(
+                data, n, wd.parabolic, x)]
 
         got = entries(wd.constraint())
         assert got == entries(None), (n, word, A, B)
