@@ -11,8 +11,7 @@ input or a small command loads little beyond argparse.  Exit codes:
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
     2  malformed input or bad arguments (a ValueError or OSError)
-    3  internal consistency violation (inexact division, degree audit,
-       pullback mismatch)
+    3  internal consistency violation (inexact division, degree audit)
 """
 from __future__ import annotations
 

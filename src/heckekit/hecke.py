@@ -9,11 +9,12 @@ relation h_s^2 = h_id + (v^-1 - v) h_s, which makes b_s^2 = (v + v^-1) b_s.
 The Bott-Samelson character is the subexpression fold `subexpr.sweep`
 at A = {}: H is the spherical module of the empty parabolic subgroup.
 
-Kazhdan-Lusztig basis elements are computed by the classical recursion
-b_x = b_s b_{sx} - sum mu(z, sx) b_z and are cached; the cost grows with
-|W|, so this is intended for small n (the certificate pipeline never needs
-KL elements at n = 15), and an element, or a cache, past KL_BUDGET terms
-raises ValueError.
+Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
+(`spherical`) come from one cached recursion, `_kl`, keyed by (x, A):
+at A = {} it is the classical recursion of `kl_basis`.  The cost grows
+with |W/W_A|, so this is intended for small n (the certificate pipeline
+never needs KL elements at n = 15), and an element, or a cache, past
+KL_BUDGET terms raises ValueError.
 
 The pairing is the standard form (h, h') = eps(a(h) h'), where eps reads
 off the coefficient of h_id and a is the v -> v^-1 semilinear
@@ -50,6 +51,8 @@ from .laurent import ONE, V, LaurentPoly, _add_into, _poly
 
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+_V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
+_VINV = LaurentPoly({-1: 1})
 
 
 def _add_scaled(out: dict, coeffs: dict, c) -> dict:
@@ -209,69 +212,98 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
     return el._like(out)
 
 
+def _b_step(i: int, coeffs: dict, parabolic) -> dict:
+    """b_{s_i} on a coefficient map over the minimal coset representatives
+    of W/W_A, by the three-case rule: b_s m_u = m_{su} + v^{+-1} m_u as s
+    raises or lowers the coset of u (`coxeter.coset_step`), and
+    (v + v^-1) m_u as s fixes it.  At A = {} no coset is fixed, and this
+    is b_s h_u in H.  Returns a new map."""
+    out: dict[Permutation, LaurentPoly] = {}
+    for u, c in coeffs.items():
+        kind, su = coxeter.coset_step(u, i, parabolic)
+        if kind == "S":
+            _add_into(out, u, c * _V_PLUS_VINV)
+        else:
+            _add_into(out, su, c)
+            _add_into(out, u, c * (V if kind == "U" else _VINV))
+    return out
+
+
 #: the most terms that the cached Kazhdan-Lusztig elements may hold
 KL_BUDGET = 2_000_000
 
-# one entry per element asked for and per element its recursion reaches,
-# within KL_BUDGET terms.  spherical._skl_cache holds no more terms for one
-# A, as in every CLI process: its entry at x is read off the cached
-# b_{x w_A}, and distinct x give distinct x w_A.  _inverse_cache grows
-# without bound, but only `pairing` and `bar_involution` fill it, and no
-# CLI command calls either.
-_kl_cache: dict[Permutation, HeckeElement] = {}
+# the coefficients of c_x at (x, A), for every element asked for and every
+# element its recursion reaches, within KL_BUDGET terms.  _inverse_cache
+# grows without bound, but only `pairing` and `bar_involution` fill it,
+# and no CLI command calls either.
+_kl_cache: dict[tuple[Permutation, frozenset], dict] = {}
 # len(_kl_cache) and its number of terms when last counted; a cache that
 # was swapped or cleared since is counted again
 _kl_count = [0, 0]
 
 
-def kl_basis(x: Permutation) -> HeckeElement:
-    """The Kazhdan-Lusztig basis element b_x.
+def _kl(x: Permutation, parabolic: frozenset) -> dict:
+    """The coefficients of the Kazhdan-Lusztig element c_x of the
+    spherical module of A = parabolic, x a minimal coset representative;
+    at A = {} this is b_x in H.
 
-    The unique bar-invariant element in h_x + sum_{y<x} v*Z[v]*h_y; computed
-    by b_x = b_s b_{sx} - sum_{z: sz<z} mu(z, sx) b_z for a left descent s.
+    Deodhar's parabolic recursion: c_x = b_s c_{sx} - sum mu(z, sx) c_z
+    for s the first left descent of x, over the z != sx in the support of
+    c_{sx} whose coset s lowers or fixes, mu(z, sx) being the v^1
+    coefficient of c_{sx} at z.
 
     Raises ValueError past KL_BUDGET terms, up front or while computing.
-    Up front: s_i is in the support of x iff max(x(1..i)) > i; with k
-    generators in the support, the subword property puts the 2^k products
-    of subsets of them below x, and b_x has a nonzero coefficient at every
-    y <= x because P_{y,x}(0) = 1, so b_x has at least 2^k terms.  This
-    caps the support at 20 generators, so len(x), and with it the depth
-    of the recursion, at 210.  While computing: once the elements in
-    _kl_cache would hold more than KL_BUDGET terms.
+    Up front: s_i is in the support of x iff max(x(1..i)) > i, and the
+    support of x w_A is that of x and A.  With k generators in it, the
+    subword property puts the 2^k products of subsets of them below
+    x w_A, and phi(c_x) = b_{x w_A} has a nonzero coefficient at every
+    y <= x w_A because P_{y,x w_A}(0) = 1, so it has at least 2^k terms.
+    This caps the support at 20 generators, so len(x), and with it the
+    depth of the recursion, at 210.  While computing: once the elements
+    in _kl_cache would hold more than KL_BUDGET terms.
     """
-    x = tuple(x)
-    cached = _kl_cache.get(x)
+    key = (x, parabolic)
+    cached = _kl_cache.get(key)
     if cached is not None:
         return cached
-    n = len(x)
-    support = sum(top > i for i, top in enumerate(accumulate(x, max), 1))
-    if 2 ** support > KL_BUDGET:
+    k = len(parabolic.union(
+        i for i, top in enumerate(accumulate(x, max), 1) if top > i))
+    if 2 ** k > KL_BUDGET:
+        element, where = (("phi(c_x) = b_(x w_A)", "x and of A")
+                          if parabolic else ("b_x", "x"))
         raise ValueError(
-            f"b_x has at least 2^{support} terms ({support} generators in "
-            f"the support of x), past the budget KL_BUDGET = {KL_BUDGET}")
-    if x == coxeter.identity(n):
-        el = unit(n)
+            f"{element} has at least 2^{k} terms ({k} generators in the "
+            f"support of {where}), past the budget KL_BUDGET = {KL_BUDGET}")
+    s = next((i for i in range(1, len(x))
+              if coxeter.has_left_descent(x, i)), None)
+    if s is None:
+        coeffs = {x: ONE}
     else:
-        s = next(i for i in range(1, n) if coxeter.has_left_descent(x, i))
         y = coxeter.apply_gen_left(s, x)
-        by = kl_basis(y)
-        el = mult_by_gen(by, s, side="left", kind="b")
-        for z, beta in by.coeffs.items():
-            if z == y:
-                continue
-            mu = beta.coefficient(1)
-            if mu and coxeter.has_left_descent(z, s):
-                _add_scaled(el.coeffs, kl_basis(z).coeffs, -mu)
+        cy = _kl(y, parabolic)
+        coeffs = _b_step(s, cy, parabolic)
+        for z, gamma in cy.items():
+            mu = gamma.coefficient(1)
+            if mu and z != y and coxeter.coset_step(z, s, parabolic)[0] != "U":
+                _add_scaled(coeffs, _kl(z, parabolic), -mu)
     if _kl_count[0] != len(_kl_cache):
         _kl_count[:] = [len(_kl_cache),
-                        sum(len(b.coeffs) for b in _kl_cache.values())]
-    if _kl_count[1] + len(el.coeffs) > KL_BUDGET:
+                        sum(len(c) for c in _kl_cache.values())]
+    if _kl_count[1] + len(coeffs) > KL_BUDGET:
         raise ValueError(f"Kazhdan-Lusztig elements would hold more than "
                          f"the budget KL_BUDGET = {KL_BUDGET} terms")
-    _kl_cache[x] = el
+    _kl_cache[key] = coeffs
     _kl_count[0] += 1
-    _kl_count[1] += len(el.coeffs)
-    return el
+    _kl_count[1] += len(coeffs)
+    return coeffs
+
+
+def kl_basis(x: Permutation) -> HeckeElement:
+    """The Kazhdan-Lusztig basis element b_x: the unique bar-invariant
+    element in h_x + sum_{y<x} v*Z[v]*h_y, computed by `_kl` at A = {}.
+    Raises ValueError past KL_BUDGET terms."""
+    x = tuple(x)
+    return HeckeElement(len(x))._like(_kl(x, frozenset()))
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:

@@ -12,7 +12,8 @@ The embedding phi : M -> H sends m_x to h_x * b_{w_A}, which expands to
 sum_{u in W_A} v^{len(w_A) - len(u)} h_{xu}.  This is an H-module map and
 sends the spherical KL element c_x to b_{x w_A}; both facts are enforced
 by tests.  (Mapping m_x to the single term h_{x w_A} would not give an
-H-stable image.)
+H-stable image.)  c_x itself is computed in M, by `hecke`'s one
+Kazhdan-Lusztig recursion at A, and b_s acts through `hecke`'s b_s step.
 
 The spherical pairing is (m, m') = (phi(m), phi(m')) / pi~(A), where
 pi~(A) = sum_{u in W_A} v^{2 len(u)}; the division is always exact and a
@@ -24,14 +25,7 @@ from typing import Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import (ONE, ConsistencyViolation, LaurentPoly, _add_into,
-                      _poly, v_power)
-
-_V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
-
-
-class PullbackMismatch(ConsistencyViolation):
-    """b_{x w_A} failed to lie in the image of phi (a convention error)."""
+from .laurent import ONE, LaurentPoly, _add_into, _poly, v_power
 
 
 class SphericalElement(hecke.LinearCombination):
@@ -88,15 +82,7 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
     """The action of b_{s_i}, extended linearly over the standard basis."""
-    out: dict[Permutation, LaurentPoly] = {}
-    for u, c in el.coeffs.items():
-        kind, nxt = coxeter.coset_step(u, i, el.parabolic)
-        if kind == "S":
-            _add_into(out, u, c * _V_PLUS_VINV)
-        else:
-            _add_into(out, nxt, c)
-            _add_into(out, u, c * v_power(1 if kind == "U" else -1))
-    return el._like(out)
+    return el._like(hecke._b_step(i, el.coeffs, el.parabolic))
 
 
 def bott_samelson_spherical(word: Sequence[int], n: int,
@@ -142,38 +128,15 @@ def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
     return num.exact_divide(pi_tilde(a.parabolic, a.n))
 
 
-_skl_cache: dict[tuple[Permutation, frozenset], SphericalElement] = {}
-
-
 def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
-    """The spherical KL element c_x, pulled back from b_{x w_A} through phi.
-
-    phi(m_y) contributes v^{len(w_A)-len(u)} h_{yu} over u in W_A, so the
-    coefficient of m_y in c_x is the coefficient of h_{y w_A} in b_{x w_A}.
-    The reconstruction phi(c_x) == b_{x w_A} is verified; a mismatch raises
-    PullbackMismatch.
-    """
+    """The spherical KL element c_x, by `hecke`'s Kazhdan-Lusztig recursion
+    at A = parabolic; x must be a minimal coset representative.  Raises
+    ValueError past hecke.KL_BUDGET terms."""
     x = tuple(x)
     A = frozenset(parabolic)
-    cached = _skl_cache.get((x, A))
-    if cached is not None:
-        return cached
-    n = len(x)
     if not coxeter.is_min_coset_rep(x, A):
         raise ValueError(f"{x} is not a minimal coset representative")
-    wA = coxeter.longest_element(A, n)
-    b = hecke.kl_basis(coxeter.multiply(x, wA))
-    coeffs = {}
-    for y in b.coeffs:
-        if coxeter.is_min_coset_rep(y, A):
-            ywA = coxeter.multiply(y, wA)
-            coeffs[y] = b.coefficient(ywA)
-    el = SphericalElement(n, A, coeffs)
-    if phi_embed(el) != b:
-        raise PullbackMismatch(
-            f"b_(x*wA) for x={x}, A={sorted(A)} is not in the image of phi")
-    _skl_cache[(x, A)] = el
-    return el
+    return SphericalElement(len(x), A)._like(hecke._kl(x, A))
 
 
 def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:

@@ -13,7 +13,6 @@ import pytest
 from heckekit import cli, worddata
 from heckekit.demazure import DegreeAuditFailure
 from heckekit.laurent import InexactDivision
-from heckekit.spherical import PullbackMismatch
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -170,6 +169,9 @@ MODULE_GOLDEN = {
                     "--element", "1,2,3"],
     "skl_perm": ["skl", "--n", "4", "--parabolic", "1,3",
                  "--perm", "2,4,1,3"],
+    # |W_A| = 576: c_x has 70 terms, b_{x w_A} all 40,320 of S_8
+    "skl_s8": ["skl", "--n", "8", "--parabolic", "1 2 3 5 6 7",
+               "--perm", "5,6,7,8,1,2,3,4"],
     "bs": ["bs", "--n", "4", "--word", "1,2,1,3"],
     "bs_parabolic": ["bs", "--n", "4", "--word", "1,2,1,3",
                      "--parabolic", "2"],
@@ -713,8 +715,7 @@ def test_collector_left_off_when_it_was_off(capsys):
         gc.enable()
 
 
-@pytest.mark.parametrize("error", [InexactDivision, DegreeAuditFailure,
-                                   PullbackMismatch])
+@pytest.mark.parametrize("error", [InexactDivision, DegreeAuditFailure])
 def test_consistency_violations_exit_3(error, monkeypatch, capsys):
     def fail(args):
         raise error("planted")
@@ -770,11 +771,10 @@ def test_kazhdan_lusztig_elements_stop_at_the_budget(argv, monkeypatch,
                                                      capsys):
     # each needs a KL element of S_4 with 3 generators in its support,
     # which passes the up-front bound 2^3 <= 10: the cache stops it
-    from heckekit import hecke, spherical
+    from heckekit import hecke
 
     monkeypatch.setattr(hecke, "KL_BUDGET", 10)
     monkeypatch.setattr(hecke, "_kl_cache", {})
-    monkeypatch.setattr(spherical, "_skl_cache", {})
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -787,6 +787,15 @@ def test_kazhdan_lusztig_support_past_the_budget_is_refused_up_front(capsys):
     assert capsys.readouterr().err == (
         "heckekit: b_x has at least 2^59 terms (59 generators in the "
         "support of x), past the budget KL_BUDGET = 2000000\n")
+    # skl counts the support of x w_A: here x is the identity
+    identity = ",".join(map(str, range(1, 26)))
+    A = " ".join(map(str, range(1, 22)))
+    assert cli.main(["skl", "--n", "25", "--parabolic", A,
+                     "--perm", identity]) == 2
+    assert capsys.readouterr().err == (
+        "heckekit: phi(c_x) = b_(x w_A) has at least 2^21 terms (21 "
+        "generators in the support of x and of A), past the budget "
+        "KL_BUDGET = 2000000\n")
 
 
 _W0_S7 = "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 6 5 4 3 2 1"

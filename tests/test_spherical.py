@@ -141,25 +141,43 @@ def test_spherical_kl_examples():
         assert got.coeffs == kl_basis(x).coeffs
 
 
+def all_parabolic_pairs(n):
+    """(A, w_A, x) for every A and every x in W^A of S_n."""
+    for A in all_subsets(n):
+        wA = coxeter.longest_element(A, n)
+        for x in min_coset_reps(A, n):
+            yield A, wA, x
+
+
 def test_phi_sends_ckl_to_kl_exhaustive_s4():
-    for A in all_subsets(4):
-        wA = coxeter.longest_element(A, 4)
-        for x in min_coset_reps(A, 4):
+    """phi(c_x) = b_{x w_A} on S_4 and S_5."""
+    for n in (4, 5):
+        for A, wA, x in all_parabolic_pairs(n):
             cx = spherical_kl_basis(x, A)
             assert phi_embed(cx) == kl_basis(coxeter.multiply(x, wA)), (A, x)
 
 
 def test_spherical_kl_equals_parabolic_kl_restriction_s4():
-    """gamma_{y,x} = beta_{y*wA, x*wA} for all x, y in W^A."""
-    for A in all_subsets(4):
-        wA = coxeter.longest_element(A, 4)
-        for x in min_coset_reps(A, 4):
+    """gamma_{y,x} = beta_{y*wA, x*wA} for all x, y in W^A, on S_4 and
+    S_5."""
+    for n in (4, 5):
+        for A, wA, x in all_parabolic_pairs(n):
             cx = spherical_kl_basis(x, A)
             bxwA = kl_basis(coxeter.multiply(x, wA))
-            for y in min_coset_reps(A, 4):
+            for y in min_coset_reps(A, n):
                 gamma = cx.coefficient(y)
                 beta = bxwA.coefficient(coxeter.multiply(y, wA))
                 assert gamma == beta, (A, x, y)
+
+
+def test_spherical_kl_builds_no_element_of_h(monkeypatch):
+    """c_x is computed in M itself: every element that its recursion
+    caches lives at the same A, none at A = {} (none is b_{x w_A})."""
+    monkeypatch.setattr(hecke, "_kl_cache", {})
+    A = frozenset({1, 2, 3, 5, 6, 7})
+    spherical_kl_basis((5, 6, 7, 8, 1, 2, 3, 4), A)
+    assert hecke._kl_cache
+    assert all(len(key) == 2 and key[1] == A for key in hecke._kl_cache)
 
 
 def test_is_perverse_spherical():
@@ -170,23 +188,6 @@ def test_is_perverse_spherical():
     rep = is_perverse_spherical(bott_samelson_spherical((1,), 3, {2}))
     assert rep.is_perverse
     assert rep.expansion == {s1: ONE}
-
-
-def test_spherical_kl_cache_holds_no_more_than_the_kl_cache(monkeypatch):
-    """For one A, the entry of `_skl_cache` at x is read off the cached
-    b_{x w_A}, and distinct x give distinct x w_A: so the spherical cache
-    holds at most the terms of `hecke._kl_cache`, which KL_BUDGET bounds."""
-    rng = random.Random(24)
-    for _ in range(40):
-        n = rng.choice((4, 5))
-        word = tuple(rng.randrange(1, n) for _ in range(rng.randrange(1, 9)))
-        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
-        monkeypatch.setattr(hecke, "_kl_cache", {})
-        monkeypatch.setattr(spherical, "_skl_cache", {})
-        is_perverse_spherical(deodhar_expand(word, n, A))
-        skl = sum(len(c.coeffs) for c in spherical._skl_cache.values())
-        kl = sum(len(b.coeffs) for b in hecke._kl_cache.values())
-        assert 0 < skl <= kl, (word, n, sorted(A))
 
 
 def test_deodhar_examples():
