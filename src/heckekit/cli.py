@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -86,11 +87,37 @@ def _prime(text: str) -> int:
     return value
 
 
-def emit(payload, pretty: bool = False) -> None:
+#: what `emit` renders in place of a streamed list, to cut the text there
+_HOLE = "\0"
+
+
+def _dumps(obj, pretty: bool, default=None) -> str:
     if pretty:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        return json.dumps(obj, sort_keys=True, indent=2, default=default)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=default)
+
+
+def emit(payload, pretty: bool = False) -> None:
+    """Print `payload` as JSON with sorted keys, indented or compact.  One
+    value may be a function that takes the line break and indentation of
+    a list's items ("" when compact) and yields the items' JSON texts;
+    emit writes that list in chunks, as json.dumps would write it."""
+    streams = []
+    text = _dumps(payload, pretty, lambda f: streams.append(f) or _HOLE)
+    if streams:
+        head, _, text = text.partition(json.dumps(_HOLE))
+        pad = ""
+        if pretty:   # the items sit one level deeper than the list's line
+            line = head[head.rfind("\n") + 1:]
+            pad = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
+        sys.stdout.write(head)
+        items, lead = iter(streams[0](pad)), "["
+        while chunk := list(itertools.islice(items, 4096)):
+            sys.stdout.write(lead + pad + ("," + pad).join(chunk))
+            lead = ","
+        sys.stdout.write(pad[:-2] + "]" if lead == "," else "[]")
+    print(text)
 
 
 def parse_word(text: str, n: int, flag: str = "--word",
@@ -355,7 +382,6 @@ def cmd_certify(args) -> int:
         payload["interval"] = {"status": "skipped: no word data"}
     else:
         from . import subexpr, worddata
-        from .laurent import _poly
 
         wd = load_word(args.word)
         report = worddata.validate_word_data(wd)
@@ -378,7 +404,8 @@ def cmd_certify(args) -> int:
             timings["enumeration_seconds"] = round(
                 time.perf_counter() - t1, 6)
             t2 = time.perf_counter()
-            inside = subexpr.interval_endpoints(data, wd.n, wd.parabolic, x)
+            inside = subexpr.interval_endpoints(data.packed, wd.n,
+                                                wd.parabolic, x)
             timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
             payload["word"] = {
                 "source": wd.source,
@@ -393,26 +420,44 @@ def cmd_certify(args) -> int:
                 "subexpressions": constraint.leaf_count(),
                 "validation": report.to_json_dict(),
             }
-            payload["histogram"] = _hist_json(
-                subexpr.total_histogram(data.values()))
+            payload["histogram"] = _hist_json(data.total())
             payload["histogram_at_x"] = _hist_json(data.get(x, {}))
-            # each coefficient must lie in Z[v]: no negative powers of v
-            entries, failures = [], []
+            # each coefficient must lie in Z[v]: no negative powers of v.
+            # Each distinct packed histogram is unpacked and rendered once.
+            packed, coefficients, failures = data.packed, {}, []
             for z in inside:
-                c = _poly(data[z])
-                coset, coefficient = list(z), c.to_json_dict()
-                ok = c.is_nonnegative_powers()
-                entries.append({"coset": coset, "coefficient": coefficient,
-                                "ok": ok})
-                if not ok:
-                    failures.append({"coset": coset,
-                                     "coefficient": coefficient})
+                h = packed[z]
+                if h not in coefficients:
+                    hist = data.unpack(h)
+                    coefficients[h] = ({str(d): str(c) for d, c in
+                                        hist.items()}, min(hist) >= 0)
+                if not coefficients[h][1]:
+                    failures.append({"coset": list(z),
+                                     "coefficient": coefficients[h][0]})
+
+            def entries(pad):
+                """The entries' JSON texts, for `emit`; the text around a
+                coset is built once per distinct histogram."""
+                digits = [str(b) for b in range(256)].__getitem__
+                # a coset's values sit two levels deeper than its entry
+                sep, parts = "," + (pad and pad + "    "), {}
+                for z in inside:
+                    h = packed[z]
+                    if h not in parts:
+                        coefficient, ok = coefficients[h]
+                        parts[h] = _dumps(
+                            {"coefficient": coefficient, "coset": [_HOLE],
+                             "ok": ok}, args.pretty,
+                        ).replace("\n", pad).split(json.dumps(_HOLE))
+                    before, after = parts[h]
+                    yield before + sep.join(map(digits, z)) + after
+
             interval_ok = not failures
             payload["interval"] = {
                 "status": "ok" if interval_ok else "failed",
                 "passed": interval_ok,
-                "cosets_in_interval": len(entries),
-                "cosets_outside": len(data) - len(entries),
+                "cosets_in_interval": len(inside),
+                "cosets_outside": len(data) - len(inside),
                 "entries": entries,
                 "failures": failures,
             }
@@ -548,9 +593,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command runs once and builds large acyclic data (certify holds
-    # ~150,000 endpoint histograms), which the cyclic collector would walk
-    # again and again; reference counting frees it all the same.
+    # A command runs once and builds large acyclic data (a Bott-Samelson
+    # character holds a Laurent polynomial per coset, for up to 10^6
+    # cosets), which the cyclic collector would walk again and again;
+    # reference counting frees it all the same.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -200,17 +200,23 @@ def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
 
 def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
     """The test z -> x < z in Bruhat order on the S_n of x, for z in
-    the same S_n: per z, one packed table and one subtraction.
+    the same S_n: per z, one packed table and one subtraction.  x and z
+    may each be a tuple or the bytes of one; z = x is told apart by
+    their tables, which does not depend on that choice.
 
     >>> above = bruhat_above((2, 1, 3))
     >>> [above(z) for z in ((2, 1, 3), (1, 3, 2), (3, 2, 1))]
     [False, False, True]
+    >>> above(bytes((2, 1, 3))), above(bytes((3, 2, 1)))
+    (False, True)
     """
     C, H = _rank_packing(len(x))
-    px_H = _packed_rank_table(x, C) | H
+    px = _packed_rank_table(x, C)
+    px_H = px | H
 
     def above(z: Permutation) -> bool:
-        return z != x and (px_H - _packed_rank_table(z, C)) & H == H
+        pz = _packed_rank_table(z, C)
+        return pz != px and (px_H - pz) & H == H
 
     return above
 

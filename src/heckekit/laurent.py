@@ -11,9 +11,9 @@ arithmetic is exact; there is no floating-point mode.
 Sparse sums throughout the package accumulate through `_add_into`, which
 keeps the no-zero-entries invariant of these maps; a sum of Hecke or
 spherical elements adds every term into one map of its own, in place.
-Two sums deliberately do not use it: `subexpr.sweep` adds packed
-histograms (one int each) in its hot loop, and `subexpr.total_histogram`
-adds positive int counts, which never cancel.
+One sum deliberately does not use it: `subexpr.sweep` adds packed
+histograms (one int each) in its hot loop, and a `SweepResult` totals
+them the same way.
 """
 from __future__ import annotations
 

@@ -29,6 +29,9 @@ up to at most 2^free, so no field carries into the next.  The offset is
 free as well: only a free position allows e = 0, the one choice that
 lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
+`sweep` returns this state as it is, in a `SweepResult`: a read-only
+mapping that hands out tuple cosets and {defect: count} dicts on demand,
+while `certify` reads the bytes keys and packed ints themselves.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression and a decoration straight from the definitions, live
@@ -36,22 +39,22 @@ with the tests in `tests/oracles.py`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
+                             Sequence)
 
 from . import coxeter
 from .coxeter import Permutation
-
-SweepResult = dict[Permutation, dict[int, int]]
 
 # Most cosets one fold step may reach, in `certify` and in every
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
 # The synthetic GL15 certificate words peak near 155,000 cosets.  On the
 # benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
-# about 220 bytes per packed coset and another 450 per unpacked one while
-# both live: about 0.7 GB at the budget for GL15-shaped words.  Memory per
-# coset grows with the free positions: `bs --n 11` on the 55-letter w0
-# word peaked at 1,131 MB RSS when it hit the budget.  A `certify` run at
-# 753,485 cosets (GL15-shaped word) peaked at 1.36 GB RSS.
+# 220 bytes per coset of the returned packed state, and a peak of 350 per
+# final coset while a step holds its state before and after: about 0.4 GB
+# at the budget for GL15-shaped words.  Memory per coset grows with the
+# free positions: `bs --n 11` on the 55-letter w0 word peaked at 1,131 MB
+# RSS when it hit the budget.  A `certify` run at 753,485 cosets
+# (`gl15-reconstructed`, 241 bytes per packed coset) peaked at 321 MB RSS.
 SUPPORT_BUDGET = 1_000_000
 
 # Largest n the fold takes: a coset keeps each of its values in one byte.
@@ -103,10 +106,11 @@ def sweep(word: Sequence[int], n: int, parabolic,
     of leaves.  A step that reaches more than SUPPORT_BUDGET cosets raises
     ValueError.
 
-    The state is packed as the module docstring describes, and unpacked
-    into tuples and dicts once, at the end.  The step is the rule of
-    `coxeter.coset_step` written out on packed cosets, since this is the
-    hot loop; the test oracles step by `coxeter.coset_step` itself.
+    The state is packed as the module docstring describes, and returned
+    packed, as a `SweepResult`, which unpacks a histogram when it is
+    read.  The step is the rule of `coxeter.coset_step` written out on
+    packed cosets, since this is the hot loop; the test oracles step by
+    `coxeter.coset_step` itself.
     """
     if n > MAX_N:
         raise ValueError(f"n = {n} is above {MAX_N}: the fold keeps each "
@@ -151,15 +155,85 @@ def sweep(word: Sequence[int], n: int, parabolic,
                 raise ValueError(f"subexpression fold support exceeds the "
                                  f"budget of {budget} cosets")
         state = out
-    return _unpack(state, width)
+    return SweepResult(state, width)
 
 
-def _unpack(state: dict[bytes, int], width: int) -> SweepResult:
-    """The packed fold state as tuple cosets and {defect: count} dicts;
-    the offset of defect 0 is width - 1 fields, the free count."""
+def _key(z) -> bytes | None:
+    """The packed key of a tuple coset, or None for any other key."""
+    if isinstance(z, tuple):
+        try:
+            return bytes(z)
+        except (TypeError, ValueError):   # not a coset of n <= MAX_N
+            pass
+    return None
+
+
+class SweepResult(Mapping):
+    """The packed state of a finished fold, read as endpoint -> defect ->
+    count: `packed` maps each endpoint coset, as bytes, to its packed
+    histogram, whose fields are `width` bits wide.  Keys are handed out
+    as tuple cosets and values as {defect: count} dicts in increasing
+    defect order, unpacked on demand, so a result compares equal to the
+    dict of its items.  Callers that read many histograms read `packed`
+    and `unpack` only the distinct ones they need."""
+
+    __slots__ = ("packed", "width")
+
+    def __init__(self, packed: dict[bytes, int], width: int):
+        self.packed = packed
+        self.width = width
+
+    def unpack(self, h: int) -> dict[int, int]:
+        """One packed histogram as {defect: count}."""
+        return next(_unpack((h,), self.width))
+
+    def total(self) -> dict[int, int]:
+        """Counts by defect over every endpoint: one unpack of the sum of
+        the packed histograms.  The sum carries into no field, since a
+        field counts at most the 2^free leaves and 2^free < 2^width."""
+        return self.unpack(sum(self.packed.values()))
+
+    def __getitem__(self, z: Permutation) -> dict[int, int]:
+        h = self.packed.get(_key(z))
+        if h is None:
+            raise KeyError(z)
+        return self.unpack(h)
+
+    def __contains__(self, z) -> bool:
+        return _key(z) in self.packed
+
+    def __iter__(self) -> Iterator[Permutation]:
+        return map(tuple, self.packed)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"SweepResult({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    """The items of a `SweepResult`, unpacked in one pass over its packed
+    state with no key lookup per item: every Bott-Samelson character reads
+    all of them."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        data = self._mapping
+        return zip(map(tuple, data.packed),
+                   _unpack(data.packed.values(), data.width))
+
+
+def _unpack(hs: Iterable[int], width: int) -> Iterator[dict[int, int]]:
+    """Each packed histogram of `hs` as {defect: count}, in increasing
+    defect order; the offset of defect 0 is width - 1 fields, the free
+    count."""
     mask = (1 << width) - 1
-    out: SweepResult = {}
-    for u, h in state.items():
+    for h in hs:
         hist = {}
         low = ((h & -h).bit_length() - 1) // width   # lowest nonzero field
         h >>= low * width
@@ -170,16 +244,17 @@ def _unpack(state: dict[bytes, int], width: int) -> SweepResult:
                 hist[d] = c
             h >>= width
             d += 1
-        out[tuple(u)] = hist
-    return out
+        yield hist
 
 
-def interval_endpoints(data: SweepResult, n: int, parabolic,
-                       x: Permutation) -> list[Permutation]:
-    """The endpoints z of a `sweep` result with x < z, sorted: the cosets
-    of the certificate's interval x < z <= w, where w is the minimal
-    coset representative of the element of the swept word, which must
-    be reduced.
+def interval_endpoints(cosets: Iterable[Permutation | bytes], n: int,
+                       parabolic, x: Permutation) -> list:
+    """The cosets z among `cosets` with x < z, sorted: the cosets of the
+    certificate's interval x < z <= w when `cosets` are the endpoints of
+    a fold over a reduced word, whose element has minimal coset
+    representative w.  The cosets may be tuples, as a `sweep` result
+    hands them out, or bytes, as its `packed` keys hold them, and are
+    returned as given; bytes sort as the tuples they hold.
 
     Only x < z is compared, with `coxeter.bruhat_above`: every endpoint
     z is a subexpression product, which lies below the word's element in
@@ -196,15 +271,15 @@ def interval_endpoints(data: SweepResult, n: int, parabolic,
     if not coxeter.is_min_coset_rep(x, parabolic):
         raise ValueError(f"{x} is not a minimal coset representative")
     above = coxeter.bruhat_above(x)
-    return [z for z in sorted(data) if above(z)]
+    return [z for z in sorted(cosets) if above(z)]
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,
                      constraint: EnumConstraint | None = None,
                      target: Permutation | None = None) -> dict[int, int]:
-    """Exact counts of subexpressions by parabolic defect, over every
-    subexpression with e = 1 at the positions `constraint` forces (with
-    no constraint, over all 2^m of them).
+    """Exact counts of subexpressions by parabolic defect, in increasing
+    defect order, over every subexpression with e = 1 at the positions
+    `constraint` forces (with no constraint, over all 2^m of them).
 
     With `target` set, only subexpressions whose endpoint coset has that
     minimal representative are counted.
@@ -214,16 +289,5 @@ def defect_histogram(word: Sequence[int], n: int, parabolic,
     """
     data = sweep(word, n, parabolic, constraint)
     if target is not None:
-        hist = data.get(tuple(target), {})
-        return dict(sorted(hist.items()))
-    return total_histogram(data.values())
-
-
-def total_histogram(hists: Iterable[dict[int, int]]) -> dict[int, int]:
-    """Counts by defect summed over histograms, in increasing defect
-    order."""
-    out: dict[int, int] = {}
-    for hist in hists:
-        for d, c in hist.items():
-            out[d] = out.get(d, 0) + c
-    return dict(sorted(out.items()))
+        return data.get(tuple(target), {})
+    return data.total()

@@ -12,15 +12,20 @@ here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
 The Hecke algebra, against `hecke.pairing`: `multiply` forms a full
 product generator by generator, and `eps` and `a_antiautomorphism` give
 the pairing by its definition eps(a(a) b).
+
+The certificate report, against `heckekit certify`: `certify_text` builds
+the whole payload from unpacked histograms and renders it with one
+json.dumps.
 """
 from __future__ import annotations
 
+import json
 from typing import Iterator, Sequence
 
-from heckekit import coxeter
+from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
 from heckekit.hecke import HeckeElement, _add_scaled, inverse_h, mult_by_gen
-from heckekit.laurent import LaurentPoly
+from heckekit.laurent import LaurentPoly, _poly
 
 Slots = Sequence[Sequence[int]]
 
@@ -183,3 +188,86 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
     for x, c in el.coeffs.items():
         _add_scaled(out, inverse_h(x).coeffs, c.bar())
     return el._like(out)
+
+
+# -- the certificate report ----------------------------------------------
+
+
+def certify_text(word: str | None, expr: str = "paper-GL15", p: int = 2,
+                 pretty: bool = False) -> tuple[int, str]:
+    """(exit code, stdout) of `heckekit certify` on a valid or incomplete
+    word (a builtin name or a path) and a builtin expression, with the
+    "timings" object left out.  Every histogram is unpacked into a dict
+    and totalled dict by dict, each coefficient goes through
+    `LaurentPoly.to_json_dict`, the interval x < z is decided by
+    `coxeter.bruhat_leq`, and the payload is rendered with one
+    json.dumps."""
+    chain = demazure.builtin_expr(expr)
+    form = demazure.intersection_vector(chain, p)
+    rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0
+    payload = {
+        "expression": {"name": expr, "operators": demazure.op_count(chain)},
+        "p": p,
+        "intersection_form": form.to_json_dict(),
+        "rank_conditions": {"rank_Q": form.rank_over_Q,
+                            "rank_p": form.rank_over_p, "ok": rank_ok},
+        "word": None, "histogram": None, "histogram_at_x": None,
+    }
+    interval_ok = False
+    if word is None:
+        payload["interval"] = {"status": "skipped: no word data"}
+    else:
+        wd = worddata.load_word_data(word)
+        report = worddata.validate_word_data(wd)
+        if wd.word is None:
+            payload["word"] = {"source": wd.source,
+                               "validation": report.to_json_dict()}
+            payload["interval"] = {"status": "skipped: word data incomplete"}
+        else:
+            assert report.ok and report.complete, report.to_json_dict()
+            x, w, constraint = wd.x_element(), wd.w_element(), wd.constraint()
+            data = dict(subexpr.sweep(wd.word, wd.n, wd.parabolic,
+                                      constraint).items())
+            total: dict[int, int] = {}
+            for hist in data.values():
+                for d, c in hist.items():
+                    total[d] = total.get(d, 0) + c
+
+            def hist_json(hist):
+                return {str(d): c for d, c in sorted(hist.items())}
+
+            payload["word"] = {
+                "source": wd.source, "n": wd.n, "length": len(wd.word),
+                "A": sorted(wd.parabolic), "B": sorted(wd.lower),
+                "degree": wd.degree, "x": list(x), "w": list(w),
+                "free_positions": len(constraint.free_positions()),
+                "subexpressions": constraint.leaf_count(),
+                "validation": report.to_json_dict(),
+            }
+            payload["histogram"] = hist_json(total)
+            payload["histogram_at_x"] = hist_json(data.get(x, {}))
+            entries, failures = [], []
+            for z in sorted(data):
+                if z == x or not coxeter.bruhat_leq(x, z):
+                    continue
+                c = _poly(dict(data[z]))
+                ok = c.is_nonnegative_powers()
+                entries.append({"coset": list(z),
+                                "coefficient": c.to_json_dict(), "ok": ok})
+                if not ok:
+                    failures.append({"coset": list(z),
+                                     "coefficient": c.to_json_dict()})
+            interval_ok = not failures
+            payload["interval"] = {
+                "status": "ok" if interval_ok else "failed",
+                "passed": interval_ok,
+                "cosets_in_interval": len(entries),
+                "cosets_outside": len(data) - len(entries),
+                "entries": entries, "failures": failures,
+            }
+    payload["verdict"] = verdict = rank_ok and interval_ok
+    if pretty:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return 0 if verdict else 1, text + "\n"

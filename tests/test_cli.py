@@ -125,11 +125,17 @@ def test_certify_partial_word_skips_interval(capsys):
     assert payload["interval"]["status"] == "skipped: word data incomplete"
 
 
+def without_timings(out: str) -> tuple[str, int]:
+    """`out` with the certify "timings" object, the only part that
+    varies, cut out (compact or indented), and the number of cuts."""
+    return re.subn(r'"timings": ?\{[^{}]*\},\s*', "", out)
+
+
 def assert_golden(capsys, argv, code, name):
     """stdout is byte-identical to the checked-in file once the certify
-    "timings" object, the only part that varies, is cut out."""
+    "timings" object is cut out."""
     got_code, out = run_cli(capsys, *argv)
-    out, cuts = re.subn(r'"timings":\{[^{}]*\},', "", out)
+    out, cuts = without_timings(out)
     assert got_code == code and cuts == (argv[0] == "certify")
     assert out.encode() == (GOLDEN / name).read_bytes()
 
@@ -141,6 +147,77 @@ def assert_golden(capsys, argv, code, name):
 def test_certify_matches_the_golden_report(word, code, capsys):
     argv = ["certify"] + (["--word", word] if word else [])
     assert_golden(capsys, argv, code, f"certify_{word or 'no-word'}.json")
+
+
+def test_certify_pretty_matches_the_golden_report(capsys):
+    assert_golden(capsys, ["certify", "--word", "demo-s4-fail", "--pretty"],
+                  1, "certify_demo-s4-fail_pretty.json")
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_emit_writes_a_streamed_list_as_json_dumps_would(pretty, capsys):
+    def dumps(obj):
+        if pretty:
+            return json.dumps(obj, sort_keys=True, indent=2)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    places = (lambda v: v, lambda v: {"b": v, "a": 1, "c": [None]},
+              lambda v: {"o": [0, {"p": v}], "n": {"m": v is None}})
+    for items in ([], [1], [{"b": [1, {}], "a": "x"}, [], None, [[2]]],
+                  [{"k": i} for i in range(9000)]):
+        for place in places:
+            def stream(pad, items=items):
+                return (dumps(item).replace("\n", pad) for item in items)
+
+            cli.emit(place(stream), pretty)
+            assert capsys.readouterr().out == dumps(place(items)) + "\n"
+
+
+def _failing_word_files(tmp_path, count: int) -> list[str]:
+    """Seeded valid S_4-S_6 word files whose interval has a failing coset
+    and holds some histogram at more than one coset."""
+    from heckekit import subexpr
+
+    rng = random.Random(41)
+    paths = []
+    while len(paths) < count:
+        n = rng.choice((4, 5, 6))
+        gens = range(1, n)
+        B = [g for g in gens if rng.random() < 0.3]
+        A = [g for g in gens if g not in B and rng.random() < 0.5]
+        raw = {"n": n, "A": A, "B": B,
+               "word": [rng.choice(gens) for _ in range(rng.randint(3, 12))]}
+        wd = worddata.parse_word_data(raw)
+        report = worddata.validate_word_data(wd)
+        if not (report.ok and report.complete):
+            continue
+        data = subexpr.sweep(wd.word, n, wd.parabolic, wd.constraint())
+        inside = subexpr.interval_endpoints(data, n, wd.parabolic,
+                                            wd.x_element())
+        hists = [data[z] for z in inside]
+        if (any(min(h) < 0 for h in hists)
+                and len({tuple(h.items()) for h in hists}) < len(hists)):
+            path = tmp_path / f"word{len(paths)}.json"
+            path.write_text(json.dumps(raw))
+            paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
+    """certify's stdout, apart from "timings", is byte for byte the
+    payload that `oracles.certify_text` builds from unpacked histograms
+    and renders with one json.dumps: on both demos, `gl15-partial`, the
+    no-word run and seeded words with failing cosets and repeated
+    histograms."""
+    from oracles import certify_text
+
+    words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial"]
+    for word in words + _failing_word_files(tmp_path, 12):
+        argv = ["certify"] + (["--word", word] if word else [])
+        code, out = run_cli(capsys, *argv, *(["--pretty"] if pretty else []))
+        out, cuts = without_timings(out)
+        assert cuts == 1 and (code, out) == certify_text(word, pretty=pretty)
 
 
 DEMAZURE_GOLDEN = {

@@ -112,6 +112,18 @@ def test_packed_bruhat_agrees_exhaustive_s1_to_s5():
         packed_agrees(itertools.combinations_with_replacement(perms, 2))
 
 
+def test_packed_bruhat_takes_tuples_and_bytes_alike():
+    # z = x must read False whatever the types: a bytes z never equals a
+    # tuple x, so the test cannot rest on z != x
+    for n in range(1, 5):
+        perms = list(all_permutations(n))
+        for x in perms:
+            for above in (bruhat_above(x), bruhat_above(bytes(x))):
+                assert [above(bytes(z)) for z in perms] == \
+                    [above(z) for z in perms] == \
+                    [x != z and bruhat_leq(x, z) for z in perms]
+
+
 def test_packed_bruhat_agrees_sampled_s6():
     rng = random.Random(6)
     perms = list(all_permutations(6))

@@ -292,6 +292,25 @@ def test_interval_check_matches_rank_table_oracle():
     assert seen > 100 and 0 < failed < seen
 
 
+def test_x_is_no_interval_entry_when_the_cosets_are_bytes():
+    """`certify` passes the packed keys of a fold: the interval comes back
+    as bytes, in the order of the tuple interval, and x, an endpoint of
+    every fold below, is never in it."""
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.choice((4, 5))
+        word = _reduced_word(rng, n, rng.randrange(3, 12))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        forced = [k for k in range(len(word)) if rng.random() < 0.25]
+        data = sweep(word, n, A, EnumConstraint(len(word), forced))
+        support = sorted(data)
+        x = min(rng.sample(support, min(3, len(support))), key=length)
+        got = interval_endpoints(data.packed, n, A, x)
+        assert bytes(x) in data.packed and bytes(x) not in got
+        assert all(type(z) is bytes for z in got)
+        assert [tuple(z) for z in got] == interval_endpoints(data, n, A, x)
+
+
 def test_expansion_of_a_reduced_word_lies_below_w():
     """Why `interval_endpoints` compares endpoints with x alone:
     every endpoint of the (constrained) expansion of a reduced word is

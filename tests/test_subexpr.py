@@ -243,3 +243,79 @@ def test_sweep_rejects_n_above_a_byte():
     with pytest.raises(ValueError, match="n = 256"):
         sweep((1,), 256, set())
     assert sweep((), 255, set()) == {tuple(range(1, 256)): {0: 1}}
+
+
+# -- the result: a read-only mapping over the packed state ---------------
+
+
+def _seeded_folds(seed: int, count: int):
+    """(sweep result, oracle dict) pairs on seeded S_3-S_6 words with
+    random A and forced positions."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((3, 4, 5, 6))
+        m = rng.randrange(11)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.3))
+        yield sweep(word, n, A, c), _aggregate(word, n, A, c)
+
+
+def test_sweep_result_equals_the_oracle_from_either_side():
+    for got, want in _seeded_folds(61, 80):
+        assert got == want and want == got
+        assert not (got != want or want != got)
+        if want:
+            other = dict(want)
+            other[next(iter(want))] = {99: 1}
+            assert got != other and other != got
+
+
+def test_sweep_result_reads_as_the_old_dict():
+    for got, want in _seeded_folds(67, 80):
+        assert len(got) == len(want) and sorted(got) == sorted(want)
+        assert sorted(got.items()) == sorted(want.items())
+        assert sorted(map(sorted, (h.items() for h in got.values()))) == \
+            sorted(map(sorted, (h.items() for h in want.values())))
+        assert len(got.items()) == len(got.values()) == len(want)
+        for z, hist in want.items():
+            assert z in got and (z, hist) in got.items()
+            assert got[z] == got.get(z) == hist
+            assert list(got[z]) == sorted(hist)   # increasing defect
+            assert bytes(z) not in got and got.get(bytes(z)) is None
+        n = len(next(iter(want)))
+        missing = tuple(range(n, 0, -1)) + (n + 1,)
+        for key in (missing, (256,) * n, ("a",) * n, None):
+            assert key not in got and got.get(key, "none") == "none"
+        with pytest.raises(KeyError):
+            got[missing]
+
+
+def test_packed_total_histogram_equals_the_oracle_total():
+    for got, want in _seeded_folds(71, 80):
+        total: dict[int, int] = {}
+        for hist in want.values():
+            for d, c in hist.items():
+                total[d] = total.get(d, 0) + c
+        assert got.total() == dict(sorted(total.items()))
+        assert list(got.total()) == sorted(total)
+    assert sweep((), 3, set()).total() == {0: 1}
+
+
+def test_defect_histogram_reads_the_packed_fold():
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.choice((3, 4, 5))
+        m = rng.randrange(9)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.3))
+        want = _aggregate(word, n, A, c)
+        total: dict[int, int] = {}
+        for hist in want.values():
+            for d, k in hist.items():
+                total[d] = total.get(d, 0) + k
+        assert defect_histogram(word, n, A, c) == dict(sorted(total.items()))
+        for z in coxeter.min_coset_reps(A, n):
+            got = defect_histogram(word, n, A, c, target=z)
+            assert got == want.get(z, {}) and list(got) == sorted(got)
