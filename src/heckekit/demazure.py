@@ -33,6 +33,7 @@ over F_2.
 """
 from __future__ import annotations
 
+import operator
 import re
 from typing import Mapping, Sequence
 
@@ -132,11 +133,17 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError("polynomials in different rings")
         terms: dict[Exponents, int] = {}
+        get = terms.get
+        add = operator.add
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                _add_into(terms, tuple(a + b for a, b in zip(e1, e2)),
-                          c1 * c2)
-        return MultiPoly(self.nvars, terms)
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + c1 * c2
+                if s:
+                    terms[e] = s
+                else:       # c1 * c2 != 0, so e was there
+                    del terms[e]
+        return MultiPoly._wrap(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -342,12 +349,15 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
 
     The value under each operator is computed once, bottom-up; erasure k
     then applies only the steps above operator k to the value under it.
-    Every erasure must land in degree 0 (content degree minus 2 per
-    surviving operator); the first nonconstant value, in prefix order,
-    raises DegreeAuditFailure, and an entry of more than
-    MAX_CONSTANT_DIGITS digits is a ValueError.  The erasures form a
-    single row, so its rank is 1 if some entry is nonzero (over F_p:
-    nonzero mod p) and 0 otherwise.
+    Every factor is homogeneous and every operator lowers the degree by
+    2, so a nonzero erasure has the expected degree: the content degree
+    minus 2 per surviving operator.  Where that is not 0 the expression
+    is unbalanced, and its first nonconstant erasure, in prefix order, is
+    a ValueError naming --expr; where it is 0, a nonconstant erasure
+    raises DegreeAuditFailure.  An entry of more than MAX_CONSTANT_DIGITS
+    digits is a ValueError.  The erasures form a single row, so its rank
+    is 1 if some entry is nonzero (over F_p: nonzero mod p) and 0
+    otherwise.
     """
     steps, ops, val = expr.steps, expr.ops, expr.base
     expected = content_degree(expr) - 2 * (len(ops) - 1)
@@ -365,6 +375,11 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
         degrees = sorted(val.graded_degrees())
         ok = val.is_constant()
         audit.append(ErasureAudit(k, steps[pos], expected, degrees, ok))
+        if not ok and expected:
+            raise ValueError(
+                f"--expr is unbalanced: erasing operator {k} left degrees "
+                f"{degrees}; its content degree minus 2 per remaining "
+                f"operator is {expected}, not 0")
         if not ok:
             raise DegreeAuditFailure(
                 f"erasing operator {k} left degrees {degrees}, "

@@ -36,29 +36,40 @@ and `pairing` is its reference.  This form satisfies
 
 all of which are enforced by tests.
 
-Sums of elements accumulate in place, through `_add_scaled`, into one map
-that the summing function created; it becomes an element once, at the end.
-No argument's and no cached element's coefficients are ever written.
+Every sum of elements (the h_s and b_s steps, `_add_scaled`, the KL
+recursion, the perversity back-substitution and `pairing`) accumulates
+plain {exponent: int} term maps, keyed by permutation, in one map that
+the summing function created, through `laurent._add_product`: each term
+is added as a coefficient times a fixed factor (1, v, v^-1, v + v^-1,
+v^-1 - v or a scalar), in place, and a key whose map cancels to zero is
+dropped.  Each coefficient becomes a LaurentPoly once, at the end
+(`laurent._polys`).  No argument's and no cached element's coefficients
+are ever written.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable
 
 from . import coxeter
 from .coxeter import Permutation
-from .laurent import ONE, V, LaurentPoly, _add_into, _poly
+from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys
 
-_V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
-_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
-_V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
-_VINV = LaurentPoly({-1: 1})
+# the factors of the h_s and b_s rules, as term maps
+_UNIT = {0: 1}
+_V = {1: 1}
+_VINV = {-1: 1}
+_V_PLUS_VINV = {1: 1, -1: 1}
+_VINV_MINUS_V = {-1: 1, 1: -1}
 
 
-def _add_scaled(out: dict, coeffs: dict, c) -> dict:
-    """Add c times each coefficient of `coeffs` into `out`; return `out`."""
-    for x, p in coeffs.items():
-        _add_into(out, x, p * c)
+def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
+    """Add c times each coefficient of `coeffs` (LaurentPolys) into `out`,
+    an accumulator of term maps (`laurent._add_product`); return `out`."""
+    g = c.terms if isinstance(c, LaurentPoly) else {0: c} if c else {}
+    if g:
+        for x, p in coeffs.items():
+            _add_product(out, x, p.terms, g)
     return out
 
 
@@ -84,13 +95,11 @@ class LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        coeffs = dict(self.coeffs)
-        for x, c in other.coeffs.items():
-            _add_into(coeffs, x, c)
-        return self._like(coeffs)
+        out = _add_scaled({}, self.coeffs, 1)
+        return self._like(_polys(_add_scaled(out, other.coeffs, 1)))
 
     def scale(self, c):
-        return self._like(_add_scaled({}, self.coeffs, c))
+        return self._like(_polys(_add_scaled({}, self.coeffs, c)))
 
     def coefficient(self, x: Permutation) -> LaurentPoly:
         return self.coeffs.get(tuple(x), LaurentPoly.zero())
@@ -151,13 +160,14 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
     """Multiply by h_{s_i} or b_{s_i} on the chosen side, exactly.
 
     h_s h_x = h_{sx} if sx > x, else h_{sx} + (v^-1 - v) h_x (mirrored on
-    the right); kind="b" adds v times the original element.
+    the right); kind="b" adds v times the original element, which turns
+    the factor at h_x into v^-1 if s lowers x and v if it raises x.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
-    out: dict[Permutation, LaurentPoly] = {}
+    out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
         if side == "left":
             sx = coxeter.apply_gen_left(i, x)
@@ -165,12 +175,12 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
         else:
             sx = coxeter.apply_gen_right(x, i)
             descends = coxeter.has_right_descent(x, i)
-        _add_into(out, sx, c)
-        if descends:
-            _add_into(out, x, c * _VINV_MINUS_V)
+        _add_product(out, sx, c.terms, _UNIT)
         if kind == "b":
-            _add_into(out, x, c * V)
-    return el._like(out)
+            _add_product(out, x, c.terms, _VINV if descends else _V)
+        elif descends:
+            _add_product(out, x, c.terms, _VINV_MINUS_V)
+    return el._like(_polys(out))
 
 
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
@@ -195,21 +205,21 @@ def inverse_h(x: Permutation) -> HeckeElement:
     cached = _inverse_cache.get(x)
     if cached is not None:
         return cached
+    v_minus_vinv = LaurentPoly({1: 1, -1: -1})
     el = unit(len(x))
     for i in coxeter.reduced_word(x):
-        # left-multiply by h_{s_i}^{-1}
-        out = mult_by_gen(el, i, side="left")
-        el = out._like(_add_scaled(out.coeffs, el.coeffs, _V_MINUS_VINV))
+        # left-multiply by h_{s_i}^{-1} = h_{s_i} + (v - v^-1)
+        el = mult_by_gen(el, i) + el.scale(v_minus_vinv)
     _inverse_cache[x] = el
     return el
 
 
 def bar_involution(el: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and h_x -> (h_{x^-1})^-1."""
-    out: dict[Permutation, LaurentPoly] = {}
+    out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
         _add_scaled(out, inverse_h(coxeter.inverse(x)).coeffs, c.bar())
-    return el._like(out)
+    return el._like(_polys(out))
 
 
 def _b_step(i: int, coeffs: dict, parabolic) -> dict:
@@ -217,15 +227,16 @@ def _b_step(i: int, coeffs: dict, parabolic) -> dict:
     of W/W_A, by the three-case rule: b_s m_u = m_{su} + v^{+-1} m_u as s
     raises or lowers the coset of u (`coxeter.coset_step`), and
     (v + v^-1) m_u as s fixes it.  At A = {} no coset is fixed, and this
-    is b_s h_u in H.  Returns a new map."""
-    out: dict[Permutation, LaurentPoly] = {}
+    is b_s h_u in H.  Returns a new accumulator of term maps
+    (`laurent._add_product`)."""
+    out: dict[Permutation, dict] = {}
     for u, c in coeffs.items():
         kind, su = coxeter.coset_step(u, i, parabolic)
         if kind == "S":
-            _add_into(out, u, c * _V_PLUS_VINV)
+            _add_product(out, u, c.terms, _V_PLUS_VINV)
         else:
-            _add_into(out, su, c)
-            _add_into(out, u, c * (V if kind == "U" else _VINV))
+            _add_product(out, su, c.terms, _UNIT)
+            _add_product(out, u, c.terms, _V if kind == "U" else _VINV)
     return out
 
 
@@ -286,6 +297,7 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
             mu = gamma.coefficient(1)
             if mu and z != y and coxeter.coset_step(z, s, parabolic)[0] != "U":
                 _add_scaled(coeffs, _kl(z, parabolic), -mu)
+        coeffs = _polys(coeffs)
     if _kl_count[0] != len(_kl_cache):
         _kl_count[:] = [len(_kl_cache),
                         sum(len(c) for c in _kl_cache.values())]
@@ -319,18 +331,19 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     LaurentPoly(1 + v^2)
     """
     a._check(b)
-    b_terms = [(coxeter.inverse(y), c) for y, c in b.coeffs.items()]
-    total = LaurentPoly.zero()
+    b_terms = [(coxeter.inverse(y), c.terms) for y, c in b.coeffs.items()]
+    total: dict[int, dict[int, int]] = {}   # one term map, under key 0
     for x, ax in a.coeffs.items():
         inv = inverse_h(x).coeffs
-        inner = LaurentPoly.zero()
+        inner: dict[int, dict[int, int]] = {}
         for y_inv, by in b_terms:
             c = inv.get(y_inv)
             if c is not None:
-                inner = inner + by * c
+                _add_product(inner, 0, by, c.terms)
         if inner:
-            total = total + ax.bar() * inner
-    return total
+            bar_ax = {-e: k for e, k in ax.terms.items()}
+            _add_product(total, 0, bar_ax, inner[0])
+    return _poly(total.get(0, {}))
 
 
 class PerversityReport:
@@ -349,15 +362,32 @@ def _perversity(el: LinearCombination,
     back-substitution, and whether all of them are constants.
 
     basis(x) must be the standard basis element at x plus terms at
-    elements of smaller length.
+    elements of smaller length.  The coefficients that no basis element
+    has touched yet stay el's own objects (`pending`), so the expansion
+    shares them with el; a touched one moves into the running sum of
+    term maps (`rest`).
     """
-    rest = dict(el.coeffs)
+    pending = dict(el.coeffs)
+    rest: dict[Permutation, dict] = {}
+    lengths: dict[Permutation, int] = {}
+
+    def rank(p: Permutation) -> tuple[int, Permutation]:
+        n = lengths.get(p)
+        if n is None:
+            n = lengths[p] = coxeter.length(p)
+        return n, p
+
     expansion: dict[Permutation, LaurentPoly] = {}
-    while rest:
-        x = max(rest, key=lambda p: (coxeter.length(p), p))
-        c = rest[x]
-        expansion[x] = c
-        _add_scaled(rest, basis(x).coeffs, -c)
+    while pending or rest:
+        x = max(chain(pending, rest), key=rank)
+        c = expansion[x] = pending.pop(x, None) or _poly(rest.pop(x))
+        bx = basis(x).coeffs
+        for y in bx:
+            p = pending.pop(y, None)
+            if p is not None:
+                _add_product(rest, y, p.terms, _UNIT)
+        _add_scaled(rest, bx, -c)
+        del rest[x]     # -c, since basis(x) is h_x plus lower terms
     ok = all(set(c.terms) <= {0} for c in expansion.values())
     return PerversityReport(ok, expansion)
 

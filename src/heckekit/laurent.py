@@ -8,12 +8,18 @@ object of the certificate lives in Z[v, v^-1], and the ranks over F_p that
 the certificate needs are computed on plain ints in `demazure`.  All
 arithmetic is exact; there is no floating-point mode.
 
-Sparse sums throughout the package accumulate through `_add_into`, which
-keeps the no-zero-entries invariant of these maps; a sum of Hecke or
-spherical elements adds every term into one map of its own, in place.
-One sum deliberately does not use it: `subexpr.sweep` adds packed
-histograms (one int each) in its hot loop, and a `SweepResult` totals
-them the same way.
+Sums of Laurent polynomial products throughout the package go through
+one kernel, `_add_product`, which works on plain {exponent: int} maps: it
+adds f * g into the map under one key of an accumulator, in place, and
+drops the key when its map cancels to zero.  The Hecke and spherical sums
+(`hecke`'s b_s and h_s steps, `_add_scaled`, `pairing`,
+`spherical.phi_embed`) keep one such accumulator of term maps per call
+and wrap each coefficient as a LaurentPoly once, at the end (`_polys`);
+`LaurentPoly.__mul__` is the same kernel on a one-key accumulator.
+Single terms are added with `_add_into`, which keeps the no-zero-entries
+invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
+adds packed histograms (one int each) in its hot loop, and a
+`SweepResult` totals them the same way.
 """
 from __future__ import annotations
 
@@ -39,11 +45,42 @@ def _add_into(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
+def _add_product(out: dict, key, f: Mapping[int, int],
+                 g: Mapping[int, int]) -> None:
+    """out[key] += f * g on {exponent: int} maps, in place.
+
+    `out` maps keys to term maps of nonzero ints; a missing key counts as
+    zero, and a key whose map cancels to zero is dropped, so `out` never
+    holds an empty map.  f and g hold nonzero ints only.
+    """
+    t = out.get(key)
+    if t is None:
+        t = {}
+    get = t.get
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
+                t[e] = s
+            else:           # c1 * c2 != 0, so e was there
+                del t[e]
+    if t:
+        out[key] = t
+    else:
+        out.pop(key, None)
+
+
 def _poly(terms: dict[int, int]) -> "LaurentPoly":
     """Wrap `terms` without validation; it must hold nonzero ints only."""
     out = object.__new__(LaurentPoly)
     out.terms = terms
     return out
+
+
+def _polys(maps: dict) -> dict:
+    """Wrap every term map of an `_add_product` accumulator, unchecked."""
+    return {key: _poly(t) for key, t in maps.items()}
 
 
 class LaurentPoly:
@@ -119,11 +156,9 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_into(terms, e1 + e2, c1 * c2)
-        return _poly(terms)
+        out: dict[int, dict[int, int]] = {}
+        _add_product(out, 0, self.terms, other.terms)
+        return _poly(out.get(0, {}))
 
     __rmul__ = __mul__
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, _add_into, _poly, v_power
+from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys, v_power
 
 
 class SphericalElement(hecke.LinearCombination):
@@ -82,7 +82,7 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
     """The action of b_{s_i}, extended linearly over the standard basis."""
-    return el._like(hecke._b_step(i, el.coeffs, el.parabolic))
+    return el._like(_polys(hecke._b_step(i, el.coeffs, el.parabolic)))
 
 
 def bott_samelson_spherical(word: Sequence[int], n: int,
@@ -109,16 +109,18 @@ def pi_tilde(parabolic, n: int) -> LaurentPoly:
 
 
 def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
-    """The embedding phi: m_x -> h_x * b_{w_A}, extended linearly."""
+    """The embedding phi: m_x -> h_x * b_{w_A}, extended linearly.  The
+    products xu are distinct, so no term cancels."""
     n = el.n
     A = el.parabolic
     wA_len = coxeter.length(coxeter.longest_element(A, n))
-    out: dict[Permutation, LaurentPoly] = {}
+    weights = [(u, v_power(wA_len - coxeter.length(u)).terms)
+               for u in coxeter.parabolic_elements(A, n)]
+    out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
-        for u in coxeter.parabolic_elements(A, n):
-            xu = coxeter.multiply(x, u)
-            _add_into(out, xu, c * v_power(wA_len - coxeter.length(u)))
-    return hecke.HeckeElement(n, out)
+        for u, g in weights:
+            _add_product(out, coxeter.multiply(x, u), c.terms, g)
+    return hecke.HeckeElement(n)._like(_polys(out))
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:

@@ -13,6 +13,15 @@ The Hecke algebra, against `hecke.pairing`: `multiply` forms a full
 product generator by generator, and `eps` and `a_antiautomorphism` give
 the pairing by its definition eps(a(a) b).
 
+The term-map sums, against `laurent._add_product` and its callers:
+`b_step`, `mult_by_gen` and `add_scaled` form every term as a LaurentPoly
+product (`c * v`, `c * (v + v^-1)`, ...) and add it in with
+LaurentPoly `+`, and `multipoly_mul` multiplies two `MultiPoly`s through
+`zip` and the validating constructor; `phi_embed` forms each term of
+the embedding M -> H as a product.  `multiply` and
+`a_antiautomorphism` are built on them, so the pairing reference shares
+no sum with `hecke`.
+
 The certificate report, against `heckekit certify`: `certify_text` builds
 the whole payload from unpacked histograms and renders it with one
 json.dumps.
@@ -24,8 +33,9 @@ from typing import Iterator, Sequence
 
 from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
-from heckekit.hecke import HeckeElement, _add_scaled, inverse_h, mult_by_gen
-from heckekit.laurent import LaurentPoly, _poly
+from heckekit.demazure import MultiPoly
+from heckekit.hecke import HeckeElement, inverse_h
+from heckekit.laurent import LaurentPoly, _add_into, _poly
 
 Slots = Sequence[Sequence[int]]
 
@@ -159,6 +169,81 @@ def aggregate(word: Sequence[int], n: int, parabolic,
     return out
 
 
+# -- sums through LaurentPoly products -----------------------------------
+
+_V = LaurentPoly({1: 1})
+_VINV = LaurentPoly({-1: 1})
+_V_PLUS_VINV = LaurentPoly({1: 1, -1: 1})
+_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
+
+
+def add_scaled(out: dict, coeffs: dict, c) -> dict:
+    """Add c times each coefficient of `coeffs` into `out`, a map of
+    LaurentPolys, one product and one LaurentPoly sum per term."""
+    for x, p in coeffs.items():
+        _add_into(out, x, p * c)
+    return out
+
+
+def b_step(i: int, coeffs: dict, parabolic) -> dict:
+    """b_{s_i} on a coefficient map over W^A, by the three-case rule
+    (`hecke._b_step`), with LaurentPoly values."""
+    out: dict[Permutation, LaurentPoly] = {}
+    for u, c in coeffs.items():
+        kind, su = coxeter.coset_step(u, i, parabolic)
+        if kind == "S":
+            _add_into(out, u, c * _V_PLUS_VINV)
+        else:
+            _add_into(out, su, c)
+            _add_into(out, u, c * (_V if kind == "U" else _VINV))
+    return out
+
+
+def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
+                kind: str = "h") -> HeckeElement:
+    """h_{s_i} or b_{s_i} times el on the chosen side: h_{sx}, plus
+    (v^-1 - v) h_x if s lowers x, plus v h_x for b_{s_i}."""
+    out: dict[Permutation, LaurentPoly] = {}
+    for x, c in el.coeffs.items():
+        if side == "left":
+            sx = coxeter.apply_gen_left(i, x)
+            descends = coxeter.has_left_descent(x, i)
+        else:
+            sx = coxeter.apply_gen_right(x, i)
+            descends = coxeter.has_right_descent(x, i)
+        _add_into(out, sx, c)
+        if descends:
+            _add_into(out, x, c * _VINV_MINUS_V)
+        if kind == "b":
+            _add_into(out, x, c * _V)
+    return el._like(out)
+
+
+def phi_embed(el) -> HeckeElement:
+    """phi(m_x) = sum_{u in W_A} v^{len(w_A) - len(u)} h_{xu}, one
+    LaurentPoly product per term (`spherical.phi_embed`)."""
+    n, A = el.n, el.parabolic
+    top = coxeter.length(coxeter.longest_element(A, n))
+    out: dict[Permutation, LaurentPoly] = {}
+    for x, c in el.coeffs.items():
+        for u in coxeter.parabolic_elements(A, n):
+            _add_into(out, coxeter.multiply(x, u),
+                      c * LaurentPoly({top - coxeter.length(u): 1}))
+    return HeckeElement(n, out)
+
+
+def multipoly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g, every exponent vector added through zip and the result
+    validated by the constructor."""
+    if f.nvars != g.nvars:
+        raise ValueError("polynomials in different rings")
+    terms: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            _add_into(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return MultiPoly(f.nvars, terms)
+
+
 # -- the Hecke algebra ---------------------------------------------------
 
 
@@ -170,7 +255,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         term = a
         for i in coxeter.reduced_word(x):
             term = mult_by_gen(term, i, side="right")
-        _add_scaled(out, term.coeffs, c)
+        add_scaled(out, term.coeffs, c)
     return a._like(out)
 
 
@@ -186,7 +271,7 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
     """
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
-        _add_scaled(out, inverse_h(x).coeffs, c.bar())
+        add_scaled(out, inverse_h(x).coeffs, c.bar())
     return el._like(out)
 
 

@@ -367,11 +367,40 @@ def test_inline_expression_error_names_the_flag(capsys):
     assert captured.err.startswith("heckekit: --expr 'D1 ( ( a1': ")
 
 
-def test_internal_consistency_is_exit_3(capsys):
-    # erasing the only operator of D1(a1) leaves a degree-2 polynomial
-    code, out = run_cli(capsys, "intersection-form",
-                        "--expr", "D1 ( a1 )")
-    assert code == 3
+def test_internal_consistency_is_exit_3(monkeypatch, capsys):
+    # D1 D1 ( a1 ) is balanced (expected erasure degree 0); an operator
+    # that keeps the degree makes its erasures nonconstant, which only a
+    # fault in the arithmetic can do
+    from heckekit import demazure
+
+    monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
+    for command in ("intersection-form", "certify"):
+        code, out = run_cli(capsys, command, "--expr", "D1 D1 ( a1 )")
+        assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("command", ["intersection-form", "certify"])
+@pytest.mark.parametrize("text,degrees", [("D1 ( a1 )", [2]),
+                                          ("D2 ( x1 )", [2]),
+                                          ("D1 ( a1^2 * D1 ( a1 ) )", [4])])
+def test_unbalanced_expression_is_exit_2(command, text, degrees, capsys):
+    # erasing an operator of an unbalanced expression leaves a polynomial
+    # of nonzero degree: bad input, named by its flag
+    code = cli.main([command, "--expr", text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        f"heckekit: --expr is unbalanced: erasing operator 1 left degrees "
+        f"{degrees}; ")
+
+
+def test_unbalanced_expression_with_constant_erasures_is_exit_0(capsys):
+    # expected degree 4 - 2 * (2 - 1) = 2, but del_1 del_1 = 0 and
+    # del_1 (x1 x2) = 0: every erasure is the constant 0
+    code, payload = run_json(capsys, "intersection-form",
+                             "--expr", "D1 D1 ( x1 * x2 )")
+    assert code == 0 and payload["entries"] == [0, 0]
+    assert [a["expected_degree"] for a in payload["degree_audit"]] == [2, 2]
 
 
 @pytest.mark.parametrize("command", ["intersection-form", "demazure-eval"])
@@ -758,12 +787,17 @@ def test_integer_flags_take_ascii_digits_only(argv, flag, text, capsys):
     (["kl", "--n", "3", "--element", "s1"], 0),
     (["validate-word", "--word", "gl15-partial"], 1),
     (["bs", "--n", "4", "--word", "5"], 2),
-    (["intersection-form", "--expr", "D1 ( a1 )"], 3),
+    (["intersection-form", "--expr", "D1 D1 ( a1 )"], 3),
 ])
 def test_collector_paused_only_during_the_command(argv, code, monkeypatch,
                                                   capsys):
     seen = []
     command = cli.build_parser().parse_args(argv).func
+    if code == 3:
+        # an operator that keeps the degree: a consistency violation
+        from heckekit import demazure
+
+        monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
 
     def spy(args):
         seen.append(gc.isenabled())

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from heckekit import demazure
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
     MAX_CONSTANT_DIGITS,
@@ -300,16 +301,20 @@ def test_shared_erasure_pass_matches_reference():
 
 
 def test_degree_audit_names_the_first_failing_erasure():
+    # an erasure of nonzero expected degree: the expression is unbalanced
     cases = {
-        "D1 D2 D3 ( x2 * a3 * a3 )":
-            "erasing operator 3 left degrees [2], expected a constant",
-        "D2 a1 * D2 a2 * x3 * D1 ( a3^2 )":
-            "erasing operator 3 left degrees [6], expected a constant",
+        "D1 D2 D3 ( x2 * a3 * a3 )": (3, [2], 2),
+        "D2 a1 * D2 a2 * x3 * D1 ( a3^2 )": (3, [6], 6),
+        "D1 ( a1 )": (1, [2], 2),
     }
-    for text, message in cases.items():
-        with pytest.raises(DegreeAuditFailure) as exc:
+    for text, (k, degrees, expected) in cases.items():
+        with pytest.raises(ValueError) as exc:
             intersection_vector(parse_expr(text), 2)
-        assert str(exc.value) == message
+        assert not isinstance(exc.value, DegreeAuditFailure)
+        assert str(exc.value) == (
+            f"--expr is unbalanced: erasing operator {k} left degrees "
+            f"{degrees}; its content degree minus 2 per remaining operator "
+            f"is {expected}, not 0")
 
 
 def test_long_chain_needs_no_recursion():
@@ -322,11 +327,15 @@ def test_long_chain_needs_no_recursion():
     assert intersection_vector(expr).entries == [0] * 1200
 
 
-def test_degree_audit_failure():
-    # erasing the only operator leaves a degree-2 value
-    bad = Chain([1], MultiPoly.alpha(1, 2))
-    with pytest.raises(DegreeAuditFailure):
-        intersection_vector(bad, 2)
+def test_degree_audit_failure(monkeypatch):
+    # A balanced chain (expected degree 0) whose erasure is nonconstant is
+    # an internal inconsistency: plant an operator that keeps the degree.
+    balanced = Chain([1, 1], MultiPoly.alpha(1, 2))
+    assert intersection_vector(balanced, 2).entries == [2, 2]
+    monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
+    with pytest.raises(DegreeAuditFailure, match="erasing operator 1 left "
+                       "degrees \\[2\\], expected a constant"):
+        intersection_vector(balanced, 2)
 
 
 def test_intersection_vector_no_ops():

@@ -1,0 +1,308 @@
+"""The term-map sums against their LaurentPoly-product references.
+
+`laurent._add_product` adds f * g into an accumulator of {exponent: int}
+maps in place, and `hecke` (`_b_step`, `mult_by_gen`, `_add_scaled`,
+`pairing`) and `spherical.phi_embed` sum through it; `MultiPoly.__mul__`
+accumulates the same way on exponent vectors.  Each is compared with the
+reference in `oracles` that forms every term as a LaurentPoly (or
+validated MultiPoly) product: exhaustively on S_4 for every parabolic
+subset, on a seeded S_5 batch, and on random mixed-sign coefficients, so
+that terms cancel to zero.  Every result holds no zero coefficient and
+every accumulator no empty map.
+"""
+import itertools
+import random
+
+import oracles
+from heckekit import coxeter, hecke, spherical
+from heckekit.coxeter import all_permutations, min_coset_reps
+from heckekit.demazure import MultiPoly
+from heckekit.hecke import (
+    HeckeElement,
+    _add_scaled,
+    _b_step,
+    bar_involution,
+    h,
+    inverse_h,
+    is_perverse_character,
+    kl_basis,
+    mult_by_gen,
+    pairing,
+)
+from heckekit.laurent import ONE, V, LaurentPoly, _add_product, _polys
+from heckekit.spherical import (
+    SphericalElement,
+    act_by_gen,
+    is_perverse_spherical,
+    m,
+    phi_embed,
+    spherical_kl_basis,
+)
+
+
+def all_subsets(n):
+    gens = tuple(range(1, n))
+    for r in range(n):
+        yield from map(frozenset, itertools.combinations(gens, r))
+
+
+def rand_terms(rng, size=3):
+    """A mixed-sign term map with up to `size` terms, possibly empty."""
+    terms = {}
+    for _ in range(rng.randrange(size + 1)):
+        terms[rng.randrange(-2, 3)] = rng.choice((-2, -1, 1, 2))
+    return terms
+
+
+def rand_coeffs(rng, keys, size=5):
+    """Mixed-sign LaurentPoly coefficients on up to `size` of `keys`."""
+    out = {}
+    for x in rng.sample(keys, min(size, len(keys))):
+        c = LaurentPoly(rand_terms(rng))
+        if c:
+            out[x] = c
+    return out
+
+
+def assert_clean(coeffs):
+    """A coefficient map holds nonzero LaurentPolys of nonzero ints."""
+    for c in coeffs.values():
+        assert isinstance(c, LaurentPoly) and c.terms
+        assert all(c.terms.values())
+
+
+def assert_clean_accumulator(acc):
+    for t in acc.values():
+        assert isinstance(t, dict) and t and all(t.values())
+
+
+def test_add_product_is_the_sum_of_products():
+    rng = random.Random(41)
+    cancelled = 0
+    for _ in range(2000):
+        f, g = rand_terms(rng), rand_terms(rng)
+        t = rand_terms(rng)
+        if rng.random() < 0.2 and f and g:
+            # the key cancels to zero
+            t = {e: -c for e, c in (LaurentPoly(f) * LaurentPoly(g))
+                 .terms.items()}
+        out = {"k": dict(t)} if t else {}
+        _add_product(out, "k", f, g)
+        want = LaurentPoly(t) + LaurentPoly(f) * LaurentPoly(g)
+        assert out.get("k", {}) == want.terms
+        assert_clean_accumulator(out)
+        cancelled += bool(t) and not want
+    assert cancelled > 100
+
+
+def test_add_product_writes_no_argument():
+    f, g = {0: 1, 1: 2}, {-1: 3}
+    t = {0: 5}
+    out = {"k": t, "other": {2: 1}}
+    _add_product(out, "k", f, g)
+    assert f == {0: 1, 1: 2} and g == {-1: 3}
+    assert out == {"k": {0: 11, -1: 3}, "other": {2: 1}}
+    assert out["k"] is t      # added in place
+
+
+def test_b_step_agrees_with_the_reference_on_s4_for_every_A():
+    rng = random.Random(42)
+    for A in all_subsets(4):
+        reps = sorted(min_coset_reps(A, 4))
+        elements = [{u: ONE} for u in reps]
+        elements += [hecke._kl(u, A) for u in reps]
+        elements += [rand_coeffs(rng, reps) for _ in range(10)]
+        for coeffs, i in itertools.product(elements, (1, 2, 3)):
+            acc = _b_step(i, coeffs, A)
+            assert_clean_accumulator(acc)
+            want = oracles.b_step(i, coeffs, A)
+            assert _polys(acc) == want
+            el = SphericalElement(4, A, coeffs)
+            assert act_by_gen(i, el).coeffs == want
+
+
+def test_mult_by_gen_agrees_with_the_reference_on_s4():
+    rng = random.Random(43)
+    perms = list(all_permutations(4))
+    elements = [h(x) for x in perms] + [kl_basis(x) for x in perms]
+    elements += [HeckeElement(4, rand_coeffs(rng, perms)) for _ in range(40)]
+    for el in elements:
+        for i, side, kind in itertools.product((1, 2, 3), ("left", "right"),
+                                               ("h", "b")):
+            got = mult_by_gen(el, i, side, kind)
+            assert got == oracles.mult_by_gen(el, i, side, kind)
+            assert_clean(got.coeffs)
+
+
+def test_seeded_s5_batch_agrees_with_the_references():
+    rng = random.Random(44)
+    perms = list(all_permutations(5))
+    subsets = list(all_subsets(5))
+    for _ in range(150):
+        i = rng.randrange(1, 5)
+        el = HeckeElement(5, rand_coeffs(rng, perms, 8))
+        side, kind = rng.choice(("left", "right")), rng.choice("hb")
+        assert mult_by_gen(el, i, side, kind) == oracles.mult_by_gen(
+            el, i, side, kind)
+        A = rng.choice(subsets)
+        coeffs = rand_coeffs(rng, sorted(min_coset_reps(A, 5)), 8)
+        acc = _b_step(i, coeffs, A)
+        assert_clean_accumulator(acc)
+        assert _polys(acc) == oracles.b_step(i, coeffs, A)
+        m_el = SphericalElement(5, A, coeffs)
+        got = phi_embed(m_el)
+        assert got == oracles.phi_embed(m_el)
+        assert_clean(got.coeffs)
+
+
+def test_terms_that_cancel_leave_no_key():
+    """b_s (h_x - v h_sx) = 0 for sx > x, on either side, and
+    b_s (m_u - v m_su) = 0 in M when s raises the coset of u."""
+    for x in all_permutations(4):
+        for i, side in itertools.product((1, 2, 3), ("left", "right")):
+            sx = (coxeter.apply_gen_left(i, x) if side == "left"
+                  else coxeter.apply_gen_right(x, i))
+            if coxeter.length(sx) < coxeter.length(x):
+                continue
+            el = h(x) + h(sx).scale(-V)
+            got = mult_by_gen(el, i, side, "b")
+            assert got.coeffs == {}
+            assert oracles.mult_by_gen(el, i, side, "b").coeffs == {}
+    hits = 0
+    for A in all_subsets(4):
+        for u in min_coset_reps(A, 4):
+            for i in (1, 2, 3):
+                kind, su = coxeter.coset_step(u, i, A)
+                if kind == "U":
+                    assert _b_step(i, {u: ONE, su: -V}, A) == {}
+                    hits += 1
+    assert hits > 50
+
+
+def test_random_sums_do_cancel_and_agree():
+    """Random mixed-sign multiples of b_s-null pairs h_x - v h_sx, plus a
+    random term: most keys cancel, and the results agree."""
+    rng = random.Random(45)
+    perms = list(all_permutations(4))
+    cancelled = 0
+    for _ in range(300):
+        i, side = rng.choice((1, 2, 3)), rng.choice(("left", "right"))
+
+        def move(x):
+            return (coxeter.apply_gen_left(i, x) if side == "left"
+                    else coxeter.apply_gen_right(x, i))
+
+        el = HeckeElement(4, rand_coeffs(rng, perms, 1))
+        for x in rng.sample(perms, 3):
+            sx = move(x)
+            if coxeter.length(sx) < coxeter.length(x):
+                x, sx = sx, x
+            p = LaurentPoly(rand_terms(rng)) or ONE
+            el = el + h(x).scale(p) + h(sx).scale(-(p * V))
+        got = mult_by_gen(el, i, side, "b")
+        assert got == oracles.mult_by_gen(el, i, side, "b")
+        assert_clean(got.coeffs)
+        touched = {move(x) for x in el.coeffs} | set(el.coeffs)
+        cancelled += bool(touched - set(got.coeffs))
+    assert cancelled > 200
+
+
+def test_pairing_agrees_with_the_full_product_and_cancels():
+    rng = random.Random(46)
+    perms = list(all_permutations(4))
+    for _ in range(25):
+        a, b = (HeckeElement(4, rand_coeffs(rng, perms, 4)) for _ in range(2))
+        got = pairing(a, b)
+        assert got == oracles.eps(oracles.multiply(
+            oracles.a_antiautomorphism(a), b))
+    # (bar(P_y) h_x - bar(P_x) h_y, b) = P_y P_x - P_x P_y = 0
+    for _ in range(25):
+        b = kl_basis(rng.choice(perms))
+        x, y = rng.sample(perms, 2)
+        px, py = pairing(h(x), b), pairing(h(y), b)
+        if not px or not py:
+            continue
+        a = h(x).scale(py.bar()) + h(y).scale(-px.bar())
+        got = pairing(a, b)
+        assert got == LaurentPoly.zero() and got.terms == {}
+
+
+def test_add_scaled_takes_an_int_as_the_constant_polynomial():
+    rng = random.Random(47)
+    perms = list(all_permutations(4))
+    for c in range(-3, 4):
+        for _ in range(10):
+            coeffs = rand_coeffs(rng, perms, 6)
+            start = {x: dict(p.terms)
+                     for x, p in rand_coeffs(rng, perms, 6).items()}
+            by_int = _add_scaled({x: dict(t) for x, t in start.items()},
+                                 coeffs, c)
+            by_poly = _add_scaled({x: dict(t) for x, t in start.items()},
+                                  coeffs, LaurentPoly({0: c}))
+            assert by_int == by_poly
+            assert_clean_accumulator(by_int)
+            assert _polys(by_int) == oracles.add_scaled(
+                {x: LaurentPoly(t) for x, t in start.items()}, coeffs,
+                LaurentPoly({0: c}))
+        # adding an element's negative leaves nothing
+        el = {x: dict(p.terms) for x, p in coeffs.items()}
+        assert _add_scaled(el, coeffs, -1) == {}
+
+
+def test_rewritten_sums_store_no_zero_coefficient():
+    rng = random.Random(48)
+    perms = list(all_permutations(4))
+    for _ in range(20):
+        a, b = (HeckeElement(4, rand_coeffs(rng, perms)) for _ in range(2))
+        for el in (a + b, a.scale(LaurentPoly(rand_terms(rng))), a.scale(0),
+                   bar_involution(a), inverse_h(rng.choice(perms)),
+                   kl_basis(rng.choice(perms))):
+            assert_clean(el.coeffs)
+        assert_clean(is_perverse_character(a).expansion)
+    for A in all_subsets(4):
+        for u in min_coset_reps(A, 4):
+            for el in (spherical_kl_basis(u, A), phi_embed(m(u, A)),
+                       act_by_gen(1, spherical_kl_basis(u, A))):
+                assert_clean(el.coeffs)
+        assert_clean(is_perverse_spherical(
+            spherical.bott_samelson_spherical((1, 2, 3, 1), 4, A)).expansion)
+    for coeffs in hecke._kl_cache.values():
+        assert_clean(coeffs)
+    for el in hecke._inverse_cache.values():
+        assert_clean(el.coeffs)
+
+
+def test_perversity_shares_the_coefficients_it_does_not_touch():
+    # b_x + v^2 b_y with y not below x: both coefficients are untouched
+    x, y = (2, 1, 3, 4), (1, 2, 4, 3)
+    el = kl_basis(x) + kl_basis(y).scale(LaurentPoly({2: 1}))
+    rep = is_perverse_character(el)
+    assert rep.expansion == {x: ONE, y: LaurentPoly({2: 1})}
+    assert rep.expansion[y] is el.coeffs[y]
+    assert not rep.is_perverse
+
+
+def test_multipoly_product_agrees_with_the_reference():
+    rng = random.Random(49)
+
+    def rand_multipoly(nvars):
+        terms = {}
+        for _ in range(rng.randrange(6)):
+            e = tuple(rng.randrange(3) for _ in range(nvars))
+            terms[e] = rng.choice((-2, -1, 1, 2))
+        return MultiPoly(nvars, terms)
+
+    cancelled = 0
+    for _ in range(600):
+        nvars = rng.randrange(1, 5)
+        f, g = rand_multipoly(nvars), rand_multipoly(nvars)
+        got = f * g
+        want = oracles.multipoly_mul(f, g)
+        assert got == want and all(got.terms.values())
+        cancelled += len(got.terms) < len({
+            tuple(a + b for a, b in zip(e1, e2))
+            for e1 in f.terms for e2 in g.terms})
+    assert cancelled > 20
+    x1, x2 = MultiPoly.variable(1, 2), MultiPoly.variable(2, 2)
+    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0): 1, (0, 2): -1}
+    assert ((x1 - x2) * MultiPoly(2)).terms == {}
