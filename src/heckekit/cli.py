@@ -422,18 +422,21 @@ def cmd_certify(args) -> int:
             }
             payload["histogram"] = _hist_json(data.total())
             payload["histogram_at_x"] = _hist_json(data.get(x, {}))
-            # each coefficient must lie in Z[v]: no negative powers of v.
-            # Each distinct packed histogram is unpacked and rendered once.
-            packed, coefficients, failures = data.packed, {}, []
-            for z in inside:
-                h = packed[z]
-                if h not in coefficients:
-                    hist = data.unpack(h)
-                    coefficients[h] = ({str(d): str(c) for d, c in
-                                        hist.items()}, min(hist) >= 0)
-                if not coefficients[h][1]:
-                    failures.append({"coset": list(z),
-                                     "coefficient": coefficients[h][0]})
+            # each coefficient must lie in Z[v]: no negative powers of v,
+            # which one mask finds on the packed histogram.  Each
+            # distinct histogram is unpacked and rendered once.
+            packed, negative = data.packed, data.negative_mask
+            coefficients = {}
+
+            def coefficient(h):
+                c = coefficients.get(h)
+                if c is None:
+                    c = coefficients[h] = {str(d): str(k) for d, k in
+                                           data.unpack(h).items()}
+                return c
+
+            failures = [{"coset": list(z), "coefficient": coefficient(h)}
+                        for z in inside if (h := packed[z]) & negative]
 
             def entries(pad):
                 """The entries' JSON texts, for `emit`; the text around a
@@ -444,10 +447,10 @@ def cmd_certify(args) -> int:
                 for z in inside:
                     h = packed[z]
                     if h not in parts:
-                        coefficient, ok = coefficients[h]
                         parts[h] = _dumps(
-                            {"coefficient": coefficient, "coset": [_HOLE],
-                             "ok": ok}, args.pretty,
+                            {"coefficient": coefficient(h),
+                             "coset": [_HOLE], "ok": not h & negative},
+                            args.pretty,
                         ).replace("\n", pad).split(json.dumps(_HOLE))
                     before, after = parts[h]
                     yield before + sep.join(map(digits, z)) + after

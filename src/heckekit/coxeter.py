@@ -9,19 +9,25 @@ Parabolic subsets are collections of generator indices.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
-of x dominates that of y entrywise.  `bruhat_above` decides the lower
-half x < z of the certificate's interval test on packed rank tables
-(the upper half z <= w holds for every endpoint of a reduced word's
-expansion, see `subexpr.interval_endpoints`): the entries
-r[i][j], i, j in 1..n-1, sit in one int, one field each, with a guard
-bit above the value bits.  A table is the sum of n-1 precomputed
-per-position constants, and x <= y is one subtraction:
-((P_x | H) - P_y) & H == H, with H the guard mask, since a field keeps
-its guard bit exactly when r_x[i][j] >= r_y[i][j].  `rank_table`,
-`rank_table_dominates` and `bruhat_leq` compare tuple tables entry by
-entry and are its oracle.  W_A permutes the positions within each block
-of A (`parabolic_blocks`), which gives w_A, W_A and the minimal coset
-representatives.
+of x dominates that of y entrywise.  `rank_table`, `rank_table_dominates`
+and `bruhat_leq` compare tuple tables entry by entry.  `bruhat_above`
+decides the lower half x < z of the certificate's interval test (the
+upper half z <= w holds for every endpoint of a reduced word's
+expansion, see `subexpr.interval_endpoints`) on packed rank tables, and
+for a fixed x it packs only the entries at the essential set of x:
+Fulton (Flags, Schubert polynomials, degeneracy loci, and determinantal
+formulas, Duke Math. J. 65 (1992), Section 3) shows that the rank
+conditions r_z[i][j] <= r_x[i][j] at those cells imply them at every
+cell, and the essential set of the certificate's x = w_B has 10 cells
+where the full S_15 table has 196.  The entries sit in one int, one
+field each, with a guard bit above the value bits.  A table is the sum
+of n-1 precomputed per-position constants, and x <= z is one
+subtraction: ((P_x | H) - P_z) & H == H, with H the guard mask, since a
+field keeps its guard bit exactly when r_x[i][j] >= r_z[i][j].  A
+partial table cannot tell z = x from other z above x, so that case is
+decided by comparing z with x itself.  W_A permutes the positions within
+each block of A (`parabolic_blocks`), which gives w_A, W_A and the
+minimal coset representatives.
 """
 from __future__ import annotations
 
@@ -172,37 +178,75 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     return rank_table_dominates(rank_table(x), rank_table(y))
 
 
-def _rank_packing(n: int) -> tuple[list[list[int]], int]:
-    """(C, H) for S_n: C[a][v] is the packed table of "value v at 0-based
-    position a" and H the guard mask.  A field is 5 value bits and a
-    guard bit for n <= 32, wider beyond.  Value v at position a adds one
-    to r[i][j] for i > a and j >= v, so C[a][v] is the block of those
-    fields.  Row n and column n are not stored: C[a][n] is 0, and the
-    last position has no constants."""
+def essential_set(x: Permutation) -> list[tuple[int, int]]:
+    """Fulton's essential set of x, in row-major order: the south-east
+    corners (i, j) of the diagram {(i, j) : j < x(i), i < x^-1(j)}, those
+    cells of it whose south and east neighbours lie outside it.  Every
+    cell has i, j <= n - 1.
+
+    >>> essential_set((1, 3, 2)), essential_set((3, 1, 2))
+    ([(2, 2)], [(1, 2)])
+    """
+    n = len(x)
+    xinv = inverse(x)
+
+    def diagram(i: int, j: int) -> bool:
+        return j < x[i - 1] and i < xinv[j - 1]
+
+    return [(i, j) for i in range(1, n) for j in range(1, n)
+            if diagram(i, j) and not diagram(i + 1, j)
+            and not diagram(i, j + 1)]
+
+
+def _rank_packing(n: int, cells: Sequence[tuple[int, int]] | None = None
+                  ) -> tuple[list[list[int]], int]:
+    """(C, H) for the rank entries r[i][j] at `cells` of S_n, one field
+    each in the order given (by default all (n-1)^2 cells, i, j in
+    1..n-1, in row-major order): C[a][v] is the packed table of "value v
+    at 0-based position a" and H the guard mask.  A field is 5 value bits
+    and a guard bit for n <= 32, wider beyond.  Value v at position a adds
+    one to r[i][j] for i > a and j >= v, so C[a][v] is the sum of those
+    fields, built row by row from the bottom.  C has a row for each
+    position a below the largest i of the cells: a value at a later
+    position adds to none of them."""
     m = n - 1
+    if cells is None:
+        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     width = max(5, m.bit_length()) + 1
-    field = [1 << (width * f) for f in range(m * m)]
-    cols = [0] * (m + 2)    # cols[v]: fields j >= v of row 1
-    for j in range(m, 0, -1):
-        cols[j] = cols[j + 1] + field[j - 1]
-    rows = [0] * (m + 1)    # rows[a]: first field of rows i > a
-    for a in range(m - 1, -1, -1):
-        rows[a] = rows[a + 1] + field[a * m]
-    C = [[rows[a] * cols[v] for v in range(n + 1)] for a in range(m)]
-    H = sum(field) << (width - 1)
+    field = {cell: 1 << width * f for f, cell in enumerate(cells)}
+    C = []
+    below = [0] * (n + 1)   # below[v]: the fields (i, j), i > a, j >= v
+    for a in range(max((i for i, _ in cells), default=0) - 1, -1, -1):
+        row = 0
+        for v in range(n, 0, -1):
+            row += field.get((a + 1, v), 0)
+            below[v] += row
+        C.append(list(below))
+    C.reverse()
+    H = sum(field.values()) << (width - 1)
     return C, H
 
 
 def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
-    """The rank table of p as one int; C from _rank_packing(len(p))."""
+    """The rank entries of p at the cells that C packs, as one int; C
+    from _rank_packing(len(p), cells)."""
     return sum([Ca[v] for Ca, v in zip(C, p)])
 
 
 def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
     """The test z -> x < z in Bruhat order on the S_n of x, for z in
-    the same S_n: per z, one packed table and one subtraction.  x and z
-    may each be a tuple or the bytes of one; z = x is told apart by
-    their tables, which does not depend on that choice.
+    the same S_n: per z, one packed table of the rank entries at the
+    essential set of x, one subtraction and, for z that pass, one
+    comparison with x.
+
+    x <= z iff r_z[i][j] <= r_x[i][j] at every (i, j) in the essential
+    set of x (Fulton 1992, Section 3): the rank conditions of the matrix
+    Schubert variety of x at its essential set imply all the others, on
+    any matrix, so on the permutation matrix of z.  The table of z packs
+    only those entries, so its guard-bit subtraction decides x <= z, and
+    z = x, which passes, is told apart by comparing z with x itself.  x
+    and z may each be a tuple or the bytes of one: z is compared with x
+    in both forms.
 
     >>> above = bruhat_above((2, 1, 3))
     >>> [above(z) for z in ((2, 1, 3), (1, 3, 2), (3, 2, 1))]
@@ -210,13 +254,17 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
     >>> above(bytes((2, 1, 3))), above(bytes((3, 2, 1)))
     (False, True)
     """
-    C, H = _rank_packing(len(x))
-    px = _packed_rank_table(x, C)
-    px_H = px | H
+    x = tuple(x)
+    try:
+        same = (x, bytes(x))
+    except ValueError:   # a value above 255 has no bytes form
+        same = (x,)
+    C, H = _rank_packing(len(x), essential_set(x))
+    px_H = _packed_rank_table(x, C) | H
+    at = list.__getitem__
 
     def above(z: Permutation) -> bool:
-        pz = _packed_rank_table(z, C)
-        return pz != px and (px_H - pz) & H == H
+        return (px_H - sum(map(at, C, z))) & H == H and z not in same
 
     return above
 

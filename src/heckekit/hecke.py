@@ -242,6 +242,9 @@ def _b_step(i: int, coeffs: dict, parabolic) -> dict:
 
 #: the most terms that the cached Kazhdan-Lusztig elements may hold
 KL_BUDGET = 2_000_000
+#: the most generators in the support of x that `_kl` takes for A != {}:
+#: the same 20 that KL_BUDGET allows at A = {}
+KL_SUPPORT = 20
 
 # the coefficients of c_x at (x, A), for every element asked for and every
 # element its recursion reaches, within KL_BUDGET terms.  _inverse_cache
@@ -263,28 +266,33 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
     c_{sx} whose coset s lowers or fixes, mu(z, sx) being the v^1
     coefficient of c_{sx} at z.
 
-    Raises ValueError past KL_BUDGET terms, up front or while computing.
-    Up front: s_i is in the support of x iff max(x(1..i)) > i, and the
-    support of x w_A is that of x and A.  With k generators in it, the
-    subword property puts the 2^k products of subsets of them below
-    x w_A, and phi(c_x) = b_{x w_A} has a nonzero coefficient at every
-    y <= x w_A because P_{y,x w_A}(0) = 1, so it has at least 2^k terms.
-    This caps the support at 20 generators, so len(x), and with it the
-    depth of the recursion, at 210.  While computing: once the elements
-    in _kl_cache would hold more than KL_BUDGET terms.
+    Raises ValueError up front or, past KL_BUDGET terms, while
+    computing.  Up front: s_i is in the support of x iff
+    max(x(1..i)) > i.  With k generators in it, the subword property puts
+    the 2^k products of subsets of them below x, and b_x has a nonzero
+    coefficient at every y <= x because P_{y,x}(0) = 1, so at A = {} it
+    has at least 2^k terms, and x is refused when 2^k passes KL_BUDGET.
+    For A != {}, many of those y share a coset, and c_x can be as small
+    as the one term of c_id, so x is refused only when k passes
+    KL_SUPPORT.  Either way (at the default budget) the support has at
+    most 20 generators, so len(x), and with it the depth of the
+    recursion, is at most 210.  While computing: once the elements in
+    _kl_cache would hold more than KL_BUDGET terms.
     """
     key = (x, parabolic)
     cached = _kl_cache.get(key)
     if cached is not None:
         return cached
-    k = len(parabolic.union(
-        i for i, top in enumerate(accumulate(x, max), 1) if top > i))
-    if 2 ** k > KL_BUDGET:
-        element, where = (("phi(c_x) = b_(x w_A)", "x and of A")
-                          if parabolic else ("b_x", "x"))
+    k = sum(1 for i, top in enumerate(accumulate(x, max), 1) if top > i)
+    if parabolic and k > KL_SUPPORT:
         raise ValueError(
-            f"{element} has at least 2^{k} terms ({k} generators in the "
-            f"support of {where}), past the budget KL_BUDGET = {KL_BUDGET}")
+            f"x has {k} generators in its support, past the {KL_SUPPORT} "
+            f"that keep the recursion for c_x within length "
+            f"{KL_SUPPORT * (KL_SUPPORT + 1) // 2}")
+    if not parabolic and 2 ** k > KL_BUDGET:
+        raise ValueError(
+            f"b_x has at least 2^{k} terms ({k} generators in the support "
+            f"of x), past the budget KL_BUDGET = {KL_BUDGET}")
     s = next((i for i in range(1, len(x))
               if coxeter.has_left_descent(x, i)), None)
     if s is None:

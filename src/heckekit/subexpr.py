@@ -16,7 +16,10 @@ endpoint -> defect -> count as a right-to-left fold over word positions
 whose state maps minimal coset representatives to defect histograms.
 Each step is the b_s action on the spherical module, cut down to e = 1 at
 a forced position, so the cost follows the number of cosets reached
-rather than the 2^(free positions) subexpressions.  `interval_endpoints`
+rather than the 2^(free positions) subexpressions.  A forced step maps
+cosets one to one (s_i permutes W/W_A), so the fold takes a maximal run
+of forced positions in one pass: each coset moves along the whole run
+and lands in the new state once, with no merge.  `interval_endpoints`
 picks out of a fold's result the cosets of the certificate's interval
 x < z <= w.
 
@@ -41,20 +44,25 @@ from __future__ import annotations
 
 from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
                              Sequence)
+from itertools import groupby
 
 from . import coxeter
 from .coxeter import Permutation
 
 # Most cosets one fold step may reach, in `certify` and in every
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
+# A forced run keeps the number of cosets, so only a free step can pass
+# it; a run's state is still checked, which matters only at a budget
+# below the start state's one coset.
 # The synthetic GL15 certificate words peak near 155,000 cosets.  On the
 # benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
 # 220 bytes per coset of the returned packed state, and a peak of 350 per
-# final coset while a step holds its state before and after: about 0.4 GB
-# at the budget for GL15-shaped words.  Memory per coset grows with the
-# free positions: `bs --n 11` on the 55-letter w0 word peaked at 1,131 MB
-# RSS when it hit the budget.  A `certify` run at 753,485 cosets
-# (`gl15-reconstructed`, 241 bytes per packed coset) peaked at 321 MB RSS.
+# final coset while a step (or a forced run) holds its state before and
+# after: about 0.4 GB at the budget for GL15-shaped words.  Memory per
+# coset grows with the free positions: `bs --n 11` on the 55-letter w0
+# word peaked at 1,131 MB RSS when it hit the budget.  A `certify` run at
+# 753,485 cosets (`gl15-reconstructed`, 241 bytes per packed coset)
+# peaked at 321 MB RSS.
 SUPPORT_BUDGET = 1_000_000
 
 # Largest n the fold takes: a coset keeps each of its values in one byte.
@@ -103,8 +111,10 @@ def sweep(word: Sequence[int], n: int, parabolic,
     position takes only the e = 1 half; with no constraint, none is
     forced.  This is the b_s action on the spherical module, so the work
     grows with the number of cosets reached rather than with the number
-    of leaves.  A step that reaches more than SUPPORT_BUDGET cosets raises
-    ValueError.
+    of leaves.  A maximal run of forced positions is one pass over the
+    state: its e = 1 steps are one to one, so each coset walks the run's
+    letters on its own and is written once.  A free step or a forced run
+    that reaches more than SUPPORT_BUDGET cosets raises ValueError.
 
     The state is packed as the module docstring describes, and returned
     packed, as a `SweepResult`, which unpacks a histogram when it is
@@ -130,31 +140,49 @@ def sweep(word: Sequence[int], n: int, parabolic,
     budget = SUPPORT_BUDGET
     free = m - len(forced)
     width = free + 1
-    swaps = {i: bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i)))
-             for i in set(word)}
+    letters = {i: (bytes((i, i + 1)),
+                   bytes.maketrans(bytes((i, i + 1)), bytes((i + 1, i))))
+               for i in set(word)}
+    # s_i fixes the coset of u (an S step) when the values i, i + 1 sit
+    # side by side at 0-based positions a, a + 1 with s_(a+1) in A, that
+    # is when u.find(bytes((i, i + 1))) is one of `starts`
+    starts = frozenset(g - 1 for g in A)
     state = {bytes(range(1, n + 1)): 1 << free * width}
-    for j in range(m - 1, -1, -1):
-        i = word[j]
-        keep = j not in forced   # e = 0 allowed
-        swap = swaps[i]
-        out: dict[bytes, int] = {}
-        get = out.get
-        for u, h in state.items():
-            a = u.index(i)
-            b = u.index(i + 1)
-            s = b == a + 1 and b in A   # S: s_i u = u s_b with s_b in W_A
-            if s:
-                v, hv = u, h << width
-            else:
-                v, hv = u.translate(swap), h
-            out[v] = get(v, 0) + hv
-            if keep:   # +1 for U, -1 for D and S
-                out[u] = get(u, 0) + (
-                    h << width if a < b and not s else h >> width)
+    for is_forced, run in groupby(range(m - 1, -1, -1), forced.__contains__):
+        if is_forced:
+            # e = 1 throughout: each coset moves along the run one to one,
+            # shifting its histogram one field up per S step
+            steps = [letters[word[j]] for j in run]
+            out: dict[bytes, int] = {}
+            for u, h in state.items():
+                shift = 0
+                for pair, swap in steps:
+                    if u.find(pair) in starts:
+                        shift += width
+                    else:
+                        u = u.translate(swap)
+                out[u] = h << shift
             if len(out) > budget:
                 raise ValueError(f"subexpression fold support exceeds the "
                                  f"budget of {budget} cosets")
-        state = out
+            state = out
+            continue
+        for j in run:
+            pair, swap = letters[word[j]]
+            out = {}
+            get = out.get
+            for u, h in state.items():
+                if u.find(pair) in starts:   # S: +1 for e = 1, -1 for e = 0
+                    out[u] = get(u, 0) + (h << width) + (h >> width)
+                else:   # s_i u > u in the bytes order iff the step is U
+                    v = u.translate(swap)
+                    out[v] = get(v, 0) + h
+                    out[u] = get(u, 0) + (
+                        h << width if v > u else h >> width)
+                if len(out) > budget:
+                    raise ValueError(f"subexpression fold support exceeds "
+                                     f"the budget of {budget} cosets")
+            state = out
     return SweepResult(state, width)
 
 
@@ -186,6 +214,13 @@ class SweepResult(Mapping):
     def unpack(self, h: int) -> dict[int, int]:
         """One packed histogram as {defect: count}."""
         return next(_unpack((h,), self.width))
+
+    @property
+    def negative_mask(self) -> int:
+        """The bits of the fields of negative defect: defect 0 sits
+        width - 1 fields up, so a packed histogram has a negative defect
+        iff it shares a bit with this mask."""
+        return (1 << (self.width - 1) * self.width) - 1
 
     def total(self) -> dict[int, int]:
         """Counts by defect over every endpoint: one unpack of the sum of
@@ -271,7 +306,7 @@ def interval_endpoints(cosets: Iterable[Permutation | bytes], n: int,
     if not coxeter.is_min_coset_rep(x, parabolic):
         raise ValueError(f"{x} is not a minimal coset representative")
     above = coxeter.bruhat_above(x)
-    return [z for z in sorted(cosets) if above(z)]
+    return sorted(filter(above, cosets))
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

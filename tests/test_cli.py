@@ -203,17 +203,52 @@ def _failing_word_files(tmp_path, count: int) -> list[str]:
     return paths
 
 
+def _forced_run_word_files(tmp_path, count: int) -> list[str]:
+    """Seeded valid S_5-S_7 word files whose B-letters, a reduced word for
+    w_B of 3 to 10 letters, stand in one forced run, and whose x = w_B has
+    an essential set of two to four cells."""
+    from heckekit import coxeter
+
+    rng = random.Random(43)
+    paths = []
+    while len(paths) < count:
+        n = rng.choice((5, 6, 7))
+        size = rng.randint(2, min(4, n - 2))
+        first = rng.randint(1, n - size)
+        B = list(range(first, first + size))
+        rest = [g for g in range(1, n) if g not in B]
+        A = [g for g in rest if rng.random() < 0.5]
+        run = list(coxeter.reduced_word(coxeter.longest_element(B, n)))
+        word, free = run, rng.randint(4, 8)
+        for _ in range(40):   # free letters on either side, kept reduced
+            t = rng.choice(rest)
+            longer = [t] + word if rng.random() < 0.5 else word + [t]
+            if len(word) < len(run) + free and coxeter.is_reduced(longer, n):
+                word = longer
+        raw = {"n": n, "A": A, "B": B, "word": word}
+        report = worddata.validate_word_data(worddata.parse_word_data(raw))
+        if report.ok and report.complete:
+            x = coxeter.longest_element(B, n)
+            assert len(coxeter.essential_set(x)) == size
+            path = tmp_path / f"run{len(paths)}.json"
+            path.write_text(json.dumps(raw))
+            paths.append(str(path))
+    return paths
+
+
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     """certify's stdout, apart from "timings", is byte for byte the
     payload that `oracles.certify_text` builds from unpacked histograms
     and renders with one json.dumps: on both demos, `gl15-partial`, the
     no-word run and seeded words with failing cosets and repeated
-    histograms."""
+    histograms, and seeded words whose B-letters make one long forced run
+    and whose x has an essential set of several cells."""
     from oracles import certify_text
 
     words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial"]
-    for word in words + _failing_word_files(tmp_path, 12):
+    for word in (words + _failing_word_files(tmp_path, 12)
+                 + _forced_run_word_files(tmp_path, 12)):
         argv = ["certify"] + (["--word", word] if word else [])
         code, out = run_cli(capsys, *argv, *(["--pretty"] if pretty else []))
         out, cuts = without_timings(out)
@@ -898,15 +933,23 @@ def test_kazhdan_lusztig_support_past_the_budget_is_refused_up_front(capsys):
     assert capsys.readouterr().err == (
         "heckekit: b_x has at least 2^59 terms (59 generators in the "
         "support of x), past the budget KL_BUDGET = 2000000\n")
-    # skl counts the support of x w_A: here x is the identity
+    # skl counts the support of x alone: a 21-cycle has 21 generators
+    cycle = ",".join(map(str, [*range(2, 23), 1, 23, 24, 25]))
+    assert cli.main(["skl", "--n", "25", "--parabolic", "1",
+                     "--perm", cycle]) == 2
+    assert capsys.readouterr().err == (
+        "heckekit: x has 21 generators in its support, past the 20 that "
+        "keep the recursion for c_x within length 210\n")
+
+
+def test_skl_takes_a_small_x_under_a_large_parabolic(capsys):
+    # the support of x w_A has 21 generators, but c_x = m_id has one term
     identity = ",".join(map(str, range(1, 26)))
     A = " ".join(map(str, range(1, 22)))
-    assert cli.main(["skl", "--n", "25", "--parabolic", A,
-                     "--perm", identity]) == 2
-    assert capsys.readouterr().err == (
-        "heckekit: phi(c_x) = b_(x w_A) has at least 2^21 terms (21 "
-        "generators in the support of x and of A), past the budget "
-        "KL_BUDGET = 2000000\n")
+    code, out = run_cli(capsys, "skl", "--n", "25", "--parabolic", A,
+                        "--perm", identity)
+    assert code == 0
+    assert json.loads(out)["skl"]["coeffs"] == {identity: {"0": "1"}}
 
 
 _W0_S7 = "1 2 1 3 2 1 4 3 2 1 5 4 3 2 1 6 5 4 3 2 1"

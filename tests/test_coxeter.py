@@ -155,6 +155,65 @@ def test_packed_rank_table_fields():
     assert H == sum(32 << (6 * f) for f in range((n - 1) ** 2))
 
 
+# -- the essential set: the cells that the Bruhat test packs ----------
+
+
+def test_essential_set_test_agrees_on_every_pair_s1_to_s6():
+    for n in range(1, 7):
+        perms = list(all_permutations(n))
+        tables = [rank_table(p) for p in perms]
+        for x, rx in zip(perms, tables):
+            above = bruhat_above(x)
+            assert [above(z) for z in perms] == \
+                [x != z and rank_table_dominates(rx, rz)
+                 for z, rz in zip(perms, tables)], x
+
+
+def test_essential_set_is_the_south_east_corners_of_the_diagram():
+    for n in range(1, 6):
+        for x in all_permutations(n):
+            diagram = {(i, j) for i in range(1, n + 1)
+                       for j in range(1, n + 1)
+                       if j < x[i - 1] and i < inverse(x)[j - 1]}
+            assert coxeter.essential_set(x) == sorted(
+                (i, j) for i, j in diagram
+                if (i + 1, j) not in diagram and (i, j + 1) not in diagram)
+
+
+def test_essential_set_of_the_gl15_x_is_its_anti_diagonal():
+    # x = w_B for B = {5..14}: ten cells, which the packed test reads
+    # in place of all 196 entries of the rank table
+    x = longest_element(range(5, 15), 15)
+    assert coxeter.essential_set(x) == [(p, 19 - p) for p in range(5, 15)]
+    C, H = coxeter._rank_packing(15, coxeter.essential_set(x))
+    assert len(C) == 14 and H == sum(32 << (6 * f) for f in range(10))
+
+
+def test_identity_has_no_essential_set_so_above_is_inequality():
+    for n in (1, 2, 5, 300):
+        x = identity(n)
+        assert coxeter.essential_set(x) == []
+        above = bruhat_above(x)
+        assert not above(x)
+        rng = random.Random(n)
+        for _ in range(20):
+            z = tuple(rng.sample(range(1, n + 1), n))
+            assert above(z) == (z != x)
+            if n <= 255:
+                assert above(bytes(z)) == (z != x) and not above(bytes(x))
+
+
+def test_above_tells_z_equal_to_x_apart_past_a_byte():
+    # n > 255: x and z have no bytes form, and are compared as tuples
+    rng = random.Random(3)
+    x = tuple(rng.sample(range(1, 301), 300))
+    above, rx = bruhat_above(x), rank_table(x)
+    assert not above(x)
+    for k in range(8):
+        z = transposed(rng, x) if k % 2 else tuple(rng.sample(x, 300))
+        assert above(z) == rank_table_dominates(rx, rank_table(z))
+
+
 def test_longest_element():
     assert longest_element({1, 2}, 3) == (3, 2, 1)
     assert longest_element(set(), 3) == identity(3)

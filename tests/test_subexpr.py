@@ -319,3 +319,83 @@ def test_defect_histogram_reads_the_packed_fold():
         for z in coxeter.min_coset_reps(A, n):
             got = defect_histogram(word, n, A, c, target=z)
             assert got == want.get(z, {}) and list(got) == sorted(got)
+
+
+# -- forced runs: one pass per maximal run of forced positions ----------
+
+
+def _forced_run_cases():
+    """Seeded (word, n, forced) cases whose forced positions make a run of
+    every length 1..12 at the start of the word, at its end, inside it
+    and over the whole word, some with a second run of two."""
+    rng = random.Random(29)
+    for k in range(96):
+        run, place = k % 12 + 1, k // 12 % 4
+        n = rng.choice((4, 5, 6, 7))
+        free = 0 if place == 2 else rng.randint(1, 4)
+        m = run + free
+        start = (0, free, 0, rng.randint(0, free))[place]
+        forced = set(range(start, start + run))
+        # and a second run of two where the free letters leave room for
+        # it, one free letter away from the first
+        room = [p for p in range(m - 1)
+                if not {p - 1, p, p + 1, p + 2} & forced]
+        if k % 3 == 0 and room:
+            forced |= {room[0], room[0] + 1}
+        yield tuple(rng.randrange(1, n) for _ in range(m)), n, forced
+
+
+def test_sweep_forced_runs_match_the_oracle_for_several_A():
+    s_in_runs = 0
+    rng = random.Random(31)
+    for word, n, forced in _forced_run_cases():
+        gens = range(1, n)
+        # several A per word: none, all, and two random ones
+        for A in (set(), set(gens),
+                  *({g for g in gens if rng.random() < p} for p in (.4, .7))):
+            c = EnumConstraint(len(word), forced)
+            assert sweep(word, n, A, c) == _aggregate(word, n, A, c), \
+                (word, n, sorted(A), sorted(forced))
+            s_in_runs += sum(
+                rec.decorations[j] == "S" for rec in iter_subexpressions(
+                    word, n, A, forced_slots(len(word), forced))
+                for j in forced)
+    assert s_in_runs > 1000   # S steps inside runs shift the histogram
+
+
+# -- the negative-defect mask --------------------------------------------
+
+
+def test_negative_mask_finds_exactly_the_negative_histograms():
+    from heckekit import worddata
+
+    folds = []
+    for name in ("demo-s4-pass", "demo-s4-fail"):
+        wd = worddata.load_word_data(name)
+        folds.append(sweep(wd.word, wd.n, wd.parabolic, wd.constraint()))
+    # gl15-partial holds the documented 44-letter prefix and no A: fold it
+    # under the A of gl15-reconstructed and of the synthetic GL15 words
+    wd = worddata.load_word_data("gl15-partial")
+    prefix = wd.word_prefix
+    for A in ({1, 2, 3}, {1, 2, 3, 4}):
+        folds.append(sweep(prefix, wd.n, A, EnumConstraint.forced_letters(
+            prefix, wd.lower)))
+    rng = random.Random(79)
+    for _ in range(150):
+        n = rng.choice((4, 5, 6))
+        m = rng.randrange(1, 11)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.3))
+        folds.append(sweep(word, n, A, c))
+    # the extreme defect -free: every free step an e = 0 on an S or D coset
+    folds += [sweep((1,) * k, 2, {1}) for k in range(8)]
+    folds.append(sweep((1, 2, 1), 3, set(), EnumConstraint(3, {2})))
+    lowest = 0
+    for data in folds:
+        free = data.width - 1
+        for h in set(data.packed.values()):
+            hist = data.unpack(h)
+            assert bool(h & data.negative_mask) == (min(hist) < 0), hist
+            lowest += free > 0 and min(hist) == -free
+    assert len(folds) >= 160 and lowest >= 10
