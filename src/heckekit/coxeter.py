@@ -5,7 +5,11 @@ Permutations are tuples of 1-based images in one-line notation, so the
 permutation p sends i to p[i-1].  The simple transposition s_i swaps the
 values i and i+1 (acting on the left) or the positions i and i+1 (acting
 on the right).  Words are tuples of generator indices in {1..n-1}.
-Parabolic subsets are collections of generator indices.
+Parabolic subsets are collections of generator indices.  The package
+applies a generator through one rule, `coset_step` (s_i on the left, on
+the coset of a minimal representative in W/W_A, with A = {} for W
+itself); the plain left and right actions and descent tests are slow
+references in `tests/oracles.py`.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
@@ -66,32 +70,6 @@ def length(p: Permutation) -> int:
     """
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
-def apply_gen_left(i: int, p: Permutation) -> Permutation:
-    """s_i * p: swap the values i and i+1 in one-line notation."""
-    out = list(p)
-    a = out.index(i)
-    b = out.index(i + 1)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
-
-
-def apply_gen_right(p: Permutation, i: int) -> Permutation:
-    """p * s_i: swap the entries at positions i and i+1."""
-    out = list(p)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def has_right_descent(p: Permutation, i: int) -> bool:
-    """len(p * s_i) < len(p), i.e. p(i) > p(i+1)."""
-    return p[i - 1] > p[i]
-
-
-def has_left_descent(p: Permutation, i: int) -> bool:
-    """len(s_i * p) < len(p), i.e. i appears after i+1 in one-line notation."""
-    return p.index(i) > p.index(i + 1)
 
 
 def evaluate_word(word: Sequence[int], n: int) -> Permutation:
@@ -198,20 +176,18 @@ def essential_set(x: Permutation) -> list[tuple[int, int]]:
             and not diagram(i, j + 1)]
 
 
-def _rank_packing(n: int, cells: Sequence[tuple[int, int]] | None = None
+def _rank_packing(n: int, cells: Sequence[tuple[int, int]]
                   ) -> tuple[list[list[int]], int]:
     """(C, H) for the rank entries r[i][j] at `cells` of S_n, one field
-    each in the order given (by default all (n-1)^2 cells, i, j in
-    1..n-1, in row-major order): C[a][v] is the packed table of "value v
-    at 0-based position a" and H the guard mask.  A field is 5 value bits
+    each in the order given: C[a][v] is the packed table of "value v at
+    0-based position a" and H the guard mask.  A field is 5 value bits
     and a guard bit for n <= 32, wider beyond.  Value v at position a adds
     one to r[i][j] for i > a and j >= v, so C[a][v] is the sum of those
     fields, built row by row from the bottom.  C has a row for each
     position a below the largest i of the cells: a value at a later
-    position adds to none of them."""
+    position adds to none of them, so the packed table of p is
+    sum(C[a][p[a]]) over the rows of C."""
     m = n - 1
-    if cells is None:
-        cells = [(i, j) for i in range(1, n) for j in range(1, n)]
     width = max(5, m.bit_length()) + 1
     field = {cell: 1 << width * f for f, cell in enumerate(cells)}
     C = []
@@ -225,12 +201,6 @@ def _rank_packing(n: int, cells: Sequence[tuple[int, int]] | None = None
     C.reverse()
     H = sum(field.values()) << (width - 1)
     return C, H
-
-
-def _packed_rank_table(p: Permutation, C: list[list[int]]) -> int:
-    """The rank entries of p at the cells that C packs, as one int; C
-    from _rank_packing(len(p), cells)."""
-    return sum([Ca[v] for Ca, v in zip(C, p)])
 
 
 def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
@@ -260,8 +230,8 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
     except ValueError:   # a value above 255 has no bytes form
         same = (x,)
     C, H = _rank_packing(len(x), essential_set(x))
-    px_H = _packed_rank_table(x, C) | H
     at = list.__getitem__
+    px_H = sum(map(at, C, x)) | H
 
     def above(z: Permutation) -> bool:
         return (px_H - sum(map(at, C, z))) & H == H and z not in same
@@ -356,15 +326,19 @@ def coset_step(u: Permutation, i: int, parabolic) -> tuple[str, Permutation]:
 
     u must be a minimal coset representative.  Returns ("U", s_i*u) if the
     coset goes up, ("D", s_i*u) if it goes down, ("S", u) if it is fixed.
-    The classification is O(1) given the positions of the values i, i+1:
-    the coset is fixed exactly when those positions are adjacent and the
-    transposition swapping them lies in A (then s_i*u = u*r with r in A).
+    The classification is O(1) given the positions a, b of the values
+    i, i+1: s_i lowers u exactly when a > b, and the coset is fixed
+    exactly when b = a + 1 and the transposition swapping those positions
+    lies in A (then s_i*u = u*r with r in A).  Otherwise s_i*u is u with
+    the values at a and b swapped.  At A = {} no coset is fixed.
+
+    >>> coset_step((1, 3, 2), 2, ()), coset_step((1, 2, 3), 2, {2})
+    (('D', (1, 2, 3)), ('S', (1, 2, 3)))
     """
     a = u.index(i)
     b = u.index(i + 1)
-    if a > b:
-        return "D", apply_gen_left(i, u)
-    if b == a + 1 and (a + 1) in parabolic:
+    if b == a + 1 and b in parabolic:
         return "S", u
-    return "U", apply_gen_left(i, u)
-
+    out = list(u)
+    out[a], out[b] = i + 1, i
+    return ("D" if a > b else "U"), tuple(out)

@@ -36,31 +36,37 @@ and `pairing` is its reference.  This form satisfies
 
 all of which are enforced by tests.
 
-Every sum of elements (the h_s and b_s steps, `_add_scaled`, the KL
-recursion, the perversity back-substitution and `pairing`) accumulates
-plain {exponent: int} term maps, keyed by permutation, in one map that
-the summing function created, through `laurent._add_product`: each term
-is added as a coefficient times a fixed factor (1, v, v^-1, v + v^-1,
-v^-1 - v or a scalar), in place, and a key whose map cancels to zero is
-dropped.  Each coefficient becomes a LaurentPoly once, at the end
-(`laurent._polys`).  No argument's and no cached element's coefficients
-are ever written.
+A generator acts through one step, `_b_step` (b_s on W^A by
+`coxeter.coset_step`, b_s on H at A = {}): h_s = b_s - v in
+`mult_by_gen`, whose right action is the left one conjugated by
+h_x -> h_{x^-1}, and h_s^-1 = b_s - v^-1 in `inverse_h`.
+
+Every sum of elements (the b_s step, `_add_scaled`, the KL recursion,
+the perversity back-substitution and `pairing`) accumulates plain
+{exponent: int} term maps, keyed by permutation, in one map that the
+summing function created, through `laurent._add_product`: each term is
+added as a coefficient times a fixed factor (1, v, v^-1, v + v^-1 or a
+scalar), in place, and a key whose map cancels to zero is dropped.  Each
+coefficient becomes a LaurentPoly once, at the end (`laurent._polys`).
+No argument's and no cached element's coefficients are ever written.
 """
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import coxeter
 from .coxeter import Permutation
 from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys
 
-# the factors of the h_s and b_s rules, as term maps
+# the factors of the b_s rule, as term maps
 _UNIT = {0: 1}
 _V = {1: 1}
 _VINV = {-1: 1}
 _V_PLUS_VINV = {1: 1, -1: 1}
-_VINV_MINUS_V = {-1: 1, 1: -1}
+# h_s = b_s - v and h_s^-1 = b_s - v^-1
+_MINUS_V = LaurentPoly({1: -1})
+_MINUS_VINV = LaurentPoly({-1: -1})
 
 
 def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
@@ -159,27 +165,23 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
                 kind: str = "h") -> HeckeElement:
     """Multiply by h_{s_i} or b_{s_i} on the chosen side, exactly.
 
-    h_s h_x = h_{sx} if sx > x, else h_{sx} + (v^-1 - v) h_x (mirrored on
-    the right); kind="b" adds v times the original element, which turns
-    the factor at h_x into v^-1 if s lowers x and v if it raises x.
+    On the left this is the b_s step `_b_step` at A = {}, minus v*el for
+    kind="h" (h_s = b_s - v).  On the right it is the same step
+    conjugated by the v-linear anti-automorphism iota: h_x -> h_{x^-1},
+    which fixes h_s and b_s: el*b_s = iota(b_s*iota(el)).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
-    out: dict[Permutation, dict] = {}
-    for x, c in el.coeffs.items():
-        if side == "left":
-            sx = coxeter.apply_gen_left(i, x)
-            descends = coxeter.has_left_descent(x, i)
-        else:
-            sx = coxeter.apply_gen_right(x, i)
-            descends = coxeter.has_right_descent(x, i)
-        _add_product(out, sx, c.terms, _UNIT)
-        if kind == "b":
-            _add_product(out, x, c.terms, _VINV if descends else _V)
-        elif descends:
-            _add_product(out, x, c.terms, _VINV_MINUS_V)
+    coeffs = el.coeffs
+    if side == "right":
+        coeffs = {coxeter.inverse(x): c for x, c in coeffs.items()}
+    out = _b_step(i, coeffs, ())
+    if kind == "h":
+        _add_scaled(out, coeffs, _MINUS_V)
+    if side == "right":
+        out = {coxeter.inverse(x): t for x, t in out.items()}
     return el._like(_polys(out))
 
 
@@ -200,17 +202,18 @@ _inverse_cache: dict[Permutation, HeckeElement] = {}
 
 
 def inverse_h(x: Permutation) -> HeckeElement:
-    """The algebra inverse of h_x, via h_s^-1 = h_s + (v - v^-1) h_id."""
+    """The algebra inverse of h_x, letter by letter on the left through
+    h_s^-1 = h_s + (v - v^-1) = b_s - v^-1."""
     x = tuple(x)
     cached = _inverse_cache.get(x)
     if cached is not None:
         return cached
-    v_minus_vinv = LaurentPoly({1: 1, -1: -1})
     el = unit(len(x))
+    coeffs = el.coeffs
     for i in coxeter.reduced_word(x):
-        # left-multiply by h_{s_i}^{-1} = h_{s_i} + (v - v^-1)
-        el = mult_by_gen(el, i) + el.scale(v_minus_vinv)
-    _inverse_cache[x] = el
+        coeffs = _polys(_add_scaled(_b_step(i, coeffs, ()), coeffs,
+                                    _MINUS_VINV))
+    el = _inverse_cache[x] = el._like(coeffs)
     return el
 
 
@@ -293,19 +296,20 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
         raise ValueError(
             f"b_x has at least 2^{k} terms ({k} generators in the support "
             f"of x), past the budget KL_BUDGET = {KL_BUDGET}")
-    s = next((i for i in range(1, len(x))
-              if coxeter.has_left_descent(x, i)), None)
-    if s is None:
-        coeffs = {x: ONE}
+    for s in range(1, len(x)):
+        kind, y = coxeter.coset_step(x, s, parabolic)
+        if kind == "D":
+            cy = _kl(y, parabolic)
+            coeffs = _b_step(s, cy, parabolic)
+            for z, gamma in cy.items():
+                mu = gamma.coefficient(1)
+                if (mu and z != y
+                        and coxeter.coset_step(z, s, parabolic)[0] != "U"):
+                    _add_scaled(coeffs, _kl(z, parabolic), -mu)
+            coeffs = _polys(coeffs)
+            break
     else:
-        y = coxeter.apply_gen_left(s, x)
-        cy = _kl(y, parabolic)
-        coeffs = _b_step(s, cy, parabolic)
-        for z, gamma in cy.items():
-            mu = gamma.coefficient(1)
-            if mu and z != y and coxeter.coset_step(z, s, parabolic)[0] != "U":
-                _add_scaled(coeffs, _kl(z, parabolic), -mu)
-        coeffs = _polys(coeffs)
+        coeffs = {x: ONE}
     if _kl_count[0] != len(_kl_cache):
         _kl_count[:] = [len(_kl_cache),
                         sum(len(c) for c in _kl_cache.values())]
@@ -363,17 +367,16 @@ class PerversityReport:
         self.expansion = expansion
 
 
-def _perversity(el: LinearCombination,
-                basis: Callable[[Permutation], LinearCombination]
+def _perversity(el: LinearCombination, parabolic: frozenset
                 ) -> PerversityReport:
-    """Coefficients of el in a KL-type basis, by triangular
-    back-substitution, and whether all of them are constants.
+    """Coefficients of el in the KL basis of the spherical module of
+    A = parabolic (of H at A = {}), by triangular back-substitution, and
+    whether all of them are constants.
 
-    basis(x) must be the standard basis element at x plus terms at
-    elements of smaller length.  The coefficients that no basis element
-    has touched yet stay el's own objects (`pending`), so the expansion
-    shares them with el; a touched one moves into the running sum of
-    term maps (`rest`).
+    c_x, read from `_kl` (el's keys are minimal coset representatives),
+    is m_x plus lower terms.  The coefficients that no c_x has touched
+    yet stay el's own objects (`pending`), so the expansion shares them
+    with el; a touched one moves into the running sum (`rest`).
     """
     pending = dict(el.coeffs)
     rest: dict[Permutation, dict] = {}
@@ -389,17 +392,17 @@ def _perversity(el: LinearCombination,
     while pending or rest:
         x = max(chain(pending, rest), key=rank)
         c = expansion[x] = pending.pop(x, None) or _poly(rest.pop(x))
-        bx = basis(x).coeffs
-        for y in bx:
+        cx = _kl(x, parabolic)
+        for y in cx:
             p = pending.pop(y, None)
             if p is not None:
                 _add_product(rest, y, p.terms, _UNIT)
-        _add_scaled(rest, bx, -c)
-        del rest[x]     # -c, since basis(x) is h_x plus lower terms
+        _add_scaled(rest, cx, -c)
+        del rest[x]     # -c, since c_x is m_x plus lower terms
     ok = all(set(c.terms) <= {0} for c in expansion.values())
     return PerversityReport(ok, expansion)
 
 
 def is_perverse_character(el: HeckeElement) -> PerversityReport:
     """True iff every KL-basis coefficient of el is a constant."""
-    return _perversity(el, kl_basis)
+    return _perversity(el, frozenset())

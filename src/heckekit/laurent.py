@@ -12,7 +12,8 @@ Sums of Laurent polynomial products throughout the package go through
 one kernel, `_add_product`, which works on plain {exponent: int} maps: it
 adds f * g into the map under one key of an accumulator, in place, and
 drops the key when its map cancels to zero.  The Hecke and spherical sums
-(`hecke`'s b_s and h_s steps, `_add_scaled`, `pairing`,
+(`hecke`'s one b_s step `_b_step`, through which every h_s, h_s^-1 and
+b_s product and the module action go, `_add_scaled`, `pairing`,
 `spherical.phi_embed`) keep one such accumulator of term maps per call
 and wrap each coefficient as a LaurentPoly once, at the end (`_polys`);
 `LaurentPoly.__mul__` is the same kernel on a one-key accumulator.

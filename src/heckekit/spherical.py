@@ -143,8 +143,7 @@ def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
 
 def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
     """True iff every spherical-KL-basis coefficient of el is a constant."""
-    return hecke._perversity(
-        el, lambda x: spherical_kl_basis(x, el.parabolic))
+    return hecke._perversity(el, el.parabolic)
 
 
 def deodhar_expand(word: Sequence[int], n: int, parabolic,

@@ -9,6 +9,12 @@ definitions.  Neither shares code with the packed fold.  Unlike
 here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
 (0, 1), so the oracles also cover positions forced to 0.
 
+Generators, against `coxeter.coset_step`, the package's one left action:
+`apply_gen_left` and `apply_gen_right` multiply a permutation by s_i on
+either side, and `has_left_descent` and `has_right_descent` say whether
+that shortens it.  `decorate` and `mult_by_gen` step through these, so
+they share no step code with the product.
+
 The Hecke algebra, against `hecke.pairing`: `multiply` forms a full
 product generator by generator, and `eps` and `a_antiautomorphism` give
 the pairing by its definition eps(a(a) b).
@@ -38,6 +44,32 @@ from heckekit.hecke import HeckeElement, inverse_h
 from heckekit.laurent import LaurentPoly, _add_into, _poly
 
 Slots = Sequence[Sequence[int]]
+
+
+def apply_gen_left(i: int, p: Permutation) -> Permutation:
+    """s_i * p: swap the values i and i+1 in one-line notation."""
+    out = list(p)
+    a = out.index(i)
+    b = out.index(i + 1)
+    out[a], out[b] = out[b], out[a]
+    return tuple(out)
+
+
+def apply_gen_right(p: Permutation, i: int) -> Permutation:
+    """p * s_i: swap the entries at positions i and i+1."""
+    out = list(p)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
+def has_right_descent(p: Permutation, i: int) -> bool:
+    """len(p * s_i) < len(p), i.e. p(i) > p(i+1)."""
+    return p[i - 1] > p[i]
+
+
+def has_left_descent(p: Permutation, i: int) -> bool:
+    """len(s_i * p) < len(p), i.e. i appears after i+1 in one-line notation."""
+    return p.index(i) > p.index(i + 1)
 
 
 class DecoratedSubexpression:
@@ -83,7 +115,7 @@ def decorate(word: Sequence[int], bits: Sequence[int], n: int,
     for j in range(m, 0, -1):  # y before this step is y_{m-j}
         i = word[j - 1]
         e = bits[j - 1]
-        sy = coxeter.apply_gen_left(i, y)
+        sy = apply_gen_left(i, y)
         u = coxeter.min_coset_rep(y, A)
         su = coxeter.min_coset_rep(sy, A)
         d = ("S" if su == u else
@@ -206,11 +238,11 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
         if side == "left":
-            sx = coxeter.apply_gen_left(i, x)
-            descends = coxeter.has_left_descent(x, i)
+            sx = apply_gen_left(i, x)
+            descends = has_left_descent(x, i)
         else:
-            sx = coxeter.apply_gen_right(x, i)
-            descends = coxeter.has_right_descent(x, i)
+            sx = apply_gen_right(x, i)
+            descends = has_right_descent(x, i)
         _add_into(out, sx, c)
         if descends:
             _add_into(out, x, c * _VINV_MINUS_V)

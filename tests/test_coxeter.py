@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+import oracles
 from heckekit import coxeter
 from heckekit.coxeter import (
     all_permutations,
-    apply_gen_left,
     bruhat_above,
     bruhat_leq,
     coset_step,
     evaluate_word,
-    has_left_descent,
     identity,
     inverse,
     is_min_coset_rep,
@@ -146,9 +145,10 @@ def test_packed_bruhat_agrees_sampled_s15_and_wide_fields():
 
 def test_packed_rank_table_fields():
     n = 5
-    C, H = coxeter._rank_packing(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    C, H = coxeter._rank_packing(n, cells)
     p = (3, 1, 5, 2, 4)
-    packed = coxeter._packed_rank_table(p, C)
+    packed = sum(Ca[v] for Ca, v in zip(C, p))
     fields = [[packed >> (6 * ((i - 1) * (n - 1) + j - 1)) & 63
                for j in range(1, n)] for i in range(1, n)]
     assert fields == [list(row[1:n]) for row in rank_table(p)[1:n]]
@@ -222,7 +222,7 @@ def test_longest_element():
     for A in ({1}, {2, 3}, {1, 3}, {1, 2, 3}):
         wA = longest_element(A, 4)
         assert wA in set(parabolic_elements(A, 4))
-        assert all(coxeter.has_right_descent(wA, i) for i in A)
+        assert all(oracles.has_right_descent(wA, i) for i in A)
         assert length(wA) == max(length(u) for u in parabolic_elements(A, 4))
 
 
@@ -260,27 +260,35 @@ def test_min_coset_rep_invariants():
 
 
 def test_classify_exhaustive_trichotomy():
-    """For u in W^A and s: either s*u is in W^A (U/D) or the coset is fixed."""
-    subsets = [frozenset(c) for r in range(4)
-               for c in itertools.combinations((1, 2, 3), r)]
-    for A in subsets:
-        for u in min_coset_reps(A, 4):
-            for i in (1, 2, 3):
-                kind, nxt = coset_step(u, i, A)
-                su = apply_gen_left(i, u)
-                if kind == "S":
-                    assert min_coset_rep(su, A) == u
-                    assert nxt == u
-                else:
-                    assert is_min_coset_rep(su, A)
-                    assert nxt == su
-                    if kind == "U":
-                        assert length(su) == length(u) + 1
+    """For u in W^A and s: either s*u is in W^A (U/D) or the coset is
+    fixed; coset_step, the package's one left action, against s_i*u and
+    the descent test of `oracles`, for every (u, i, A) in S_1..S_6."""
+    for n in range(1, 7):
+        subsets = [frozenset(c) for r in range(n)
+                   for c in itertools.combinations(range(1, n), r)]
+        for A in subsets:
+            for u in min_coset_reps(A, n):
+                for i in range(1, n):
+                    kind, nxt = coset_step(u, i, A)
+                    su = oracles.apply_gen_left(i, u)
+                    # s_i u = (u^-1 s_i)^-1, through the right action
+                    assert su == inverse(oracles.apply_gen_right(
+                        inverse(u), i))
+                    assert (kind == "D") == oracles.has_left_descent(u, i) \
+                        == oracles.has_right_descent(inverse(u), i)
+                    if kind == "S":
+                        assert min_coset_rep(su, A) == u
+                        assert nxt == u
                     else:
-                        assert length(su) == length(u) - 1
+                        assert is_min_coset_rep(su, A)
+                        assert nxt == su
+                        if kind == "U":
+                            assert length(su) == length(u) + 1
+                        else:
+                            assert length(su) == length(u) - 1
 
 
 def test_left_descent():
     w0 = (3, 2, 1)
-    assert has_left_descent(w0, 1) and has_left_descent(w0, 2)
-    assert not has_left_descent(identity(3), 1)
+    assert oracles.has_left_descent(w0, 1) and oracles.has_left_descent(w0, 2)
+    assert not oracles.has_left_descent(identity(3), 1)

@@ -104,7 +104,7 @@ def test_multiplication_associative():
 
 
 def test_inverse_h():
-    for n in (2, 3):
+    for n in (2, 3, 5):
         for x in all_permutations(n):
             assert multiply(inverse_h(x), h(x)) == unit(n)
             assert multiply(h(x), inverse_h(x)) == unit(n)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from heckekit import coxeter, hecke, spherical
 from heckekit.coxeter import evaluate_word, identity, length, min_coset_reps
 from heckekit.hecke import kl_basis, mult_by_gen
@@ -262,7 +263,7 @@ def _reduced_word(rng, n, length_cap):
             break
         i = rng.choice(up)
         word.append(i)
-        p = coxeter.apply_gen_right(p, i)
+        p = oracles.apply_gen_right(p, i)
     return tuple(word)
 
 
@@ -356,3 +357,29 @@ def test_expansion_of_a_non_reduced_word_can_leave_the_interval():
 def test_constructor_checks_key_length():
     with pytest.raises(ValueError, match="has 2 entries, not n = 3"):
         SphericalElement(3, {2}, {(1, 2): ONE})
+
+
+def test_perversity_expansion_sums_back_to_the_character_for_every_A():
+    """is_perverse_spherical on seeded S_4/S_5 Bott-Samelson characters,
+    for every A: the expansion, read off the cached c_x, sums back to the
+    character, and every coefficient is bar-invariant, as the character
+    and each c_x are."""
+    rng = random.Random(37)
+    nonconstant = 0
+    for n in (4, 5):
+        for A in all_subsets(n):
+            for _ in range(6 if n == 4 else 4):
+                word = tuple(rng.randrange(1, n)
+                             for _ in range(rng.randint(2, 10)))
+                el = bott_samelson_spherical(word, n, A)
+                rep = is_perverse_spherical(el)
+                total = SphericalElement(n, A)
+                for x, c in rep.expansion.items():
+                    assert c.bar() == c, (word, A, x)
+                    total = total + spherical_kl_basis(x, A).scale(c)
+                assert total == el, (word, A)
+                constant = [set(c.terms) <= {0}
+                            for c in rep.expansion.values()]
+                assert rep.is_perverse == all(constant)
+                nonconstant += not all(constant)
+    assert nonconstant > 40

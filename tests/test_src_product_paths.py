@@ -4,9 +4,11 @@ Every public top-level function and class of a package module must be
 referenced from another definition in the package (or from module-level
 code), qualified by its module: `coxeter.multiply` does not count as a use
 of a `hecke.multiply`.  Slow references that only tests call live in
-`tests/oracles.py`; the few names that stay without a caller in the
-package are listed in ALLOWED with the reason each one stays.  And every
-name that a package module imports is used in that module.
+`tests/oracles.py`; the few public names that stay without a caller in
+the package are listed in ALLOWED with the reason each one stays.  Every
+private top-level function and class has a caller in the package, with
+no exception: a helper only its tests call belongs in the tests.  And
+every name that a package module imports is used in that module.
 """
 import ast
 from pathlib import Path
@@ -19,6 +21,8 @@ ALLOWED = {
     ("coxeter", "min_coset_reps"): "the acceptance suite enumerates W^A",
     ("hecke", "bar_involution"):
         "criterion 4 checks the bar invariance of b_x with it",
+    ("hecke", "mult_by_gen"):
+        "criterion 5 checks b_s-adjointness on both sides with it",
     ("spherical", "spherical_pairing"):
         "criterion 5, perfbench's oracle-s5 and the `pair` agreement test "
         "compare with it",
@@ -56,20 +60,33 @@ def _references(module: str, tree: ast.Module, skip: ast.AST) -> set:
     return found
 
 
-def _public_definitions(modules) -> dict:
+def _definitions(modules, private: bool) -> dict:
     return {(name, node.name): node
             for name, tree in modules.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            and node.name.startswith("_") == private}
+
+
+def _uncalled(modules, private: bool) -> list:
+    return sorted(
+        key for key, node in _definitions(modules, private).items()
+        if not any(key in _references(name, tree, node)
+                   for name, tree in modules.items()))
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
-    modules = _modules()
-    uncalled = sorted(
-        key for key, node in _public_definitions(modules).items()
-        if not any(key in _references(name, tree, node)
-                   for name, tree in modules.items()))
-    assert uncalled == sorted(ALLOWED)
+    assert _uncalled(_modules(), private=False) == sorted(ALLOWED)
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    assert _uncalled(_modules(), private=True) == []
+
+
+def test_the_scan_finds_a_private_helper_that_only_calls_itself():
+    tree = ast.parse("def _used():\n    return 1\n"
+                     "def _unused(k):\n    return _unused(k - 1)\n"
+                     "def f():\n    return _used()\n")
+    assert _uncalled({"m": tree}, private=True) == [("m", "_unused")]
 
 
 def test_the_scan_sees_module_qualified_and_imported_uses():

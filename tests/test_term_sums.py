@@ -141,9 +141,9 @@ def test_seeded_s5_batch_agrees_with_the_references():
     for _ in range(150):
         i = rng.randrange(1, 5)
         el = HeckeElement(5, rand_coeffs(rng, perms, 8))
-        side, kind = rng.choice(("left", "right")), rng.choice("hb")
-        assert mult_by_gen(el, i, side, kind) == oracles.mult_by_gen(
-            el, i, side, kind)
+        for side, kind in itertools.product(("left", "right"), "hb"):
+            assert mult_by_gen(el, i, side, kind) == oracles.mult_by_gen(
+                el, i, side, kind)
         A = rng.choice(subsets)
         coeffs = rand_coeffs(rng, sorted(min_coset_reps(A, 5)), 8)
         acc = _b_step(i, coeffs, A)
@@ -160,8 +160,8 @@ def test_terms_that_cancel_leave_no_key():
     b_s (m_u - v m_su) = 0 in M when s raises the coset of u."""
     for x in all_permutations(4):
         for i, side in itertools.product((1, 2, 3), ("left", "right")):
-            sx = (coxeter.apply_gen_left(i, x) if side == "left"
-                  else coxeter.apply_gen_right(x, i))
+            sx = (oracles.apply_gen_left(i, x) if side == "left"
+                  else oracles.apply_gen_right(x, i))
             if coxeter.length(sx) < coxeter.length(x):
                 continue
             el = h(x) + h(sx).scale(-V)
@@ -189,8 +189,8 @@ def test_random_sums_do_cancel_and_agree():
         i, side = rng.choice((1, 2, 3)), rng.choice(("left", "right"))
 
         def move(x):
-            return (coxeter.apply_gen_left(i, x) if side == "left"
-                    else coxeter.apply_gen_right(x, i))
+            return (oracles.apply_gen_left(i, x) if side == "left"
+                    else oracles.apply_gen_right(x, i))
 
         el = HeckeElement(4, rand_coeffs(rng, perms, 1))
         for x in rng.sample(perms, 3):
