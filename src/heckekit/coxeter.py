@@ -35,6 +35,8 @@ minimal coset representatives.
 """
 from __future__ import annotations
 
+from itertools import combinations, starmap
+from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
@@ -68,8 +70,7 @@ def length(p: Permutation) -> int:
     >>> length((3, 2, 1))
     3
     """
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return sum(starmap(gt, combinations(p, 2)))
 
 
 def evaluate_word(word: Sequence[int], n: int) -> Permutation:

@@ -14,7 +14,8 @@ Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
 at A = {} it is the classical recursion of `kl_basis`.  The cost grows
 with |W/W_A|, so this is intended for small n (the certificate pipeline
 never needs KL elements at n = 15), and an element, or a cache, past
-KL_BUDGET terms raises ValueError.
+KL_BUDGET terms raises ValueError.  The cache of inverses h_x^-1 that
+`pairing` and `bar_involution` read has the same budget.
 
 The pairing is the standard form (h, h') = eps(a(h) h'), where eps reads
 off the coefficient of h_id and a is the v -> v^-1 semilinear
@@ -37,9 +38,10 @@ and `pairing` is its reference.  This form satisfies
 all of which are enforced by tests.
 
 A generator acts through one step, `_b_step` (b_s on W^A by
-`coxeter.coset_step`, b_s on H at A = {}): h_s = b_s - v in
-`mult_by_gen`, whose right action is the left one conjugated by
-h_x -> h_{x^-1}, and h_s^-1 = b_s - v^-1 in `inverse_h`.
+`coxeter.coset_step`, b_s on H at A = {}), which takes and returns maps
+of term maps: h_s = b_s - v in `mult_by_gen`, whose right action is the
+left one conjugated by h_x -> h_{x^-1}, and h_s^-1 = b_s - v^-1 in
+`inverse_h`, which keeps term maps from letter to letter.
 
 Every sum of elements (the b_s step, `_add_scaled`, the KL recursion,
 the perversity back-substitution and `pairing`) accumulates plain
@@ -48,7 +50,8 @@ summing function created, through `laurent._add_product`: each term is
 added as a coefficient times a fixed factor (1, v, v^-1, v + v^-1 or a
 scalar), in place, and a key whose map cancels to zero is dropped.  Each
 coefficient becomes a LaurentPoly once, at the end (`laurent._polys`).
-No argument's and no cached element's coefficients are ever written.
+No argument's and no cached element's coefficients are ever written:
+a new key gets a map of its own, never the one it was read from.
 """
 from __future__ import annotations
 
@@ -65,8 +68,8 @@ _V = {1: 1}
 _VINV = {-1: 1}
 _V_PLUS_VINV = {1: 1, -1: 1}
 # h_s = b_s - v and h_s^-1 = b_s - v^-1
-_MINUS_V = LaurentPoly({1: -1})
-_MINUS_VINV = LaurentPoly({-1: -1})
+_MINUS_V = {1: -1}
+_MINUS_VINV = {-1: -1}
 
 
 def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
@@ -157,10 +160,6 @@ def h(x: Permutation) -> HeckeElement:
     return HeckeElement(len(x), {x: ONE})
 
 
-def unit(n: int) -> HeckeElement:
-    return h(coxeter.identity(n))
-
-
 def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
                 kind: str = "h") -> HeckeElement:
     """Multiply by h_{s_i} or b_{s_i} on the chosen side, exactly.
@@ -174,12 +173,14 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
-    coeffs = el.coeffs
-    if side == "right":
-        coeffs = {coxeter.inverse(x): c for x, c in coeffs.items()}
-    out = _b_step(i, coeffs, ())
+    if side == "left":
+        terms = {x: c.terms for x, c in el.coeffs.items()}
+    else:
+        terms = {coxeter.inverse(x): c.terms for x, c in el.coeffs.items()}
+    out = _b_step(i, terms, ())
     if kind == "h":
-        _add_scaled(out, coeffs, _MINUS_V)
+        for x, t in terms.items():
+            _add_product(out, x, t, _MINUS_V)
     if side == "right":
         out = {coxeter.inverse(x): t for x, t in out.items()}
     return el._like(_polys(out))
@@ -198,23 +199,24 @@ def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
     return HeckeElement(n)._like({x: _poly(c) for x, c in data.items()})
 
 
-_inverse_cache: dict[Permutation, HeckeElement] = {}
-
-
 def inverse_h(x: Permutation) -> HeckeElement:
     """The algebra inverse of h_x, letter by letter on the left through
-    h_s^-1 = h_s + (v - v^-1) = b_s - v^-1."""
+    h_s^-1 = h_s + (v - v^-1) = b_s - v^-1, on one map of term maps per
+    letter.  Raises ValueError once the cached inverses would hold more
+    than KL_BUDGET terms."""
     x = tuple(x)
-    cached = _inverse_cache.get(x)
-    if cached is not None:
-        return cached
-    el = unit(len(x))
-    coeffs = el.coeffs
-    for i in coxeter.reduced_word(x):
-        coeffs = _polys(_add_scaled(_b_step(i, coeffs, ()), coeffs,
-                                    _MINUS_VINV))
-    el = _inverse_cache[x] = el._like(coeffs)
-    return el
+    coeffs = _inverse_cache.get(x)
+    if coeffs is None:
+        terms = {coxeter.identity(len(x)): _UNIT}
+        for i in coxeter.reduced_word(x):
+            out = _b_step(i, terms, ())
+            for u, t in terms.items():
+                _add_product(out, u, t, _MINUS_VINV)
+            terms = out
+        coeffs = _polys(terms)
+        _cache_put(_inverse_cache, _inverse_count, x, coeffs,
+                   "the inverses of standard basis elements")
+    return HeckeElement(len(x))._like(coeffs)
 
 
 def bar_involution(el: HeckeElement) -> HeckeElement:
@@ -225,21 +227,23 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
     return el._like(_polys(out))
 
 
-def _b_step(i: int, coeffs: dict, parabolic) -> dict:
-    """b_{s_i} on a coefficient map over the minimal coset representatives
-    of W/W_A, by the three-case rule: b_s m_u = m_{su} + v^{+-1} m_u as s
-    raises or lowers the coset of u (`coxeter.coset_step`), and
-    (v + v^-1) m_u as s fixes it.  At A = {} no coset is fixed, and this
-    is b_s h_u in H.  Returns a new accumulator of term maps
-    (`laurent._add_product`)."""
+def _b_step(i: int, terms: dict, parabolic) -> dict:
+    """b_{s_i} on a map of term maps over the minimal coset
+    representatives of W/W_A, by the three-case rule: b_s m_u = m_{su} +
+    v^{+-1} m_u as s raises or lowers the coset of u
+    (`coxeter.coset_step`), and (v + v^-1) m_u as s fixes it.  At A = {}
+    no coset is fixed, and this is b_s h_u in H.  Returns a new
+    accumulator of term maps (`laurent._add_product`), so a fold applies
+    it letter after letter and wraps LaurentPolys once, at the end; no
+    map of `terms` is written."""
     out: dict[Permutation, dict] = {}
-    for u, c in coeffs.items():
+    for u, t in terms.items():
         kind, su = coxeter.coset_step(u, i, parabolic)
         if kind == "S":
-            _add_product(out, u, c.terms, _V_PLUS_VINV)
+            _add_product(out, u, t, _V_PLUS_VINV)
         else:
-            _add_product(out, su, c.terms, _UNIT)
-            _add_product(out, u, c.terms, _V if kind == "U" else _VINV)
+            _add_product(out, su, t, _UNIT)
+            _add_product(out, u, t, _V if kind == "U" else _VINV)
     return out
 
 
@@ -250,13 +254,30 @@ KL_BUDGET = 2_000_000
 KL_SUPPORT = 20
 
 # the coefficients of c_x at (x, A), for every element asked for and every
-# element its recursion reaches, within KL_BUDGET terms.  _inverse_cache
-# grows without bound, but only `pairing` and `bar_involution` fill it,
-# and no CLI command calls either.
+# element its recursion reaches, and those of h_x^-1 for every x that
+# `pairing` and `bar_involution` ask for (no CLI command calls either),
+# each cache within KL_BUDGET terms
 _kl_cache: dict[tuple[Permutation, frozenset], dict] = {}
-# len(_kl_cache) and its number of terms when last counted; a cache that
-# was swapped or cleared since is counted again
+_inverse_cache: dict[Permutation, dict] = {}
+# len(cache) and its number of terms when last counted; a cache that was
+# swapped or cleared since is counted again
 _kl_count = [0, 0]
+_inverse_count = [0, 0]
+
+
+def _cache_put(cache: dict, count: list, key, coeffs: dict,
+               what: str) -> None:
+    """cache[key] = coeffs, unless the coefficient maps in `cache` would
+    then hold more than KL_BUDGET terms: raise ValueError naming `what`.
+    `count` is [len(cache), terms] of `cache` when last counted."""
+    if count[0] != len(cache):
+        count[:] = [len(cache), sum(map(len, cache.values()))]
+    if count[1] + len(coeffs) > KL_BUDGET:
+        raise ValueError(f"{what} would hold more than the budget "
+                         f"KL_BUDGET = {KL_BUDGET} terms")
+    cache[key] = coeffs
+    count[0] += 1
+    count[1] += len(coeffs)
 
 
 def _kl(x: Permutation, parabolic: frozenset) -> dict:
@@ -300,7 +321,8 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
         kind, y = coxeter.coset_step(x, s, parabolic)
         if kind == "D":
             cy = _kl(y, parabolic)
-            coeffs = _b_step(s, cy, parabolic)
+            coeffs = _b_step(s, {z: c.terms for z, c in cy.items()},
+                             parabolic)
             for z, gamma in cy.items():
                 mu = gamma.coefficient(1)
                 if (mu and z != y
@@ -310,15 +332,8 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
             break
     else:
         coeffs = {x: ONE}
-    if _kl_count[0] != len(_kl_cache):
-        _kl_count[:] = [len(_kl_cache),
-                        sum(len(c) for c in _kl_cache.values())]
-    if _kl_count[1] + len(coeffs) > KL_BUDGET:
-        raise ValueError(f"Kazhdan-Lusztig elements would hold more than "
-                         f"the budget KL_BUDGET = {KL_BUDGET} terms")
-    _kl_cache[key] = coeffs
-    _kl_count[0] += 1
-    _kl_count[1] += len(coeffs)
+    _cache_put(_kl_cache, _kl_count, key, coeffs,
+               "Kazhdan-Lusztig elements")
     return coeffs
 
 

@@ -11,12 +11,15 @@ arithmetic is exact; there is no floating-point mode.
 Sums of Laurent polynomial products throughout the package go through
 one kernel, `_add_product`, which works on plain {exponent: int} maps: it
 adds f * g into the map under one key of an accumulator, in place, and
-drops the key when its map cancels to zero.  The Hecke and spherical sums
-(`hecke`'s one b_s step `_b_step`, through which every h_s, h_s^-1 and
-b_s product and the module action go, `_add_scaled`, `pairing`,
-`spherical.phi_embed`) keep one such accumulator of term maps per call
-and wrap each coefficient as a LaurentPoly once, at the end (`_polys`);
-`LaurentPoly.__mul__` is the same kernel on a one-key accumulator.
+drops the key when its map cancels to zero.  Most factors g have one
+term (1, v, v^-1, a scalar), and those re-key f in one pass.  The Hecke
+and spherical sums (`hecke`'s one b_s step `_b_step`, through which
+every h_s, h_s^-1 and b_s product, the module action and the
+Bott-Samelson folds of `inverse_h` and `spherical` go, `_add_scaled`,
+`pairing`, `spherical.phi_embed`) keep one such accumulator of term maps
+per call, or per fold, and wrap each coefficient as a LaurentPoly once,
+at the end (`_polys`); `LaurentPoly.__mul__` is the same kernel on a
+one-key accumulator.
 Single terms are added with `_add_into`, which keeps the no-zero-entries
 invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
 adds packed histograms (one int each) in its hot loop, and a
@@ -52,9 +55,30 @@ def _add_product(out: dict, key, f: Mapping[int, int],
 
     `out` maps keys to term maps of nonzero ints; a missing key counts as
     zero, and a key whose map cancels to zero is dropped, so `out` never
-    holds an empty map.  f and g hold nonzero ints only.
+    holds an empty map.  f and g hold nonzero ints only.  A one-term g,
+    which is what most calls pass (the b_s step's 1, v and v^-1, and
+    scalars), re-keys f in one pass: into a fresh map for a new key (a
+    copy of f when g is 1, never f itself), else into the key's map.
     """
     t = out.get(key)
+    if len(g) == 1:
+        [(k, a)] = g.items()
+        if t is None:
+            if f:
+                out[key] = (dict(f) if k == 0 and a == 1
+                            else {e + k: c * a for e, c in f.items()})
+            return
+        get = t.get
+        for e, c in f.items():
+            e += k
+            s = get(e, 0) + c * a
+            if s:
+                t[e] = s
+            else:
+                del t[e]
+        if not t:
+            del out[key]
+        return
     if t is None:
         t = {}
     get = t.get

@@ -17,7 +17,13 @@ Kazhdan-Lusztig recursion at A, and b_s acts through `hecke`'s b_s step.
 
 The spherical pairing is (m, m') = (phi(m), phi(m')) / pi~(A), where
 pi~(A) = sum_{u in W_A} v^{2 len(u)}; the division is always exact and a
-failure raises InexactDivision.
+failure raises InexactDivision.  W_A, the lengths that weigh phi and
+pi~(A) are built once per (A, n), in a table of the last 64 pairs
+(`_wa_table`).
+
+`bott_samelson_spherical` folds a word through `hecke`'s b_s step on
+term maps and wraps LaurentPolys once, at the end; `act_by_gen` is one
+such step.
 """
 from __future__ import annotations
 
@@ -82,45 +88,66 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
     """The action of b_{s_i}, extended linearly over the standard basis."""
-    return el._like(_polys(hecke._b_step(i, el.coeffs, el.parabolic)))
+    terms = {u: c.terms for u, c in el.coeffs.items()}
+    return el._like(_polys(hecke._b_step(i, terms, el.parabolic)))
 
 
 def bott_samelson_spherical(word: Sequence[int], n: int,
                             parabolic) -> SphericalElement:
-    """b_{s_1} b_{s_2} ... b_{s_m} m_id, folded right to left."""
+    """b_{s_1} b_{s_2} ... b_{s_m} m_id, folded right to left by `hecke`'s
+    b_s step on term maps; the coefficients become LaurentPolys once, at
+    the end."""
     el = m_id(n, parabolic)
+    terms = {u: c.terms for u, c in el.coeffs.items()}
     for i in reversed(tuple(word)):
-        el = act_by_gen(i, el)
-    return el
+        terms = hecke._b_step(i, terms, el.parabolic)
+    return el._like(_polys(terms))
+
+
+# (A, n) -> ([(u, len(w_A) - len(u)) for u in W_A], pi~(A)) for the last
+# _WA_TABLES pairs (A, n) asked for.  Nothing writes an entry after it is
+# built.
+_wa_tables: dict[tuple[frozenset, int], tuple[list, LaurentPoly]] = {}
+_WA_TABLES = 64
+
+
+def _wa_table(parabolic: frozenset, n: int) -> tuple[list, LaurentPoly]:
+    """W_A with the exponents of the weights in `phi_embed`, and pi~(A),
+    built once per (A, n).  pi~(A) is a product of quantum factorials,
+    one per block of A."""
+    key = (parabolic, n)
+    table = _wa_tables.get(key)
+    if table is None:
+        pi = ONE
+        for first, last in coxeter.parabolic_blocks(parabolic, n):
+            for k in range(1, last - first + 3):
+                pi = pi * LaurentPoly({2 * j: 1 for j in range(k)})
+        top = coxeter.length(coxeter.longest_element(parabolic, n))
+        exponents = [(u, top - coxeter.length(u))
+                     for u in coxeter.parabolic_elements(parabolic, n)]
+        if len(_wa_tables) >= _WA_TABLES:
+            del _wa_tables[next(iter(_wa_tables))]
+        table = _wa_tables[key] = (exponents, pi)
+    return table
 
 
 def pi_tilde(parabolic, n: int) -> LaurentPoly:
-    """sum_{u in W_A} v^{2 len(u)}: the Poincare polynomial of W_A in v^2.
-
-    Computed blockwise as a product of quantum factorials, so it stays
-    cheap even for large parabolic subgroups.
-    """
-    out = ONE
-    for first, last in coxeter.parabolic_blocks(parabolic, n):
-        size = last - first + 2
-        for k in range(1, size + 1):
-            out = out * LaurentPoly({2 * j: 1 for j in range(k)})
-    return out
+    """sum_{u in W_A} v^{2 len(u)}: the Poincare polynomial of W_A in v^2,
+    read from the W_A table of (A, n)."""
+    return _wa_table(frozenset(parabolic), n)[1]
 
 
 def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
-    """The embedding phi: m_x -> h_x * b_{w_A}, extended linearly.  The
-    products xu are distinct, so no term cancels."""
-    n = el.n
-    A = el.parabolic
-    wA_len = coxeter.length(coxeter.longest_element(A, n))
-    weights = [(u, v_power(wA_len - coxeter.length(u)).terms)
-               for u in coxeter.parabolic_elements(A, n)]
+    """The embedding phi: m_x -> h_x * b_{w_A}, extended linearly, over
+    the W_A table of (A, n).  The products xu are distinct, so no term
+    cancels."""
+    weights = [(u, v_power(k).terms)
+               for u, k in _wa_table(el.parabolic, el.n)[0]]
     out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
         for u, g in weights:
             _add_product(out, coxeter.multiply(x, u), c.terms, g)
-    return hecke.HeckeElement(n)._like(_polys(out))
+    return hecke.HeckeElement(el.n)._like(_polys(out))
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:

@@ -9,6 +9,9 @@ definitions.  Neither shares code with the packed fold.  Unlike
 here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
 (0, 1), so the oracles also cover positions forced to 0.
 
+Length, against `coxeter.length`: `inversions` counts the pairs i < j
+with p(i) > p(j) by two nested loops.
+
 Generators, against `coxeter.coset_step`, the package's one left action:
 `apply_gen_left` and `apply_gen_right` multiply a permutation by s_i on
 either side, and `has_left_descent` and `has_right_descent` say whether
@@ -23,8 +26,10 @@ The term-map sums, against `laurent._add_product` and its callers:
 `b_step`, `mult_by_gen` and `add_scaled` form every term as a LaurentPoly
 product (`c * v`, `c * (v + v^-1)`, ...) and add it in with
 LaurentPoly `+`, and `multipoly_mul` multiplies two `MultiPoly`s through
-`zip` and the validating constructor; `phi_embed` forms each term of
-the embedding M -> H as a product.  `multiply` and
+`zip` and the validating constructor; `bott_samelson_spherical` folds
+a word through `b_step`; `phi_embed` forms each term of the embedding
+M -> H as a product, and `pi_tilde` sums v^{2 len(u)} over W_A, both
+enumerating W_A and counting lengths anew on every call.  `multiply` and
 `a_antiautomorphism` are built on them, so the pairing reference shares
 no sum with `hecke`.
 
@@ -44,6 +49,12 @@ from heckekit.hecke import HeckeElement, inverse_h
 from heckekit.laurent import LaurentPoly, _add_into, _poly
 
 Slots = Sequence[Sequence[int]]
+
+
+def inversions(p: Permutation) -> int:
+    """The number of pairs i < j with p(i) > p(j): the Coxeter length."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 def apply_gen_left(i: int, p: Permutation) -> Permutation:
@@ -231,6 +242,15 @@ def b_step(i: int, coeffs: dict, parabolic) -> dict:
     return out
 
 
+def bott_samelson_spherical(word: Sequence[int], n: int, parabolic) -> dict:
+    """b_{s_1} ... b_{s_m} m_id as a map of LaurentPolys, folded right to
+    left through `b_step`."""
+    out = {coxeter.identity(n): LaurentPoly({0: 1})}
+    for i in reversed(tuple(word)):
+        out = b_step(i, out, parabolic)
+    return out
+
+
 def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
                 kind: str = "h") -> HeckeElement:
     """h_{s_i} or b_{s_i} times el on the chosen side: h_{sx}, plus
@@ -255,13 +275,21 @@ def phi_embed(el) -> HeckeElement:
     """phi(m_x) = sum_{u in W_A} v^{len(w_A) - len(u)} h_{xu}, one
     LaurentPoly product per term (`spherical.phi_embed`)."""
     n, A = el.n, el.parabolic
-    top = coxeter.length(coxeter.longest_element(A, n))
+    top = inversions(coxeter.longest_element(A, n))
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
         for u in coxeter.parabolic_elements(A, n):
             _add_into(out, coxeter.multiply(x, u),
-                      c * LaurentPoly({top - coxeter.length(u): 1}))
+                      c * LaurentPoly({top - inversions(u): 1}))
     return HeckeElement(n, out)
+
+
+def pi_tilde(parabolic, n: int) -> LaurentPoly:
+    """sum_{u in W_A} v^{2 len(u)}, term by term over W_A."""
+    out = LaurentPoly()
+    for u in coxeter.parabolic_elements(parabolic, n):
+        out = out + LaurentPoly({2 * inversions(u): 1})
+    return out
 
 
 def multipoly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -292,3 +292,14 @@ def test_left_descent():
     w0 = (3, 2, 1)
     assert oracles.has_left_descent(w0, 1) and oracles.has_left_descent(w0, 2)
     assert not oracles.has_left_descent(identity(3), 1)
+
+
+def test_length_counts_inversions():
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            assert length(p) == oracles.inversions(p), p
+    rng = random.Random(31)
+    base = list(range(1, 16))
+    for _ in range(2000):
+        p = tuple(rng.sample(base, 15))
+        assert length(p) == oracles.inversions(p), p

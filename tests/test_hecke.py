@@ -15,7 +15,6 @@ from heckekit.hecke import (
     kl_basis,
     mult_by_gen,
     pairing,
-    unit,
 )
 from heckekit.laurent import ONE, V, LaurentPoly, v_power
 from oracles import a_antiautomorphism, eps, multiply
@@ -23,6 +22,10 @@ from oracles import a_antiautomorphism, eps, multiply
 
 def s(i, n):
     return evaluate_word((i,), n)
+
+
+def unit(n):
+    return h(identity(n))
 
 
 def rand_element(rng, n, size=3):
@@ -178,6 +181,24 @@ def test_kl_refuses_up_front_what_its_support_puts_past_the_budget(
                 with pytest.raises(ValueError,
                                    match=rf"at least 2\^{k} terms \({k} "):
                     kl_basis(x)
+
+
+def test_inverse_cache_stays_within_the_budget(monkeypatch):
+    """The cached inverses count their terms as the KL cache does, and
+    one that would pass KL_BUDGET is refused and left uncached."""
+    monkeypatch.setattr(hecke, "_inverse_cache", {})
+    monkeypatch.setattr(hecke, "KL_BUDGET", 30)
+    w0 = (4, 3, 2, 1)
+    assert len(inverse_h(w0).coeffs) == 24
+    assert len(inverse_h((2, 1, 3, 4)).coeffs) == 2
+    assert inverse_h(w0) == inverse_h(w0)          # hits add nothing
+    with pytest.raises(ValueError, match="budget KL_BUDGET = 30 terms"):
+        inverse_h((3, 2, 1, 4))                     # 6 terms: 32 > 30
+    assert set(hecke._inverse_cache) == {w0, (2, 1, 3, 4)}
+    assert len(inverse_h((1, 3, 2, 4)).coeffs) == 2
+    # a cache cleared behind its count is counted again
+    hecke._inverse_cache.clear()
+    assert len(inverse_h((3, 2, 1, 4)).coeffs) == 6
 
 
 def test_parabolic_longest_kl_is_v_power_sum():

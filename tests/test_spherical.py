@@ -383,3 +383,45 @@ def test_perversity_expansion_sums_back_to_the_character_for_every_A():
                 assert rep.is_perverse == all(constant)
                 nonconstant += not all(constant)
     assert nonconstant > 40
+
+
+def _tables():
+    return {key: (list(exps), dict(pi.terms))
+            for key, (exps, pi) in spherical._wa_tables.items()}
+
+
+def test_w_a_tables_agree_with_the_references_and_stay_unchanged(
+        monkeypatch):
+    """phi_embed, pi_tilde and spherical_pairing against references that
+    enumerate W_A anew, for every A of S_4 and S_5: the first call builds
+    the W_A table of (A, n) and the second reads it, unchanged."""
+    monkeypatch.setattr(spherical, "_wa_tables", {})
+    for n in (4, 5):
+        for A in all_subsets(n):
+            reps = sorted(min_coset_reps(A, n))
+            a = m_id(n, A) + m(reps[-1], A).scale(V)
+            b = act_by_gen(1, m(reps[len(reps) // 2], A))
+            want_phi = oracles.phi_embed(a)
+            want_pi = oracles.pi_tilde(A, n)
+            want_pair = hecke.pairing(
+                oracles.phi_embed(a), oracles.phi_embed(b)).exact_divide(
+                    want_pi)
+            for call in range(2):
+                assert ((A, n) in spherical._wa_tables) == (call == 1)
+                built = _tables()
+                assert phi_embed(a) == want_phi
+                assert pi_tilde(A, n) == want_pi
+                assert spherical_pairing(a, b) == want_pair
+                if call:
+                    assert _tables() == built
+    assert len(spherical._wa_tables) == 8 + 16
+
+
+def test_w_a_tables_are_bounded(monkeypatch):
+    monkeypatch.setattr(spherical, "_wa_tables", {})
+    monkeypatch.setattr(spherical, "_WA_TABLES", 3)
+    keys = [(frozenset(A), 4) for A in all_subsets(4)]
+    for A, n in keys:
+        pi_tilde(A, n)
+        assert len(spherical._wa_tables) <= 3
+    assert list(spherical._wa_tables) == keys[-3:]

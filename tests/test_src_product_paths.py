@@ -21,8 +21,13 @@ ALLOWED = {
     ("coxeter", "min_coset_reps"): "the acceptance suite enumerates W^A",
     ("hecke", "bar_involution"):
         "criterion 4 checks the bar invariance of b_x with it",
+    ("hecke", "h"): "criterion 5 builds the standard basis elements h_x "
+                    "whose pairings it checks with it",
     ("hecke", "mult_by_gen"):
         "criterion 5 checks b_s-adjointness on both sides with it",
+    ("spherical", "act_by_gen"):
+        "criterion 5 and perfbench's oracle-s5 `pair-adjoint` apply b_s "
+        "with it",
     ("spherical", "spherical_pairing"):
         "criterion 5, perfbench's oracle-s5 and the `pair` agreement test "
         "compare with it",

@@ -1,8 +1,10 @@
 """The term-map sums against their LaurentPoly-product references.
 
 `laurent._add_product` adds f * g into an accumulator of {exponent: int}
-maps in place, and `hecke` (`_b_step`, `mult_by_gen`, `_add_scaled`,
-`pairing`) and `spherical.phi_embed` sum through it; `MultiPoly.__mul__`
+maps in place, through its one-term path when g has one term, and
+`hecke` (`_b_step` on term maps, `mult_by_gen`, `inverse_h`,
+`_add_scaled`, `pairing`) and `spherical` (`bott_samelson_spherical`,
+`phi_embed`) sum through it; `MultiPoly.__mul__`
 accumulates the same way on exponent vectors.  Each is compared with the
 reference in `oracles` that forms every term as a LaurentPoly (or
 validated MultiPoly) product: exhaustively on S_4 for every parabolic
@@ -95,6 +97,68 @@ def test_add_product_is_the_sum_of_products():
     assert cancelled > 100
 
 
+def test_one_term_path_is_the_sum_of_products():
+    """g = {k: a} with k in {-1, 0, 1} and scalars a, added into absent
+    keys, present keys and keys that cancel to zero."""
+    rng = random.Random(50)
+    seen = {"absent": 0, "present": 0, "cancelled": 0}
+    for _ in range(3000):
+        k = rng.choice((-1, 0, 1))
+        a = rng.choice((1, 1, -1, 2, -3))
+        g = {k: a}
+        f = rand_terms(rng)
+        case = rng.choice(tuple(seen))
+        if case == "absent":
+            t = {}
+        elif case == "cancelled" and f:
+            t = {e + k: -c * a for e, c in f.items()}
+        else:
+            t = rand_terms(rng)
+        out = {"k": dict(t)} if t else {}
+        before = dict(f)
+        _add_product(out, "k", f, g)
+        want = LaurentPoly(t) + LaurentPoly(f) * LaurentPoly(g)
+        assert out.get("k", {}) == want.terms
+        assert_clean_accumulator(out)
+        assert f == before
+        if "k" in out:
+            assert out["k"] is not f
+        seen[case] += 1 if case != "cancelled" else (bool(f) and not want)
+    assert min(seen.values()) > 500
+
+
+def test_one_term_path_never_hands_out_f_itself():
+    """A fresh key gets a map of its own, so a later in-place add into
+    that key writes neither the caller's map nor a cached one."""
+    for g in ({0: 1}, {1: 1}, {-1: 1}, {0: -2}):
+        f = {0: 1, 2: 3}
+        out = {}
+        _add_product(out, "k", f, g)
+        assert out["k"] is not f
+        _add_product(out, "k", {0: 5}, {0: 1})
+        assert f == {0: 1, 2: 3}
+    # an empty f adds nothing, and leaves no empty map
+    out = {}
+    _add_product(out, "k", {}, {0: 1})
+    assert out == {}
+    # a cached _kl map, a cached inverse and a W_A table pass through the
+    # one-term path unwritten
+    x = (3, 1, 4, 2)
+    cached = {y: dict(c.terms) for y, c in hecke._kl(x, frozenset()).items()}
+    inv = {y: dict(c.terms) for y, c in inverse_h(x).coeffs.items()}
+    A = frozenset({1, 3})
+    table = spherical._wa_table(A, 4)
+    snapshot = (list(table[0]), dict(table[1].terms))
+    for i in (1, 2, 3):
+        mult_by_gen(kl_basis(x), i, "left", "h")
+        phi_embed(act_by_gen(i, m((1, 3, 2, 4), A)))
+        bar_involution(kl_basis(x))
+    assert {y: c.terms for y, c in hecke._kl(x, frozenset()).items()} \
+        == cached
+    assert {y: c.terms for y, c in inverse_h(x).coeffs.items()} == inv
+    assert (list(table[0]), dict(table[1].terms)) == snapshot
+
+
 def test_add_product_writes_no_argument():
     f, g = {0: 1, 1: 2}, {-1: 3}
     t = {0: 5}
@@ -113,12 +177,29 @@ def test_b_step_agrees_with_the_reference_on_s4_for_every_A():
         elements += [hecke._kl(u, A) for u in reps]
         elements += [rand_coeffs(rng, reps) for _ in range(10)]
         for coeffs, i in itertools.product(elements, (1, 2, 3)):
-            acc = _b_step(i, coeffs, A)
+            terms = {u: c.terms for u, c in coeffs.items()}
+            before = {u: dict(t) for u, t in terms.items()}
+            acc = _b_step(i, terms, A)
             assert_clean_accumulator(acc)
+            assert terms == before
+            assert not any(t is f for t in acc.values()
+                           for f in terms.values())
             want = oracles.b_step(i, coeffs, A)
             assert _polys(acc) == want
             el = SphericalElement(4, A, coeffs)
             assert act_by_gen(i, el).coeffs == want
+
+
+def test_bott_samelson_spherical_agrees_with_the_reference_fold():
+    """Every word of length <= 6 over S_4, for every A: the fold on term
+    maps against the LaurentPoly fold of `oracles.b_step`."""
+    words = [w for k in range(7) for w in itertools.product((1, 2, 3),
+                                                            repeat=k)]
+    for A in all_subsets(4):
+        for w in words:
+            got = spherical.bott_samelson_spherical(w, 4, A)
+            assert got.coeffs == oracles.bott_samelson_spherical(w, 4, A)
+            assert_clean(got.coeffs)
 
 
 def test_mult_by_gen_agrees_with_the_reference_on_s4():
@@ -146,7 +227,7 @@ def test_seeded_s5_batch_agrees_with_the_references():
                 el, i, side, kind)
         A = rng.choice(subsets)
         coeffs = rand_coeffs(rng, sorted(min_coset_reps(A, 5)), 8)
-        acc = _b_step(i, coeffs, A)
+        acc = _b_step(i, {u: c.terms for u, c in coeffs.items()}, A)
         assert_clean_accumulator(acc)
         assert _polys(acc) == oracles.b_step(i, coeffs, A)
         m_el = SphericalElement(5, A, coeffs)
@@ -174,7 +255,7 @@ def test_terms_that_cancel_leave_no_key():
             for i in (1, 2, 3):
                 kind, su = coxeter.coset_step(u, i, A)
                 if kind == "U":
-                    assert _b_step(i, {u: ONE, su: -V}, A) == {}
+                    assert _b_step(i, {u: {0: 1}, su: {1: -1}}, A) == {}
                     hits += 1
     assert hits > 50
 
@@ -268,8 +349,8 @@ def test_rewritten_sums_store_no_zero_coefficient():
             spherical.bott_samelson_spherical((1, 2, 3, 1), 4, A)).expansion)
     for coeffs in hecke._kl_cache.values():
         assert_clean(coeffs)
-    for el in hecke._inverse_cache.values():
-        assert_clean(el.coeffs)
+    for coeffs in hecke._inverse_cache.values():
+        assert_clean(coeffs)
 
 
 def test_perversity_shares_the_coefficients_it_does_not_touch():
