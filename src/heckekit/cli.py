@@ -30,19 +30,13 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from . import demazure, subexpr, worddata
 
+#: criterion 7 of the acceptance suite reads its `certify --threads` here
 THREADS_ENV = "HECKEKIT_THREADS"
 
 #: sorted(worddata.BUILTIN_WORDS), for the help text; the parser is built
 #: before any computational module is imported
 BUILTIN_WORD_NAMES = ("demo-s4-fail", "demo-s4-pass", "gl15-partial",
                       "gl15-reconstructed")
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 def _integer(text: str) -> int:
@@ -87,32 +81,30 @@ def _prime(text: str) -> int:
     return value
 
 
-#: what `emit` renders in place of a streamed list, to cut the text there
+#: the marker of a streamed list in `emit`'s payload, where it cuts the text
 _HOLE = "\0"
 
 
-def _dumps(obj, pretty: bool, default=None) -> str:
+def _dumps(obj, pretty: bool) -> str:
     if pretty:
-        return json.dumps(obj, sort_keys=True, indent=2, default=default)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=default)
+        return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def emit(payload, pretty: bool = False) -> None:
-    """Print `payload` as JSON with sorted keys, indented or compact.  One
-    value may be a function that takes the line break and indentation of
-    a list's items ("" when compact) and yields the items' JSON texts;
-    emit writes that list in chunks, as json.dumps would write it."""
-    streams = []
-    text = _dumps(payload, pretty, lambda f: streams.append(f) or _HOLE)
-    if streams:
+def emit(payload, pretty: bool = False, stream=None) -> None:
+    """Print `payload` as JSON with sorted keys, indented or compact.
+    `stream` takes the line break and indentation of a list's items (""
+    when compact) and yields the items' JSON texts; emit writes that list
+    in chunks where `payload` holds _HOLE, as json.dumps would write it."""
+    text = _dumps(payload, pretty)
+    if stream is not None:
         head, _, text = text.partition(json.dumps(_HOLE))
         pad = ""
         if pretty:   # the items sit one level deeper than the list's line
             line = head[head.rfind("\n") + 1:]
             pad = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
         sys.stdout.write(head)
-        items, lead = iter(streams[0](pad)), "["
+        items, lead = iter(stream(pad)), "["
         while chunk := list(itertools.islice(items, 4096)):
             sys.stdout.write(lead + pad + ("," + pad).join(chunk))
             lead = ","
@@ -376,7 +368,7 @@ def cmd_certify(args) -> int:
         },
     }
 
-    interval_ok = False
+    interval_ok, entries = False, None
     payload["word"] = payload["histogram"] = payload["histogram_at_x"] = None
     if args.word is None:
         payload["interval"] = {"status": "skipped: no word data"}
@@ -461,7 +453,7 @@ def cmd_certify(args) -> int:
                 "passed": interval_ok,
                 "cosets_in_interval": len(inside),
                 "cosets_outside": len(data) - len(inside),
-                "entries": entries,
+                "entries": _HOLE,
                 "failures": failures,
             }
 
@@ -470,7 +462,7 @@ def cmd_certify(args) -> int:
     timings["total_seconds"] = round(time.perf_counter() - t0, 6)
     timings["threads"] = args.threads
     payload["timings"] = timings
-    emit(payload, args.pretty)
+    emit(payload, args.pretty, entries)
     return 0 if verdict else 1
 
 
@@ -529,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forced-letters",
                    help="letters whose positions are forced to 1")
     p.add_argument("--threads", type=_at_least_one,
-                   default=_default_threads(), help="accepted; no effect")
+                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_deodhar)
 
     p = sub.add_parser("defect-stats", help="defect histogram of a word")
@@ -541,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint",
                    help="count only this endpoint (one-line notation)")
     p.add_argument("--threads", type=_at_least_one,
-                   default=_default_threads(), help="accepted; no effect")
+                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_defect_stats)
 
     p = sub.add_parser("demazure-eval",
@@ -587,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_prime, default=2,
                    help="a prime below 2^32 for the F_p rank")
     p.add_argument("--threads", type=_at_least_one,
-                   default=_default_threads(), help="accepted; no effect")
+                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_certify)
 
     return parser

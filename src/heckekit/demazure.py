@@ -27,9 +27,10 @@ above operator k to that value; `eval_expr` with `erase` re-evaluates
 the whole chain and is the slow reference.  The vector is a single row,
 so its rank over a field is 1 if some entry is nonzero there and 0
 otherwise.  The built-in expression `paper-GL15` encodes the published
-12-operator example whose erasure vector is
-(-2, -2, 0, -2, -2, 0, -2, -2, -2, 2, 0, 0), of rank 1 over Q and rank 0
-over F_2.
+12-operator example.  Its erasure vector evaluates to
+(-2, -2, 0, -2, -2, 0, -2, -2, 0, -2, 0, 0), of rank 1 over Q and rank 0
+over F_2; the published tuple has -2, 2 at entries 9 and 10 (see the
+README's note on acceptance criterion 1).
 """
 from __future__ import annotations
 

@@ -6,8 +6,12 @@ stored as {permutation: LaurentPoly} with no zero coefficients.  The
 normalization is fixed by b_s = h_s + v*h_id together with the quadratic
 relation h_s^2 = h_id + (v^-1 - v) h_s, which makes b_s^2 = (v + v^-1) b_s.
 
-The Bott-Samelson character is the subexpression fold `subexpr.sweep`
-at A = {}: H is the spherical module of the empty parabolic subgroup.
+H is the spherical module of the empty parabolic subgroup, and one
+element body, `LinearCombination`, holds (n, A, coeffs) for both; every
+element of H shares one empty A.  One key check, `_key`, serves both
+constructors, `kl_basis` and `spherical.spherical_kl_basis`.  The
+Bott-Samelson character is the subexpression fold `subexpr.sweep` at
+A = {}.
 
 Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
 (`spherical`) come from one cached recursion, `_kl`, keyed by (x, A):
@@ -82,22 +86,62 @@ def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
     return out
 
 
-class LinearCombination:
-    """A finite sum sum_x c_x e_x over Z[v, v^-1] in a fixed standard basis.
+#: the parabolic subset of every element of H, one set for all of them
+_NO_PARABOLIC = frozenset()
 
-    Stored as {basis key: LaurentPoly} with no zero coefficients.  A
-    subclass fixes the module: it checks that two elements live in the same
-    module (`_check`) and names the basis letter that `__repr__` prints
-    (`_basis`).  `_like` wraps a coefficient map that is already clean as
-    an element of the same module, without validation.
+
+def _key(x, n: int, parabolic: frozenset) -> Permutation:
+    """x as a tuple, if it is a permutation of 1..n that is a minimal coset
+    representative for A = parabolic; else ValueError names x."""
+    x = tuple(x)
+    if len(x) != n:
+        raise ValueError(f"{x} has {len(x)} entries, not n = {n}")
+    if not coxeter.is_permutation(x):
+        raise ValueError(f"{x} is not a permutation of 1..{n}")
+    if not coxeter.is_min_coset_rep(x, parabolic):
+        raise ValueError(f"{x} is not a minimal coset representative "
+                         f"for A = {sorted(parabolic)}")
+    return x
+
+
+class LinearCombination:
+    """A finite sum sum_x c_x e_x over Z[v, v^-1] in the standard basis of
+    the spherical module of A = parabolic in rank n (H at A = {}).
+
+    Stored as {basis key: LaurentPoly} with no zero coefficients.  Two
+    elements are equal, add or pair only in the same module: the same
+    class, n and A (`_check`).  A subclass names the basis letter that
+    `__repr__` prints (`_basis`).  `_like` wraps a coefficient map that is
+    already clean as an element of the same module, without validation.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "parabolic", "coeffs")
+
+    def __init__(self, n: int, parabolic,
+                 coeffs: dict[Permutation, LaurentPoly] | None = None):
+        self.n = n
+        self.parabolic = frozenset(parabolic) or _NO_PARABOLIC
+        self.coeffs = {}
+        for x, c in (coeffs or {}).items():
+            x = _key(x, n, self.parabolic)
+            if c:
+                self.coeffs[x] = c
 
     def _like(self, coeffs: dict):
         out = object.__new__(type(self))
-        out.n, out.coeffs = self.n, coeffs
+        out.n, out.parabolic, out.coeffs = self.n, self.parabolic, coeffs
         return out
+
+    def _same_module(self, other) -> bool:
+        return (type(other) is type(self) and self.n == other.n
+                and self.parabolic == other.parabolic)
+
+    def __eq__(self, other) -> bool:
+        return self._same_module(other) and self.coeffs == other.coeffs
+
+    def _check(self, other) -> None:
+        if not self._same_module(other):
+            raise ValueError("elements of different modules")
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -135,20 +179,11 @@ class HeckeElement(LinearCombination):
     _basis = "h"
 
     def __init__(self, n: int, coeffs: dict[Permutation, LaurentPoly] | None = None):
-        self.n = n
-        self.coeffs = {tuple(x): c for x, c in (coeffs or {}).items() if c}
+        super().__init__(n, _NO_PARABOLIC, coeffs)
 
     @classmethod
     def zero(cls, n: int) -> "HeckeElement":
         return cls(n)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HeckeElement) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def _check(self, other: "HeckeElement") -> None:
-        if self.n != other.n:
-            raise ValueError("elements of Hecke algebras of different rank")
 
     def to_json_dict(self) -> dict[str, dict[str, str]]:
         return coeffs_json(self.coeffs)
@@ -249,9 +284,6 @@ def _b_step(i: int, terms: dict, parabolic) -> dict:
 
 #: the most terms that the cached Kazhdan-Lusztig elements may hold
 KL_BUDGET = 2_000_000
-#: the most generators in the support of x that `_kl` takes for A != {}:
-#: the same 20 that KL_BUDGET allows at A = {}
-KL_SUPPORT = 20
 
 # the coefficients of c_x at (x, A), for every element asked for and every
 # element its recursion reaches, and those of h_x^-1 for every x that
@@ -291,29 +323,27 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
     coefficient of c_{sx} at z.
 
     Raises ValueError up front or, past KL_BUDGET terms, while
-    computing.  Up front: s_i is in the support of x iff
-    max(x(1..i)) > i.  With k generators in it, the subword property puts
-    the 2^k products of subsets of them below x, and b_x has a nonzero
-    coefficient at every y <= x because P_{y,x}(0) = 1, so at A = {} it
-    has at least 2^k terms, and x is refused when 2^k passes KL_BUDGET.
-    For A != {}, many of those y share a coset, and c_x can be as small
-    as the one term of c_id, so x is refused only when k passes
-    KL_SUPPORT.  Either way (at the default budget) the support has at
-    most 20 generators, so len(x), and with it the depth of the
-    recursion, is at most 210.  While computing: once the elements in
-    _kl_cache would hold more than KL_BUDGET terms.
+    computing.  Up front, for every A, when 2^k passes KL_BUDGET, k being
+    the number of generators in the support of x (s_i is in it iff
+    max(x(1..i)) > i).  The subword property puts the 2^k products of
+    subsets of them below x, and P_{y,x}(0) = 1 gives b_x a term at every
+    y <= x, so at A = {} b_x has at least 2^k terms.  c_x can be as small
+    as one term, but the rule still keeps k at KL_BUDGET.bit_length() - 1
+    (20), and so len(x), the depth of the recursion, at k(k+1)/2 (210).
+    While computing: once _kl_cache would hold more than KL_BUDGET terms.
     """
     key = (x, parabolic)
     cached = _kl_cache.get(key)
     if cached is not None:
         return cached
     k = sum(1 for i, top in enumerate(accumulate(x, max), 1) if top > i)
-    if parabolic and k > KL_SUPPORT:
-        raise ValueError(
-            f"x has {k} generators in its support, past the {KL_SUPPORT} "
-            f"that keep the recursion for c_x within length "
-            f"{KL_SUPPORT * (KL_SUPPORT + 1) // 2}")
-    if not parabolic and 2 ** k > KL_BUDGET:
+    if 2 ** k > KL_BUDGET:
+        if parabolic:
+            most = KL_BUDGET.bit_length() - 1
+            raise ValueError(
+                f"x has {k} generators in its support, past the {most} "
+                f"that keep the recursion for c_x within length "
+                f"{most * (most + 1) // 2}")
         raise ValueError(
             f"b_x has at least 2^{k} terms ({k} generators in the support "
             f"of x), past the budget KL_BUDGET = {KL_BUDGET}")
@@ -340,9 +370,11 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
 def kl_basis(x: Permutation) -> HeckeElement:
     """The Kazhdan-Lusztig basis element b_x: the unique bar-invariant
     element in h_x + sum_{y<x} v*Z[v]*h_y, computed by `_kl` at A = {}.
-    Raises ValueError past KL_BUDGET terms."""
+    Raises ValueError for an x that is no permutation, or past KL_BUDGET
+    terms."""
     x = tuple(x)
-    return HeckeElement(len(x))._like(_kl(x, frozenset()))
+    return HeckeElement(len(x))._like(
+        _kl(_key(x, len(x), _NO_PARABOLIC), _NO_PARABOLIC))
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
@@ -382,11 +414,10 @@ class PerversityReport:
         self.expansion = expansion
 
 
-def _perversity(el: LinearCombination, parabolic: frozenset
-                ) -> PerversityReport:
-    """Coefficients of el in the KL basis of the spherical module of
-    A = parabolic (of H at A = {}), by triangular back-substitution, and
-    whether all of them are constants.
+def _perversity(el: LinearCombination) -> PerversityReport:
+    """Coefficients of el in the KL basis of its spherical module (of H at
+    A = {}), by triangular back-substitution, and whether all of them are
+    constants.
 
     c_x, read from `_kl` (el's keys are minimal coset representatives),
     is m_x plus lower terms.  The coefficients that no c_x has touched
@@ -407,7 +438,7 @@ def _perversity(el: LinearCombination, parabolic: frozenset
     while pending or rest:
         x = max(chain(pending, rest), key=rank)
         c = expansion[x] = pending.pop(x, None) or _poly(rest.pop(x))
-        cx = _kl(x, parabolic)
+        cx = _kl(x, el.parabolic)
         for y in cx:
             p = pending.pop(y, None)
             if p is not None:
@@ -420,4 +451,4 @@ def _perversity(el: LinearCombination, parabolic: frozenset
 
 def is_perverse_character(el: HeckeElement) -> PerversityReport:
     """True iff every KL-basis coefficient of el is a constant."""
-    return _perversity(el, frozenset())
+    return _perversity(el)

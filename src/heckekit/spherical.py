@@ -2,7 +2,8 @@
 The spherical left module M attached to a parabolic subset A.
 
 M has standard basis {m_x} indexed by the minimal coset representatives
-W^A, with b_s acting by the three-case rule
+W^A; a SphericalElement is `hecke`'s one element body, with its keys
+checked by `hecke._key`.  b_s acts by the three-case rule
 
     b_s m_u = m_{su} + v m_u      if the coset goes up,
     b_s m_u = m_{su} + v^-1 m_u   if the coset goes down,
@@ -35,38 +36,8 @@ from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys, v_power
 
 
 class SphericalElement(hecke.LinearCombination):
-    __slots__ = ("parabolic",)
+    __slots__ = ()
     _basis = "m"
-
-    def __init__(self, n: int, parabolic, coeffs=None):
-        self.n = n
-        self.parabolic = frozenset(parabolic)
-        self.coeffs: dict[Permutation, LaurentPoly] = {}
-        if coeffs:
-            for x, c in coeffs.items():
-                x = tuple(x)
-                if len(x) != n:
-                    raise ValueError(f"{x} has {len(x)} entries, not n = {n}")
-                if not coxeter.is_min_coset_rep(x, self.parabolic):
-                    raise ValueError(
-                        f"{x} is not a minimal coset representative")
-                if c:
-                    self.coeffs[x] = c
-
-    def _like(self, coeffs: dict[Permutation, LaurentPoly]
-              ) -> "SphericalElement":
-        out = super()._like(coeffs)
-        out.parabolic = self.parabolic
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SphericalElement) and self.n == other.n
-                and self.parabolic == other.parabolic
-                and self.coeffs == other.coeffs)
-
-    def _check(self, other: "SphericalElement") -> None:
-        if self.n != other.n or self.parabolic != other.parabolic:
-            raise ValueError("elements of different spherical modules")
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,18 +130,17 @@ def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
 
 def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
     """The spherical KL element c_x, by `hecke`'s Kazhdan-Lusztig recursion
-    at A = parabolic; x must be a minimal coset representative.  Raises
-    ValueError past hecke.KL_BUDGET terms."""
+    at A = parabolic.  Raises ValueError for an x that is no minimal coset
+    representative for A, or past hecke.KL_BUDGET terms."""
     x = tuple(x)
-    A = frozenset(parabolic)
-    if not coxeter.is_min_coset_rep(x, A):
-        raise ValueError(f"{x} is not a minimal coset representative")
-    return SphericalElement(len(x), A)._like(hecke._kl(x, A))
+    el = SphericalElement(len(x), parabolic)
+    return el._like(hecke._kl(hecke._key(x, el.n, el.parabolic),
+                              el.parabolic))
 
 
 def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
     """True iff every spherical-KL-basis coefficient of el is a constant."""
-    return hecke._perversity(el, el.parabolic)
+    return hecke._perversity(el)
 
 
 def deodhar_expand(word: Sequence[int], n: int, parabolic,

@@ -169,8 +169,19 @@ def test_emit_writes_a_streamed_list_as_json_dumps_would(pretty, capsys):
             def stream(pad, items=items):
                 return (dumps(item).replace("\n", pad) for item in items)
 
-            cli.emit(place(stream), pretty)
+            cli.emit(place(cli._HOLE), pretty, stream)
             assert capsys.readouterr().out == dumps(place(items)) + "\n"
+
+
+def test_emit_writes_nothing_for_a_value_json_cannot_encode(capsys):
+    """A value that is no JSON raises before any text is written, with or
+    without a streamed list."""
+    for payload, stream in (({"a": 1, "b": frozenset({2})}, None),
+                            ({"a": cli._HOLE, "b": frozenset({2})},
+                             lambda pad: iter(["1"]))):
+        with pytest.raises(TypeError, match="frozenset"):
+            cli.emit(payload, False, stream)
+        assert capsys.readouterr().out == ""
 
 
 def _failing_word_files(tmp_path, count: int) -> list[str]:

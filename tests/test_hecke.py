@@ -170,7 +170,8 @@ def test_kl_refuses_up_front_what_its_support_puts_past_the_budget(
         monkeypatch):
     """b_x has at least 2^k terms, k being the number of generators in the
     support of x (read here from a reduced word), and kl_basis refuses x
-    up front when 2^k passes the budget."""
+    up front when 2^k passes the budget.  spherical_kl_basis refuses a
+    minimal coset representative x by the same rule, for every A != {}."""
     for n in (4, 5):
         for x in all_permutations(n):
             k = len(set(coxeter.reduced_word(x)))
@@ -181,6 +182,16 @@ def test_kl_refuses_up_front_what_its_support_puts_past_the_budget(
                 with pytest.raises(ValueError,
                                    match=rf"at least 2\^{k} terms \({k} "):
                     kl_basis(x)
+        for r in range(1, n):
+            for A in itertools.combinations(range(1, n), r):
+                for x in coxeter.min_coset_reps(A, n):
+                    k = len(set(coxeter.reduced_word(x)))
+                    with monkeypatch.context() as m:
+                        m.setattr(hecke, "_kl_cache", {})
+                        m.setattr(hecke, "KL_BUDGET", 2 ** k - 1)
+                        with pytest.raises(ValueError,
+                                           match=rf"^x has {k} generators "):
+                            spherical.spherical_kl_basis(x, A)
 
 
 def test_inverse_cache_stays_within_the_budget(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -357,6 +358,98 @@ def test_expansion_of_a_non_reduced_word_can_leave_the_interval():
 def test_constructor_checks_key_length():
     with pytest.raises(ValueError, match="has 2 entries, not n = 3"):
         SphericalElement(3, {2}, {(1, 2): ONE})
+
+
+def _bad_keys(rng, n, A):
+    """Seeded keys of rank n that are no basis keys of the module of A:
+    of the wrong length, no permutation, and (for A != {}) no minimal
+    coset representative."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    short, long_ = tuple(perm[:-1]), tuple(perm) + (n + 1,)
+    repeat = list(perm)
+    i, j = rng.sample(range(n), 2)
+    repeat[i] = repeat[j]
+    out = {"length": [short, long_],
+           "permutation": [tuple(repeat), tuple(p + n for p in perm)]}
+    if A:
+        out["minimal"] = rng.sample(
+            [x for x in coxeter.all_permutations(n)
+             if not coxeter.is_min_coset_rep(x, A)], 3)
+    return out
+
+
+def test_every_entry_refuses_a_bad_key_by_name():
+    """h, m, both constructors, kl_basis and spherical_kl_basis share one
+    key check: each refuses a key of the wrong length (where the entry
+    takes n apart from the key), one that is no permutation, and one
+    that is no minimal coset representative for A, naming the key."""
+    rng = random.Random(53)
+    entries = {
+        "h": (lambda x, n, A: hecke.h(x), ("permutation",)),
+        "kl_basis": (lambda x, n, A: kl_basis(x), ("permutation",)),
+        "HeckeElement": (lambda x, n, A: hecke.HeckeElement(n, {x: ONE}),
+                         ("length", "permutation")),
+        "m": (lambda x, n, A: m(x, A), ("permutation", "minimal")),
+        "spherical_kl_basis": (lambda x, n, A: spherical_kl_basis(x, A),
+                               ("permutation", "minimal")),
+        "SphericalElement": (lambda x, n, A: SphericalElement(n, A, {x: ONE}),
+                             ("length", "permutation", "minimal")),
+    }
+    refused = 0
+    for n in (3, 4, 5):
+        for A in all_subsets(n):
+            bad = _bad_keys(rng, n, A)
+            for name, (entry, kinds) in entries.items():
+                if name in ("h", "kl_basis", "HeckeElement") and A:
+                    continue
+                for kind in kinds:
+                    for x in bad.get(kind, ()):
+                        with pytest.raises(ValueError,
+                                           match=re.escape(str(x))):
+                            entry(x, n, A)
+                        refused += 1
+    assert refused > 300
+
+
+def test_elements_of_different_modules_neither_add_nor_pair_nor_compare():
+    hh = hecke.h((1, 2, 3))
+    mm = m((2, 1, 3), {2})
+    m0 = m((1, 2, 3), ())
+    for a, b in ((hh, mm), (mm, hh), (hh, m0), (m0, hh),
+                 (mm, m((1, 2, 3, 4), {2})), (mm, m((1, 3, 2), {1}))):
+        with pytest.raises(ValueError, match="different modules"):
+            a + b
+        assert a != b
+    with pytest.raises(ValueError, match="different modules"):
+        hecke.pairing(hh, mm)
+    with pytest.raises(ValueError, match="different modules"):
+        spherical_pairing(mm, m0)
+    # H is the module at A = {}, but an element of H is no SphericalElement
+    assert hh.coeffs == m0.coeffs and hh != m0 and m0 != hh
+    assert hh.parabolic is hecke.HeckeElement.zero(5).parabolic
+
+
+def test_b_s_is_symmetric_on_the_standard_basis():
+    """The matrix of b_s on {m_u} is symmetric (the entries at (su, u) and
+    (u, su) are both 1), so [m_z] b_{s_1}...b_{s_m} m_id equals
+    [m_id] b_{s_m}...b_{s_1} m_z: the fold read from z, through
+    act_by_gen, reaches the identity with the fold's coefficient at z."""
+    rng = random.Random(59)
+    cases = 0
+    for _ in range(400):
+        n = rng.choice((3, 4, 5))
+        A = frozenset(g for g in range(1, n) if rng.random() < 0.4)
+        word = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 8)))
+        forward = bott_samelson_spherical(word, n, A)
+        for z in min_coset_reps(A, n):
+            el = m(z, A)
+            for i in word:
+                el = act_by_gen(i, el)
+            assert el.coefficient(identity(n)) == forward.coefficient(z), \
+                (word, A, z)
+            cases += 1
+    assert cases > 7000
 
 
 def test_perversity_expansion_sums_back_to_the_character_for_every_A():
