@@ -123,6 +123,7 @@ def parse_word(text: str, n: int, flag: str = "--word",
             raise ValueError(f"{flag} {text!r}: {t!r} is not a {noun} "
                              f"such as 2 or s2")
         g = int(t.lstrip("s"))
+        # not coxeter.check_generators: a rejected letter loads only cli
         if not 1 <= g <= n - 1:
             raise ValueError(
                 f"{flag} {text!r}: {noun} {g} out of range for S_{n}")
@@ -138,18 +139,9 @@ def parse_perm(text: str, n: int, flag: str,
 
     tokens = text.replace(",", " ").split()
     if not all(re.fullmatch(r"[0-9]+", t) for t in tokens):
-        raise ValueError(
-            f"{flag} {text!r} is not a list of integers")
-    p = tuple(map(int, tokens))
-    if not coxeter.is_permutation(p):
-        raise ValueError(
-            f"{flag} {text!r} is not a permutation in one-line notation")
-    if len(p) != n:
-        raise ValueError(f"{flag} {text!r} has {len(p)} entries, not n = {n}")
-    if not coxeter.is_min_coset_rep(p, parabolic):
-        raise ValueError(f"{flag} {text!r} is not a minimal coset "
-                         f"representative for A = {sorted(parabolic)}")
-    return p
+        raise ValueError(f"{flag} {text!r} is not a list of integers")
+    return coxeter.coset_key(map(int, tokens), n, parabolic,
+                             f"{flag} {text!r}")
 
 
 def parse_parabolic(text: str | None, n: int) -> frozenset:

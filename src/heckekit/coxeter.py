@@ -11,6 +11,13 @@ the coset of a minimal representative in W/W_A, with A = {} for W
 itself); the plain left and right actions and descent tests are slow
 references in `tests/oracles.py`.
 
+This module owns the package's input checks, one each: a letter, and a
+generator of A, lies in 1..n-1 (`check_generators`, which
+`is_min_coset_rep` and `parabolic_blocks` apply to A), and a basis key
+is a permutation of 1..n that is a minimal coset representative for A
+(`coset_key`).  The other modules call them at their entries and never
+inside a step.
+
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
 of x dominates that of y entrywise.  `rank_table`, `rank_table_dominates`
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 from itertools import combinations, starmap
 from operator import gt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -50,6 +57,37 @@ def identity(n: int) -> Permutation:
 def is_permutation(seq: Sequence[int]) -> bool:
     n = len(seq)
     return sorted(seq) == list(range(1, n + 1))
+
+
+def check_generators(gens: Iterable[int], n: int,
+                     noun: str = "generator index") -> None:
+    """Raise ValueError naming the first of `gens` outside 1..n-1, the
+    generators of S_n, as the `noun` it is."""
+    for i in gens:
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"{noun} {i} out of range for S_{n}")
+
+
+def coset_key(x: Iterable[int], n: int, parabolic: Collection[int],
+              name: str | None = None) -> Permutation:
+    """x as a tuple, if it is a permutation of 1..n that is a minimal coset
+    representative for A = parabolic (every permutation is, at A = {});
+    else ValueError names `name`, by default x itself.
+
+    >>> coset_key([2, 1, 3], 3, {2})
+    (2, 1, 3)
+    """
+    x = tuple(x)
+    if len(x) != n:
+        why = f"has {len(x)} entries, not n = {n}"
+    elif not is_permutation(x):
+        why = f"is not a permutation of 1..{n}"
+    elif not is_min_coset_rep(x, parabolic):
+        why = (f"is not a minimal coset representative "
+               f"for A = {sorted(parabolic)}")
+    else:
+        return x
+    raise ValueError(f"{x if name is None else name} {why}")
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -79,10 +117,9 @@ def evaluate_word(word: Sequence[int], n: int) -> Permutation:
     >>> evaluate_word((1, 2, 1), 3)
     (3, 2, 1)
     """
+    check_generators(word, n)
     p = list(range(1, n + 1))
     for i in word:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for S_{n}")
         p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
 
@@ -246,9 +283,7 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
 def parabolic_blocks(parabolic: Iterable[int], n: int) -> list[tuple[int, int]]:
     """Maximal runs of consecutive generators, as (first, last) index pairs."""
     gens = sorted(set(parabolic))
-    for i in gens:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range for S_{n}")
+    check_generators(gens, n, "parabolic generator")
     blocks = []
     k = 0
     while k < len(gens):
@@ -309,7 +344,11 @@ def min_coset_rep(p: Permutation, parabolic: Iterable[int]) -> Permutation:
 
 
 def is_min_coset_rep(p: Permutation, parabolic: Iterable[int]) -> bool:
-    return all(p[i - 1] < p[i] for i in parabolic)
+    """True iff p has no right descent in A = parabolic; ValueError for a
+    generator of A outside 1..len(p)-1."""
+    A = tuple(parabolic)
+    check_generators(A, len(p), "parabolic generator")
+    return all(p[i - 1] < p[i] for i in A)
 
 
 def min_coset_reps(parabolic: Iterable[int], n: int) -> Iterator[Permutation]:

@@ -8,10 +8,12 @@ relation h_s^2 = h_id + (v^-1 - v) h_s, which makes b_s^2 = (v + v^-1) b_s.
 
 H is the spherical module of the empty parabolic subgroup, and one
 element body, `LinearCombination`, holds (n, A, coeffs) for both; every
-element of H shares one empty A.  One key check, `_key`, serves both
-constructors, `kl_basis` and `spherical.spherical_kl_basis`.  The
-Bott-Samelson character is the subexpression fold `subexpr.sweep` at
-A = {}.
+element of H shares one empty A.  `coxeter` owns the input checks: its
+key check, `coxeter.coset_key`, serves both constructors, `kl_basis`,
+`spherical.spherical_kl_basis` and `inverse_h` (on a cache miss), and
+`coxeter.check_generators` the letter of `mult_by_gen`; no step checks
+again.  The Bott-Samelson character is the subexpression fold
+`subexpr.sweep` at A = {}.
 
 Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
 (`spherical`) come from one cached recursion, `_kl`, keyed by (x, A):
@@ -90,20 +92,6 @@ def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
 _NO_PARABOLIC = frozenset()
 
 
-def _key(x, n: int, parabolic: frozenset) -> Permutation:
-    """x as a tuple, if it is a permutation of 1..n that is a minimal coset
-    representative for A = parabolic; else ValueError names x."""
-    x = tuple(x)
-    if len(x) != n:
-        raise ValueError(f"{x} has {len(x)} entries, not n = {n}")
-    if not coxeter.is_permutation(x):
-        raise ValueError(f"{x} is not a permutation of 1..{n}")
-    if not coxeter.is_min_coset_rep(x, parabolic):
-        raise ValueError(f"{x} is not a minimal coset representative "
-                         f"for A = {sorted(parabolic)}")
-    return x
-
-
 class LinearCombination:
     """A finite sum sum_x c_x e_x over Z[v, v^-1] in the standard basis of
     the spherical module of A = parabolic in rank n (H at A = {}).
@@ -123,7 +111,7 @@ class LinearCombination:
         self.parabolic = frozenset(parabolic) or _NO_PARABOLIC
         self.coeffs = {}
         for x, c in (coeffs or {}).items():
-            x = _key(x, n, self.parabolic)
+            x = coxeter.coset_key(x, n, self.parabolic)
             if c:
                 self.coeffs[x] = c
 
@@ -208,6 +196,7 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
+    coxeter.check_generators((i,), el.n)
     if side == "left":
         terms = {x: c.terms for x, c in el.coeffs.items()}
     else:
@@ -237,11 +226,13 @@ def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
 def inverse_h(x: Permutation) -> HeckeElement:
     """The algebra inverse of h_x, letter by letter on the left through
     h_s^-1 = h_s + (v - v^-1) = b_s - v^-1, on one map of term maps per
-    letter.  Raises ValueError once the cached inverses would hold more
-    than KL_BUDGET terms."""
+    letter.  Raises ValueError for an x that is no permutation (checked on
+    a cache miss, as the cache holds only permutations) or once the cached
+    inverses would hold more than KL_BUDGET terms."""
     x = tuple(x)
     coeffs = _inverse_cache.get(x)
     if coeffs is None:
+        coxeter.coset_key(x, len(x), _NO_PARABOLIC)
         terms = {coxeter.identity(len(x)): _UNIT}
         for i in coxeter.reduced_word(x):
             out = _b_step(i, terms, ())
@@ -374,7 +365,7 @@ def kl_basis(x: Permutation) -> HeckeElement:
     terms."""
     x = tuple(x)
     return HeckeElement(len(x))._like(
-        _kl(_key(x, len(x), _NO_PARABOLIC), _NO_PARABOLIC))
+        _kl(coxeter.coset_key(x, len(x), _NO_PARABOLIC), _NO_PARABOLIC))
 
 
 def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
@@ -382,7 +373,9 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
 
     Sums bar(a_x) b_y [h_{y^-1}] h_x^-1 over the supports of a and b,
     caching the whole inverse of h_x for each x in the support of a; the
-    reference that `pair`, one fold, is tested against.
+    reference that `pair`, one fold, is tested against.  This is the form
+    of H: elements of a spherical module at A != {} raise ValueError, as
+    their form is `spherical.spherical_pairing`.
 
     >>> from heckekit import coxeter
     >>> bs = kl_basis(coxeter.evaluate_word((1,), 2))
@@ -390,6 +383,9 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     LaurentPoly(1 + v^2)
     """
     a._check(b)
+    if a.parabolic:
+        raise ValueError("hecke.pairing is the form of H; pair elements of "
+                         "a spherical module with spherical_pairing")
     b_terms = [(coxeter.inverse(y), c.terms) for y, c in b.coeffs.items()]
     total: dict[int, dict[int, int]] = {}   # one term map, under key 0
     for x, ax in a.coeffs.items():

@@ -2,8 +2,10 @@
 The spherical left module M attached to a parabolic subset A.
 
 M has standard basis {m_x} indexed by the minimal coset representatives
-W^A; a SphericalElement is `hecke`'s one element body, with its keys
-checked by `hecke._key`.  b_s acts by the three-case rule
+W^A; a SphericalElement is `hecke`'s one element body.  `coxeter` owns
+the input checks: its keys, and A with them, pass `coxeter.coset_key`,
+and the letters of `act_by_gen` and `bott_samelson_spherical` pass
+`coxeter.check_generators` at entry.  b_s acts by the three-case rule
 
     b_s m_u = m_{su} + v m_u      if the coset goes up,
     b_s m_u = m_{su} + v^-1 m_u   if the coset goes down,
@@ -59,6 +61,7 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
     """The action of b_{s_i}, extended linearly over the standard basis."""
+    coxeter.check_generators((i,), el.n)
     terms = {u: c.terms for u, c in el.coeffs.items()}
     return el._like(_polys(hecke._b_step(i, terms, el.parabolic)))
 
@@ -68,9 +71,11 @@ def bott_samelson_spherical(word: Sequence[int], n: int,
     """b_{s_1} b_{s_2} ... b_{s_m} m_id, folded right to left by `hecke`'s
     b_s step on term maps; the coefficients become LaurentPolys once, at
     the end."""
+    word = tuple(word)
+    coxeter.check_generators(word, n)
     el = m_id(n, parabolic)
     terms = {u: c.terms for u, c in el.coeffs.items()}
-    for i in reversed(tuple(word)):
+    for i in reversed(word):
         terms = hecke._b_step(i, terms, el.parabolic)
     return el._like(_polys(terms))
 
@@ -134,7 +139,7 @@ def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
     representative for A, or past hecke.KL_BUDGET terms."""
     x = tuple(x)
     el = SphericalElement(len(x), parabolic)
-    return el._like(hecke._kl(hecke._key(x, el.n, el.parabolic),
+    return el._like(hecke._kl(coxeter.coset_key(x, el.n, el.parabolic),
                               el.parabolic))
 
 

@@ -131,11 +131,8 @@ def sweep(word: Sequence[int], n: int, parabolic,
     if len(constraint) != m:
         raise ValueError("constraint length != word length")
     A = frozenset(parabolic)
-    for noun, gens in (("generator index", word),
-                       ("parabolic generator", sorted(A))):
-        for i in gens:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"{noun} {i} out of range for S_{n}")
+    coxeter.check_generators(word, n)
+    coxeter.check_generators(sorted(A), n, "parabolic generator")
     forced = constraint.forced
     budget = SUPPORT_BUDGET
     free = m - len(forced)
@@ -300,11 +297,7 @@ def interval_endpoints(cosets: Iterable[Permutation | bytes], n: int,
     count as inside: check reducedness first, as the `word-reduced`
     check of `worddata.validate_word_data` does.
     """
-    x = tuple(x)
-    if len(x) != n or not coxeter.is_permutation(x):
-        raise ValueError(f"x = {x} is not a permutation of 1..{n}")
-    if not coxeter.is_min_coset_rep(x, parabolic):
-        raise ValueError(f"{x} is not a minimal coset representative")
+    x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
     above = coxeter.bruhat_above(x)
     return sorted(filter(above, cosets))
 
@@ -317,12 +310,13 @@ def defect_histogram(word: Sequence[int], n: int, parabolic,
     `constraint` forces (with no constraint, over all 2^m of them).
 
     With `target` set, only subexpressions whose endpoint coset has that
-    minimal representative are counted.
+    minimal representative are counted; a target that is no minimal
+    coset representative for A raises ValueError.
 
     >>> defect_histogram((2,), 3, {2})
     {-1: 1, 1: 1}
     """
     data = sweep(word, n, parabolic, constraint)
     if target is not None:
-        return data.get(tuple(target), {})
+        return data.get(coxeter.coset_key(target, n, parabolic), {})
     return data.total()

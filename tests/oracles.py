@@ -159,11 +159,8 @@ def _walk_input(word: Sequence[int], n: int, parabolic,
     if len(slots) != len(word):
         raise ValueError("constraint length != word length")
     A = frozenset(parabolic)
-    for noun, gens in (("generator index", word),
-                       ("parabolic generator", sorted(A))):
-        for i in gens:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"{noun} {i} out of range for S_{n}")
+    coxeter.check_generators(word, n)
+    coxeter.check_generators(sorted(A), n, "parabolic generator")
     return tuple(slots), A
 
 

@@ -239,8 +239,8 @@ def test_parabolic_out_of_range_is_one_error():
         for call in (lambda: min_coset_rep((2, 1, 3), A),
                      lambda: longest_element(A, 3),
                      lambda: list(parabolic_elements(A, 3))):
-            with pytest.raises(ValueError, match=r"generator index \d out "
-                               r"of range for S_3"):
+            with pytest.raises(ValueError, match=r"parabolic generator \d "
+                               r"out of range for S_3"):
                 call()
 
 

@@ -361,3 +361,27 @@ def test_sums_write_into_no_argument_and_no_cached_element(monkeypatch):
         assert [_terms(a) for a in hs + ms] == args
         assert {(name, key): _terms(caches[name][key])
                 for name, key in cached} == cached
+
+
+def test_inverse_h_checks_its_key_on_a_cache_miss_only(monkeypatch):
+    checked = []
+    key = coxeter.coset_key
+    monkeypatch.setattr(coxeter, "coset_key",
+                        lambda *args: checked.append(args[0]) or key(*args))
+    monkeypatch.setattr(hecke, "_inverse_cache", {})
+    x = (2, 3, 1)
+    first = inverse_h(x)
+    assert inverse_h(x) == first and checked == [x]
+
+
+def test_pairing_refuses_elements_of_a_spherical_module_at_a_nonempty_A():
+    a = spherical.act_by_gen(2, spherical.m((2, 3, 1), {1}))
+    b = spherical.m((1, 2, 3), {1})
+    assert spherical.spherical_pairing(a, b) == LaurentPoly({-1: -1, 3: 1})
+    with pytest.raises(ValueError, match="spherical_pairing"):
+        pairing(a, b)
+    # at A = {} the spherical module is H, and both forms agree
+    x = (2, 1, 3)
+    assert pairing(spherical.m(x, ()), spherical.m(x, ())) == \
+        pairing(h(x), h(x)) == spherical.spherical_pairing(
+            spherical.m(x, ()), spherical.m(x, ()))

@@ -22,7 +22,12 @@ from heckekit.spherical import (
     spherical_kl_basis,
     spherical_pairing,
 )
-from heckekit.subexpr import EnumConstraint, interval_endpoints, sweep
+from heckekit.subexpr import (
+    EnumConstraint,
+    defect_histogram,
+    interval_endpoints,
+    sweep,
+)
 
 
 def all_subsets(n):
@@ -380,14 +385,19 @@ def _bad_keys(rng, n, A):
 
 
 def test_every_entry_refuses_a_bad_key_by_name():
-    """h, m, both constructors, kl_basis and spherical_kl_basis share one
-    key check: each refuses a key of the wrong length (where the entry
-    takes n apart from the key), one that is no permutation, and one
-    that is no minimal coset representative for A, naming the key."""
+    """h, m, both constructors, kl_basis, spherical_kl_basis, inverse_h
+    and the target of defect_histogram share one key check: each refuses
+    a key of the wrong length (where the entry takes n apart from the
+    key), one that is no permutation, and one that is no minimal coset
+    representative for A, naming the key."""
     rng = random.Random(53)
     entries = {
         "h": (lambda x, n, A: hecke.h(x), ("permutation",)),
         "kl_basis": (lambda x, n, A: kl_basis(x), ("permutation",)),
+        "inverse_h": (lambda x, n, A: hecke.inverse_h(x), ("permutation",)),
+        "defect_histogram": (
+            lambda x, n, A: defect_histogram((), n, A, target=x),
+            ("length", "permutation", "minimal")),
         "HeckeElement": (lambda x, n, A: hecke.HeckeElement(n, {x: ONE}),
                          ("length", "permutation")),
         "m": (lambda x, n, A: m(x, A), ("permutation", "minimal")),
@@ -401,7 +411,8 @@ def test_every_entry_refuses_a_bad_key_by_name():
         for A in all_subsets(n):
             bad = _bad_keys(rng, n, A)
             for name, (entry, kinds) in entries.items():
-                if name in ("h", "kl_basis", "HeckeElement") and A:
+                if name in ("h", "kl_basis", "inverse_h",
+                            "HeckeElement") and A:
                     continue
                 for kind in kinds:
                     for x in bad.get(kind, ()):
@@ -518,3 +529,47 @@ def test_w_a_tables_are_bounded(monkeypatch):
         pi_tilde(A, n)
         assert len(spherical._wa_tables) <= 3
     assert list(spherical._wa_tables) == keys[-3:]
+
+
+def test_every_entry_names_a_parabolic_generator_outside_the_generators():
+    """A = {0} and A = {n} are refused by the generator at every entry
+    that takes A, through the one check in `coxeter`; at A = {0} the
+    longest element w0 would pass a descent test that reads p[-1]."""
+    entries = {
+        "m": lambda n, A, w0: m(w0, A),
+        "SphericalElement": lambda n, A, w0: SphericalElement(n, A,
+                                                              {w0: ONE}),
+        "spherical_kl_basis": lambda n, A, w0: spherical_kl_basis(w0, A),
+        "bott_samelson_spherical":
+            lambda n, A, w0: bott_samelson_spherical((1,), n, A),
+        "interval_endpoints":
+            lambda n, A, w0: interval_endpoints([w0], n, A, identity(n)),
+        "min_coset_reps": lambda n, A, w0: list(min_coset_reps(A, n)),
+    }
+    for n in (3, 4):
+        w0 = tuple(range(n, 0, -1))
+        for bad in (0, n):
+            for entry in entries.values():
+                with pytest.raises(ValueError,
+                                   match=f"parabolic generator {bad} out of "
+                                         f"range for S_{n}"):
+                    entry(n, {bad}, w0)
+
+
+def test_every_entry_names_a_letter_outside_the_generators():
+    """Each entry that takes a letter checks it on the way in, the zero
+    element too."""
+    entries = {
+        "mult_by_gen left": lambda i: mult_by_gen(hecke.h(identity(3)), i),
+        "mult_by_gen right":
+            lambda i: mult_by_gen(hecke.HeckeElement(3), i, "right", "b"),
+        "act_by_gen": lambda i: act_by_gen(i, m_id(3, {1})),
+        "act_by_gen on 0": lambda i: act_by_gen(i, SphericalElement(3, {1})),
+        "bott_samelson_spherical":
+            lambda i: bott_samelson_spherical((1, i), 3, {1}),
+    }
+    for i in (0, 3):
+        for entry in entries.values():
+            with pytest.raises(ValueError, match=f"generator index {i} out "
+                                                 f"of range for S_3"):
+                entry(i)

@@ -7,8 +7,10 @@ of a `hecke.multiply`.  Slow references that only tests call live in
 `tests/oracles.py`; the few public names that stay without a caller in
 the package are listed in ALLOWED with the reason each one stays.  Every
 private top-level function and class has a caller in the package, with
-no exception: a helper only its tests call belongs in the tests.  And
-every name that a package module imports is used in that module.
+no exception: a helper only its tests call belongs in the tests.  Every
+name that a package module imports is used in that module.  And the
+input checks are written once, in `coxeter`: no other module holds the
+message of one, but for the exceptions in OWN_CHECKS.
 """
 import ast
 from pathlib import Path
@@ -132,3 +134,68 @@ def test_the_import_scan_reads_annotations():
                      "def f(a: Iterable[int]) -> coxeter.Permutation:\n"
                      "    return os.path.join(a)\n")
     assert _unused_imports(tree) == {"Sequence", "Mapping"}
+
+
+#: the messages of the input checks that `coxeter` owns: a letter or a
+#: generator of A in 1..n-1 (`check_generators`), a key that is a
+#: permutation and a minimal coset representative (`coset_key`)
+CHECK_TEXTS = ("out of range for S_", "is not a permutation",
+               "is not a minimal coset representative")
+
+#: the functions outside `coxeter` that keep a check of their own, with
+#: the reason each one does
+OWN_CHECKS = {
+    ("cli", "parse_word"):
+        "a command whose letter is rejected loads only `cli`, not "
+        "`coxeter` (test_cli's test_command_imports_only_what_it_runs)",
+}
+
+
+def _check_copies(modules) -> set:
+    """(module, function) for each string literal outside `coxeter`,
+    docstrings aside, that holds one of CHECK_TEXTS: a raise's message,
+    or a piece of one built elsewhere in the function, is a copy of an
+    input check.  A literal outside every function counts under None."""
+    found = set()
+
+    def visit(module: str, node: ast.AST, where) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        children = list(ast.iter_child_nodes(node))
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            children.remove(node.body[0])
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(text in node.value for text in CHECK_TEXTS)):
+            found.add((module, where))
+        for child in children:
+            visit(module, child, where)
+
+    for name, tree in modules.items():
+        if name != "coxeter":
+            visit(name, tree, None)
+    return found
+
+
+def test_only_coxeter_writes_the_input_checks():
+    assert _check_copies(_modules()) == set(OWN_CHECKS)
+
+
+def test_the_check_scan_finds_a_copied_message_but_no_docstring():
+    tree = ast.parse(
+        '"""Nothing here is not a permutation."""\n'
+        'LIMIT = "a word out of range for S_n"\n'
+        'def f(x, n):\n'
+        '    """f raises when x is not a permutation."""\n'
+        '    if sorted(x) != list(range(1, n + 1)):\n'
+        '        raise ValueError(f"{x} is not a permutation of 1..{n}")\n'
+        'class C:\n'
+        '    """C is not a minimal coset representative."""\n'
+        '    def g(self, x, A):\n'
+        '        why = f"is not a minimal coset representative for {A}"\n'
+        '        raise ValueError(f"{x} {why}")\n'
+        'def h(i):\n'
+        '    return f"generator {i}"\n')
+    assert _check_copies({"m": tree, "coxeter": tree}) == {
+        ("m", None), ("m", "f"), ("m", "g")}
