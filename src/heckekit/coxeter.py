@@ -12,11 +12,11 @@ itself); the plain left and right actions and descent tests are slow
 references in `tests/oracles.py`.
 
 This module owns the package's input checks, one each: a letter, and a
-generator of A, lies in 1..n-1 (`check_generators`, which
+generator of A, is an int in 1..n-1 (`check_generators`, which
 `is_min_coset_rep` and `parabolic_blocks` apply to A), and a basis key
-is a permutation of 1..n that is a minimal coset representative for A
-(`coset_key`).  The other modules call them at their entries and never
-inside a step.
+is a permutation of the ints 1..n that is a minimal coset representative
+for A (`coset_key`); a float or a bool is never an entry.  The other
+modules call them at their entries and never inside a step.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
@@ -55,16 +55,18 @@ def identity(n: int) -> Permutation:
 
 
 def is_permutation(seq: Sequence[int]) -> bool:
-    n = len(seq)
-    return sorted(seq) == list(range(1, n + 1))
+    """True iff seq holds the ints 1..len(seq), each once; a float or a
+    bool equal to one of them is no int."""
+    ints = all(type(v) is int for v in seq)
+    return ints and sorted(seq) == list(range(1, len(seq) + 1))
 
 
 def check_generators(gens: Iterable[int], n: int,
                      noun: str = "generator index") -> None:
-    """Raise ValueError naming the first of `gens` outside 1..n-1, the
-    generators of S_n, as the `noun` it is."""
+    """Raise ValueError naming the first of `gens` that is no int in
+    1..n-1, no generator of S_n, as the `noun` it is."""
     for i in gens:
-        if not 1 <= i <= n - 1:
+        if type(i) is not int or not 1 <= i <= n - 1:
             raise ValueError(f"{noun} {i} out of range for S_{n}")
 
 

@@ -63,7 +63,12 @@ class DegreeAuditFailure(ConsistencyViolation):
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial: {exponent vector: coefficient}."""
+    """Sparse multivariate polynomial: {exponent vector: coefficient}.
+
+    The constructor takes int exponents and int coefficients only, and
+    raises TypeError for anything else (a bool or a float included);
+    the arithmetic adopts terms it has built from checked ones (`_wrap`).
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -75,6 +80,8 @@ class MultiPoly:
                 e = tuple(e)
                 if len(e) != nvars:
                     raise ValueError(f"exponent vector {e} has wrong length")
+                if not all(type(k) is int for k in (*e, c)):
+                    raise TypeError(f"not an integer term: {c!r}*x^{e!r}")
                 if c != 0:
                     self.terms[e] = c
 
@@ -122,7 +129,8 @@ class MultiPoly:
         return MultiPoly._wrap(self.nvars, terms)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._wrap(self.nvars,
+                               {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -169,7 +177,7 @@ class MultiPoly:
             f = list(e)
             f[i - 1], f[i] = f[i], f[i - 1]
             out[tuple(f)] = c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._wrap(self.nvars, out)
 
     def graded_degrees(self) -> set[int]:
         """{2 * total exponent} over the monomials (deg x_i = 2)."""

@@ -43,19 +43,32 @@ and `pairing` is its reference.  This form satisfies
 
 all of which are enforced by tests.
 
-A generator acts through one step, `_b_step` (b_s on W^A by
-`coxeter.coset_step`, b_s on H at A = {}), which takes and returns maps
-of term maps: h_s = b_s - v in `mult_by_gen`, whose right action is the
-left one conjugated by h_x -> h_{x^-1}, and h_s^-1 = b_s - v^-1 in
-`inverse_h`, which keeps term maps from letter to letter.
+A generator acts through one step, `_b_step`, which takes and returns
+maps of term maps over W^A (over W at A = {}).  b_s, h_s = b_s - v and
+h_s^-1 = b_s - v^-1 follow one three-case rule, by the kind of step
+`coxeter.coset_step` takes on the coset of u: s raises it (U), lowers
+it (D) or fixes it (S).  x_s m_u = m_{su} + r(kind) m_u, without m_{su}
+in the S case, and the three products differ only in their row r, the
+coefficient left on m_u:
+
+    x_s       U            D            S
+    b_s       v            v^-1         v + v^-1
+    h_s       0            v^-1 - v     v^-1
+    h_s^-1    v - v^-1     0            v
+
+So `mult_by_gen` (h_s or b_s, on the left on every module; on the right
+in H only, the left step conjugated by h_x -> h_{x^-1}) and `inverse_h`
+(h_s^-1, keeping term maps from letter to letter) take one pass per
+letter.
 
 Every sum of elements (the b_s step, `_add_scaled`, the KL recursion,
 the perversity back-substitution and `pairing`) accumulates plain
 {exponent: int} term maps, keyed by permutation, in one map that the
 summing function created, through `laurent._add_product`: each term is
-added as a coefficient times a fixed factor (1, v, v^-1, v + v^-1 or a
-scalar), in place, and a key whose map cancels to zero is dropped.  Each
-coefficient becomes a LaurentPoly once, at the end (`laurent._polys`).
+added as a coefficient times a fixed factor (1, an entry of a row of the
+step rule, or a scalar), in place, and a key whose map cancels to zero
+is dropped.  Each coefficient becomes a LaurentPoly once, at the end
+(`laurent._polys`).
 No argument's and no cached element's coefficients are ever written:
 a new key gets a map of its own, never the one it was read from.
 """
@@ -68,14 +81,12 @@ from . import coxeter
 from .coxeter import Permutation
 from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys
 
-# the factors of the b_s rule, as term maps
 _UNIT = {0: 1}
-_V = {1: 1}
-_VINV = {-1: 1}
-_V_PLUS_VINV = {1: 1, -1: 1}
-# h_s = b_s - v and h_s^-1 = b_s - v^-1
-_MINUS_V = {1: -1}
-_MINUS_VINV = {-1: -1}
+# the rows of the step rule: the term map that b_s, h_s and h_s^-1 leave
+# on m_u, by the kind of step (U, D, S); None for no term
+_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1, -1: 1}}
+_H_S = {"U": None, "D": {-1: 1, 1: -1}, "S": {-1: 1}}
+_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}
 
 
 def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
@@ -183,31 +194,30 @@ def h(x: Permutation) -> HeckeElement:
     return HeckeElement(len(x), {x: ONE})
 
 
-def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
-                kind: str = "h") -> HeckeElement:
+def mult_by_gen(el: LinearCombination, i: int, side: str = "left",
+                kind: str = "h") -> LinearCombination:
     """Multiply by h_{s_i} or b_{s_i} on the chosen side, exactly.
 
-    On the left this is the b_s step `_b_step` at A = {}, minus v*el for
-    kind="h" (h_s = b_s - v).  On the right it is the same step
+    On the left this is one step `_b_step` of the h_s or b_s row, on H
+    and on every spherical module.  On the right it is the same step
     conjugated by the v-linear anti-automorphism iota: h_x -> h_{x^-1},
-    which fixes h_s and b_s: el*b_s = iota(b_s*iota(el)).
+    which fixes h_s and b_s: el*b_s = iota(b_s*iota(el)); a spherical
+    module at A != {} is a left module only, and raises ValueError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if kind not in ("h", "b"):
         raise ValueError(f"kind must be 'h' or 'b', got {kind!r}")
+    rule = _H_S if kind == "h" else _B_S
     coxeter.check_generators((i,), el.n)
-    if side == "left":
-        terms = {x: c.terms for x, c in el.coeffs.items()}
-    else:
-        terms = {coxeter.inverse(x): c.terms for x, c in el.coeffs.items()}
-    out = _b_step(i, terms, ())
-    if kind == "h":
-        for x, t in terms.items():
-            _add_product(out, x, t, _MINUS_V)
-    if side == "right":
-        out = {coxeter.inverse(x): t for x, t in out.items()}
-    return el._like(_polys(out))
+    if side == "right" and el.parabolic:
+        raise ValueError("a spherical module at A != {} is a left module; "
+                         "mult_by_gen acts on the right in H only")
+    # on the right, conjugate the left step by iota: h_x -> h_{x^-1}
+    key = coxeter.inverse if side == "right" else tuple
+    terms = {key(x): c.terms for x, c in el.coeffs.items()}
+    out = _b_step(i, terms, el.parabolic, rule)
+    return el._like({key(x): _poly(t) for x, t in out.items()})
 
 
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
@@ -224,9 +234,9 @@ def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
 
 
 def inverse_h(x: Permutation) -> HeckeElement:
-    """The algebra inverse of h_x, letter by letter on the left through
-    h_s^-1 = h_s + (v - v^-1) = b_s - v^-1, on one map of term maps per
-    letter.  Raises ValueError for an x that is no permutation (checked on
+    """The algebra inverse of h_x, letter by letter on the left, one
+    step of the h_s^-1 row of `_b_step` per letter on one map of term
+    maps.  Raises ValueError for an x that is no permutation (checked on
     a cache miss, as the cache holds only permutations) or once the cached
     inverses would hold more than KL_BUDGET terms."""
     x = tuple(x)
@@ -235,10 +245,7 @@ def inverse_h(x: Permutation) -> HeckeElement:
         coxeter.coset_key(x, len(x), _NO_PARABOLIC)
         terms = {coxeter.identity(len(x)): _UNIT}
         for i in coxeter.reduced_word(x):
-            out = _b_step(i, terms, ())
-            for u, t in terms.items():
-                _add_product(out, u, t, _MINUS_VINV)
-            terms = out
+            terms = _b_step(i, terms, _NO_PARABOLIC, _H_S_INV)
         coeffs = _polys(terms)
         _cache_put(_inverse_cache, _inverse_count, x, coeffs,
                    "the inverses of standard basis elements")
@@ -246,30 +253,35 @@ def inverse_h(x: Permutation) -> HeckeElement:
 
 
 def bar_involution(el: HeckeElement) -> HeckeElement:
-    """The bar involution: v -> v^-1 and h_x -> (h_{x^-1})^-1."""
+    """The bar involution of H: v -> v^-1 and h_x -> (h_{x^-1})^-1.
+    Elements of a spherical module at A != {} raise ValueError."""
+    if el.parabolic:
+        raise ValueError("hecke.bar_involution is the bar involution of H, "
+                         "not of a spherical module at A != {}")
     out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
         _add_scaled(out, inverse_h(coxeter.inverse(x)).coeffs, c.bar())
     return el._like(_polys(out))
 
 
-def _b_step(i: int, terms: dict, parabolic) -> dict:
-    """b_{s_i} on a map of term maps over the minimal coset
-    representatives of W/W_A, by the three-case rule: b_s m_u = m_{su} +
-    v^{+-1} m_u as s raises or lowers the coset of u
-    (`coxeter.coset_step`), and (v + v^-1) m_u as s fixes it.  At A = {}
-    no coset is fixed, and this is b_s h_u in H.  Returns a new
-    accumulator of term maps (`laurent._add_product`), so a fold applies
-    it letter after letter and wraps LaurentPolys once, at the end; no
-    map of `terms` is written."""
+def _b_step(i: int, terms: dict, parabolic, rule: dict = _B_S) -> dict:
+    """b_{s_i}, or the product of another row of the step rule (`_H_S`,
+    `_H_S_INV`), on a map of term maps over the minimal coset
+    representatives of W/W_A: m_u goes to m_{su} + rule[kind] m_u, kind
+    being U, D or S as s raises, lowers or fixes the coset of u
+    (`coxeter.coset_step`), and with no m_{su} in the S case.  At A = {}
+    no coset is fixed, and this is the product with h_u in H.  Returns a
+    new accumulator of term maps (`laurent._add_product`), so a fold
+    applies it letter after letter and wraps LaurentPolys once, at the
+    end; no map of `terms` is written."""
     out: dict[Permutation, dict] = {}
     for u, t in terms.items():
         kind, su = coxeter.coset_step(u, i, parabolic)
-        if kind == "S":
-            _add_product(out, u, t, _V_PLUS_VINV)
-        else:
+        if kind != "S":
             _add_product(out, su, t, _UNIT)
-            _add_product(out, u, t, _V if kind == "U" else _VINV)
+        g = rule[kind]
+        if g is not None:
+            _add_product(out, u, t, g)
     return out
 
 

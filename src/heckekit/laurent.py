@@ -13,13 +13,13 @@ one kernel, `_add_product`, which works on plain {exponent: int} maps: it
 adds f * g into the map under one key of an accumulator, in place, and
 drops the key when its map cancels to zero.  Most factors g have one
 term (1, v, v^-1, a scalar), and those re-key f in one pass.  The Hecke
-and spherical sums (`hecke`'s one b_s step `_b_step`, through which
-every h_s, h_s^-1 and b_s product, the module action and the
-Bott-Samelson folds of `inverse_h` and `spherical` go, `_add_scaled`,
-`pairing`, `spherical.phi_embed`) keep one such accumulator of term maps
-per call, or per fold, and wrap each coefficient as a LaurentPoly once,
-at the end (`_polys`); `LaurentPoly.__mul__` is the same kernel on a
-one-key accumulator.
+and spherical sums (`hecke`'s one generator step `_b_step`, whose three
+rows are the b_s, h_s and h_s^-1 products, one pass each, and through
+which the module action and the Bott-Samelson folds of `inverse_h` and
+`spherical` go, `_add_scaled`, `pairing`, `spherical.phi_embed`) keep
+one such accumulator of term maps per call, or per fold, and wrap each
+coefficient as a LaurentPoly once, at the end (`_polys`);
+`LaurentPoly.__mul__` is the same kernel on a one-key accumulator.
 Single terms are added with `_add_into`, which keeps the no-zero-entries
 invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
 adds packed histograms (one int each) in its hot loop, and a
@@ -109,7 +109,11 @@ def _polys(maps: dict) -> dict:
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial sum(c_k * v^k) with integer c_k."""
+    """A sparse Laurent polynomial sum(c_k * v^k) with integer c_k.
+
+    The constructor takes ints only, exponents and coefficients alike,
+    and raises TypeError for anything else (a bool or a float included).
+    """
 
     __slots__ = ("terms",)
 
@@ -117,10 +121,10 @@ class LaurentPoly:
         cleaned = {}
         if terms:
             for e, c in terms.items():
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise TypeError(f"not an integer coefficient: {c!r}")
+                if type(e) is not int or type(c) is not int:
+                    raise TypeError(f"not an integer term: {c!r}*v^{e!r}")
                 if c:
-                    cleaned[int(e)] = c
+                    cleaned[e] = c
         self.terms = cleaned
 
     # -- constructors -------------------------------------------------

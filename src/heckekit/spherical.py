@@ -9,14 +9,17 @@ and the letters of `act_by_gen` and `bott_samelson_spherical` pass
 
     b_s m_u = m_{su} + v m_u      if the coset goes up,
     b_s m_u = m_{su} + v^-1 m_u   if the coset goes down,
-    b_s m_u = (v + v^-1) m_u      if the coset is fixed.
+    b_s m_u = (v + v^-1) m_u      if the coset is fixed,
+
+the b_s row of `hecke`'s one step rule, whose h_s = b_s - v row acts on
+M too (`hecke.mult_by_gen` on the left).
 
 The embedding phi : M -> H sends m_x to h_x * b_{w_A}, which expands to
 sum_{u in W_A} v^{len(w_A) - len(u)} h_{xu}.  This is an H-module map and
 sends the spherical KL element c_x to b_{x w_A}; both facts are enforced
 by tests.  (Mapping m_x to the single term h_{x w_A} would not give an
 H-stable image.)  c_x itself is computed in M, by `hecke`'s one
-Kazhdan-Lusztig recursion at A, and b_s acts through `hecke`'s b_s step.
+Kazhdan-Lusztig recursion at A, and b_s acts through `hecke`'s step.
 
 The spherical pairing is (m, m') = (phi(m), phi(m')) / pi~(A), where
 pi~(A) = sum_{u in W_A} v^{2 len(u)}; the division is always exact and a
@@ -25,8 +28,8 @@ pi~(A) are built once per (A, n), in a table of the last 64 pairs
 (`_wa_table`).
 
 `bott_samelson_spherical` folds a word through `hecke`'s b_s step on
-term maps and wraps LaurentPolys once, at the end; `act_by_gen` is one
-such step.
+term maps and wraps LaurentPolys once, at the end; `act_by_gen` is
+`hecke.mult_by_gen` on the left, one such step.
 """
 from __future__ import annotations
 
@@ -60,10 +63,9 @@ def m_id(n: int, parabolic) -> SphericalElement:
 
 
 def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
-    """The action of b_{s_i}, extended linearly over the standard basis."""
-    coxeter.check_generators((i,), el.n)
-    terms = {u: c.terms for u, c in el.coeffs.items()}
-    return el._like(_polys(hecke._b_step(i, terms, el.parabolic)))
+    """The action of b_{s_i}, extended linearly over the standard basis:
+    the b_s row of `hecke`'s step rule, through `hecke.mult_by_gen`."""
+    return hecke.mult_by_gen(el, i, "left", "b")
 
 
 def bott_samelson_spherical(word: Sequence[int], n: int,

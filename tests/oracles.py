@@ -251,7 +251,12 @@ def bott_samelson_spherical(word: Sequence[int], n: int, parabolic) -> dict:
 def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
                 kind: str = "h") -> HeckeElement:
     """h_{s_i} or b_{s_i} times el on the chosen side: h_{sx}, plus
-    (v^-1 - v) h_x if s lowers x, plus v h_x for b_{s_i}."""
+    (v^-1 - v) h_x if s lowers x, plus v h_x for b_{s_i}.
+
+    It gets b_s from h_s through the identity b_s = h_s + v, term by
+    term, and reads no row of `hecke._b_step`'s step rule, so comparing
+    `hecke.mult_by_gen` with it checks the h_s and b_s rows against that
+    identity and the quadratic relation."""
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
         if side == "left":

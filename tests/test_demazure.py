@@ -208,6 +208,23 @@ def test_results_above_the_digit_budget_are_rejected():
             intersection_vector(Chain([1, 1], MultiPoly(2, {(0, 1): c})))
 
 
+def test_multipoly_takes_int_exponents_and_coefficients_only():
+    for e in ((0.5, 0), (1.0, 0), (True, 0), (0, False)):
+        with pytest.raises(TypeError, match="not an integer term"):
+            MultiPoly(2, {e: 1})
+    for c in (1.5, 1.0, True, False):
+        with pytest.raises(TypeError, match="not an integer term"):
+            MultiPoly(2, {(0, 0): c})
+    with pytest.raises(ValueError, match="wrong length"):
+        MultiPoly(2, {(0,): 1})
+    f = MultiPoly(2, {(1, 0): 2, (0, 1): 0})
+    assert f.terms == {(1, 0): 2}
+    # negation, an int scalar and s_i adopt checked terms
+    assert (-f).terms == {(1, 0): -2}
+    assert (f * 3).terms == {(1, 0): 6} and (f * 0).terms == {}
+    assert f.swap_variables(1).terms == {(0, 1): 2}
+
+
 def test_chain_rejects_operators_outside_the_ring():
     # zero values skip the remaining steps, so the ring is checked up front
     with pytest.raises(ValueError, match="D3 out of range for 3 variables"):

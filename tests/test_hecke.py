@@ -385,3 +385,36 @@ def test_pairing_refuses_elements_of_a_spherical_module_at_a_nonempty_A():
     assert pairing(spherical.m(x, ()), spherical.m(x, ())) == \
         pairing(h(x), h(x)) == spherical.spherical_pairing(
             spherical.m(x, ()), spherical.m(x, ()))
+
+
+def test_bar_involution_refuses_elements_of_a_spherical_module():
+    el = spherical.m((1, 3, 2), {1})
+    with pytest.raises(ValueError, match="bar involution of H"):
+        bar_involution(el)
+    with pytest.raises(ValueError, match="bar involution of H"):
+        bar_involution(spherical.SphericalElement(3, {1}))
+    # at A = {} the spherical module is H
+    x = (1, 3, 2)
+    assert bar_involution(spherical.m(x, ())).coeffs == \
+        bar_involution(h(x)).coeffs
+
+
+def test_mult_by_gen_refuses_the_right_side_of_a_spherical_module():
+    """M is a left module: on the right, an element at A != {} raises;
+    on the left, h_s and b_s act on M and keep its keys minimal."""
+    el = spherical.m((1, 3, 2), {1})
+    for kind in ("h", "b"):
+        with pytest.raises(ValueError, match="left module"):
+            mult_by_gen(el, 1, "right", kind)
+        with pytest.raises(ValueError, match="left module"):
+            mult_by_gen(spherical.SphericalElement(3, {1}), 2, "right", kind)
+    for i in (1, 2):
+        got = mult_by_gen(el, i, "left", "h")
+        assert all(coxeter.is_min_coset_rep(x, {1}) for x in got.coeffs)
+        assert got == mult_by_gen(el, i, "left", "b") + el.scale(-V)
+    # h_{s_1} m_{132}: s_1 raises the coset of 132 to that of 231
+    assert mult_by_gen(el, 1, "left", "h") == spherical.m((2, 3, 1), {1})
+    # at A = {} both sides act, as in H
+    x = (1, 3, 2)
+    assert mult_by_gen(spherical.m(x, ()), 1, "right", "h").coeffs == \
+        mult_by_gen(h(x), 1, "right", "h").coeffs

@@ -42,6 +42,17 @@ def test_non_integer_coefficients_rejected():
             LaurentPoly({0: c})
 
 
+def test_non_integer_exponents_rejected():
+    # int(0.5) is 0, so a truncated 0.5 would make v^0.5 equal to 1
+    for e in (0.5, 1.0, True, Fraction(1, 1), "1"):
+        with pytest.raises(TypeError, match="not an integer term"):
+            LaurentPoly({e: 1})
+    # a zero coefficient does not excuse its exponent
+    with pytest.raises(TypeError, match=r"not an integer term: 0\*v\^0\.5"):
+        LaurentPoly({0.5: 0})
+    assert LaurentPoly({-3: 2, 0: 1}).terms == {-3: 2, 0: 1}
+
+
 def test_bar_examples():
     assert LaurentPoly({2: 1, -1: 3}).bar() == LaurentPoly({-2: 1, 1: 3})
     sym = V + v_power(-1)

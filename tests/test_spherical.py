@@ -556,6 +556,51 @@ def test_every_entry_names_a_parabolic_generator_outside_the_generators():
                     entry(n, {bad}, w0)
 
 
+def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
+    """A float or a bool equal to an int in range is no key entry, no
+    letter and no generator of A: `coxeter`'s one key check and one
+    range check refuse it with their own messages, at every entry that
+    takes one, the six that take A among them.  (`inverse_h` checks its
+    key on a cache miss only, and (2, True, 3) hits the entry of the
+    equal key (2, 1, 3).)"""
+    w0 = (3, 2, 1)
+    key = "is not a permutation of 1..3"
+    calls = [
+        (lambda: m((2.0, 1.0, 3.0), {2}), key),
+        (lambda: m((True, 2, 3), ()), key),
+        (lambda: hecke.h((1.0, 2, 3)), key),
+        (lambda: kl_basis((2, 1, 3.0)), key),
+        (lambda: SphericalElement(3, (), {(1, 2, 3.0): ONE}), key),
+        (lambda: spherical_kl_basis((2.0, 1, 3), {2}), key),
+        (lambda: coxeter.check_generators((1.5,), 3),
+         "generator index 1.5 out of range for S_3"),
+        (lambda: act_by_gen(1.5, m_id(3, {1})),
+         "generator index 1.5 out of range for S_3"),
+        (lambda: mult_by_gen(hecke.h(w0), 1.0, "right"),
+         "generator index 1.0 out of range for S_3"),
+        (lambda: bott_samelson_spherical((True,), 3, ()),
+         "generator index True out of range for S_3"),
+        (lambda: sweep((1, 2.0), 3, ()),
+         "generator index 2.0 out of range for S_3"),
+    ]
+    a_entries = [
+        lambda A: m(w0, A),
+        lambda A: SphericalElement(3, A, {w0: ONE}),
+        lambda A: spherical_kl_basis(w0, A),
+        lambda A: bott_samelson_spherical((1,), 3, A),
+        lambda A: interval_endpoints([w0], 3, A, identity(3)),
+        lambda A: list(min_coset_reps(A, 3)),
+    ]
+    for bad in (1.0, True, 2.5):
+        for entry in a_entries:
+            calls.append((lambda entry=entry, bad=bad: entry({bad}),
+                          f"parabolic generator {bad} out of range "
+                          f"for S_3"))
+    for call, message in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_every_entry_names_a_letter_outside_the_generators():
     """Each entry that takes a letter checks it on the way in, the zero
     element too."""

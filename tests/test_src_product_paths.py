@@ -11,8 +11,14 @@ no exception: a helper only its tests call belongs in the tests.  Every
 name that a package module imports is used in that module.  And the
 input checks are written once, in `coxeter`: no other module holds the
 message of one, but for the exceptions in OWN_CHECKS.
+
+`code_lines` is the one measure of the package's size that a change
+reports: lines that are neither blank nor comments nor inside a
+docstring.  `python tests/test_src_product_paths.py [DIR]` prints it per
+module of DIR (by default the package) and in total.
 """
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heckekit"
@@ -25,8 +31,6 @@ ALLOWED = {
         "criterion 4 checks the bar invariance of b_x with it",
     ("hecke", "h"): "criterion 5 builds the standard basis elements h_x "
                     "whose pairings it checks with it",
-    ("hecke", "mult_by_gen"):
-        "criterion 5 checks b_s-adjointness on both sides with it",
     ("spherical", "act_by_gen"):
         "criterion 5 and perfbench's oracle-s5 `pair-adjoint` apply b_s "
         "with it",
@@ -151,6 +155,16 @@ OWN_CHECKS = {
 }
 
 
+def _docstring(node: ast.AST):
+    """The expression node of the docstring of `node` (a module, a class
+    or a function), or None."""
+    if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                          ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None):
+        return node.body[0]
+    return None
+
+
 def _check_copies(modules) -> set:
     """(module, function) for each string literal outside `coxeter`,
     docstrings aside, that holds one of CHECK_TEXTS: a raise's message,
@@ -161,11 +175,9 @@ def _check_copies(modules) -> set:
     def visit(module: str, node: ast.AST, where) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        children = list(ast.iter_child_nodes(node))
-        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                              ast.AsyncFunctionDef))
-                and ast.get_docstring(node, clean=False) is not None):
-            children.remove(node.body[0])
+        doc = _docstring(node)
+        children = [child for child in ast.iter_child_nodes(node)
+                    if child is not doc]
         if (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and any(text in node.value for text in CHECK_TEXTS)):
             found.add((module, where))
@@ -199,3 +211,45 @@ def test_the_check_scan_finds_a_copied_message_but_no_docstring():
         '    return f"generator {i}"\n')
     assert _check_copies({"m": tree, "coxeter": tree}) == {
         ("m", None), ("m", "f"), ("m", "g")}
+
+
+def code_lines(text: str) -> int:
+    """The lines of a module's source that are neither blank nor a
+    comment nor part of a docstring (of the module, a class or a
+    function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        doc = _docstring(node)
+        if doc is not None:
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(1 for k, line in enumerate(text.splitlines(), 1)
+               if k not in docstrings and line.strip()
+               and not line.lstrip().startswith("#"))
+
+
+def test_code_lines_counts_code_only():
+    text = ('"""A module.\n\nIts docstring spans lines."""\n'
+            "\n"
+            "# a comment\n"
+            "import os\n"
+            "\n"
+            "def f(x):\n"
+            '    """One line."""\n'
+            "    # another comment\n"
+            "    y = x  # a trailing comment is code\n"
+            '    return """not a docstring\n"""\n'
+            "class C:\n"
+            '    """Two\n    lines."""\n'
+            "    k = 1\n")
+    # import, def, y =, both lines of the returned string, class, k =
+    assert code_lines(text) == 7
+
+
+if __name__ == "__main__":
+    total = 0
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
+    for path in sorted(src.glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{path.name:16} {count:6}")
+    print(f"{'total':16} {total:6}")

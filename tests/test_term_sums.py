@@ -2,7 +2,8 @@
 
 `laurent._add_product` adds f * g into an accumulator of {exponent: int}
 maps in place, through its one-term path when g has one term, and
-`hecke` (`_b_step` on term maps, `mult_by_gen`, `inverse_h`,
+`hecke` (`_b_step` on term maps, with its b_s, h_s and h_s^-1 rows,
+`mult_by_gen`, `inverse_h`,
 `_add_scaled`, `pairing`) and `spherical` (`bott_samelson_spherical`,
 `phi_embed`) sum through it; `MultiPoly.__mul__`
 accumulates the same way on exponent vectors.  Each is compared with the
@@ -188,6 +189,54 @@ def test_b_step_agrees_with_the_reference_on_s4_for_every_A():
             assert _polys(acc) == want
             el = SphericalElement(4, A, coeffs)
             assert act_by_gen(i, el).coeffs == want
+
+
+def test_the_h_s_rows_are_the_b_s_row_minus_their_constant():
+    """h_s = b_s - v and h_s^-1 = b_s - v^-1 on every module: `_b_step`
+    with the h_s (h_s^-1) row against the default b_s step minus v (v^-1)
+    times the input, on seeded term maps over W^A for every A of S_4 and
+    seeded A of S_5, S cosets included (H never reaches one)."""
+    rng = random.Random(49)
+    subsets5 = list(all_subsets(5))
+    cases = [(4, A) for A in all_subsets(4)]
+    cases += [(5, rng.choice(subsets5)) for _ in range(12)]
+    seen = set()
+    for n, A in cases:
+        reps = sorted(min_coset_reps(A, n))
+        for _ in range(8):
+            terms = {u: c.terms for u, c in rand_coeffs(rng, reps).items()}
+            before = {u: dict(t) for u, t in terms.items()}
+            for i in range(1, n):
+                seen |= {coxeter.coset_step(u, i, A)[0] for u in terms}
+                for rule, minus in ((hecke._H_S, {1: -1}),
+                                    (hecke._H_S_INV, {-1: -1})):
+                    want = _b_step(i, terms, A)
+                    for u, t in terms.items():
+                        _add_product(want, u, t, minus)
+                    got = _b_step(i, terms, A, rule)
+                    assert_clean_accumulator(got)
+                    assert got == want
+            assert terms == before
+    assert seen == {"U", "D", "S"}
+
+
+def test_h_s_and_b_s_act_on_every_spherical_kl_element_of_s4():
+    """`mult_by_gen` on the left acts on M: b_s on c_u against the
+    LaurentPoly reference `oracles.b_step`, and h_s as that minus v c_u,
+    for every A of S_4, every c_u and every letter: 225 cases."""
+    cases = fixed = 0
+    for A in all_subsets(4):
+        for u in min_coset_reps(A, 4):
+            c = spherical_kl_basis(u, A)
+            for i in (1, 2, 3):
+                want = SphericalElement(4, A, oracles.b_step(i, c.coeffs, A))
+                assert mult_by_gen(c, i, "left", "b") == want
+                assert act_by_gen(i, c) == want
+                assert mult_by_gen(c, i, "left", "h") == want + c.scale(-V)
+                cases += 1
+                fixed += any(coxeter.coset_step(z, i, A)[0] == "S"
+                             for z in c.coeffs)
+    assert cases == 225 and fixed > 50
 
 
 def test_bott_samelson_spherical_agrees_with_the_reference_fold():
