@@ -10,10 +10,11 @@ H is the spherical module of the empty parabolic subgroup, and one
 element body, `LinearCombination`, holds (n, A, coeffs) for both; every
 element of H shares one empty A.  `coxeter` owns the input checks: its
 key check, `coxeter.coset_key`, serves both constructors, `kl_basis`,
-`spherical.spherical_kl_basis` and `inverse_h` (on a cache miss), and
-`coxeter.check_generators` the letter of `mult_by_gen`; no step checks
-again.  The Bott-Samelson character is the subexpression fold
-`subexpr.sweep` at A = {}.
+`spherical.spherical_kl_basis` and `inverse_h` (on a cache miss, or for
+a key with an entry that is no int), and `coxeter.check_generators` a
+non-empty A, once per constructor call, and the letter of
+`mult_by_gen`; no step checks again.  The Bott-Samelson character is
+the subexpression fold `subexpr.sweep` at A = {}.
 
 Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
 (`spherical`) come from one cached recursion, `_kl`, keyed by (x, A):
@@ -110,8 +111,9 @@ class LinearCombination:
     Stored as {basis key: LaurentPoly} with no zero coefficients.  Two
     elements are equal, add or pair only in the same module: the same
     class, n and A (`_check`).  A subclass names the basis letter that
-    `__repr__` prints (`_basis`).  `_like` wraps a coefficient map that is
-    already clean as an element of the same module, without validation.
+    `__repr__` prints (`_basis`).  The constructor checks a non-empty A
+    once, and each key; `_like` wraps a coefficient map that is already
+    clean as an element of the same module, without validation.
     """
 
     __slots__ = ("n", "parabolic", "coeffs")
@@ -120,6 +122,9 @@ class LinearCombination:
                  coeffs: dict[Permutation, LaurentPoly] | None = None):
         self.n = n
         self.parabolic = frozenset(parabolic) or _NO_PARABOLIC
+        if self.parabolic:
+            coxeter.check_generators(sorted(self.parabolic), n,
+                                     "parabolic generator")
         self.coeffs = {}
         for x, c in (coeffs or {}).items():
             x = coxeter.coset_key(x, n, self.parabolic)
@@ -237,12 +242,15 @@ def inverse_h(x: Permutation) -> HeckeElement:
     """The algebra inverse of h_x, letter by letter on the left, one
     step of the h_s^-1 row of `_b_step` per letter on one map of term
     maps.  Raises ValueError for an x that is no permutation (checked on
-    a cache miss, as the cache holds only permutations) or once the cached
-    inverses would hold more than KL_BUDGET terms."""
+    a cache miss, as the cache holds only permutations, and for an x with
+    an entry that is no int, which may equal a cached key) or once the
+    cached inverses would hold more than KL_BUDGET terms."""
     x = tuple(x)
     coeffs = _inverse_cache.get(x)
-    if coeffs is None:
+    # a float or a bool entry equal to a cached key's would hit it
+    if coeffs is None or any(type(k) is not int for k in x):
         coxeter.coset_key(x, len(x), _NO_PARABOLIC)
+    if coeffs is None:
         terms = {coxeter.identity(len(x)): _UNIT}
         for i in coxeter.reduced_word(x):
             terms = _b_step(i, terms, _NO_PARABOLIC, _H_S_INV)

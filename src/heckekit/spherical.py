@@ -3,7 +3,8 @@ The spherical left module M attached to a parabolic subset A.
 
 M has standard basis {m_x} indexed by the minimal coset representatives
 W^A; a SphericalElement is `hecke`'s one element body.  `coxeter` owns
-the input checks: its keys, and A with them, pass `coxeter.coset_key`,
+the input checks: A passes `coxeter.check_generators` once per
+construction, with or without keys, its keys pass `coxeter.coset_key`,
 and the letters of `act_by_gen` and `bott_samelson_spherical` pass
 `coxeter.check_generators` at entry.  b_s acts by the three-case rule
 
@@ -22,10 +23,30 @@ H-stable image.)  c_x itself is computed in M, by `hecke`'s one
 Kazhdan-Lusztig recursion at A, and b_s acts through `hecke`'s step.
 
 The spherical pairing is (m, m') = (phi(m), phi(m')) / pi~(A), where
-pi~(A) = sum_{u in W_A} v^{2 len(u)}; the division is always exact and a
-failure raises InexactDivision.  W_A, the lengths that weigh phi and
-pi~(A) are built once per (A, n), in a table of the last 64 pairs
-(`_wa_table`).
+pi~(A) = sum_{u in W_A} v^{2 len(u)}.  It is computed from one
+embedding, with no division.  Let iota(m_x) = h_x (the same
+coefficients, read in H) and b = b_{w_A}, so that phi(m) = iota(m) b.
+Then
+
+    (m, m') = v^-len(w_A) (iota(m), phi(m')),
+
+from three facts about the form of H (`hecke.pairing`):
+
+- (h c, h') = (h, h' a(c)), since eps is a trace:
+  eps(a(c) a(h) h') = eps(a(h) h' a(c));
+- a(b) = b, since a is the bar involution after the linear map
+  h_x -> h_{x^-1}, and each fixes b;
+- b^2 = v^-len(w_A) pi~(A) b, since h_u b = v^-len(u) b for u in W_A,
+  so b^2 = sum_u v^{len(w_A) - 2 len(u)} b, and pi~(A) is palindromic of
+  degree 2 len(w_A).
+
+So (phi(m), phi(m')) = (iota(m), phi(m') a(b)) = (iota(m), iota(m') b^2)
+= v^-len(w_A) pi~(A) (iota(m), phi(m')), and the quotient is exact.
+`hecke.pairing`'s outer loop then runs over the support of m, not of
+phi(m).  The tests keep the quotient, with its exact division, as the
+reference (`tests/oracles.py`), and check the second and third facts.
+W_A, with the weights of phi as term maps, and len(w_A) are built once
+per (A, n), in a table of the last 64 pairs (`_wa_table`).
 
 `bott_samelson_spherical` folds a word through `hecke`'s b_s step on
 term maps and wraps LaurentPolys once, at the end; `act_by_gen` is
@@ -82,45 +103,33 @@ def bott_samelson_spherical(word: Sequence[int], n: int,
     return el._like(_polys(terms))
 
 
-# (A, n) -> ([(u, len(w_A) - len(u)) for u in W_A], pi~(A)) for the last
-# _WA_TABLES pairs (A, n) asked for.  Nothing writes an entry after it is
-# built.
-_wa_tables: dict[tuple[frozenset, int], tuple[list, LaurentPoly]] = {}
+# (A, n) -> ([(u, {len(w_A) - len(u): 1}) for u in W_A], len(w_A)) for the
+# last _WA_TABLES pairs (A, n) asked for.  Nothing writes an entry, nor
+# one of its term maps, after it is built.
+_wa_tables: dict[tuple[frozenset, int], tuple[list, int]] = {}
 _WA_TABLES = 64
 
 
-def _wa_table(parabolic: frozenset, n: int) -> tuple[list, LaurentPoly]:
-    """W_A with the exponents of the weights in `phi_embed`, and pi~(A),
-    built once per (A, n).  pi~(A) is a product of quantum factorials,
-    one per block of A."""
+def _wa_table(parabolic: frozenset, n: int) -> tuple[list, int]:
+    """W_A with the weights v^{len(w_A) - len(u)} of `phi_embed` as term
+    maps, and len(w_A), built once per (A, n)."""
     key = (parabolic, n)
     table = _wa_tables.get(key)
     if table is None:
-        pi = ONE
-        for first, last in coxeter.parabolic_blocks(parabolic, n):
-            for k in range(1, last - first + 3):
-                pi = pi * LaurentPoly({2 * j: 1 for j in range(k)})
         top = coxeter.length(coxeter.longest_element(parabolic, n))
-        exponents = [(u, top - coxeter.length(u))
-                     for u in coxeter.parabolic_elements(parabolic, n)]
+        weights = [(u, {top - coxeter.length(u): 1})
+                   for u in coxeter.parabolic_elements(parabolic, n)]
         if len(_wa_tables) >= _WA_TABLES:
             del _wa_tables[next(iter(_wa_tables))]
-        table = _wa_tables[key] = (exponents, pi)
+        table = _wa_tables[key] = (weights, top)
     return table
-
-
-def pi_tilde(parabolic, n: int) -> LaurentPoly:
-    """sum_{u in W_A} v^{2 len(u)}: the Poincare polynomial of W_A in v^2,
-    read from the W_A table of (A, n)."""
-    return _wa_table(frozenset(parabolic), n)[1]
 
 
 def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
     """The embedding phi: m_x -> h_x * b_{w_A}, extended linearly, over
     the W_A table of (A, n).  The products xu are distinct, so no term
     cancels."""
-    weights = [(u, v_power(k).terms)
-               for u, k in _wa_table(el.parabolic, el.n)[0]]
+    weights = _wa_table(el.parabolic, el.n)[0]
     out: dict[Permutation, dict] = {}
     for x, c in el.coeffs.items():
         for u, g in weights:
@@ -129,10 +138,13 @@ def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
-    """(a, b) = (phi(a), phi(b)) / pi~(A), exactly."""
+    """(a, b) = (phi(a), phi(b)) / pi~(A), computed as
+    v^-len(w_A) (iota(a), phi(b)) in H, iota(m_x) = h_x: one embedding
+    and no division (see the module docstring)."""
     a._check(b)
-    num = hecke.pairing(phi_embed(a), phi_embed(b))
-    return num.exact_divide(pi_tilde(a.parabolic, a.n))
+    iota_a = hecke.HeckeElement(a.n)._like(a.coeffs)
+    top = _wa_table(a.parabolic, a.n)[1]
+    return hecke.pairing(iota_a, phi_embed(b)) * v_power(-top)
 
 
 def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:

@@ -33,6 +33,12 @@ enumerating W_A and counting lengths anew on every call.  `multiply` and
 `a_antiautomorphism` are built on them, so the pairing reference shares
 no sum with `hecke`.
 
+The spherical form, against `spherical.spherical_pairing`: the
+definition (phi(a), phi(b)) / pi~(A), both arguments embedded by
+`phi_embed`, paired in H by `hecke.pairing` (itself checked against
+eps(a(a) b)) and divided by `pi_tilde` with `LaurentPoly.exact_divide`,
+which raises unless the division is exact.
+
 The certificate report, against `heckekit certify`: `certify_text` builds
 the whole payload from unpacked histograms and renders it with one
 json.dumps.
@@ -45,7 +51,7 @@ from typing import Iterator, Sequence
 from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
 from heckekit.demazure import MultiPoly
-from heckekit.hecke import HeckeElement, inverse_h
+from heckekit.hecke import HeckeElement, inverse_h, pairing
 from heckekit.laurent import LaurentPoly, _add_into, _poly
 
 Slots = Sequence[Sequence[int]]
@@ -292,6 +298,14 @@ def pi_tilde(parabolic, n: int) -> LaurentPoly:
     for u in coxeter.parabolic_elements(parabolic, n):
         out = out + LaurentPoly({2 * inversions(u): 1})
     return out
+
+
+def spherical_pairing(a, b) -> LaurentPoly:
+    """(phi(a), phi(b)) / pi~(A): both arguments embedded in H, and an
+    exact division, which raises InexactDivision otherwise."""
+    a._check(b)
+    num = pairing(phi_embed(a), phi_embed(b))
+    return num.exact_divide(pi_tilde(a.parabolic, a.n))
 
 
 def multipoly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -372,6 +373,20 @@ def test_inverse_h_checks_its_key_on_a_cache_miss_only(monkeypatch):
     x = (2, 3, 1)
     first = inverse_h(x)
     assert inverse_h(x) == first and checked == [x]
+
+
+def test_inverse_h_refuses_a_float_or_a_bool_key_that_hits_the_cache(
+        monkeypatch):
+    """A key with a float or a bool entry equals a cached permutation and
+    hits its entry, so it goes through `coxeter`'s key check on a hit
+    too, as a miss does."""
+    monkeypatch.setattr(hecke, "_inverse_cache", {})
+    inverse_h((2, 1, 3))
+    for key in ((2.0, 1, 3), (2, True, 3), (3.0, 1, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} is not a permutation of 1..3")):
+            inverse_h(key)
+    assert list(hecke._inverse_cache) == [(2, 1, 3)]
 
 
 def test_pairing_refuses_elements_of_a_spherical_module_at_a_nonempty_A():

@@ -18,7 +18,6 @@ from heckekit.spherical import (
     m,
     m_id,
     phi_embed,
-    pi_tilde,
     spherical_kl_basis,
     spherical_pairing,
 )
@@ -89,16 +88,22 @@ def test_phi_intertwines_exhaustive_s4():
 
 
 def test_pi_tilde():
+    """oracles.pi_tilde, summed term by term over W_A, is a product of
+    quantum factorials [k]_{v^2}, one per block of A, for every A of S_3
+    to S_5."""
+    pi_tilde = oracles.pi_tilde
     assert pi_tilde(set(), 3) == ONE
     assert pi_tilde({2}, 3) == LaurentPoly({0: 1, 2: 1})
     # S_3 block: (1)(1+v^2)(1+v^2+v^4)
     assert pi_tilde({1, 2}, 3) == \
         LaurentPoly({0: 1, 2: 1}) * LaurentPoly({0: 1, 2: 1, 4: 1})
-    got = pi_tilde({1, 2}, 3)
-    brute = LaurentPoly.zero()
-    for u in coxeter.parabolic_elements({1, 2}, 3):
-        brute = brute + v_power(2 * length(u))
-    assert got == brute
+    for n in (3, 4, 5):
+        for A in all_subsets(n):
+            want = ONE
+            for first, last in coxeter.parabolic_blocks(A, n):
+                for k in range(1, last - first + 3):
+                    want = want * LaurentPoly({2 * j: 1 for j in range(k)})
+            assert pi_tilde(A, n) == want, A
 
 
 def test_spherical_pairing_examples():
@@ -490,15 +495,15 @@ def test_perversity_expansion_sums_back_to_the_character_for_every_A():
 
 
 def _tables():
-    return {key: (list(exps), dict(pi.terms))
-            for key, (exps, pi) in spherical._wa_tables.items()}
+    return {key: ([(u, dict(g)) for u, g in weights], top)
+            for key, (weights, top) in spherical._wa_tables.items()}
 
 
 def test_w_a_tables_agree_with_the_references_and_stay_unchanged(
         monkeypatch):
-    """phi_embed, pi_tilde and spherical_pairing against references that
-    enumerate W_A anew, for every A of S_4 and S_5: the first call builds
-    the W_A table of (A, n) and the second reads it, unchanged."""
+    """phi_embed and spherical_pairing against references that enumerate
+    W_A anew, for every A of S_4 and S_5: the first call builds the W_A
+    table of (A, n) and the second reads it, unchanged."""
     monkeypatch.setattr(spherical, "_wa_tables", {})
     for n in (4, 5):
         for A in all_subsets(n):
@@ -506,16 +511,14 @@ def test_w_a_tables_agree_with_the_references_and_stay_unchanged(
             a = m_id(n, A) + m(reps[-1], A).scale(V)
             b = act_by_gen(1, m(reps[len(reps) // 2], A))
             want_phi = oracles.phi_embed(a)
-            want_pi = oracles.pi_tilde(A, n)
-            want_pair = hecke.pairing(
-                oracles.phi_embed(a), oracles.phi_embed(b)).exact_divide(
-                    want_pi)
+            want_pair = oracles.spherical_pairing(a, b)
+            top = oracles.inversions(coxeter.longest_element(A, n))
             for call in range(2):
                 assert ((A, n) in spherical._wa_tables) == (call == 1)
                 built = _tables()
                 assert phi_embed(a) == want_phi
-                assert pi_tilde(A, n) == want_pi
                 assert spherical_pairing(a, b) == want_pair
+                assert spherical._wa_tables[A, n][1] == top
                 if call:
                     assert _tables() == built
     assert len(spherical._wa_tables) == 8 + 16
@@ -526,19 +529,69 @@ def test_w_a_tables_are_bounded(monkeypatch):
     monkeypatch.setattr(spherical, "_WA_TABLES", 3)
     keys = [(frozenset(A), 4) for A in all_subsets(4)]
     for A, n in keys:
-        pi_tilde(A, n)
+        phi_embed(m_id(n, A))
         assert len(spherical._wa_tables) <= 3
     assert list(spherical._wa_tables) == keys[-3:]
 
 
+def test_b_w_a_is_fixed_by_a_and_squares_to_a_multiple_of_itself():
+    """The two facts on b = b_{w_A} that give spherical_pairing's one
+    embedding, for every A of S_3 to S_5, through the references:
+    a(b) = b and b^2 = v^-len(w_A) pi~(A) b.  b is phi(m_id), the sum
+    of v^{len(w_A) - len(u)} h_u over W_A."""
+    for n in (3, 4, 5):
+        for A in all_subsets(n):
+            b = oracles.phi_embed(m_id(n, A))
+            top = oracles.inversions(coxeter.longest_element(A, n))
+            assert oracles.a_antiautomorphism(b) == b, A
+            scalar = LaurentPoly({-top: 1}) * oracles.pi_tilde(A, n)
+            assert oracles.multiply(b, b) == hecke.HeckeElement(
+                n, oracles.add_scaled({}, b.coeffs, scalar)), A
+
+
+def test_spherical_pairing_equals_the_quotient_on_every_basis_pair():
+    """(m_x, m_y) against (phi(m_x), phi(m_y)) / pi~(A), the exact
+    division of the reference, for every A of S_3 and S_4."""
+    for n in (3, 4):
+        for A in all_subsets(n):
+            basis = [m(x, A) for x in min_coset_reps(A, n)]
+            for a, b in itertools.product(basis, repeat=2):
+                assert spherical_pairing(a, b) == \
+                    oracles.spherical_pairing(a, b), (A, a, b)
+
+
+def test_spherical_pairing_equals_the_quotient_on_a_seeded_s5_batch():
+    """The same on seeded S_5 elements for every A: sums of scaled m_x and
+    their images under act_by_gen."""
+    rng = random.Random(71)
+    for A in all_subsets(5):
+        reps = list(min_coset_reps(A, 5))
+
+        def element():
+            el = SphericalElement(5, A)
+            for _ in range(rng.randint(1, 3)):
+                el = el + m(rng.choice(reps), A).scale(LaurentPoly(
+                    {rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3))}))
+            for _ in range(rng.randint(0, 2)):
+                el = act_by_gen(rng.randrange(1, 5), el)
+            return el
+
+        for _ in range(12):
+            a, b = element(), element()
+            assert spherical_pairing(a, b) == \
+                oracles.spherical_pairing(a, b), (A, a, b)
+
+
 def test_every_entry_names_a_parabolic_generator_outside_the_generators():
-    """A = {0} and A = {n} are refused by the generator at every entry
-    that takes A, through the one check in `coxeter`; at A = {0} the
+    """A = {0}, A = {n} and A = {7} are refused by the generator at every
+    entry that takes A, through the one check in `coxeter`, a
+    SphericalElement built with no key among them; at A = {0} the
     longest element w0 would pass a descent test that reads p[-1]."""
     entries = {
         "m": lambda n, A, w0: m(w0, A),
         "SphericalElement": lambda n, A, w0: SphericalElement(n, A,
                                                               {w0: ONE}),
+        "SphericalElement, no key": lambda n, A, w0: SphericalElement(n, A),
         "spherical_kl_basis": lambda n, A, w0: spherical_kl_basis(w0, A),
         "bott_samelson_spherical":
             lambda n, A, w0: bott_samelson_spherical((1,), n, A),
@@ -548,7 +601,7 @@ def test_every_entry_names_a_parabolic_generator_outside_the_generators():
     }
     for n in (3, 4):
         w0 = tuple(range(n, 0, -1))
-        for bad in (0, n):
+        for bad in (0, n, 7):
             for entry in entries.values():
                 with pytest.raises(ValueError,
                                    match=f"parabolic generator {bad} out of "
@@ -560,9 +613,9 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
     """A float or a bool equal to an int in range is no key entry, no
     letter and no generator of A: `coxeter`'s one key check and one
     range check refuse it with their own messages, at every entry that
-    takes one, the six that take A among them.  (`inverse_h` checks its
-    key on a cache miss only, and (2, True, 3) hits the entry of the
-    equal key (2, 1, 3).)"""
+    takes one, the seven that take A among them, a SphericalElement with
+    no key too.  (`inverse_h`, whose cache a float or a bool key can hit,
+    has a test of its own.)"""
     w0 = (3, 2, 1)
     key = "is not a permutation of 1..3"
     calls = [
@@ -586,6 +639,7 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
     a_entries = [
         lambda A: m(w0, A),
         lambda A: SphericalElement(3, A, {w0: ONE}),
+        lambda A: SphericalElement(3, A),
         lambda A: spherical_kl_basis(w0, A),
         lambda A: bott_samelson_spherical((1,), 3, A),
         lambda A: interval_endpoints([w0], 3, A, identity(3)),
