@@ -11,7 +11,7 @@ input or a small command loads little beyond argparse.  Exit codes:
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
     2  malformed input or bad arguments (a ValueError or OSError)
-    3  internal consistency violation (inexact division, degree audit)
+    3  internal consistency violation (the degree audit failed)
 """
 from __future__ import annotations
 

@@ -15,7 +15,8 @@ This module owns the package's input checks, one each: a letter, and a
 generator of A, is an int in 1..n-1 (`check_generators`, which
 `is_min_coset_rep` and `parabolic_blocks` apply to A), and a basis key
 is a permutation of the ints 1..n that is a minimal coset representative
-for A (`coset_key`); a float or a bool is never an entry.  The other
+for A (`coset_keys`, which checks A once for any number of keys, and
+`coset_key` for one); a float or a bool is never an entry.  The other
 modules call them at their entries and never inside a step.
 
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
@@ -73,23 +74,36 @@ def check_generators(gens: Iterable[int], n: int,
 def coset_key(x: Iterable[int], n: int, parabolic: Collection[int],
               name: str | None = None) -> Permutation:
     """x as a tuple, if it is a permutation of 1..n that is a minimal coset
-    representative for A = parabolic (every permutation is, at A = {});
-    else ValueError names `name`, by default x itself.
+    representative for A = parabolic (every permutation is, at A = {}):
+    `coset_keys` on the one key x.
 
     >>> coset_key([2, 1, 3], 3, {2})
     (2, 1, 3)
     """
-    x = tuple(x)
-    if len(x) != n:
-        why = f"has {len(x)} entries, not n = {n}"
-    elif not is_permutation(x):
-        why = f"is not a permutation of 1..{n}"
-    elif not is_min_coset_rep(x, parabolic):
-        why = (f"is not a minimal coset representative "
-               f"for A = {sorted(parabolic)}")
-    else:
-        return x
-    raise ValueError(f"{x if name is None else name} {why}")
+    return next(coset_keys((x,), n, parabolic, name))
+
+
+def coset_keys(xs: Iterable[Iterable[int]], n: int,
+               parabolic: Collection[int],
+               name: str | None = None) -> Iterator[Permutation]:
+    """The keys `xs` as tuples, checked as they are read.  A = parabolic
+    passes `check_generators` once, at the first read, whatever the
+    number of keys (none too), and then each key must be a permutation
+    of 1..n with no right descent in A, a minimal coset representative;
+    else ValueError names `name`, by default the key."""
+    check_generators(sorted(parabolic), n, "parabolic generator")
+    for x in map(tuple, xs):
+        if len(x) != n:
+            why = f"has {len(x)} entries, not n = {n}"
+        elif not is_permutation(x):
+            why = f"is not a permutation of 1..{n}"
+        elif any(x[i - 1] > x[i] for i in parabolic):
+            why = (f"is not a minimal coset representative "
+                   f"for A = {sorted(parabolic)}")
+        else:
+            yield x
+            continue
+        raise ValueError(f"{x if name is None else name} {why}")
 
 
 def inverse(p: Permutation) -> Permutation:

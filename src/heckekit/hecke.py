@@ -1,20 +1,24 @@
 """
 The Hecke algebra of S_n over Z[v, v^-1].
 
-Elements are finite linear combinations of the standard basis {h_x},
-stored as {permutation: LaurentPoly} with no zero coefficients.  The
+Elements are finite linear combinations of the standard basis {h_x}.
+Each coefficient is stored as a term map {exponent: int}, keyed by
+permutation, with no zero int and no empty map; this module alone wraps
+one as a LaurentPoly, where a value leaves the library (`coeffs`,
+`coefficient`, `pairing` and a `PerversityReport`'s expansion).  The
 normalization is fixed by b_s = h_s + v*h_id together with the quadratic
 relation h_s^2 = h_id + (v^-1 - v) h_s, which makes b_s^2 = (v + v^-1) b_s.
 
 H is the spherical module of the empty parabolic subgroup, and one
-element body, `LinearCombination`, holds (n, A, coeffs) for both; every
+element body, `LinearCombination`, holds (n, A, terms) for both; every
 element of H shares one empty A.  `coxeter` owns the input checks: its
-key check, `coxeter.coset_key`, serves both constructors, `kl_basis`,
-`spherical.spherical_kl_basis` and `inverse_h` (on a cache miss, or for
-a key with an entry that is no int), and `coxeter.check_generators` a
-non-empty A, once per constructor call, and the letter of
-`mult_by_gen`; no step checks again.  The Bott-Samelson character is
-the subexpression fold `subexpr.sweep` at A = {}.
+key check `coxeter.coset_keys` checks A once per construction, then
+every key, in both constructors and `spherical.spherical_kl_basis`; its
+one-key form `coxeter.coset_key` serves `kl_basis` and `inverse_h` (on
+a cache miss, or for a key with an entry that is no int), and
+`coxeter.check_generators` the letter of `mult_by_gen`; no step checks
+again.  The Bott-Samelson character is the subexpression fold
+`subexpr.sweep` at A = {}.
 
 Kazhdan-Lusztig elements of H and of every spherical module of W/W_A
 (`spherical`) come from one cached recursion, `_kl`, keyed by (x, A):
@@ -63,15 +67,15 @@ in H only, the left step conjugated by h_x -> h_{x^-1}) and `inverse_h`
 letter.
 
 Every sum of elements (the b_s step, `_add_scaled`, the KL recursion,
-the perversity back-substitution and `pairing`) accumulates plain
-{exponent: int} term maps, keyed by permutation, in one map that the
+the perversity back-substitution and `pairing`) reads the stored term
+maps and accumulates them, keyed by permutation, in one map that the
 summing function created, through `laurent._add_product`: each term is
 added as a coefficient times a fixed factor (1, an entry of a row of the
 step rule, or a scalar), in place, and a key whose map cancels to zero
-is dropped.  Each coefficient becomes a LaurentPoly once, at the end
-(`laurent._polys`).
-No argument's and no cached element's coefficients are ever written:
-a new key gets a map of its own, never the one it was read from.
+is dropped.  The accumulator is stored as it is, as the new element or
+cache entry.  No argument's and no cached element's term maps are ever
+written: a new key gets a map of its own, never the one it was read
+from.
 """
 from __future__ import annotations
 
@@ -80,7 +84,7 @@ from typing import Iterable
 
 from . import coxeter
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys
+from .laurent import ONE, LaurentPoly, _add_product, _poly
 
 _UNIT = {0: 1}
 # the rows of the step rule: the term map that b_s, h_s and h_s^-1 leave
@@ -90,13 +94,11 @@ _H_S = {"U": None, "D": {-1: 1, 1: -1}, "S": {-1: 1}}
 _H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}
 
 
-def _add_scaled(out: dict, coeffs: dict, c: LaurentPoly | int) -> dict:
-    """Add c times each coefficient of `coeffs` (LaurentPolys) into `out`,
-    an accumulator of term maps (`laurent._add_product`); return `out`."""
-    g = c.terms if isinstance(c, LaurentPoly) else {0: c} if c else {}
-    if g:
-        for x, p in coeffs.items():
-            _add_product(out, x, p.terms, g)
+def _add_scaled(out: dict, terms: dict, g: dict) -> dict:
+    """Add g times each term map of `terms` into `out`, an accumulator of
+    term maps (`laurent._add_product`); return `out`."""
+    for x, t in terms.items():
+        _add_product(out, x, t, g)
     return out
 
 
@@ -108,65 +110,68 @@ class LinearCombination:
     """A finite sum sum_x c_x e_x over Z[v, v^-1] in the standard basis of
     the spherical module of A = parabolic in rank n (H at A = {}).
 
-    Stored as {basis key: LaurentPoly} with no zero coefficients.  Two
-    elements are equal, add or pair only in the same module: the same
-    class, n and A (`_check`).  A subclass names the basis letter that
-    `__repr__` prints (`_basis`).  The constructor checks a non-empty A
-    once, and each key; `_like` wraps a coefficient map that is already
-    clean as an element of the same module, without validation.
+    Stored in `terms` as {basis key: {exponent: int}} with no zero
+    coefficient; `coeffs` hands them out as LaurentPolys.  Two elements
+    are equal, add or pair only in the same module: the same class, n
+    and A (`_check`).  A subclass names the basis letter that `__repr__`
+    prints (`_basis`).  The constructor takes LaurentPoly coefficients,
+    checks A once and each key, and stores their term maps; `_like`
+    takes a map of term maps that is already clean as an element of the
+    same module, without validation.
     """
 
-    __slots__ = ("n", "parabolic", "coeffs")
+    __slots__ = ("n", "parabolic", "terms")
 
     def __init__(self, n: int, parabolic,
                  coeffs: dict[Permutation, LaurentPoly] | None = None):
         self.n = n
         self.parabolic = frozenset(parabolic) or _NO_PARABOLIC
-        if self.parabolic:
-            coxeter.check_generators(sorted(self.parabolic), n,
-                                     "parabolic generator")
-        self.coeffs = {}
-        for x, c in (coeffs or {}).items():
-            x = coxeter.coset_key(x, n, self.parabolic)
-            if c:
-                self.coeffs[x] = c
+        coeffs = coeffs or {}
+        keys = coxeter.coset_keys(coeffs, n, self.parabolic)
+        self.terms = {x: c.terms for x, c in zip(keys, coeffs.values()) if c}
 
-    def _like(self, coeffs: dict):
+    def _like(self, terms: dict):
         out = object.__new__(type(self))
-        out.n, out.parabolic, out.coeffs = self.n, self.parabolic, coeffs
+        out.n, out.parabolic, out.terms = self.n, self.parabolic, terms
         return out
+
+    @property
+    def coeffs(self) -> dict[Permutation, LaurentPoly]:
+        """{basis key: LaurentPoly}, each wrapping its stored term map."""
+        return {x: _poly(t) for x, t in self.terms.items()}
 
     def _same_module(self, other) -> bool:
         return (type(other) is type(self) and self.n == other.n
                 and self.parabolic == other.parabolic)
 
     def __eq__(self, other) -> bool:
-        return self._same_module(other) and self.coeffs == other.coeffs
+        return self._same_module(other) and self.terms == other.terms
 
     def _check(self, other) -> None:
         if not self._same_module(other):
             raise ValueError("elements of different modules")
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __add__(self, other):
         self._check(other)
-        out = _add_scaled({}, self.coeffs, 1)
-        return self._like(_polys(_add_scaled(out, other.coeffs, 1)))
+        out = _add_scaled({}, self.terms, _UNIT)
+        return self._like(_add_scaled(out, other.terms, _UNIT))
 
-    def scale(self, c):
-        return self._like(_polys(_add_scaled({}, self.coeffs, c)))
+    def scale(self, c: LaurentPoly | int):
+        g = c.terms if isinstance(c, LaurentPoly) else {0: c} if c else {}
+        return self._like(_add_scaled({}, self.terms, g))
 
     def coefficient(self, x: Permutation) -> LaurentPoly:
-        return self.coeffs.get(tuple(x), LaurentPoly.zero())
+        return _poly(self.terms.get(tuple(x), {}))
 
     def __repr__(self) -> str:
         name = type(self).__name__
-        if not self.coeffs:
+        if not self.terms:
             return f"{name}(0)"
-        parts = [f"({c})*{self._basis}{list(x)}"
-                 for x, c in sorted(self.coeffs.items())]
+        parts = [f"({_poly(t)})*{self._basis}{list(x)}"
+                 for x, t in sorted(self.terms.items())]
         return f"{name}(" + " + ".join(parts) + ")"
 
 
@@ -218,11 +223,12 @@ def mult_by_gen(el: LinearCombination, i: int, side: str = "left",
     if side == "right" and el.parabolic:
         raise ValueError("a spherical module at A != {} is a left module; "
                          "mult_by_gen acts on the right in H only")
+    if side == "left":
+        return el._like(_b_step(i, el.terms, el.parabolic, rule))
     # on the right, conjugate the left step by iota: h_x -> h_{x^-1}
-    key = coxeter.inverse if side == "right" else tuple
-    terms = {key(x): c.terms for x, c in el.coeffs.items()}
-    out = _b_step(i, terms, el.parabolic, rule)
-    return el._like({key(x): _poly(t) for x, t in out.items()})
+    inv = coxeter.inverse
+    out = _b_step(i, {inv(x): t for x, t in el.terms.items()}, (), rule)
+    return el._like({inv(x): t for x, t in out.items()})
 
 
 def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
@@ -235,7 +241,7 @@ def bott_samelson_char(word: Iterable[int], n: int) -> HeckeElement:
     from . import subexpr
 
     data = subexpr.sweep(tuple(word), n, ())
-    return HeckeElement(n)._like({x: _poly(c) for x, c in data.items()})
+    return HeckeElement(n)._like(dict(data.items()))
 
 
 def inverse_h(x: Permutation) -> HeckeElement:
@@ -246,18 +252,17 @@ def inverse_h(x: Permutation) -> HeckeElement:
     an entry that is no int, which may equal a cached key) or once the
     cached inverses would hold more than KL_BUDGET terms."""
     x = tuple(x)
-    coeffs = _inverse_cache.get(x)
+    terms = _inverse_cache.get(x)
     # a float or a bool entry equal to a cached key's would hit it
-    if coeffs is None or any(type(k) is not int for k in x):
+    if terms is None or any(type(k) is not int for k in x):
         coxeter.coset_key(x, len(x), _NO_PARABOLIC)
-    if coeffs is None:
-        terms = {coxeter.identity(len(x)): _UNIT}
+    if terms is None:
+        terms = {coxeter.identity(len(x)): {0: 1}}
         for i in coxeter.reduced_word(x):
             terms = _b_step(i, terms, _NO_PARABOLIC, _H_S_INV)
-        coeffs = _polys(terms)
-        _cache_put(_inverse_cache, _inverse_count, x, coeffs,
+        _cache_put(_inverse_cache, _inverse_count, x, terms,
                    "the inverses of standard basis elements")
-    return HeckeElement(len(x))._like(coeffs)
+    return HeckeElement(len(x))._like(terms)
 
 
 def bar_involution(el: HeckeElement) -> HeckeElement:
@@ -267,9 +272,10 @@ def bar_involution(el: HeckeElement) -> HeckeElement:
         raise ValueError("hecke.bar_involution is the bar involution of H, "
                          "not of a spherical module at A != {}")
     out: dict[Permutation, dict] = {}
-    for x, c in el.coeffs.items():
-        _add_scaled(out, inverse_h(coxeter.inverse(x)).coeffs, c.bar())
-    return el._like(_polys(out))
+    for x, t in el.terms.items():
+        _add_scaled(out, inverse_h(coxeter.inverse(x)).terms,
+                    {-e: k for e, k in t.items()})
+    return el._like(out)
 
 
 def _b_step(i: int, terms: dict, parabolic, rule: dict = _B_S) -> dict:
@@ -280,8 +286,7 @@ def _b_step(i: int, terms: dict, parabolic, rule: dict = _B_S) -> dict:
     (`coxeter.coset_step`), and with no m_{su} in the S case.  At A = {}
     no coset is fixed, and this is the product with h_u in H.  Returns a
     new accumulator of term maps (`laurent._add_product`), so a fold
-    applies it letter after letter and wraps LaurentPolys once, at the
-    end; no map of `terms` is written."""
+    applies it letter after letter; no map of `terms` is written."""
     out: dict[Permutation, dict] = {}
     for u, t in terms.items():
         kind, su = coxeter.coset_step(u, i, parabolic)
@@ -296,7 +301,7 @@ def _b_step(i: int, terms: dict, parabolic, rule: dict = _B_S) -> dict:
 #: the most terms that the cached Kazhdan-Lusztig elements may hold
 KL_BUDGET = 2_000_000
 
-# the coefficients of c_x at (x, A), for every element asked for and every
+# the term maps of c_x at (x, A), for every element asked for and every
 # element its recursion reaches, and those of h_x^-1 for every x that
 # `pairing` and `bar_involution` ask for (no CLI command calls either),
 # each cache within KL_BUDGET terms
@@ -324,9 +329,9 @@ def _cache_put(cache: dict, count: list, key, coeffs: dict,
 
 
 def _kl(x: Permutation, parabolic: frozenset) -> dict:
-    """The coefficients of the Kazhdan-Lusztig element c_x of the
-    spherical module of A = parabolic, x a minimal coset representative;
-    at A = {} this is b_x in H.
+    """The term maps of the Kazhdan-Lusztig element c_x of the spherical
+    module of A = parabolic, x a minimal coset representative; at A = {}
+    this is b_x in H.
 
     Deodhar's parabolic recursion: c_x = b_s c_{sx} - sum mu(z, sx) c_z
     for s the first left descent of x, over the z != sx in the support of
@@ -362,20 +367,18 @@ def _kl(x: Permutation, parabolic: frozenset) -> dict:
         kind, y = coxeter.coset_step(x, s, parabolic)
         if kind == "D":
             cy = _kl(y, parabolic)
-            coeffs = _b_step(s, {z: c.terms for z, c in cy.items()},
-                             parabolic)
+            terms = _b_step(s, cy, parabolic)
             for z, gamma in cy.items():
-                mu = gamma.coefficient(1)
+                mu = gamma.get(1)
                 if (mu and z != y
                         and coxeter.coset_step(z, s, parabolic)[0] != "U"):
-                    _add_scaled(coeffs, _kl(z, parabolic), -mu)
-            coeffs = _polys(coeffs)
+                    _add_scaled(terms, _kl(z, parabolic), {0: -mu})
             break
     else:
-        coeffs = {x: ONE}
-    _cache_put(_kl_cache, _kl_count, key, coeffs,
+        terms = {x: {0: 1}}
+    _cache_put(_kl_cache, _kl_count, key, terms,
                "Kazhdan-Lusztig elements")
-    return coeffs
+    return terms
 
 
 def kl_basis(x: Permutation) -> HeckeElement:
@@ -406,17 +409,17 @@ def pairing(a: HeckeElement, b: HeckeElement) -> LaurentPoly:
     if a.parabolic:
         raise ValueError("hecke.pairing is the form of H; pair elements of "
                          "a spherical module with spherical_pairing")
-    b_terms = [(coxeter.inverse(y), c.terms) for y, c in b.coeffs.items()]
+    b_terms = [(coxeter.inverse(y), t) for y, t in b.terms.items()]
     total: dict[int, dict[int, int]] = {}   # one term map, under key 0
-    for x, ax in a.coeffs.items():
-        inv = inverse_h(x).coeffs
+    for x, ax in a.terms.items():
+        inv = inverse_h(x).terms
         inner: dict[int, dict[int, int]] = {}
         for y_inv, by in b_terms:
             c = inv.get(y_inv)
             if c is not None:
-                _add_product(inner, 0, by, c.terms)
+                _add_product(inner, 0, by, c)
         if inner:
-            bar_ax = {-e: k for e, k in ax.terms.items()}
+            bar_ax = {-e: k for e, k in ax.items()}
             _add_product(total, 0, bar_ax, inner[0])
     return _poly(total.get(0, {}))
 
@@ -436,11 +439,11 @@ def _perversity(el: LinearCombination) -> PerversityReport:
     constants.
 
     c_x, read from `_kl` (el's keys are minimal coset representatives),
-    is m_x plus lower terms.  The coefficients that no c_x has touched
-    yet stay el's own objects (`pending`), so the expansion shares them
-    with el; a touched one moves into the running sum (`rest`).
+    is m_x plus lower terms.  The term maps that no c_x has touched yet
+    stay el's own (`pending`), so the expansion's LaurentPolys wrap them;
+    a touched one moves into the running sum (`rest`).
     """
-    pending = dict(el.coeffs)
+    pending = dict(el.terms)
     rest: dict[Permutation, dict] = {}
     lengths: dict[Permutation, int] = {}
 
@@ -450,19 +453,19 @@ def _perversity(el: LinearCombination) -> PerversityReport:
             n = lengths[p] = coxeter.length(p)
         return n, p
 
-    expansion: dict[Permutation, LaurentPoly] = {}
+    expansion: dict[Permutation, dict] = {}
     while pending or rest:
         x = max(chain(pending, rest), key=rank)
-        c = expansion[x] = pending.pop(x, None) or _poly(rest.pop(x))
+        t = expansion[x] = pending.pop(x, None) or rest.pop(x)
         cx = _kl(x, el.parabolic)
         for y in cx:
             p = pending.pop(y, None)
             if p is not None:
-                _add_product(rest, y, p.terms, _UNIT)
-        _add_scaled(rest, cx, -c)
-        del rest[x]     # -c, since c_x is m_x plus lower terms
-    ok = all(set(c.terms) <= {0} for c in expansion.values())
-    return PerversityReport(ok, expansion)
+                _add_product(rest, y, p, _UNIT)
+        _add_scaled(rest, cx, {e: -k for e, k in t.items()})
+        del rest[x]     # -t, since c_x is m_x plus lower terms
+    ok = all(set(t) <= {0} for t in expansion.values())
+    return PerversityReport(ok, {x: _poly(t) for x, t in expansion.items()})
 
 
 def is_perverse_character(el: HeckeElement) -> PerversityReport:

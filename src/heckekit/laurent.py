@@ -13,12 +13,14 @@ one kernel, `_add_product`, which works on plain {exponent: int} maps: it
 adds f * g into the map under one key of an accumulator, in place, and
 drops the key when its map cancels to zero.  Most factors g have one
 term (1, v, v^-1, a scalar), and those re-key f in one pass.  The Hecke
-and spherical sums (`hecke`'s one generator step `_b_step`, whose three
-rows are the b_s, h_s and h_s^-1 products, one pass each, and through
-which the module action and the Bott-Samelson folds of `inverse_h` and
-`spherical` go, `_add_scaled`, `pairing`, `spherical.phi_embed`) keep
-one such accumulator of term maps per call, or per fold, and wrap each
-coefficient as a LaurentPoly once, at the end (`_polys`);
+and spherical elements and the caches of `hecke` store such term maps,
+not LaurentPolys, so their sums (`hecke`'s one generator step `_b_step`,
+whose three rows are the b_s, h_s and h_s^-1 products, one pass each,
+and through which the module action and the Bott-Samelson folds of
+`inverse_h` and `spherical` go, `_add_scaled`, `pairing`,
+`spherical.phi_embed`) read them as they are and store one accumulator
+per call, or per fold, as the result.  `hecke` alone wraps a stored map
+as a LaurentPoly (`_poly`), where a value leaves the library;
 `LaurentPoly.__mul__` is the same kernel on a one-key accumulator.
 Single terms are added with `_add_into`, which keeps the no-zero-entries
 invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
@@ -101,11 +103,6 @@ def _poly(terms: dict[int, int]) -> "LaurentPoly":
     out = object.__new__(LaurentPoly)
     out.terms = terms
     return out
-
-
-def _polys(maps: dict) -> dict:
-    """Wrap every term map of an `_add_product` accumulator, unchecked."""
-    return {key: _poly(t) for key, t in maps.items()}
 
 
 class LaurentPoly:

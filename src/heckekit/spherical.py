@@ -2,10 +2,12 @@
 The spherical left module M attached to a parabolic subset A.
 
 M has standard basis {m_x} indexed by the minimal coset representatives
-W^A; a SphericalElement is `hecke`'s one element body.  `coxeter` owns
-the input checks: A passes `coxeter.check_generators` once per
-construction, with or without keys, its keys pass `coxeter.coset_key`,
-and the letters of `act_by_gen` and `bott_samelson_spherical` pass
+W^A; a SphericalElement is `hecke`'s one element body, which stores a
+term map {exponent: int} per coset representative and hands out
+LaurentPolys only through `coeffs` and `coefficient`.  `coxeter` owns
+the input checks: A and the keys pass `coxeter.coset_keys`, which
+checks A once per construction, with or without keys, and the letters
+of `act_by_gen` and `bott_samelson_spherical` pass
 `coxeter.check_generators` at entry.  b_s acts by the three-case rule
 
     b_s m_u = m_{su} + v m_u      if the coset goes up,
@@ -49,8 +51,11 @@ W_A, with the weights of phi as term maps, and len(w_A) are built once
 per (A, n), in a table of the last 64 pairs (`_wa_table`).
 
 `bott_samelson_spherical` folds a word through `hecke`'s b_s step on
-term maps and wraps LaurentPolys once, at the end; `act_by_gen` is
-`hecke.mult_by_gen` on the left, one such step.
+the stored term maps, and stores each step's map as it is; `act_by_gen`
+is `hecke.mult_by_gen` on the left, one such step.  Every function here
+reads and stores the elements' term maps (`LinearCombination.terms`);
+LaurentPolys leave only as the value of `spherical_pairing` and the
+expansion of `is_perverse_spherical`, both built in `hecke`.
 """
 from __future__ import annotations
 
@@ -58,7 +63,7 @@ from typing import Sequence
 
 from . import coxeter, hecke, subexpr
 from .coxeter import Permutation
-from .laurent import ONE, LaurentPoly, _add_product, _poly, _polys, v_power
+from .laurent import ONE, LaurentPoly, _add_product, v_power
 
 
 class SphericalElement(hecke.LinearCombination):
@@ -92,15 +97,13 @@ def act_by_gen(i: int, el: SphericalElement) -> SphericalElement:
 def bott_samelson_spherical(word: Sequence[int], n: int,
                             parabolic) -> SphericalElement:
     """b_{s_1} b_{s_2} ... b_{s_m} m_id, folded right to left by `hecke`'s
-    b_s step on term maps; the coefficients become LaurentPolys once, at
-    the end."""
+    b_s step on the stored term maps, one step per letter."""
     word = tuple(word)
     coxeter.check_generators(word, n)
     el = m_id(n, parabolic)
-    terms = {u: c.terms for u, c in el.coeffs.items()}
     for i in reversed(word):
-        terms = hecke._b_step(i, terms, el.parabolic)
-    return el._like(_polys(terms))
+        el = el._like(hecke._b_step(i, el.terms, el.parabolic))
+    return el
 
 
 # (A, n) -> ([(u, {len(w_A) - len(u): 1}) for u in W_A], len(w_A)) for the
@@ -131,10 +134,10 @@ def phi_embed(el: SphericalElement) -> hecke.HeckeElement:
     cancels."""
     weights = _wa_table(el.parabolic, el.n)[0]
     out: dict[Permutation, dict] = {}
-    for x, c in el.coeffs.items():
+    for x, t in el.terms.items():
         for u, g in weights:
-            _add_product(out, coxeter.multiply(x, u), c.terms, g)
-    return hecke.HeckeElement(el.n)._like(_polys(out))
+            _add_product(out, coxeter.multiply(x, u), t, g)
+    return hecke.HeckeElement(el.n)._like(out)
 
 
 def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
@@ -142,7 +145,7 @@ def spherical_pairing(a: SphericalElement, b: SphericalElement) -> LaurentPoly:
     v^-len(w_A) (iota(a), phi(b)) in H, iota(m_x) = h_x: one embedding
     and no division (see the module docstring)."""
     a._check(b)
-    iota_a = hecke.HeckeElement(a.n)._like(a.coeffs)
+    iota_a = hecke.HeckeElement(a.n)._like(a.terms)
     top = _wa_table(a.parabolic, a.n)[1]
     return hecke.pairing(iota_a, phi_embed(b)) * v_power(-top)
 
@@ -151,10 +154,9 @@ def spherical_kl_basis(x: Permutation, parabolic) -> SphericalElement:
     """The spherical KL element c_x, by `hecke`'s Kazhdan-Lusztig recursion
     at A = parabolic.  Raises ValueError for an x that is no minimal coset
     representative for A, or past hecke.KL_BUDGET terms."""
-    x = tuple(x)
-    el = SphericalElement(len(x), parabolic)
-    return el._like(hecke._kl(coxeter.coset_key(x, el.n, el.parabolic),
-                              el.parabolic))
+    el = m(x, parabolic)    # A and x pass `coxeter.coset_keys`, A once
+    [x] = el.terms
+    return el._like(hecke._kl(x, el.parabolic))
 
 
 def is_perverse_spherical(el: SphericalElement) -> hecke.PerversityReport:
@@ -173,9 +175,8 @@ def deodhar_expand(word: Sequence[int], n: int, parabolic,
     The fold's endpoints are minimal coset representatives by
     construction (it applies s_i only in the U and D cases of
     `coxeter.coset_step`) and its counts are positive ints, so each
-    histogram becomes its coefficient as it is, unchecked and uncopied.
+    histogram is stored as its term map as it is, unchecked and uncopied.
     """
     data = subexpr.sweep(word, n, parabolic, constraint)
-    return SphericalElement(n, parabolic)._like(
-        {z: _poly(hist) for z, hist in data.items()})
+    return SphericalElement(n, parabolic)._like(dict(data.items()))
 

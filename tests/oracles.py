@@ -22,14 +22,17 @@ The Hecke algebra, against `hecke.pairing`: `multiply` forms a full
 product generator by generator, and `eps` and `a_antiautomorphism` give
 the pairing by its definition eps(a(a) b).
 
-The term-map sums, against `laurent._add_product` and its callers:
-`b_step`, `mult_by_gen` and `add_scaled` form every term as a LaurentPoly
-product (`c * v`, `c * (v + v^-1)`, ...) and add it in with
-LaurentPoly `+`, and `multipoly_mul` multiplies two `MultiPoly`s through
-`zip` and the validating constructor; `bott_samelson_spherical` folds
-a word through `b_step`; `phi_embed` forms each term of the embedding
-M -> H as a product, and `pi_tilde` sums v^{2 len(u)} over W_A, both
-enumerating W_A and counting lengths anew on every call.  `multiply` and
+The term-map sums, against `laurent._add_product` and its callers, which
+read and store the elements' term maps: `b_step`, `mult_by_gen` and
+`add_scaled` read an element's coefficients as LaurentPolys, through
+`coeffs`, form every term as a LaurentPoly product (`c * v`,
+`c * (v + v^-1)`, ...), add it in with LaurentPoly `+` and build the
+result through the public constructor, and `multipoly_mul` multiplies
+two `MultiPoly`s through `zip` and the validating constructor;
+`bott_samelson_spherical` folds a word through `b_step`; `phi_embed`
+forms each term of the embedding M -> H as a product, and `pi_tilde`
+sums v^{2 len(u)} over W_A, both enumerating W_A and counting lengths
+anew on every call.  `multiply` and
 `a_antiautomorphism` are built on them, so the pairing reference shares
 no sum with `hecke`.
 
@@ -52,7 +55,7 @@ from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
 from heckekit.demazure import MultiPoly
 from heckekit.hecke import HeckeElement, inverse_h, pairing
-from heckekit.laurent import LaurentPoly, _add_into, _poly
+from heckekit.laurent import LaurentPoly, _add_into
 
 Slots = Sequence[Sequence[int]]
 
@@ -276,7 +279,7 @@ def mult_by_gen(el: HeckeElement, i: int, side: str = "left",
             _add_into(out, x, c * _VINV_MINUS_V)
         if kind == "b":
             _add_into(out, x, c * _V)
-    return el._like(out)
+    return HeckeElement(el.n, out)
 
 
 def phi_embed(el) -> HeckeElement:
@@ -332,7 +335,7 @@ def multiply(a: HeckeElement, b: HeckeElement) -> HeckeElement:
         for i in coxeter.reduced_word(x):
             term = mult_by_gen(term, i, side="right")
         add_scaled(out, term.coeffs, c)
-    return a._like(out)
+    return HeckeElement(a.n, out)
 
 
 def eps(el: HeckeElement) -> LaurentPoly:
@@ -348,7 +351,7 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
     out: dict[Permutation, LaurentPoly] = {}
     for x, c in el.coeffs.items():
         add_scaled(out, inverse_h(x).coeffs, c.bar())
-    return el._like(out)
+    return HeckeElement(el.n, out)
 
 
 # -- the certificate report ----------------------------------------------
@@ -411,7 +414,7 @@ def certify_text(word: str | None, expr: str = "paper-GL15", p: int = 2,
             for z in sorted(data):
                 if z == x or not coxeter.bruhat_leq(x, z):
                     continue
-                c = _poly(dict(data[z]))
+                c = LaurentPoly(data[z])
                 ok = c.is_nonnegative_powers()
                 entries.append({"coset": list(z),
                                 "coefficient": c.to_json_dict(), "ok": ok})

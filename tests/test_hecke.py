@@ -314,8 +314,8 @@ def test_is_perverse_examples():
 
 
 def _terms(el):
-    """The terms of an element, or of a cached coefficient map."""
-    return {x: dict(c.terms) for x, c in getattr(el, "coeffs", el).items()}
+    """A copy of the stored term maps of an element, or of a cache entry."""
+    return {x: dict(t) for x, t in getattr(el, "terms", el).items()}
 
 
 def test_sums_write_into_no_argument_and_no_cached_element(monkeypatch):

@@ -655,6 +655,40 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
             call()
 
 
+def test_a_construction_checks_A_once_whatever_its_number_of_keys(
+        monkeypatch):
+    """Both constructors, m and spherical_kl_basis pass A through
+    `coxeter.check_generators` once per element, for 0, 1 and 5 keys,
+    and still check every key."""
+    nouns = []
+    check = coxeter.check_generators
+    monkeypatch.setattr(coxeter, "check_generators",
+                        lambda *args: nouns.append(args[2:]) or check(*args))
+    A = frozenset({2})
+    reps = sorted(min_coset_reps(A, 4))
+    perms = sorted(coxeter.all_permutations(4))
+    builds = {
+        "SphericalElement": lambda k: SphericalElement(
+            4, A, {x: ONE for x in reps[:k]}),
+        "HeckeElement": lambda k: hecke.HeckeElement(
+            4, {x: ONE for x in perms[:k]}),
+        "m": lambda k: m(reps[k], A),
+        "spherical_kl_basis": lambda k: spherical_kl_basis(reps[k], A),
+    }
+    for name, build in builds.items():
+        for k in (0, 1, 5):
+            nouns.clear()
+            build(k)
+            assert nouns == [("parabolic generator",)], (name, k)
+    bad = reps[:4] + [(1, 3, 2, 4)]       # the last key has a descent in A
+    nouns.clear()
+    with pytest.raises(ValueError, match=re.escape(
+            "(1, 3, 2, 4) is not a minimal coset representative "
+            "for A = [2]")):
+        SphericalElement(4, A, {x: ONE for x in bad})
+    assert nouns == [("parabolic generator",)]
+
+
 def test_every_entry_names_a_letter_outside_the_generators():
     """Each entry that takes a letter checks it on the way in, the zero
     element too."""

@@ -10,7 +10,11 @@ private top-level function and class has a caller in the package, with
 no exception: a helper only its tests call belongs in the tests.  Every
 name that a package module imports is used in that module.  And the
 input checks are written once, in `coxeter`: no other module holds the
-message of one, but for the exceptions in OWN_CHECKS.
+message of one, but for the exceptions in OWN_CHECKS.  Coefficients have
+one representation: elements and the caches of `hecke` store term maps,
+and `hecke` alone wraps one as a LaurentPoly (`laurent._poly`), so no
+other module imports `_poly` and no test reads a LaurentPoly out of
+`hecke._kl_cache`, `hecke._inverse_cache` or `hecke._kl`.
 
 `code_lines` is the one measure of the package's size that a change
 reports: lines that are neither blank nor comments nor inside a
@@ -21,7 +25,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "heckekit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "heckekit"
 
 ALLOWED = {
     ("coxeter", "bruhat_leq"):
@@ -211,6 +216,83 @@ def test_the_check_scan_finds_a_copied_message_but_no_docstring():
         '    return f"generator {i}"\n')
     assert _check_copies({"m": tree, "coxeter": tree}) == {
         ("m", None), ("m", "f"), ("m", "g")}
+
+
+def _poly_users(modules) -> set:
+    """The modules that import `laurent._poly`, or read it as
+    `laurent._poly`."""
+    return {name for name, tree in modules.items() for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("laurent")
+                and any(alias.name == "_poly" for alias in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "_poly"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "laurent")}
+
+
+def test_only_hecke_wraps_a_term_map_as_a_laurent_poly():
+    assert _poly_users(_modules()) == {"hecke"}
+
+
+#: where `hecke` keeps term maps, and the LaurentPoly reads that a term
+#: map (a dict) would not answer
+CACHES = {"_kl_cache", "_inverse_cache", "_kl"}
+POLY_READS = {"terms", "bar", "coefficient", "degree", "valuation",
+              "exact_divide", "is_nonnegative_powers", "to_json_dict"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _names_a_cache(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr in CACHES
+               or isinstance(sub, ast.Name) and sub.id in CACHES
+               for sub in ast.walk(node))
+
+
+def _cache_poly_reads(tree: ast.Module) -> list:
+    """The lines of the LaurentPoly reads (POLY_READS) off a value taken
+    out of a cache of `hecke`: off an expression that names one
+    (CACHES), or off a name that a loop or a comprehension over one
+    binds, inside that loop or comprehension."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in POLY_READS
+                and _names_a_cache(node.value)):
+            found.add(node.lineno)
+        loops = (node.generators if isinstance(node, COMPREHENSIONS)
+                 else [node] if isinstance(node, ast.For) else [])
+        bound = {sub.id for loop in loops if _names_a_cache(loop.iter)
+                 for sub in ast.walk(loop.target) if isinstance(sub, ast.Name)}
+        if bound:
+            found |= {read.lineno for read in ast.walk(node)
+                      if isinstance(read, ast.Attribute)
+                      and read.attr in POLY_READS
+                      and isinstance(read.value, ast.Name)
+                      and read.value.id in bound}
+    return sorted(found)
+
+
+def test_no_test_reads_a_laurent_poly_out_of_a_cache():
+    reads = {path.name: _cache_poly_reads(ast.parse(path.read_text()))
+             for path in sorted(TESTS.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_the_coefficient_scans_find_what_they_look_for():
+    tree = ast.parse(
+        "from heckekit.laurent import _poly\n"
+        "def f(x, A):\n"
+        "    a = {y: c.terms for y, c in hecke._kl(x, A).items()}\n"
+        "    b = hecke._inverse_cache[x][x].bar()\n"
+        "    for key, el in hecke._kl_cache.items():\n"
+        "        el.to_json_dict()\n"
+        "def g(x, A):\n"
+        "    t = {y: dict(t) for y, t in hecke._kl(x, A).items()}\n"
+        "    u = {y: c.terms for y, c in inverse_h(x).coeffs.items()}\n"
+        "    return el.terms, inverse_h(x).terms, c.bar()\n")
+    assert _cache_poly_reads(tree) == [3, 4, 6]
+    attr = ast.parse("from . import laurent\nf = laurent._poly\n")
+    assert _poly_users({"m": tree, "k": attr, "n": ast.parse("x = 1")}) \
+        == {"m", "k"}
 
 
 def code_lines(text: str) -> int:

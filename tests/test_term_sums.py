@@ -10,8 +10,10 @@ accumulates the same way on exponent vectors.  Each is compared with the
 reference in `oracles` that forms every term as a LaurentPoly (or
 validated MultiPoly) product: exhaustively on S_4 for every parabolic
 subset, on a seeded S_5 batch, and on random mixed-sign coefficients, so
-that terms cancel to zero.  Every result holds no zero coefficient and
-every accumulator no empty map.
+that terms cancel to zero.  Elements and both caches of `hecke` store
+term maps: every stored map, like every accumulator, holds no zero int
+and is never empty, and an element rebuilt from its LaurentPoly
+coefficients through the public constructor is the same element.
 """
 import itertools
 import random
@@ -32,7 +34,7 @@ from heckekit.hecke import (
     mult_by_gen,
     pairing,
 )
-from heckekit.laurent import ONE, V, LaurentPoly, _add_product, _polys
+from heckekit.laurent import ONE, V, LaurentPoly, _add_product
 from heckekit.spherical import (
     SphericalElement,
     act_by_gen,
@@ -67,6 +69,11 @@ def rand_coeffs(rng, keys, size=5):
     return out
 
 
+def polys(acc):
+    """A map of term maps as validated LaurentPolys."""
+    return {x: LaurentPoly(t) for x, t in acc.items()}
+
+
 def assert_clean(coeffs):
     """A coefficient map holds nonzero LaurentPolys of nonzero ints."""
     for c in coeffs.values():
@@ -75,8 +82,10 @@ def assert_clean(coeffs):
 
 
 def assert_clean_accumulator(acc):
+    """A map of term maps (an accumulator, an element's stored `terms`
+    or a cache entry) holds non-empty dicts of nonzero ints."""
     for t in acc.values():
-        assert isinstance(t, dict) and t and all(t.values())
+        assert type(t) is dict and t and all(t.values())
 
 
 def test_add_product_is_the_sum_of_products():
@@ -145,8 +154,8 @@ def test_one_term_path_never_hands_out_f_itself():
     # a cached _kl map, a cached inverse and a W_A table pass through the
     # one-term path unwritten
     x = (3, 1, 4, 2)
-    cached = {y: dict(c.terms) for y, c in hecke._kl(x, frozenset()).items()}
-    inv = {y: dict(c.terms) for y, c in inverse_h(x).coeffs.items()}
+    cached = {y: dict(t) for y, t in hecke._kl(x, frozenset()).items()}
+    inv = {y: dict(t) for y, t in inverse_h(x).terms.items()}
     A = frozenset({1, 3})
     table = spherical._wa_table(A, 4)
     snapshot = ([(u, dict(g)) for u, g in table[0]], table[1])
@@ -154,9 +163,8 @@ def test_one_term_path_never_hands_out_f_itself():
         mult_by_gen(kl_basis(x), i, "left", "h")
         phi_embed(act_by_gen(i, m((1, 3, 2, 4), A)))
         bar_involution(kl_basis(x))
-    assert {y: c.terms for y, c in hecke._kl(x, frozenset()).items()} \
-        == cached
-    assert {y: c.terms for y, c in inverse_h(x).coeffs.items()} == inv
+    assert hecke._kl(x, frozenset()) == cached
+    assert inverse_h(x).terms == inv
     assert ([(u, dict(g)) for u, g in table[0]], table[1]) == snapshot
 
 
@@ -175,7 +183,7 @@ def test_b_step_agrees_with_the_reference_on_s4_for_every_A():
     for A in all_subsets(4):
         reps = sorted(min_coset_reps(A, 4))
         elements = [{u: ONE} for u in reps]
-        elements += [hecke._kl(u, A) for u in reps]
+        elements += [spherical_kl_basis(u, A).coeffs for u in reps]
         elements += [rand_coeffs(rng, reps) for _ in range(10)]
         for coeffs, i in itertools.product(elements, (1, 2, 3)):
             terms = {u: c.terms for u, c in coeffs.items()}
@@ -186,7 +194,7 @@ def test_b_step_agrees_with_the_reference_on_s4_for_every_A():
             assert not any(t is f for t in acc.values()
                            for f in terms.values())
             want = oracles.b_step(i, coeffs, A)
-            assert _polys(acc) == want
+            assert polys(acc) == want
             el = SphericalElement(4, A, coeffs)
             assert act_by_gen(i, el).coeffs == want
 
@@ -248,7 +256,7 @@ def test_bott_samelson_spherical_agrees_with_the_reference_fold():
         for w in words:
             got = spherical.bott_samelson_spherical(w, 4, A)
             assert got.coeffs == oracles.bott_samelson_spherical(w, 4, A)
-            assert_clean(got.coeffs)
+            assert_clean_accumulator(got.terms)
 
 
 def test_mult_by_gen_agrees_with_the_reference_on_s4():
@@ -261,7 +269,7 @@ def test_mult_by_gen_agrees_with_the_reference_on_s4():
                                                ("h", "b")):
             got = mult_by_gen(el, i, side, kind)
             assert got == oracles.mult_by_gen(el, i, side, kind)
-            assert_clean(got.coeffs)
+            assert_clean_accumulator(got.terms)
 
 
 def test_seeded_s5_batch_agrees_with_the_references():
@@ -278,11 +286,11 @@ def test_seeded_s5_batch_agrees_with_the_references():
         coeffs = rand_coeffs(rng, sorted(min_coset_reps(A, 5)), 8)
         acc = _b_step(i, {u: c.terms for u, c in coeffs.items()}, A)
         assert_clean_accumulator(acc)
-        assert _polys(acc) == oracles.b_step(i, coeffs, A)
+        assert polys(acc) == oracles.b_step(i, coeffs, A)
         m_el = SphericalElement(5, A, coeffs)
         got = phi_embed(m_el)
         assert got == oracles.phi_embed(m_el)
-        assert_clean(got.coeffs)
+        assert_clean_accumulator(got.terms)
 
 
 def test_terms_that_cancel_leave_no_key():
@@ -331,7 +339,7 @@ def test_random_sums_do_cancel_and_agree():
             el = el + h(x).scale(p) + h(sx).scale(-(p * V))
         got = mult_by_gen(el, i, side, "b")
         assert got == oracles.mult_by_gen(el, i, side, "b")
-        assert_clean(got.coeffs)
+        assert_clean_accumulator(got.terms)
         touched = {move(x) for x in el.coeffs} | set(el.coeffs)
         cancelled += bool(touched - set(got.coeffs))
     assert cancelled > 200
@@ -357,26 +365,33 @@ def test_pairing_agrees_with_the_full_product_and_cancels():
         assert got == LaurentPoly.zero() and got.terms == {}
 
 
-def test_add_scaled_takes_an_int_as_the_constant_polynomial():
+def test_add_scaled_agrees_and_scale_takes_an_int_as_a_constant():
+    """`_add_scaled` on term maps against the LaurentPoly reference, for
+    constant and two-term factors; `scale` by an int as by the constant
+    LaurentPoly."""
     rng = random.Random(47)
     perms = list(all_permutations(4))
     for c in range(-3, 4):
-        for _ in range(10):
-            coeffs = rand_coeffs(rng, perms, 6)
-            start = {x: dict(p.terms)
-                     for x, p in rand_coeffs(rng, perms, 6).items()}
-            by_int = _add_scaled({x: dict(t) for x, t in start.items()},
-                                 coeffs, c)
-            by_poly = _add_scaled({x: dict(t) for x, t in start.items()},
-                                  coeffs, LaurentPoly({0: c}))
-            assert by_int == by_poly
-            assert_clean_accumulator(by_int)
-            assert _polys(by_int) == oracles.add_scaled(
-                {x: LaurentPoly(t) for x, t in start.items()}, coeffs,
-                LaurentPoly({0: c}))
+        for g in ({0: c} if c else {}, {-1: c or 1, 2: -1}):
+            for _ in range(10):
+                coeffs = rand_coeffs(rng, perms, 6)
+                terms = {x: p.terms for x, p in coeffs.items()}
+                before = {x: dict(t) for x, t in terms.items()}
+                start = {x: dict(p.terms)
+                         for x, p in rand_coeffs(rng, perms, 6).items()}
+                acc = _add_scaled({x: dict(t) for x, t in start.items()},
+                                  terms, g)
+                assert_clean_accumulator(acc)
+                assert polys(acc) == oracles.add_scaled(
+                    polys(start), coeffs, LaurentPoly(g))
+                assert terms == before
+        el = HeckeElement(4, coeffs)
+        by_int = el.scale(c)
+        assert by_int == el.scale(LaurentPoly({0: c}))
+        assert_clean_accumulator(by_int.terms)
         # adding an element's negative leaves nothing
-        el = {x: dict(p.terms) for x, p in coeffs.items()}
-        assert _add_scaled(el, coeffs, -1) == {}
+        assert _add_scaled({x: dict(t) for x, t in terms.items()}, terms,
+                           {0: -1}) == {}
 
 
 def test_rewritten_sums_store_no_zero_coefficient():
@@ -384,22 +399,61 @@ def test_rewritten_sums_store_no_zero_coefficient():
     perms = list(all_permutations(4))
     for _ in range(20):
         a, b = (HeckeElement(4, rand_coeffs(rng, perms)) for _ in range(2))
-        for el in (a + b, a.scale(LaurentPoly(rand_terms(rng))), a.scale(0),
-                   bar_involution(a), inverse_h(rng.choice(perms)),
+        for el in (a, a + b, a.scale(LaurentPoly(rand_terms(rng))),
+                   a.scale(0), bar_involution(a), inverse_h(rng.choice(perms)),
                    kl_basis(rng.choice(perms))):
-            assert_clean(el.coeffs)
+            assert_clean_accumulator(el.terms)
         assert_clean(is_perverse_character(a).expansion)
     for A in all_subsets(4):
         for u in min_coset_reps(A, 4):
-            for el in (spherical_kl_basis(u, A), phi_embed(m(u, A)),
+            for el in (m(u, A), spherical_kl_basis(u, A), phi_embed(m(u, A)),
                        act_by_gen(1, spherical_kl_basis(u, A))):
-                assert_clean(el.coeffs)
+                assert_clean_accumulator(el.terms)
         assert_clean(is_perverse_spherical(
             spherical.bott_samelson_spherical((1, 2, 3, 1), 4, A)).expansion)
-    for coeffs in hecke._kl_cache.values():
-        assert_clean(coeffs)
-    for coeffs in hecke._inverse_cache.values():
-        assert_clean(coeffs)
+    assert hecke._kl_cache and hecke._inverse_cache
+    for cache in (hecke._kl_cache, hecke._inverse_cache):
+        for terms in cache.values():
+            assert_clean_accumulator(terms)
+
+
+def rebuilt(el):
+    """el rebuilt through the public constructor from its LaurentPolys."""
+    if isinstance(el, SphericalElement):
+        return SphericalElement(el.n, el.parabolic, el.coeffs)
+    return HeckeElement(el.n, el.coeffs)
+
+
+def test_every_element_round_trips_through_the_public_constructor():
+    """For every A of S_4 and a seeded batch of words, each way of making
+    an element stores term maps that the constructor, given the
+    LaurentPolys of `coeffs`, stores again: an equal element with the
+    same repr and the same JSON."""
+    rng = random.Random(61)
+    perms = list(all_permutations(4))
+    cases = 0
+    for A in all_subsets(4):
+        reps = sorted(min_coset_reps(A, 4))
+        for _ in range(4):
+            word = tuple(rng.randrange(1, 4)
+                         for _ in range(rng.randint(0, 7)))
+            i, x, u = rng.randrange(1, 4), rng.choice(perms), rng.choice(reps)
+            bs = spherical.bott_samelson_spherical(word, 4, A)
+            h_el = hecke.bott_samelson_char(word, 4)
+            made = [spherical.deodhar_expand(word, 4, A), bs, h_el,
+                    spherical_kl_basis(u, A), kl_basis(x), phi_embed(bs),
+                    act_by_gen(i, bs), mult_by_gen(bs, i, "left", "h"),
+                    mult_by_gen(h_el, i, "left", "b"),
+                    mult_by_gen(h_el, i, "right", "h"),
+                    mult_by_gen(h_el, i, "right", "b"), inverse_h(x),
+                    bar_involution(h_el)]
+            for el in made:
+                again = rebuilt(el)
+                assert again == el and repr(again) == repr(el)
+                assert again.to_json_dict() == el.to_json_dict()
+                assert_clean_accumulator(el.terms)
+                cases += 1
+    assert cases == 8 * 4 * 13
 
 
 def test_perversity_shares_the_coefficients_it_does_not_touch():
@@ -408,7 +462,7 @@ def test_perversity_shares_the_coefficients_it_does_not_touch():
     el = kl_basis(x) + kl_basis(y).scale(LaurentPoly({2: 1}))
     rep = is_perverse_character(el)
     assert rep.expansion == {x: ONE, y: LaurentPoly({2: 1})}
-    assert rep.expansion[y] is el.coeffs[y]
+    assert rep.expansion[y].terms is el.terms[y]
     assert not rep.is_perverse
 
 
