@@ -3,10 +3,14 @@ Command-line interface.
 
 All structured output is JSON on stdout with sorted keys, so repeated
 runs are byte-identical apart from the "timings" section of certificate
-reports.  --threads is accepted for compatibility and has no effect.
-Diagnostics go to stderr.  Each command imports the computational
-modules it runs once its own arguments have been checked, so a rejected
-input or a small command loads little beyond argparse.  Exit codes:
+reports.  --threads (on `deodhar`, `defect-stats` and `certify`) is
+accepted for compatibility and has no effect; `certify` echoes it in
+"timings".  `certify` renders the record that `worddata.decide`
+returns, and adds no rule of its own: the rank test, the failure rule
+and the verdict are all decided there.  Diagnostics go to stderr.  Each
+command imports the computational modules it runs once its own
+arguments have been checked, so a rejected input or a small command
+loads little beyond argparse.  Exit codes:
 
     0  success / certificate verified
     1  certificate hypothesis fails (or validation checklist fails)
@@ -338,124 +342,71 @@ def cmd_validate_word(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from . import demazure
+    """Render `worddata.decide`: the payload, each distinct histogram
+    unpacked and rendered once, and the interval's entries streamed."""
+    from . import demazure, worddata
 
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
-
     expr, expr_name = load_expression(args.expr)
-    form = demazure.intersection_vector(expr, args.p)
-    timings["intersection_form_seconds"] = round(time.perf_counter() - t0, 6)
-    rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0
-
+    wd = None if args.word is None else load_word(args.word)
+    d = worddata.decide(expr, args.p, wd)
+    data, inside = d.sweep, d.inside
     payload = {
         "expression": {"name": expr_name,
                        "operators": demazure.op_count(expr)},
         "p": args.p,
-        "intersection_form": form.to_json_dict(),
-        "rank_conditions": {
-            "rank_Q": form.rank_over_Q,
-            "rank_p": form.rank_over_p,
-            "ok": rank_ok,
-        },
+        "intersection_form": d.form.to_json_dict(),
+        "rank_conditions": {"rank_Q": d.form.rank_over_Q,
+                            "rank_p": d.form.rank_over_p, "ok": d.rank_ok},
+        "word": None if wd is None else {
+            "source": wd.source, "validation": d.validation.to_json_dict()},
+        "histogram": None if data is None else _hist_json(data.total()),
+        "histogram_at_x":
+            None if data is None else _hist_json(data.get(d.x, {})),
+        "interval": {"status": d.status},
+        "verdict": d.verdict,
     }
+    entries = None
+    if data is not None:
+        payload["word"].update(
+            n=wd.n, length=len(wd.word), A=sorted(wd.parabolic),
+            B=sorted(wd.lower), degree=wd.degree, x=list(d.x), w=list(d.w),
+            free_positions=d.free, subexpressions=d.leaves)
+        packed, coefficients = data.packed, {}
 
-    interval_ok, entries = False, None
-    payload["word"] = payload["histogram"] = payload["histogram_at_x"] = None
-    if args.word is None:
-        payload["interval"] = {"status": "skipped: no word data"}
-    else:
-        from . import subexpr, worddata
+        def coefficient(h):
+            c = coefficients.get(h)
+            if c is None:
+                c = coefficients[h] = {str(e): str(k) for e, k in
+                                       data.unpack(h).items()}
+            return c
 
-        wd = load_word(args.word)
-        report = worddata.validate_word_data(wd)
-        if wd.word is None:
-            payload["word"] = {"source": wd.source,
-                               "validation": report.to_json_dict()}
-            payload["interval"] = {
-                "status": "skipped: word data incomplete"}
-        elif not report.ok or not report.complete:
-            raise ValueError(
-                f"word data {wd.source} fails validation: "
-                + "; ".join(f"{c.name}: {c.detail}"
-                            for c in report.checks if not c.ok))
-        else:
-            x = wd.x_element()   # validation checked x-is-minimal-rep
-            w = wd.w_element()
-            constraint = wd.constraint()
-            t1 = time.perf_counter()
-            data = subexpr.sweep(wd.word, wd.n, wd.parabolic, constraint)
-            timings["enumeration_seconds"] = round(
-                time.perf_counter() - t1, 6)
-            t2 = time.perf_counter()
-            inside = subexpr.interval_endpoints(data.packed, wd.n,
-                                                wd.parabolic, x)
-            timings["interval_seconds"] = round(time.perf_counter() - t2, 6)
-            payload["word"] = {
-                "source": wd.source,
-                "n": wd.n,
-                "length": len(wd.word),
-                "A": sorted(wd.parabolic),
-                "B": sorted(wd.lower),
-                "degree": wd.degree,
-                "x": list(x),
-                "w": list(w),
-                "free_positions": len(constraint.free_positions()),
-                "subexpressions": constraint.leaf_count(),
-                "validation": report.to_json_dict(),
-            }
-            payload["histogram"] = _hist_json(data.total())
-            payload["histogram_at_x"] = _hist_json(data.get(x, {}))
-            # each coefficient must lie in Z[v]: no negative powers of v,
-            # which one mask finds on the packed histogram.  Each
-            # distinct histogram is unpacked and rendered once.
-            packed, negative = data.packed, data.negative_mask
-            coefficients = {}
+        def entries(pad):
+            """The entries' JSON texts, for `emit`; the text around a
+            coset is built once per distinct histogram."""
+            digits = [str(b) for b in range(256)].__getitem__
+            # a coset's values sit two levels deeper than its entry
+            sep, parts = "," + (pad and pad + "    "), {}
+            for z in inside:
+                h = packed[z]
+                if h not in parts:
+                    parts[h] = _dumps(
+                        {"coefficient": coefficient(h),
+                         "coset": [_HOLE], "ok": not d.fails(h)},
+                        args.pretty,
+                    ).replace("\n", pad).split(json.dumps(_HOLE))
+                before, after = parts[h]
+                yield before + sep.join(map(digits, z)) + after
 
-            def coefficient(h):
-                c = coefficients.get(h)
-                if c is None:
-                    c = coefficients[h] = {str(d): str(k) for d, k in
-                                           data.unpack(h).items()}
-                return c
-
-            failures = [{"coset": list(z), "coefficient": coefficient(h)}
-                        for z in inside if (h := packed[z]) & negative]
-
-            def entries(pad):
-                """The entries' JSON texts, for `emit`; the text around a
-                coset is built once per distinct histogram."""
-                digits = [str(b) for b in range(256)].__getitem__
-                # a coset's values sit two levels deeper than its entry
-                sep, parts = "," + (pad and pad + "    "), {}
-                for z in inside:
-                    h = packed[z]
-                    if h not in parts:
-                        parts[h] = _dumps(
-                            {"coefficient": coefficient(h),
-                             "coset": [_HOLE], "ok": not h & negative},
-                            args.pretty,
-                        ).replace("\n", pad).split(json.dumps(_HOLE))
-                    before, after = parts[h]
-                    yield before + sep.join(map(digits, z)) + after
-
-            interval_ok = not failures
-            payload["interval"] = {
-                "status": "ok" if interval_ok else "failed",
-                "passed": interval_ok,
-                "cosets_in_interval": len(inside),
-                "cosets_outside": len(data) - len(inside),
-                "entries": _HOLE,
-                "failures": failures,
-            }
-
-    verdict = rank_ok and interval_ok
-    payload["verdict"] = verdict
-    timings["total_seconds"] = round(time.perf_counter() - t0, 6)
-    timings["threads"] = args.threads
-    payload["timings"] = timings
+        payload["interval"].update(
+            passed=d.status == "ok", cosets_in_interval=len(inside),
+            cosets_outside=len(data) - len(inside), entries=_HOLE,
+            failures=[{"coset": list(z), "coefficient": coefficient(packed[z])}
+                      for z in d.failures])
+    payload["timings"] = {**d.seconds, "threads": args.threads,
+                          "total_seconds": round(time.perf_counter() - t0, 6)}
     emit(payload, args.pretty, entries)
-    return 0 if verdict else 1
+    return 0 if d.verdict else 1
 
 
 # -- argument parsing ----------------------------------------------------
@@ -468,10 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificate checker.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n=True):
+    def common(p, n=True, threads=False):
         if n:
             p.add_argument("--n", type=_rank, required=True,
                            help="rank of the symmetric group S_n")
+        if threads:
+            p.add_argument("--threads", type=_at_least_one, default=1,
+                           help="accepted; no effect")
         p.add_argument("--pretty", action="store_true",
                        help="indented JSON output")
 
@@ -507,25 +461,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("deodhar", help="Deodhar expansion of a word")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--parabolic", default="")
     p.add_argument("--word", required=True)
     p.add_argument("--forced-letters",
                    help="letters whose positions are forced to 1")
-    p.add_argument("--threads", type=_at_least_one,
-                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_deodhar)
 
     p = sub.add_parser("defect-stats", help="defect histogram of a word")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--parabolic", default="")
     p.add_argument("--word", required=True)
     p.add_argument("--forced-letters",
                    help="letters whose positions are forced to 1")
     p.add_argument("--endpoint",
                    help="count only this endpoint (one-line notation)")
-    p.add_argument("--threads", type=_at_least_one,
-                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_defect_stats)
 
     p = sub.add_parser("demazure-eval",
@@ -562,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate_word)
 
     p = sub.add_parser("certify", help="run the non-perversity certificate")
-    common(p, n=False)
+    common(p, n=False, threads=True)
     p.add_argument("--word",
                    help="word-data file (path or builtin name), read with "
                         "the letters of B forced to 1; without it the "
@@ -570,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", default="paper-GL15")
     p.add_argument("--p", type=_prime, default=2,
                    help="a prime below 2^32 for the F_p rank")
-    p.add_argument("--threads", type=_at_least_one,
-                   default=1, help="accepted; no effect")
     p.set_defaults(func=cmd_certify)
 
     return parser

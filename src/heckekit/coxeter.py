@@ -65,7 +65,9 @@ def is_permutation(seq: Sequence[int]) -> bool:
 def check_generators(gens: Iterable[int], n: int,
                      noun: str = "generator index") -> None:
     """Raise ValueError naming the first of `gens` that is no int in
-    1..n-1, no generator of S_n, as the `noun` it is."""
+    1..n-1, no generator of S_n, as the `noun` it is.  `gens` is read as
+    given, so callers pass A unsorted: a member that does not compare
+    with an int is named before anything sorts A."""
     for i in gens:
         if type(i) is not int or not 1 <= i <= n - 1:
             raise ValueError(f"{noun} {i} out of range for S_{n}")
@@ -91,7 +93,7 @@ def coset_keys(xs: Iterable[Iterable[int]], n: int,
     number of keys (none too), and then each key must be a permutation
     of 1..n with no right descent in A, a minimal coset representative;
     else ValueError names `name`, by default the key."""
-    check_generators(sorted(parabolic), n, "parabolic generator")
+    check_generators(parabolic, n, "parabolic generator")
     for x in map(tuple, xs):
         if len(x) != n:
             why = f"has {len(x)} entries, not n = {n}"
@@ -298,8 +300,9 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
 
 def parabolic_blocks(parabolic: Iterable[int], n: int) -> list[tuple[int, int]]:
     """Maximal runs of consecutive generators, as (first, last) index pairs."""
-    gens = sorted(set(parabolic))
+    gens = set(parabolic)
     check_generators(gens, n, "parabolic generator")
+    gens = sorted(gens)
     blocks = []
     k = 0
     while k < len(gens):

@@ -115,7 +115,8 @@ class LinearCombination:
     are equal, add or pair only in the same module: the same class, n
     and A (`_check`).  A subclass names the basis letter that `__repr__`
     prints (`_basis`).  The constructor takes LaurentPoly coefficients,
-    checks A once and each key, and stores their term maps; `_like`
+    checks A once and each key, raises TypeError naming the key of a
+    coefficient that is no LaurentPoly, and stores their term maps; `_like`
     takes a map of term maps that is already clean as an element of the
     same module, without validation.
     """
@@ -128,7 +129,12 @@ class LinearCombination:
         self.parabolic = frozenset(parabolic) or _NO_PARABOLIC
         coeffs = coeffs or {}
         keys = coxeter.coset_keys(coeffs, n, self.parabolic)
-        self.terms = {x: c.terms for x, c in zip(keys, coeffs.values()) if c}
+        self.terms = {}
+        for x, c in zip(keys, coeffs.values()):
+            if not isinstance(c, LaurentPoly):
+                raise TypeError(f"coefficient {c!r} at {x} is no LaurentPoly")
+            if c:
+                self.terms[x] = c.terms
 
     def _like(self, terms: dict):
         out = object.__new__(type(self))

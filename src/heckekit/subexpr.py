@@ -34,7 +34,8 @@ lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
 `sweep` returns this state as it is, in a `SweepResult`: a read-only
 mapping that hands out tuple cosets and {defect: count} dicts on demand,
-while `certify` reads the bytes keys and packed ints themselves.
+while the certificate (`worddata.decide`, and `certify` rendering its
+record) reads the bytes keys and packed ints themselves.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression and a decoration straight from the definitions, live
@@ -132,7 +133,7 @@ def sweep(word: Sequence[int], n: int, parabolic,
         raise ValueError("constraint length != word length")
     A = frozenset(parabolic)
     coxeter.check_generators(word, n)
-    coxeter.check_generators(sorted(A), n, "parabolic generator")
+    coxeter.check_generators(A, n, "parabolic generator")
     forced = constraint.forced
     budget = SUPPORT_BUDGET
     free = m - len(forced)

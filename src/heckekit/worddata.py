@@ -19,14 +19,21 @@ facts (length 78, 23 free positions, 12 letters of index <= 3, eleven
 s_4 letters) so that a hand transcription can be machine-checked before
 it is trusted.  `gl15-reconstructed` is a complete word rebuilt from the
 prefix, the census and the Demazure display, not a transcription.
+
+`decide` decides the certificate on a Demazure expression and word data:
+the rank test on the erasure row, the validation gate, the fold, the
+interval test and the failure rule, each written once there.  It
+returns a `Decision` record, which `cli.cmd_certify` only renders.
+`demazure` is imported inside it, so `validate-word` does not load it.
 """
 from __future__ import annotations
 
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
-from . import coxeter
+from . import coxeter, subexpr
 from .subexpr import MAX_N, EnumConstraint
 
 #: census entries that `validate_word_data` compares with the word
@@ -65,12 +72,6 @@ class WordData:
 
     def x_element(self) -> coxeter.Permutation:
         return coxeter.longest_element(self.lower, self.n)
-
-    def w_element(self) -> coxeter.Permutation:
-        if self.word is None or self.parabolic is None:
-            raise ValueError("word data is incomplete")
-        return coxeter.min_coset_rep(
-            coxeter.evaluate_word(self.word, self.n), self.parabolic)
 
 
 def load_word_data(path_or_name: str | Path) -> WordData:
@@ -165,11 +166,17 @@ class ValidationCheck:
 
 
 class ValidationReport:
-    __slots__ = ("checks", "complete")
+    """The checks that `validate_word_data` ran, and what they computed:
+    the word's constraint, x = w_B and the word's element w (None until
+    a check computes it).  w is its own minimal coset representative
+    when the report is complete."""
+
+    __slots__ = ("checks", "complete", "constraint", "x", "w")
 
     def __init__(self):
         self.checks: list[ValidationCheck] = []
         self.complete = False
+        self.constraint = self.x = self.w = None
 
     @property
     def ok(self) -> bool:
@@ -238,7 +245,8 @@ def validate_word_data(wd: WordData) -> ValidationReport:
         want = census["letters_index_4"]
         rep.add("census-s4-letters", s4 == want,
                 f"expected {want} letters s_4, found {s4}")
-    free = len(wd.constraint().free_positions())
+    rep.constraint = wd.constraint()
+    free = len(rep.constraint.free_positions())
     if "free_positions" in census:
         want = census["free_positions"]
         rep.add("census-free-positions", free == want,
@@ -250,7 +258,7 @@ def validate_word_data(wd: WordData) -> ValidationReport:
             if reduced else "word is not reduced")
 
     # a count alone passes B-letters that multiply to less than w_B
-    wB = wd.x_element()
+    wB = rep.x = wd.x_element()
     forced_count = len(wd.word) - free
     detail = f"forced positions {forced_count}, len(w_B) {coxeter.length(wB)}"
     product = coxeter.evaluate_word(
@@ -266,8 +274,8 @@ def validate_word_data(wd: WordData) -> ValidationReport:
         rep.add("x-is-minimal-rep", ok,
                 "w_B is a minimal coset representative for A"
                 if ok else "w_B is not minimal in its A-coset")
-        wfull = coxeter.evaluate_word(wd.word, wd.n)
-        ok = coxeter.is_min_coset_rep(wfull, wd.parabolic)
+        rep.w = coxeter.evaluate_word(wd.word, wd.n)
+        ok = coxeter.is_min_coset_rep(rep.w, wd.parabolic)
         rep.add("w-is-minimal-rep", ok,
                 "the word's element is a minimal coset representative"
                 if ok else "the word's element is not minimal in its A-coset")
@@ -276,3 +284,72 @@ def validate_word_data(wd: WordData) -> ValidationReport:
         rep.add("parabolic-present", False, "A is null")
         rep.complete = False
     return rep
+
+
+class Decision:
+    """What `decide` found: the form report and its rank test
+    (`rank_ok`), the validation report, x, w, the free positions and the
+    leaves of the constrained expansion, the fold (`sweep`), the
+    interval's cosets x < z as sorted bytes (`inside`) and those among
+    them that fail (`failures`), the interval `status`, the verdict and
+    the stage seconds.  `fails` is the failure rule on one packed
+    histogram h of `sweep`: fails(h) is nonzero iff the coefficient has
+    a negative power of v, that is iff h shares a bit with the mask of
+    the negative defects.  What a run did not reach is None, or empty."""
+
+    __slots__ = ("form", "rank_ok", "validation", "x", "w", "free", "leaves",
+                 "sweep", "fails", "inside", "failures", "status", "seconds")
+
+    def __init__(self, form, seconds: dict[str, float]):
+        self.form, self.seconds = form, seconds
+        self.rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0
+        self.validation = self.x = self.w = self.free = self.leaves = None
+        self.sweep = self.fails = None
+        self.inside, self.failures = [], []
+        self.status = "skipped: no word data"
+
+    @property
+    def verdict(self) -> bool:
+        return self.rank_ok and self.status == "ok"
+
+
+def decide(chain, p: int, wd: WordData | None = None) -> Decision:
+    """Decide the certificate on the Demazure expression `chain` and the
+    word data `wd`.  Its erasure row must have rank 1 over Q and rank 0
+    over F_p; and every coset z with x < z <= w in the constrained
+    Deodhar expansion of the word must carry a coefficient in Z[v].  The
+    verdict is true iff both hold.  Without word data, or without a
+    word, the interval is skipped and the verdict is false; word data
+    that has a word but fails validation raises ValueError naming the
+    failed checks.  `cli.cmd_certify` renders the result."""
+    from . import demazure   # `validate-word` loads no demazure
+
+    t0 = time.perf_counter()
+    out = Decision(demazure.intersection_vector(chain, p), {
+        "intersection_form_seconds": round(time.perf_counter() - t0, 6)})
+    if wd is None:
+        return out
+    rep = out.validation = validate_word_data(wd)
+    if wd.word is None:
+        out.status = "skipped: word data incomplete"
+        return out
+    if not rep.complete:   # with a word, complete iff every check passed
+        raise ValueError(f"word data {wd.source} fails validation: "
+                         + "; ".join(f"{c.name}: {c.detail}"
+                                     for c in rep.checks if not c.ok))
+    out.x, out.w = rep.x, rep.w
+    out.free = len(rep.constraint.free_positions())
+    out.leaves = rep.constraint.leaf_count()
+    t1 = time.perf_counter()
+    data = out.sweep = subexpr.sweep(wd.word, wd.n, wd.parabolic,
+                                     rep.constraint)
+    t2 = time.perf_counter()
+    out.inside = subexpr.interval_endpoints(data.packed, wd.n, wd.parabolic,
+                                            rep.x)
+    out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
+    out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)
+    packed = data.packed
+    fails = out.fails = data.negative_mask.__and__
+    out.failures = [z for z in out.inside if fails(packed[z])]
+    out.status = "failed" if out.failures else "ok"
+    return out

@@ -169,7 +169,7 @@ def _walk_input(word: Sequence[int], n: int, parabolic,
         raise ValueError("constraint length != word length")
     A = frozenset(parabolic)
     coxeter.check_generators(word, n)
-    coxeter.check_generators(sorted(A), n, "parabolic generator")
+    coxeter.check_generators(A, n, "parabolic generator")
     return tuple(slots), A
 
 
@@ -389,7 +389,9 @@ def certify_text(word: str | None, expr: str = "paper-GL15", p: int = 2,
             payload["interval"] = {"status": "skipped: word data incomplete"}
         else:
             assert report.ok and report.complete, report.to_json_dict()
-            x, w, constraint = wd.x_element(), wd.w_element(), wd.constraint()
+            x, constraint = wd.x_element(), wd.constraint()
+            w = coxeter.min_coset_rep(coxeter.evaluate_word(wd.word, wd.n),
+                                      wd.parabolic)
             data = dict(subexpr.sweep(wd.word, wd.n, wd.parabolic,
                                       constraint).items())
             total: dict[int, int] = {}

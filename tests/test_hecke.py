@@ -433,3 +433,17 @@ def test_mult_by_gen_refuses_the_right_side_of_a_spherical_module():
     x = (1, 3, 2)
     assert mult_by_gen(spherical.m(x, ()), 1, "right", "h").coeffs == \
         mult_by_gen(h(x), 1, "right", "h").coeffs
+
+
+@pytest.mark.parametrize("build", [
+    lambda c: HeckeElement(3, {(1, 2, 3): c}),
+    lambda c: spherical.SphericalElement(3, {2}, {(1, 2, 3): c}),
+], ids=["HeckeElement", "SphericalElement"])
+@pytest.mark.parametrize("value", [2, 0, "v", {0: 1}])
+def test_a_coefficient_that_is_no_laurent_poly_is_a_type_error(build, value):
+    """The constructors take LaurentPoly coefficients; anything else, a
+    zero int or a term map too, is a TypeError naming the key and the
+    value."""
+    with pytest.raises(TypeError, match=re.escape(
+            f"coefficient {value!r} at (1, 2, 3) is no LaurentPoly")):
+        build(value)

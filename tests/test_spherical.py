@@ -5,7 +5,7 @@ import re
 import pytest
 
 import oracles
-from heckekit import coxeter, hecke, spherical
+from heckekit import coxeter, demazure, hecke, spherical, worddata
 from heckekit.coxeter import evaluate_word, identity, length, min_coset_reps
 from heckekit.hecke import kl_basis, mult_by_gen
 from heckekit.laurent import ONE, V, LaurentPoly, v_power
@@ -607,6 +607,25 @@ def test_every_entry_names_a_parabolic_generator_outside_the_generators():
                                    match=f"parabolic generator {bad} out of "
                                          f"range for S_{n}"):
                     entry(n, {bad}, w0)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda A: SphericalElement(3, A),
+    lambda A: SphericalElement(3, A, {(3, 2, 1): ONE}),
+    lambda A: sweep((1,), 3, A),
+    lambda A: defect_histogram((1,), 3, A),
+    lambda A: interval_endpoints([(3, 2, 1)], 3, A, (1, 2, 3)),
+    lambda A: worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
+                              worddata.WordData(3, (1,), A, frozenset(), -1)),
+], ids=["SphericalElement", "SphericalElement, a key", "sweep",
+        "defect_histogram", "interval_endpoints", "decide"])
+def test_a_generator_of_A_that_is_no_int_is_named_before_A_is_sorted(entry):
+    """`coxeter`'s one generator check reads A before anything sorts it,
+    so a member that does not compare with ints is named, not a bare
+    TypeError from `sorted`."""
+    with pytest.raises(ValueError, match="parabolic generator a out of "
+                                         "range for S_3"):
+        entry(frozenset({1, "a"}))
 
 
 def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckekit import coxeter, subexpr, worddata
+from heckekit import cli, coxeter, demazure, subexpr, worddata
 from heckekit.worddata import (
     load_word_data,
     parse_word_data,
@@ -180,5 +180,96 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
 def test_x_and_w_elements():
     wd = load_word_data("demo-s4-pass")
     assert wd.x_element() == (2, 1, 3, 4)
-    w = wd.w_element()
-    assert coxeter.is_min_coset_rep(w, wd.parabolic)
+    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2, wd)
+    assert d.x == wd.x_element()
+    assert d.w == coxeter.min_coset_rep(
+        coxeter.evaluate_word(wd.word, wd.n), wd.parabolic)
+    assert coxeter.is_min_coset_rep(d.w, wd.parabolic)
+
+
+@pytest.mark.parametrize("word", ["demo-s4-pass", "demo-s4-fail",
+                                  "gl15-partial", "gl15-reconstructed", None])
+def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
+    """`certify` prints the values of the record `decide` returns: the
+    verdict, the interval status, x and w, the histogram at x, the
+    number of cosets in the interval, and the failures in order.  The
+    entries of the large interval are counted in the text, not decoded."""
+    records = []
+    decide = worddata.decide
+    monkeypatch.setattr(worddata, "decide",
+                        lambda *args: records.append(decide(*args))
+                        or records[-1])
+    code = cli.main(["certify"] + (["--word", word] if word else []))
+    out, entries = capsys.readouterr().out, ""
+    if '"failures":' in out:   # the interval's entries close the last list
+        head, _, rest = out.rpartition('"entries":[')
+        entries, _, tail = rest.partition('],"failures":')
+        out = head + '"entries":null,"failures":' + tail
+    payload = json.loads(out)
+    (d,) = records
+    assert code == (0 if d.verdict else 1)
+    assert payload["verdict"] is d.verdict
+    assert payload["interval"]["status"] == d.status
+    assert payload["rank_conditions"] == {
+        "rank_Q": d.form.rank_over_Q, "rank_p": d.form.rank_over_p,
+        "ok": d.rank_ok}
+    if d.sweep is None:
+        assert payload["histogram_at_x"] is None and d.x is None
+        assert (d.inside, d.failures) == ([], [])
+        return
+    w = payload["word"]
+    assert (w["x"], w["w"], w["free_positions"], w["subexpressions"]) == (
+        list(d.x), list(d.w), d.free, d.leaves)
+    assert payload["histogram_at_x"] == {
+        str(e): k for e, k in d.sweep[d.x].items()}
+    assert d.inside == sorted(d.inside)
+    assert all(type(z) is bytes for z in d.inside)
+    assert (payload["interval"]["cosets_in_interval"] == len(d.inside)
+            == entries.count('{"coefficient":'))
+    assert [f["coset"] for f in payload["interval"]["failures"]] == [
+        list(z) for z in d.failures]
+
+
+def test_decide_without_word_data_decides_the_ranks_alone():
+    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2)
+    assert (d.rank_ok, d.status, d.verdict) == (
+        True, "skipped: no word data", False)
+    assert d.validation is None and d.sweep is None
+    assert set(d.seconds) == {"intersection_form_seconds"}
+
+
+def test_decide_fails_the_ranks_over_another_prime():
+    # paper-GL15's erasure row is 2 times a primitive row, so that over
+    # F_3 it keeps rank 1
+    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 3,
+                        load_word_data("demo-s4-pass"))
+    assert (d.form.rank_over_Q, d.form.rank_over_p) == (1, 1)
+    assert (d.rank_ok, d.status, d.verdict) == (False, "ok", False)
+
+
+def test_decide_fails_the_ranks_on_a_zero_erasure_row():
+    # del_1 del_1 = 0 and del_1 (x1 x2) = 0: both erasures are 0
+    d = worddata.decide(demazure.parse_expr("D1 D1 ( x1 * x2 )"), 2,
+                        load_word_data("demo-s4-pass"))
+    assert d.form.entries == [0, 0]
+    assert (d.rank_ok, d.status, d.verdict) == (False, "ok", False)
+
+
+def test_decide_refuses_word_data_that_fails_validation():
+    wd = parse_word_data({"n": 4, "word": [1, 1], "A": [], "B": []}, "w")
+    with pytest.raises(ValueError, match="word data w fails validation: "
+                                         "word-reduced: word is not reduced"):
+        worddata.decide(demazure.builtin_expr("paper-GL15"), 2, wd)
+
+
+def test_decide_applies_the_failure_rule_to_each_coset():
+    """A coset fails iff its coefficient has a negative power of v, and
+    `fails` tells the same of its packed histogram."""
+    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
+                        load_word_data("demo-s4-fail"))
+    assert d.failures == [bytes((2, 1, 3, 4))] and d.status == "failed"
+    for z in d.inside:
+        h = d.sweep.packed[z]
+        negative = min(d.sweep.unpack(h)) < 0
+        assert bool(d.fails(h)) is negative
+        assert (z in d.failures) is negative
