@@ -65,11 +65,15 @@ def is_permutation(seq: Sequence[int]) -> bool:
 def check_generators(gens: Iterable[int], n: int,
                      noun: str = "generator index") -> None:
     """Raise ValueError naming the first of `gens` that is no int in
-    1..n-1, no generator of S_n, as the `noun` it is.  `gens` is read as
-    given, so callers pass A unsorted: a member that does not compare
-    with an int is named before anything sorts A."""
+    1..n-1, no generator of S_n, as the `noun` it is: a member that is no
+    int (a float, a bool or a string) "is not an int", one outside
+    1..n-1 is "out of range".  `gens` is read as given, so callers pass A
+    unsorted: a member that does not compare with an int is named before
+    anything sorts A."""
     for i in gens:
-        if type(i) is not int or not 1 <= i <= n - 1:
+        if type(i) is not int:
+            raise ValueError(f"{noun} {i!r} is not an int")
+        if not 1 <= i <= n - 1:
             raise ValueError(f"{noun} {i} out of range for S_{n}")
 
 

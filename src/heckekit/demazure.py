@@ -11,7 +11,7 @@ l = min(a, b), del_i(x_i^a x_{i+1}^b m) is 0 if a = b and otherwise
 
     sign(b - a) (x_i x_{i+1})^l sum_{k<d} x_i^(d-1-k) x_{i+1}^k m,
 
-so `apply_demazure` is one pass over the terms of f.
+so an operator is one pass over the terms of f.
 
 An operator expression is a `Chain`: a list of steps from the top down,
 each an operator del_i or a polynomial factor, above a base polynomial,
@@ -20,7 +20,19 @@ with the positions of its operators (`ops`).  Operators are numbered
 prefix notation and in which single operators are erased to assemble
 the 1 x N intersection-form vector.  `parse_expr` reads the text in one
 pass, matching each token once and checking it against its budgets, so
-of several faulty tokens it names the first.
+of several faulty tokens it names the first; it writes ai^k out by the
+binomial formula.
+
+`MultiPoly`, a map from exponent tuples to coefficients, is the value
+type at the boundary: what `parse_expr` builds, the steps of a Chain,
+the result of `eval_expr` and the JSON.  Evaluation runs on packed
+monomials instead.  A Chain packs its base and factors once, each
+exponent vector into one int with a field of w bits per variable, where
+w is the bit length of the chain's total degree bound, so no field can
+carry (see `Chain`).  A product of monomials is then one int addition,
+and the d terms of del_i on a monomial are an arithmetic progression of
+keys.  `_step` applies one packed step, and `intersection_vector` and
+`eval_expr` both run on it.
 `intersection_vector` evaluates the chain once bottom-up, keeping the
 value under each operator, and gets erasure k by applying only the steps
 above operator k to that value; `eval_expr` with `erase` re-evaluates
@@ -36,15 +48,17 @@ from __future__ import annotations
 
 import operator
 import re
+from math import comb
 from typing import Mapping, Sequence
 
 from .laurent import ConsistencyViolation, _add_into
 
 Exponents = tuple[int, ...]
 
-# Largest k that `parse_expr` accepts in `ai^k` or `xi^k`.  Expanding
-# ai^k takes time growing faster than k^2 (about 5 s at k = 1,600), and
-# every known expression uses k <= 3.
+# Largest k that `parse_expr` accepts in `ai^k` or `xi^k`.  An operator
+# on ai^k writes about k^2 / 2 terms: `D1 ( a2^k )` takes about 1.8 s at
+# k = 1,600 and 12 s at k = 3,200 (2 vCPU, Python 3.11), almost all of it
+# evaluation.  Every known expression uses k <= 3.
 MAX_EXPONENT = 64
 
 # Most variables that `parse_expr` lets an expression's indices call for
@@ -211,64 +225,120 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(parts) + ")"
 
 
-def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
-    """del_i(f) = (f - s_i f) / alpha_i, by the closed form on each
-    monomial (see the module docstring); drops graded degree by 2.
-
-    >>> x2 = MultiPoly.variable(2, 2)
-    >>> apply_demazure(1, x2) == MultiPoly.constant(1, 2)
-    True
-    """
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"s_{i} out of range for {f.nvars} variables")
-    terms: dict[Exponents, int] = {}
-    for e, c in f.terms.items():
-        a, b = e[i - 1], e[i]
-        if a == b:
-            continue
-        if a > b:
-            a, b, c = b, a, -c
-        head, tail = e[:i - 1], e[i + 1:]
-        for k in range(b - a):
-            _add_into(terms, head + (b - 1 - k, a + k) + tail, c)
-    return MultiPoly._wrap(f.nvars, terms)
-
-
 # -- operator expressions ----------------------------------------------
 
 
 class Chain:
     """`steps` from the top down, each an int i for del_i or a MultiPoly
     factor, above the polynomial `base`; `ops` lists the positions of the
-    operator steps.  Every step is checked here, once, against the ring of
-    `base`: evaluation skips steps above a zero value."""
+    operator steps, and `degree` is the sum over the base and the factors
+    of their largest total x-degree (`content_degree` // 2).  Every step
+    is checked here, once, against the ring of `base`: evaluation skips
+    steps above a zero value.
 
-    __slots__ = ("steps", "base", "ops")
+    The chain is packed here too, once, for evaluation: a monomial x^e
+    becomes the int sum_j e_j << (j - 1) w, one field of
+    w = degree.bit_length() bits per variable, and a polynomial a
+    {key: coefficient} dict.  No field can carry, because no exponent
+    leaves 0..degree, that is 0..2^w - 1.  A value starts as the base,
+    each factor adds at most its largest total degree to a term and each
+    operator lowers the total degree of every term it keeps by exactly 1
+    with exponents staying >= 0 (the closed form), so every value on the
+    way, and every erasure, which only skips an operator, has total
+    degree at most `degree`; so has every sum of keys that a product
+    forms.  A negative exponent would void this bound and is a
+    ValueError (`parse_expr` never builds one).
+    """
+
+    __slots__ = ("steps", "base", "ops", "degree", "_packed", "_base",
+                 "_shifts", "_mask")
 
     def __init__(self, steps: Sequence[int | MultiPoly], base: MultiPoly):
         nvars = base.nvars
         ops = []
+        polys = [base]
         for pos, step in enumerate(steps):
             if isinstance(step, MultiPoly):
                 if step.nvars != nvars:
                     raise ValueError("polynomials in different rings")
+                polys.append(step)
             elif not 1 <= step <= nvars - 1:
                 raise ValueError(f"D{step} out of range for {nvars} variables")
             else:
                 ops.append(pos)
+        for f in polys:
+            for e in f.terms:
+                if any(k < 0 for k in e):
+                    raise ValueError(f"negative exponent in x^{e}")
         self.steps, self.base, self.ops = tuple(steps), base, tuple(ops)
+        self.degree = sum(max(map(sum, f.terms), default=0) for f in polys)
+        width = self.degree.bit_length()
+        shifts = self._shifts = tuple(j * width for j in range(nvars))
+        mask = self._mask = (1 << width) - 1
+
+        def pack(step):
+            if isinstance(step, MultiPoly):
+                return {sum(k << s for k, s in zip(e, shifts)): c
+                        for e, c in step.terms.items()}
+            lo, hi = shifts[step - 1], shifts[step]
+            return (lo, hi, mask, ~(mask << lo | mask << hi),
+                    (1 << hi) - (1 << lo))
+
+        self._packed = tuple(map(pack, self.steps))
+        self._base = pack(base)
+
+    def _exponents(self, key: int) -> Exponents:
+        """The exponent vector of a packed monomial."""
+        mask = self._mask
+        return tuple(key >> s & mask for s in self._shifts)
 
 
-def _apply(steps: Sequence[int | MultiPoly], val: MultiPoly) -> MultiPoly:
-    """The value of `steps` (listed top-down) over `val`, bottom step
-    first.  Every step maps 0 to 0, so a zero value is final."""
+def _step(step: dict[int, int] | tuple, val: dict[int, int]
+          ) -> dict[int, int]:
+    """One packed step of a Chain applied to the packed value `val`.  A
+    factor multiplies: the keys of two monomials add.  del_i, packed as
+    (lo, hi, mask, clear, stride) with lo and hi the shifts of x_i and
+    x_{i+1}, sends x_i^a x_{i+1}^b m with a < b to the b - a keys
+    start, start + stride, ..., each with the coefficient of the term:
+    start is m with both fields cleared (`clear`) and set to b - 1 and a,
+    and stride = (1 << hi) - (1 << lo) trades one x_i for one x_{i+1}.
+    With a > b the roles of a and b swap and the sign flips."""
+    out: dict[int, int] = {}
+    get = out.get
+    if type(step) is dict:
+        for m1, c1 in step.items():
+            for m2, c2 in val.items():
+                m = m1 + m2
+                c = get(m, 0) + c1 * c2
+                if c:
+                    out[m] = c
+                else:       # c1 * c2 != 0, so m was there
+                    del out[m]
+    else:
+        lo, hi, mask, clear, stride = step
+        for m, c in val.items():
+            a, b = m >> lo & mask, m >> hi & mask
+            if a == b:
+                continue
+            if a > b:
+                a, b, c = b, a, -c
+            start = (m & clear) + ((b - 1) << lo) + (a << hi)
+            for key in range(start, start + (b - a) * stride, stride):
+                s = get(key, 0) + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def _run(steps: Sequence, val: dict[int, int]) -> dict[int, int]:
+    """The value of packed `steps` (listed top-down) over `val`, bottom
+    step first.  Every step maps 0 to 0, so a zero value is final."""
     for step in reversed(steps):
         if not val:
             break
-        if isinstance(step, int):
-            val = apply_demazure(step, val)
-        else:
-            val = step * val
+        val = _step(step, val)
     return val
 
 
@@ -285,8 +355,7 @@ def op_count(expr: Chain) -> int:
 
 def content_degree(expr: Chain) -> int:
     """Graded degree of the polynomial content (base and factors)."""
-    polys = [expr.base] + [s for s in expr.steps if isinstance(s, MultiPoly)]
-    return sum(max(f.graded_degrees(), default=0) for f in polys)
+    return 2 * expr.degree
 
 
 def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
@@ -297,16 +366,17 @@ def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
     >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
     -2
     """
-    steps, ops = expr.steps, expr.ops
+    steps, ops = expr._packed, expr.ops
     if erase is not None:
         if not 1 <= erase <= len(ops):
             raise IndexError(
                 f"operator index {erase} out of range 1..{len(ops)}")
         pos = ops[erase - 1]
         steps = steps[:pos] + steps[pos + 1:]
-    val = _apply(steps, expr.base)
-    _check_digits(val.terms.values(), "a result coefficient")
-    return val
+    val = _run(steps, expr._base)
+    _check_digits(val.values(), "a result coefficient")
+    return MultiPoly._wrap(expr.base.nvars, {expr._exponents(m): c
+                                             for m, c in val.items()})
 
 
 class ErasureAudit:
@@ -368,22 +438,22 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
     is 1 if some entry is nonzero (over F_p: nonzero mod p) and 0
     otherwise.
     """
-    steps, ops, val = expr.steps, expr.ops, expr.base
+    steps, ops, val = expr._packed, expr.ops, expr._base
     expected = content_degree(expr) - 2 * (len(ops) - 1)
-    under: list[MultiPoly] = []
+    under: list[dict[int, int]] = []
     done = len(steps)
     for pos in reversed(ops):
-        val = _apply(steps[pos + 1:done], val)
+        val = _run(steps[pos + 1:done], val)
         under.append(val)
         done = pos + 1
     under.reverse()
     entries: list[int] = []
     audit: list[ErasureAudit] = []
     for k, (pos, below) in enumerate(zip(ops, under), 1):
-        val = _apply(steps[:pos], below)
-        degrees = sorted(val.graded_degrees())
-        ok = val.is_constant()
-        audit.append(ErasureAudit(k, steps[pos], expected, degrees, ok))
+        val = _run(steps[:pos], below)
+        degrees = sorted({2 * sum(expr._exponents(m)) for m in val})
+        ok = val.keys() <= {0}      # key 0 is the monomial 1
+        audit.append(ErasureAudit(k, expr.steps[pos], expected, degrees, ok))
         if not ok and expected:
             raise ValueError(
                 f"--expr is unbalanced: erasing operator {k} left degrees "
@@ -393,7 +463,7 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
             raise DegreeAuditFailure(
                 f"erasing operator {k} left degrees {degrees}, "
                 f"expected a constant")
-        entries.append(val.constant_value())
+        entries.append(val.get(0, 0))
     _check_digits(entries, "an intersection-vector entry")
     return IntersectionFormReport(
         entries=entries,
@@ -479,9 +549,16 @@ def parse_expr(text: str) -> Chain:
             return MultiPoly.constant(value, nvars)
         if kind not in ("a", "x"):
             raise ValueError(f"expected a polynomial factor, got {kind!r}")
-        make = MultiPoly.alpha if kind == "a" else MultiPoly.variable
-        base = make(value, nvars)
-        return base if power is None else base ** power
+        k = 1 if power is None else power
+        e = [0] * nvars
+        if kind == "x":
+            e[value - 1] = k
+            return MultiPoly._wrap(nvars, {tuple(e): 1})
+        terms = {}      # alpha_i^k = sum_j C(k, j) x_{i+1}^j (-x_i)^(k-j)
+        for j in range(k + 1):
+            e[value - 1], e[value] = k - j, j
+            terms[tuple(e)] = (-1) ** (k - j) * comb(k, j)
+        return MultiPoly._wrap(nvars, terms)
 
     # Read the chain top-down: every `Di` or `poly *` adds a step, every
     # `(` one pending `)`, and the first bare polynomial ends the chain.

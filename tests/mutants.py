@@ -32,8 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the fast tests that cover the certificate path
 SUBSET = ["tests/test_cli.py", "tests/test_subexpr.py",
-          "tests/test_worddata.py", "-k",
-          "certify or decide or test_subexpr.py or test_worddata.py"]
+          "tests/test_worddata.py", "tests/test_demazure.py", "-k",
+          "certify or decide or test_subexpr.py or test_worddata.py "
+          "or test_demazure.py"]
 
 MUTANTS = [
     ("subexpr", "if u.find(pair) in starts:   # S",
@@ -70,6 +71,16 @@ MUTANTS = [
     ("demazure", "rank_over_p=int(any(e % p for e in entries))",
      "rank_over_p=int(any(e % 2 for e in entries))",
      "the F_p rank is taken mod 2 whatever p is"),
+    ("demazure", "a, b, c = b, a, -c", "a, b, c = b, a, c",
+     "del_i keeps the sign of a monomial with more x_i than x_{i+1}"),
+    ("demazure", "(1 << hi) - (1 << lo))", "(1 << hi))",
+     "the keys of del_i step up in x_{i+1} without giving up an x_i"),
+    ("demazure", "mask = self._mask = (1 << width) - 1",
+     "mask = self._mask = (1 << width + 1) - 1",
+     "the field mask reads one bit of the next variable's exponent"),
+    ("demazure", "start = (m & clear) + ((b - 1) << lo) + (a << hi)",
+     "start = (m & clear) + (b << lo) + (a << hi)",
+     "the progression of del_i starts at x_i^b, one degree too high"),
     ("worddata", "reduced = coxeter.is_reduced(wd.word, wd.n)",
      "reduced = True",
      "a word that is not reduced passes validation"),

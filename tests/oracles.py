@@ -42,6 +42,12 @@ definition (phi(a), phi(b)) / pi~(A), both arguments embedded by
 eps(a(a) b)) and divided by `pi_tilde` with `LaurentPoly.exact_divide`,
 which raises unless the division is exact.
 
+Demazure chains, against `demazure`'s packed evaluation: `apply_demazure`
+applies del_i to a `MultiPoly` term by term on exponent tuples, by the
+closed form, and `apply_steps` and `chain_value` run a chain's
+`MultiPoly` steps, with or without one operator, through it and
+`MultiPoly.__mul__`, so they share no step code with the packed one.
+
 The certificate report, against `heckekit certify`: `certify_text` builds
 the whole payload from unpacked histograms and renders it with one
 json.dumps.
@@ -352,6 +358,56 @@ def a_antiautomorphism(el: HeckeElement) -> HeckeElement:
     for x, c in el.coeffs.items():
         add_scaled(out, inverse_h(x).coeffs, c.bar())
     return HeckeElement(el.n, out)
+
+
+# -- Demazure chains on exponent tuples ---------------------------------
+
+
+def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
+    """del_i(f) = (f - s_i f) / alpha_i, by the closed form on each
+    monomial, its exponent vector a tuple: del_i(x_i^a x_{i+1}^b m) is
+    sign(b - a) (x_i x_{i+1})^min(a,b) sum_{k<|a-b|} x_i^(|a-b|-1-k)
+    x_{i+1}^k m.
+
+    >>> x2 = MultiPoly.variable(2, 2)
+    >>> apply_demazure(1, x2) == MultiPoly.constant(1, 2)
+    True
+    """
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"s_{i} out of range for {f.nvars} variables")
+    terms: dict[tuple[int, ...], int] = {}
+    for e, c in f.terms.items():
+        a, b = e[i - 1], e[i]
+        if a == b:
+            continue
+        if a > b:
+            a, b, c = b, a, -c
+        head, tail = e[:i - 1], e[i + 1:]
+        for k in range(b - a):
+            _add_into(terms, head + (b - 1 - k, a + k) + tail, c)
+    return MultiPoly._wrap(f.nvars, terms)
+
+
+def apply_steps(steps: Sequence, val: MultiPoly) -> MultiPoly:
+    """The value of MultiPoly `steps` (listed top-down: an int i for
+    del_i, a MultiPoly factor) over `val`, bottom step first, through
+    `apply_demazure` and `MultiPoly.__mul__`."""
+    for step in reversed(steps):
+        if isinstance(step, int):
+            val = apply_demazure(step, val)
+        else:
+            val = step * val
+    return val
+
+
+def chain_value(expr: demazure.Chain, erase: int | None = None
+                ) -> MultiPoly:
+    """The value of `expr` with its `erase`-th operator (from the top, 1
+    first) dropped, or of the whole chain, by `apply_steps`."""
+    steps = list(expr.steps)
+    if erase is not None:
+        del steps[expr.ops[erase - 1]]
+    return apply_steps(steps, expr.base)
 
 
 # -- the certificate report ----------------------------------------------

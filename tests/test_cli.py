@@ -416,10 +416,11 @@ def test_inline_expression_error_names_the_flag(capsys):
 def test_internal_consistency_is_exit_3(monkeypatch, capsys):
     # D1 D1 ( a1 ) is balanced (expected erasure degree 0); an operator
     # that keeps the degree makes its erasures nonconstant, which only a
-    # fault in the arithmetic can do
+    # fault in the arithmetic can do (every step is an operator, so a
+    # packed step that returns its value unchanged is one)
     from heckekit import demazure
 
-    monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
+    monkeypatch.setattr(demazure, "_step", lambda step, val: val)
     for command in ("intersection-form", "certify"):
         code, out = run_cli(capsys, command, "--expr", "D1 D1 ( a1 )")
         assert code == 3 and out == ""
@@ -840,10 +841,11 @@ def test_collector_paused_only_during_the_command(argv, code, monkeypatch,
     seen = []
     command = cli.build_parser().parse_args(argv).func
     if code == 3:
-        # an operator that keeps the degree: a consistency violation
+        # an operator that keeps the degree (a packed step that returns
+        # its value): a consistency violation
         from heckekit import demazure
 
-        monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
+        monkeypatch.setattr(demazure, "_step", lambda step, val: val)
 
     def spy(args):
         seen.append(gc.isenabled())

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import oracles
 from heckekit import demazure
 from heckekit.demazure import (
     BUILTIN_EXPRESSIONS,
@@ -13,7 +14,6 @@ from heckekit.demazure import (
     Chain,
     DegreeAuditFailure,
     MultiPoly,
-    apply_demazure,
     builtin_expr,
     content_degree,
     eval_expr,
@@ -42,6 +42,14 @@ def demazure_closed_form(i, f):
     return out
 
 
+def delta(i, f):
+    """del_i(f) through the package's one evaluator, checked against the
+    tuple-key oracle on the way."""
+    got = eval_expr(Chain([i], f))
+    assert got == oracles.apply_demazure(i, f), (i, f)
+    return got
+
+
 def rand_poly(rng, nvars=4, terms=4, deg=3):
     out = MultiPoly(nvars)
     for _ in range(terms):
@@ -53,12 +61,12 @@ def rand_poly(rng, nvars=4, terms=4, deg=3):
 def test_apply_demazure_examples():
     x2 = MultiPoly.variable(2, 2)
     x1 = MultiPoly.variable(1, 2)
-    assert apply_demazure(1, x2) == MultiPoly.constant(1, 2)
-    assert apply_demazure(1, x1) == MultiPoly.constant(-1, 2)
+    assert delta(1, x2) == MultiPoly.constant(1, 2)
+    assert delta(1, x1) == MultiPoly.constant(-1, 2)
     a4sq = MultiPoly.alpha(4, 5) ** 2
     expect = (MultiPoly.variable(3, 5) + MultiPoly.variable(4, 5)
               - 2 * MultiPoly.variable(5, 5))
-    assert apply_demazure(3, a4sq) == expect
+    assert delta(3, a4sq) == expect
 
 
 def test_apply_demazure_matches_closed_form():
@@ -66,7 +74,7 @@ def test_apply_demazure_matches_closed_form():
     for _ in range(120):
         f = rand_poly(rng)
         i = rng.randrange(1, 4)
-        assert apply_demazure(i, f) == demazure_closed_form(i, f)
+        assert delta(i, f) == demazure_closed_form(i, f)
 
 
 def test_apply_demazure_multiplies_back_on_every_small_monomial():
@@ -85,7 +93,7 @@ def test_apply_demazure_multiplies_back_on_every_small_monomial():
                     for v, k in zip(others, m):
                         e[v] = k
                     f = MultiPoly(nv, {tuple(e): 3})
-                    got = apply_demazure(i, f)
+                    got = delta(i, f)
                     assert got * alpha == f - f.swap_variables(i), (i, e)
                     if a != b:
                         assert got.graded_degrees() == {2 * sum(e) - 2}
@@ -96,13 +104,13 @@ def test_nil_and_braid_relations():
     for _ in range(60):
         f = rand_poly(rng)
         i = rng.randrange(1, 4)
-        assert not apply_demazure(i, apply_demazure(i, f))
+        assert not eval_expr(Chain([i, i], f))
     for _ in range(40):
         f = rand_poly(rng)
         i = rng.randrange(1, 3)
-        lhs = apply_demazure(i, apply_demazure(i + 1, apply_demazure(i, f)))
-        rhs = apply_demazure(i + 1, apply_demazure(i, apply_demazure(i + 1, f)))
-        assert lhs == rhs
+        lhs = eval_expr(Chain([i, i + 1, i], f))
+        rhs = eval_expr(Chain([i + 1, i, i + 1], f))
+        assert lhs == rhs == oracles.chain_value(Chain([i, i + 1, i], f))
 
 
 def test_twisted_leibniz():
@@ -110,9 +118,8 @@ def test_twisted_leibniz():
     for _ in range(60):
         f, g = rand_poly(rng, terms=3), rand_poly(rng, terms=3)
         i = rng.randrange(1, 4)
-        lhs = apply_demazure(i, f * g)
-        rhs = (apply_demazure(i, f) * g
-               + f.swap_variables(i) * apply_demazure(i, g))
+        lhs = delta(i, f * g)
+        rhs = delta(i, f) * g + f.swap_variables(i) * delta(i, g)
         assert lhs == rhs
 
 
@@ -160,7 +167,7 @@ def test_parser_rejects_exponents_above_the_budget():
                 f"exceeds the budget MAX_EXPONENT = 64")):
             parse_expr(f"D1 ( x3 * {token} )")
     got = eval_expr(parse_expr("D1 ( a1^64 )"))
-    assert got == apply_demazure(1, MultiPoly.alpha(1, 2) ** 64)
+    assert got == delta(1, MultiPoly.alpha(1, 2) ** 64)
     assert not got
 
 
@@ -238,7 +245,7 @@ def test_chain_rejects_operators_outside_the_ring():
 def test_eval_simple():
     assert eval_expr(Chain([], MultiPoly.alpha(4, 5))) == MultiPoly.alpha(4, 5)
     got = eval_expr(Chain([3], MultiPoly.alpha(4, 5) ** 2))
-    assert got == apply_demazure(3, MultiPoly.alpha(4, 5) ** 2)
+    assert got == delta(3, MultiPoly.alpha(4, 5) ** 2)
 
 
 def test_builtin_shape():
@@ -317,6 +324,151 @@ def test_shared_erasure_pass_matches_reference():
         assert rep.rank_over_p == int(any(e % 3 for e in expected))
 
 
+def agrees_with_oracle(expr, p=3):
+    """eval_expr (whole, and with each operator erased) and
+    intersection_vector on `expr` against the tuple-key oracle; whether
+    the erasures are all constant."""
+    nops = op_count(expr)
+    factors = [s for s in expr.steps if isinstance(s, MultiPoly)]
+    assert content_degree(expr) == sum(
+        max(f.graded_degrees(), default=0) for f in [expr.base, *factors])
+    assert eval_expr(expr) == oracles.chain_value(expr)
+    values = [oracles.chain_value(expr, k) for k in range(1, nops + 1)]
+    for k, value in enumerate(values, 1):
+        assert eval_expr(expr, erase=k) == value, k
+    expected = content_degree(expr) - 2 * (nops - 1)
+    bad = [k for k, value in enumerate(values, 1) if not value.is_constant()]
+    if bad:
+        degrees = sorted(values[bad[0] - 1].graded_degrees())
+        with pytest.raises(ValueError) as exc:
+            intersection_vector(expr, p)
+        assert isinstance(exc.value, DegreeAuditFailure) == (expected == 0)
+        assert (f"erasing operator {bad[0]} left degrees {degrees}"
+                in str(exc.value))
+        return False
+    rep = intersection_vector(expr, p)
+    assert rep.entries == [value.constant_value() for value in values]
+    assert rep.rank_over_Q == int(any(rep.entries))
+    assert rep.rank_over_p == int(any(e % p for e in rep.entries))
+    assert [a.value_degrees for a in rep.degree_audit] == [
+        sorted(value.graded_degrees()) for value in values]
+    assert [a.generator for a in rep.degree_audit] == [
+        expr.steps[pos] for pos in expr.ops]
+    assert all(a.ok and a.expected_degree == expected
+               for a in rep.degree_audit)
+    return True
+
+
+def random_chain_text(rng):
+    """Prefix text in 2-8 variables with up to 12 operators, each factor a
+    product of a_i^k, x_i^k and constants; for most texts the content
+    degree is one less than the number of operators (balanced)."""
+    nv = rng.randint(2, 8)
+    nops = rng.randint(0, 12)
+    nfactors = rng.randint(0, 4)
+    kinds = ["D"] * nops + ["F"] * nfactors
+    rng.shuffle(kinds)
+    products = [[] for _ in range(nfactors + 1)]   # the last is the base
+    target = nops - 1 if nops and rng.randrange(4) else rng.randint(0, 6)
+    for _ in range(rng.randint(1, 4)):
+        rng.choice(products).append(["a", rng.randint(1, nv - 1), 0])
+    for _ in range(rng.randint(0, 2)):
+        rng.choice(products).append(["x", rng.randint(1, nv), 0])
+    atoms = [atom for product in products for atom in product]
+    for _ in range(target):
+        rng.choice(atoms)[2] += 1
+    for product in products:
+        if rng.randrange(4) == 0 or not product:
+            product.append(["c", rng.choice([-3, -1, 2, 5]), 1])
+
+    def text(product):
+        return " * ".join(
+            str(i) if kind == "c" else
+            f"{kind}{i}" + ("" if k == 1 and rng.randrange(2) else f"^{k}")
+            for kind, i, k in product)
+
+    words, factors = [], iter(products)
+    for kind in kinds:
+        words.append(f"D{rng.randint(1, nv - 1)}" if kind == "D"
+                     else text(next(factors)) + " *")
+    return " ".join(words) + f" ( {text(next(factors))} )"
+
+
+def random_chain(rng):
+    """A Chain built directly: 2-8 variables, up to 12 operators and
+    factors of mixed degrees (most are not homogeneous)."""
+    nv = rng.randint(2, 8)
+    steps = [rng.randint(1, nv - 1) for _ in range(rng.randint(0, 12))]
+    for _ in range(rng.randint(0, 3)):
+        steps.insert(rng.randrange(len(steps) + 1),
+                     rand_poly(rng, nv, rng.randint(1, 3), 3))
+    return Chain(steps, rand_poly(rng, nv, rng.randint(1, 4), 4))
+
+
+def test_packed_evaluation_agrees_with_the_tuple_oracle():
+    rng = random.Random(41)
+    balanced = 0
+    for _ in range(150):
+        text = random_chain_text(rng)
+        balanced += agrees_with_oracle(parse_expr(text))
+    for _ in range(100):
+        agrees_with_oracle(random_chain(rng))
+    assert balanced >= 50
+
+
+def test_packed_fields_at_the_degree_bound():
+    """A field of w bits holds 0..2^w - 1: chains whose degree bound is
+    exactly 2^w - 1, whose values reach that exponent in one field."""
+    x = [MultiPoly.variable(i, 3) for i in (1, 2, 3)]
+    chains = [
+        Chain([1, 2], x[0] ** 3),                       # w = 2
+        Chain([], x[1] ** 3),
+        Chain([2, x[2] ** 2, 1], x[1]),                 # x3^2 * del1(x2)
+        Chain([1, 2, 1, 2], MultiPoly.alpha(1, 3) ** 4 * x[2] ** 3),  # w = 3
+        Chain([2, 1, 1, 2], x[0] ** 7),
+        Chain([1], x[1]),                               # w = 1
+        Chain([1, 2], MultiPoly.constant(5, 3)),        # w = 0
+        parse_expr("D1 D2 D1 ( x1^15 )"),               # w = 4
+    ]
+    for expr in chains:
+        assert expr.degree == 2 ** expr.degree.bit_length() - 1, expr.steps
+        agrees_with_oracle(expr)
+    assert eval_expr(chains[1]) == x[1] ** 3
+    assert intersection_vector(chains[6]).entries == [0, 0]
+
+
+def test_packed_evaluation_in_255_variables():
+    texts = ["D254 D254 ( x255 )",
+             "D253 D254 ( a254^2 * x1 * D1 ( x2 ) )",
+             "D1 D254 D2 ( a1 * a254^3 * x3 * D253 ( x255 * x128 ) )",
+             "D254 D253 D254 ( a253 * D253 ( a254^2 * x254 ) )"]
+    for text in texts:
+        expr = parse_expr(text)
+        assert expr.base.nvars == 255
+        agrees_with_oracle(expr)
+    assert intersection_vector(parse_expr(texts[0])).entries == [1, 1]
+
+
+def test_chain_refuses_a_negative_exponent():
+    x1 = MultiPoly.variable(1, 2)
+    for steps, base in (([], MultiPoly(2, {(-1, 0): 1})),
+                        ([1], MultiPoly(2, {(2, 0): 1, (0, -3): 4})),
+                        ([MultiPoly(2, {(1, -1): 1}), 1], x1)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            Chain(steps, base)
+
+
+def test_parsed_powers_match_multipoly_powers():
+    for i, nv in ((1, 2), (3, 4), (7, 8)):
+        alpha, x = MultiPoly.alpha(i, nv), MultiPoly.variable(i, nv)
+        assert parse_expr(f"a{i}").base == alpha
+        assert parse_expr(f"x{i} * a{nv - 1}^0").base == x
+        for k in range(MAX_EXPONENT + 1):
+            assert parse_expr(f"a{i}^{k}").base == alpha ** k, (i, k)
+            assert parse_expr(f"x{i}^{k} * x{nv}").base == (
+                x ** k * MultiPoly.variable(nv, nv))
+
+
 def test_degree_audit_names_the_first_failing_erasure():
     # an erasure of nonzero expected degree: the expression is unbalanced
     cases = {
@@ -346,10 +498,12 @@ def test_long_chain_needs_no_recursion():
 
 def test_degree_audit_failure(monkeypatch):
     # A balanced chain (expected degree 0) whose erasure is nonconstant is
-    # an internal inconsistency: plant an operator that keeps the degree.
+    # an internal inconsistency: plant an operator that keeps the degree
+    # (every step of this chain is an operator, so a packed step that
+    # returns its value unchanged is one).
     balanced = Chain([1, 1], MultiPoly.alpha(1, 2))
     assert intersection_vector(balanced, 2).entries == [2, 2]
-    monkeypatch.setattr(demazure, "apply_demazure", lambda i, f: f)
+    monkeypatch.setattr(demazure, "_step", lambda step, val: val)
     with pytest.raises(DegreeAuditFailure, match="erasing operator 1 left "
                        "degrees \\[2\\], expected a constant"):
         intersection_vector(balanced, 2)

@@ -1,7 +1,7 @@
 """An independent check of the erasure vector, by localization.
 
 `demazure.intersection_vector` evaluates each erasure with the closed
-form of `apply_demazure` on `MultiPoly` terms.  Here the same chain is
+form of del_i on packed monomials.  Here the same chain is
 read by a reader of its own and evaluated at rational points instead:
 an operator step is
 

@@ -623,8 +623,8 @@ def test_a_generator_of_A_that_is_no_int_is_named_before_A_is_sorted(entry):
     """`coxeter`'s one generator check reads A before anything sorts it,
     so a member that does not compare with ints is named, not a bare
     TypeError from `sorted`."""
-    with pytest.raises(ValueError, match="parabolic generator a out of "
-                                         "range for S_3"):
+    with pytest.raises(ValueError, match="parabolic generator 'a' is not "
+                                         "an int"):
         entry(frozenset({1, "a"}))
 
 
@@ -645,15 +645,15 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
         (lambda: SphericalElement(3, (), {(1, 2, 3.0): ONE}), key),
         (lambda: spherical_kl_basis((2.0, 1, 3), {2}), key),
         (lambda: coxeter.check_generators((1.5,), 3),
-         "generator index 1.5 out of range for S_3"),
+         "generator index 1.5 is not an int"),
         (lambda: act_by_gen(1.5, m_id(3, {1})),
-         "generator index 1.5 out of range for S_3"),
+         "generator index 1.5 is not an int"),
         (lambda: mult_by_gen(hecke.h(w0), 1.0, "right"),
-         "generator index 1.0 out of range for S_3"),
+         "generator index 1.0 is not an int"),
         (lambda: bott_samelson_spherical((True,), 3, ()),
-         "generator index True out of range for S_3"),
+         "generator index True is not an int"),
         (lambda: sweep((1, 2.0), 3, ()),
-         "generator index 2.0 out of range for S_3"),
+         "generator index 2.0 is not an int"),
     ]
     a_entries = [
         lambda A: m(w0, A),
@@ -667,8 +667,7 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
     for bad in (1.0, True, 2.5):
         for entry in a_entries:
             calls.append((lambda entry=entry, bad=bad: entry({bad}),
-                          f"parabolic generator {bad} out of range "
-                          f"for S_3"))
+                          f"parabolic generator {bad} is not an int"))
     for call, message in calls:
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

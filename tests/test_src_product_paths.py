@@ -146,9 +146,9 @@ def test_the_import_scan_reads_annotations():
 
 
 #: the messages of the input checks that `coxeter` owns: a letter or a
-#: generator of A in 1..n-1 (`check_generators`), a key that is a
-#: permutation and a minimal coset representative (`coset_key`)
-CHECK_TEXTS = ("out of range for S_", "is not a permutation",
+#: generator of A that is an int in 1..n-1 (`check_generators`), a key
+#: that is a permutation and a minimal coset representative (`coset_key`)
+CHECK_TEXTS = ("out of range for S_", "is not an int", "is not a permutation",
                "is not a minimal coset representative")
 
 #: the functions outside `coxeter` that keep a check of their own, with
