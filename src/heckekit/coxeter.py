@@ -22,30 +22,42 @@ modules call them at their entries and never inside a step.
 Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
 of x dominates that of y entrywise.  `rank_table`, `rank_table_dominates`
-and `bruhat_leq` compare tuple tables entry by entry.  `bruhat_above`
-decides the lower half x < z of the certificate's interval test (the
-upper half z <= w holds for every endpoint of a reduced word's
-expansion, see `subexpr.interval_endpoints`) on packed rank tables, and
-for a fixed x it packs only the entries at the essential set of x:
-Fulton (Flags, Schubert polynomials, degeneracy loci, and determinantal
-formulas, Duke Math. J. 65 (1992), Section 3) shows that the rank
-conditions r_z[i][j] <= r_x[i][j] at those cells imply them at every
-cell, and the essential set of the certificate's x = w_B has 10 cells
-where the full S_15 table has 196.  The entries sit in one int, one
-field each, with a guard bit above the value bits.  A table is the sum
-of n-1 precomputed per-position constants, and x <= z is one
-subtraction: ((P_x | H) - P_z) & H == H, with H the guard mask, since a
-field keeps its guard bit exactly when r_x[i][j] >= r_z[i][j].  A
-partial table cannot tell z = x from other z above x, so that case is
-decided by comparing z with x itself.  W_A permutes the positions within
-each block of A (`parabolic_blocks`), which gives w_A, W_A and the
-minimal coset representatives.
+and `bruhat_leq` compare tuple tables entry by entry.
+`bruhat_above_all` decides the lower half x < z of the certificate's
+interval test (the upper half z <= w holds for every endpoint of a
+reduced word's expansion, see `subexpr.interval_endpoints`) for all
+cosets z at once, and reads only the rank entries at the essential set
+of x: Fulton (Flags, Schubert polynomials, degeneracy loci, and
+determinantal formulas, Duke Math. J. 65 (1992), Section 3) shows that
+the rank conditions r_z[i][j] <= r_x[i][j] at those cells imply them at
+every cell, and the essential set of the certificate's x = w_B has 10
+cells where the full S_15 table has 196.  The cosets are sorted and
+tested BRUHAT_CHUNK at a time, bit-sliced: a chunk of N cosets of n
+bytes is joined into one byte string, position a of every coset is the
+column blob[a::n], and `translate` maps a column to one byte per coset,
+1 where the value is at most j.  Added up over the positions a < i,
+these columns give one int per essential column j whose byte k is
+r_z[i][j] for the k-th coset z; no byte carries, as r_z[i][j] < n.
+At an essential cell (i, j), that int plus 127 - r_x[i][j] in every
+byte holds r_z[i][j] - r_x[i][j] + 127 in byte k, which reaches the
+guard bit 128 exactly when r_z[i][j] > r_x[i][j].  It stays in 0..254,
+so no byte borrows or carries: at any cell both ranks lie between
+max(0, i + j - n) and min(i, j), which differ by at most n // 2 <= 127
+for n <= 255.  OR-ing the guard bits over the cells flags every z with
+x </= z, `itertools.compress` keeps the others in sorted order, and z =
+x, which the entries at the essential set cannot tell from a z above
+x, is found by bisection and dropped.  A chunk bounds the ints and the
+joined string to N * n bytes each, whatever the number of cosets.
+
+W_A permutes the positions within each block of A (`parabolic_blocks`),
+which gives w_A, W_A and the minimal coset representatives.
 """
 from __future__ import annotations
 
-from itertools import combinations, starmap
+from bisect import bisect_left, bisect_right
+from itertools import combinations, compress, starmap
 from operator import gt
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
 Word = tuple[int, ...]
@@ -236,67 +248,67 @@ def essential_set(x: Permutation) -> list[tuple[int, int]]:
             and not diagram(i, j + 1)]
 
 
-def _rank_packing(n: int, cells: Sequence[tuple[int, int]]
-                  ) -> tuple[list[list[int]], int]:
-    """(C, H) for the rank entries r[i][j] at `cells` of S_n, one field
-    each in the order given: C[a][v] is the packed table of "value v at
-    0-based position a" and H the guard mask.  A field is 5 value bits
-    and a guard bit for n <= 32, wider beyond.  Value v at position a adds
-    one to r[i][j] for i > a and j >= v, so C[a][v] is the sum of those
-    fields, built row by row from the bottom.  C has a row for each
-    position a below the largest i of the cells: a value at a later
-    position adds to none of them, so the packed table of p is
-    sum(C[a][p[a]]) over the rows of C."""
-    m = n - 1
-    width = max(5, m.bit_length()) + 1
-    field = {cell: 1 << width * f for f, cell in enumerate(cells)}
-    C = []
-    below = [0] * (n + 1)   # below[v]: the fields (i, j), i > a, j >= v
-    for a in range(max((i for i, _ in cells), default=0) - 1, -1, -1):
-        row = 0
-        for v in range(n, 0, -1):
-            row += field.get((a + 1, v), 0)
-            below[v] += row
-        C.append(list(below))
-    C.reverse()
-    H = sum(field.values()) << (width - 1)
-    return C, H
+#: most cosets `bruhat_above_all` packs into one set of big ints, which
+#: bounds its memory whatever the number of cosets
+BRUHAT_CHUNK = 1 << 14
+
+# the guard bit of a coset's byte in `bruhat_above_all`
+_GUARD = 0x80
 
 
-def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
-    """The test z -> x < z in Bruhat order on the S_n of x, for z in
-    the same S_n: per z, one packed table of the rank entries at the
-    essential set of x, one subtraction and, for z that pass, one
-    comparison with x.
+def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
+    """The cosets z among `cosets` with x < z in Bruhat order, sorted:
+    bytes or tuples, all of one type, each holding a permutation of the
+    S_n of x, n <= 255, as given.  A coset whose length is not n raises
+    ValueError naming the first one.
 
-    x <= z iff r_z[i][j] <= r_x[i][j] at every (i, j) in the essential
-    set of x (Fulton 1992, Section 3): the rank conditions of the matrix
-    Schubert variety of x at its essential set imply all the others, on
-    any matrix, so on the permutation matrix of z.  The table of z packs
-    only those entries, so its guard-bit subtraction decides x <= z, and
-    z = x, which passes, is told apart by comparing z with x itself.  x
-    and z may each be a tuple or the bytes of one: z is compared with x
-    in both forms.
+    x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
+    of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK cosets
+    at once, one byte each, as the module docstring describes; z = x,
+    which passes, is then found by bisection and dropped.
 
-    >>> above = bruhat_above((2, 1, 3))
-    >>> [above(z) for z in ((2, 1, 3), (1, 3, 2), (3, 2, 1))]
-    [False, False, True]
-    >>> above(bytes((2, 1, 3))), above(bytes((3, 2, 1)))
-    (False, True)
+    >>> bruhat_above_all((2, 1, 3), [(3, 2, 1), (1, 3, 2), (2, 1, 3)])
+    [(3, 2, 1)]
+    >>> bruhat_above_all(bytes((1, 2)), [bytes((2, 1)), bytes((1, 2))])
+    [b'\\x02\\x01']
     """
     x = tuple(x)
-    try:
-        same = (x, bytes(x))
-    except ValueError:   # a value above 255 has no bytes form
-        same = (x,)
-    C, H = _rank_packing(len(x), essential_set(x))
-    at = list.__getitem__
-    px_H = sum(map(at, C, x)) | H
-
-    def above(z: Permutation) -> bool:
-        return (px_H - sum(map(at, C, z))) & H == H and z not in same
-
-    return above
+    n = len(x)
+    keys = list(cosets)
+    if set(map(len, keys)) - {n}:
+        z = next(z for z in keys if len(z) != n)
+        raise ValueError(f"coset {z!r} has {len(z)} entries, not n = {n}")
+    keys.sort()
+    rx = rank_table(x)
+    cells: dict[int, list] = {}   # row i -> [(j, _GUARD - 1 - r_x[i][j])]
+    last: dict[int, int] = {}     # column j -> its last row
+    for i, j in essential_set(x):
+        cells.setdefault(i, []).append((j, _GUARD - 1 - rx[i][j]))
+        last[j] = i
+    below = {j: bytes(v <= j for v in range(256)) for j in last}
+    reads = [[(j, below[j]) for j in last if last[j] > a]
+             for a in range(max(cells, default=0))]
+    from_bytes = int.from_bytes
+    out = []
+    for k in range(0, len(keys), BRUHAT_CHUNK):
+        chunk = keys[k:k + BRUHAT_CHUNK]
+        blob = b"".join(chunk if type(chunk[0]) is bytes
+                        else map(bytes, chunk))
+        ones = from_bytes(b"\1" * len(chunk), "little")
+        guard = ones * _GUARD
+        # column j -> r_z[a + 1][j] of every coset, one byte each
+        counts = dict.fromkeys(last, 0)
+        flags = 0
+        for a, read in enumerate(reads):
+            column = blob[a::n]
+            for j, table in read:
+                counts[j] += from_bytes(column.translate(table), "little")
+            for j, offset in cells.get(a + 1, ()):
+                flags |= (counts[j] + offset * ones) & guard
+        out += compress(chunk, (flags ^ guard).to_bytes(len(chunk), "little"))
+    same = bytes(x) if out and type(out[0]) is bytes else x
+    del out[bisect_left(out, same):bisect_right(out, same)]
+    return out
 
 
 # -- parabolic subgroups ----------------------------------------------

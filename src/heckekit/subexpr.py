@@ -19,9 +19,19 @@ a forced position, so the cost follows the number of cosets reached
 rather than the 2^(free positions) subexpressions.  A forced step maps
 cosets one to one (s_i permutes W/W_A), so the fold takes a maximal run
 of forced positions in one pass: each coset moves along the whole run
-and lands in the new state once, with no merge.  `interval_endpoints`
-picks out of a fold's result the cosets of the certificate's interval
-x < z <= w.
+and lands in the new state once, with no merge.  Whether a step of the
+run fixes a coset (an S step) depends only on the values at the
+positions that A's blocks cover, {g - 1, g} (0-based) for g in A, and a
+step that moves the coset only swaps two values, so it maps that block
+content to a block content.  So the content a coset enters the run
+with fixes the run's S steps, the composite of its other swaps (one
+translate table) and the defect shift.  The run is walked letter by
+letter once per block content, and every other coset with that content
+moves by one lookup and one translate; equal (table, shift) pairs are
+held once.  At A = {} no step is S, and every coset moves through one
+table.  `interval_endpoints` picks out of a fold's result the cosets of
+the certificate's interval x < z <= w, all at once, with
+`coxeter.bruhat_above_all`.
 
 The fold state is packed.  A coset is a `bytes` key holding one value per
 byte, so `sweep` takes n <= MAX_N = 255, and s_i u is `u.translate(T_i)`
@@ -38,14 +48,16 @@ while the certificate (`worddata.decide`, and `certify` rendering its
 record) reads the bytes keys and packed ints themselves.
 
 The slow references the fold is tested against, a depth-first walk over
-every subexpression and a decoration straight from the definitions, live
-with the tests in `tests/oracles.py`.
+every subexpression, a decoration straight from the definitions and a
+fold one letter at a time on unpacked histograms, live with the tests in
+`tests/oracles.py`.
 """
 from __future__ import annotations
 
 from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
                              Sequence)
 from itertools import groupby
+from operator import itemgetter
 
 from . import coxeter
 from .coxeter import Permutation
@@ -57,17 +69,23 @@ from .coxeter import Permutation
 # below the start state's one coset.
 # The synthetic GL15 certificate words peak near 155,000 cosets.  On the
 # benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
-# 220 bytes per coset of the returned packed state, and a peak of 350 per
+# 220 bytes per coset of the returned packed state, and a peak of 348 per
 # final coset while a step (or a forced run) holds its state before and
-# after: about 0.4 GB at the budget for GL15-shaped words.  Memory per
-# coset grows with the free positions: `bs --n 11` on the 55-letter w0
-# word peaked at 1,131 MB RSS when it hit the budget.  A `certify` run at
-# 753,485 cosets (`gl15-reconstructed`, 241 bytes per packed coset)
-# peaked at 321 MB RSS.
+# after: about 0.4 GB at the budget for GL15-shaped words.  A forced
+# run's memo adds one entry per block content it meets, at most 312 on
+# that word and 477 on `gl15-reconstructed`, whose 753,485 cosets took
+# 241 bytes each packed, 377 at the peak, and whose `certify` run peaked
+# at 321 MB RSS.  The interval test then holds two lists of the cosets
+# and one chunk, 13.5 MB at its peak there.  Memory per coset grows with
+# the free positions: `bs --n 11` on the 55-letter w0 word, which has no
+# forced run, peaked at 1,131 MB RSS when it hit the budget.
 SUPPORT_BUDGET = 1_000_000
 
 # Largest n the fold takes: a coset keeps each of its values in one byte.
 MAX_N = 255
+
+# the translate table that moves no value
+_IDENTITY = bytes(range(256))
 
 
 class EnumConstraint:
@@ -113,9 +131,10 @@ def sweep(word: Sequence[int], n: int, parabolic,
     forced.  This is the b_s action on the spherical module, so the work
     grows with the number of cosets reached rather than with the number
     of leaves.  A maximal run of forced positions is one pass over the
-    state: its e = 1 steps are one to one, so each coset walks the run's
-    letters on its own and is written once.  A free step or a forced run
-    that reaches more than SUPPORT_BUDGET cosets raises ValueError.
+    state: its e = 1 steps are one to one, so each coset moves through
+    the run's composite table for its block content and is written
+    once.  A free step or a forced run that reaches more than
+    SUPPORT_BUDGET cosets raises ValueError.
 
     The state is packed as the module docstring describes, and returned
     packed, as a `SweepResult`, which unpacks a histogram when it is
@@ -145,21 +164,35 @@ def sweep(word: Sequence[int], n: int, parabolic,
     # side by side at 0-based positions a, a + 1 with s_(a+1) in A, that
     # is when u.find(bytes((i, i + 1))) is one of `starts`
     starts = frozenset(g - 1 for g in A)
+    # the values at the positions that A's blocks cover decide every S
+    # test of a forced run, and its swaps move them among themselves
+    covered = sorted({p for g in A for p in (g - 1, g)})
+    content = itemgetter(*covered) if covered else lambda u: None
     state = {bytes(range(1, n + 1)): 1 << free * width}
     for is_forced, run in groupby(range(m - 1, -1, -1), forced.__contains__):
         if is_forced:
-            # e = 1 throughout: each coset moves along the run one to one,
-            # shifting its histogram one field up per S step
+            # e = 1 throughout, and each coset moves along the run one to
+            # one; its block content fixes the run's composite swap table
+            # and shift, found by walking the run once per content
             steps = [letters[word[j]] for j in run]
             out: dict[bytes, int] = {}
+            memo = {}     # block content -> (table, shift)
+            shared = {}   # each distinct (table, shift), held once
             for u, h in state.items():
-                shift = 0
-                for pair, swap in steps:
-                    if u.find(pair) in starts:
-                        shift += width
-                    else:
-                        u = u.translate(swap)
-                out[u] = h << shift
+                key = content(u)
+                hit = memo.get(key)
+                if hit is None:
+                    v, table, shift = u, _IDENTITY, 0
+                    for pair, swap in steps:
+                        if v.find(pair) in starts:
+                            shift += width
+                        else:
+                            v = v.translate(swap)
+                            table = table.translate(swap)
+                    hit = memo[key] = shared.setdefault((table, shift),
+                                                        (table, shift))
+                table, shift = hit
+                out[u.translate(table)] = h << shift
             if len(out) > budget:
                 raise ValueError(f"subexpression fold support exceeds the "
                                  f"budget of {budget} cosets")
@@ -287,20 +320,24 @@ def interval_endpoints(cosets: Iterable[Permutation | bytes], n: int,
     a fold over a reduced word, whose element has minimal coset
     representative w.  The cosets may be tuples, as a `sweep` result
     hands them out, or bytes, as its `packed` keys hold them, and are
-    returned as given; bytes sort as the tuples they hold.
+    returned as given; bytes sort as the tuples they hold.  n is at most
+    MAX_N, and a coset whose length is not n raises ValueError.
 
-    Only x < z is compared, with `coxeter.bruhat_above`: every endpoint
-    z is a subexpression product, which lies below the word's element in
-    Bruhat order when the word is reduced (the subword property), and
-    taking the minimal coset representative preserves the order
-    (Bjorner-Brenti, Thm 2.2.2 and Prop 2.5.1), so z <= w.  A word that
-    is not reduced can have endpoints above w, which this test would
-    count as inside: check reducedness first, as the `word-reduced`
-    check of `worddata.validate_word_data` does.
+    Only x < z is compared, all cosets at once, by
+    `coxeter.bruhat_above_all`: every endpoint z is a subexpression
+    product, which lies below the word's element in Bruhat order when
+    the word is reduced (the subword property), and taking the minimal
+    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
+    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
+    endpoints above w, which this test would count as inside: check
+    reducedness first, as the `word-reduced` check of
+    `worddata.validate_word_data` does.
     """
     x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
-    above = coxeter.bruhat_above(x)
-    return sorted(filter(above, cosets))
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is above {MAX_N}: the interval test "
+                         f"keeps each coset as one byte per value")
+    return coxeter.bruhat_above_all(x, cosets)
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 from . import coxeter, subexpr
@@ -348,8 +349,9 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
                                             rep.x)
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)
-    packed = data.packed
+    inside = out.inside
     fails = out.fails = data.negative_mask.__and__
-    out.failures = [z for z in out.inside if fails(packed[z])]
+    out.failures = list(compress(
+        inside, map(fails, map(data.packed.__getitem__, inside))))
     out.status = "failed" if out.failures else "ok"
     return out

@@ -49,8 +49,7 @@ MUTANTS = [
     ("subexpr", "out[v] = get(v, 0) + h",
      "out[v] = get(v, 0) + (h << width)",
      "a U or D step at e = 1 raises the defect"),
-    ("subexpr", "                        shift += width",
-     "                        shift += 0",
+    ("subexpr", "shift += width", "shift += 0",
      "an S step in a forced run does not raise the defect"),
     ("subexpr", "starts = frozenset(g - 1 for g in A)",
      "starts = frozenset(g for g in A)",
@@ -58,13 +57,13 @@ MUTANTS = [
     ("subexpr", "return (1 << (self.width - 1) * self.width) - 1",
      "return (1 << (self.width - 2) * self.width) - 1",
      "the negative mask misses the field of defect -1"),
-    ("subexpr", "return sorted(filter(above, cosets))",
-     "return list(filter(above, cosets))",
+    ("coxeter", "    keys.sort()\n", "",
      "the interval's cosets come in fold order, not sorted"),
-    ("coxeter", "& H == H and z not in same",
-     "& H != 0 and z not in same",
-     "the guard test passes z when one rank entry of it is small enough"),
-    ("coxeter", "& H == H and z not in same", "& H == H",
+    ("coxeter", "(j, _GUARD - 1 - rx[i][j])", "(j, _GUARD - rx[i][j])",
+     "the offset is one too high, so a z with r_z = r_x at an essential "
+     "cell reads as not above x"),
+    ("coxeter",
+     "    del out[bisect_left(out, same):bisect_right(out, same)]\n", "",
      "x itself counts as a coset of the interval"),
     ("demazure", "    under.reverse()\n", "",
      "the erasures are paired with the operators in reverse order"),
@@ -106,11 +105,22 @@ MUTANTS = [
     ("worddata", 'return self.rank_ok and self.status == "ok"',
      'return self.rank_ok or self.status == "ok"',
      "the verdict needs only one of the two conditions"),
-    ("worddata", "if fails(packed[z])]", "if not fails(packed[z])]",
-     "the failures are the cosets that pass"),
+    ("worddata", "map(fails, map(", "map(bool, map(",
+     "every coset of the interval counts as a failure"),
     ("worddata", 'out.status = "failed" if out.failures else "ok"',
      'out.status = "ok"',
      "an interval with failures has the status ok"),
+    ("subexpr", "covered = sorted({p for g in A for p in (g - 1, g)})",
+     "covered = sorted({p for g in A for p in (g - 1, g)})[1:]",
+     "a forced run's memo key misses a block position, so cosets that "
+     "differ there share a composite table"),
+    ("subexpr", "table = table.translate(swap)",
+     "table = swap.translate(table)",
+     "a forced run composes its swaps in reverse order"),
+    ("coxeter", "_GUARD = 0x80", "_GUARD = 0x40",
+     "7-bit fields, whose offset differences wrap once n reaches 128"),
+    ("coxeter", "(flags ^ guard).to_bytes", "flags.to_bytes",
+     "the interval keeps the cosets that fail the rank test"),
 ]
 
 

@@ -7,7 +7,15 @@ subexpression; `decorate` decorates one subexpression straight from the
 definitions.  Neither shares code with the packed fold.  Unlike
 `subexpr.EnumConstraint`, which only forces positions to 1, a constraint
 here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
-(0, 1), so the oracles also cover positions forced to 0.
+(0, 1), so the oracles also cover positions forced to 0.  `fold` is the
+fold itself, written out one letter at a time on unpacked histograms;
+it takes forced positions as `EnumConstraint` does.
+
+The Bruhat order, against `coxeter.bruhat_above_all`: `bruhat_above(x)`
+tests one coset z at a time, on a packed table of z's rank entries at
+the essential set of x (built by `rank_packing`) and one guard-bit
+subtraction, where the product tests a chunk of cosets at once, one
+byte column at a time.
 
 Length, against `coxeter.length`: `inversions` counts the pairs i < j
 with p(i) > p(j) by two nested loops.
@@ -55,7 +63,7 @@ json.dumps.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
@@ -222,6 +230,96 @@ def aggregate(word: Sequence[int], n: int, parabolic,
         hist = out.setdefault(rec.endpoint, {})
         hist[rec.defect] = hist.get(rec.defect, 0) + 1
     return out
+
+
+
+def fold(word: Sequence[int], n: int, parabolic, forced=()) -> dict:
+    """endpoint -> defect -> count over the subexpressions with e = 1 at
+    the 0-based positions `forced`: a fold one letter at a time, right to
+    left, over {coset: {defect: count}}, each step through
+    `coxeter.coset_step`.  It takes no run of forced positions in one
+    pass and packs nothing, unlike `subexpr.sweep`, and unlike
+    `aggregate` its cost follows the cosets, not the leaves."""
+    A = frozenset(parabolic)
+    state = {coxeter.identity(n): {0: 1}}
+    for j in range(len(word) - 1, -1, -1):
+        out: dict = {}
+        for u, hist in state.items():
+            d, su = coxeter.coset_step(u, word[j], A)
+            moves = [(su, 1 if d == "S" else 0)]   # e = 1
+            if j not in forced:   # e = 0
+                moves.append((u, 1 if d == "U" else -1))
+            for z, shift in moves:
+                into = out.setdefault(z, {})
+                for e, c in hist.items():
+                    into[e + shift] = into.get(e + shift, 0) + c
+        state = out
+    return state
+
+# -- the Bruhat order, one coset at a time ------------------------------
+
+
+def rank_packing(n: int, cells: Sequence[tuple[int, int]]
+                 ) -> tuple[list[list[int]], int]:
+    """(C, H) for the rank entries r[i][j] at `cells` of S_n, one field
+    each in the order given: C[a][v] is the packed table of "value v at
+    0-based position a" and H the guard mask.  A field is 5 value bits
+    and a guard bit for n <= 32, wider beyond.  Value v at position a adds
+    one to r[i][j] for i > a and j >= v, so C[a][v] is the sum of those
+    fields, built row by row from the bottom.  C has a row for each
+    position a below the largest i of the cells: a value at a later
+    position adds to none of them, so the packed table of p is
+    sum(C[a][p[a]]) over the rows of C."""
+    m = n - 1
+    width = max(5, m.bit_length()) + 1
+    field = {cell: 1 << width * f for f, cell in enumerate(cells)}
+    C = []
+    below = [0] * (n + 1)   # below[v]: the fields (i, j), i > a, j >= v
+    for a in range(max((i for i, _ in cells), default=0) - 1, -1, -1):
+        row = 0
+        for v in range(n, 0, -1):
+            row += field.get((a + 1, v), 0)
+            below[v] += row
+        C.append(list(below))
+    C.reverse()
+    H = sum(field.values()) << (width - 1)
+    return C, H
+
+
+def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
+    """The test z -> x < z in Bruhat order on the S_n of x, for z in
+    the same S_n: per z, one packed table of the rank entries at the
+    essential set of x, one subtraction and, for z that pass, one
+    comparison with x.
+
+    x <= z iff r_z[i][j] <= r_x[i][j] at every (i, j) in the essential
+    set of x (Fulton 1992, Section 3): the rank conditions of the matrix
+    Schubert variety of x at its essential set imply all the others, on
+    any matrix, so on the permutation matrix of z.  The table of z packs
+    only those entries, so its guard-bit subtraction decides x <= z, and
+    z = x, which passes, is told apart by comparing z with x itself.  x
+    and z may each be a tuple or the bytes of one: z is compared with x
+    in both forms.
+
+    >>> above = bruhat_above((2, 1, 3))
+    >>> [above(z) for z in ((2, 1, 3), (1, 3, 2), (3, 2, 1))]
+    [False, False, True]
+    >>> above(bytes((2, 1, 3))), above(bytes((3, 2, 1)))
+    (False, True)
+    """
+    x = tuple(x)
+    try:
+        same = (x, bytes(x))
+    except ValueError:   # a value above 255 has no bytes form
+        same = (x,)
+    C, H = rank_packing(len(x), coxeter.essential_set(x))
+    at = list.__getitem__
+    px_H = sum(map(at, C, x)) | H
+
+    def above(z: Permutation) -> bool:
+        return (px_H - sum(map(at, C, z))) & H == H and z not in same
+
+    return above
 
 
 # -- sums through LaurentPoly products -----------------------------------

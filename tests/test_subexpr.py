@@ -399,3 +399,162 @@ def test_negative_mask_finds_exactly_the_negative_histograms():
             assert bool(h & data.negative_mask) == (min(hist) < 0), hist
             lowest += free > 0 and min(hist) == -free
     assert len(folds) >= 160 and lowest >= 10
+
+
+# -- forced runs in one translate: the block-content memo ----------------
+
+
+def _forced_letter_cases(A, ns, count, seed):
+    """Seeded (word, n, forced) cases in S_n, n in `ns`: 14 to 30 letters,
+    at most 10 of them free, with the letters of a set B disjoint from A
+    forced, so forced runs of several letters meet many cosets of
+    repeated block content."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.choice(ns)
+        rest = [g for g in range(1, n) if g not in A]
+        B = set(rng.sample(rest, rng.randint(1, len(rest))))
+        free = rng.randint(3, 10)
+        word = [rng.choice(sorted(B)) for _ in range(rng.randint(14, 30))]
+        for k in rng.sample(range(len(word)), free):
+            word[k] = rng.randrange(1, n)
+        forced = {k for k, t in enumerate(word) if t in B}
+        if len(word) - len(forced) <= 10:
+            cases.append((tuple(word), n, forced))
+    return cases
+
+
+@pytest.mark.parametrize("A", [(), (2,), (1, 3), (1, 2, 4, 5)],
+                         ids=["A={}", "one block", "{1,3}", "{1,2,4,5}"])
+def test_forced_runs_agree_with_the_step_by_step_fold(A):
+    """The forced pass, one memo lookup and one translate per coset,
+    against `oracles.fold`, which steps every letter through
+    `coxeter.coset_step`: seeded words in S_6..S_9 whose forced letters
+    make runs of up to 30 letters, under A = {}, one block and two."""
+    from oracles import fold
+
+    runs = 0
+    for word, n, forced in _forced_letter_cases(set(A), (6, 7, 8, 9), 40,
+                                                seed=len(A) + 83):
+        c = EnumConstraint(len(word), forced)
+        assert sweep(word, n, A, c) == fold(word, n, A, forced), \
+            (word, n, sorted(forced))
+        runs += sum(1 for k in forced if k + 1 in forced)
+    assert runs > 200
+
+
+# -- the interval test: all cosets at once, one byte column at a time ----
+
+
+def _perms(n):
+    return list(itertools.permutations(range(1, n + 1)))
+
+
+def _oracle_above(x, cosets):
+    from oracles import bruhat_above
+
+    above = bruhat_above(x)
+    return sorted(filter(above, cosets))
+
+
+def test_bulk_interval_agrees_on_every_pair_s1_to_s6():
+    rng = random.Random(61)
+    for n in range(1, 7):
+        perms = _perms(n)
+        shuffled = rng.sample(perms, len(perms))
+        as_bytes = list(map(bytes, shuffled))
+        for x in perms:
+            want = _oracle_above(x, perms)
+            assert subexpr.interval_endpoints(shuffled, n, (), x) == want
+            assert subexpr.interval_endpoints(as_bytes, n, (), x) == \
+                list(map(bytes, want)), x
+
+
+def _wide_cases(rng, n):
+    """x and cosets of S_n for n past 127: block swaps (k+1..n, 1..k),
+    whose one essential cell has r_x = 0, against the identity, which
+    has r_z = min(k, n - k) there, random permutations, and neighbours
+    of x one transposition away."""
+    def transposed(p):
+        i, j = rng.sample(range(n), 2)
+        q = list(p)
+        q[i], q[j] = q[j], q[i]
+        return tuple(q)
+
+    ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    xs = [tuple(range(k + 1, n + 1)) + tuple(range(1, k + 1))
+          for k in (n // 2, n // 2 + 1, 1, n - 1)]
+    xs += [tuple(rng.sample(range(1, n + 1), n)) for _ in range(3)]
+    xs += [transposed(transposed(ident)) for _ in range(2)]
+    for x in xs:
+        cosets = {ident, w0, x, transposed(x), *(
+            tuple(rng.sample(range(1, n + 1), n)) for _ in range(20))}
+        cosets |= {transposed(z) for z in list(cosets)}
+        yield x, sorted(cosets)
+
+
+@pytest.mark.parametrize("n", [128, 200, 255])
+def test_bulk_interval_agrees_past_127_values(n):
+    """One byte per coset and cell holds r_z - r_x + 127: |r_z - r_x| is
+    at most n // 2 <= 127 for n <= 255, which the block swap x =
+    (k+1..n, 1..k) against the identity reaches at k = n // 2."""
+    rng = random.Random(n)
+    comparable = 0
+    for x, cosets in _wide_cases(rng, n):
+        want = _oracle_above(x, cosets)
+        got = subexpr.interval_endpoints(cosets, n, (), x)
+        assert got == want, x
+        assert subexpr.interval_endpoints(list(map(bytes, cosets)), n, (),
+                                          x) == list(map(bytes, want))
+        comparable += len(want)
+    assert comparable > 10
+
+
+def test_bulk_interval_edge_inputs():
+    x = (2, 1, 3)
+    assert subexpr.interval_endpoints([], 3, (), x) == []
+    assert subexpr.interval_endpoints(iter([x, x]), 3, (), x) == []
+    # x = identity has no essential cell: every other coset is above it
+    for n in (1, 2, 5, 255):
+        ident = tuple(range(1, n + 1))
+        cosets = [tuple(random.Random(n + k).sample(ident, n))
+                  for k in range(20)] + [ident]
+        want = sorted(z for z in cosets if z != ident)
+        assert coxeter.essential_set(ident) == []
+        assert subexpr.interval_endpoints(cosets, n, (), ident) == want
+
+
+@pytest.mark.parametrize("size", [coxeter.BRUHAT_CHUNK - 1,
+                                  coxeter.BRUHAT_CHUNK,
+                                  coxeter.BRUHAT_CHUNK + 1])
+def test_bulk_interval_across_the_chunk_boundary(size):
+    """Seeded S_8 samples of one chunk less one, one chunk and one chunk
+    and one coset, with x the last coset of the first chunk or the first
+    of the second."""
+    from oracles import bruhat_above
+
+    rng = random.Random(size)
+    cosets = sorted(rng.sample(_perms(8), size))
+    for x in (cosets[min(coxeter.BRUHAT_CHUNK, size) - 1],
+              cosets[min(coxeter.BRUHAT_CHUNK, size - 1)]):
+        above = bruhat_above(x)
+        shuffled = rng.sample(cosets, size)
+        got = subexpr.interval_endpoints(map(bytes, shuffled), 8, (), x)
+        assert got == [bytes(z) for z in cosets if above(z)], x
+        assert bytes(x) not in got
+
+
+@pytest.mark.parametrize("cosets, named", [
+    ([(2, 1)], r"\(2, 1\) has 2 entries"),
+    ([(3, 2, 1), (2, 1, 3, 4)], r"\(2, 1, 3, 4\) has 4 entries"),
+    ([bytes((3, 2, 1)), b"\x02\x01", b""], r"b'\\x02\\x01' has 2 entries"),
+])
+def test_interval_refuses_a_coset_of_the_wrong_length(cosets, named):
+    with pytest.raises(ValueError, match=f"^coset {named}, not n = 3$"):
+        subexpr.interval_endpoints(cosets, 3, (), (1, 2, 3))
+
+
+def test_interval_refuses_n_above_a_byte():
+    with pytest.raises(ValueError, match="n = 256 is above 255"):
+        subexpr.interval_endpoints([], 256, (), tuple(range(1, 257)))
