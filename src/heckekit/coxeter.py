@@ -260,7 +260,11 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     """The cosets z among `cosets` with x < z in Bruhat order, sorted:
     bytes or tuples, all of one type, each holding a permutation of the
     S_n of x, n <= 255, as given.  A coset whose length is not n raises
-    ValueError naming the first one.
+    ValueError naming the first one, and so does a tuple coset that is
+    not a permutation of 1..n.  Bytes cosets are left unchecked: they
+    come only from the fold (`subexpr.sweep`), which makes them
+    permutations by construction, and the check would cost more than
+    the whole test on the 10^5 cosets of a real-size interval.
 
     x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
     of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK cosets
@@ -278,6 +282,11 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     if set(map(len, keys)) - {n}:
         z = next(z for z in keys if len(z) != n)
         raise ValueError(f"coset {z!r} has {len(z)} entries, not n = {n}")
+    if keys and type(keys[0]) is not bytes:
+        for z in keys:
+            if not is_permutation(z):
+                raise ValueError(f"coset {z!r} is not a permutation of "
+                                 f"1..{n}")
     keys.sort()
     rx = rank_table(x)
     cells: dict[int, list] = {}   # row i -> [(j, _GUARD - 1 - r_x[i][j])]

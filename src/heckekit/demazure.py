@@ -24,22 +24,26 @@ of several faulty tokens it names the first; it writes ai^k out by the
 binomial formula.
 
 `MultiPoly`, a map from exponent tuples to coefficients, is the value
-type at the boundary: what `parse_expr` builds, the steps of a Chain,
-the result of `eval_expr` and the JSON.  Evaluation runs on packed
-monomials instead.  A Chain packs its base and factors once, each
-exponent vector into one int with a field of w bits per variable, where
-w is the bit length of the chain's total degree bound, so no field can
-carry (see `Chain`).  A product of monomials is then one int addition,
-and the d terms of del_i on a monomial are an arithmetic progression of
-keys.  `_step` applies one packed step, and `intersection_vector` and
-`eval_expr` both run on it.
+type at the boundary only: what `parse_expr` builds, the steps of a
+Chain, the result of `eval_expr` and the JSON; a value is read through
+its `terms`.  Evaluation runs on packed monomials instead.  A Chain packs
+its base and factors once, each exponent vector into one int with a
+field of w bits per variable, where w is the bit length of the chain's
+total degree bound, so no field can carry (see `Chain`).  A product of
+monomials is then one int addition, so a factor multiplies through the
+package's one sparse product kernel, `laurent._add_product`, whose
+exponents add as packed keys do; and the d terms of del_i on a monomial
+are an arithmetic progression of keys.  `_step` applies one packed step,
+and `intersection_vector` and `eval_expr` both run on it.
 `intersection_vector` evaluates the chain once bottom-up, keeping the
 value under each operator, and gets erasure k by applying only the steps
 above operator k to that value; `eval_expr` with `erase` re-evaluates
 the whole chain and is the slow reference.  The vector is a single row,
 so its rank over a field is 1 if some entry is nonzero there and 0
-otherwise.  The built-in expression `paper-GL15` encodes the published
-12-operator example.  Its erasure vector evaluates to
+otherwise; its degree audit is rendered from the entries, since a
+report exists only once every erasure has passed it.  The built-in
+expression `paper-GL15` encodes the published 12-operator example.  Its
+erasure vector evaluates to
 (-2, -2, 0, -2, -2, 0, -2, -2, 0, -2, 0, 0), of rank 1 over Q and rank 0
 over F_2; the published tuple has -2, 2 at entries 9 and 10 (see the
 README's note on acceptance criterion 1).
@@ -51,7 +55,7 @@ import re
 from math import comb
 from typing import Mapping, Sequence
 
-from .laurent import ConsistencyViolation, _add_into
+from .laurent import ConsistencyViolation, _add_into, _add_product
 
 Exponents = tuple[int, ...]
 
@@ -109,20 +113,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, c: int, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "MultiPoly":
-        """x_i (1-based)."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable x{i} out of range")
-        e = [0] * nvars
-        e[i - 1] = 1
-        return cls(nvars, {tuple(e): 1})
-
-    @classmethod
-    def alpha(cls, i: int, nvars: int) -> "MultiPoly":
-        """The simple root alpha_i = x_{i+1} - x_i."""
-        return cls.variable(i + 1, nvars) - cls.variable(i, nvars)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -192,20 +182,6 @@ class MultiPoly:
             f[i - 1], f[i] = f[i], f[i - 1]
             out[tuple(f)] = c
         return MultiPoly._wrap(self.nvars, out)
-
-    def graded_degrees(self) -> set[int]:
-        """{2 * total exponent} over the monomials (deg x_i = 2)."""
-        return {2 * sum(e) for e in self.terms}
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> int:
-        if not self.terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -296,39 +272,34 @@ class Chain:
 def _step(step: dict[int, int] | tuple, val: dict[int, int]
           ) -> dict[int, int]:
     """One packed step of a Chain applied to the packed value `val`.  A
-    factor multiplies: the keys of two monomials add.  del_i, packed as
+    factor multiplies through `laurent._add_product`: packed keys add as
+    the exponents of a Laurent polynomial do, so the one product kernel
+    serves, one-term factors by its one-pass path.  del_i, packed as
     (lo, hi, mask, clear, stride) with lo and hi the shifts of x_i and
     x_{i+1}, sends x_i^a x_{i+1}^b m with a < b to the b - a keys
     start, start + stride, ..., each with the coefficient of the term:
     start is m with both fields cleared (`clear`) and set to b - 1 and a,
     and stride = (1 << hi) - (1 << lo) trades one x_i for one x_{i+1}.
     With a > b the roles of a and b swap and the sign flips."""
-    out: dict[int, int] = {}
-    get = out.get
+    out: dict = {}
     if type(step) is dict:
-        for m1, c1 in step.items():
-            for m2, c2 in val.items():
-                m = m1 + m2
-                c = get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                else:       # c1 * c2 != 0, so m was there
-                    del out[m]
-    else:
-        lo, hi, mask, clear, stride = step
-        for m, c in val.items():
-            a, b = m >> lo & mask, m >> hi & mask
-            if a == b:
-                continue
-            if a > b:
-                a, b, c = b, a, -c
-            start = (m & clear) + ((b - 1) << lo) + (a << hi)
-            for key in range(start, start + (b - a) * stride, stride):
-                s = get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        _add_product(out, 0, val, step)
+        return out.get(0, {})
+    lo, hi, mask, clear, stride = step
+    get = out.get
+    for m, c in val.items():
+        a, b = m >> lo & mask, m >> hi & mask
+        if a == b:
+            continue
+        if a > b:
+            a, b, c = b, a, -c
+        start = (m & clear) + ((b - 1) << lo) + (a << hi)
+        for key in range(start, start + (b - a) * stride, stride):
+            s = get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
     return out
 
 
@@ -363,8 +334,8 @@ def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
     order acts as the identity.  A result coefficient of more than
     MAX_CONSTANT_DIGITS digits is a ValueError.
 
-    >>> eval_expr(builtin_expr("paper-GL15"), erase=4).constant_value()
-    -2
+    >>> eval_expr(builtin_expr("paper-GL15"), erase=4).terms
+    {(0, 0, 0, 0, 0): -2}
     """
     steps, ops = expr._packed, expr.ops
     if erase is not None:
@@ -379,30 +350,27 @@ def eval_expr(expr: Chain, erase: int | None = None) -> MultiPoly:
                                              for m, c in val.items()})
 
 
-class ErasureAudit:
-    __slots__ = ("op_number", "generator", "expected_degree",
-                 "value_degrees", "ok")
-
-    def __init__(self, op_number: int, generator: int, expected_degree: int,
-                 value_degrees: list[int], ok: bool):
-        self.op_number = op_number
-        self.generator = generator
-        self.expected_degree = expected_degree
-        self.value_degrees = value_degrees
-        self.ok = ok
-
-
 class IntersectionFormReport:
+    """The erasure row of a chain, its ranks over Q and F_p, and what its
+    degree audit is rendered from: the generator of each operator and the
+    expected degree of its erasure.  A report exists only if every
+    erasure passed the audit (`intersection_vector` raises otherwise), so
+    every audit row is ok, and an erasure, a constant, has degree 0 if it
+    is nonzero and no degree at all if it is zero; `to_json_dict` writes
+    each row from its entry rather than storing a copy of it."""
+
     __slots__ = ("entries", "rank_over_Q", "rank_over_p", "p",
-                 "degree_audit")
+                 "generators", "expected_degree")
 
     def __init__(self, entries: list[int], rank_over_Q: int,
-                 rank_over_p: int, p: int, degree_audit: list[ErasureAudit]):
+                 rank_over_p: int, p: int, generators: list[int],
+                 expected_degree: int):
         self.entries = entries
         self.rank_over_Q = rank_over_Q
         self.rank_over_p = rank_over_p
         self.p = p
-        self.degree_audit = degree_audit
+        self.generators = generators
+        self.expected_degree = expected_degree
 
     def to_json_dict(self) -> dict:
         return {
@@ -412,13 +380,14 @@ class IntersectionFormReport:
             "p": self.p,
             "degree_audit": [
                 {
-                    "op": a.op_number,
-                    "generator": a.generator,
-                    "expected_degree": a.expected_degree,
-                    "value_degrees": a.value_degrees,
-                    "ok": a.ok,
+                    "op": k,
+                    "generator": generator,
+                    "expected_degree": self.expected_degree,
+                    "value_degrees": [0] if entry else [],
+                    "ok": True,
                 }
-                for a in self.degree_audit
+                for k, (generator, entry)
+                in enumerate(zip(self.generators, self.entries), 1)
             ],
         }
 
@@ -433,10 +402,11 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
     minus 2 per surviving operator.  Where that is not 0 the expression
     is unbalanced, and its first nonconstant erasure, in prefix order, is
     a ValueError naming --expr; where it is 0, a nonconstant erasure
-    raises DegreeAuditFailure.  An entry of more than MAX_CONSTANT_DIGITS
-    digits is a ValueError.  The erasures form a single row, so its rank
-    is 1 if some entry is nonzero (over F_p: nonzero mod p) and 0
-    otherwise.
+    raises DegreeAuditFailure.  Either message names the erasure's
+    degrees, which are computed for it alone.  An entry of more than
+    MAX_CONSTANT_DIGITS digits is a ValueError.  The erasures form a
+    single row, so its rank is 1 if some entry is nonzero (over F_p:
+    nonzero mod p) and 0 otherwise.
     """
     steps, ops, val = expr._packed, expr.ops, expr._base
     expected = content_degree(expr) - 2 * (len(ops) - 1)
@@ -448,18 +418,15 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
         done = pos + 1
     under.reverse()
     entries: list[int] = []
-    audit: list[ErasureAudit] = []
     for k, (pos, below) in enumerate(zip(ops, under), 1):
         val = _run(steps[:pos], below)
-        degrees = sorted({2 * sum(expr._exponents(m)) for m in val})
-        ok = val.keys() <= {0}      # key 0 is the monomial 1
-        audit.append(ErasureAudit(k, expr.steps[pos], expected, degrees, ok))
-        if not ok and expected:
-            raise ValueError(
-                f"--expr is unbalanced: erasing operator {k} left degrees "
-                f"{degrees}; its content degree minus 2 per remaining "
-                f"operator is {expected}, not 0")
-        if not ok:
+        if not val.keys() <= {0}:   # key 0 is the monomial 1
+            degrees = sorted({2 * sum(expr._exponents(m)) for m in val})
+            if expected:
+                raise ValueError(
+                    f"--expr is unbalanced: erasing operator {k} left "
+                    f"degrees {degrees}; its content degree minus 2 per "
+                    f"remaining operator is {expected}, not 0")
             raise DegreeAuditFailure(
                 f"erasing operator {k} left degrees {degrees}, "
                 f"expected a constant")
@@ -470,7 +437,8 @@ def intersection_vector(expr: Chain, p: int = 2) -> IntersectionFormReport:
         rank_over_Q=int(any(entries)),
         rank_over_p=int(any(e % p for e in entries)),
         p=p,
-        degree_audit=audit,
+        generators=[expr.steps[pos] for pos in ops],
+        expected_degree=expected,
     )
 
 

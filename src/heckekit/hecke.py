@@ -79,7 +79,7 @@ from.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable
 
 from . import coxeter
@@ -445,12 +445,11 @@ def _perversity(el: LinearCombination) -> PerversityReport:
     constants.
 
     c_x, read from `_kl` (el's keys are minimal coset representatives),
-    is m_x plus lower terms.  The term maps that no c_x has touched yet
-    stay el's own (`pending`), so the expansion's LaurentPolys wrap them;
-    a touched one moves into the running sum (`rest`).
+    is m_x plus lower terms.  One running sum, `rest`, starts as a copy
+    of el's term maps; each round takes its largest key x, moves the
+    coefficient t out into the expansion and subtracts t c_x.
     """
-    pending = dict(el.terms)
-    rest: dict[Permutation, dict] = {}
+    rest = _add_scaled({}, el.terms, _UNIT)
     lengths: dict[Permutation, int] = {}
 
     def rank(p: Permutation) -> tuple[int, Permutation]:
@@ -460,14 +459,10 @@ def _perversity(el: LinearCombination) -> PerversityReport:
         return n, p
 
     expansion: dict[Permutation, dict] = {}
-    while pending or rest:
-        x = max(chain(pending, rest), key=rank)
-        t = expansion[x] = pending.pop(x, None) or rest.pop(x)
+    while rest:
+        x = max(rest, key=rank)
+        t = expansion[x] = rest.pop(x)
         cx = _kl(x, el.parabolic)
-        for y in cx:
-            p = pending.pop(y, None)
-            if p is not None:
-                _add_product(rest, y, p, _UNIT)
         _add_scaled(rest, cx, {e: -k for e, k in t.items()})
         del rest[x]     # -t, since c_x is m_x plus lower terms
     ok = all(set(t) <= {0} for t in expansion.values())

@@ -21,7 +21,9 @@ and through which the module action and the Bott-Samelson folds of
 `spherical.phi_embed`) read them as they are and store one accumulator
 per call, or per fold, as the result.  `hecke` alone wraps a stored map
 as a LaurentPoly (`_poly`), where a value leaves the library;
-`LaurentPoly.__mul__` is the same kernel on a one-key accumulator.
+`LaurentPoly.__mul__` is the same kernel on a one-key accumulator, and
+so is a factor step of `demazure._step`, on packed monomials, whose
+keys add as exponents do.
 Single terms are added with `_add_into`, which keeps the no-zero-entries
 invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
 adds packed histograms (one int each) in its hot loop, and a

@@ -1,4 +1,5 @@
-"""A recorded mutation run for the certificate path.
+"""A recorded mutation run for the certificate path and the module
+actions.
 
 Run from the root of a checkout as
 
@@ -10,12 +11,17 @@ the snippet occurs exactly once in `src/heckekit/<module>.py`
 has to move its entry too), and the reason says what the mutant breaks,
 or, for an equivalent mutant, why no test can kill it.  For each entry
 the script copies `src/` to a temporary directory, applies the
-replacement, and runs SUBSET against the copy in one pytest subprocess
-with -x; a failing run kills the mutant.  The unmutated copy runs first
-and must pass.  Mutants run one at a time.  Indices on the command line
+replacement, and runs the mutated module's subset of SUBSETS against the
+copy in one pytest subprocess with -x: the module actions of `hecke` and
+`spherical` against their own tests, every other module against the
+certificate path's.  A failing run kills the mutant, and so does one
+that outlasts TIMEOUT_FACTOR times its subset's unmutated run (plus
+TIMEOUT_SLACK seconds): a mutant that breaks a recursion's termination
+ends there, reported as "timeout".  The unmutated copy runs each subset
+first and must pass.  Mutants run one at a time.  Indices on the command line
 pick entries by their position in MUTANTS, from 0.  The result is JSON
-on stdout: per mutant, killed or survived and the seconds taken, and the
-kill count.  pytest does not collect this file as a test module.
+on stdout: per mutant, its subset, killed, survived or timeout and the
+seconds taken, and the kill count (timeouts count as killed).  pytest does not collect this file as a test module.
 """
 from __future__ import annotations
 
@@ -30,11 +36,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: the fast tests that cover the certificate path
-SUBSET = ["tests/test_cli.py", "tests/test_subexpr.py",
-          "tests/test_worddata.py", "tests/test_demazure.py", "-k",
-          "certify or decide or test_subexpr.py or test_worddata.py "
-          "or test_demazure.py"]
+#: the fast tests that cover the certificate path, and those of the
+#: module actions
+SUBSETS = {
+    "certify": ["tests/test_cli.py", "tests/test_subexpr.py",
+                "tests/test_worddata.py", "tests/test_demazure.py", "-k",
+                "certify or decide or test_subexpr.py or test_worddata.py "
+                "or test_demazure.py"],
+    "modules": ["tests/test_hecke.py", "tests/test_spherical.py"],
+}
+
+#: the modules whose mutants run the "modules" subset
+MODULE_ACTIONS = {"hecke", "spherical"}
+
+TIMEOUT_FACTOR, TIMEOUT_SLACK = 3, 30
 
 MUTANTS = [
     ("subexpr", "if u.find(pair) in starts:   # S",
@@ -121,6 +136,39 @@ MUTANTS = [
      "7-bit fields, whose offset differences wrap once n reaches 128"),
     ("coxeter", "(flags ^ guard).to_bytes", "flags.to_bytes",
      "the interval keeps the cosets that fail the rank test"),
+    ("hecke", '_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1, -1: 1}}',
+     '_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1}}',
+     "b_s leaves v, not v + v^-1, on a coset that s fixes"),
+    ("hecke", '_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1, -1: 1}}',
+     '_B_S = {"U": {-1: 1}, "D": {1: 1}, "S": {1: 1, -1: 1}}',
+     "b_s trades its rows for a step up and a step down"),
+    ("hecke", '_H_S = {"U": None, "D": {-1: 1, 1: -1}, "S": {-1: 1}}',
+     '_H_S = {"U": None, "D": {-1: -1, 1: 1}, "S": {-1: 1}}',
+     "h_s leaves v - v^-1, not v^-1 - v, on a step down"),
+    ("hecke", '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}',
+     '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {-1: 1}}',
+     "equivalent: only `inverse_h` reads this row, always in H (A = {}), "
+     "where s fixes no coset"),
+    ("hecke", '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}',
+     '_H_S_INV = {"U": {1: -1, -1: 1}, "D": None, "S": {1: 1}}',
+     "h_s^-1 leaves v^-1 - v, not v - v^-1, on a step up"),
+    ("spherical", "* v_power(-top)", "* v_power(top)",
+     "the spherical form is shifted by v^len(w_A), not v^-len(w_A)"),
+    ("worddata",
+     "ok = forced_count == coxeter.length(wB) and product == wB",
+     "ok = product == wB",
+     "the forced-count check no longer counts the letters of B"),
+    ("worddata",
+     "ok = forced_count == coxeter.length(wB) and product == wB",
+     "ok = forced_count == coxeter.length(wB)",
+     "letters of B that multiply to less than w_B pass the forced-count "
+     "check"),
+    ("demazure", '"value_degrees": [0] if entry else [],',
+     '"value_degrees": [0],',
+     "a zero erasure renders degree 0 in the degree audit"),
+    ("demazure", "_add_product(out, 0, val, step)",
+     "_add_product(out, 0, val, {0: 1})",
+     "a factor step multiplies by 1, dropping the factor"),
 ]
 
 
@@ -128,17 +176,27 @@ def source(module: str, root: Path = ROOT) -> str:
     return (root / "src" / "heckekit" / f"{module}.py").read_text()
 
 
-def _run(src: Path) -> tuple[bool, float]:
-    """Whether SUBSET passes against the package under `src`, and the
-    seconds it took."""
+def subset_of(module: str) -> str:
+    return "modules" if module in MODULE_ACTIONS else "certify"
+
+
+def _run(src: Path, subset: str, timeout: float | None = None
+         ) -> tuple[str, float]:
+    """"passed", "failed" or "timeout": SUBSETS[subset] against the
+    package under `src`, and the seconds it took."""
     env = {**os.environ, "PYTHONPATH": str(src),
            "PYTHONDONTWRITEBYTECODE": "1"}
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *SUBSET], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL)
-    return proc.returncode == 0, round(time.perf_counter() - t0, 1)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *SUBSETS[subset]], cwd=ROOT, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=timeout)
+        outcome = "passed" if proc.returncode == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        outcome = "timeout"
+    return outcome, round(time.perf_counter() - t0, 1)
 
 
 def main(picks: list[str]) -> int:
@@ -147,26 +205,33 @@ def main(picks: list[str]) -> int:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        passed, seconds = _run(src)
-        if not passed:
-            print(json.dumps({"error": "the unmutated source fails SUBSET",
-                              "seconds": seconds}))
-            return 1
+        limits = {}
+        for subset in sorted({subset_of(MUTANTS[k][0]) for k in chosen}):
+            outcome, seconds = _run(src, subset)
+            if outcome != "passed":
+                print(json.dumps({"error": "the unmutated source fails "
+                                  f"the {subset} subset",
+                                  "seconds": seconds}))
+                return 1
+            limits[subset] = TIMEOUT_FACTOR * seconds + TIMEOUT_SLACK
         results = []
         for k in chosen:
             module, snippet, replacement, reason = MUTANTS[k]
+            subset = subset_of(module)
             path = src / "heckekit" / f"{module}.py"
             original = path.read_text()
             assert original.count(snippet) == 1, (k, snippet)
             path.write_text(original.replace(snippet, replacement))
             try:
-                survived, seconds = _run(src)
+                outcome, seconds = _run(src, subset, limits[subset])
             finally:
                 path.write_text(original)
-            results.append({"mutant": k, "module": module, "reason": reason,
-                            "result": "survived" if survived else "killed",
+            result = {"passed": "survived", "failed": "killed"}.get(
+                outcome, outcome)
+            results.append({"mutant": k, "module": module, "subset": subset,
+                            "reason": reason, "result": result,
                             "seconds": seconds})
-    killed = sum(r["result"] == "killed" for r in results)
+    killed = sum(r["result"] != "survived" for r in results)
     print(json.dumps({"mutants": results, "killed": killed,
                       "total": len(results)}, indent=1))
     return 0

@@ -467,9 +467,8 @@ def apply_demazure(i: int, f: MultiPoly) -> MultiPoly:
     sign(b - a) (x_i x_{i+1})^min(a,b) sum_{k<|a-b|} x_i^(|a-b|-1-k)
     x_{i+1}^k m.
 
-    >>> x2 = MultiPoly.variable(2, 2)
-    >>> apply_demazure(1, x2) == MultiPoly.constant(1, 2)
-    True
+    >>> apply_demazure(1, MultiPoly(2, {(0, 1): 1})).terms
+    {(0, 0): 1}
     """
     if not 1 <= i <= f.nvars - 1:
         raise ValueError(f"s_{i} out of range for {f.nvars} variables")

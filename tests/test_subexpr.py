@@ -555,6 +555,18 @@ def test_interval_refuses_a_coset_of_the_wrong_length(cosets, named):
         subexpr.interval_endpoints(cosets, 3, (), (1, 2, 3))
 
 
+@pytest.mark.parametrize("cosets, named", [
+    ([(1, 2, 9), (3, 3, 3)], r"\(1, 2, 9\)"),
+    ([(3, 2, 1), (3, 3, 3)], r"\(3, 3, 3\)"),
+    ([(3, 2, 1), (0, 1, 2)], r"\(0, 1, 2\)"),
+    ([(3, 2, 1), (1.0, 3, 2)], r"\(1.0, 3, 2\)"),
+])
+def test_interval_refuses_a_tuple_coset_that_is_no_permutation(cosets, named):
+    with pytest.raises(ValueError,
+                       match=f"^coset {named} is not a permutation of 1..3$"):
+        subexpr.interval_endpoints(cosets, 3, (), (2, 1, 3))
+
+
 def test_interval_refuses_n_above_a_byte():
     with pytest.raises(ValueError, match="n = 256 is above 255"):
         subexpr.interval_endpoints([], 256, (), tuple(range(1, 257)))

@@ -40,6 +40,19 @@ def test_forced_count_matches_length_of_wB_for_gl15():
     assert int(wd.census["length"]) - int(wd.census["free_positions"]) == 55
 
 
+@pytest.mark.parametrize("word, B, ok", [
+    ([1, 1, 1], [1], False),        # s_1 thrice is w_B, by three letters
+    ([2, 1, 2, 3], [2, 3], False),  # three letters that multiply to s_3
+    ([2, 1, 3, 2], [2, 3], True),   # s_2 s_3 s_2 is w_B
+])
+def test_forced_count_check_needs_the_count_and_the_product(word, B, ok):
+    rep = validate_word_data(parse_word_data(
+        {"n": max(word) + 1, "word": word, "A": [], "B": B}))
+    [check] = [c for c in rep.checks
+               if c.name == "forced-count-is-length-of-wB"]
+    assert check.ok is ok, check.detail
+
+
 def test_n_up_to_the_fold_byte_bound_is_accepted():
     # "n" = 256 is rejected (test_parse_names_the_bad_field): the fold
     # keeps a coset as one byte per value
