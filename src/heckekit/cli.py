@@ -342,8 +342,9 @@ def cmd_validate_word(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    """Render `worddata.decide`: the payload, each distinct histogram
-    unpacked and rendered once, and the interval's entries streamed."""
+    """Render `worddata.decide`: the payload, one entry template per
+    distinct histogram of the record (its coefficient unpacked once),
+    and the interval's entries streamed through the record's ids."""
     from . import demazure, worddata
 
     t0 = time.perf_counter()
@@ -386,16 +387,13 @@ def cmd_certify(args) -> int:
             coset is built once per distinct histogram."""
             digits = [str(b) for b in range(256)].__getitem__
             # a coset's values sit two levels deeper than its entry
-            sep, parts = "," + (pad and pad + "    "), {}
-            for z in inside:
-                h = packed[z]
-                if h not in parts:
-                    parts[h] = _dumps(
-                        {"coefficient": coefficient(h),
-                         "coset": [_HOLE], "ok": not d.fails(h)},
-                        args.pretty,
-                    ).replace("\n", pad).split(json.dumps(_HOLE))
-                before, after = parts[h]
+            sep = "," + (pad and pad + "    ")
+            parts = [_dumps({"coefficient": coefficient(h), "coset": [_HOLE],
+                             "ok": not d.fails(h)}, args.pretty)
+                     .replace("\n", pad).split(json.dumps(_HOLE))
+                     for h in d.histograms]
+            for z, i in zip(inside, d.ids):
+                before, after = parts[i]
                 yield before + sep.join(map(digits, z)) + after
 
         payload["interval"].update(

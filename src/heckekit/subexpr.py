@@ -44,8 +44,9 @@ lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
 `sweep` returns this state as it is, in a `SweepResult`: a read-only
 mapping that hands out tuple cosets and {defect: count} dicts on demand,
-while the certificate (`worddata.decide`, and `certify` rendering its
-record) reads the bytes keys and packed ints themselves.
+while the certificate reads the bytes keys and packed ints themselves:
+`worddata.decide` gives each distinct packed histogram of the interval
+a small id, and `certify` renders its record through those ids.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression, a decoration straight from the definitions and a
@@ -76,9 +77,12 @@ from .coxeter import Permutation
 # that word and 477 on `gl15-reconstructed`, whose 753,485 cosets took
 # 241 bytes each packed, 377 at the peak, and whose `certify` run peaked
 # at 321 MB RSS.  The interval test then holds two lists of the cosets
-# and one chunk, 13.5 MB at its peak there.  Memory per coset grows with
-# the free positions: `bs --n 11` on the 55-letter w0 word, which has no
-# forced run, peaked at 1,131 MB RSS when it hit the budget.
+# and one chunk, 14.1 MB (13.5 MiB) at its peak there by tracemalloc.
+# `worddata.decide`'s ids add one pointer per interval coset, a list of
+# 6.7 MB beside the interval's own 6.7 MB, so they stay below that peak.
+# Memory per coset grows with the free positions: `bs --n 11` on the
+# 55-letter w0 word, which has no forced run, peaked at 1,131 MB RSS when
+# it hit the budget.
 SUPPORT_BUDGET = 1_000_000
 
 # Largest n the fold takes: a coset keeps each of its values in one byte.

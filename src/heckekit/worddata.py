@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import time
+from collections import defaultdict
 from importlib import resources
-from itertools import compress
+from itertools import compress, count
 from pathlib import Path
 
 from . import coxeter, subexpr
@@ -291,22 +292,26 @@ class Decision:
     """What `decide` found: the form report and its rank test
     (`rank_ok`), the validation report, x, w, the free positions and the
     leaves of the constrained expansion, the fold (`sweep`), the
-    interval's cosets x < z as sorted bytes (`inside`) and those among
-    them that fail (`failures`), the interval `status`, the verdict and
-    the stage seconds.  `fails` is the failure rule on one packed
-    histogram h of `sweep`: fails(h) is nonzero iff the coefficient has
-    a negative power of v, that is iff h shares a bit with the mask of
-    the negative defects.  What a run did not reach is None, or empty."""
+    interval's cosets x < z as sorted bytes (`inside`), their distinct
+    packed histograms in first-seen order (`histograms`), one id per
+    coset of `inside` that indexes `histograms` (`ids`, aligned with
+    `inside`), the cosets that fail (`failures`), the interval `status`,
+    the verdict and the stage seconds.  `fails` is the failure rule on
+    one packed histogram h of `sweep`: fails(h) is nonzero iff the
+    coefficient has a negative power of v, that is iff h shares a bit
+    with the mask of the negative defects; `decide` applies it once per
+    distinct histogram.  What a run did not reach is None, or empty."""
 
     __slots__ = ("form", "rank_ok", "validation", "x", "w", "free", "leaves",
-                 "sweep", "fails", "inside", "failures", "status", "seconds")
+                 "sweep", "fails", "inside", "histograms", "ids", "failures",
+                 "status", "seconds")
 
     def __init__(self, form, seconds: dict[str, float]):
         self.form, self.seconds = form, seconds
         self.rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0
         self.validation = self.x = self.w = self.free = self.leaves = None
         self.sweep = self.fails = None
-        self.inside, self.failures = [], []
+        self.inside, self.histograms, self.ids, self.failures = [], [], [], []
         self.status = "skipped: no word data"
 
     @property
@@ -350,8 +355,12 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)
     inside = out.inside
+    # each histogram is hashed once, as it gets its id
+    ids = defaultdict(count().__next__)
+    out.ids = list(map(ids.__getitem__, map(data.packed.__getitem__, inside)))
+    out.histograms = list(ids)
     fails = out.fails = data.negative_mask.__and__
-    out.failures = list(compress(
-        inside, map(fails, map(data.packed.__getitem__, inside))))
+    failing = list(map(fails, out.histograms))
+    out.failures = list(compress(inside, map(failing.__getitem__, out.ids)))
     out.status = "failed" if out.failures else "ok"
     return out

@@ -120,7 +120,8 @@ MUTANTS = [
     ("worddata", 'return self.rank_ok and self.status == "ok"',
      'return self.rank_ok or self.status == "ok"',
      "the verdict needs only one of the two conditions"),
-    ("worddata", "map(fails, map(", "map(bool, map(",
+    ("worddata", "list(map(fails, out.histograms))",
+     "list(map(bool, out.histograms))",
      "every coset of the interval counts as a failure"),
     ("worddata", 'out.status = "failed" if out.failures else "ok"',
      'out.status = "ok"',
@@ -169,6 +170,10 @@ MUTANTS = [
     ("demazure", "_add_product(out, 0, val, step)",
      "_add_product(out, 0, val, {0: 1})",
      "a factor step multiplies by 1, dropping the factor"),
+    ("worddata", "out.histograms = list(ids)",
+     "out.histograms = list(ids)[::-1]",
+     "the distinct histograms are listed in reverse, so a coset's id "
+     "names another coset's histogram"),
 ]
 
 

@@ -3,7 +3,9 @@
 The word is a reconstruction of the GL15 example's 78-letter expression
 from its documented prefix, its census and the Demazure display
 `paper-GL15`, not a transcription.  Its full `certify` run (2^23
-subexpressions, about 750,000 cosets) is not part of this suite.
+subexpressions, about 750,000 cosets) is not here: it runs in
+`tests/test_worddata.py` as
+`test_decide_holds_what_certify_prints[gl15-reconstructed]`.
 """
 import re
 

@@ -286,3 +286,28 @@ def test_decide_applies_the_failure_rule_to_each_coset():
         negative = min(d.sweep.unpack(h)) < 0
         assert bool(d.fails(h)) is negative
         assert (z in d.failures) is negative
+
+
+def test_decide_gives_each_distinct_histogram_one_id(tmp_path):
+    """The k-th coset of the interval has the packed histogram
+    `histograms[ids[k]]`, the histograms are pairwise distinct, and
+    `failures` holds, in order, the cosets whose own histogram meets the
+    mask of the negative defects: on both demos, `gl15-partial` (no
+    word, so nothing) and seeded words with failing cosets and repeated
+    histograms."""
+    from test_cli import _failing_word_files
+
+    expr = demazure.builtin_expr("paper-GL15")
+    for word in (["demo-s4-fail", "demo-s4-pass", "gl15-partial"]
+                 + _failing_word_files(tmp_path, 12)):
+        d = worddata.decide(expr, 2, load_word_data(word))
+        if d.sweep is None:
+            assert (d.inside, d.histograms, d.ids, d.failures) == (
+                [], [], [], [])
+            continue
+        packed, mask = d.sweep.packed, d.sweep.negative_mask
+        assert len(d.ids) == len(d.inside)
+        assert [d.histograms[i] for i in d.ids] == [packed[z]
+                                                    for z in d.inside]
+        assert len(set(d.histograms)) == len(d.histograms)
+        assert d.failures == [z for z in d.inside if packed[z] & mask]
