@@ -342,16 +342,17 @@ def cmd_validate_word(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    """Render `worddata.decide`: the payload, one entry template per
-    distinct histogram of the record (its coefficient unpacked once),
-    and the interval's entries streamed through the record's ids."""
+    """Render `worddata.decide`: the payload, one coefficient per
+    distinct histogram of the record (unpacked once, and indexed by
+    histogram id), one entry template per distinct histogram, and the
+    interval's entries streamed through the record's ids."""
     from . import demazure, worddata
 
     t0 = time.perf_counter()
     expr, expr_name = load_expression(args.expr)
     wd = None if args.word is None else load_word(args.word)
     d = worddata.decide(expr, args.p, wd)
-    data, inside = d.sweep, d.inside
+    data, inside, rep = d.sweep, d.inside, d.validation
     payload = {
         "expression": {"name": expr_name,
                        "operators": demazure.op_count(expr)},
@@ -360,10 +361,10 @@ def cmd_certify(args) -> int:
         "rank_conditions": {"rank_Q": d.form.rank_over_Q,
                             "rank_p": d.form.rank_over_p, "ok": d.rank_ok},
         "word": None if wd is None else {
-            "source": wd.source, "validation": d.validation.to_json_dict()},
+            "source": wd.source, "validation": rep.to_json_dict()},
         "histogram": None if data is None else _hist_json(data.total()),
         "histogram_at_x":
-            None if data is None else _hist_json(data.get(d.x, {})),
+            None if data is None else _hist_json(data.get(rep.x, {})),
         "interval": {"status": d.status},
         "verdict": d.verdict,
     }
@@ -371,16 +372,12 @@ def cmd_certify(args) -> int:
     if data is not None:
         payload["word"].update(
             n=wd.n, length=len(wd.word), A=sorted(wd.parabolic),
-            B=sorted(wd.lower), degree=wd.degree, x=list(d.x), w=list(d.w),
-            free_positions=d.free, subexpressions=d.leaves)
-        packed, coefficients = data.packed, {}
-
-        def coefficient(h):
-            c = coefficients.get(h)
-            if c is None:
-                c = coefficients[h] = {str(e): str(k) for e, k in
-                                       data.unpack(h).items()}
-            return c
+            B=sorted(wd.lower), degree=wd.degree, x=list(rep.x),
+            w=list(rep.w),
+            free_positions=len(rep.constraint.free_positions()),
+            subexpressions=rep.constraint.leaf_count())
+        coefficients = [{str(e): str(k) for e, k in data.unpack(h).items()}
+                        for h in d.histograms]
 
         def entries(pad):
             """The entries' JSON texts, for `emit`; the text around a
@@ -388,19 +385,22 @@ def cmd_certify(args) -> int:
             digits = [str(b) for b in range(256)].__getitem__
             # a coset's values sit two levels deeper than its entry
             sep = "," + (pad and pad + "    ")
-            parts = [_dumps({"coefficient": coefficient(h), "coset": [_HOLE],
-                             "ok": not d.fails(h)}, args.pretty)
+            parts = [_dumps({"coefficient": c, "coset": [_HOLE],
+                             "ok": not bad}, args.pretty)
                      .replace("\n", pad).split(json.dumps(_HOLE))
-                     for h in d.histograms]
+                     for c, bad in zip(coefficients, d.failing)]
             for z, i in zip(inside, d.ids):
                 before, after = parts[i]
                 yield before + sep.join(map(digits, z)) + after
 
+        # the ids of the failing cosets, in order, read up to the last one
+        failing_ids = itertools.compress(d.ids, map(d.failing.__getitem__,
+                                                    d.ids))
         payload["interval"].update(
             passed=d.status == "ok", cosets_in_interval=len(inside),
             cosets_outside=len(data) - len(inside), entries=_HOLE,
-            failures=[{"coset": list(z), "coefficient": coefficient(packed[z])}
-                      for z in d.failures])
+            failures=[{"coset": list(z), "coefficient": coefficients[i]}
+                      for z, i in zip(d.failures, failing_ids)])
     payload["timings"] = {**d.seconds, "threads": args.threads,
                           "total_seconds": round(time.perf_counter() - t0, 6)}
     emit(payload, args.pretty, entries)

@@ -25,9 +25,9 @@ of x dominates that of y entrywise.  `rank_table`, `rank_table_dominates`
 and `bruhat_leq` compare tuple tables entry by entry.
 `bruhat_above_all` decides the lower half x < z of the certificate's
 interval test (the upper half z <= w holds for every endpoint of a
-reduced word's expansion, see `subexpr.interval_endpoints`) for all
-cosets z at once, and reads only the rank entries at the essential set
-of x: Fulton (Flags, Schubert polynomials, degeneracy loci, and
+reduced word's expansion, as its docstring shows) for all cosets z at
+once, and reads only the rank entries at the essential set of x:
+Fulton (Flags, Schubert polynomials, degeneracy loci, and
 determinantal formulas, Duke Math. J. 65 (1992), Section 3) shows that
 the rank conditions r_z[i][j] <= r_x[i][j] at those cells imply them at
 every cell, and the essential set of the certificate's x = w_B has 10
@@ -259,17 +259,29 @@ _GUARD = 0x80
 def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     """The cosets z among `cosets` with x < z in Bruhat order, sorted:
     bytes or tuples, all of one type, each holding a permutation of the
-    S_n of x, n <= 255, as given.  A coset whose length is not n raises
-    ValueError naming the first one, and so does a tuple coset that is
-    not a permutation of 1..n.  Bytes cosets are left unchecked: they
-    come only from the fold (`subexpr.sweep`), which makes them
-    permutations by construction, and the check would cost more than
-    the whole test on the 10^5 cosets of a real-size interval.
+    S_n of x, as given.  n above 255 raises ValueError naming n, since
+    the test keeps each rank entry in one byte.  A coset whose length is
+    not n raises ValueError naming the first one, and so does a tuple
+    coset that is not a permutation of 1..n.  Bytes cosets are left
+    unchecked: they come only from the fold (`subexpr.sweep`), which
+    makes them permutations by construction, and the check would cost
+    more than the whole test on the 10^5 cosets of a real-size interval.
 
     x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
     of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK cosets
     at once, one byte each, as the module docstring describes; z = x,
     which passes, is then found by bisection and dropped.
+
+    On the endpoints of a fold over a reduced word, whose element has
+    minimal coset representative w, the result is the certificate's
+    whole interval x < z <= w: every endpoint z is a subexpression
+    product, which lies below the word's element in Bruhat order when
+    the word is reduced (the subword property), and taking the minimal
+    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
+    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
+    endpoints above w, which this test would count as inside: check
+    reducedness first, as the `word-reduced` check of
+    `worddata.validate_word_data` does.
 
     >>> bruhat_above_all((2, 1, 3), [(3, 2, 1), (1, 3, 2), (2, 1, 3)])
     [(3, 2, 1)]
@@ -278,6 +290,9 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     """
     x = tuple(x)
     n = len(x)
+    if n > 255:
+        raise ValueError(f"n = {n} is above 255: the interval test keeps "
+                         f"each coset as one byte per value")
     keys = list(cosets)
     if set(map(len, keys)) - {n}:
         z = next(z for z in keys if len(z) != n)

@@ -27,11 +27,8 @@ content to a block content.  So the content a coset enters the run
 with fixes the run's S steps, the composite of its other swaps (one
 translate table) and the defect shift.  The run is walked letter by
 letter once per block content, and every other coset with that content
-moves by one lookup and one translate; equal (table, shift) pairs are
-held once.  At A = {} no step is S, and every coset moves through one
-table.  `interval_endpoints` picks out of a fold's result the cosets of
-the certificate's interval x < z <= w, all at once, with
-`coxeter.bruhat_above_all`.
+moves by one lookup and one translate.  At A = {} no step is S, and
+every coset moves through one table.
 
 The fold state is packed.  A coset is a `bytes` key holding one value per
 byte, so `sweep` takes n <= MAX_N = 255, and s_i u is `u.translate(T_i)`
@@ -43,10 +40,13 @@ free as well: only a free position allows e = 0, the one choice that
 lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
 `sweep` returns this state as it is, in a `SweepResult`: a read-only
-mapping that hands out tuple cosets and {defect: count} dicts on demand,
-while the certificate reads the bytes keys and packed ints themselves:
-`worddata.decide` gives each distinct packed histogram of the interval
-a small id, and `certify` renders its record through those ids.
+mapping that hands out tuple cosets and {defect: count} dicts on demand.
+The layout stays inside this module and `worddata`: `worddata.decide`
+reads the bytes keys and packed ints themselves, picks the interval's
+cosets out of the keys with `coxeter.bruhat_above_all`, gives each
+distinct packed histogram of the interval a small id and flags the
+histograms with a negative defect through `negative_mask`; `certify`
+renders that record and unpacks each distinct histogram once.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression, a decoration straight from the definitions and a
@@ -73,8 +73,9 @@ from .coxeter import Permutation
 # 220 bytes per coset of the returned packed state, and a peak of 348 per
 # final coset while a step (or a forced run) holds its state before and
 # after: about 0.4 GB at the budget for GL15-shaped words.  A forced
-# run's memo adds one entry per block content it meets, at most 312 on
-# that word and 477 on `gl15-reconstructed`, whose 753,485 cosets took
+# run's memo adds one entry per block content it meets, each with its own
+# 256-byte table: at most 312 entries (142 KB by getsizeof) on that word
+# and 477 (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took
 # 241 bytes each packed, 377 at the peak, and whose `certify` run peaked
 # at 321 MB RSS.  The interval test then holds two lists of the cosets
 # and one chunk, 14.1 MB (13.5 MiB) at its peak there by tracemalloc.
@@ -180,8 +181,7 @@ def sweep(word: Sequence[int], n: int, parabolic,
             # and shift, found by walking the run once per content
             steps = [letters[word[j]] for j in run]
             out: dict[bytes, int] = {}
-            memo = {}     # block content -> (table, shift)
-            shared = {}   # each distinct (table, shift), held once
+            memo = {}   # block content -> (table, shift)
             for u, h in state.items():
                 key = content(u)
                 hit = memo.get(key)
@@ -193,8 +193,7 @@ def sweep(word: Sequence[int], n: int, parabolic,
                         else:
                             v = v.translate(swap)
                             table = table.translate(swap)
-                    hit = memo[key] = shared.setdefault((table, shift),
-                                                        (table, shift))
+                    hit = memo[key] = table, shift
                 table, shift = hit
                 out[u.translate(table)] = h << shift
             if len(out) > budget:
@@ -315,33 +314,6 @@ def _unpack(hs: Iterable[int], width: int) -> Iterator[dict[int, int]]:
             h >>= width
             d += 1
         yield hist
-
-
-def interval_endpoints(cosets: Iterable[Permutation | bytes], n: int,
-                       parabolic, x: Permutation) -> list:
-    """The cosets z among `cosets` with x < z, sorted: the cosets of the
-    certificate's interval x < z <= w when `cosets` are the endpoints of
-    a fold over a reduced word, whose element has minimal coset
-    representative w.  The cosets may be tuples, as a `sweep` result
-    hands them out, or bytes, as its `packed` keys hold them, and are
-    returned as given; bytes sort as the tuples they hold.  n is at most
-    MAX_N, and a coset whose length is not n raises ValueError.
-
-    Only x < z is compared, all cosets at once, by
-    `coxeter.bruhat_above_all`: every endpoint z is a subexpression
-    product, which lies below the word's element in Bruhat order when
-    the word is reduced (the subword property), and taking the minimal
-    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
-    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
-    endpoints above w, which this test would count as inside: check
-    reducedness first, as the `word-reduced` check of
-    `worddata.validate_word_data` does.
-    """
-    x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
-    if n > MAX_N:
-        raise ValueError(f"n = {n} is above {MAX_N}: the interval test "
-                         f"keeps each coset as one byte per value")
-    return coxeter.bruhat_above_all(x, cosets)
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

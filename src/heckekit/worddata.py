@@ -290,28 +290,26 @@ def validate_word_data(wd: WordData) -> ValidationReport:
 
 class Decision:
     """What `decide` found: the form report and its rank test
-    (`rank_ok`), the validation report, x, w, the free positions and the
-    leaves of the constrained expansion, the fold (`sweep`), the
-    interval's cosets x < z as sorted bytes (`inside`), their distinct
-    packed histograms in first-seen order (`histograms`), one id per
-    coset of `inside` that indexes `histograms` (`ids`, aligned with
-    `inside`), the cosets that fail (`failures`), the interval `status`,
-    the verdict and the stage seconds.  `fails` is the failure rule on
-    one packed histogram h of `sweep`: fails(h) is nonzero iff the
-    coefficient has a negative power of v, that is iff h shares a bit
-    with the mask of the negative defects; `decide` applies it once per
-    distinct histogram.  What a run did not reach is None, or empty."""
+    (`rank_ok`), the validation report (which holds x, w and the word's
+    constraint), the fold (`sweep`), the interval's cosets x < z as
+    sorted bytes (`inside`), their distinct packed histograms in
+    first-seen order (`histograms`), one id per coset of `inside` that
+    indexes `histograms` (`ids`, aligned with `inside`), one failure flag
+    per distinct histogram (`failing`: true iff its coefficient has a
+    negative power of v), the cosets that fail (`failures`), the
+    interval `status`, the verdict and the stage seconds.  What a run
+    did not reach is None, or empty."""
 
-    __slots__ = ("form", "rank_ok", "validation", "x", "w", "free", "leaves",
-                 "sweep", "fails", "inside", "histograms", "ids", "failures",
-                 "status", "seconds")
+    __slots__ = ("form", "rank_ok", "validation", "sweep", "inside",
+                 "histograms", "ids", "failing", "failures", "status",
+                 "seconds")
 
     def __init__(self, form, seconds: dict[str, float]):
         self.form, self.seconds = form, seconds
         self.rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0
-        self.validation = self.x = self.w = self.free = self.leaves = None
-        self.sweep = self.fails = None
-        self.inside, self.histograms, self.ids, self.failures = [], [], [], []
+        self.validation = self.sweep = None
+        self.inside, self.histograms, self.ids = [], [], []
+        self.failing, self.failures = [], []
         self.status = "skipped: no word data"
 
     @property
@@ -343,24 +341,24 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
         raise ValueError(f"word data {wd.source} fails validation: "
                          + "; ".join(f"{c.name}: {c.detail}"
                                      for c in rep.checks if not c.ok))
-    out.x, out.w = rep.x, rep.w
-    out.free = len(rep.constraint.free_positions())
-    out.leaves = rep.constraint.leaf_count()
     t1 = time.perf_counter()
     data = out.sweep = subexpr.sweep(wd.word, wd.n, wd.parabolic,
                                      rep.constraint)
     t2 = time.perf_counter()
-    out.inside = subexpr.interval_endpoints(data.packed, wd.n, wd.parabolic,
-                                            rep.x)
+    # validation proved the word reduced, so that every endpoint z has
+    # z <= w, and x = w_B a minimal coset representative: the interval
+    # is the endpoints above x (see `coxeter.bruhat_above_all`)
+    inside = out.inside = coxeter.bruhat_above_all(rep.x, data.packed)
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)
-    inside = out.inside
     # each histogram is hashed once, as it gets its id
     ids = defaultdict(count().__next__)
     out.ids = list(map(ids.__getitem__, map(data.packed.__getitem__, inside)))
     out.histograms = list(ids)
-    fails = out.fails = data.negative_mask.__and__
-    failing = list(map(fails, out.histograms))
+    # a coefficient has a negative power of v iff its packed histogram
+    # shares a bit with the fields of the negative defects
+    mask = data.negative_mask
+    failing = out.failing = [bool(h & mask) for h in out.histograms]
     out.failures = list(compress(inside, map(failing.__getitem__, out.ids)))
     out.status = "failed" if out.failures else "ok"
     return out

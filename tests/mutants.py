@@ -113,15 +113,14 @@ MUTANTS = [
      "self.rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0",
      "self.rank_ok = form.rank_over_Q >= 1 and form.rank_over_p == 0",
      "equivalent: the erasures form one row, whose rank over Q is 0 or 1"),
-    ("worddata", "fails = out.fails = data.negative_mask.__and__",
-     "fails = out.fails = data.negative_mask.__lt__",
+    ("worddata", "bool(h & mask)", "bool(h < mask)",
      "the failure rule compares a histogram with the mask instead of "
      "masking it"),
     ("worddata", 'return self.rank_ok and self.status == "ok"',
      'return self.rank_ok or self.status == "ok"',
      "the verdict needs only one of the two conditions"),
-    ("worddata", "list(map(fails, out.histograms))",
-     "list(map(bool, out.histograms))",
+    ("worddata", "[bool(h & mask) for h in out.histograms]",
+     "[bool(h) for h in out.histograms]",
      "every coset of the interval counts as a failure"),
     ("worddata", 'out.status = "failed" if out.failures else "ok"',
      'out.status = "ok"',
@@ -174,6 +173,12 @@ MUTANTS = [
      "out.histograms = list(ids)[::-1]",
      "the distinct histograms are listed in reverse, so a coset's id "
      "names another coset's histogram"),
+    ("coxeter", "if n > 255:", "if n > 256:",
+     "the interval test takes n = 256, past the byte that its rank "
+     "fields' proof needs"),
+    ("cli", '"ok": not bad', '"ok": bad',
+     "each entry of the interval renders the opposite of its failure "
+     "flag"),
 ]
 
 

@@ -15,7 +15,10 @@ The Bruhat order, against `coxeter.bruhat_above_all`: `bruhat_above(x)`
 tests one coset z at a time, on a packed table of z's rank entries at
 the essential set of x (built by `rank_packing`) and one guard-bit
 subtraction, where the product tests a chunk of cosets at once, one
-byte column at a time.
+byte column at a time.  `interval_endpoints` checks x against n and A
+before it calls the product test, so the tests can hand it an x of
+their own; `worddata.decide` calls the product test directly, on an x
+that validation has checked.
 
 Length, against `coxeter.length`: `inversions` counts the pairs i < j
 with p(i) > p(j) by two nested loops.
@@ -320,6 +323,17 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
         return (px_H - sum(map(at, C, z))) & H == H and z not in same
 
     return above
+
+
+def interval_endpoints(cosets, n: int, parabolic, x: Permutation) -> list:
+    """The cosets z among `cosets` with x < z, sorted, as
+    `coxeter.bruhat_above_all` gives them, after x is checked as a
+    minimal coset representative for `parabolic` in S_n: a bad x is a
+    ValueError that names it.  On the endpoints of a fold over a reduced
+    word these are the cosets of the certificate's interval x < z <= w
+    (see `bruhat_above_all`)."""
+    x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
+    return coxeter.bruhat_above_all(x, cosets)
 
 
 # -- sums through LaurentPoly products -----------------------------------

@@ -187,7 +187,7 @@ def test_emit_writes_nothing_for_a_value_json_cannot_encode(capsys):
 def _failing_word_files(tmp_path, count: int) -> list[str]:
     """Seeded valid S_4-S_6 word files whose interval has a failing coset
     and holds some histogram at more than one coset."""
-    from heckekit import subexpr
+    from heckekit import coxeter, subexpr
 
     rng = random.Random(41)
     paths = []
@@ -203,8 +203,7 @@ def _failing_word_files(tmp_path, count: int) -> list[str]:
         if not (report.ok and report.complete):
             continue
         data = subexpr.sweep(wd.word, n, wd.parabolic, wd.constraint())
-        inside = subexpr.interval_endpoints(data, n, wd.parabolic,
-                                            wd.x_element())
+        inside = coxeter.bruhat_above_all(wd.x_element(), data)
         hists = [data[z] for z in inside]
         if (any(min(h) < 0 for h in hists)
                 and len({tuple(h.items()) for h in hists}) < len(hists)):
@@ -252,12 +251,16 @@ def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     """certify's stdout, apart from "timings", is byte for byte the
     payload that `oracles.certify_text` builds from unpacked histograms
     and renders with one json.dumps: on both demos, `gl15-partial`, the
-    no-word run and seeded words with failing cosets and repeated
-    histograms, and seeded words whose B-letters make one long forced run
-    and whose x has an essential set of several cells."""
+    no-word run, a valid word whose interval is empty (x = w = s_1),
+    seeded words with failing cosets and repeated histograms, and seeded
+    words whose B-letters make one long forced run and whose x has an
+    essential set of several cells."""
     from oracles import certify_text
 
-    words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial"]
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"n": 2, "word": [1], "A": [], "B": [1]}))
+    words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial",
+             str(empty)]
     for word in (words + _failing_word_files(tmp_path, 12)
                  + _forced_run_word_files(tmp_path, 12)):
         argv = ["certify"] + (["--word", word] if word else [])

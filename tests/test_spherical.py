@@ -21,12 +21,8 @@ from heckekit.spherical import (
     spherical_kl_basis,
     spherical_pairing,
 )
-from heckekit.subexpr import (
-    EnumConstraint,
-    defect_histogram,
-    interval_endpoints,
-    sweep,
-)
+from heckekit.subexpr import EnumConstraint, defect_histogram, sweep
+from oracles import interval_endpoints
 
 
 def all_subsets(n):
@@ -305,7 +301,7 @@ def test_interval_check_matches_rank_table_oracle():
 
 
 def test_x_is_no_interval_entry_when_the_cosets_are_bytes():
-    """`certify` passes the packed keys of a fold: the interval comes back
+    """`decide` passes the packed keys of a fold: the interval comes back
     as bytes, in the order of the tuple interval, and x, an endpoint of
     every fold below, is never in it."""
     rng = random.Random(31)
@@ -324,7 +320,7 @@ def test_x_is_no_interval_entry_when_the_cosets_are_bytes():
 
 
 def test_expansion_of_a_reduced_word_lies_below_w():
-    """Why `interval_endpoints` compares endpoints with x alone:
+    """Why the interval test compares endpoints with x alone:
     every endpoint of the (constrained) expansion of a reduced word is
     <= w, the word's minimal coset representative.  Seeded reduced words
     with random A and constraints, and both demo words, checked with the
@@ -595,8 +591,6 @@ def test_every_entry_names_a_parabolic_generator_outside_the_generators():
         "spherical_kl_basis": lambda n, A, w0: spherical_kl_basis(w0, A),
         "bott_samelson_spherical":
             lambda n, A, w0: bott_samelson_spherical((1,), n, A),
-        "interval_endpoints":
-            lambda n, A, w0: interval_endpoints([w0], n, A, identity(n)),
         "min_coset_reps": lambda n, A, w0: list(min_coset_reps(A, n)),
     }
     for n in (3, 4):
@@ -614,11 +608,10 @@ def test_every_entry_names_a_parabolic_generator_outside_the_generators():
     lambda A: SphericalElement(3, A, {(3, 2, 1): ONE}),
     lambda A: sweep((1,), 3, A),
     lambda A: defect_histogram((1,), 3, A),
-    lambda A: interval_endpoints([(3, 2, 1)], 3, A, (1, 2, 3)),
     lambda A: worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
                               worddata.WordData(3, (1,), A, frozenset(), -1)),
 ], ids=["SphericalElement", "SphericalElement, a key", "sweep",
-        "defect_histogram", "interval_endpoints", "decide"])
+        "defect_histogram", "decide"])
 def test_a_generator_of_A_that_is_no_int_is_named_before_A_is_sorted(entry):
     """`coxeter`'s one generator check reads A before anything sorts it,
     so a member that does not compare with ints is named, not a bare
@@ -632,7 +625,7 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
     """A float or a bool equal to an int in range is no key entry, no
     letter and no generator of A: `coxeter`'s one key check and one
     range check refuse it with their own messages, at every entry that
-    takes one, the seven that take A among them, a SphericalElement with
+    takes one, the six that take A among them, a SphericalElement with
     no key too.  (`inverse_h`, whose cache a float or a bool key can hit,
     has a test of its own.)"""
     w0 = (3, 2, 1)
@@ -661,7 +654,6 @@ def test_every_entry_refuses_a_float_or_a_bool_where_it_takes_an_int():
         lambda A: SphericalElement(3, A),
         lambda A: spherical_kl_basis(w0, A),
         lambda A: bott_samelson_spherical((1,), 3, A),
-        lambda A: interval_endpoints([w0], 3, A, identity(3)),
         lambda A: list(min_coset_reps(A, 3)),
     ]
     for bad in (1.0, True, 2.5):

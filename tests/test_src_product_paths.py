@@ -6,14 +6,20 @@ code), qualified by its module: `coxeter.multiply` does not count as a use
 of a `hecke.multiply`.  Slow references that only tests call live in
 `tests/oracles.py`; the few public names that stay without a caller in
 the package are listed in ALLOWED with the reason each one stays.  Every
-private top-level function and class has a caller in the package, with
-no exception: a helper only its tests call belongs in the tests.  Every
-name that a package module imports is used in that module.  And the
-input checks are written once, in `coxeter`: no other module holds the
-message of one, but for the exceptions in OWN_CHECKS.  Coefficients have
-one representation: elements and the caches of `hecke` store term maps,
-and `hecke` alone wraps one as a LaurentPoly (`laurent._poly`), so no
-other module imports `_poly` and no test reads a LaurentPoly out of
+public method (or property) of a top-level class must be read as an
+attribute of its name somewhere else in the package, but for the ones in
+ALLOWED_METHODS; the scan cannot tell classes apart, so any `.name` read
+counts.  Every private top-level function and class has a caller in the
+package, with no exception: a helper only its tests call belongs in the
+tests.  Every name that a package module imports is used in that module.
+The packed layout of a fold (`SweepResult`'s `packed`, `width` and
+`negative_mask`) is read only in FOLD_LAYOUT_READERS, `subexpr` and
+`worddata`, so a change of layout stays inside those two modules.  And
+the input checks are written once, in `coxeter`: no other module holds
+the message of one, but for the exceptions in OWN_CHECKS.  Coefficients
+have one representation: elements and the caches of `hecke` store term
+maps, and `hecke` alone wraps one as a LaurentPoly (`laurent._poly`), so
+no other module imports `_poly` and no test reads a LaurentPoly out of
 `hecke._kl_cache`, `hecke._inverse_cache` or `hecke._kl`.
 
 `code_lines` is the one measure of the package's size that a change
@@ -45,6 +51,27 @@ ALLOWED = {
     ("spherical", "bott_samelson_spherical"):
         "criterion 3 and perfbench's oracle-s5 compare the fold with it",
 }
+
+
+#: public methods with no caller in the package, and why each one stays
+ALLOWED_METHODS = {
+    ("laurent", "LaurentPoly.bar"):
+        "perfbench/tracing.py's CLASS_METHODS wraps it by name, and "
+        "criterion 5 checks the pairing's sesquilinearity with it",
+    ("laurent", "LaurentPoly.is_nonnegative_powers"):
+        "perfbench/tracing.py's CLASS_METHODS wraps it by name",
+    ("laurent", "LaurentPoly.exact_divide"):
+        "perfbench/tracing.py's CLASS_METHODS wraps it by name",
+    ("demazure", "MultiPoly.swap_variables"):
+        "perfbench/tracing.py's CLASS_METHODS wraps it by name",
+    ("hecke", "LinearCombination.scale"):
+        "criteria 4 and 5 and perfbench's oracle-s5 scale elements with "
+        "it",
+}
+
+#: the attributes of a fold's packed layout, and the modules that read them
+FOLD_LAYOUT = {"packed", "width", "negative_mask"}
+FOLD_LAYOUT_READERS = {"subexpr", "worddata"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -92,6 +119,71 @@ def _uncalled(modules, private: bool) -> list:
 
 def test_every_public_definition_has_a_caller_in_the_package():
     assert _uncalled(_modules(), private=False) == sorted(ALLOWED)
+
+
+def _methods(modules) -> dict:
+    """(module, "Class.method") -> node for each public method, property
+    and classmethod of a top-level class."""
+    return {(name, f"{cls.name}.{node.name}"): node
+            for name, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")}
+
+
+def _attributes_read(tree: ast.AST, skip: ast.AST) -> set:
+    """The attribute names that `tree` reads outside the node `skip`."""
+    found = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _uncalled_methods(modules) -> list:
+    return sorted(
+        key for key, node in _methods(modules).items()
+        if not any(node.name in _attributes_read(tree, node)
+                   for tree in modules.values()))
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    assert _uncalled_methods(_modules()) == sorted(ALLOWED_METHODS)
+
+
+def test_the_method_scan_skips_the_method_itself():
+    tree = ast.parse("class C:\n"
+                     "    def used(self):\n        return self.unused\n"
+                     "    def unused(self):\n        return self.unused()\n"
+                     "    def loop(self):\n        return self.loop()\n"
+                     "    def _private(self):\n        pass\n"
+                     "def f(c):\n    return c.used()\n")
+    assert _uncalled_methods({"m": tree}) == [("m", "C.loop")]
+
+
+def _fold_layout_reads(modules) -> set:
+    """(module, line) of each read of a FOLD_LAYOUT attribute outside
+    FOLD_LAYOUT_READERS."""
+    return {(name, node.lineno) for name, tree in modules.items()
+            if name not in FOLD_LAYOUT_READERS for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in FOLD_LAYOUT}
+
+
+def test_only_subexpr_and_worddata_read_the_packed_fold():
+    assert _fold_layout_reads(_modules()) == set()
+
+
+def test_the_layout_scan_finds_a_read_outside_the_two_modules():
+    tree = ast.parse("def f(d):\n    h = d.sweep.packed\n"
+                     "    return d.sweep.unpack(h & d.sweep.negative_mask)\n")
+    assert _fold_layout_reads({"cli": tree, "worddata": tree}) == {
+        ("cli", 2), ("cli", 3)}
 
 
 def test_every_private_definition_has_a_caller_in_the_package():

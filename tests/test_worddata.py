@@ -180,8 +180,7 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
 
         def entries(constraint):
             data = subexpr.sweep(wd.word, n, wd.parabolic, constraint)
-            return [(z, data[z]) for z in subexpr.interval_endpoints(
-                data, n, wd.parabolic, x)]
+            return [(z, data[z]) for z in coxeter.bruhat_above_all(x, data)]
 
         got = entries(wd.constraint())
         assert got == entries(None), (n, word, A, B)
@@ -193,11 +192,12 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
 def test_x_and_w_elements():
     wd = load_word_data("demo-s4-pass")
     assert wd.x_element() == (2, 1, 3, 4)
-    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2, wd)
-    assert d.x == wd.x_element()
-    assert d.w == coxeter.min_coset_rep(
+    rep = worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
+                          wd).validation
+    assert rep.x == wd.x_element()
+    assert rep.w == coxeter.min_coset_rep(
         coxeter.evaluate_word(wd.word, wd.n), wd.parabolic)
-    assert coxeter.is_min_coset_rep(d.w, wd.parabolic)
+    assert coxeter.is_min_coset_rep(rep.w, wd.parabolic)
 
 
 @pytest.mark.parametrize("word", ["demo-s4-pass", "demo-s4-fail",
@@ -220,6 +220,7 @@ def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
         out = head + '"entries":null,"failures":' + tail
     payload = json.loads(out)
     (d,) = records
+    rep = d.validation
     assert code == (0 if d.verdict else 1)
     assert payload["verdict"] is d.verdict
     assert payload["interval"]["status"] == d.status
@@ -227,14 +228,16 @@ def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
         "rank_Q": d.form.rank_over_Q, "rank_p": d.form.rank_over_p,
         "ok": d.rank_ok}
     if d.sweep is None:
-        assert payload["histogram_at_x"] is None and d.x is None
+        assert payload["histogram_at_x"] is None
+        assert rep is None or rep.x is None
         assert (d.inside, d.failures) == ([], [])
         return
     w = payload["word"]
     assert (w["x"], w["w"], w["free_positions"], w["subexpressions"]) == (
-        list(d.x), list(d.w), d.free, d.leaves)
+        list(rep.x), list(rep.w), len(rep.constraint.free_positions()),
+        rep.constraint.leaf_count())
     assert payload["histogram_at_x"] == {
-        str(e): k for e, k in d.sweep[d.x].items()}
+        str(e): k for e, k in d.sweep[rep.x].items()}
     assert d.inside == sorted(d.inside)
     assert all(type(z) is bytes for z in d.inside)
     assert (payload["interval"]["cosets_in_interval"] == len(d.inside)
@@ -277,22 +280,22 @@ def test_decide_refuses_word_data_that_fails_validation():
 
 def test_decide_applies_the_failure_rule_to_each_coset():
     """A coset fails iff its coefficient has a negative power of v, and
-    `fails` tells the same of its packed histogram."""
+    `failing` flags the same at the coset's histogram id."""
     d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
                         load_word_data("demo-s4-fail"))
     assert d.failures == [bytes((2, 1, 3, 4))] and d.status == "failed"
-    for z in d.inside:
-        h = d.sweep.packed[z]
-        negative = min(d.sweep.unpack(h)) < 0
-        assert bool(d.fails(h)) is negative
+    for z, i in zip(d.inside, d.ids):
+        negative = min(d.sweep[tuple(z)]) < 0
+        assert d.failing[i] is negative
         assert (z in d.failures) is negative
 
 
 def test_decide_gives_each_distinct_histogram_one_id(tmp_path):
     """The k-th coset of the interval has the packed histogram
-    `histograms[ids[k]]`, the histograms are pairwise distinct, and
-    `failures` holds, in order, the cosets whose own histogram meets the
-    mask of the negative defects: on both demos, `gl15-partial` (no
+    `histograms[ids[k]]`, the histograms are pairwise distinct,
+    `failing` flags the histograms that meet the mask of the negative
+    defects, and `failures` holds, in order, the cosets whose own
+    histogram meets it: on both demos, `gl15-partial` (no
     word, so nothing) and seeded words with failing cosets and repeated
     histograms."""
     from test_cli import _failing_word_files
@@ -302,12 +305,13 @@ def test_decide_gives_each_distinct_histogram_one_id(tmp_path):
                  + _failing_word_files(tmp_path, 12)):
         d = worddata.decide(expr, 2, load_word_data(word))
         if d.sweep is None:
-            assert (d.inside, d.histograms, d.ids, d.failures) == (
-                [], [], [], [])
+            assert (d.inside, d.histograms, d.ids, d.failing,
+                    d.failures) == ([], [], [], [], [])
             continue
         packed, mask = d.sweep.packed, d.sweep.negative_mask
         assert len(d.ids) == len(d.inside)
         assert [d.histograms[i] for i in d.ids] == [packed[z]
                                                     for z in d.inside]
         assert len(set(d.histograms)) == len(d.histograms)
+        assert d.failing == [bool(h & mask) for h in d.histograms]
         assert d.failures == [z for z in d.inside if packed[z] & mask]
