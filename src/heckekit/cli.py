@@ -20,6 +20,7 @@ loads little beyond argparse.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import itertools
 import json
@@ -98,8 +99,10 @@ def _dumps(obj, pretty: bool) -> str:
 def emit(payload, pretty: bool = False, stream=None) -> None:
     """Print `payload` as JSON with sorted keys, indented or compact.
     `stream` takes the line break and indentation of a list's items (""
-    when compact) and yields the items' JSON texts; emit writes that list
-    in chunks where `payload` holds _HOLE, as json.dumps would write it."""
+    when compact) and yields chunks of that list, each one or more of its
+    items' JSON texts joined by "," and that break; emit writes the list
+    where `payload` holds _HOLE, one chunk at a time, as json.dumps would
+    write it."""
     text = _dumps(payload, pretty)
     if stream is not None:
         head, _, text = text.partition(json.dumps(_HOLE))
@@ -108,12 +111,39 @@ def emit(payload, pretty: bool = False, stream=None) -> None:
             line = head[head.rfind("\n") + 1:]
             pad = "\n" + " " * (len(line) - len(line.lstrip()) + 2)
         sys.stdout.write(head)
-        items, lead = iter(stream(pad)), "["
-        while chunk := list(itertools.islice(items, 4096)):
-            sys.stdout.write(lead + pad + ("," + pad).join(chunk))
+        lead = "["
+        for chunk in stream(pad):
+            sys.stdout.write(lead + pad + chunk)
             lead = ","
         sys.stdout.write(pad[:-2] + "]" if lead == "," else "[]")
     print(text)
+
+
+@functools.cache
+def _digit_tables() -> tuple[bytes, bytes, bytes]:
+    """The byte -> hundreds, tens and ones digit tables of `_coset_texts`,
+    a leading zero as byte 0; built on first use, so that importing the
+    module does no work."""
+    values = range(256)
+    return (bytes(48 + v // 100 if v >= 100 else 0 for v in values),
+            bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in values),
+            bytes(48 + v % 10 for v in values))
+
+
+def _coset_texts(cosets: list[bytes], n: int, sep: str) -> list[str]:
+    """`sep.join(map(str, z))` for each coset z of `cosets`, each n
+    values in 1..255 as bytes, from C-level passes over the joined
+    cosets: each value takes four bytes of one buffer, its hundreds,
+    tens and ones digits and then "," (";" after a coset's last value);
+    the leading zeros are deleted, and the text is cut at the ";"s."""
+    blob = b"".join(cosets)
+    out = bytearray(4 * len(blob))
+    for k, table in enumerate(_digit_tables()):
+        out[k::4] = blob.translate(table)
+    out[3::4] = b"," * len(blob)
+    out[4 * n - 1::4 * n] = b";" * len(cosets)
+    text = out.translate(None, b"\0").decode("ascii")
+    return text.replace(",", sep).split(";")[:-1]
 
 
 def parse_word(text: str, n: int, flag: str = "--word",
@@ -341,11 +371,18 @@ def cmd_validate_word(args) -> int:
     return 0 if (report.ok and report.complete) else 1
 
 
+#: the interval cosets that `certify` renders at once
+CERTIFY_CHUNK = 4096
+
+
 def cmd_certify(args) -> int:
     """Render `worddata.decide`: the payload, one coefficient per
     distinct histogram of the record (unpacked once, and indexed by
     histogram id), one entry template per distinct histogram, and the
-    interval's entries streamed through the record's ids."""
+    interval's entries streamed to `emit` in chunks of CERTIFY_CHUNK
+    cosets.  A chunk is built by C-level passes alone: its cosets' texts
+    come from one `_coset_texts` pass, and its templates are looked up
+    through the record's ids and joined with them."""
     from . import demazure, worddata
 
     t0 = time.perf_counter()
@@ -380,18 +417,25 @@ def cmd_certify(args) -> int:
                         for h in d.histograms]
 
         def entries(pad):
-            """The entries' JSON texts, for `emit`; the text around a
-            coset is built once per distinct histogram."""
-            digits = [str(b) for b in range(256)].__getitem__
+            """The entries' JSON texts, for `emit`, one joined text per
+            chunk; the text around a coset is built once per distinct
+            histogram, and carries the separator of the next entry,
+            which the chunk's last entry then gives up."""
             # a coset's values sit two levels deeper than its entry
-            sep = "," + (pad and pad + "    ")
-            parts = [_dumps({"coefficient": c, "coset": [_HOLE],
-                             "ok": not bad}, args.pretty)
-                     .replace("\n", pad).split(json.dumps(_HOLE))
-                     for c, bad in zip(coefficients, d.failing)]
-            for z, i in zip(inside, d.ids):
-                before, after = parts[i]
-                yield before + sep.join(map(digits, z)) + after
+            sep, comma = "," + (pad and pad + "    "), "," + pad
+            templates = [_dumps({"coefficient": c, "coset": [_HOLE],
+                                 "ok": not bad}, args.pretty)
+                         .replace("\n", pad).split(json.dumps(_HOLE))
+                         for c, bad in zip(coefficients, d.failing)]
+            befores = [before for before, _ in templates].__getitem__
+            afters = [after + comma for _, after in templates].__getitem__
+            for start in range(0, len(inside), CERTIFY_CHUNK):
+                ids = d.ids[start:start + CERTIFY_CHUNK]
+                texts = _coset_texts(inside[start:start + CERTIFY_CHUNK],
+                                     wd.n, sep)
+                yield "".join(itertools.chain.from_iterable(zip(
+                    map(befores, ids), texts, map(afters, ids)))
+                    )[:-len(comma)]
 
         # the ids of the failing cosets, in order, read up to the last one
         failing_ids = itertools.compress(d.ids, map(d.failing.__getitem__,

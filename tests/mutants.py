@@ -179,6 +179,13 @@ MUTANTS = [
     ("cli", '"ok": not bad', '"ok": bad',
      "each entry of the interval renders the opposite of its failure "
      "flag"),
+    ("cli", "out[4 * n - 1::4 * n]", "out[4 * n + 3::4 * n]",
+     "the end marker of each coset sits one value late"),
+    ("cli", "bytes(48 + v // 100 if v >= 100 else 0 for v in values)",
+     "bytes(256)",
+     "a value of three digits loses its hundreds digit"),
+    ("cli", ")[:-len(comma)]", ")[:-len(comma) - 1]",
+     "each chunk of entries loses the last character of its last entry"),
 ]
 
 

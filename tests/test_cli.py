@@ -156,21 +156,42 @@ def test_certify_pretty_matches_the_golden_report(capsys):
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 def test_emit_writes_a_streamed_list_as_json_dumps_would(pretty, capsys):
-    def dumps(obj):
-        if pretty:
-            return json.dumps(obj, sort_keys=True, indent=2)
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+    """A stream of 0, 1 or 2 chunks, each of one or more items joined by
+    "," and the items' line break, fills in the list where the payload
+    holds the marker, as `_dumps` of the filled-in payload would."""
     places = (lambda v: v, lambda v: {"b": v, "a": 1, "c": [None]},
               lambda v: {"o": [0, {"p": v}], "n": {"m": v is None}})
-    for items in ([], [1], [{"b": [1, {}], "a": "x"}, [], None, [[2]]],
-                  [{"k": i} for i in range(9000)]):
+    items = [{"b": [1, {}], "a": "x"}, [], None, [[2]]]
+    many = [{"k": i} for i in range(9000)]
+    for chunks in ([], [[1]], [items], [items[:1], items[1:]],
+                   [many[:4096], many[4096:]]):
         for place in places:
-            def stream(pad, items=items):
-                return (dumps(item).replace("\n", pad) for item in items)
+            def stream(pad, chunks=chunks):
+                return (("," + pad).join(cli._dumps(item, pretty)
+                                         .replace("\n", pad)
+                                         for item in chunk)
+                        for chunk in chunks)
 
             cli.emit(place(cli._HOLE), pretty, stream)
-            assert capsys.readouterr().out == dumps(place(items)) + "\n"
+            filled = place([item for chunk in chunks for item in chunk])
+            assert (capsys.readouterr().out
+                    == cli._dumps(filled, pretty) + "\n")
+
+
+@pytest.mark.parametrize("sep", [",", ",\n          "],
+                         ids=["compact", "pretty"])
+def test_the_digit_pass_joins_each_coset_as_str_would(sep):
+    """`_coset_texts` is `sep.join(map(str, z))` per coset, for values
+    of one, two and three digits, on permutations of 1..n and on random
+    values in 1..255, and on an empty chunk."""
+    rng = random.Random(47)
+    for n in (1, 2, 9, 10, 99, 100, 255):
+        for cosets in ([], [bytes(rng.sample(range(1, n + 1), n))
+                            for _ in range(rng.randint(1, 30))],
+                       [bytes(rng.choices(range(1, 256), k=n))
+                        for _ in range(rng.randint(1, 30))]):
+            assert cli._coset_texts(cosets, n, sep) == [
+                sep.join(map(str, z)) for z in cosets]
 
 
 def test_emit_writes_nothing_for_a_value_json_cannot_encode(capsys):
@@ -246,21 +267,54 @@ def _forced_run_word_files(tmp_path, count: int) -> list[str]:
     return paths
 
 
+def _reduced_word_file(tmp_path, seed: int, n: int, length: int) -> str:
+    """A seeded valid word file: a reduced word of S_n of `length`
+    letters, A = {} and B = {b} for a letter b that occurs once in it,
+    so that the interval x = s_b < z holds every endpoint but x."""
+    from heckekit import coxeter
+
+    rng = random.Random(seed)
+    while True:
+        word = []
+        for _ in range(20 * length):
+            t = rng.randrange(1, n)
+            if len(word) < length and coxeter.is_reduced(word + [t], n):
+                word.append(t)
+        once = [g for g in sorted(set(word)) if word.count(g) == 1]
+        if len(word) == length and once:
+            raw = {"n": n, "word": word, "A": [], "B": [rng.choice(once)]}
+            path = tmp_path / f"reduced{seed}.json"
+            path.write_text(json.dumps(raw))
+            return str(path)
+
+
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     """certify's stdout, apart from "timings", is byte for byte the
     payload that `oracles.certify_text` builds from unpacked histograms
     and renders with one json.dumps: on both demos, `gl15-partial`, the
     no-word run, a valid word whose interval is empty (x = w = s_1),
-    seeded words with failing cosets and repeated histograms, and seeded
+    seeded words with failing cosets and repeated histograms, seeded
     words whose B-letters make one long forced run and whose x has an
-    essential set of several cells."""
+    essential set of several cells, a seeded S_8 word whose interval
+    crosses the renderer's chunk boundary, a seeded S_12 word (values of
+    two digits) and an S_120 word (values of three digits)."""
+    from heckekit import coxeter, subexpr
     from oracles import certify_text
 
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"n": 2, "word": [1], "A": [], "B": [1]}))
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 120, "word": [1, 2, 3, 119], "A": [],
+                                "B": [119]}))
+    chunks = _reduced_word_file(tmp_path, 53, 8, 18)
+    wd = worddata.load_word_data(chunks)
+    data = subexpr.sweep(wd.word, wd.n, wd.parabolic, wd.constraint())
+    assert len(coxeter.bruhat_above_all(wd.x_element(), data)
+               ) > cli.CERTIFY_CHUNK
     words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial",
-             str(empty)]
+             str(empty), chunks, _reduced_word_file(tmp_path, 59, 12, 9),
+             str(wide)]
     for word in (words + _failing_word_files(tmp_path, 12)
                  + _forced_run_word_files(tmp_path, 12)):
         argv = ["certify"] + (["--word", word] if word else [])
