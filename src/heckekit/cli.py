@@ -60,7 +60,7 @@ def _at_least_one(text: str) -> int:
 
 
 #: the largest --n: the subexpression fold keeps a coset as one byte per
-#: value (subexpr.MAX_N), and a Demazure expression has at most
+#: value (coxeter.MAX_N), and a Demazure expression has at most
 #: demazure.MAX_VARIABLES variables
 MAX_N = 255
 
@@ -377,12 +377,13 @@ CERTIFY_CHUNK = 4096
 
 def cmd_certify(args) -> int:
     """Render `worddata.decide`: the payload, one coefficient per
-    distinct histogram of the record (unpacked once, and indexed by
-    histogram id), one entry template per distinct histogram, and the
-    interval's entries streamed to `emit` in chunks of CERTIFY_CHUNK
-    cosets.  A chunk is built by C-level passes alone: its cosets' texts
-    come from one `_coset_texts` pass, and its templates are looked up
-    through the record's ids and joined with them."""
+    distinct histogram of the record (indexed by histogram id), one
+    entry template per distinct histogram, and the interval's entries
+    streamed to `emit` in chunks of CERTIFY_CHUNK cosets.  A chunk is
+    built by C-level passes alone: its cosets' texts come from one
+    `_coset_texts` pass, and its templates are looked up through the
+    record's ids and joined with them.  Each failure's coset and
+    coefficient are read by its position in the interval."""
     from . import demazure, worddata
 
     t0 = time.perf_counter()
@@ -413,7 +414,7 @@ def cmd_certify(args) -> int:
             w=list(rep.w),
             free_positions=len(rep.constraint.free_positions()),
             subexpressions=rep.constraint.leaf_count())
-        coefficients = [{str(e): str(k) for e, k in data.unpack(h).items()}
+        coefficients = [{str(e): str(k) for e, k in h.items()}
                         for h in d.histograms]
 
         def entries(pad):
@@ -437,14 +438,12 @@ def cmd_certify(args) -> int:
                     map(befores, ids), texts, map(afters, ids)))
                     )[:-len(comma)]
 
-        # the ids of the failing cosets, in order, read up to the last one
-        failing_ids = itertools.compress(d.ids, map(d.failing.__getitem__,
-                                                    d.ids))
         payload["interval"].update(
             passed=d.status == "ok", cosets_in_interval=len(inside),
             cosets_outside=len(data) - len(inside), entries=_HOLE,
-            failures=[{"coset": list(z), "coefficient": coefficients[i]}
-                      for z, i in zip(d.failures, failing_ids)])
+            failures=[{"coset": list(inside[k]),
+                       "coefficient": coefficients[d.ids[k]]}
+                      for k in d.failures])
     payload["timings"] = {**d.seconds, "threads": args.threads,
                           "total_seconds": round(time.perf_counter() - t0, 6)}
     emit(payload, args.pretty, entries)

@@ -26,8 +26,9 @@ and `bruhat_leq` compare tuple tables entry by entry.
 `bruhat_above_all` decides the lower half x < z of the certificate's
 interval test (the upper half z <= w holds for every endpoint of a
 reduced word's expansion, as its docstring shows) for all cosets z at
-once, and reads only the rank entries at the essential set of x:
-Fulton (Flags, Schubert polynomials, degeneracy loci, and
+once, each given as `bytes`, one value per byte, as the fold keys it
+(`subexpr.sweep`), and reads only the rank entries at the essential set
+of x: Fulton (Flags, Schubert polynomials, degeneracy loci, and
 determinantal formulas, Duke Math. J. 65 (1992), Section 3) shows that
 the rank conditions r_z[i][j] <= r_x[i][j] at those cells imply them at
 every cell, and the essential set of the certificate's x = w_B has 10
@@ -43,11 +44,12 @@ byte holds r_z[i][j] - r_x[i][j] + 127 in byte k, which reaches the
 guard bit 128 exactly when r_z[i][j] > r_x[i][j].  It stays in 0..254,
 so no byte borrows or carries: at any cell both ranks lie between
 max(0, i + j - n) and min(i, j), which differ by at most n // 2 <= 127
-for n <= 255.  OR-ing the guard bits over the cells flags every z with
-x </= z, `itertools.compress` keeps the others in sorted order, and z =
-x, which the entries at the essential set cannot tell from a z above
-x, is found by bisection and dropped.  A chunk bounds the ints and the
-joined string to N * n bytes each, whatever the number of cosets.
+for n <= MAX_N = 255.  OR-ing the guard bits over the cells flags
+every z with x </= z, `itertools.compress` keeps the others in sorted
+order, and z = x, which the entries at the essential set cannot tell
+from a z above x, is found by bisection and dropped.  A chunk bounds
+the ints and the joined string to N * n bytes each, whatever the
+number of cosets.
 
 W_A permutes the positions within each block of A (`parabolic_blocks`),
 which gives w_A, W_A and the minimal coset representatives.
@@ -248,6 +250,11 @@ def essential_set(x: Permutation) -> list[tuple[int, int]]:
             and not diagram(i, j + 1)]
 
 
+#: the largest n whose cosets keep one value per byte: the fold
+#: (`subexpr.sweep`) and the interval test (`bruhat_above_all`) take no
+#: larger n
+MAX_N = 255
+
 #: most cosets `bruhat_above_all` packs into one set of big ints, which
 #: bounds its memory whatever the number of cosets
 BRUHAT_CHUNK = 1 << 14
@@ -256,16 +263,16 @@ BRUHAT_CHUNK = 1 << 14
 _GUARD = 0x80
 
 
-def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
+def bruhat_above_all(x: Permutation, cosets: Iterable[bytes]) -> list[bytes]:
     """The cosets z among `cosets` with x < z in Bruhat order, sorted:
-    bytes or tuples, all of one type, each holding a permutation of the
-    S_n of x, as given.  n above 255 raises ValueError naming n, since
-    the test keeps each rank entry in one byte.  A coset whose length is
-    not n raises ValueError naming the first one, and so does a tuple
-    coset that is not a permutation of 1..n.  Bytes cosets are left
-    unchecked: they come only from the fold (`subexpr.sweep`), which
-    makes them permutations by construction, and the check would cost
-    more than the whole test on the 10^5 cosets of a real-size interval.
+    each a permutation of the S_n of x as `bytes`, one value per byte,
+    the form of the fold's keys (`subexpr.sweep`).  n above MAX_N raises
+    ValueError naming n, since the test keeps each rank entry in one
+    byte.  A coset whose length is not n raises ValueError naming the
+    first one, and so does a coset that is not bytes.  The values are
+    left unchecked: the cosets come from the fold, which makes them
+    permutations by construction, and the check would cost more than the
+    whole test on the 10^5 cosets of a real-size interval.
 
     x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
     of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK cosets
@@ -283,25 +290,21 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     reducedness first, as the `word-reduced` check of
     `worddata.validate_word_data` does.
 
-    >>> bruhat_above_all((2, 1, 3), [(3, 2, 1), (1, 3, 2), (2, 1, 3)])
-    [(3, 2, 1)]
-    >>> bruhat_above_all(bytes((1, 2)), [bytes((2, 1)), bytes((1, 2))])
-    [b'\\x02\\x01']
+    >>> bruhat_above_all((2, 1, 3), [bytes((3, 2, 1)), bytes((1, 3, 2))])
+    [b'\\x03\\x02\\x01']
     """
     x = tuple(x)
     n = len(x)
-    if n > 255:
-        raise ValueError(f"n = {n} is above 255: the interval test keeps "
-                         f"each coset as one byte per value")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is above {MAX_N}: the interval test "
+                         f"keeps each coset as one byte per value")
     keys = list(cosets)
     if set(map(len, keys)) - {n}:
         z = next(z for z in keys if len(z) != n)
         raise ValueError(f"coset {z!r} has {len(z)} entries, not n = {n}")
-    if keys and type(keys[0]) is not bytes:
-        for z in keys:
-            if not is_permutation(z):
-                raise ValueError(f"coset {z!r} is not a permutation of "
-                                 f"1..{n}")
+    if set(map(type, keys)) - {bytes}:
+        z = next(z for z in keys if type(z) is not bytes)
+        raise ValueError(f"coset {z!r} is not bytes")
     keys.sort()
     rx = rank_table(x)
     cells: dict[int, list] = {}   # row i -> [(j, _GUARD - 1 - r_x[i][j])]
@@ -316,8 +319,7 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
     out = []
     for k in range(0, len(keys), BRUHAT_CHUNK):
         chunk = keys[k:k + BRUHAT_CHUNK]
-        blob = b"".join(chunk if type(chunk[0]) is bytes
-                        else map(bytes, chunk))
+        blob = b"".join(chunk)
         ones = from_bytes(b"\1" * len(chunk), "little")
         guard = ones * _GUARD
         # column j -> r_z[a + 1][j] of every coset, one byte each
@@ -330,7 +332,7 @@ def bruhat_above_all(x: Permutation, cosets: Iterable) -> list:
             for j, offset in cells.get(a + 1, ()):
                 flags |= (counts[j] + offset * ones) & guard
         out += compress(chunk, (flags ^ guard).to_bytes(len(chunk), "little"))
-    same = bytes(x) if out and type(out[0]) is bytes else x
+    same = bytes(x)
     del out[bisect_left(out, same):bisect_right(out, same)]
     return out
 

@@ -132,13 +132,6 @@ class MultiPoly:
             _add_into(terms, e, c)
         return MultiPoly._wrap(self.nvars, terms)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._wrap(self.nvars,
-                               {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
             return MultiPoly(self.nvars,

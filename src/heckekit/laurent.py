@@ -151,14 +151,6 @@ class LaurentPoly:
     def coefficient(self, exponent: int) -> int:
         return self.terms.get(exponent, 0)
 
-    def degree(self) -> int:
-        """Largest exponent; raises on the zero polynomial."""
-        return max(self.terms)
-
-    def valuation(self) -> int:
-        """Smallest exponent; raises on the zero polynomial."""
-        return min(self.terms)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -225,10 +217,10 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly.zero()
-        lead = other.degree()
+        lead = max(other.terms)
         lead_c = other.terms[lead]
         # Exact quotients have valuation val(self) - val(other); stop there.
-        low = self.valuation() - other.valuation()
+        low = min(self.terms) - min(other.terms)
         rem = dict(self.terms)
         quo: dict[int, int] = {}
         while rem:

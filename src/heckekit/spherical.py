@@ -48,7 +48,7 @@ So (phi(m), phi(m')) = (iota(m), phi(m') a(b)) = (iota(m), iota(m') b^2)
 phi(m).  The tests keep the quotient, with its exact division, as the
 reference (`tests/oracles.py`), and check the second and third facts.
 W_A, with the weights of phi as term maps, and len(w_A) are built once
-per (A, n), in a table of the last 64 pairs (`_wa_table`).
+per (A, n), and cached for the last 64 pairs (`_wa_table`).
 
 `bott_samelson_spherical` folds a word through `hecke`'s b_s step on
 the stored term maps, and stores each step's map as it is; `act_by_gen`
@@ -59,6 +59,7 @@ expansion of `is_perverse_spherical`, both built in `hecke`.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from . import coxeter, hecke, subexpr
@@ -106,26 +107,16 @@ def bott_samelson_spherical(word: Sequence[int], n: int,
     return el
 
 
-# (A, n) -> ([(u, {len(w_A) - len(u): 1}) for u in W_A], len(w_A)) for the
-# last _WA_TABLES pairs (A, n) asked for.  Nothing writes an entry, nor
-# one of its term maps, after it is built.
-_wa_tables: dict[tuple[frozenset, int], tuple[list, int]] = {}
-_WA_TABLES = 64
-
-
+@functools.lru_cache(maxsize=64)
 def _wa_table(parabolic: frozenset, n: int) -> tuple[list, int]:
     """W_A with the weights v^{len(w_A) - len(u)} of `phi_embed` as term
-    maps, and len(w_A), built once per (A, n)."""
-    key = (parabolic, n)
-    table = _wa_tables.get(key)
-    if table is None:
-        top = coxeter.length(coxeter.longest_element(parabolic, n))
-        weights = [(u, {top - coxeter.length(u): 1})
-                   for u in coxeter.parabolic_elements(parabolic, n)]
-        if len(_wa_tables) >= _WA_TABLES:
-            del _wa_tables[next(iter(_wa_tables))]
-        table = _wa_tables[key] = (weights, top)
-    return table
+    maps, [(u, {len(w_A) - len(u): 1}) for u in W_A], and len(w_A),
+    built once per (A, n) and kept for the 64 pairs used last.  Nothing
+    writes a table, nor one of its term maps, after it is built."""
+    top = coxeter.length(coxeter.longest_element(parabolic, n))
+    weights = [(u, {top - coxeter.length(u): 1})
+               for u in coxeter.parabolic_elements(parabolic, n)]
+    return weights, top
 
 
 def phi_embed(el: SphericalElement) -> hecke.HeckeElement:

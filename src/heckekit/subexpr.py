@@ -41,12 +41,11 @@ lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
 `sweep` returns this state as it is, in a `SweepResult`: a read-only
 mapping that hands out tuple cosets and {defect: count} dicts on demand.
-The layout stays inside this module and `worddata`: `worddata.decide`
-reads the bytes keys and packed ints themselves, picks the interval's
-cosets out of the keys with `coxeter.bruhat_above_all`, gives each
-distinct packed histogram of the interval a small id and flags the
-histograms with a negative defect through `negative_mask`; `certify`
-renders that record and unpacks each distinct histogram once.
+The layout stays inside this module.  `SweepResult.above` picks the
+interval's cosets out of the bytes keys with `coxeter.bruhat_above_all`,
+gives each distinct packed histogram among them a small id and unpacks
+each distinct one once: `worddata.decide` applies the failure rule to
+those coefficients, and `certify` renders them.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression, a decoration straight from the definitions and a
@@ -55,13 +54,14 @@ fold one letter at a time on unpacked histograms, live with the tests in
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
                              Sequence)
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 
 from . import coxeter
-from .coxeter import Permutation
+from .coxeter import MAX_N, Permutation
 
 # Most cosets one fold step may reach, in `certify` and in every
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
@@ -79,15 +79,13 @@ from .coxeter import Permutation
 # 241 bytes each packed, 377 at the peak, and whose `certify` run peaked
 # at 321 MB RSS.  The interval test then holds two lists of the cosets
 # and one chunk, 14.1 MB (13.5 MiB) at its peak there by tracemalloc.
-# `worddata.decide`'s ids add one pointer per interval coset, a list of
-# 6.7 MB beside the interval's own 6.7 MB, so they stay below that peak.
+# `SweepResult.above`'s ids add one pointer per interval coset, a list
+# of 6.7 MB beside the interval's own 6.7 MB, so they stay below that
+# peak.
 # Memory per coset grows with the free positions: `bs --n 11` on the
 # 55-letter w0 word, which has no forced run, peaked at 1,131 MB RSS when
 # it hit the budget.
 SUPPORT_BUDGET = 1_000_000
-
-# Largest n the fold takes: a coset keeps each of its values in one byte.
-MAX_N = 255
 
 # the translate table that moves no value
 _IDENTITY = bytes(range(256))
@@ -236,8 +234,9 @@ class SweepResult(Mapping):
     histogram, whose fields are `width` bits wide.  Keys are handed out
     as tuple cosets and values as {defect: count} dicts in increasing
     defect order, unpacked on demand, so a result compares equal to the
-    dict of its items.  Callers that read many histograms read `packed`
-    and `unpack` only the distinct ones they need."""
+    dict of its items.  `above` reads the endpoints above a coset in
+    bulk and unpacks each distinct histogram among them once; no other
+    module reads `packed`, `width` or `unpack`."""
 
     __slots__ = ("packed", "width")
 
@@ -249,12 +248,19 @@ class SweepResult(Mapping):
         """One packed histogram as {defect: count}."""
         return next(_unpack((h,), self.width))
 
-    @property
-    def negative_mask(self) -> int:
-        """The bits of the fields of negative defect: defect 0 sits
-        width - 1 fields up, so a packed histogram has a negative defect
-        iff it shares a bit with this mask."""
-        return (1 << (self.width - 1) * self.width) - 1
+    def above(self, x: Permutation) -> tuple[list[bytes], list[int],
+                                             list[dict[int, int]]]:
+        """The endpoints z with x < z in Bruhat order, as sorted bytes
+        (`coxeter.bruhat_above_all` on the packed keys); one histogram id
+        per endpoint, aligned with them; and the distinct histograms of
+        those endpoints as {defect: count} dicts, in first-seen order,
+        which the ids index.  Each packed histogram is hashed once, as it
+        gets its id, and each distinct one is unpacked once."""
+        inside = coxeter.bruhat_above_all(x, self.packed)
+        ids = defaultdict(count().__next__)
+        hist_ids = list(map(ids.__getitem__,
+                            map(self.packed.__getitem__, inside)))
+        return inside, hist_ids, list(_unpack(ids, self.width))
 
     def total(self) -> dict[int, int]:
         """Counts by defect over every endpoint: one unpack of the sum of

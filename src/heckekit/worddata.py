@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict
 from importlib import resources
 from itertools import compress, count
 from pathlib import Path
 
 from . import coxeter, subexpr
-from .subexpr import MAX_N, EnumConstraint
+from .subexpr import EnumConstraint
 
 #: census entries that `validate_word_data` compares with the word
 CENSUS_FIELDS = ("length", "free_positions", "letters_index_le_3",
@@ -123,8 +122,8 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
         n = _int(raw["n"], '"n"')
         if n < 1:
             raise ValueError(f'"n" must be at least 1, got {n}')
-        if n > MAX_N:
-            raise ValueError(f'"n" must be at most {MAX_N}, got {n}')
+        if n > coxeter.MAX_N:
+            raise ValueError(f'"n" must be at most {coxeter.MAX_N}, got {n}')
         word = raw.get("word")
         if word is not None:
             word = _ints(word, "word", 1, n - 1)
@@ -292,13 +291,14 @@ class Decision:
     """What `decide` found: the form report and its rank test
     (`rank_ok`), the validation report (which holds x, w and the word's
     constraint), the fold (`sweep`), the interval's cosets x < z as
-    sorted bytes (`inside`), their distinct packed histograms in
-    first-seen order (`histograms`), one id per coset of `inside` that
-    indexes `histograms` (`ids`, aligned with `inside`), one failure flag
-    per distinct histogram (`failing`: true iff its coefficient has a
-    negative power of v), the cosets that fail (`failures`), the
-    interval `status`, the verdict and the stage seconds.  What a run
-    did not reach is None, or empty."""
+    sorted bytes (`inside`), their distinct histograms as {defect: count}
+    dicts in first-seen order (`histograms`), one id per coset of
+    `inside` that indexes `histograms` (`ids`, aligned with `inside`),
+    one failure flag per distinct histogram (`failing`: true iff its
+    coefficient has a negative power of v), the positions in `inside` of
+    the cosets that fail, in order (`failures`), the interval `status`,
+    the verdict and the stage seconds.  What a run did not reach is
+    None, or empty."""
 
     __slots__ = ("form", "rank_ok", "validation", "sweep", "inside",
                  "histograms", "ids", "failing", "failures", "status",
@@ -348,17 +348,12 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
     # validation proved the word reduced, so that every endpoint z has
     # z <= w, and x = w_B a minimal coset representative: the interval
     # is the endpoints above x (see `coxeter.bruhat_above_all`)
-    inside = out.inside = coxeter.bruhat_above_all(rep.x, data.packed)
+    out.inside, out.ids, out.histograms = data.above(rep.x)
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)
-    # each histogram is hashed once, as it gets its id
-    ids = defaultdict(count().__next__)
-    out.ids = list(map(ids.__getitem__, map(data.packed.__getitem__, inside)))
-    out.histograms = list(ids)
-    # a coefficient has a negative power of v iff its packed histogram
-    # shares a bit with the fields of the negative defects
-    mask = data.negative_mask
-    failing = out.failing = [bool(h & mask) for h in out.histograms]
-    out.failures = list(compress(inside, map(failing.__getitem__, out.ids)))
+    # the coefficient of defect histogram h is sum h[d] v^d: it has a
+    # negative power of v iff its lowest defect is negative
+    failing = out.failing = [min(h) < 0 for h in out.histograms]
+    out.failures = list(compress(count(), map(failing.__getitem__, out.ids)))
     out.status = "failed" if out.failures else "ok"
     return out

@@ -69,9 +69,10 @@ MUTANTS = [
     ("subexpr", "starts = frozenset(g - 1 for g in A)",
      "starts = frozenset(g for g in A)",
      "both S tests read the wrong side of each generator of A"),
-    ("subexpr", "return (1 << (self.width - 1) * self.width) - 1",
-     "return (1 << (self.width - 2) * self.width) - 1",
-     "the negative mask misses the field of defect -1"),
+    ("subexpr", "ids = defaultdict(count().__next__)",
+     "ids = defaultdict(count(1).__next__)",
+     "the histogram ids start at 1, so each endpoint of the interval "
+     "reads the next distinct histogram"),
     ("coxeter", "    keys.sort()\n", "",
      "the interval's cosets come in fold order, not sorted"),
     ("coxeter", "(j, _GUARD - 1 - rx[i][j])", "(j, _GUARD - rx[i][j])",
@@ -113,13 +114,13 @@ MUTANTS = [
      "self.rank_ok = form.rank_over_Q == 1 and form.rank_over_p == 0",
      "self.rank_ok = form.rank_over_Q >= 1 and form.rank_over_p == 0",
      "equivalent: the erasures form one row, whose rank over Q is 0 or 1"),
-    ("worddata", "bool(h & mask)", "bool(h < mask)",
-     "the failure rule compares a histogram with the mask instead of "
-     "masking it"),
+    ("worddata", "min(h) < 0", "max(h) < 0",
+     "the failure rule reads the highest defect of a histogram instead "
+     "of the lowest"),
     ("worddata", 'return self.rank_ok and self.status == "ok"',
      'return self.rank_ok or self.status == "ok"',
      "the verdict needs only one of the two conditions"),
-    ("worddata", "[bool(h & mask) for h in out.histograms]",
+    ("worddata", "[min(h) < 0 for h in out.histograms]",
      "[bool(h) for h in out.histograms]",
      "every coset of the interval counts as a failure"),
     ("worddata", 'out.status = "failed" if out.failures else "ok"',
@@ -169,11 +170,11 @@ MUTANTS = [
     ("demazure", "_add_product(out, 0, val, step)",
      "_add_product(out, 0, val, {0: 1})",
      "a factor step multiplies by 1, dropping the factor"),
-    ("worddata", "out.histograms = list(ids)",
-     "out.histograms = list(ids)[::-1]",
+    ("subexpr", "list(_unpack(ids, self.width))",
+     "list(_unpack(ids, self.width))[::-1]",
      "the distinct histograms are listed in reverse, so a coset's id "
      "names another coset's histogram"),
-    ("coxeter", "if n > 255:", "if n > 256:",
+    ("coxeter", "if n > MAX_N:", "if n > MAX_N + 1:",
      "the interval test takes n = 256, past the byte that its rank "
      "fields' proof needs"),
     ("cli", '"ok": not bad', '"ok": bad',
@@ -186,6 +187,12 @@ MUTANTS = [
      "a value of three digits loses its hundreds digit"),
     ("cli", ")[:-len(comma)]", ")[:-len(comma) - 1]",
      "each chunk of entries loses the last character of its last entry"),
+    ("worddata", "min(h) < 0", "min(h) <= 0",
+     "a histogram whose lowest defect is 0 fails too, so a coefficient "
+     "in Z[v] with a constant term counts as a failure"),
+    ("worddata", "compress(count(), map(", "compress(count(1), map(",
+     "each failure's position is one late, so it names the coset after "
+     "the failing one"),
 ]
 
 

@@ -326,14 +326,14 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
 
 
 def interval_endpoints(cosets, n: int, parabolic, x: Permutation) -> list:
-    """The cosets z among `cosets` with x < z, sorted, as
-    `coxeter.bruhat_above_all` gives them, after x is checked as a
-    minimal coset representative for `parabolic` in S_n: a bad x is a
-    ValueError that names it.  On the endpoints of a fold over a reduced
-    word these are the cosets of the certificate's interval x < z <= w
-    (see `bruhat_above_all`)."""
+    """The cosets z among `cosets` (tuples, or their bytes) with x < z,
+    sorted, as tuples: `coxeter.bruhat_above_all` on their bytes, after
+    x is checked as a minimal coset representative for `parabolic` in
+    S_n: a bad x is a ValueError that names it.  On the endpoints of a
+    fold over a reduced word these are the cosets of the certificate's
+    interval x < z <= w (see `bruhat_above_all`)."""
     x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
-    return coxeter.bruhat_above_all(x, cosets)
+    return list(map(tuple, coxeter.bruhat_above_all(x, map(bytes, cosets))))
 
 
 # -- sums through LaurentPoly products -----------------------------------

@@ -224,8 +224,8 @@ def _failing_word_files(tmp_path, count: int) -> list[str]:
         if not (report.ok and report.complete):
             continue
         data = subexpr.sweep(wd.word, n, wd.parabolic, wd.constraint())
-        inside = coxeter.bruhat_above_all(wd.x_element(), data)
-        hists = [data[z] for z in inside]
+        inside = coxeter.bruhat_above_all(wd.x_element(), map(bytes, data))
+        hists = [data[tuple(z)] for z in inside]
         if (any(min(h) < 0 for h in hists)
                 and len({tuple(h.items()) for h in hists}) < len(hists)):
             path = tmp_path / f"word{len(paths)}.json"
@@ -310,7 +310,7 @@ def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     chunks = _reduced_word_file(tmp_path, 53, 8, 18)
     wd = worddata.load_word_data(chunks)
     data = subexpr.sweep(wd.word, wd.n, wd.parabolic, wd.constraint())
-    assert len(coxeter.bruhat_above_all(wd.x_element(), data)
+    assert len(coxeter.bruhat_above_all(wd.x_element(), map(bytes, data))
                ) > cli.CERTIFY_CHUNK
     words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial",
              str(empty), chunks, _reduced_word_file(tmp_path, 59, 12, 9),
@@ -826,14 +826,18 @@ def test_n_above_budget_is_input_error(argv, capsys):
 
 
 def test_n_budget_is_the_fold_byte_bound(capsys):
-    # --n stops where the fold's one byte per coset value and the
-    # Demazure variable budget stop
-    from heckekit import demazure, subexpr
+    # --n stops where one byte per coset value (the fold's and the
+    # interval test's) and the Demazure variable budget stop
+    from heckekit import coxeter, demazure, subexpr
 
-    assert cli.MAX_N == subexpr.MAX_N == demazure.MAX_VARIABLES == 255
+    assert cli.MAX_N == subexpr.MAX_N == coxeter.MAX_N == \
+        demazure.MAX_VARIABLES == 255
     assert subexpr.sweep((), cli.MAX_N, set())
     with pytest.raises(ValueError, match=f"n = {cli.MAX_N + 1} is above"):
         subexpr.sweep((1,), cli.MAX_N + 1, set())
+    with pytest.raises(ValueError, match=f"^n = {cli.MAX_N + 1} is above "
+                                         f"{cli.MAX_N}: the interval test"):
+        coxeter.bruhat_above_all(range(1, cli.MAX_N + 2), [])
     code, payload = run_json(capsys, "bs", "--n", str(cli.MAX_N),
                              "--word", "1")
     assert code == 0 and len(payload["bs"]) == 2

@@ -301,9 +301,9 @@ def test_interval_check_matches_rank_table_oracle():
 
 
 def test_x_is_no_interval_entry_when_the_cosets_are_bytes():
-    """`decide` passes the packed keys of a fold: the interval comes back
-    as bytes, in the order of the tuple interval, and x, an endpoint of
-    every fold below, is never in it."""
+    """`SweepResult.above` passes the packed keys of a fold: the interval
+    comes back as bytes, in the order of the tuple interval, and x, an
+    endpoint of every fold below, is never in it."""
     rng = random.Random(31)
     for _ in range(100):
         n = rng.choice((4, 5))
@@ -313,8 +313,8 @@ def test_x_is_no_interval_entry_when_the_cosets_are_bytes():
         data = sweep(word, n, A, EnumConstraint(len(word), forced))
         support = sorted(data)
         x = min(rng.sample(support, min(3, len(support))), key=length)
-        got = interval_endpoints(data.packed, n, A, x)
-        assert bytes(x) in data.packed and bytes(x) not in got
+        got = data.above(x)[0]
+        assert x in data and bytes(x) not in got
         assert all(type(z) is bytes for z in got)
         assert [tuple(z) for z in got] == interval_endpoints(data, n, A, x)
 
@@ -490,17 +490,18 @@ def test_perversity_expansion_sums_back_to_the_character_for_every_A():
     assert nonconstant > 40
 
 
-def _tables():
-    return {key: ([(u, dict(g)) for u, g in weights], top)
-            for key, (weights, top) in spherical._wa_tables.items()}
+def _copy(table):
+    weights, top = table
+    return [(u, dict(g)) for u, g in weights], top
 
 
-def test_w_a_tables_agree_with_the_references_and_stay_unchanged(
-        monkeypatch):
+def test_w_a_tables_agree_with_the_references_and_stay_unchanged():
     """phi_embed and spherical_pairing against references that enumerate
-    W_A anew, for every A of S_4 and S_5: the first call builds the W_A
-    table of (A, n) and the second reads it, unchanged."""
-    monkeypatch.setattr(spherical, "_wa_tables", {})
+    W_A anew, for every A of S_4 and S_5: the first call of each (A, n)
+    builds its W_A table, a cache miss, and the second reads the same
+    table, a hit, unchanged."""
+    cache = spherical._wa_table
+    cache.cache_clear()
     for n in (4, 5):
         for A in all_subsets(n):
             reps = sorted(min_coset_reps(A, n))
@@ -509,25 +510,38 @@ def test_w_a_tables_agree_with_the_references_and_stay_unchanged(
             want_phi = oracles.phi_embed(a)
             want_pair = oracles.spherical_pairing(a, b)
             top = oracles.inversions(coxeter.longest_element(A, n))
+            before = cache.cache_info()
+            table = cache(A, n)
+            built = _copy(table)
+            assert cache.cache_info().misses == before.misses + 1
             for call in range(2):
-                assert ((A, n) in spherical._wa_tables) == (call == 1)
-                built = _tables()
                 assert phi_embed(a) == want_phi
                 assert spherical_pairing(a, b) == want_pair
-                assert spherical._wa_tables[A, n][1] == top
-                if call:
-                    assert _tables() == built
-    assert len(spherical._wa_tables) == 8 + 16
+                info = cache.cache_info()
+                assert cache(A, n) is table and table[1] == top
+                assert cache.cache_info().hits == info.hits + 1
+                assert _copy(table) == built
+            assert cache.cache_info().misses == before.misses + 1
+    assert cache.cache_info().currsize == 8 + 16
 
 
-def test_w_a_tables_are_bounded(monkeypatch):
-    monkeypatch.setattr(spherical, "_wa_tables", {})
-    monkeypatch.setattr(spherical, "_WA_TABLES", 3)
-    keys = [(frozenset(A), 4) for A in all_subsets(4)]
+def test_w_a_tables_are_bounded():
+    """The cache keeps the W_A tables of the 64 pairs (A, n) used last:
+    after every A of S_6 and S_7 (32 + 64 pairs), the last 64 are hits
+    and the first is built anew."""
+    cache = spherical._wa_table
+    cache.cache_clear()
+    keys = [(A, n) for n in (6, 7) for A in all_subsets(n)]
     for A, n in keys:
         phi_embed(m_id(n, A))
-        assert len(spherical._wa_tables) <= 3
-    assert list(spherical._wa_tables) == keys[-3:]
+        assert cache.cache_info().currsize <= 64
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (64, 64, len(keys))
+    for key in keys[-64:]:
+        cache(*key)
+    assert cache.cache_info().misses == len(keys)
+    cache(*keys[0])
+    assert cache.cache_info().misses == len(keys) + 1
 
 
 def test_b_w_a_is_fixed_by_a_and_squares_to_a_multiple_of_itself():

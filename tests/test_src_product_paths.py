@@ -13,8 +13,8 @@ counts.  Every private top-level function and class has a caller in the
 package, with no exception: a helper only its tests call belongs in the
 tests.  Every name that a package module imports is used in that module.
 The packed layout of a fold (`SweepResult`'s `packed`, `width` and
-`negative_mask`) is read only in FOLD_LAYOUT_READERS, `subexpr` and
-`worddata`, so a change of layout stays inside those two modules.  And
+`unpack`) is read only in FOLD_LAYOUT_READERS, `subexpr` alone, so a
+change of layout stays inside that module.  And
 the input checks are written once, in `coxeter`: no other module holds
 the message of one, but for the exceptions in OWN_CHECKS.  Coefficients
 have one representation: elements and the caches of `hecke` store term
@@ -70,8 +70,8 @@ ALLOWED_METHODS = {
 }
 
 #: the attributes of a fold's packed layout, and the modules that read them
-FOLD_LAYOUT = {"packed", "width", "negative_mask"}
-FOLD_LAYOUT_READERS = {"subexpr", "worddata"}
+FOLD_LAYOUT = {"packed", "width", "negative_mask", "unpack"}
+FOLD_LAYOUT_READERS = {"subexpr"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -175,15 +175,17 @@ def _fold_layout_reads(modules) -> set:
             if isinstance(node, ast.Attribute) and node.attr in FOLD_LAYOUT}
 
 
-def test_only_subexpr_and_worddata_read_the_packed_fold():
+def test_only_subexpr_reads_the_packed_fold():
     assert _fold_layout_reads(_modules()) == set()
 
 
-def test_the_layout_scan_finds_a_read_outside_the_two_modules():
+def test_the_layout_scan_finds_a_read_outside_subexpr():
     tree = ast.parse("def f(d):\n    h = d.sweep.packed\n"
-                     "    return d.sweep.unpack(h & d.sweep.negative_mask)\n")
-    assert _fold_layout_reads({"cli": tree, "worddata": tree}) == {
-        ("cli", 2), ("cli", 3)}
+                     "    w = d.sweep.width\n"
+                     "    return d.sweep.unpack(h)\n")
+    assert _fold_layout_reads({"cli": tree, "worddata": tree,
+                               "subexpr": tree}) == {
+        (name, line) for name in ("cli", "worddata") for line in (2, 3, 4)}
 
 
 def test_every_private_definition_has_a_caller_in_the_package():

@@ -363,42 +363,65 @@ def test_sweep_forced_runs_match_the_oracle_for_several_A():
     assert s_in_runs > 1000   # S steps inside runs shift the histogram
 
 
-# -- the negative-defect mask --------------------------------------------
+# -- the interval above x, with one id per distinct histogram ----------
 
 
-def test_negative_mask_finds_exactly_the_negative_histograms():
+def test_above_reads_each_endpoint_histogram_through_its_id():
+    """`SweepResult.above(x)` gives the endpoints above x as sorted
+    bytes, as `coxeter.bruhat_above_all` picks them out of the fold's
+    keys, one id per endpoint, and the distinct histograms, unpacked, in
+    first-seen order: histograms[ids[k]] is the fold's histogram at the
+    k-th endpoint.  On both demos at their x, the `gl15-partial` prefix
+    under two A, 150 seeded folds and the extreme-defect words, each at
+    the identity and at a seeded endpoint."""
     from heckekit import worddata
 
-    folds = []
+    rng = random.Random(79)
+    folds = []   # (fold, its free positions, the x to read above)
     for name in ("demo-s4-pass", "demo-s4-fail"):
         wd = worddata.load_word_data(name)
-        folds.append(sweep(wd.word, wd.n, wd.parabolic, wd.constraint()))
+        c = wd.constraint()
+        folds.append((sweep(wd.word, wd.n, wd.parabolic, c),
+                      len(c.free_positions()), wd.x_element()))
     # gl15-partial holds the documented 44-letter prefix and no A: fold it
     # under the A of gl15-reconstructed and of the synthetic GL15 words
     wd = worddata.load_word_data("gl15-partial")
     prefix = wd.word_prefix
     for A in ({1, 2, 3}, {1, 2, 3, 4}):
-        folds.append(sweep(prefix, wd.n, A, EnumConstraint.forced_letters(
-            prefix, wd.lower)))
-    rng = random.Random(79)
+        c = EnumConstraint.forced_letters(prefix, wd.lower)
+        folds.append((sweep(prefix, wd.n, A, c), len(c.free_positions()),
+                      wd.x_element()))
     for _ in range(150):
         n = rng.choice((4, 5, 6))
         m = rng.randrange(1, 11)
         word = tuple(rng.randrange(1, n) for _ in range(m))
         A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
         c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.3))
-        folds.append(sweep(word, n, A, c))
-    # the extreme defect -free: every free step an e = 0 on an S or D coset
-    folds += [sweep((1,) * k, 2, {1}) for k in range(8)]
-    folds.append(sweep((1, 2, 1), 3, set(), EnumConstraint(3, {2})))
-    lowest = 0
-    for data in folds:
-        free = data.width - 1
-        for h in set(data.packed.values()):
-            hist = data.unpack(h)
-            assert bool(h & data.negative_mask) == (min(hist) < 0), hist
-            lowest += free > 0 and min(hist) == -free
-    assert len(folds) >= 160 and lowest >= 10
+        data = sweep(word, n, A, c)
+        folds.append((data, len(c.free_positions()), rng.choice(list(data))))
+    # the extreme defect -free: every free step an e = 0 on an S or D coset;
+    # at A = {} s_1 is D on the coset s_1 that a forced first step reaches
+    folds += [(sweep((1,) * k, 2, {1}), k, (1, 2)) for k in range(8)]
+    folds += [(sweep((1,) * k, 2, set(), EnumConstraint(k, {k - 1})), k - 1,
+               (2, 1)) for k in range(1, 9)]
+    folds.append((sweep((1, 2, 1), 3, set(), EnumConstraint(3, {2})), 2,
+                  (2, 1, 3)))
+    seen = negative = lowest = 0
+    for data, free, x in folds:
+        for x in (x, tuple(range(1, len(x) + 1))):
+            inside, ids, histograms = data.above(x)
+            assert inside == coxeter.bruhat_above_all(x, map(bytes, data))
+            assert len(ids) == len(inside)
+            assert [histograms[i] for i in ids] == [data[tuple(z)]
+                                                    for z in inside]
+            assert list(dict.fromkeys(ids)) == list(range(len(histograms)))
+            assert len({tuple(h.items()) for h in histograms}) == \
+                len(histograms)
+            seen += len(inside)
+            negative += sum(min(h) < 0 for h in histograms)
+            lowest += free > 0 and any(min(h) == -free for h in histograms)
+    assert len(folds) >= 170
+    assert seen > 1000 and negative > 100 and lowest >= 10
 
 
 # -- forced runs in one translate: the block-content memo ----------------
@@ -462,12 +485,10 @@ def test_bulk_interval_agrees_on_every_pair_s1_to_s6():
     rng = random.Random(61)
     for n in range(1, 7):
         perms = _perms(n)
-        shuffled = rng.sample(perms, len(perms))
-        as_bytes = list(map(bytes, shuffled))
+        shuffled = list(map(bytes, rng.sample(perms, len(perms))))
         for x in perms:
             want = _oracle_above(x, perms)
-            assert coxeter.bruhat_above_all(x, shuffled) == want
-            assert coxeter.bruhat_above_all(x, as_bytes) == \
+            assert coxeter.bruhat_above_all(x, shuffled) == \
                 list(map(bytes, want)), x
 
 
@@ -503,10 +524,8 @@ def test_bulk_interval_agrees_past_127_values(n):
     comparable = 0
     for x, cosets in _wide_cases(rng, n):
         want = _oracle_above(x, cosets)
-        got = coxeter.bruhat_above_all(x, cosets)
-        assert got == want, x
-        assert coxeter.bruhat_above_all(x, list(map(bytes, cosets))) == \
-            list(map(bytes, want))
+        got = coxeter.bruhat_above_all(x, map(bytes, cosets))
+        assert got == list(map(bytes, want)), x
         comparable += len(want)
     assert comparable > 10
 
@@ -514,13 +533,13 @@ def test_bulk_interval_agrees_past_127_values(n):
 def test_bulk_interval_edge_inputs():
     x = (2, 1, 3)
     assert coxeter.bruhat_above_all(x, []) == []
-    assert coxeter.bruhat_above_all(x, iter([x, x])) == []
+    assert coxeter.bruhat_above_all(x, iter([bytes(x)] * 2)) == []
     # x = identity has no essential cell: every other coset is above it
     for n in (1, 2, 5, 255):
         ident = tuple(range(1, n + 1))
-        cosets = [tuple(random.Random(n + k).sample(ident, n))
-                  for k in range(20)] + [ident]
-        want = sorted(z for z in cosets if z != ident)
+        cosets = [bytes(random.Random(n + k).sample(ident, n))
+                  for k in range(20)] + [bytes(ident)]
+        want = sorted(z for z in cosets if z != bytes(ident))
         assert coxeter.essential_set(ident) == []
         assert coxeter.bruhat_above_all(ident, cosets) == want
 
@@ -557,13 +576,29 @@ def test_interval_refuses_a_coset_of_the_wrong_length(cosets, named):
 
 @pytest.mark.parametrize("cosets, named", [
     ([(1, 2, 9), (3, 3, 3)], r"\(1, 2, 9\)"),
-    ([(3, 2, 1), (3, 3, 3)], r"\(3, 3, 3\)"),
-    ([(3, 2, 1), (0, 1, 2)], r"\(0, 1, 2\)"),
-    ([(3, 2, 1), (1.0, 3, 2)], r"\(1.0, 3, 2\)"),
+    ([bytes((3, 2, 1)), (3, 3, 3)], r"\(3, 3, 3\)"),
+    ([bytes((3, 2, 1)), (0, 1, 2)], r"\(0, 1, 2\)"),
+    ([bytes((3, 2, 1)), (1.0, 3, 2)], r"\(1.0, 3, 2\)"),
 ])
 def test_interval_refuses_a_tuple_coset_that_is_no_permutation(cosets, named):
-    with pytest.raises(ValueError,
-                       match=f"^coset {named} is not a permutation of 1..3$"):
+    """A tuple that is no permutation is refused by name, before its
+    values are read: the test takes bytes cosets only."""
+    with pytest.raises(ValueError, match=f"^coset {named} is not bytes$"):
+        coxeter.bruhat_above_all((2, 1, 3), cosets)
+
+
+@pytest.mark.parametrize("cosets, named", [
+    ([(3, 2, 1)], r"\(3, 2, 1\)"),
+    ([bytes((1, 2, 3)), (3, 2, 1), bytes((2, 1, 3))], r"\(3, 2, 1\)"),
+    ([bytes((3, 2, 1)), bytearray((1, 3, 2)), (2, 1, 3)],
+     r"bytearray\(b'\\x01\\x03\\x02'\)"),
+    ([bytes((1, 2, 3)), [2, 1, 3], bytes((3, 2, 1))], r"\[2, 1, 3\]"),
+], ids=["a tuple", "a tuple among bytes", "a bytearray first", "a list"])
+def test_interval_refuses_a_coset_that_is_not_bytes(cosets, named):
+    """The test takes the fold's bytes cosets only: a tuple coset that is
+    a permutation, and the first coset of another type in a list of
+    mixed types, are refused by name."""
+    with pytest.raises(ValueError, match=f"^coset {named} is not bytes$"):
         coxeter.bruhat_above_all((2, 1, 3), cosets)
 
 

@@ -493,5 +493,6 @@ def test_multipoly_product_agrees_with_the_reference():
             for e1 in f.terms for e2 in g.terms})
     assert cancelled > 20
     x1, x2 = MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, 1): 1})
-    assert ((x1 - x2) * (x1 + x2)).terms == {(2, 0): 1, (0, 2): -1}
-    assert ((x1 - x2) * MultiPoly(2)).terms == {}
+    diff = x1 + x2 * -1
+    assert (diff * (x1 + x2)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (diff * MultiPoly(2)).terms == {}

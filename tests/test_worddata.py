@@ -180,7 +180,8 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
 
         def entries(constraint):
             data = subexpr.sweep(wd.word, n, wd.parabolic, constraint)
-            return [(z, data[z]) for z in coxeter.bruhat_above_all(x, data)]
+            return [(z, data[tuple(z)])
+                    for z in coxeter.bruhat_above_all(x, map(bytes, data))]
 
         got = entries(wd.constraint())
         assert got == entries(None), (n, word, A, B)
@@ -243,7 +244,7 @@ def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
     assert (payload["interval"]["cosets_in_interval"] == len(d.inside)
             == entries.count('{"coefficient":'))
     assert [f["coset"] for f in payload["interval"]["failures"]] == [
-        list(z) for z in d.failures]
+        list(d.inside[k]) for k in d.failures]
 
 
 def test_decide_without_word_data_decides_the_ranks_alone():
@@ -279,28 +280,31 @@ def test_decide_refuses_word_data_that_fails_validation():
 
 
 def test_decide_applies_the_failure_rule_to_each_coset():
-    """A coset fails iff its coefficient has a negative power of v, and
-    `failing` flags the same at the coset's histogram id."""
+    """A coset fails iff its coefficient has a negative power of v,
+    `failing` flags the same at the coset's histogram id, and `failures`
+    holds the coset's position in `inside`."""
     d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2,
                         load_word_data("demo-s4-fail"))
-    assert d.failures == [bytes((2, 1, 3, 4))] and d.status == "failed"
-    for z, i in zip(d.inside, d.ids):
+    assert [d.inside[k] for k in d.failures] == [bytes((2, 1, 3, 4))]
+    assert d.status == "failed"
+    for k, (z, i) in enumerate(zip(d.inside, d.ids)):
         negative = min(d.sweep[tuple(z)]) < 0
         assert d.failing[i] is negative
-        assert (z in d.failures) is negative
+        assert (k in d.failures) is negative
 
 
 def test_decide_gives_each_distinct_histogram_one_id(tmp_path):
-    """The k-th coset of the interval has the packed histogram
+    """The k-th coset of the interval has the histogram
     `histograms[ids[k]]`, the histograms are pairwise distinct,
-    `failing` flags the histograms that meet the mask of the negative
-    defects, and `failures` holds, in order, the cosets whose own
-    histogram meets it: on both demos, `gl15-partial` (no
-    word, so nothing) and seeded words with failing cosets and repeated
+    `failing` flags the histograms with a negative defect, and
+    `failures` holds, in order, the positions of the cosets whose own
+    histogram has one: on both demos, `gl15-partial` (no word, so
+    nothing) and seeded words with failing cosets and repeated
     histograms."""
     from test_cli import _failing_word_files
 
     expr = demazure.builtin_expr("paper-GL15")
+    failed = 0
     for word in (["demo-s4-fail", "demo-s4-pass", "gl15-partial"]
                  + _failing_word_files(tmp_path, 12)):
         d = worddata.decide(expr, 2, load_word_data(word))
@@ -308,10 +312,12 @@ def test_decide_gives_each_distinct_histogram_one_id(tmp_path):
             assert (d.inside, d.histograms, d.ids, d.failing,
                     d.failures) == ([], [], [], [], [])
             continue
-        packed, mask = d.sweep.packed, d.sweep.negative_mask
+        hists = [d.sweep[tuple(z)] for z in d.inside]
         assert len(d.ids) == len(d.inside)
-        assert [d.histograms[i] for i in d.ids] == [packed[z]
-                                                    for z in d.inside]
-        assert len(set(d.histograms)) == len(d.histograms)
-        assert d.failing == [bool(h & mask) for h in d.histograms]
-        assert d.failures == [z for z in d.inside if packed[z] & mask]
+        assert [d.histograms[i] for i in d.ids] == hists
+        assert len({tuple(h.items()) for h in d.histograms}) == \
+            len(d.histograms)
+        assert d.failing == [min(h) < 0 for h in d.histograms]
+        assert d.failures == [k for k, h in enumerate(hists) if min(h) < 0]
+        failed += bool(d.failures)
+    assert failed == 13
