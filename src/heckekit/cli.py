@@ -20,7 +20,6 @@ loads little beyond argparse.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import itertools
 import json
@@ -60,7 +59,7 @@ def _at_least_one(text: str) -> int:
 
 
 #: the largest --n: the subexpression fold keeps a coset as one byte per
-#: value (coxeter.MAX_N), and a Demazure expression has at most
+#: value (subexpr.MAX_N), and a Demazure expression has at most
 #: demazure.MAX_VARIABLES variables
 MAX_N = 255
 
@@ -117,33 +116,6 @@ def emit(payload, pretty: bool = False, stream=None) -> None:
             lead = ","
         sys.stdout.write(pad[:-2] + "]" if lead == "," else "[]")
     print(text)
-
-
-@functools.cache
-def _digit_tables() -> tuple[bytes, bytes, bytes]:
-    """The byte -> hundreds, tens and ones digit tables of `_coset_texts`,
-    a leading zero as byte 0; built on first use, so that importing the
-    module does no work."""
-    values = range(256)
-    return (bytes(48 + v // 100 if v >= 100 else 0 for v in values),
-            bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in values),
-            bytes(48 + v % 10 for v in values))
-
-
-def _coset_texts(cosets: list[bytes], n: int, sep: str) -> list[str]:
-    """`sep.join(map(str, z))` for each coset z of `cosets`, each n
-    values in 1..255 as bytes, from C-level passes over the joined
-    cosets: each value takes four bytes of one buffer, its hundreds,
-    tens and ones digits and then "," (";" after a coset's last value);
-    the leading zeros are deleted, and the text is cut at the ";"s."""
-    blob = b"".join(cosets)
-    out = bytearray(4 * len(blob))
-    for k, table in enumerate(_digit_tables()):
-        out[k::4] = blob.translate(table)
-    out[3::4] = b"," * len(blob)
-    out[4 * n - 1::4 * n] = b";" * len(cosets)
-    text = out.translate(None, b"\0").decode("ascii")
-    return text.replace(",", sep).split(";")[:-1]
 
 
 def parse_word(text: str, n: int, flag: str = "--word",
@@ -380,11 +352,12 @@ def cmd_certify(args) -> int:
     distinct histogram of the record (indexed by histogram id), one
     entry template per distinct histogram, and the interval's entries
     streamed to `emit` in chunks of CERTIFY_CHUNK cosets.  A chunk is
-    built by C-level passes alone: its cosets' texts come from one
-    `_coset_texts` pass, and its templates are looked up through the
-    record's ids and joined with them.  Each failure's coset and
-    coefficient are read by its position in the interval."""
-    from . import demazure, worddata
+    built by C-level passes alone: one `subexpr.coset_texts` call, which
+    reads the cosets in the fold's own form, gives their texts, and the
+    templates are looked up through the record's ids and joined with
+    them.  Each failure's coset, as a list of ints, and its coefficient
+    are read by its position in the interval."""
+    from . import demazure, subexpr, worddata
 
     t0 = time.perf_counter()
     expr, expr_name = load_expression(args.expr)
@@ -432,8 +405,8 @@ def cmd_certify(args) -> int:
             afters = [after + comma for _, after in templates].__getitem__
             for start in range(0, len(inside), CERTIFY_CHUNK):
                 ids = d.ids[start:start + CERTIFY_CHUNK]
-                texts = _coset_texts(inside[start:start + CERTIFY_CHUNK],
-                                     wd.n, sep)
+                texts = subexpr.coset_texts(
+                    inside[start:start + CERTIFY_CHUNK], wd.n, sep)
                 yield "".join(itertools.chain.from_iterable(zip(
                     map(befores, ids), texts, map(afters, ids)))
                     )[:-len(comma)]
@@ -569,10 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command runs once and builds large acyclic data (a Bott-Samelson
-    # character holds a Laurent polynomial per coset, for up to 10^6
-    # cosets), which the cyclic collector would walk again and again;
-    # reference counting frees it all the same.
+    # A command runs once and builds large acyclic data (a fold's state
+    # of up to 10^6 cosets, the term maps of a character or of a
+    # Kazhdan-Lusztig element), which the cyclic collector would walk
+    # again and again; reference counting frees it all the same.  Medians
+    # of 6 alternating pairs (2 vCPU, Python 3.11.7), paused against on:
+    # `certify --word gl15-reconstructed` 2.81 s against 3.03 s, `bs` on
+    # the w0 word of S_8 0.93 s against 0.95 s, and `kl` on the w0 of S_8
+    # 2.63 s against 2.50 s, the one command that the pause slows.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -19,45 +19,21 @@ for A (`coset_keys`, which checks A once for any number of keys, and
 `coset_key` for one); a float or a bool is never an entry.  The other
 modules call them at their entries and never inside a step.
 
-Bruhat comparisons use the rank-matrix criterion (Bjorner-Brenti,
-Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff the rank table
-of x dominates that of y entrywise.  `rank_table`, `rank_table_dominates`
-and `bruhat_leq` compare tuple tables entry by entry.
-`bruhat_above_all` decides the lower half x < z of the certificate's
-interval test (the upper half z <= w holds for every endpoint of a
-reduced word's expansion, as its docstring shows) for all cosets z at
-once, each given as `bytes`, one value per byte, as the fold keys it
-(`subexpr.sweep`), and reads only the rank entries at the essential set
-of x: Fulton (Flags, Schubert polynomials, degeneracy loci, and
-determinantal formulas, Duke Math. J. 65 (1992), Section 3) shows that
-the rank conditions r_z[i][j] <= r_x[i][j] at those cells imply them at
-every cell, and the essential set of the certificate's x = w_B has 10
-cells where the full S_15 table has 196.  The cosets are sorted and
-tested BRUHAT_CHUNK at a time, bit-sliced: a chunk of N cosets of n
-bytes is joined into one byte string, position a of every coset is the
-column blob[a::n], and `translate` maps a column to one byte per coset,
-1 where the value is at most j.  Added up over the positions a < i,
-these columns give one int per essential column j whose byte k is
-r_z[i][j] for the k-th coset z; no byte carries, as r_z[i][j] < n.
-At an essential cell (i, j), that int plus 127 - r_x[i][j] in every
-byte holds r_z[i][j] - r_x[i][j] + 127 in byte k, which reaches the
-guard bit 128 exactly when r_z[i][j] > r_x[i][j].  It stays in 0..254,
-so no byte borrows or carries: at any cell both ranks lie between
-max(0, i + j - n) and min(i, j), which differ by at most n // 2 <= 127
-for n <= MAX_N = 255.  OR-ing the guard bits over the cells flags
-every z with x </= z, `itertools.compress` keeps the others in sorted
-order, and z = x, which the entries at the essential set cannot tell
-from a z above x, is found by bisection and dropped.  A chunk bounds
-the ints and the joined string to N * n bytes each, whatever the
-number of cosets.
+Bruhat order is on tuples here, by the rank-matrix criterion
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5): x <= y iff
+the rank table of x dominates that of y entrywise.  `rank_table`,
+`rank_table_dominates` and `bruhat_leq` compare tuple tables entry by
+entry, and `essential_set` gives the cells of Fulton's essential set.
+The certificate's interval test, which compares the fold's packed
+cosets with x in bulk, lives with the fold's coset format in `subexpr`
+and reads x's rank table and essential set from here.
 
 W_A permutes the positions within each block of A (`parabolic_blocks`),
 which gives w_A, W_A and the minimal coset representatives.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import combinations, compress, starmap
+from itertools import combinations, starmap
 from operator import gt
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -248,93 +224,6 @@ def essential_set(x: Permutation) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n) for j in range(1, n)
             if diagram(i, j) and not diagram(i + 1, j)
             and not diagram(i, j + 1)]
-
-
-#: the largest n whose cosets keep one value per byte: the fold
-#: (`subexpr.sweep`) and the interval test (`bruhat_above_all`) take no
-#: larger n
-MAX_N = 255
-
-#: most cosets `bruhat_above_all` packs into one set of big ints, which
-#: bounds its memory whatever the number of cosets
-BRUHAT_CHUNK = 1 << 14
-
-# the guard bit of a coset's byte in `bruhat_above_all`
-_GUARD = 0x80
-
-
-def bruhat_above_all(x: Permutation, cosets: Iterable[bytes]) -> list[bytes]:
-    """The cosets z among `cosets` with x < z in Bruhat order, sorted:
-    each a permutation of the S_n of x as `bytes`, one value per byte,
-    the form of the fold's keys (`subexpr.sweep`).  n above MAX_N raises
-    ValueError naming n, since the test keeps each rank entry in one
-    byte.  A coset whose length is not n raises ValueError naming the
-    first one, and so does a coset that is not bytes.  The values are
-    left unchecked: the cosets come from the fold, which makes them
-    permutations by construction, and the check would cost more than the
-    whole test on the 10^5 cosets of a real-size interval.
-
-    x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
-    of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK cosets
-    at once, one byte each, as the module docstring describes; z = x,
-    which passes, is then found by bisection and dropped.
-
-    On the endpoints of a fold over a reduced word, whose element has
-    minimal coset representative w, the result is the certificate's
-    whole interval x < z <= w: every endpoint z is a subexpression
-    product, which lies below the word's element in Bruhat order when
-    the word is reduced (the subword property), and taking the minimal
-    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
-    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
-    endpoints above w, which this test would count as inside: check
-    reducedness first, as the `word-reduced` check of
-    `worddata.validate_word_data` does.
-
-    >>> bruhat_above_all((2, 1, 3), [bytes((3, 2, 1)), bytes((1, 3, 2))])
-    [b'\\x03\\x02\\x01']
-    """
-    x = tuple(x)
-    n = len(x)
-    if n > MAX_N:
-        raise ValueError(f"n = {n} is above {MAX_N}: the interval test "
-                         f"keeps each coset as one byte per value")
-    keys = list(cosets)
-    if set(map(len, keys)) - {n}:
-        z = next(z for z in keys if len(z) != n)
-        raise ValueError(f"coset {z!r} has {len(z)} entries, not n = {n}")
-    if set(map(type, keys)) - {bytes}:
-        z = next(z for z in keys if type(z) is not bytes)
-        raise ValueError(f"coset {z!r} is not bytes")
-    keys.sort()
-    rx = rank_table(x)
-    cells: dict[int, list] = {}   # row i -> [(j, _GUARD - 1 - r_x[i][j])]
-    last: dict[int, int] = {}     # column j -> its last row
-    for i, j in essential_set(x):
-        cells.setdefault(i, []).append((j, _GUARD - 1 - rx[i][j]))
-        last[j] = i
-    below = {j: bytes(v <= j for v in range(256)) for j in last}
-    reads = [[(j, below[j]) for j in last if last[j] > a]
-             for a in range(max(cells, default=0))]
-    from_bytes = int.from_bytes
-    out = []
-    for k in range(0, len(keys), BRUHAT_CHUNK):
-        chunk = keys[k:k + BRUHAT_CHUNK]
-        blob = b"".join(chunk)
-        ones = from_bytes(b"\1" * len(chunk), "little")
-        guard = ones * _GUARD
-        # column j -> r_z[a + 1][j] of every coset, one byte each
-        counts = dict.fromkeys(last, 0)
-        flags = 0
-        for a, read in enumerate(reads):
-            column = blob[a::n]
-            for j, table in read:
-                counts[j] += from_bytes(column.translate(table), "little")
-            for j, offset in cells.get(a + 1, ()):
-                flags |= (counts[j] + offset * ones) & guard
-        out += compress(chunk, (flags ^ guard).to_bytes(len(chunk), "little"))
-    same = bytes(x)
-    del out[bisect_left(out, same):bisect_right(out, same)]
-    return out
 
 
 # -- parabolic subgroups ----------------------------------------------

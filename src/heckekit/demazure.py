@@ -55,7 +55,7 @@ import re
 from math import comb
 from typing import Mapping, Sequence
 
-from .laurent import ConsistencyViolation, _add_into, _add_product
+from .laurent import ConsistencyViolation, _add_product
 
 Exponents = tuple[int, ...]
 
@@ -129,8 +129,9 @@ class MultiPoly:
             raise ValueError("polynomials in different rings")
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            _add_into(terms, e, c)
-        return MultiPoly._wrap(self.nvars, terms)
+            terms[e] = terms.get(e, 0) + c
+        return MultiPoly._wrap(self.nvars, {e: c for e, c in terms.items()
+                                            if c})
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):

@@ -20,14 +20,15 @@ and through which the module action and the Bott-Samelson folds of
 `inverse_h` and `spherical` go, `_add_scaled`, `pairing`,
 `spherical.phi_embed`) read them as they are and store one accumulator
 per call, or per fold, as the result.  `hecke` alone wraps a stored map
-as a LaurentPoly (`_poly`), where a value leaves the library;
+as a LaurentPoly (`_poly`), where a value leaves the library.
 `LaurentPoly.__mul__` is the same kernel on a one-key accumulator, and
-so is a factor step of `demazure._step`, on packed monomials, whose
-keys add as exponents do.
-Single terms are added with `_add_into`, which keeps the no-zero-entries
-invariant of a map.  One sum deliberately uses neither: `subexpr.sweep`
-adds packed histograms (one int each) in its hot loop, and a
-`SweepResult` totals them the same way.
+so are `__add__` and the remainder of `exact_divide`, each with a
+one-term factor, and a factor step of `demazure._step`, on packed
+monomials, whose keys add as exponents do.  Two sums deliberately go
+around it: `demazure.MultiPoly.__add__`, whose tuple exponents do not
+add as the kernel's int keys do, keeps a loop of its own, and
+`subexpr.sweep` adds packed histograms (one int each) in its hot loop,
+as a `SweepResult` totals them.
 """
 from __future__ import annotations
 
@@ -41,16 +42,6 @@ class ConsistencyViolation(ArithmeticError):
 
 class InexactDivision(ConsistencyViolation):
     """Raised when a division that must be exact leaves a remainder."""
-
-
-def _add_into(out: dict, key, c) -> None:
-    """Add c into out[key], dropping the key when the sum is zero."""
-    s = out.get(key)
-    s = c if s is None else s + c
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
 
 
 def _add_product(out: dict, key, f: Mapping[int, int],
@@ -158,10 +149,10 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            _add_into(terms, e, c)
-        return _poly(terms)
+        out: dict[int, dict[int, int]] = {}
+        _add_product(out, 0, self.terms, {0: 1})
+        _add_product(out, 0, other.terms, {0: 1})
+        return _poly(out.get(0, {}))
 
     __radd__ = __add__
 
@@ -221,20 +212,20 @@ class LaurentPoly:
         lead_c = other.terms[lead]
         # Exact quotients have valuation val(self) - val(other); stop there.
         low = min(self.terms) - min(other.terms)
-        rem = dict(self.terms)
+        rem = {0: dict(self.terms)}   # one key: the remainder's terms
         quo: dict[int, int] = {}
         while rem:
-            top = max(rem)
+            terms = rem[0]
+            top = max(terms)
             e = top - lead
             if e < low:
                 raise InexactDivision("no Laurent quotient exists")
-            c, r = divmod(rem[top], lead_c)
+            c, r = divmod(terms[top], lead_c)
             if r:
                 raise InexactDivision(
-                    f"{rem[top]} is not divisible by {lead_c} in ZZ")
+                    f"{terms[top]} is not divisible by {lead_c} in ZZ")
             quo[e] = c
-            for be, bc in other.terms.items():
-                _add_into(rem, e + be, -c * bc)
+            _add_product(rem, 0, other.terms, {e: -c})
         return _poly(quo)
 
     # -- serialization -------------------------------------------------

@@ -30,22 +30,51 @@ letter once per block content, and every other coset with that content
 moves by one lookup and one translate.  At A = {} no step is S, and
 every coset moves through one table.
 
-The fold state is packed.  A coset is a `bytes` key holding one value per
-byte, so `sweep` takes n <= MAX_N = 255, and s_i u is `u.translate(T_i)`
-for a swap table built once per call.  A histogram is one int: the count of
-defect d sits in field d + offset, and each field is free + 1 bits wide,
-where free is the number of free positions.  The counts of one step add
+The fold state is packed, and this module alone knows how.  A coset is a
+`bytes` key holding one value per byte, so `sweep` takes n <= MAX_N =
+255, and s_i u is `u.translate(T_i)` for a swap table built once per
+call.  A histogram is one int: the count of defect d sits in field
+d + offset, and each field is free + 1 bits wide, where free is the
+number of free positions.  The counts of one step add
 up to at most 2^free, so no field carries into the next.  The offset is
 free as well: only a free position allows e = 0, the one choice that
 lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
 `sweep` returns this state as it is, in a `SweepResult`: a read-only
 mapping that hands out tuple cosets and {defect: count} dicts on demand.
-The layout stays inside this module.  `SweepResult.above` picks the
-interval's cosets out of the bytes keys with `coxeter.bruhat_above_all`,
+`SweepResult.above` picks the interval's cosets out of the bytes keys,
 gives each distinct packed histogram among them a small id and unpacks
 each distinct one once: `worddata.decide` applies the failure rule to
-those coefficients, and `certify` renders them.
+those coefficients, and `certify` renders them, with the text of each
+chunk of cosets from `coset_texts`.  Other modules hand these cosets on
+and read them as sequences of ints; none builds or takes one apart.
+
+The interval test behind `above` decides the lower half x < z of the
+certificate's interval for all keys z at once (the upper half z <= w
+holds for every endpoint of a reduced word's expansion, as the kernel's
+docstring shows), and reads only the rank entries at the essential set
+of x (`coxeter.essential_set`): Fulton (Flags, Schubert polynomials,
+degeneracy loci, and determinantal formulas, Duke Math. J. 65 (1992),
+Section 3) shows that the rank conditions r_z[i][j] <= r_x[i][j] at
+those cells imply them at every cell, and the essential set of the
+certificate's x = w_B has 10 cells where the full S_15 table has 196.
+The keys are sorted and tested BRUHAT_CHUNK at a time, bit-sliced: a
+chunk of N keys of n bytes is joined into one byte string, position a
+of every key is the column blob[a::n], and `translate` maps a column to
+one byte per key, 1 where the value is at most j.  Added up over the
+positions a < i, these columns give one int per essential column j
+whose byte k is r_z[i][j] for the k-th key z; no byte carries, as
+r_z[i][j] < n.  At an essential cell (i, j), that int plus 127 -
+r_x[i][j] in every byte holds r_z[i][j] - r_x[i][j] + 127 in byte k,
+which reaches the guard bit 128 exactly when r_z[i][j] > r_x[i][j].  It
+stays in 0..254, so no byte borrows or carries: at any cell both ranks
+lie between max(0, i + j - n) and min(i, j), which differ by at most
+n // 2 <= 127, since every key has n <= MAX_N entries.  OR-ing the guard
+bits over the cells flags every z with x </= z, `itertools.compress`
+keeps the others in sorted order, and z = x, which the entries at the
+essential set cannot tell from a z above x, is found by bisection and
+dropped.  A chunk bounds the ints and the joined string to N * n bytes
+each, whatever the number of keys.
 
 The slow references the fold is tested against, a depth-first walk over
 every subexpression, a decoration straight from the definitions and a
@@ -54,14 +83,20 @@ fold one letter at a time on unpacked histograms, live with the tests in
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
                              Sequence)
-from itertools import count, groupby
+from itertools import compress, count, groupby
 from operator import itemgetter
 
 from . import coxeter
-from .coxeter import MAX_N, Permutation
+from .coxeter import Permutation
+
+#: the largest n whose cosets keep one value per byte: `sweep` takes no
+#: larger n, so no key of a fold, and no x that `SweepResult.above`
+#: accepts, has more entries
+MAX_N = 255
 
 # Most cosets one fold step may reach, in `certify` and in every
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
@@ -89,6 +124,19 @@ SUPPORT_BUDGET = 1_000_000
 
 # the translate table that moves no value
 _IDENTITY = bytes(range(256))
+
+#: most keys the interval test packs into one set of big ints, which
+#: bounds its memory whatever the number of keys
+BRUHAT_CHUNK = 1 << 14
+
+# the guard bit of a key's byte in the interval test
+_GUARD = 0x80
+
+# byte -> its hundreds, tens and ones digit in ASCII, a leading zero as
+# byte 0, for `coset_texts`
+_DIGITS = (bytes(48 + v // 100 if v >= 100 else 0 for v in range(256)),
+           bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in range(256)),
+           bytes(48 + v % 10 for v in range(256)))
 
 
 class EnumConstraint:
@@ -236,7 +284,7 @@ class SweepResult(Mapping):
     defect order, unpacked on demand, so a result compares equal to the
     dict of its items.  `above` reads the endpoints above a coset in
     bulk and unpacks each distinct histogram among them once; no other
-    module reads `packed`, `width` or `unpack`."""
+    module reads `packed` or `width`."""
 
     __slots__ = ("packed", "width")
 
@@ -244,19 +292,17 @@ class SweepResult(Mapping):
         self.packed = packed
         self.width = width
 
-    def unpack(self, h: int) -> dict[int, int]:
-        """One packed histogram as {defect: count}."""
-        return next(_unpack((h,), self.width))
-
     def above(self, x: Permutation) -> tuple[list[bytes], list[int],
                                              list[dict[int, int]]]:
         """The endpoints z with x < z in Bruhat order, as sorted bytes
-        (`coxeter.bruhat_above_all` on the packed keys); one histogram id
-        per endpoint, aligned with them; and the distinct histograms of
+        (`_bruhat_above` on the packed keys); one histogram id per
+        endpoint, aligned with them; and the distinct histograms of
         those endpoints as {defect: count} dicts, in first-seen order,
-        which the ids index.  Each packed histogram is hashed once, as it
-        gets its id, and each distinct one is unpacked once."""
-        inside = coxeter.bruhat_above_all(x, self.packed)
+        which the ids index.  An x whose length is not the keys' n
+        raises ValueError naming x.  Each packed histogram is hashed
+        once, as it gets its id, and each distinct one is unpacked
+        once."""
+        inside = _bruhat_above(x, self.packed)
         ids = defaultdict(count().__next__)
         hist_ids = list(map(ids.__getitem__,
                             map(self.packed.__getitem__, inside)))
@@ -266,13 +312,13 @@ class SweepResult(Mapping):
         """Counts by defect over every endpoint: one unpack of the sum of
         the packed histograms.  The sum carries into no field, since a
         field counts at most the 2^free leaves and 2^free < 2^width."""
-        return self.unpack(sum(self.packed.values()))
+        return next(_unpack((sum(self.packed.values()),), self.width))
 
     def __getitem__(self, z: Permutation) -> dict[int, int]:
         h = self.packed.get(_key(z))
         if h is None:
             raise KeyError(z)
-        return self.unpack(h)
+        return next(_unpack((h,), self.width))
 
     def __contains__(self, z) -> bool:
         return _key(z) in self.packed
@@ -320,6 +366,85 @@ def _unpack(hs: Iterable[int], width: int) -> Iterator[dict[int, int]]:
             h >>= width
             d += 1
         yield hist
+
+
+def _bruhat_above(x: Permutation, cosets: Iterable[bytes]) -> list[bytes]:
+    """The cosets z among `cosets`, a fold's keys, with x < z in Bruhat
+    order, sorted.  Every key has the same n entries, at most MAX_N,
+    since `sweep` made it; an x of another length raises ValueError
+    naming x.
+
+    x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
+    of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK keys at
+    once, one byte each, as the module docstring describes; z = x, which
+    passes, is then found by bisection and dropped.
+
+    On the endpoints of a fold over a reduced word, whose element has
+    minimal coset representative w, the result is the certificate's
+    whole interval x < z <= w: every endpoint z is a subexpression
+    product, which lies below the word's element in Bruhat order when
+    the word is reduced (the subword property), and taking the minimal
+    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
+    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
+    endpoints above w, which this test would count as inside: check
+    reducedness first, as the `word-reduced` check of
+    `worddata.validate_word_data` does.
+
+    >>> _bruhat_above((2, 1, 3), [bytes((3, 2, 1)), bytes((1, 3, 2))])
+    [b'\\x03\\x02\\x01']
+    """
+    keys = sorted(cosets)
+    if keys and len(keys[0]) != len(x):
+        raise ValueError(f"x {x!r} has {len(x)} entries, "
+                         f"not n = {len(keys[0])}")
+    x = tuple(x)
+    n = len(x)
+    rx = coxeter.rank_table(x)
+    cells: dict[int, list] = {}   # row i -> [(j, _GUARD - 1 - r_x[i][j])]
+    last: dict[int, int] = {}     # column j -> its last row
+    for i, j in coxeter.essential_set(x):
+        cells.setdefault(i, []).append((j, _GUARD - 1 - rx[i][j]))
+        last[j] = i
+    below = {j: bytes(v <= j for v in range(256)) for j in last}
+    reads = [[(j, below[j]) for j in last if last[j] > a]
+             for a in range(max(cells, default=0))]
+    from_bytes = int.from_bytes
+    out = []
+    for k in range(0, len(keys), BRUHAT_CHUNK):
+        chunk = keys[k:k + BRUHAT_CHUNK]
+        blob = b"".join(chunk)
+        ones = from_bytes(b"\1" * len(chunk), "little")
+        guard = ones * _GUARD
+        # column j -> r_z[a + 1][j] of every key, one byte each
+        counts = dict.fromkeys(last, 0)
+        flags = 0
+        for a, read in enumerate(reads):
+            column = blob[a::n]
+            for j, table in read:
+                counts[j] += from_bytes(column.translate(table), "little")
+            for j, offset in cells.get(a + 1, ()):
+                flags |= (counts[j] + offset * ones) & guard
+        out += compress(chunk, (flags ^ guard).to_bytes(len(chunk), "little"))
+    same = bytes(x)
+    del out[bisect_left(out, same):bisect_right(out, same)]
+    return out
+
+
+def coset_texts(cosets: list[bytes], n: int, sep: str) -> list[str]:
+    """`sep.join(map(str, z))` for each coset z of `cosets`, a fold's
+    keys of n values each, from C-level passes over the joined cosets:
+    each value takes four bytes of one buffer, its hundreds, tens and
+    ones digits (`_DIGITS`) and then "," (";" after a coset's last
+    value); the leading zeros are deleted, and the text is cut at the
+    ";"s."""
+    blob = b"".join(cosets)
+    out = bytearray(4 * len(blob))
+    for k, table in enumerate(_DIGITS):
+        out[k::4] = blob.translate(table)
+    out[3::4] = b"," * len(blob)
+    out[4 * n - 1::4 * n] = b";" * len(cosets)
+    text = out.translate(None, b"\0").decode("ascii")
+    return text.replace(",", sep).split(";")[:-1]
 
 
 def defect_histogram(word: Sequence[int], n: int, parabolic,

@@ -122,8 +122,8 @@ def parse_word_data(raw: dict, source: str = "<memory>") -> WordData:
         n = _int(raw["n"], '"n"')
         if n < 1:
             raise ValueError(f'"n" must be at least 1, got {n}')
-        if n > coxeter.MAX_N:
-            raise ValueError(f'"n" must be at most {coxeter.MAX_N}, got {n}')
+        if n > subexpr.MAX_N:
+            raise ValueError(f'"n" must be at most {subexpr.MAX_N}, got {n}')
         word = raw.get("word")
         if word is not None:
             word = _ints(word, "word", 1, n - 1)
@@ -290,15 +290,16 @@ def validate_word_data(wd: WordData) -> ValidationReport:
 class Decision:
     """What `decide` found: the form report and its rank test
     (`rank_ok`), the validation report (which holds x, w and the word's
-    constraint), the fold (`sweep`), the interval's cosets x < z as
-    sorted bytes (`inside`), their distinct histograms as {defect: count}
-    dicts in first-seen order (`histograms`), one id per coset of
-    `inside` that indexes `histograms` (`ids`, aligned with `inside`),
-    one failure flag per distinct histogram (`failing`: true iff its
-    coefficient has a negative power of v), the positions in `inside` of
-    the cosets that fail, in order (`failures`), the interval `status`,
-    the verdict and the stage seconds.  What a run did not reach is
-    None, or empty."""
+    constraint), the fold (`sweep`), the interval's cosets x < z, sorted,
+    in the fold's own form (`inside`, from `SweepResult.above`; only
+    `subexpr` builds one or takes one apart), their distinct histograms
+    as {defect: count} dicts in first-seen order (`histograms`), one id
+    per coset of `inside` that indexes `histograms` (`ids`, aligned with
+    `inside`), one failure flag per distinct histogram (`failing`: true
+    iff its coefficient has a negative power of v), the positions in
+    `inside` of the cosets that fail, in order (`failures`), the interval
+    `status`, the verdict and the stage seconds.  What a run did not
+    reach is None, or empty."""
 
     __slots__ = ("form", "rank_ok", "validation", "sweep", "inside",
                  "histograms", "ids", "failing", "failures", "status",
@@ -347,7 +348,7 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
     t2 = time.perf_counter()
     # validation proved the word reduced, so that every endpoint z has
     # z <= w, and x = w_B a minimal coset representative: the interval
-    # is the endpoints above x (see `coxeter.bruhat_above_all`)
+    # is the endpoints above x (see `subexpr._bruhat_above`)
     out.inside, out.ids, out.histograms = data.above(rep.x)
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)

@@ -73,12 +73,12 @@ MUTANTS = [
      "ids = defaultdict(count(1).__next__)",
      "the histogram ids start at 1, so each endpoint of the interval "
      "reads the next distinct histogram"),
-    ("coxeter", "    keys.sort()\n", "",
+    ("subexpr", "keys = sorted(cosets)", "keys = list(cosets)",
      "the interval's cosets come in fold order, not sorted"),
-    ("coxeter", "(j, _GUARD - 1 - rx[i][j])", "(j, _GUARD - rx[i][j])",
+    ("subexpr", "(j, _GUARD - 1 - rx[i][j])", "(j, _GUARD - rx[i][j])",
      "the offset is one too high, so a z with r_z = r_x at an essential "
      "cell reads as not above x"),
-    ("coxeter",
+    ("subexpr",
      "    del out[bisect_left(out, same):bisect_right(out, same)]\n", "",
      "x itself counts as a coset of the interval"),
     ("demazure", "    under.reverse()\n", "",
@@ -133,9 +133,9 @@ MUTANTS = [
     ("subexpr", "table = table.translate(swap)",
      "table = swap.translate(table)",
      "a forced run composes its swaps in reverse order"),
-    ("coxeter", "_GUARD = 0x80", "_GUARD = 0x40",
+    ("subexpr", "_GUARD = 0x80", "_GUARD = 0x40",
      "7-bit fields, whose offset differences wrap once n reaches 128"),
-    ("coxeter", "(flags ^ guard).to_bytes", "flags.to_bytes",
+    ("subexpr", "(flags ^ guard).to_bytes", "flags.to_bytes",
      "the interval keeps the cosets that fail the rank test"),
     ("hecke", '_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1, -1: 1}}',
      '_B_S = {"U": {1: 1}, "D": {-1: 1}, "S": {1: 1}}',
@@ -174,15 +174,13 @@ MUTANTS = [
      "list(_unpack(ids, self.width))[::-1]",
      "the distinct histograms are listed in reverse, so a coset's id "
      "names another coset's histogram"),
-    ("coxeter", "if n > MAX_N:", "if n > MAX_N + 1:",
-     "the interval test takes n = 256, past the byte that its rank "
-     "fields' proof needs"),
     ("cli", '"ok": not bad', '"ok": bad',
      "each entry of the interval renders the opposite of its failure "
      "flag"),
-    ("cli", "out[4 * n - 1::4 * n]", "out[4 * n + 3::4 * n]",
+    ("subexpr", "out[4 * n - 1::4 * n]", "out[4 * n + 3::4 * n]",
      "the end marker of each coset sits one value late"),
-    ("cli", "bytes(48 + v // 100 if v >= 100 else 0 for v in values)",
+    ("subexpr",
+     "bytes(48 + v // 100 if v >= 100 else 0 for v in range(256))",
      "bytes(256)",
      "a value of three digits loses its hundreds digit"),
     ("cli", ")[:-len(comma)]", ")[:-len(comma) - 1]",
@@ -193,6 +191,9 @@ MUTANTS = [
     ("worddata", "compress(count(), map(", "compress(count(1), map(",
      "each failure's position is one late, so it names the coset after "
      "the failing one"),
+    ("subexpr", "if keys and len(keys[0]) != len(x):", "if False:",
+     "an x of another length than the fold's keys reaches the interval "
+     "test, and is read as if it had n entries"),
 ]
 
 

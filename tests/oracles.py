@@ -11,14 +11,19 @@ here is a sequence of per-position allowed-bit sets, each (0,), (1,) or
 fold itself, written out one letter at a time on unpacked histograms;
 it takes forced positions as `EnumConstraint` does.
 
-The Bruhat order, against `coxeter.bruhat_above_all`: `bruhat_above(x)`
+The Bruhat order, against `SweepResult.above`: `bruhat_above(x)`
 tests one coset z at a time, on a packed table of z's rank entries at
 the essential set of x (built by `rank_packing`) and one guard-bit
 subtraction, where the product tests a chunk of cosets at once, one
 byte column at a time.  `interval_endpoints` checks x against n and A
-before it calls the product test, so the tests can hand it an x of
-their own; `worddata.decide` calls the product test directly, on an x
-that validation has checked.
+and runs `above` on a `SweepResult` that holds the given cosets, so the
+tests can hand it an x and cosets of their own; `worddata.decide` calls
+`above` on the fold, with an x that validation has checked.
+
+The fold at real size, against `subexpr.sweep`: `backward_coefficient`
+reads one coefficient of the expansion by folding the word the other
+way, from m_z to the identity, one coset at a time through
+`apply_gen_left`.
 
 Length, against `coxeter.length`: `inversions` counts the pairs i < j
 with p(i) > p(j) by two nested loops.
@@ -60,7 +65,7 @@ closed form, and `apply_steps` and `chain_value` run a chain's
 `MultiPoly.__mul__`, so they share no step code with the packed one.
 
 The certificate report, against `heckekit certify`: `certify_text` builds
-the whole payload from unpacked histograms and renders it with one
+the whole payload from the histograms of `fold` and renders it with one
 json.dumps.
 """
 from __future__ import annotations
@@ -72,9 +77,20 @@ from heckekit import coxeter, demazure, subexpr, worddata
 from heckekit.coxeter import Permutation
 from heckekit.demazure import MultiPoly
 from heckekit.hecke import HeckeElement, inverse_h, pairing
-from heckekit.laurent import LaurentPoly, _add_into
+from heckekit.laurent import LaurentPoly
 
 Slots = Sequence[Sequence[int]]
+
+
+def _add_into(out: dict, key, c) -> None:
+    """Add c into out[key], dropping the key when the sum is zero: the
+    oracles' own sum, which shares no code with `laurent._add_product`."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def inversions(p: Permutation) -> int:
@@ -327,13 +343,68 @@ def bruhat_above(x: Permutation) -> Callable[[Permutation], bool]:
 
 def interval_endpoints(cosets, n: int, parabolic, x: Permutation) -> list:
     """The cosets z among `cosets` (tuples, or their bytes) with x < z,
-    sorted, as tuples: `coxeter.bruhat_above_all` on their bytes, after
-    x is checked as a minimal coset representative for `parabolic` in
-    S_n: a bad x is a ValueError that names it.  On the endpoints of a
-    fold over a reduced word these are the cosets of the certificate's
-    interval x < z <= w (see `bruhat_above_all`)."""
+    sorted, as tuples: `SweepResult.above` on a result that holds them,
+    after x is checked as a minimal coset representative for `parabolic`
+    in S_n: a bad x is a ValueError that names it.  On the endpoints of
+    a fold over a reduced word these are the cosets of the certificate's
+    interval x < z <= w (see `subexpr._bruhat_above`)."""
     x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
-    return list(map(tuple, coxeter.bruhat_above_all(x, map(bytes, cosets))))
+    return list(map(tuple, holding(cosets).above(x)[0]))
+
+
+def holding(cosets) -> subexpr.SweepResult:
+    """A `SweepResult` whose keys are `cosets` (tuples, or their bytes),
+    each with the histogram {0: 1}: the way to put cosets of a test's
+    own choice before `above`."""
+    return subexpr.SweepResult(dict.fromkeys(map(bytes, cosets), 1), 1)
+
+
+def backward_coefficient(word: Sequence[int], n: int, parabolic, forced,
+                         z: Permutation) -> dict[int, int]:
+    """The coefficient of m_z in the expansion that `subexpr.sweep`
+    folds, b_{s_1} ... b_{s_m} m_id with e = 1 at the 0-based positions
+    `forced`, as {defect: count} in increasing defect order, read the
+    other way: fold the word left to right, starting from m_z, and read
+    the coefficient at the identity.
+
+    This is valid because each step is symmetric on the standard basis
+    of M.  On a coset u that s moves, b_s m_u = m_{su} + v^(+-1) m_u,
+    and su is moved too, with b_s m_{su} = m_u + ...: the entries at
+    (su, u) and (u, su) are both 1.  On a coset that s fixes, b_s m_u =
+    (v + v^-1) m_u has no entry off the diagonal.  A forced step keeps
+    the e = 1 half, the entries 1 at (su, u) and (u, su) and v on a
+    fixed coset, which is symmetric as well.  So with B_k the matrix of
+    position k, [m_z] B_1 ... B_m m_id = [m_id] B_m^T ... B_1^T m_z =
+    [m_id] B_m ... B_1 m_z.  Each step changes the length of a coset by
+    at most one, so a coset longer than the number of letters still to
+    read never reaches the identity and is dropped.
+
+    The step classifies s_i u from the definitions: s_i u is no minimal
+    coset representative iff it has a right descent in A, and then it is
+    u times a generator of A, an S step; else it lowers u iff u has the
+    left descent s_i.  It shares no code with `sweep`."""
+    A = sorted(parabolic)
+    state = {tuple(z): (inversions(z), {0: 1})}   # u -> (length, hist)
+    for k, i in enumerate(word):
+        left = len(word) - k - 1   # letters still to read after this one
+        free = k not in forced
+        out: dict = {}
+        for u, (length, hist) in state.items():
+            su = apply_gen_left(i, u)
+            if any(su[g - 1] > su[g] for g in A):   # a right descent in A
+                moves = [(u, length, 1), (u, length, -1)]
+            elif has_left_descent(u, i):
+                moves = [(su, length - 1, 0), (u, length, -1)]
+            else:
+                moves = [(su, length + 1, 0), (u, length, 1)]
+            for y, ly, d in moves[:2 if free else 1]:
+                if ly <= left:
+                    into = out.setdefault(y, (ly, {}))[1]
+                    for e, c in hist.items():
+                        into[e + d] = into.get(e + d, 0) + c
+        state = out
+    hist = state.get(tuple(range(1, n + 1)), (0, {}))[1]
+    return {e: hist[e] for e in sorted(hist)}
 
 
 # -- sums through LaurentPoly products -----------------------------------
@@ -528,8 +599,8 @@ def certify_text(word: str | None, expr: str = "paper-GL15", p: int = 2,
                  pretty: bool = False) -> tuple[int, str]:
     """(exit code, stdout) of `heckekit certify` on a valid or incomplete
     word (a builtin name or a path) and a builtin expression, with the
-    "timings" object left out.  Every histogram is unpacked into a dict
-    and totalled dict by dict, each coefficient goes through
+    "timings" object left out.  The histograms come from `fold` and are
+    totalled dict by dict, each coefficient goes through
     `LaurentPoly.to_json_dict`, the interval x < z is decided by
     `coxeter.bruhat_leq`, and the payload is rendered with one
     json.dumps."""
@@ -559,8 +630,7 @@ def certify_text(word: str | None, expr: str = "paper-GL15", p: int = 2,
             x, constraint = wd.x_element(), wd.constraint()
             w = coxeter.min_coset_rep(coxeter.evaluate_word(wd.word, wd.n),
                                       wd.parabolic)
-            data = dict(subexpr.sweep(wd.word, wd.n, wd.parabolic,
-                                      constraint).items())
+            data = fold(wd.word, wd.n, wd.parabolic, constraint.forced)
             total: dict[int, int] = {}
             for hist in data.values():
                 for d, c in hist.items():

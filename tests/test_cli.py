@@ -181,16 +181,18 @@ def test_emit_writes_a_streamed_list_as_json_dumps_would(pretty, capsys):
 @pytest.mark.parametrize("sep", [",", ",\n          "],
                          ids=["compact", "pretty"])
 def test_the_digit_pass_joins_each_coset_as_str_would(sep):
-    """`_coset_texts` is `sep.join(map(str, z))` per coset, for values
-    of one, two and three digits, on permutations of 1..n and on random
-    values in 1..255, and on an empty chunk."""
+    """`subexpr.coset_texts` is `sep.join(map(str, z))` per coset, for
+    values of one, two and three digits, on permutations of 1..n and on
+    random values in 1..255, and on an empty chunk."""
+    from heckekit import subexpr
+
     rng = random.Random(47)
     for n in (1, 2, 9, 10, 99, 100, 255):
         for cosets in ([], [bytes(rng.sample(range(1, n + 1), n))
                             for _ in range(rng.randint(1, 30))],
                        [bytes(rng.choices(range(1, 256), k=n))
                         for _ in range(rng.randint(1, 30))]):
-            assert cli._coset_texts(cosets, n, sep) == [
+            assert subexpr.coset_texts(cosets, n, sep) == [
                 sep.join(map(str, z)) for z in cosets]
 
 
@@ -208,7 +210,7 @@ def test_emit_writes_nothing_for_a_value_json_cannot_encode(capsys):
 def _failing_word_files(tmp_path, count: int) -> list[str]:
     """Seeded valid S_4-S_6 word files whose interval has a failing coset
     and holds some histogram at more than one coset."""
-    from heckekit import coxeter, subexpr
+    from heckekit import subexpr
 
     rng = random.Random(41)
     paths = []
@@ -224,7 +226,7 @@ def _failing_word_files(tmp_path, count: int) -> list[str]:
         if not (report.ok and report.complete):
             continue
         data = subexpr.sweep(wd.word, n, wd.parabolic, wd.constraint())
-        inside = coxeter.bruhat_above_all(wd.x_element(), map(bytes, data))
+        inside = data.above(wd.x_element())[0]
         hists = [data[tuple(z)] for z in inside]
         if (any(min(h) < 0 for h in hists)
                 and len({tuple(h.items()) for h in hists}) < len(hists)):
@@ -291,15 +293,16 @@ def _reduced_word_file(tmp_path, seed: int, n: int, length: int) -> str:
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
 def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     """certify's stdout, apart from "timings", is byte for byte the
-    payload that `oracles.certify_text` builds from unpacked histograms
-    and renders with one json.dumps: on both demos, `gl15-partial`, the
+    payload that `oracles.certify_text` builds from the histograms of
+    `oracles.fold`, which shares no code with `sweep`, and renders with
+    one json.dumps: on both demos, `gl15-partial`, the
     no-word run, a valid word whose interval is empty (x = w = s_1),
     seeded words with failing cosets and repeated histograms, seeded
     words whose B-letters make one long forced run and whose x has an
     essential set of several cells, a seeded S_8 word whose interval
     crosses the renderer's chunk boundary, a seeded S_12 word (values of
     two digits) and an S_120 word (values of three digits)."""
-    from heckekit import coxeter, subexpr
+    from heckekit import subexpr
     from oracles import certify_text
 
     empty = tmp_path / "empty.json"
@@ -310,8 +313,7 @@ def test_certify_matches_the_reference_renderer(pretty, capsys, tmp_path):
     chunks = _reduced_word_file(tmp_path, 53, 8, 18)
     wd = worddata.load_word_data(chunks)
     data = subexpr.sweep(wd.word, wd.n, wd.parabolic, wd.constraint())
-    assert len(coxeter.bruhat_above_all(wd.x_element(), map(bytes, data))
-               ) > cli.CERTIFY_CHUNK
+    assert len(data.above(wd.x_element())[0]) > cli.CERTIFY_CHUNK
     words = [None, "demo-s4-fail", "demo-s4-pass", "gl15-partial",
              str(empty), chunks, _reduced_word_file(tmp_path, 59, 12, 9),
              str(wide)]
@@ -826,18 +828,18 @@ def test_n_above_budget_is_input_error(argv, capsys):
 
 
 def test_n_budget_is_the_fold_byte_bound(capsys):
-    # --n stops where one byte per coset value (the fold's and the
+    # --n stops where one byte per coset value (the fold's, and so the
     # interval test's) and the Demazure variable budget stop
-    from heckekit import coxeter, demazure, subexpr
+    from heckekit import demazure, subexpr
 
-    assert cli.MAX_N == subexpr.MAX_N == coxeter.MAX_N == \
-        demazure.MAX_VARIABLES == 255
-    assert subexpr.sweep((), cli.MAX_N, set())
+    assert cli.MAX_N == subexpr.MAX_N == demazure.MAX_VARIABLES == 255
+    data = subexpr.sweep((), cli.MAX_N, set())
+    assert data
     with pytest.raises(ValueError, match=f"n = {cli.MAX_N + 1} is above"):
         subexpr.sweep((1,), cli.MAX_N + 1, set())
-    with pytest.raises(ValueError, match=f"^n = {cli.MAX_N + 1} is above "
-                                         f"{cli.MAX_N}: the interval test"):
-        coxeter.bruhat_above_all(range(1, cli.MAX_N + 2), [])
+    with pytest.raises(ValueError, match=f"has {cli.MAX_N + 1} entries, "
+                                         f"not n = {cli.MAX_N}$"):
+        data.above(range(1, cli.MAX_N + 2))
     code, payload = run_json(capsys, "bs", "--n", str(cli.MAX_N),
                              "--word", "1")
     assert code == 0 and len(payload["bs"]) == 2

@@ -12,9 +12,10 @@ ALLOWED_METHODS; the scan cannot tell classes apart, so any `.name` read
 counts.  Every private top-level function and class has a caller in the
 package, with no exception: a helper only its tests call belongs in the
 tests.  Every name that a package module imports is used in that module.
-The packed layout of a fold (`SweepResult`'s `packed`, `width` and
-`unpack`) is read only in FOLD_LAYOUT_READERS, `subexpr` alone, so a
-change of layout stays inside that module.  And
+The packed layout of a fold (`SweepResult`'s `packed` and `width`, and
+a coset as `bytes`, built, translated or cut into ints) is read only in
+FOLD_LAYOUT_READERS, `subexpr` alone, so a change of layout stays inside
+that module.  And
 the input checks are written once, in `coxeter`: no other module holds
 the message of one, but for the exceptions in OWN_CHECKS.  Coefficients
 have one representation: elements and the caches of `hecke` store term
@@ -69,8 +70,11 @@ ALLOWED_METHODS = {
         "it",
 }
 
-#: the attributes of a fold's packed layout, and the modules that read them
-FOLD_LAYOUT = {"packed", "width", "negative_mask", "unpack"}
+#: the attributes and the names that read or build a fold's packed
+#: layout, and the modules that use them
+FOLD_LAYOUT = {"packed", "width", "translate", "maketrans", "from_bytes",
+               "to_bytes"}
+COSET_TYPES = {"bytes", "bytearray"}
 FOLD_LAYOUT_READERS = {"subexpr"}
 
 
@@ -168,11 +172,12 @@ def test_the_method_scan_skips_the_method_itself():
 
 
 def _fold_layout_reads(modules) -> set:
-    """(module, line) of each read of a FOLD_LAYOUT attribute outside
-    FOLD_LAYOUT_READERS."""
+    """(module, line) of each read of a FOLD_LAYOUT attribute, or of a
+    COSET_TYPES name, outside FOLD_LAYOUT_READERS."""
     return {(name, node.lineno) for name, tree in modules.items()
             if name not in FOLD_LAYOUT_READERS for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in FOLD_LAYOUT}
+            if isinstance(node, ast.Attribute) and node.attr in FOLD_LAYOUT
+            or isinstance(node, ast.Name) and node.id in COSET_TYPES}
 
 
 def test_only_subexpr_reads_the_packed_fold():
@@ -182,7 +187,7 @@ def test_only_subexpr_reads_the_packed_fold():
 def test_the_layout_scan_finds_a_read_outside_subexpr():
     tree = ast.parse("def f(d):\n    h = d.sweep.packed\n"
                      "    w = d.sweep.width\n"
-                     "    return d.sweep.unpack(h)\n")
+                     "    return bytes(d.inside[0]).translate(w)\n")
     assert _fold_layout_reads({"cli": tree, "worddata": tree,
                                "subexpr": tree}) == {
         (name, line) for name in ("cli", "worddata") for line in (2, 3, 4)}
@@ -331,8 +336,8 @@ def test_only_hecke_wraps_a_term_map_as_a_laurent_poly():
 #: where `hecke` keeps term maps, and the LaurentPoly reads that a term
 #: map (a dict) would not answer
 CACHES = {"_kl_cache", "_inverse_cache", "_kl"}
-POLY_READS = {"terms", "bar", "coefficient", "degree", "valuation",
-              "exact_divide", "is_nonnegative_powers", "to_json_dict"}
+POLY_READS = {"terms", "bar", "coefficient", "exact_divide",
+              "is_nonnegative_powers", "to_json_dict"}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from heckekit import coxeter, subexpr
 from heckekit.subexpr import EnumConstraint, defect_histogram, sweep
-from oracles import aggregate, decorate, forced_slots, iter_subexpressions
+from oracles import (aggregate, decorate, forced_slots, holding,
+                     iter_subexpressions)
 
 
 def all_subsets(gens):
@@ -368,7 +370,7 @@ def test_sweep_forced_runs_match_the_oracle_for_several_A():
 
 def test_above_reads_each_endpoint_histogram_through_its_id():
     """`SweepResult.above(x)` gives the endpoints above x as sorted
-    bytes, as `coxeter.bruhat_above_all` picks them out of the fold's
+    bytes, the ones that `oracles.bruhat_above` passes among the fold's
     keys, one id per endpoint, and the distinct histograms, unpacked, in
     first-seen order: histograms[ids[k]] is the fold's histogram at the
     k-th endpoint.  On both demos at their x, the `gl15-partial` prefix
@@ -410,7 +412,7 @@ def test_above_reads_each_endpoint_histogram_through_its_id():
     for data, free, x in folds:
         for x in (x, tuple(range(1, len(x) + 1))):
             inside, ids, histograms = data.above(x)
-            assert inside == coxeter.bruhat_above_all(x, map(bytes, data))
+            assert inside == list(map(bytes, _oracle_above(x, data)))
             assert len(ids) == len(inside)
             assert [histograms[i] for i in ids] == [data[tuple(z)]
                                                     for z in inside]
@@ -485,11 +487,10 @@ def test_bulk_interval_agrees_on_every_pair_s1_to_s6():
     rng = random.Random(61)
     for n in range(1, 7):
         perms = _perms(n)
-        shuffled = list(map(bytes, rng.sample(perms, len(perms))))
+        data = holding(rng.sample(perms, len(perms)))
         for x in perms:
             want = _oracle_above(x, perms)
-            assert coxeter.bruhat_above_all(x, shuffled) == \
-                list(map(bytes, want)), x
+            assert data.above(x)[0] == list(map(bytes, want)), x
 
 
 def _wide_cases(rng, n):
@@ -524,7 +525,7 @@ def test_bulk_interval_agrees_past_127_values(n):
     comparable = 0
     for x, cosets in _wide_cases(rng, n):
         want = _oracle_above(x, cosets)
-        got = coxeter.bruhat_above_all(x, map(bytes, cosets))
+        got = holding(cosets).above(x)[0]
         assert got == list(map(bytes, want)), x
         comparable += len(want)
     assert comparable > 10
@@ -532,21 +533,21 @@ def test_bulk_interval_agrees_past_127_values(n):
 
 def test_bulk_interval_edge_inputs():
     x = (2, 1, 3)
-    assert coxeter.bruhat_above_all(x, []) == []
-    assert coxeter.bruhat_above_all(x, iter([bytes(x)] * 2)) == []
+    assert holding([]).above(x) == ([], [], [])
+    assert holding([bytes(x)] * 2).above(x) == ([], [], [])
     # x = identity has no essential cell: every other coset is above it
     for n in (1, 2, 5, 255):
         ident = tuple(range(1, n + 1))
         cosets = [bytes(random.Random(n + k).sample(ident, n))
                   for k in range(20)] + [bytes(ident)]
-        want = sorted(z for z in cosets if z != bytes(ident))
+        want = sorted(z for z in set(cosets) if z != bytes(ident))
         assert coxeter.essential_set(ident) == []
-        assert coxeter.bruhat_above_all(ident, cosets) == want
+        assert holding(cosets).above(ident)[0] == want
 
 
-@pytest.mark.parametrize("size", [coxeter.BRUHAT_CHUNK - 1,
-                                  coxeter.BRUHAT_CHUNK,
-                                  coxeter.BRUHAT_CHUNK + 1])
+@pytest.mark.parametrize("size", [subexpr.BRUHAT_CHUNK - 1,
+                                  subexpr.BRUHAT_CHUNK,
+                                  subexpr.BRUHAT_CHUNK + 1])
 def test_bulk_interval_across_the_chunk_boundary(size):
     """Seeded S_8 samples of one chunk less one, one chunk and one chunk
     and one coset, with x the last coset of the first chunk or the first
@@ -555,11 +556,10 @@ def test_bulk_interval_across_the_chunk_boundary(size):
 
     rng = random.Random(size)
     cosets = sorted(rng.sample(_perms(8), size))
-    for x in (cosets[min(coxeter.BRUHAT_CHUNK, size) - 1],
-              cosets[min(coxeter.BRUHAT_CHUNK, size - 1)]):
+    for x in (cosets[min(subexpr.BRUHAT_CHUNK, size) - 1],
+              cosets[min(subexpr.BRUHAT_CHUNK, size - 1)]):
         above = bruhat_above(x)
-        shuffled = rng.sample(cosets, size)
-        got = coxeter.bruhat_above_all(x, map(bytes, shuffled))
+        got = holding(rng.sample(cosets, size)).above(x)[0]
         assert got == [bytes(z) for z in cosets if above(z)], x
         assert bytes(x) not in got
 
@@ -570,40 +570,51 @@ def test_bulk_interval_across_the_chunk_boundary(size):
     ([bytes((3, 2, 1)), b"\x02\x01", b""], r"b'\\x02\\x01' has 2 entries"),
 ])
 def test_interval_refuses_a_coset_of_the_wrong_length(cosets, named):
-    with pytest.raises(ValueError, match=f"^coset {named}, not n = 3$"):
-        coxeter.bruhat_above_all((1, 2, 3), cosets)
-
-
-@pytest.mark.parametrize("cosets, named", [
-    ([(1, 2, 9), (3, 3, 3)], r"\(1, 2, 9\)"),
-    ([bytes((3, 2, 1)), (3, 3, 3)], r"\(3, 3, 3\)"),
-    ([bytes((3, 2, 1)), (0, 1, 2)], r"\(0, 1, 2\)"),
-    ([bytes((3, 2, 1)), (1.0, 3, 2)], r"\(1.0, 3, 2\)"),
-])
-def test_interval_refuses_a_tuple_coset_that_is_no_permutation(cosets, named):
-    """A tuple that is no permutation is refused by name, before its
-    values are read: the test takes bytes cosets only."""
-    with pytest.raises(ValueError, match=f"^coset {named} is not bytes$"):
-        coxeter.bruhat_above_all((2, 1, 3), cosets)
-
-
-@pytest.mark.parametrize("cosets, named", [
-    ([(3, 2, 1)], r"\(3, 2, 1\)"),
-    ([bytes((1, 2, 3)), (3, 2, 1), bytes((2, 1, 3))], r"\(3, 2, 1\)"),
-    ([bytes((3, 2, 1)), bytearray((1, 3, 2)), (2, 1, 3)],
-     r"bytearray\(b'\\x01\\x03\\x02'\)"),
-    ([bytes((1, 2, 3)), [2, 1, 3], bytes((3, 2, 1))], r"\[2, 1, 3\]"),
-], ids=["a tuple", "a tuple among bytes", "a bytearray first", "a list"])
-def test_interval_refuses_a_coset_that_is_not_bytes(cosets, named):
-    """The test takes the fold's bytes cosets only: a tuple coset that is
-    a permutation, and the first coset of another type in a list of
-    mixed types, are refused by name."""
-    with pytest.raises(ValueError, match=f"^coset {named} is not bytes$"):
-        coxeter.bruhat_above_all((2, 1, 3), cosets)
+    """`above` on a fold of S_3 takes each of `cosets` as x: one of 3
+    entries passes, and one of another length is refused, named as it
+    was given (the first such one as `named` says): the fold's keys all
+    have n entries, and the rank fields of the interval test count on x
+    having n too."""
+    data = sweep((1, 2, 1), 3, set())
+    for x in cosets:
+        if len(x) == 3:
+            data.above(x)
+            continue
+        with pytest.raises(ValueError, match=f"^x {re.escape(repr(x))} has "
+                                             f"{len(x)} entries, not n = 3$"):
+            data.above(x)
+    with pytest.raises(ValueError, match=f"^x {named}, not n = 3$"):
+        data.above(next(x for x in cosets if len(x) != 3))
 
 
 def test_interval_refuses_n_above_a_byte():
-    """The kernel's one-byte rank fields need n <= 255; n = 256 is
-    refused by name before any coset is read."""
+    """An x of 256 entries never reaches the one-byte rank fields of the
+    interval test: `sweep` refuses n = 256, so no fold's keys have more
+    than 255 entries, and `above` refuses an x of another length than
+    its keys by name."""
     with pytest.raises(ValueError, match="^n = 256 is above 255"):
-        coxeter.bruhat_above_all(tuple(range(1, 257)), [()])
+        sweep((), 256, set())
+    x = tuple(range(1, 257))
+    with pytest.raises(ValueError, match=r"^x \(1, 2, 3, .*, 256\) has 256 "
+                                         r"entries, not n = 255$"):
+        sweep((), 255, set()).above(x)
+
+
+def test_every_fold_key_is_bytes_of_n_values():
+    """The invariant that lets the interval test read the keys unchecked:
+    every key of a fold is `bytes` holding one value per byte, n of them,
+    a permutation of 1..n.  Seeded folds in S_3..S_8, with and without
+    forced letters."""
+    rng = random.Random(89)
+    keys = 0
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        word = tuple(rng.randrange(1, n) for _ in range(rng.randint(0, 12)))
+        A = frozenset(g for g in range(1, n) if rng.random() < 0.4)
+        forced = ([] if rng.random() < 0.5 else
+                  [k for k in range(len(word)) if rng.random() < 0.4])
+        data = sweep(word, n, A, EnumConstraint(len(word), forced))
+        for z in data.packed:
+            assert type(z) is bytes and sorted(z) == list(range(1, n + 1))
+        keys += len(data.packed)
+    assert keys > 500

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -9,6 +11,7 @@ from heckekit.worddata import (
     parse_word_data,
     validate_word_data,
 )
+from oracles import backward_coefficient
 
 
 def test_builtin_demos_load_and_validate():
@@ -180,8 +183,7 @@ def test_forcing_the_letters_of_B_keeps_every_interval_coefficient():
 
         def entries(constraint):
             data = subexpr.sweep(wd.word, n, wd.parabolic, constraint)
-            return [(z, data[tuple(z)])
-                    for z in coxeter.bruhat_above_all(x, map(bytes, data))]
+            return [(z, data[tuple(z)]) for z in data.above(x)[0]]
 
         got = entries(wd.constraint())
         assert got == entries(None), (n, word, A, B)
@@ -201,26 +203,45 @@ def test_x_and_w_elements():
     assert coxeter.is_min_coset_rep(rep.w, wd.parabolic)
 
 
-@pytest.mark.parametrize("word", ["demo-s4-pass", "demo-s4-fail",
-                                  "gl15-partial", "gl15-reconstructed", None])
-def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
-    """`certify` prints the values of the record `decide` returns: the
-    verdict, the interval status, x and w, the histogram at x, the
-    number of cosets in the interval, and the failures in order.  The
-    entries of the large interval are counted in the text, not decoded."""
+def _certify(word):
+    """`certify` on `word` (or on no word): its exit code, its payload
+    with the interval's entries cut out and counted, and the record that
+    `decide` returned to it."""
     records = []
     decide = worddata.decide
-    monkeypatch.setattr(worddata, "decide",
-                        lambda *args: records.append(decide(*args))
-                        or records[-1])
-    code = cli.main(["certify"] + (["--word", word] if word else []))
-    out, entries = capsys.readouterr().out, ""
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(stdout):
+        patch.setattr(worddata, "decide",
+                      lambda *args: records.append(decide(*args))
+                      or records[-1])
+        code = cli.main(["certify"] + (["--word", word] if word else []))
+    out, entries = stdout.getvalue(), ""
     if '"failures":' in out:   # the interval's entries close the last list
         head, _, rest = out.rpartition('"entries":[')
         entries, _, tail = rest.partition('],"failures":')
         out = head + '"entries":null,"failures":' + tail
-    payload = json.loads(out)
     (d,) = records
+    return code, json.loads(out), entries.count('{"coefficient":'), d
+
+
+@pytest.fixture(scope="module")
+def gl15_certified():
+    """`_certify` on `gl15-reconstructed`, run once for the tests of this
+    module that read the real-size word."""
+    return _certify("gl15-reconstructed")
+
+
+@pytest.mark.parametrize("word", ["demo-s4-pass", "demo-s4-fail",
+                                  "gl15-partial", "gl15-reconstructed", None])
+def test_decide_holds_what_certify_prints(word, request):
+    """`certify` prints the values of the record `decide` returns: the
+    verdict, the interval status, x and w, the histogram at x, the
+    number of cosets in the interval, and the failures in order.  The
+    entries of the large interval are counted in the text, not decoded."""
+    code, payload, entries, d = (request.getfixturevalue("gl15_certified")
+                                 if word == "gl15-reconstructed"
+                                 else _certify(word))
     rep = d.validation
     assert code == (0 if d.verdict else 1)
     assert payload["verdict"] is d.verdict
@@ -241,10 +262,51 @@ def test_decide_holds_what_certify_prints(word, monkeypatch, capsys):
         str(e): k for e, k in d.sweep[rep.x].items()}
     assert d.inside == sorted(d.inside)
     assert all(type(z) is bytes for z in d.inside)
-    assert (payload["interval"]["cosets_in_interval"] == len(d.inside)
-            == entries.count('{"coefficient":'))
+    assert payload["interval"]["cosets_in_interval"] == len(d.inside) == \
+        entries
     assert [f["coset"] for f in payload["interval"]["failures"]] == [
         list(d.inside[k]) for k in d.failures]
+
+
+def _check_against_the_backward_oracle(wd, d, picks):
+    """The fold's histogram at x and at the interval cosets whose
+    positions in `d.inside` are `picks`, against
+    `oracles.backward_coefficient`, and each such coset's place in
+    x < z <= w against `coxeter.bruhat_leq`; returns the oracle's
+    coefficient at x."""
+    rep = d.validation
+    x, forced = rep.x, rep.constraint.forced
+    at_x = backward_coefficient(wd.word, wd.n, wd.parabolic, forced, x)
+    assert at_x == d.sweep[x]
+    for k in picks:
+        z = tuple(d.inside[k])
+        assert z != x and coxeter.bruhat_leq(x, z) and \
+            coxeter.bruhat_leq(z, rep.w), z
+        assert backward_coefficient(wd.word, wd.n, wd.parabolic, forced,
+                                    z) == d.histograms[d.ids[k]], z
+    return at_x
+
+
+def test_real_size_intervals_agree_with_the_backward_oracle(gl15_certified):
+    """The coefficients that the verdict rests on, at real size, against
+    a fold that shares no code with `sweep`: on `gl15-reconstructed`,
+    decided once for this module, at x, whose coefficient starts
+    v^-1 + 12 v, and at 200 seeded interval cosets; on synthetic seed 1,
+    at x and at 100 seeded failures, each of which has a negative
+    power of v."""
+    from compare_trees import synthetic_word
+
+    rng = random.Random(25)
+    d = gl15_certified[3]
+    at_x = _check_against_the_backward_oracle(
+        load_word_data("gl15-reconstructed"), d,
+        rng.sample(range(len(d.inside)), 200))
+    assert list(at_x.items())[:2] == [(-1, 1), (1, 12)]
+    wd = parse_word_data(synthetic_word(1))
+    d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2, wd)
+    picks = rng.sample(d.failures, 100)
+    _check_against_the_backward_oracle(wd, d, picks)
+    assert all(min(d.histograms[d.ids[k]]) < 0 for k in picks)
 
 
 def test_decide_without_word_data_decides_the_ranks_alone():
