@@ -101,8 +101,7 @@ MAX_N = 255
 # Most cosets one fold step may reach, in `certify` and in every
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
 # A forced run keeps the number of cosets, so only a free step can pass
-# it; a run's state is still checked, which matters only at a budget
-# below the start state's one coset.
+# it.
 # The synthetic GL15 certificate words peak near 155,000 cosets.  On the
 # benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
 # 220 bytes per coset of the returned packed state, and a peak of 348 per
@@ -184,8 +183,8 @@ def sweep(word: Sequence[int], n: int, parabolic,
     of leaves.  A maximal run of forced positions is one pass over the
     state: its e = 1 steps are one to one, so each coset moves through
     the run's composite table for its block content and is written
-    once.  A free step or a forced run that reaches more than
-    SUPPORT_BUDGET cosets raises ValueError.
+    once.  A free step that reaches more than SUPPORT_BUDGET cosets
+    raises ValueError.
 
     The state is packed as the module docstring describes, and returned
     packed, as a `SweepResult`, which unpacks a histogram when it is
@@ -242,9 +241,6 @@ def sweep(word: Sequence[int], n: int, parabolic,
                     hit = memo[key] = table, shift
                 table, shift = hit
                 out[u.translate(table)] = h << shift
-            if len(out) > budget:
-                raise ValueError(f"subexpression fold support exceeds the "
-                                 f"budget of {budget} cosets")
             state = out
             continue
         for j in run:
@@ -319,9 +315,6 @@ class SweepResult(Mapping):
         if h is None:
             raise KeyError(z)
         return next(_unpack((h,), self.width))
-
-    def __contains__(self, z) -> bool:
-        return _key(z) in self.packed
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(tuple, self.packed)

@@ -22,7 +22,10 @@ The catalogue (`catalogue`):
   `perfbench/synth.py` from each seed) and `test_cli`'s word of
   n = 120, each compact and `--pretty`, at `--p 2` and `--p 3`;
 - and, in "all", the 660 argvs that `test_cli_contract` generates at its
-  seed, accepted and rejected alike, with the word files it writes.
+  seed, accepted and rejected alike, with the word files it writes;
+- then the inputs that neither set reaches (`gap_argvs`): an `--expr`
+  file, a `--word` path that is no file, each rejection of
+  `demazure.parse_expr` and each field error of word data.
 
 Every argv that differs is printed with its first difference, and the
 last line is the summary, `compare_trees: N argvs (SUBSET) against
@@ -97,10 +100,62 @@ def contract_argvs(workdir: Path) -> list[list[str]]:
         itertools.islice(itertools.cycle(SUBCOMMANDS), 660))]
 
 
+#: `--expr` files: the text of the builtin `paper-GL15`, a text that
+#: does not parse, and bytes that do not decode
+EXPR_FILES = {
+    "expr-paper.txt": b"D1 D2 D3 ( a4 * D2 D3 ( a4^2 * D3 ( a4^2 * D1 D2 D3 "
+                      b"( a4^2 * D2 D3 ( a4^2 * D3 ( a4^2 ) ) ) ) ) )\n",
+    "expr-trailing.txt": b"D1 ( a2 ) )",
+    "expr-binary.txt": b"D1 ( \xff )",
+}
+
+#: inline `--expr` texts, one per rejection of `demazure.parse_expr`: a
+#: bad token, an index above MAX_VARIABLES, an exponent above
+#: MAX_EXPONENT, a constant of more than 4,300 digits, a missing ")" and
+#: trailing input
+BAD_EXPRS = ("D1 ( a2 ? )", "D1 ( x256 )", "D1 ( a2^65 )",
+             "D1 ( 1" + "0" * 4300 + " )", "D1 ( a2 x3 )", "D1 ( a2 ) )")
+
+#: word-data files with one field error each: no JSON, no object, no
+#: "n", "n" = 256, a bad "forced" and a census that is no object
+BAD_WORD_FILES = {
+    "word-text.json": "not json",
+    "word-list.json": "[3, [1, 2]]",
+    "word-no-n.json": '{"word": [1, 2]}',
+    "word-n256.json": '{"n": 256, "word": [1]}',
+    "word-forced.json": '{"n": 3, "word": [1, 2], "forced": "all"}',
+    "word-census.json": '{"n": 3, "word": [1, 2], "census": [1]}',
+}
+
+
+def gap_argvs(workdir: Path) -> list[list[str]]:
+    """Inputs that neither the "certify" subset nor the contract batch
+    reaches, with their files written into `workdir`: `--expr` files
+    (`EXPR_FILES`), `--word` paths that are no regular file, the
+    rejections of `BAD_EXPRS` and the word-data field errors of
+    `BAD_WORD_FILES`."""
+    argvs = []
+    for name, data in EXPR_FILES.items():
+        path = workdir / name
+        path.write_bytes(data)
+        argvs += [["intersection-form", "--expr", str(path)],
+                  ["demazure-eval", "--expr", str(path)]]
+    argvs += [["validate-word", "--word", str(workdir / "no-such.json")],
+              ["certify", "--word", str(workdir)]]
+    argvs += [["demazure-eval", "--expr", text] for text in BAD_EXPRS]
+    argvs.append(["intersection-form", "--expr", BAD_EXPRS[0]])
+    for name, text in BAD_WORD_FILES.items():
+        path = workdir / name
+        path.write_text(text)
+        argvs.append(["validate-word", "--word", str(path)])
+    argvs.append(["certify", "--word", str(workdir / "word-forced.json")])
+    return argvs
+
+
 def catalogue(subset: str, workdir: Path) -> list[list[str]]:
     argvs = certify_argvs(workdir)
     if subset == "all":
-        argvs += contract_argvs(workdir)
+        argvs += contract_argvs(workdir) + gap_argvs(workdir)
     return argvs
 
 

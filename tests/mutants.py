@@ -13,8 +13,8 @@ or, for an equivalent mutant, why no test can kill it.  For each entry
 the script copies `src/` to a temporary directory, applies the
 replacement, and runs the mutated module's subset of SUBSETS against the
 copy in one pytest subprocess with -x: the module actions of `hecke` and
-`spherical` against their own tests, every other module against the
-certificate path's.  A failing run kills the mutant, and so does one
+`spherical` against their own tests and the step-row test of
+`test_term_sums`, every other module against the certificate path's.  A failing run kills the mutant, and so does one
 that outlasts TIMEOUT_FACTOR times its subset's unmutated run (plus
 TIMEOUT_SLACK seconds): a mutant that breaks a recursion's termination
 ends there, reported as "timeout".  The unmutated copy runs each subset
@@ -43,7 +43,9 @@ SUBSETS = {
                 "tests/test_worddata.py", "tests/test_demazure.py", "-k",
                 "certify or decide or test_subexpr.py or test_worddata.py "
                 "or test_demazure.py"],
-    "modules": ["tests/test_hecke.py", "tests/test_spherical.py"],
+    "modules": ["tests/test_hecke.py", "tests/test_spherical.py",
+                "tests/test_term_sums.py::"
+                "test_the_h_s_rows_are_the_b_s_row_minus_their_constant"],
 }
 
 #: the modules whose mutants run the "modules" subset
@@ -148,8 +150,9 @@ MUTANTS = [
      "h_s leaves v - v^-1, not v^-1 - v, on a step down"),
     ("hecke", '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}',
      '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {-1: 1}}',
-     "equivalent: only `inverse_h` reads this row, always in H (A = {}), "
-     "where s fixes no coset"),
+     "h_s^-1 leaves v^-1, not v, on a coset that s fixes, which only "
+     "the row test on spherical modules reaches: `inverse_h` reads the "
+     "row in H alone, where s fixes no coset"),
     ("hecke", '_H_S_INV = {"U": {1: 1, -1: -1}, "D": None, "S": {1: 1}}',
      '_H_S_INV = {"U": {1: -1, -1: 1}, "D": None, "S": {1: 1}}',
      "h_s^-1 leaves v^-1 - v, not v - v^-1, on a step up"),

@@ -71,6 +71,7 @@ json.dumps.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Callable, Iterator, Sequence
 
 from heckekit import coxeter, demazure, subexpr, worddata
@@ -379,14 +380,32 @@ def backward_coefficient(word: Sequence[int], n: int, parabolic, forced,
     at most one, so a coset longer than the number of letters still to
     read never reaches the identity and is dropped.
 
+    A second cut reads which letters are left.  For 1 <= i < n let
+    c_i(u) be the number of values above i among u(1), ..., u(i); the
+    identity is the one permutation with every c_i = 0.  A left step by
+    s_j swaps the values j and j + 1, and exactly one of them lies above
+    i only when j = i, so only s_i changes c_i, by at most one.  So a
+    coset u with c_i(u) greater than the number of letters s_i still to
+    read never reaches the identity, and is dropped too.  A step by s_i
+    changes no other c_j and no other count of letters left, so a coset
+    that this step makes or keeps needs its c_i checked alone.
+
     The step classifies s_i u from the definitions: s_i u is no minimal
     coset representative iff it has a right descent in A, and then it is
     u times a generator of A, an S step; else it lowers u iff u has the
     left descent s_i.  It shares no code with `sweep`."""
     A = sorted(parabolic)
+    rest = Counter(word)   # generator -> its letters still to read
+
+    def crossing(u, i):   # c_i(u)
+        return sum(v > i for v in u[:i])
+
+    if any(crossing(z, i) > rest[i] for i in range(1, n)):
+        return {}
     state = {tuple(z): (inversions(z), {0: 1})}   # u -> (length, hist)
     for k, i in enumerate(word):
         left = len(word) - k - 1   # letters still to read after this one
+        rest[i] -= 1
         free = k not in forced
         out: dict = {}
         for u, (length, hist) in state.items():
@@ -398,7 +417,7 @@ def backward_coefficient(word: Sequence[int], n: int, parabolic, forced,
             else:
                 moves = [(su, length + 1, 0), (u, length, 1)]
             for y, ly, d in moves[:2 if free else 1]:
-                if ly <= left:
+                if ly <= left and crossing(y, i) <= rest[i]:
                     into = out.setdefault(y, (ly, {}))[1]
                     for e, c in hist.items():
                         into[e + d] = into.get(e + d, 0) + c

@@ -6,20 +6,21 @@ import io
 
 import pytest
 
-from compare_trees import ROOT, catalogue, compare, cut_timings
+from compare_trees import ROOT, catalogue, compare, cut_timings, gap_argvs
 from heckekit import cli
 from test_cli import run_cli, without_timings
 
 
 def test_every_catalogue_argv_parses(tmp_path):
-    """Every `certify` argv of the catalogue parses under
-    `cli.build_parser()`, and so does every argv of the contract batch
-    but those whose rejection the batch means: argparse refuses those on
-    the value of an option that they give (a bad --n, --p or
+    """Every `certify` argv and every gap argv of the catalogue parses
+    under `cli.build_parser()`, and so does every argv of the contract
+    batch but those whose rejection the batch means: argparse refuses
+    those on the value of an option that they give (a bad --n, --p or
     --parabolic), never on an option that the parser lacks."""
     parser = cli.build_parser()
     argvs = catalogue("all", tmp_path)
-    assert len(argvs) == 36 + 660
+    assert len(argvs) == 36 + 660 + 22
+    assert argvs[36 + 660:] == gap_argvs(tmp_path)
     refused = 0
     for k, argv in enumerate(argvs):
         err = io.StringIO()
@@ -28,7 +29,8 @@ def test_every_catalogue_argv_parses(tmp_path):
                 assert parser.parse_args(argv).command == argv[0]
         except SystemExit as exc:
             flag = err.getvalue().rpartition("error: argument ")[2]
-            assert k >= 36 and exc.code == 2, (argv, err.getvalue())
+            assert 36 <= k < 36 + 660 and exc.code == 2, (
+                argv, err.getvalue())
             assert flag.partition(":")[0] in argv, (argv, err.getvalue())
             refused += 1
     assert 0 < refused < 100

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -145,12 +146,6 @@ def test_sweep_budget_is_checked_after_an_e1_insertion(monkeypatch):
     monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 2)
     with pytest.raises(ValueError, match="budget of 2 cosets"):
         sweep((2, 1), 3, set())
-    # a step whose every slot is forced to 1 makes no e = 0 insertion;
-    # an e = 1 step maps cosets one to one, so only a budget below the
-    # start state's one coset can be passed there
-    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 0)
-    with pytest.raises(ValueError, match="budget of 0 cosets"):
-        sweep((1,), 3, set(), EnumConstraint(1, {0}))
 
 
 def test_sweep_support_budget(monkeypatch):
@@ -618,3 +613,12 @@ def test_every_fold_key_is_bytes_of_n_values():
             assert type(z) is bytes and sorted(z) == list(range(1, n + 1))
         keys += len(data.packed)
     assert keys > 500
+
+
+def test_the_packed_fold_state_is_not_tracked_by_the_collector():
+    """Why the CLI leaves the cyclic collector on: a fold's state holds
+    only bytes keys and int values, so the collector does not track it
+    and never walks it, however many cosets it holds.  Seeded folds with
+    and without forced letters."""
+    for got, _ in _seeded_folds(97, 40):
+        assert not gc.is_tracked(got.packed)
