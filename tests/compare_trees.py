@@ -143,7 +143,6 @@ def gap_argvs(workdir: Path) -> list[list[str]]:
     argvs += [["validate-word", "--word", str(workdir / "no-such.json")],
               ["certify", "--word", str(workdir)]]
     argvs += [["demazure-eval", "--expr", text] for text in BAD_EXPRS]
-    argvs.append(["intersection-form", "--expr", BAD_EXPRS[0]])
     for name, text in BAD_WORD_FILES.items():
         path = workdir / name
         path.write_text(text)

@@ -19,7 +19,7 @@ def test_every_catalogue_argv_parses(tmp_path):
     --parabolic), never on an option that the parser lacks."""
     parser = cli.build_parser()
     argvs = catalogue("all", tmp_path)
-    assert len(argvs) == 36 + 660 + 22
+    assert len(argvs) == 36 + 660 + 21
     assert argvs[36 + 660:] == gap_argvs(tmp_path)
     refused = 0
     for k, argv in enumerate(argvs):
