@@ -14,14 +14,16 @@ the script copies `src/` to a temporary directory, applies the
 replacement, and runs the mutated module's subset of SUBSETS against the
 copy in one pytest subprocess with -x: the module actions of `hecke` and
 `spherical` against their own tests and the step-row test of
-`test_term_sums`, every other module against the certificate path's.  A failing run kills the mutant, and so does one
-that outlasts TIMEOUT_FACTOR times its subset's unmutated run (plus
-TIMEOUT_SLACK seconds): a mutant that breaks a recursion's termination
-ends there, reported as "timeout".  The unmutated copy runs each subset
-first and must pass.  Mutants run one at a time.  Indices on the command line
-pick entries by their position in MUTANTS, from 0.  The result is JSON
-on stdout: per mutant, its subset, killed, survived or timeout and the
-seconds taken, and the kill count (timeouts count as killed).  pytest does not collect this file as a test module.
+`test_term_sums`, every other module against the certificate path's.  A
+failing run kills the mutant, and so does one that outlasts
+TIMEOUT_FACTOR times its subset's unmutated run (plus TIMEOUT_SLACK
+seconds): a mutant that breaks a recursion's termination ends there,
+reported as "timeout".  The unmutated copy runs each subset first and
+must pass.  Mutants run one at a time.  Indices on the command line pick
+entries by their position in MUTANTS, from 0.  The result is JSON on
+stdout: per mutant, its subset, killed, survived or timeout and the
+seconds taken, and the kill count (timeouts count as killed).  pytest
+does not collect this file as a test module.
 """
 from __future__ import annotations
 

@@ -893,6 +893,34 @@ def test_integer_flags_take_ascii_digits_only(argv, flag, text, capsys):
             f"got {text!r}") in captured.err
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["kl", "--n", "3", "--element", "s1"], 0),
+    (["validate-word", "--word", "gl15-partial"], 1),
+    (["bs", "--n", "4", "--word", "5"], 2),
+    (["intersection-form", "--expr", "D1 D1 ( a1 )"], 3),
+])
+def test_collector_paused_only_during_the_command(argv, code, monkeypatch,
+                                                  capsys):
+    seen = []
+    command = cli.build_parser().parse_args(argv).func
+    if code == 3:
+        # an operator that keeps the degree (a packed step that returns
+        # its value): a consistency violation
+        from heckekit import demazure
+
+        monkeypatch.setattr(demazure, "_step", lambda step, val: val)
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return command(args)
+
+    monkeypatch.setattr(cli, command.__name__, spy)
+    assert gc.isenabled()
+    assert cli.main(argv) == code
+    assert seen == [False]
+    assert gc.isenabled()
+
+
 def test_collector_enabled_after_argparse_rejection(capsys):
     assert gc.isenabled()
     with pytest.raises(SystemExit):
