@@ -542,14 +542,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A command runs once and builds large acyclic data (a fold's state
-    # of up to 10^6 cosets, the term maps of a character or of a
-    # Kazhdan-Lusztig element), which the cyclic collector would walk
-    # again and again; reference counting frees it all the same.  Medians
-    # of 6 alternating pairs (2 vCPU, Python 3.11.7), paused against on:
-    # `certify --word gl15-reconstructed` 2.81 s against 3.03 s, `bs` on
-    # the w0 word of S_8 0.93 s against 0.95 s, and `kl` on the w0 of S_8
-    # 2.63 s against 2.50 s, the one command that the pause slows.
+    # A command runs once and builds large acyclic data, which reference
+    # counting frees all the same.  The collector does not track a fold's
+    # packed state (bytes keys, int values), but it tracks the
+    # Kazhdan-Lusztig cache of nested term maps and would walk it again
+    # and again: `kl` on the w0 of S_8 took 2.48 s of CPU paused against
+    # 2.72 s with the collector on (medians of 10 alternating pairs,
+    # 2 vCPU, Python 3.11.7).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
