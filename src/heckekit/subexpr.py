@@ -30,6 +30,19 @@ letter once per block content, and every other coset with that content
 moves by one lookup and one translate.  At A = {} no step is S, and
 every coset moves through one table.
 
+A free step takes the cosets in pairs.  A coset u that s_i moves and
+its partner v = s_i u are both moved (s_i fixes a minimal coset
+representative exactly when the values i and i + 1 sit in one block of
+A, and in u they do not, so in v they do not either), and the step
+sends the histograms h_u and h_v of the pair to u and v alone.  So the
+U side of the pair, the lower coset u, writes both cosets at once
+after one lookup of v in the state, h_u shifted up plus h_v at u and
+h_u plus h_v shifted down at v, and the D side writes nothing.  A
+coset whose partner was not reached writes both cosets alone, and a
+coset that s_i fixes writes itself, shifted up plus shifted down.  Each
+key of the new state is written once, and the step never reads the
+dict it writes.
+
 The fold state is packed, and this module alone knows how.  A coset is a
 `bytes` key holding one value per byte, so `sweep` takes n <= MAX_N =
 255, and s_i u is `u.translate(T_i)` for a swap table built once per
@@ -44,10 +57,12 @@ lowers the defect, so no defect falls below -free.  A defect shift of
 mapping that hands out tuple cosets and {defect: count} dicts on demand.
 `SweepResult.above` picks the interval's cosets out of the bytes keys,
 gives each distinct packed histogram among them a small id and unpacks
-each distinct one once: `worddata.decide` applies the failure rule to
-those coefficients, and `certify` renders them, with the text of each
-chunk of cosets from `coset_texts`.  Other modules hand these cosets on
-and read them as sequences of ints; none builds or takes one apart.
+each distinct one once, reading the state in the order the fold wrote
+it and sorting only the interval: `worddata.decide` applies the
+failure rule to those coefficients, and `certify` renders them, with
+the text of each chunk of cosets from `coset_texts`.  Other modules
+hand these cosets on and read them as sequences of ints; none builds
+or takes one apart.
 
 The interval test behind `above` decides the lower half x < z of the
 certificate's interval for all keys z at once (the upper half z <= w
@@ -58,7 +73,7 @@ degeneracy loci, and determinantal formulas, Duke Math. J. 65 (1992),
 Section 3) shows that the rank conditions r_z[i][j] <= r_x[i][j] at
 those cells imply them at every cell, and the essential set of the
 certificate's x = w_B has 10 cells where the full S_15 table has 196.
-The keys are sorted and tested BRUHAT_CHUNK at a time, bit-sliced: a
+The keys are tested in fold order, BRUHAT_CHUNK at a time, bit-sliced: a
 chunk of N keys of n bytes is joined into one byte string, position a
 of every key is the column blob[a::n], and `translate` maps a column to
 one byte per key, 1 where the value is at most j.  Added up over the
@@ -70,10 +85,14 @@ which reaches the guard bit 128 exactly when r_z[i][j] > r_x[i][j].  It
 stays in 0..254, so no byte borrows or carries: at any cell both ranks
 lie between max(0, i + j - n) and min(i, j), which differ by at most
 n // 2 <= 127, since every key has n <= MAX_N entries.  OR-ing the guard
-bits over the cells flags every z with x </= z, `itertools.compress`
-keeps the others in sorted order, and z = x, which the entries at the
-essential set cannot tell from a z above x, is found by bisection and
-dropped.  A chunk bounds the ints and the joined string to N * n bytes
+bits over the cells flags every z with x </= z, and the flags flipped
+are a mask, one byte per key, that `itertools.compress` applies to the
+keys and to their histograms alike.  The histograms that pass are
+hashed in that order, one id each; one sort of the passing keys
+carries their ids along, z = x, which the entries at the essential set
+cannot tell from a z above x, is found by bisection and dropped, and
+the ids are renumbered in the order they first occur in the sorted
+interval.  A chunk bounds the ints and the joined string to N * n bytes
 each, whatever the number of keys.
 
 The slow references the fold is tested against, a depth-first walk over
@@ -102,23 +121,27 @@ MAX_N = 255
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
 # A forced run keeps the number of cosets, so only a free step can pass
 # it.
-# The synthetic GL15 certificate words peak near 155,000 cosets.  On the
-# benchmark's seed-7 word (n = 15, 153,421 cosets) tracemalloc measured
-# 220 bytes per coset of the returned packed state, and a peak of 348 per
+# The synthetic GL15 certificate words peak near 155,000 cosets.  On
+# synthetic seed 1 (n = 15, 153,421 cosets) tracemalloc measured 219
+# bytes per coset of the returned packed state, and a peak of 299 per
 # final coset while a step (or a forced run) holds its state before and
-# after: about 0.4 GB at the budget for GL15-shaped words.  A forced
-# run's memo adds one entry per block content it meets, each with its own
-# 256-byte table: at most 312 entries (142 KB by getsizeof) on that word
-# and 477 (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took
-# 241 bytes each packed, 377 at the peak, and whose `certify` run peaked
-# at 321 MB RSS.  The interval test then holds two lists of the cosets
-# and one chunk, 14.1 MB (13.5 MiB) at its peak there by tracemalloc.
-# `SweepResult.above`'s ids add one pointer per interval coset, a list
-# of 6.7 MB beside the interval's own 6.7 MB, so they stay below that
-# peak.
+# after: about 0.3 GB at the budget for GL15-shaped words.  A free step
+# hands a coset's int on to the new state unchanged where it can (the
+# e = 1 write of a coset whose partner was not reached), so it
+# allocates fewer ints while both states are alive.  A forced run's memo
+# adds one entry per block content it meets, each with its own 256-byte
+# table: at most 312 entries (142 KB by getsizeof) on that word and 477
+# (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took 239 bytes
+# each packed, 331 at the peak (249 MB), and whose `certify` run peaked
+# at 283 MB RSS (321 MB before the free step was paired).
+# `SweepResult.above` then holds, beside the fold's state, a list of the
+# keys, a one-byte mask, lists of the interval's keys and ids in fold
+# order and in sorted order, and the argsort's index ints (36 bytes per
+# interval coset): 58.0 MB (55.3 MiB) at its peak there by tracemalloc,
+# so the state and these stay below the fold's own peak.
 # Memory per coset grows with the free positions: `bs --n 11` on the
 # 55-letter w0 word, which has no forced run, peaked at 1,131 MB RSS when
-# it hit the budget.
+# it hit the budget (measured before the free step was paired).
 SUPPORT_BUDGET = 1_000_000
 
 # the translate table that moves no value
@@ -183,8 +206,12 @@ def sweep(word: Sequence[int], n: int, parabolic,
     of leaves.  A maximal run of forced positions is one pass over the
     state: its e = 1 steps are one to one, so each coset moves through
     the run's composite table for its block content and is written
-    once.  A free step that reaches more than SUPPORT_BUDGET cosets
-    raises ValueError.
+    once.  A free step is one pass too: the U side of each pair u < s_i u
+    writes both cosets of the pair, reading its partner's histogram from
+    the old state, so every coset of the new state is written once.  A
+    free step that reaches more than SUPPORT_BUDGET cosets raises
+    ValueError, checked after every coset it reads, whichever branch
+    that coset takes.
 
     The state is packed as the module docstring describes, and returned
     packed, as a `SweepResult`, which unpacks a histogram when it is
@@ -246,15 +273,23 @@ def sweep(word: Sequence[int], n: int, parabolic,
         for j in run:
             pair, swap = letters[word[j]]
             out = {}
-            get = out.get
+            get = state.get
             for u, h in state.items():
                 if u.find(pair) in starts:   # S: +1 for e = 1, -1 for e = 0
-                    out[u] = get(u, 0) + (h << width) + (h >> width)
+                    out[u] = (h << width) + (h >> width)
                 else:   # s_i u > u in the bytes order iff the step is U
                     v = u.translate(swap)
-                    out[v] = get(v, 0) + h
-                    out[u] = get(u, 0) + (
-                        h << width if v > u else h >> width)
+                    g = get(v)
+                    if v > u:   # U: u writes its pair, v's share included
+                        if g is None:
+                            out[u] = h << width
+                            out[v] = h
+                        else:
+                            out[u] = (h << width) + g
+                            out[v] = h + (g >> width)
+                    elif g is None:   # D, whose partner was not reached
+                        out[v] = h
+                        out[u] = h >> width
                 if len(out) > budget:
                     raise ValueError(f"subexpression fold support exceeds "
                                      f"the budget of {budget} cosets")
@@ -290,19 +325,40 @@ class SweepResult(Mapping):
 
     def above(self, x: Permutation) -> tuple[list[bytes], list[int],
                                              list[dict[int, int]]]:
-        """The endpoints z with x < z in Bruhat order, as sorted bytes
-        (`_bruhat_above` on the packed keys); one histogram id per
-        endpoint, aligned with them; and the distinct histograms of
-        those endpoints as {defect: count} dicts, in first-seen order,
-        which the ids index.  An x whose length is not the keys' n
-        raises ValueError naming x.  Each packed histogram is hashed
-        once, as it gets its id, and each distinct one is unpacked
+        """The endpoints z with x < z in Bruhat order, as sorted bytes;
+        one histogram id per endpoint, aligned with them; and the
+        distinct histograms of those endpoints as {defect: count} dicts,
+        in the order they first occur over the sorted endpoints, which
+        the ids index.  The result does not depend on the order of the
+        packed state.  An x whose length is not the keys' n raises
+        ValueError naming x.
+
+        The state is read in its own order: `_bruhat_mask` marks the
+        keys with x <= z, and the histograms it marks are hashed in
+        turn, each once, into ids first-seen in that order.  Only the
+        marked keys are sorted, by one argsort that carries their ids
+        along; x is dropped, the ids are renumbered by first occurrence
+        in the sorted order, and each distinct histogram is unpacked
         once."""
-        inside = _bruhat_above(x, self.packed)
+        keys = list(self.packed)
+        mask = _bruhat_mask(x, keys)
+        keys = list(compress(keys, mask))
+        # ids first-seen in fold order, one hash per histogram
+        fold_ids = defaultdict(count().__next__)
+        early = list(map(fold_ids.__getitem__,
+                         compress(self.packed.values(), mask)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        inside = list(map(keys.__getitem__, order))
+        early = list(map(early.__getitem__, order))
+        same = bytes(x)
+        at = slice(bisect_left(inside, same), bisect_right(inside, same))
+        del inside[at], early[at]
+        # renumbered first-seen over the sorted interval without x
         ids = defaultdict(count().__next__)
-        hist_ids = list(map(ids.__getitem__,
-                            map(self.packed.__getitem__, inside)))
-        return inside, hist_ids, list(_unpack(ids, self.width))
+        hist_ids = list(map(ids.__getitem__, early))
+        packed = list(fold_ids)
+        return inside, hist_ids, list(
+            _unpack(map(packed.__getitem__, ids), self.width))
 
     def total(self) -> dict[int, int]:
         """Counts by defect over every endpoint: one unpack of the sum of
@@ -361,32 +417,31 @@ def _unpack(hs: Iterable[int], width: int) -> Iterator[dict[int, int]]:
         yield hist
 
 
-def _bruhat_above(x: Permutation, cosets: Iterable[bytes]) -> list[bytes]:
-    """The cosets z among `cosets`, a fold's keys, with x < z in Bruhat
-    order, sorted.  Every key has the same n entries, at most MAX_N,
-    since `sweep` made it; an x of another length raises ValueError
-    naming x.
+def _bruhat_mask(x: Permutation, keys: Sequence[bytes]) -> bytes:
+    """One byte per key of `keys`, a fold's keys in any order: nonzero
+    for the keys z with x <= z in Bruhat order, x itself included, and
+    zero for the others.  Every key has the same n entries, at most
+    MAX_N, since `sweep` made it; an x of another length raises
+    ValueError naming x.
 
     x <= z iff r_z[i][j] <= r_x[i][j] at every cell of the essential set
     of x (Fulton 1992), and the cells are tested on BRUHAT_CHUNK keys at
-    once, one byte each, as the module docstring describes; z = x, which
-    passes, is then found by bisection and dropped.
+    once, one byte each, as the module docstring describes.
 
     On the endpoints of a fold over a reduced word, whose element has
-    minimal coset representative w, the result is the certificate's
-    whole interval x < z <= w: every endpoint z is a subexpression
-    product, which lies below the word's element in Bruhat order when
-    the word is reduced (the subword property), and taking the minimal
-    coset representative preserves the order (Bjorner-Brenti, Thm 2.2.2
-    and Prop 2.5.1), so z <= w.  A word that is not reduced can have
-    endpoints above w, which this test would count as inside: check
-    reducedness first, as the `word-reduced` check of
-    `worddata.validate_word_data` does.
+    minimal coset representative w, the keys passed other than x are
+    the certificate's whole interval x < z <= w: every endpoint z is a
+    subexpression product, which lies below the word's element in
+    Bruhat order when the word is reduced (the subword property), and
+    taking the minimal coset representative preserves the order
+    (Bjorner-Brenti, Thm 2.2.2 and Prop 2.5.1), so z <= w.  A word that
+    is not reduced can have endpoints above w, which this test would
+    count as inside: check reducedness first, as the `word-reduced`
+    check of `worddata.validate_word_data` does.
 
-    >>> _bruhat_above((2, 1, 3), [bytes((3, 2, 1)), bytes((1, 3, 2))])
-    [b'\\x03\\x02\\x01']
+    >>> _bruhat_mask((2, 1, 3), [bytes((3, 2, 1)), bytes((1, 3, 2))])
+    b'\\x80\\x00'
     """
-    keys = sorted(cosets)
     if keys and len(keys[0]) != len(x):
         raise ValueError(f"x {x!r} has {len(x)} entries, "
                          f"not n = {len(keys[0])}")
@@ -417,10 +472,8 @@ def _bruhat_above(x: Permutation, cosets: Iterable[bytes]) -> list[bytes]:
                 counts[j] += from_bytes(column.translate(table), "little")
             for j, offset in cells.get(a + 1, ()):
                 flags |= (counts[j] + offset * ones) & guard
-        out += compress(chunk, (flags ^ guard).to_bytes(len(chunk), "little"))
-    same = bytes(x)
-    del out[bisect_left(out, same):bisect_right(out, same)]
-    return out
+        out.append((flags ^ guard).to_bytes(len(chunk), "little"))
+    return b"".join(out)
 
 
 def coset_texts(cosets: list[bytes], n: int, sep: str) -> list[str]:

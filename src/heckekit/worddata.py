@@ -348,7 +348,7 @@ def decide(chain, p: int, wd: WordData | None = None) -> Decision:
     t2 = time.perf_counter()
     # validation proved the word reduced, so that every endpoint z has
     # z <= w, and x = w_B a minimal coset representative: the interval
-    # is the endpoints above x (see `subexpr._bruhat_above`)
+    # is the endpoints above x (see `subexpr._bruhat_mask`)
     out.inside, out.ids, out.histograms = data.above(rep.x)
     out.seconds["enumeration_seconds"] = round(t2 - t1, 6)
     out.seconds["interval_seconds"] = round(time.perf_counter() - t2, 6)

@@ -59,31 +59,31 @@ MUTANTS = [
     ("subexpr", "if u.find(pair) in starts:   # S",
      "if u.find(pair) - 1 in starts:   # S",
      "a free step reads the S test one position off"),
-    ("subexpr", "out[u] = get(u, 0) + (h << width) + (h >> width)",
-     "out[u] = get(u, 0) + (h << width) + h",
+    ("subexpr", "out[u] = (h << width) + (h >> width)",
+     "out[u] = (h << width) + h",
      "an S step at e = 0 keeps the defect instead of lowering it"),
-    ("subexpr", "h << width if v > u else h >> width",
-     "h << width if v < u else h >> width",
-     "a U step and a D step at e = 0 trade their shifts"),
-    ("subexpr", "out[v] = get(v, 0) + h",
-     "out[v] = get(v, 0) + (h << width)",
-     "a U or D step at e = 1 raises the defect"),
+    ("subexpr", "out[u] = h << width\n", "out[u] = h >> width\n",
+     "a U step whose partner was not reached lowers the defect at e = 0 "
+     "instead of raising it"),
+    ("subexpr", "out[v] = h + (g >> width)",
+     "out[v] = (h << width) + (g >> width)",
+     "a U step at e = 1 raises the defect"),
     ("subexpr", "shift += width", "shift += 0",
      "an S step in a forced run does not raise the defect"),
     ("subexpr", "starts = frozenset(g - 1 for g in A)",
      "starts = frozenset(g for g in A)",
      "both S tests read the wrong side of each generator of A"),
-    ("subexpr", "ids = defaultdict(count().__next__)",
-     "ids = defaultdict(count(1).__next__)",
+    ("subexpr", "        ids = defaultdict(count().__next__)",
+     "        ids = defaultdict(count(1).__next__)",
      "the histogram ids start at 1, so each endpoint of the interval "
      "reads the next distinct histogram"),
-    ("subexpr", "keys = sorted(cosets)", "keys = list(cosets)",
+    ("subexpr", "order = sorted(range(len(keys)), key=keys.__getitem__)",
+     "order = range(len(keys))",
      "the interval's cosets come in fold order, not sorted"),
     ("subexpr", "(j, _GUARD - 1 - rx[i][j])", "(j, _GUARD - rx[i][j])",
      "the offset is one too high, so a z with r_z = r_x at an essential "
      "cell reads as not above x"),
-    ("subexpr",
-     "    del out[bisect_left(out, same):bisect_right(out, same)]\n", "",
+    ("subexpr", "        del inside[at], early[at]\n", "",
      "x itself counts as a coset of the interval"),
     ("demazure", "    under.reverse()\n", "",
      "the erasures are paired with the operators in reverse order"),
@@ -175,8 +175,8 @@ MUTANTS = [
     ("demazure", "_add_product(out, 0, val, step)",
      "_add_product(out, 0, val, {0: 1})",
      "a factor step multiplies by 1, dropping the factor"),
-    ("subexpr", "list(_unpack(ids, self.width))",
-     "list(_unpack(ids, self.width))[::-1]",
+    ("subexpr", "_unpack(map(packed.__getitem__, ids), self.width))",
+     "_unpack(map(packed.__getitem__, ids), self.width))[::-1]",
      "the distinct histograms are listed in reverse, so a coset's id "
      "names another coset's histogram"),
     ("cli", '"ok": not bad', '"ok": bad',
@@ -199,6 +199,28 @@ MUTANTS = [
     ("subexpr", "if keys and len(keys[0]) != len(x):", "if False:",
      "an x of another length than the fold's keys reaches the interval "
      "test, and is read as if it had n entries"),
+    ("subexpr", "out[v] = h + (g >> width)", "out[v] = h + g",
+     "the D side of a pair keeps its defect at e = 0 instead of lowering "
+     "it"),
+    ("subexpr", "if v > u:", "if v < u:",
+     "the D side of each pair writes it with the shifts of the U side, "
+     "and the U side writes nothing"),
+    ("subexpr", "out[v] = h\n                        out[u] = h >> width",
+     "out[v] = h << width\n                        out[u] = h >> width",
+     "a D step whose partner was not reached raises the defect at e = 1"),
+    ("subexpr", "out[u] = (h << width) + (h >> width)\n",
+     "out[u] = (h << width) + (h >> width)\n                    continue\n",
+     "the S branch skips the budget check, so a step whose last writes "
+     "are S cosets can pass the budget"),
+    ("subexpr",
+     "        hist_ids = list(map(ids.__getitem__, early))\n"
+     "        packed = list(fold_ids)\n"
+     "        return inside, hist_ids, list(\n"
+     "            _unpack(map(packed.__getitem__, ids), self.width))",
+     "        return inside, early, list(_unpack(fold_ids, self.width))",
+     "the ids are not renumbered over the sorted interval, so they and "
+     "the histograms follow the order of the packed state, and a "
+     "histogram only x has is listed"),
 ]
 
 

@@ -348,16 +348,22 @@ def interval_endpoints(cosets, n: int, parabolic, x: Permutation) -> list:
     after x is checked as a minimal coset representative for `parabolic`
     in S_n: a bad x is a ValueError that names it.  On the endpoints of
     a fold over a reduced word these are the cosets of the certificate's
-    interval x < z <= w (see `subexpr._bruhat_above`)."""
+    interval x < z <= w (see `subexpr._bruhat_mask`)."""
     x = coxeter.coset_key(x, n, parabolic, f"x = {tuple(x)}")
     return list(map(tuple, holding(cosets).above(x)[0]))
 
 
-def holding(cosets) -> subexpr.SweepResult:
+def holding(cosets, width: int | None = None) -> subexpr.SweepResult:
     """A `SweepResult` whose keys are `cosets` (tuples, or their bytes),
-    each with the histogram {0: 1}: the way to put cosets of a test's
-    own choice before `above`."""
-    return subexpr.SweepResult(dict.fromkeys(map(bytes, cosets), 1), 1)
+    in the order given, each with the histogram {0: 1}; or, with
+    `width`, a mapping whose values are packed histograms of fields
+    `width` bits wide, each coset with its own: the way to put cosets
+    of a test's own choice, in an order of its own choice, before
+    `above`."""
+    if width is None:
+        return subexpr.SweepResult(dict.fromkeys(map(bytes, cosets), 1), 1)
+    return subexpr.SweepResult({bytes(z): h for z, h in cosets.items()},
+                               width)
 
 
 def backward_coefficient(word: Sequence[int], n: int, parabolic, forced,

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -146,6 +147,24 @@ def test_sweep_budget_is_checked_after_an_e1_insertion(monkeypatch):
     monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 2)
     with pytest.raises(ValueError, match="budget of 2 cosets"):
         sweep((2, 1), 3, set())
+
+
+def test_sweep_budget_is_checked_after_an_s_write(monkeypatch):
+    """The last free step of (2, 1, 2) under A = {1}, with its last
+    letter forced, reads two cosets: a D coset whose partner was not
+    reached, which leaves two cosets, then an S coset, whose write makes
+    the third.  At a budget of 2 only that S write crosses it, so an S
+    branch that skipped the check would let the fold pass."""
+    word, A, forced = (2, 1, 2), {1}, EnumConstraint(3, {2})
+    before = sweep(word[1:], 3, A, EnumConstraint(2, {1}))
+    steps = [coxeter.coset_step(u, word[0], A) for u in before]
+    assert [d for d, _ in steps] == ["D", "S"]
+    assert steps[0][1] not in before
+    assert len(sweep(word, 3, A, forced)) == 3
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", 2)
+    with pytest.raises(ValueError, match="^subexpression fold support "
+                                         "exceeds the budget of 2 cosets$"):
+        sweep(word, 3, A, forced)
 
 
 def test_sweep_support_budget(monkeypatch):
@@ -421,6 +440,41 @@ def test_above_reads_each_endpoint_histogram_through_its_id():
     assert seen > 1000 and negative > 100 and lowest >= 10
 
 
+def test_above_does_not_depend_on_the_order_of_the_packed_state():
+    """`above` reads the state in the order the fold wrote it, hashes
+    the histograms in that order and renumbers the ids over the sorted
+    interval: the same packed state in shuffled and in reversed order
+    gives the same (inside, ids, histograms).  On both demos at their x
+    and 120 seeded folds, each at the identity and at a seeded
+    endpoint."""
+    from heckekit import worddata
+
+    rng = random.Random(101)
+    folds = []
+    for name in ("demo-s4-pass", "demo-s4-fail"):
+        wd = worddata.load_word_data(name)
+        folds.append((sweep(wd.word, wd.n, wd.parabolic, wd.constraint()),
+                      wd.x_element()))
+    for _ in range(120):
+        n = rng.choice((4, 5, 6))
+        m = rng.randrange(1, 11)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        A = frozenset(i for i in range(1, n) if rng.random() < 0.4)
+        c = EnumConstraint(m, (k for k in range(m) if rng.random() < 0.3))
+        data = sweep(word, n, A, c)
+        folds.append((data, rng.choice(list(data))))
+    several = 0
+    for data, x in folds:
+        items = list(data.packed.items())
+        orders = [rng.sample(items, len(items)), items[::-1]]
+        for x in (x, tuple(range(1, len(x) + 1))):
+            want = data.above(x)
+            for order in orders:
+                assert holding(dict(order), data.width).above(x) == want, x
+            several += len(want[2]) > 2
+    assert several > 50
+
+
 # -- forced runs in one translate: the block-content memo ----------------
 
 
@@ -462,6 +516,69 @@ def test_forced_runs_agree_with_the_step_by_step_fold(A):
             (word, n, sorted(forced))
         runs += sum(1 for k in forced if k + 1 in forced)
     assert runs > 200
+
+
+# -- free steps: the U side of each pair writes both cosets -------------
+
+
+def _free_step_branches(word, n, A, forced) -> Counter:
+    """The branches that the free steps of `sweep` take on the cosets
+    they read, counted on `oracles.fold`'s state before each free step:
+    "S" for a coset that s_i fixes, "U+" for a U coset whose partner
+    s_i u was reached too, "U" and "D" for a U or D coset whose partner
+    was not.  A D coset whose partner was reached writes nothing and is
+    not counted."""
+    from oracles import fold
+
+    branches = Counter()
+    for j, t in enumerate(word):
+        if j in forced:
+            continue
+        state = fold(word[j + 1:], n, A, {k - j - 1 for k in forced if k > j})
+        for u in state:
+            d, su = coxeter.coset_step(u, t, A)
+            if d == "S":
+                branches["S"] += 1
+            elif d == "U":
+                branches["U+" if su in state else "U"] += 1
+            elif su not in state:
+                branches["D"] += 1
+    return branches
+
+
+def test_free_steps_agree_with_the_step_by_step_fold_on_every_branch():
+    """The paired free step against `oracles.fold`, which merges every
+    write into the dict it builds: seeded S_3-S_7 words at A = {} and
+    at A != {}, each with no forced letter and with some.  Each branch
+    of the step, S, U with its partner reached, U alone and D alone,
+    runs many times in each of the four kinds of case where it can: no
+    coset is S at A = {}, and no D coset is alone with no forced
+    letter."""
+    from oracles import fold
+
+    rng = random.Random(1741)
+    branches = {}
+    for k in range(600):
+        n = rng.randint(3, 7)
+        m = rng.randint(1, 11)
+        word = tuple(rng.randrange(1, n) for _ in range(m))
+        some_A = k % 2 == 1
+        A = frozenset(g for g in range(1, n) if rng.random() < 0.5)
+        A = (A or {rng.randrange(1, n)}) if some_A else frozenset()
+        forced = (frozenset() if k % 4 < 2 else
+                  frozenset(p for p in range(m) if rng.random() < 0.4))
+        c = EnumConstraint(m, forced)
+        assert sweep(word, n, A, c) == fold(word, n, A, forced), \
+            (word, n, sorted(A), sorted(forced))
+        branches.setdefault((some_A, bool(forced)), Counter()).update(
+            _free_step_branches(word, n, A, forced))
+    assert len(branches) == 4
+    for (some_A, some_forced), seen in branches.items():
+        for branch in ["S"] * some_A + ["U+", "U"] + ["D"] * some_forced:
+            assert seen[branch] >= 40, (some_A, some_forced, branch, seen)
+        # with every letter free the cosets reached are closed downwards
+        # (the subword property), so a D coset's partner is reached too
+        assert some_forced or not seen["D"]
 
 
 # -- the interval test: all cosets at once, one byte column at a time ----
