@@ -133,15 +133,15 @@ MAX_N = 255
 # table: at most 312 entries (142 KB by getsizeof) on that word and 477
 # (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took 239 bytes
 # each packed, 331 at the peak (249 MB), and whose `certify` run peaked
-# at 283 MB RSS (321 MB before the free step was paired).
+# at 283 MB RSS.
 # `SweepResult.above` then holds, beside the fold's state, a list of the
 # keys, a one-byte mask, lists of the interval's keys and ids in fold
 # order and in sorted order, and the argsort's index ints (36 bytes per
 # interval coset): 58.0 MB (55.3 MiB) at its peak there by tracemalloc,
 # so the state and these stay below the fold's own peak.
 # Memory per coset grows with the free positions: `bs --n 11` on the
-# 55-letter w0 word, which has no forced run, peaked at 1,131 MB RSS when
-# it hit the budget (measured before the free step was paired).
+# 55-letter w0 word, which has no forced run, peaked at 949 MB RSS when
+# it hit the budget.
 SUPPORT_BUDGET = 1_000_000
 
 # the translate table that moves no value
