@@ -89,8 +89,8 @@ bits over the cells flags every z with x </= z, and the flags flipped
 are a mask, one byte per key, that `itertools.compress` applies to the
 keys and to their histograms alike.  The histograms that pass are
 hashed in that order, one id each; one sort of the passing keys
-carries their ids along, z = x, which the entries at the essential set
-cannot tell from a z above x, is found by bisection and dropped, and
+carries their ids along; z = x, which the entries at the essential set
+cannot tell from a z above x, is found by bisection and dropped; and
 the ids are renumbered in the order they first occur in the sorted
 interval.  A chunk bounds the ints and the joined string to N * n bytes
 each, whatever the number of keys.
