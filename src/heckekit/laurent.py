@@ -24,11 +24,16 @@ as a LaurentPoly (`_poly`), where a value leaves the library.
 `LaurentPoly.__mul__` is the same kernel on a one-key accumulator, and
 so are `__add__` and the remainder of `exact_divide`, each with a
 one-term factor, and a factor step of `demazure._step`, on packed
-monomials, whose keys add as exponents do.  Two sums deliberately go
+monomials, whose keys add as exponents do.  Three sums deliberately go
 around it: `demazure.MultiPoly.__add__`, whose tuple exponents do not
-add as the kernel's int keys do, keeps a loop of its own, and
-`subexpr.sweep` adds packed histograms (one int each) in its hot loop,
-as a `SweepResult` totals them.
+add as the kernel's int keys do, keeps a loop of its own;
+`demazure._step`'s del_i loop adds each monomial's coefficient along a
+run of keys, and routed through the kernel (each monomial times its
+run's geometric sum) `intersection_vector` took 0.59 ms against
+0.33 ms per expression, on `paper-GL15` and its 151 balanced one- or
+two-symbol edits (medians of 7 alternating passes, 2 vCPU, Python
+3.11.7); and `subexpr.sweep` adds packed histograms (one int each) in
+its hot loop, as a `SweepResult` totals them.
 """
 from __future__ import annotations
 

@@ -6,16 +6,15 @@ Run from the root of a checkout as
     python tests/bench.py [--against OTHER_TREE] [--reps K] [--out PATH]
                           [--cases NAME ...]
 
-Each case (CASES) is one child process, `python -m heckekit.cli` with
-PYTHONPATH set to a tree's `src`, or a bare interpreter as a baseline.
+Each case (CASES) is one child process, `python -m heckekit.cli` on a
+tree's copy (`launch_env`), or a bare interpreter as a baseline.
 The child's stdout and stderr go to files in a temporary directory that
 also holds the synthetic word, and the parent never reads them, so it
 stays small: a child forked from a large parent can report the parent's
 pages as its own peak.  CPU time (user plus system) and peak RSS
 (`ru_maxrss`) are the child's own, from `os.wait4`; wall time is taken
-around the spawn and the wait.  Before the timed runs, one untimed
-child per tree imports every module, so that no timed run compiles
-bytecode.
+around the spawn and the wait.  Every child compiles what it imports,
+as one on a fresh checkout does.
 
 With --against, every rep runs each case once in each tree, the two
 runs back to back, and the order flips on each rep, so that a drift of
@@ -23,11 +22,13 @@ the host falls on both trees alike.  A case must exit with the same code
 in every run.
 
 The result, written to PATH (default BENCH.json) as JSON: the machine,
-the Python version and the commit of each tree; per case, its argv,
+the Python version, and the commit and `src` code lines
+(`test_src_product_paths.code_lines`) of each tree; per case, its argv,
 each tree's exit code and, per metric (wall_s, cpu_s, peak_rss_mb), the
 runs, their median and quartiles; and, with --against, the ratio of the
-medians (this tree over OTHER_TREE) and the number of reps in which this
-tree was slower.  A timing is a record, not a gate: no test reads one.
+medians (this tree over OTHER_TREE), the number of reps in which this
+tree was slower and a `verdict`.  A timing is a record, not a gate: no
+test reads one.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+from compare_trees import launch_env, synthetic_word
+from test_src_product_paths import code_lines
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -75,14 +79,7 @@ def _command(argv: list[str], workdir: Path) -> list[str]:
     return [sys.executable, "-m", "heckekit.cli", *argv]
 
 
-def _env(tree: Path) -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPATH"] = str(tree / "src")
-    return env
-
-
-def run_once(command: list[str], tree: Path, workdir: Path
+def run_once(command: list[str], env: dict[str, str], workdir: Path
              ) -> tuple[int, dict[str, float]]:
     """One child: its exit code, and its wall time, CPU time and peak
     RSS."""
@@ -90,7 +87,7 @@ def run_once(command: list[str], tree: Path, workdir: Path
                                                   "wb") as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen(command, cwd=workdir, stdout=out,
-                                stderr=err, env=_env(tree))
+                                stderr=err, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
@@ -118,29 +115,42 @@ def _summary(runs: list[float]) -> dict:
             "q3": round(q3, 4), "runs": runs}
 
 
+def verdict(here: list[float], there: list[float]) -> str:
+    """"faster" when `here` reads lower than `there` in at least nine
+    tenths of the pairs, a tie counting for neither, and its median is
+    lower by more than the distance between `there`'s quartiles;
+    "slower" when the same holds the other way round; else, and always
+    with fewer than ten pairs, "unresolved".  A lower peak_rss_mb is
+    "faster" too."""
+    if len(here) < 10:
+        return "unresolved"
+    ours, theirs = _summary(here), _summary(there)
+    gap = theirs["median"] - ours["median"]
+    spread = theirs["q3"] - theirs["q1"]
+    for word, sign in (("faster", 1), ("slower", -1)):
+        wins = sum(sign * (b - a) > 0 for a, b in zip(here, there))
+        if 10 * wins >= 9 * len(here) and sign * gap > spread:
+            return word
+    return "unresolved"
+
+
 def bench(names: list[str], reps: int, trees: dict[str, Path]) -> dict:
     """Per case of `names`: each tree's exit code and metric summaries,
-    and, with two trees, the ratio of the medians and the reps in which
-    "here" was slower."""
-    from compare_trees import synthetic_word
-
+    and, with two trees, the ratio of the medians, the reps in which
+    "here" was slower and the `verdict` on "here"."""
     order = list(trees)
     runs = {name: {tag: [] for tag in order} for name in names}
     codes: dict[tuple[str, str], int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / "synth1.json").write_text(json.dumps(synthetic_word(1)))
-        for tree in trees.values():
-            warm = [sys.executable, "-c",
-                    "from heckekit import *; import heckekit.cli"]
-            code, _ = run_once(warm, tree, workdir)
-            if code:
-                raise SystemExit(f"importing heckekit from {tree} failed")
+        envs = {tag: launch_env(tree, workdir / tag)
+                for tag, tree in trees.items()}
         for rep in range(reps):
             for name in names:
                 command = _command(CASES[name], workdir)
                 for tag in order if rep % 2 == 0 else order[::-1]:
-                    code, got = run_once(command, trees[tag], workdir)
+                    code, got = run_once(command, envs[tag], workdir)
                     if codes.setdefault((name, tag), code) != code:
                         raise SystemExit(f"{name} exited {code} in {tag}, "
                                          f"{codes[name, tag]} before")
@@ -160,6 +170,8 @@ def bench(names: list[str], reps: int, trees: dict[str, Path]) -> dict:
             case["here_slower_reps"] = {
                 m: sum(a[m] > b[m] for a, b in zip(*runs[name].values()))
                 for m in METRICS}
+            case["verdict"] = {m: verdict(here[m]["runs"], there[m]["runs"])
+                               for m in METRICS}
         cases[name] = case
     return cases
 
@@ -181,7 +193,6 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "src" / "heckekit").is_dir():
             parser.error(f"{tree} has no src/heckekit")
-    sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
     cases = bench(args.cases, args.reps, trees)
     record = {
         "machine": {"system": platform.system(),
@@ -189,7 +200,10 @@ def main(argv=None) -> int:
                     "machine": platform.machine(),
                     "cpus": os.cpu_count()},
         "python": platform.python_version(),
-        "trees": {tag: {"path": str(tree), "commit": _commit(tree)}
+        "trees": {tag: {"path": str(tree), "commit": _commit(tree),
+                        "code_lines": sum(
+                            code_lines(path.read_text()) for path in
+                            (tree / "src" / "heckekit").glob("*.py"))}
                   for tag, tree in trees.items()},
         "reps": args.reps,
         "cases": cases,
@@ -199,8 +213,8 @@ def main(argv=None) -> int:
         medians = {tag: case["trees"][tag]["cpu_s"]["median"]
                    for tag in trees}
         print(f"{name}: cpu_s medians {medians}"
-              + (f", ratio {case['ratio']['cpu_s']}" if "ratio" in case
-                 else ""))
+              + (f", ratio {case['ratio']['cpu_s']}, "
+                 f"{case['verdict']['cpu_s']}" if "ratio" in case else ""))
     return 0
 
 

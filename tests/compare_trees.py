@@ -6,7 +6,7 @@ Run from the root of a checkout as
 
 OTHER_TREE is the root of another checkout (one with `src/heckekit`).
 Each argv of the catalogue runs through `python -m heckekit.cli` twice,
-with PYTHONPATH set to this tree's `src` and to OTHER_TREE's, both runs
+on copies of this tree's `src` and OTHER_TREE's (`launch_env`), both runs
 at once, in one temporary directory that holds the catalogue's word
 files.  The two runs must agree byte for byte on stdout, stderr and the
 exit code.  The stdout of `certify` is compared with its "timings"
@@ -18,9 +18,11 @@ they part.
 
 The catalogue (`catalogue`):
 - `certify`, the "certify" subset: no word, the four builtin words,
-  synthetic seeds 1-3 (`synthetic_word`, the first draw of
-  `perfbench/synth.py` from each seed) and `test_cli`'s word of
-  n = 120, each compact and `--pretty`, at `--p 2` and `--p 3`;
+  `test_cli`'s 24 seeded words (`_failing_word_files` and
+  `_forced_run_word_files`, 12 each), synthetic seeds 1-3
+  (`synthetic_word`, the first draw of `perfbench/synth.py` from each
+  seed) and `test_cli`'s word of n = 120, each compact and `--pretty`,
+  at `--p 2` and `--p 3`;
 - and, in "all", the 660 argvs that `test_cli_contract` generates at its
   seed, accepted and rejected alike, with the word files it writes;
 - then the inputs that neither set reaches (`gap_argvs`): an `--expr`
@@ -42,6 +44,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,6 +61,17 @@ WIDE_WORD = {"n": 120, "word": [1, 2, 3, 119], "A": [], "B": [119]}
 
 BUILTIN_WORDS = ("demo-s4-fail", "demo-s4-pass", "gl15-partial",
                  "gl15-reconstructed")
+
+
+def launch_env(tree: Path, into: Path) -> dict[str, str]:
+    """Copy `tree`'s `src` to `into`, leaving out `__pycache__`, and
+    return the environment of a child that runs the copy: PYTHONPATH is
+    `into` and PYTHONDONTWRITEBYTECODE is set, so that every child
+    compiles what it imports and none writes into a tree."""
+    shutil.copytree(tree / "src", into,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return {**os.environ, "PYTHONPATH": str(into),
+            "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 @functools.cache
@@ -79,7 +93,10 @@ def synthetic_word(seed: int) -> dict:
 def certify_argvs(workdir: Path) -> list[list[str]]:
     """The "certify" subset, with its word files written into
     `workdir`."""
-    words = [None, *BUILTIN_WORDS]
+    from test_cli import _failing_word_files, _forced_run_word_files
+
+    words = [None, *BUILTIN_WORDS, *_failing_word_files(workdir, 12),
+             *_forced_run_word_files(workdir, 12)]
     for name, raw in [(f"synth{seed}", synthetic_word(seed))
                       for seed in (1, 2, 3)] + [("wide", WIDE_WORD)]:
         path = workdir / f"{name}.json"
@@ -195,13 +212,12 @@ def _first_difference(ours: bytes, theirs: bytes) -> str:
             f"{ours[window]!r} here, {theirs[window]!r} there")
 
 
-def _start(tree: Path, argv: list[str], workdir: Path, tag: str):
+def _start(env: dict[str, str], argv: list[str], workdir: Path, tag: str):
     out, err = workdir / f"{tag}.out", workdir / f"{tag}.err"
     with open(out, "wb") as stdout, open(err, "wb") as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-m", "heckekit.cli", *argv], cwd=workdir,
-            stdout=stdout, stderr=stderr,
-            env={**os.environ, "PYTHONPATH": str(tree / "src")})
+            stdout=stdout, stderr=stderr, env=env)
     return proc, out, err
 
 
@@ -209,11 +225,13 @@ def compare(other: Path, argvs: list[list[str]], workdir: Path,
             here: Path = ROOT) -> list[str]:
     """One line per argv whose runs on `here` and on `other` differ in
     stdout (timings cut for `certify`), stderr or exit code, naming the
-    argv and its first difference."""
+    argv and its first difference.  The trees' copies go into
+    `workdir`."""
     problems = []
+    envs = [(launch_env(tree, workdir / f"{tag}-src"), tag)
+            for tree, tag in ((here, "here"), (other, "there"))]
     for argv in argvs:
-        runs = [_start(tree, argv, workdir, tag)
-                for tree, tag in ((here, "here"), (other, "there"))]
+        runs = [_start(env, argv, workdir, tag) for env, tag in envs]
         codes = [proc.wait() for proc, _, _ in runs]
         if codes[0] != codes[1]:
             problems.append(f"{argv}: exit code {codes[0]} here, "

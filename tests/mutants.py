@@ -10,7 +10,7 @@ the snippet occurs exactly once in `src/heckekit/<module>.py`
 (`tests/test_mutants.py` checks this, so a change that moves mutated code
 has to move its entry too), and the reason says what the mutant breaks,
 or, for an equivalent mutant, why no test can kill it.  For each entry
-the script copies `src/` to a temporary directory, applies the
+the script copies `src/` to a temporary directory (`launch_env`), applies the
 replacement, and runs the mutated module's subset of SUBSETS against the
 copy in one pytest subprocess with -x: the module actions of `hecke` and
 `spherical` against their own tests and the step-row test of
@@ -28,13 +28,13 @@ does not collect this file as a test module.
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from compare_trees import launch_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,12 +232,10 @@ def subset_of(module: str) -> str:
     return "modules" if module in MODULE_ACTIONS else "certify"
 
 
-def _run(src: Path, subset: str, timeout: float | None = None
+def _run(env: dict[str, str], subset: str, timeout: float | None = None
          ) -> tuple[str, float]:
-    """"passed", "failed" or "timeout": SUBSETS[subset] against the
-    package under `src`, and the seconds it took."""
-    env = {**os.environ, "PYTHONPATH": str(src),
-           "PYTHONDONTWRITEBYTECODE": "1"}
+    """"passed", "failed" or "timeout": SUBSETS[subset] on the copy that
+    `env` (from `launch_env`) points at, and the seconds it took."""
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(
@@ -255,11 +253,10 @@ def main(picks: list[str]) -> int:
     chosen = [int(k) for k in picks] or range(len(MUTANTS))
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = launch_env(ROOT, src)
         limits = {}
         for subset in sorted({subset_of(MUTANTS[k][0]) for k in chosen}):
-            outcome, seconds = _run(src, subset)
+            outcome, seconds = _run(env, subset)
             if outcome != "passed":
                 print(json.dumps({"error": "the unmutated source fails "
                                   f"the {subset} subset",
@@ -275,7 +272,7 @@ def main(picks: list[str]) -> int:
             assert original.count(snippet) == 1, (k, snippet)
             path.write_text(original.replace(snippet, replacement))
             try:
-                outcome, seconds = _run(src, subset, limits[subset])
+                outcome, seconds = _run(env, subset, limits[subset])
             finally:
                 path.write_text(original)
             result = {"passed": "survived", "failed": "killed"}.get(
