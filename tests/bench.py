@@ -144,9 +144,8 @@ def bench(names: list[str], reps: int, trees: dict[str, Path]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         (workdir / "synth1.json").write_text(json.dumps(synthetic_word(1)))
-        # The copies' paths have one length: the same source read 70.2
-        # and 69.1 MB peak RSS on synthetic seed 1 from paths of 19 and
-        # of 22 characters.
+        # Paths of one length: the same source read 70.2 and 69.1 MB peak
+        # RSS on synthetic seed 1 from paths of 19 and 22 characters.
         envs = {tag: launch_env(tree, workdir / f"src{k}")
                 for k, (tag, tree) in enumerate(trees.items())}
         for rep in range(reps):

@@ -64,10 +64,8 @@ BUILTIN_WORDS = ("demo-s4-fail", "demo-s4-pass", "gl15-partial",
 
 
 def launch_env(tree: Path, into: Path) -> dict[str, str]:
-    """Copy `tree`'s `src` to `into`, leaving out `__pycache__`, and
-    return the environment of a child that runs the copy: PYTHONPATH is
-    `into` and PYTHONDONTWRITEBYTECODE is set, so that every child
-    compiles what it imports and none writes into a tree."""
+    """Copy `tree`'s `src` to `into` without `__pycache__`; return the
+    environment of a child that runs the copy and writes no bytecode."""
     shutil.copytree(tree / "src", into,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {**os.environ, "PYTHONPATH": str(into),
@@ -225,8 +223,7 @@ def compare(other: Path, argvs: list[list[str]], workdir: Path,
             here: Path = ROOT) -> list[str]:
     """One line per argv whose runs on `here` and on `other` differ in
     stdout (timings cut for `certify`), stderr or exit code, naming the
-    argv and its first difference.  The trees' copies go into
-    `workdir`."""
+    argv and its first difference; the trees' copies go into `workdir`."""
     problems = []
     envs = [(launch_env(tree, workdir / f"{tag}-src"), tag)
             for tree, tag in ((here, "here"), (other, "there"))]
@@ -262,6 +259,7 @@ def main(argv=None) -> int:
     other = args.other.resolve()
     if not (other / "src" / "heckekit").is_dir():
         parser.error(f"{other} has no src/heckekit")
+    sys.dont_write_bytecode = True   # the catalogue imports heckekit
     sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
