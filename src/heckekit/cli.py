@@ -544,11 +544,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # A command runs once and builds large acyclic data, which reference
     # counting frees all the same.  The collector does not track a fold's
-    # packed state (bytes keys, int values), but it tracks the
-    # Kazhdan-Lusztig cache of nested term maps and would walk it again
-    # and again: `kl` on the w0 of S_8 took 2.48 s of CPU paused against
-    # 2.72 s with the collector on (medians of 10 alternating pairs,
-    # 2 vCPU, Python 3.11.7).
+    # coset map (bytes keys, and packed histograms or histogram ids as
+    # values); the id form's table of distinct histograms is one list,
+    # which it tracks, but it holds only ints, one per distinct
+    # histogram.  It tracks the Kazhdan-Lusztig cache of nested term
+    # maps and would walk it again and again: `kl` on the w0 of S_8 took
+    # 2.48 s of CPU paused against 2.72 s with the collector on (medians
+    # of 10 alternating pairs, 2 vCPU, Python 3.11.7).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -53,11 +53,39 @@ up to at most 2^free, so no field carries into the next.  The offset is
 free as well: only a free position allows e = 0, the one choice that
 lowers the defect, so no defect falls below -free.  A defect shift of
 +-1 is a shift by one field, and merging two histograms is one addition.
-`sweep` returns this state as it is, in a `SweepResult`: a read-only
-mapping that hands out tuple cosets and {defect: count} dicts on demand.
+
+While its histograms repeat, the state takes a second form, the id
+form (`_Ids`): each coset maps to a histogram id, a small int that
+indexes a table of the distinct packed histograms met so far.  A free
+step then finds the writes of a pair in a memo keyed by the pair's two
+ids, and those of a lone U, D or S coset in a memo keyed by its id; a
+forced run finds each id's shifted id in a memo per shift.  Only a memo
+miss shifts and adds the big ints, and its result is hashed once, as it
+enters the table.  So the arithmetic runs once per distinct pair of
+histograms, not once per coset, and the state holds one int object per
+distinct histogram, not one per coset.  Where histograms do not repeat,
+most lookups miss, and a miss costs more than the arithmetic it saves,
+so the form is chosen from the state alone: when a free step leaves a
+state of at least _CHECK_FROM cosets that has doubled since the last
+check, a pass counts its distinct histograms (on the int form, an
+eighth, a quarter and a half of the state first, stopping as soon as
+there are too many), and the state moves to ids at _TO_IDS or more
+cosets per distinct histogram, and back to ints below _TO_INTS.  On the
+certificate's words the state moves to ids early and stays there: the
+153,421 cosets of synthetic GL15 seed 1 end on 2,810 distinct
+histograms, and the 753,485 of `gl15-reconstructed` on 934.  On the w0
+of S_8 at A = {}, with 3.6 to 6.6 cosets per histogram at its checks, it
+never does.  The int form's loops are the ones written out in `sweep`,
+and the id form's are `_Ids`'s methods; the walk of a forced run,
+`_run_table`, serves both.
+
+`sweep` returns the state in its last form, in a `SweepResult`: a
+read-only mapping that hands out tuple cosets and {defect: count} dicts
+on demand, reading a histogram through the table in the id form.
 `SweepResult.above` picks the interval's cosets out of the bytes keys,
-gives each distinct packed histogram among them a small id and unpacks
-each distinct one once, reading the state in the order the fold wrote
+gives each distinct value among them (a packed histogram, or an id,
+which hashes no big int) a small id and unpacks each distinct histogram
+once, reading the state in the order the fold wrote
 it and sorting only the interval: `worddata.decide` applies the
 failure rule to those coefficients, and `certify` renders them, with
 the text of each chunk of cosets from `coset_texts`.  Other modules
@@ -103,11 +131,11 @@ fold one letter at a time on unpacked histograms, live with the tests in
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import (ItemsView, Iterable, Iterator, Mapping,
                              Sequence)
-from itertools import compress, count, groupby
-from operator import itemgetter
+from itertools import compress, count, groupby, islice
+from operator import itemgetter, mul
 
 from . import coxeter
 from .coxeter import Permutation
@@ -121,31 +149,46 @@ MAX_N = 255
 # Bott-Samelson character (`bs`, `pair`, `perverse-check`, in H or in M).
 # A forced run keeps the number of cosets, so only a free step can pass
 # it.
-# The synthetic GL15 certificate words peak near 155,000 cosets.  On
-# synthetic seed 1 (n = 15, 153,421 cosets) tracemalloc measured 219
-# bytes per coset of the returned packed state, and a peak of 299 per
-# final coset while a step (or a forced run) holds its state before and
-# after: about 0.3 GB at the budget for GL15-shaped words.  A free step
-# hands a coset's int on to the new state unchanged where it can (the
-# e = 1 write of a coset whose partner was not reached), so it
-# allocates fewer ints while both states are alive.  A forced run's memo
-# adds one entry per block content it meets, each with its own 256-byte
-# table: at most 312 entries (142 KB by getsizeof) on that word and 477
-# (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took 239 bytes
-# each packed, 331 at the peak (249 MB), and whose `certify` run peaked
-# at 283 MB RSS.
+# The synthetic GL15 certificate words peak near 155,000 cosets, and
+# their folds end in the id form.  On synthetic seed 1 (n = 15, 153,421
+# cosets) tracemalloc measured 88 bytes per coset of the returned state
+# in the id form (219 when the fold is held to the int form), and a
+# peak of 145 per final coset (299 in the int form) while a step (or a
+# forced run) holds its state before and after: about 0.15 GB at the
+# budget for GL15-shaped words.  In the id form a coset costs its key
+# and its dict entry, and the distinct histograms, the table and the
+# memos are few: 3,951 histograms in the table and 2,799 pair entries
+# on that word.  A free step hands a coset's value (its int, or its id)
+# on to the new state unchanged where it can (the e = 1 write of a
+# coset whose partner was not reached).  A forced run's memo adds one
+# entry per block content it meets, each with its own 256-byte table:
+# at most 312 entries (142 KB by getsizeof) on that word and 477
+# (217 KB) on `gl15-reconstructed`, whose 753,485 cosets took 104 bytes
+# each in the id form (239 in the int form), 164 at the peak (124 MB;
+# 331 and 249 MB in the int form), and whose `certify` run peaked at
+# 157 MB RSS (287 MB in the int form).
 # `SweepResult.above` then holds, beside the fold's state, a list of the
 # keys, a one-byte mask, lists of the interval's keys and ids in fold
 # order and in sorted order, and the argsort's index ints (36 bytes per
-# interval coset): 58.0 MB (55.3 MiB) at its peak there by tracemalloc,
-# so the state and these stay below the fold's own peak.
+# interval coset): 58.0 MB at its peak there by tracemalloc, so that
+# with the state (78.5 MB) it peaks at 136.5 MB, a little above the
+# fold's own peak.
 # Memory per coset grows with the free positions: `bs --n 11` on the
-# 55-letter w0 word, which has no forced run, peaked at 949 MB RSS when
-# it hit the budget.
+# 55-letter w0 word, which has no forced run and whose histograms never
+# repeat enough for the id form, peaked at 949 MB RSS when it hit the
+# budget.
 SUPPORT_BUDGET = 1_000_000
 
 # the translate table that moves no value
 _IDENTITY = bytes(range(256))
+
+# The fold steps on histogram ids while its state repeats: a pass over a
+# state of at least _CHECK_FROM cosets, run again only once the state has
+# doubled, moves it to ids at _TO_IDS cosets per distinct histogram or
+# more, and back to ints below _TO_INTS.
+_CHECK_FROM, _TO_IDS, _TO_INTS = 1 << 10, 16, 8
+
+_OVER_BUDGET = "subexpression fold support exceeds the budget of {} cosets"
 
 #: most keys the interval test packs into one set of big ints, which
 #: bounds its memory whatever the number of keys
@@ -211,13 +254,15 @@ def sweep(word: Sequence[int], n: int, parabolic,
     the old state, so every coset of the new state is written once.  A
     free step that reaches more than SUPPORT_BUDGET cosets raises
     ValueError, checked after every coset it reads, whichever branch
-    that coset takes.
+    that coset takes, in either form of the state.
 
-    The state is packed as the module docstring describes, and returned
-    packed, as a `SweepResult`, which unpacks a histogram when it is
-    read.  The step is the rule of `coxeter.coset_step` written out on
-    packed cosets, since this is the hot loop; the test oracles step by
-    `coxeter.coset_step` itself.
+    The state is packed as the module docstring describes, in the int
+    form or, while its histograms repeat, in the id form, which the
+    state itself selects after a free step (`_choose_form`); it is
+    returned packed, in its last form, as a `SweepResult`, which unpacks
+    a histogram when it is read.  The step is the rule of
+    `coxeter.coset_step` written out on packed cosets, since this is the
+    hot loop; the test oracles step by `coxeter.coset_step` itself.
     """
     if n > MAX_N:
         raise ValueError(f"n = {n} is above {MAX_N}: the fold keeps each "
@@ -246,55 +291,172 @@ def sweep(word: Sequence[int], n: int, parabolic,
     covered = sorted({p for g in A for p in (g - 1, g)})
     content = itemgetter(*covered) if covered else lambda u: None
     state = {bytes(range(1, n + 1)): 1 << free * width}
+    # an `_Ids` while the state maps cosets to histogram ids, and the
+    # size of the state at the last check of its form
+    ids, checked = None, _CHECK_FROM // 2
     for is_forced, run in groupby(range(m - 1, -1, -1), forced.__contains__):
         if is_forced:
             # e = 1 throughout, and each coset moves along the run one to
             # one; its block content fixes the run's composite swap table
             # and shift, found by walking the run once per content
             steps = [letters[word[j]] for j in run]
+            if ids is not None:
+                state = ids.forced_run(state, content, steps, starts, width)
+                continue
             out: dict[bytes, int] = {}
             memo = {}   # block content -> (table, shift)
             for u, h in state.items():
                 key = content(u)
                 hit = memo.get(key)
                 if hit is None:
-                    v, table, shift = u, _IDENTITY, 0
-                    for pair, swap in steps:
-                        if v.find(pair) in starts:
-                            shift += width
-                        else:
-                            v = v.translate(swap)
-                            table = table.translate(swap)
-                    hit = memo[key] = table, shift
+                    hit = memo[key] = _run_table(u, steps, starts, width)
                 table, shift = hit
                 out[u.translate(table)] = h << shift
             state = out
             continue
         for j in run:
             pair, swap = letters[word[j]]
-            out = {}
-            get = state.get
-            for u, h in state.items():
-                if u.find(pair) in starts:   # S: +1 for e = 1, -1 for e = 0
-                    out[u] = (h << width) + (h >> width)
-                else:   # s_i u > u in the bytes order iff the step is U
-                    v = u.translate(swap)
-                    g = get(v)
-                    if v > u:   # U: u writes its pair, v's share included
-                        if g is None:
-                            out[u] = h << width
+            if ids is not None:
+                state = ids.free_step(state, pair, swap, starts, budget)
+            else:
+                out = {}
+                get = state.get
+                for u, h in state.items():
+                    if u.find(pair) in starts:   # S: +1 at e = 1, -1 at 0
+                        out[u] = (h << width) + (h >> width)
+                    else:   # s_i u > u in the bytes order iff the step is U
+                        v = u.translate(swap)
+                        g = get(v)
+                        if v > u:   # U: u writes its pair, v's share included
+                            if g is None:
+                                out[u] = h << width
+                                out[v] = h
+                            else:
+                                out[u] = (h << width) + g
+                                out[v] = h + (g >> width)
+                        elif g is None:   # D, whose partner was not reached
                             out[v] = h
-                        else:
-                            out[u] = (h << width) + g
-                            out[v] = h + (g >> width)
-                    elif g is None:   # D, whose partner was not reached
-                        out[v] = h
-                        out[u] = h >> width
-                if len(out) > budget:
-                    raise ValueError(f"subexpression fold support exceeds "
-                                     f"the budget of {budget} cosets")
-            state = out
-    return SweepResult(state, width)
+                            out[u] = h >> width
+                    if len(out) > budget:
+                        raise ValueError(_OVER_BUDGET.format(budget))
+                state = out
+            if len(state) >= 2 * checked:
+                checked = len(state)
+                state, ids = _choose_form(state, ids, width)
+    return SweepResult(state, width, None if ids is None else ids.table)
+
+
+def _run_table(u: bytes, steps, starts, width: int) -> tuple[bytes, int]:
+    """The composite swap table and the defect shift of a forced run of
+    `steps` ((pair, swap) per letter, in fold order) on the coset u: an
+    S step shifts by one field, and any other step swaps.  Both forms of
+    the fold walk a run through it, once per block content."""
+    table, shift = _IDENTITY, 0
+    for pair, swap in steps:
+        if u.find(pair) in starts:
+            shift += width
+        else:
+            u = u.translate(swap)
+            table = table.translate(swap)
+    return table, shift
+
+
+def _choose_form(state: dict, ids: _Ids | None, width: int):
+    """The state in the form its repetition calls for, and the `_Ids` of
+    the id form (None for the int form).  The state moves to ids at
+    _TO_IDS cosets per distinct histogram or more, and back to ints
+    below _TO_INTS.  The int form counts the distinct histograms of the
+    first eighth of the state, then of the first quarter and half, and
+    stops as soon as they are too many, so a state that does not repeat
+    hashes an eighth or a quarter of its ints.  On the move to ids, each
+    distinct histogram gets its id in the order it first occurs."""
+    values = state.values()
+    if ids is not None:
+        if len(state) >= _TO_INTS * len(set(values)):
+            return state, ids
+        return dict(zip(state, map(ids.table.__getitem__, values))), None
+    distinct, read, eighth = set(), iter(values), len(state) // 8
+    for size in (eighth, eighth, 2 * eighth, None):
+        distinct.update(islice(read, size))
+        if len(state) < _TO_IDS * len(distinct):
+            return state, None
+    ids = _Ids(width)
+    return dict(zip(state, map(ids.index.__getitem__, values))), ids
+
+
+class _Memo(dict):
+    """A dict that computes a missing value by `step(key)` and keeps it."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.step(key))
+
+
+class _Ids:
+    """The id form of a fold's state, which maps each coset to the index
+    of its packed histogram in `table`.  `index` gives a histogram's id,
+    and appends a histogram it has not met to `table`.  A step's write on
+    the ids it reads comes from a memo, one per kind of write: `ups`,
+    `downs` and `fixed` for a lone U, D or S coset (its e = 0 and e = 1
+    shares together), `pairs` for the pair (u, s_i u) of a U coset u,
+    read by their ids, and `moves[shift]` for a forced run.  So only a
+    memo miss shifts and adds packed histograms, and each result is
+    hashed once, as it is interned.  The fold's width is fixed, so each
+    memo holds for the rest of the fold.  No memo refers back to the
+    object, so it makes no reference cycle."""
+
+    def __init__(self, width: int):
+        table = self.table = []
+        index = self.index = _Memo(lambda h: table.append(h) or len(table) - 1)
+        ups = self.ups = _Memo(lambda a: index[table[a] << width])
+        downs = self.downs = _Memo(lambda a: index[table[a] >> width])
+        self.fixed = _Memo(lambda a: index[table[ups[a]] + table[downs[a]]])
+        self.pairs = _Memo(lambda ab: (
+            index[table[ups[ab[0]]] + table[ab[1]]],
+            index[table[ab[0]] + table[downs[ab[1]]]]))
+        self.moves = _Memo(lambda k: _Memo(lambda a: index[table[a] << k]))
+
+    def forced_run(self, state, content, steps, starts, width):
+        """A forced run on ids: the int form's pass, each coset's
+        shifted histogram read from `moves`."""
+        out = {}
+        memo = {}   # block content -> (table, {id: shifted id})
+        for u, a in state.items():
+            key = content(u)
+            hit = memo.get(key)
+            if hit is None:
+                table, shift = _run_table(u, steps, starts, width)
+                hit = memo[key] = table, self.moves[shift]
+            table, moved = hit
+            out[u.translate(table)] = moved[a]
+        return out
+
+    def free_step(self, state, pair, swap, starts, budget):
+        """A free step on ids: the int form's branches, each write read
+        from a memo by the ids it reads."""
+        ups, downs, fixed, pairs = self.ups, self.downs, self.fixed, self.pairs
+        out = {}
+        get = state.get
+        for u, a in state.items():
+            if u.find(pair) in starts:   # S
+                out[u] = fixed[a]
+            else:
+                v = u.translate(swap)
+                b = get(v)
+                if v > u:   # U
+                    if b is None:
+                        out[u] = ups[a]
+                        out[v] = a
+                    else:
+                        out[u], out[v] = pairs[a, b]
+                elif b is None:   # D, whose partner was not reached
+                    out[v] = a
+                    out[u] = downs[a]
+            if len(out) > budget:
+                raise ValueError(_OVER_BUDGET.format(budget))
+        return out
 
 
 def _key(z) -> bytes | None:
@@ -310,18 +472,25 @@ def _key(z) -> bytes | None:
 class SweepResult(Mapping):
     """The packed state of a finished fold, read as endpoint -> defect ->
     count: `packed` maps each endpoint coset, as bytes, to its packed
-    histogram, whose fields are `width` bits wide.  Keys are handed out
-    as tuple cosets and values as {defect: count} dicts in increasing
-    defect order, unpacked on demand, so a result compares equal to the
-    dict of its items.  `above` reads the endpoints above a coset in
-    bulk and unpacks each distinct histogram among them once; no other
-    module reads `packed` or `width`."""
+    histogram, whose fields are `width` bits wide, or, in the id form,
+    to the index of that histogram in the list `table` (None in the int
+    form).  Keys are handed out as tuple cosets and values as {defect:
+    count} dicts in increasing defect order, unpacked on demand, so a
+    result compares equal to the dict of its items.  `above` reads the
+    endpoints above a coset in bulk and unpacks each distinct histogram
+    among them once; no other module reads `packed`, `width` or
+    `table`."""
 
-    __slots__ = ("packed", "width")
+    __slots__ = ("packed", "width", "table")
 
-    def __init__(self, packed: dict[bytes, int], width: int):
-        self.packed = packed
-        self.width = width
+    def __init__(self, packed: dict[bytes, int], width: int, table=None):
+        self.packed, self.width, self.table = packed, width, table
+
+    def _ints(self, values: Iterable[int]) -> Iterable[int]:
+        """The packed histograms that `values`, values of `packed`,
+        stand for."""
+        table = self.table
+        return values if table is None else map(table.__getitem__, values)
 
     def above(self, x: Permutation) -> tuple[list[bytes], list[int],
                                              list[dict[int, int]]]:
@@ -334,8 +503,9 @@ class SweepResult(Mapping):
         ValueError naming x.
 
         The state is read in its own order: `_bruhat_mask` marks the
-        keys with x <= z, and the histograms it marks are hashed in
-        turn, each once, into ids first-seen in that order.  Only the
+        keys with x <= z, and the values it marks, packed histograms or,
+        in the id form, histogram ids, are hashed in turn, each once,
+        into ids first-seen in that order.  Only the
         marked keys are sorted, by one argsort that carries their ids
         along; x is dropped, the ids are renumbered by first occurrence
         in the sorted order, and each distinct histogram is unpacked
@@ -356,21 +526,25 @@ class SweepResult(Mapping):
         # renumbered first-seen over the sorted interval without x
         ids = defaultdict(count().__next__)
         hist_ids = list(map(ids.__getitem__, early))
-        packed = list(fold_ids)
+        packed = list(self._ints(fold_ids))
         return inside, hist_ids, list(
             _unpack(map(packed.__getitem__, ids), self.width))
 
     def total(self) -> dict[int, int]:
         """Counts by defect over every endpoint: one unpack of the sum of
-        the packed histograms.  The sum carries into no field, since a
-        field counts at most the 2^free leaves and 2^free < 2^width."""
-        return next(_unpack((sum(self.packed.values()),), self.width))
+        the packed histograms, each distinct value of the state (an id,
+        in the id form) counted and its histogram added once, times its
+        count.  The sum carries into no field, since a field counts at
+        most the 2^free leaves and 2^free < 2^width."""
+        counts = Counter(self.packed.values())
+        total = sum(map(mul, self._ints(counts), counts.values()))
+        return next(_unpack((total,), self.width))
 
     def __getitem__(self, z: Permutation) -> dict[int, int]:
         h = self.packed.get(_key(z))
         if h is None:
             raise KeyError(z)
-        return next(_unpack((h,), self.width))
+        return next(_unpack(self._ints((h,)), self.width))
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(tuple, self.packed)
@@ -395,7 +569,7 @@ class _Items(ItemsView):
     def __iter__(self):
         data = self._mapping
         return zip(map(tuple, data.packed),
-                   _unpack(data.packed.values(), data.width))
+                   _unpack(data._ints(data.packed.values()), data.width))
 
 
 def _unpack(hs: Iterable[int], width: int) -> Iterator[dict[int, int]]:

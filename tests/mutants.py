@@ -56,9 +56,9 @@ MODULE_ACTIONS = {"hecke", "spherical"}
 TIMEOUT_FACTOR, TIMEOUT_SLACK = 3, 30
 
 MUTANTS = [
-    ("subexpr", "if u.find(pair) in starts:   # S",
-     "if u.find(pair) - 1 in starts:   # S",
-     "a free step reads the S test one position off"),
+    ("subexpr", "if u.find(pair) in starts:   # S:",
+     "if u.find(pair) - 1 in starts:   # S:",
+     "a free step on ints reads the S test one position off"),
     ("subexpr", "out[u] = (h << width) + (h >> width)",
      "out[u] = (h << width) + h",
      "an S step at e = 0 keeps the defect instead of lowering it"),
@@ -202,25 +202,55 @@ MUTANTS = [
     ("subexpr", "out[v] = h + (g >> width)", "out[v] = h + g",
      "the D side of a pair keeps its defect at e = 0 instead of lowering "
      "it"),
-    ("subexpr", "if v > u:", "if v < u:",
+    ("subexpr", "if v > u:   # U: u writes", "if v < u:   # U: u writes",
      "the D side of each pair writes it with the shifts of the U side, "
      "and the U side writes nothing"),
-    ("subexpr", "out[v] = h\n                        out[u] = h >> width",
-     "out[v] = h << width\n                        out[u] = h >> width",
+    ("subexpr",
+     "out[v] = h\n                            out[u] = h >> width",
+     "out[v] = h << width\n                            out[u] = h >> width",
      "a D step whose partner was not reached raises the defect at e = 1"),
     ("subexpr", "out[u] = (h << width) + (h >> width)\n",
-     "out[u] = (h << width) + (h >> width)\n                    continue\n",
+     "out[u] = (h << width) + (h >> width)\n"
+     "                        continue\n",
      "the S branch skips the budget check, so a step whose last writes "
      "are S cosets can pass the budget"),
     ("subexpr",
      "        hist_ids = list(map(ids.__getitem__, early))\n"
-     "        packed = list(fold_ids)\n"
+     "        packed = list(self._ints(fold_ids))\n"
      "        return inside, hist_ids, list(\n"
      "            _unpack(map(packed.__getitem__, ids), self.width))",
-     "        return inside, early, list(_unpack(fold_ids, self.width))",
+     "        return inside, early, list(\n"
+     "            _unpack(self._ints(fold_ids), self.width))",
      "the ids are not renumbered over the sorted interval, so they and "
      "the histograms follow the order of the packed state, and a "
      "histogram only x has is listed"),
+    ("subexpr", "out[u], out[v] = pairs[a, b]",
+     "out[u], out[v] = pairs.setdefault(a, pairs[a, b])",
+     "the pair memo is keyed on the U side's id alone, so a pair whose "
+     "partner has another histogram reads the writes of the first pair "
+     "met with the same U side"),
+    ("subexpr", "ups = self.ups = _Memo(lambda a: index[table[a] << width])",
+     "ups = self.ups = _Memo(lambda a: a)",
+     "the lone-U memo returns the id it reads, so a lone U coset on ids "
+     "keeps its histogram at e = 0 instead of raising it"),
+    ("subexpr",
+     "downs = self.downs = _Memo(lambda a: index[table[a] >> width])",
+     "downs = self.downs = _Memo(lambda a: index[table[a] << width])",
+     "a lone D coset on ids raises its defect at e = 0 instead of "
+     "lowering it"),
+    ("subexpr", "index[table[ups[a]] + table[downs[a]]]",
+     "index[table[ups[a]]]",
+     "an S coset on ids drops its e = 0 share"),
+    ("subexpr", "_Memo(lambda a: index[table[a] << k])", "_Memo(lambda a: a)",
+     "a forced run on ids drops the shift of its S steps"),
+    ("subexpr", "if len(state) < _TO_IDS * len(distinct):",
+     "if len(state) >= _TO_IDS * len(distinct):",
+     "the switch test is inverted: a state that repeats stays on ints, "
+     "and one that does not moves to ids"),
+    ("subexpr", "if len(state) >= _TO_INTS * len(set(values)):",
+     "if True:",
+     "a fold on ids never goes back to ints, however its repetition "
+     "fades"),
 ]
 
 

@@ -12,10 +12,10 @@ ALLOWED_METHODS; the scan cannot tell classes apart, so any `.name` read
 counts.  Every private top-level function and class has a caller in the
 package, with no exception: a helper only its tests call belongs in the
 tests.  Every name that a package module imports is used in that module.
-The packed layout of a fold (`SweepResult`'s `packed` and `width`, and
-a coset as `bytes`, built, translated or cut into ints) is read only in
-FOLD_LAYOUT_READERS, `subexpr` alone, so a change of layout stays inside
-that module.  And
+The packed layout of a fold (`SweepResult`'s `packed`, `width` and
+`table`, and a coset as `bytes`, built, translated or cut into ints) is
+read only in FOLD_LAYOUT_READERS, `subexpr` alone, so a change of layout
+stays inside that module.  And
 the input checks are written once, in `coxeter`: no other module holds
 the message of one, but for the exceptions in OWN_CHECKS.  Coefficients
 have one representation: elements and the caches of `hecke` store term
@@ -72,8 +72,8 @@ ALLOWED_METHODS = {
 
 #: the attributes and the names that read or build a fold's packed
 #: layout, and the modules that use them
-FOLD_LAYOUT = {"packed", "width", "translate", "maketrans", "from_bytes",
-               "to_bytes"}
+FOLD_LAYOUT = {"packed", "width", "table", "translate", "maketrans",
+               "from_bytes", "to_bytes"}
 COSET_TYPES = {"bytes", "bytearray"}
 FOLD_LAYOUT_READERS = {"subexpr"}
 

@@ -581,6 +581,129 @@ def test_free_steps_agree_with_the_step_by_step_fold_on_every_branch():
         assert some_forced or not seen["D"]
 
 
+# -- the id form: the fold steps on histogram ids while they repeat -----
+
+
+def _w0_word(n: int) -> tuple[int, ...]:
+    """The reduced word of the longest element of S_n."""
+    return tuple(i for top in range(n - 1, 0, -1) for i in range(1, top + 1))
+
+
+def _synthetic_suffix(seed: int, start: int):
+    """(word, n, A, forced) of synthetic GL15 seed `seed` from its letter
+    `start` on, with its forced positions renumbered."""
+    from compare_trees import synthetic_word
+    from heckekit import worddata
+
+    wd = worddata.parse_word_data(synthetic_word(seed))
+    return (wd.word[start:], wd.n, wd.parabolic,
+            {k - start for k in wd.constraint().forced if k >= start})
+
+
+def _form_switch_cases():
+    """(word, n, A, forced, forms) of folds large enough for the form
+    check, with the pattern of forms that the checks must choose, "i"
+    for ids and "n" for ints: two suffixes of a synthetic GL15 word,
+    which enter the id form and stay in it (the shorter only at its
+    last step), and the w0 of S_9 at A = {5, 6} with 20 seeded forced
+    positions, which does too and whose forced runs on ids take S
+    steps; the w0 of S_9 at A = {} with 14 seeded forced positions,
+    whose repetition fades, so that it enters the id form and leaves
+    it; and the w0 of S_8 at A = {} and of S_9 at A = {1, 3, 5}, which
+    never repeat enough to enter it."""
+    w9 = _w0_word(9)
+    return [(*_synthetic_suffix(1, 14), "n+i+"),
+            (*_synthetic_suffix(1, 26), "n+i"),
+            (w9, 9, (5, 6), set(random.Random(0).sample(range(len(w9)), 20)),
+             "n+i+"),
+            (w9, 9, (), set(random.Random(21).sample(range(len(w9)), 14)),
+             "n*i+n+"),
+            (_w0_word(8), 8, (), set(), "n+"),
+            (w9, 9, (1, 3, 5), set(), "n+")]
+
+
+def test_folds_agree_with_the_oracle_in_either_form(monkeypatch):
+    """Each fold of `_form_switch_cases` against `oracles.fold`, read
+    through `items`, `total`, `get` and `above(x)` at a seeded endpoint
+    and, for a fold that ends on ids, at its least endpoint too.  The
+    checks choose the form from the state alone, in the pattern each
+    case names: a fold whose histograms repeat steps on ids, and one
+    whose repetition fades goes back to ints.  In the id form every kind
+    of write ran: a lone U, D and S coset, a pair and a forced run whose
+    S steps shift a histogram."""
+    from oracles import fold
+
+    forms, memos = [], Counter()
+    choose = subexpr._choose_form
+
+    def spy(state, ids, width):
+        state, ids = choose(state, ids, width)
+        forms.append("n" if ids is None else "i")
+        if ids is not None:
+            for name in ("ups", "downs", "fixed", "pairs"):
+                memos[name] += len(getattr(ids, name))
+            memos["shifted moves"] += sum(len(moved) for shift, moved
+                                          in ids.moves.items() if shift)
+        return state, ids
+
+    monkeypatch.setattr(subexpr, "_choose_form", spy)
+    rng = random.Random(107)
+    for word, n, A, forced, pattern in _form_switch_cases():
+        forms.clear()
+        got = sweep(word, n, A, EnumConstraint(len(word), forced))
+        want = fold(word, n, A, forced)
+        assert re.fullmatch(pattern, "".join(forms)), (pattern, forms)
+        assert (got.table is not None) is (forms[-1] == "i")
+        assert dict(got.items()) == want
+        total: Counter = Counter()
+        for hist in want.values():
+            total.update(hist)
+        assert got.total() == dict(sorted(total.items()))
+        keys = sorted(want)
+        for z in rng.sample(keys, 200):
+            assert got.get(z) == want[z] and list(got[z]) == sorted(want[z])
+        xs = [rng.choice(keys)]
+        if got.table is not None:   # nearly every coset, read through ids
+            xs.append(keys[0])
+        for x in xs:
+            inside, ids, histograms = got.above(x)
+            assert inside == list(map(bytes, _oracle_above(x, want)))
+            assert [histograms[i] for i in ids] == [want[tuple(z)]
+                                                    for z in inside]
+    assert min(memos.values()) > 0 and set(memos) == {
+        "ups", "downs", "fixed", "pairs", "shifted moves"}
+
+
+def test_sweep_budget_is_checked_in_an_id_step(monkeypatch):
+    """The last free step of a synthetic GL15 suffix runs on ids and
+    goes from 14,637 cosets to 23,642: at a budget one below, that step
+    crosses it on the id form and raises, and at that budget it
+    passes."""
+    word, n, A, forced = _synthetic_suffix(1, 14)
+    c = EnumConstraint(len(word), forced)
+    size = len(sweep(word, n, A, c))
+    assert size == 23642
+    raised = []
+    free_step = subexpr._Ids.free_step
+
+    def spy(self, state, *args):
+        try:
+            return free_step(self, state, *args)
+        except ValueError:
+            raised.append(len(state))
+            raise
+
+    monkeypatch.setattr(subexpr._Ids, "free_step", spy)
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", size - 1)
+    with pytest.raises(ValueError, match=f"^subexpression fold support "
+                                         f"exceeds the budget of "
+                                         f"{size - 1} cosets$"):
+        sweep(word, n, A, c)
+    assert raised == [14637]   # the last free step, on ids, raised
+    monkeypatch.setattr(subexpr, "SUPPORT_BUDGET", size)
+    assert len(sweep(word, n, A, c)) == size
+
+
 # -- the interval test: all cosets at once, one byte column at a time ----
 
 
@@ -733,9 +856,20 @@ def test_every_fold_key_is_bytes_of_n_values():
 
 
 def test_the_packed_fold_state_is_not_tracked_by_the_collector():
-    """Why the CLI leaves the cyclic collector on: a fold's state holds
-    only bytes keys and int values, so the collector does not track it
-    and never walks it, however many cosets it holds.  Seeded folds with
-    and without forced letters."""
+    """Why a fold needs no pause of the cyclic collector: in the int
+    form the state holds only bytes keys and int values, and in the id
+    form its coset map holds bytes keys and int ids, so the collector
+    tracks neither and never walks it, however many cosets it holds.
+    The id form's table is a list, which the collector tracks, but it
+    holds only ints, one per distinct histogram met, far fewer than the
+    cosets.  Seeded folds with and without forced letters, which stay on
+    ints, and two suffixes of a synthetic GL15 word, which end on
+    ids."""
     for got, _ in _seeded_folds(97, 40):
+        assert got.table is None and not gc.is_tracked(got.packed)
+    for word, n, A, forced, _ in _form_switch_cases()[:2]:
+        got = sweep(word, n, A, EnumConstraint(len(word), forced))
         assert not gc.is_tracked(got.packed)
+        assert gc.is_tracked(got.table)
+        assert all(type(h) is int for h in got.table)
+        assert 16 * len(got.table) <= len(got)

@@ -205,8 +205,8 @@ def test_x_and_w_elements():
 
 def _certify(word):
     """`certify` on `word` (or on no word): its exit code, its payload
-    with the interval's entries cut out and counted, and the record that
-    `decide` returned to it."""
+    with the interval's entries cut out, the JSON text of each entry, in
+    order, and the record that `decide` returned to it."""
     records = []
     decide = worddata.decide
     stdout = io.StringIO()
@@ -216,13 +216,17 @@ def _certify(word):
                       lambda *args: records.append(decide(*args))
                       or records[-1])
         code = cli.main(["certify"] + (["--word", word] if word else []))
-    out, entries = stdout.getvalue(), ""
+    out, entries = stdout.getvalue(), []
     if '"failures":' in out:   # the interval's entries close the last list
         head, _, rest = out.rpartition('"entries":[')
-        entries, _, tail = rest.partition('],"failures":')
+        text, _, tail = rest.partition('],"failures":')
         out = head + '"entries":null,"failures":' + tail
+        # compact entries hold no newline, and "},{" followed by a key
+        # is found only between two of them
+        entries = text.replace('},{"coefficient":',
+                               '}\n{"coefficient":').split("\n")
     (d,) = records
-    return code, json.loads(out), entries.count('{"coefficient":'), d
+    return code, json.loads(out), [e for e in entries if e], d
 
 
 @pytest.fixture(scope="module")
@@ -263,17 +267,19 @@ def test_decide_holds_what_certify_prints(word, request):
     assert d.inside == sorted(d.inside)
     assert all(type(z) is bytes for z in d.inside)
     assert payload["interval"]["cosets_in_interval"] == len(d.inside) == \
-        entries
+        len(entries)
     assert [f["coset"] for f in payload["interval"]["failures"]] == [
         list(d.inside[k]) for k in d.failures]
 
 
-def _check_against_the_backward_oracle(wd, d, picks):
+def _check_against_the_backward_oracle(wd, d, picks, entries=None):
     """The fold's histogram at x and at the interval cosets whose
     positions in `d.inside` are `picks`, against
     `oracles.backward_coefficient`, and each such coset's place in
-    x < z <= w against `coxeter.bruhat_leq`; returns the oracle's
-    coefficient at x."""
+    x < z <= w against `coxeter.bruhat_leq`; with `entries`, the JSON
+    texts of the rendered interval, also each such coset's entry, its
+    coefficient and its `ok`, against the oracle's coefficient; returns
+    the oracle's coefficient at x."""
     rep = d.validation
     x, forced = rep.x, rep.constraint.forced
     at_x = backward_coefficient(wd.word, wd.n, wd.parabolic, forced, x)
@@ -282,25 +288,32 @@ def _check_against_the_backward_oracle(wd, d, picks):
         z = tuple(d.inside[k])
         assert z != x and coxeter.bruhat_leq(x, z) and \
             coxeter.bruhat_leq(z, rep.w), z
-        assert backward_coefficient(wd.word, wd.n, wd.parabolic, forced,
-                                    z) == d.histograms[d.ids[k]], z
+        want = backward_coefficient(wd.word, wd.n, wd.parabolic, forced, z)
+        assert want == d.histograms[d.ids[k]], z
+        if entries is not None:
+            entry = json.loads(entries[k])
+            assert entry == {"coefficient": {str(e): str(c)
+                                             for e, c in want.items()},
+                             "coset": list(z), "ok": min(want) >= 0}, z
     return at_x
 
 
 def test_real_size_intervals_agree_with_the_backward_oracle(gl15_certified):
     """The coefficients that the verdict rests on, at real size, against
     a fold that shares no code with `sweep`: on `gl15-reconstructed`,
-    decided once for this module, at x, whose coefficient starts
-    v^-1 + 12 v, and at 200 seeded interval cosets; on synthetic seed 1,
-    at x and at 100 seeded failures, each of which has a negative
-    power of v."""
+    certified once for this module, at x, whose coefficient starts
+    v^-1 + 12 v, and at 200 seeded interval cosets, each also against
+    its rendered entry, coefficient and `ok`, which `certify` read
+    through the fold's histogram ids; on synthetic seed 1, at x and at
+    100 seeded failures, each of which has a negative power of v."""
     from compare_trees import synthetic_word
 
     rng = random.Random(25)
-    d = gl15_certified[3]
+    _, _, entries, d = gl15_certified
+    assert d.sweep.table is not None   # the fold ended on histogram ids
     at_x = _check_against_the_backward_oracle(
         load_word_data("gl15-reconstructed"), d,
-        rng.sample(range(len(d.inside)), 200))
+        rng.sample(range(len(d.inside)), 200), entries)
     assert list(at_x.items())[:2] == [(-1, 1), (1, 12)]
     wd = parse_word_data(synthetic_word(1))
     d = worddata.decide(demazure.builtin_expr("paper-GL15"), 2, wd)
